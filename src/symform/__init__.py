@@ -56,6 +56,7 @@ from .dynamics import (
     fit_rate,
     integrate,
     potential,
+    propagate_linear,
     resolve_grid,
     rk4_step,
 )
@@ -98,7 +99,7 @@ __all__ = [
     "incidence_from_edges", "integrate", "laplacian_from_edges",
     "maneuver_control", "moving_frame", "null_basis", "null_basis_from_chain",
     "omega_matrix", "permutation_action", "potential", "product_laplacian",
-    "propagate_reference", "resolve_grid", "rk4_step", "rotation2", "rotation3",
+    "propagate_linear", "propagate_reference", "resolve_grid", "rk4_step", "rotation2", "rotation3",
     "rotation_chain", "rotational_automorphisms", "shifted_errors",
     "simulate_cube", "simulate_maneuver", "spectrum", "steady_state",
     "steady_state_per_agent", "symmetric_configuration", "validate",

@@ -474,13 +474,11 @@ def verification_checks(
     out.append(CheckResult("gradient", worst <= 1e-6,
                            f"max relative FD mismatch {worst:.3e} (tol 1e-6)"))
 
-    # short RK4 run against the closed-form propagator
+    # short run of the run-path RK4 propagator against the closed-form solution
     p0 = rng.uniform(-2.0, 2.0, size=dim * n)
     dt = 0.01 / lam_max if lam_max > 0 else 0.01
     steps = int(math.ceil(1.0 / dt))
-    p = p0.copy()
-    for k in range(steps):
-        p = dynamics.rk4_step(lambda t, y: -(sym @ y), k * dt, p, dt)
+    p = dynamics.propagate_linear(p0, [(sym, steps)], dt)[-1]
     lam, vec = np.linalg.eigh(sym)
     lam = np.where(np.abs(lam) < threshold, 0.0, lam)
     exact = vec @ (np.exp(-lam * (steps * dt)) * (vec.T @ p0))

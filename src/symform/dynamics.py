@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .laplacian import Spectrum, SymmetryLaplacian, WeightedEdge, spectrum
+from .laplacian import NumericFailure, Spectrum, SymmetryLaplacian, WeightedEdge, spectrum
 from .symgroup import PointGroupAssignment
 from .topology import InteractionGraph, weighted_edges
 
@@ -129,7 +129,7 @@ def rk4_step(
     y: NDArray[np.float64],
     h: float,
 ) -> NDArray[np.float64]:
-    """One classical fixed-step RK4 update (shared by every integrator here)."""
+    """One classical fixed-step RK4 update of a general field (the reference stepper)."""
     k1 = f(t, y)
     k2 = f(t + h / 2, y + (h / 2) * k1)
     k3 = f(t + h / 2, y + (h / 2) * k2)
@@ -160,22 +160,59 @@ def resolve_grid(
     return dt, horizon, steps
 
 
+def propagate_linear(
+    c0: NDArray[np.float64],
+    segments: list[tuple[NDArray[np.float64], int]],
+    dt: float,
+) -> NDArray[np.float64]:
+    """Classical RK4 on dc/dt = -G c over consecutive (G, step_count) segments.
+
+    Returns the (total_steps + 1, dim) array of states, row 0 being ``c0``.
+    The stages use the operation order of :func:`rk4_step` on the field
+    -(G @ y), so a single segment reproduces that stepper bitwise.
+    """
+    x = np.array(c0, dtype=float)
+    total = sum(count for _, count in segments)
+    out = np.empty((total + 1, x.size))
+    out[0] = x
+    half, sixth = dt / 2, dt / 6
+    k = 0
+    for g, count in segments:
+        for _ in range(count):
+            k1 = -(g @ x)
+            k2 = -(g @ (x + half * k1))
+            k3 = -(g @ (x + half * k2))
+            k4 = -(g @ (x + dt * k3))
+            x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            k += 1
+            out[k] = x
+    return out
+
+
+def require_finite(stage: str, times: NDArray[np.float64], **arrays: NDArray[np.float64]) -> None:
+    """Raise NumericFailure naming the first array and step with a non-finite entry."""
+    for name, arr in arrays.items():
+        ok = np.isfinite(arr).reshape(arr.shape[0], -1).all(axis=1)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise NumericFailure(
+                f"{stage}: {name} is not finite from step {k} (t = {float(times[k]):g}); "
+                "the run overflowed"
+            )
+
+
 def integrate(
     lap: SymmetryLaplacian,
     p0: NDArray[np.float64],
     dt: float | None = None,
     horizon: float | None = None,
-    method: str = "rk4",
-    field_fn: Callable[[float, NDArray[np.float64]], NDArray[np.float64]] | None = None,
     metadata: dict | None = None,
 ) -> SimulationTrace:
-    """Fixed-step RK4 integration of dp/dt = -Q p (or a supplied field).
+    """Fixed-step RK4 integration of dp/dt = -Q p.
 
     Defaults: dt = 0.5/λ_max, horizon = 40/λ⁺_min. Step sizes at or beyond
     the stability limit raise ValueError with a suggested dt.
     """
-    if method != "rk4":
-        raise ValueError(f"unknown method {method!r}; only 'rk4' is implemented")
     q = lap.matrix
     p = np.array(p0, dtype=float)
     if p.shape != (q.shape[0],):
@@ -183,24 +220,18 @@ def integrate(
     spec = spectrum(q)
     dt, horizon, steps = resolve_grid(spec, dt, horizon)
 
-    if field_fn is None:
-        def field_fn(t: float, y: NDArray[np.float64]) -> NDArray[np.float64]:
-            return -(q @ y)
-
-    states = np.empty((steps + 1, p.size))
-    states[0] = p
-    for k in range(steps):
-        p = rk4_step(field_fn, k * dt, p, dt)
-        states[k + 1] = p
     times = np.arange(steps + 1) * dt
-
     E = lap.incidence.matrix
     m, d = lap.incidence.edge_count, lap.dim
-    residuals = states @ E
-    errors = np.sqrt((residuals.reshape(steps + 1, m, d) ** 2).sum(axis=2))
-    potentials = 0.5 * (errors ** 2).sum(axis=1)
+    # overflow is reported once, by require_finite, instead of as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = propagate_linear(p, [(q, steps)], dt)
+        residuals = states @ E
+        errors = np.sqrt((residuals.reshape(steps + 1, m, d) ** 2).sum(axis=2))
+        potentials = 0.5 * (errors ** 2).sum(axis=1)
+    require_finite("integrate", times, states=states, edge_errors=errors, potentials=potentials)
 
-    meta = {"dt": dt, "horizon": horizon, "steps": steps, "method": method,
+    meta = {"dt": dt, "horizon": horizon, "steps": steps, "method": "rk4",
             "lambda_max": spec.lambda_max, "lambda_min_pos": spec.lambda_min_pos}
     if metadata:
         meta.update(metadata)

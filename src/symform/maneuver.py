@@ -8,10 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import SimulationTrace, resolve_grid, rk4_step
-from .laplacian import SymmetryLaplacian, spectrum
+from .dynamics import DEFAULT_STEP_FACTOR, SimulationTrace, propagate_linear, require_finite, resolve_grid
+from .laplacian import NumericFailure, Spectrum, SymmetryLaplacian, spectrum
 from .symgroup import PointGroupAssignment, Rotation, identity, rotation2
 from .topology import InteractionGraph, weighted_edges
+
+# RK4 may not amplify any mode by more than rounding: max |P(-dt μ)| <= 1 + this
+RK4_GAIN_TOL = 1e-12
 
 Segment = tuple[float, NDArray[np.float64]]
 ScalarSegment = tuple[float, float]
@@ -169,6 +172,12 @@ class ReferencePath:
         )
 
 
+def _step_indices(segs: tuple, times: NDArray[np.float64]) -> NDArray[np.intp]:
+    """Index of the segment holding at each time (the vector form of _segment_value)."""
+    starts = np.array([t for t, _ in segs])
+    return np.maximum(np.searchsorted(starts, times, side="right") - 1, 0)
+
+
 def propagate_reference(
     inputs: ReferenceInputs, start: ReferenceState, dt: float, horizon: float
 ) -> ReferencePath:
@@ -182,24 +191,28 @@ def propagate_reference(
     d = inputs.dim
     steps = max(1, int(math.ceil(horizon / dt - 1e-12)))
     times = np.arange(steps + 1) * dt
-    positions = np.empty((steps + 1, d))
+    iv, iw, ia = (_step_indices(segs, times[:-1])
+                  for segs in (inputs.velocity, inputs.angular, inputs.scale_rate))
+    vks = np.array([v for _, v in inputs.velocity])[iv]
+    wks = np.array([w for _, w in inputs.angular])[iw]
+    aks = np.array([a for _, a in inputs.scale_rate])[ia]
+
+    # sequential accumulations, so every row equals the step-by-step march
+    positions = np.cumsum(np.vstack([start.position, dt * vks]), axis=0)
+    try:
+        growth = {j: math.exp(inputs.scale_rate[j][1] * dt) for j in set(ia.tolist())}
+    except OverflowError:
+        raise NumericFailure(
+            f"reference path: exp(scale_rate * dt) overflows at dt = {dt:g}"
+        ) from None
+    factors = np.array([start.scale] + [growth[j] for j in ia.tolist()])
+    with np.errstate(over="ignore"):  # an overflowed scale fails the run's finiteness check
+        scales = np.multiply.accumulate(factors)
+    turns = {j: _rotation_step(inputs.angular[j][1], d, dt) for j in set(iw.tolist())}
     rotations = np.empty((steps + 1, d, d))
-    scales = np.empty(steps + 1)
-    vks = np.empty((steps, d))
-    wks = np.empty((steps,) if d == 2 else (steps, 3))
-    aks = np.empty(steps)
-    positions[0] = start.position
     rotations[0] = start.rotation.matrix
-    scales[0] = start.scale
-    for k in range(steps):
-        t = float(times[k])
-        v = inputs.velocity_at(t)
-        w = inputs.omega_at(t)
-        a = inputs.scale_rate_at(t)
-        vks[k], wks[k], aks[k] = v, w, a
-        positions[k + 1] = positions[k] + dt * v
-        rotations[k + 1] = _rotation_step(w, d, dt) @ rotations[k]
-        scales[k + 1] = scales[k] * math.exp(a * dt)
+    for k, j in enumerate(iw.tolist()):
+        rotations[k + 1] = turns[j] @ rotations[k]
     return ReferencePath(
         times=times, positions=positions, rotations=rotations, scales=scales,
         step_velocities=vks, step_omegas=wks, step_scale_rates=aks, dim=d, dt=dt,
@@ -224,23 +237,6 @@ def frame_to_world(zeta: NDArray[np.float64], ref: ReferenceState) -> NDArray[np
     return pts.ravel()
 
 
-def _maneuver_field(
-    q: NDArray[np.float64],
-    p: NDArray[np.float64],
-    r_vec: NDArray[np.float64],
-    v_tile: NDArray[np.float64],
-    omega_mat: NDArray[np.float64],
-    scale_rate: float,
-    n: int,
-    d: int,
-) -> NDArray[np.float64]:
-    # single arithmetic path shared by maneuver_control and the integrator;
-    # operation order is fixed so zero inputs reduce bitwise to -Q p
-    c = p - np.tile(r_vec, n)
-    blocks = c.reshape(n, d)
-    return -(q @ c) + v_tile + (blocks @ omega_mat.T).ravel() + scale_rate * c
-
-
 def maneuver_control(
     p: NDArray[np.float64],
     q_matrix: NDArray[np.float64] | SymmetryLaplacian,
@@ -259,8 +255,11 @@ def maneuver_control(
     d = ref.dim
     n = p.size // d
     v = np.asarray(velocity, dtype=float)
-    return _maneuver_field(q, p, ref.position, np.tile(v, n), omega_matrix(omega, d),
-                           float(scale_rate), n, d)
+    # operation order fixed so zero inputs reduce bitwise to -Q p
+    c = p - np.tile(ref.position, n)
+    blocks = c.reshape(n, d)
+    rotation = (blocks @ omega_matrix(omega, d).T).ravel()
+    return -(q @ c) + np.tile(v, n) + rotation + float(scale_rate) * c
 
 
 @dataclass(eq=False)
@@ -277,6 +276,52 @@ class ManeuverTrace(SimulationTrace):
     zeta: NDArray[np.float64] = None
 
 
+def _rk4_gain(z: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """|P(z)| for the RK4 stability polynomial P(z) = 1 + z + z²/2 + z³/6 + z⁴/24."""
+    return np.abs(1 + z * (1 + z * (1 / 2 + z * (1 / 6 + z / 24))))
+
+
+def _segment_operators(
+    q: NDArray[np.float64], path: ReferencePath, spec: Spectrum, n: int
+) -> list[tuple[NDArray[np.float64], int]]:
+    """(G, step_count) for each run of steps with constant (ω, α), checked for RK4 stability.
+
+    On such a run the shifted state c = p - 1⊗r obeys dc/dt = -G c with
+    G = Q - I⊗Ω - α I. Raises ValueError, with a suggested dt, when RK4
+    would amplify a mode: |P(-dt μ)| > 1 for an eigenvalue μ of Q - I⊗Ω,
+    shifted by -α when the frame shrinks. A growing frame (α > 0) is the
+    commanded growth and is left out of the test.
+    """
+    d, dt = path.dim, path.dt
+    w = path.step_omegas.reshape(len(path.step_scale_rates), -1)
+    a = path.step_scale_rates
+    cuts = np.flatnonzero((w[1:] != w[:-1]).any(axis=1) | (a[1:] != a[:-1])) + 1
+    starts = np.concatenate([[0], cuts]).tolist()
+    ends = starts[1:] + [a.size]
+    # Q - I⊗Ω and its eigenvalues, once per distinct angular velocity
+    rotating: dict[tuple, tuple[NDArray[np.float64], NDArray]] = {}
+    runs = []
+    for lo, hi in zip(starts, ends):
+        key = tuple(w[lo].tolist())
+        if key not in rotating:
+            m = q - np.kron(np.eye(n), omega_matrix(path.step_omegas[lo], d))
+            rotating[key] = (m, np.linalg.eigvals(m) if any(key) else spec.eigenvalues)
+        m, mu = rotating[key]
+        runs.append((lo, hi, m, mu + max(-float(a[lo]), 0.0)))
+    gains = [float(_rk4_gain(-dt * mu).max()) for *_, mu in runs]
+    worst = int(np.argmax(gains))
+    if gains[worst] > 1 + RK4_GAIN_TOL:
+        stiffest = max(float(np.abs(mu).max()) for *_, mu in runs)
+        t = float(path.times[runs[worst][0]])
+        raise ValueError(
+            f"step size {dt:g} is unstable for the maneuver from t = {t:g}: RK4 amplifies "
+            f"a mode by max |P(-dt mu)| = {gains[worst]:.3g} > 1 "
+            f"(try dt = {DEFAULT_STEP_FACTOR / stiffest:g})"
+        )
+    eye = np.eye(q.shape[0])
+    return [(m - float(a[lo]) * eye, hi - lo) for lo, hi, m, _ in runs]
+
+
 def simulate_maneuver(
     lap: SymmetryLaplacian,
     p0: NDArray[np.float64],
@@ -289,9 +334,13 @@ def simulate_maneuver(
     """Integrate the maneuver control law alongside its reference trajectory.
 
     The reference and the agents share one grid; each RK4 step holds the
-    inputs sampled at its left node, evaluating the reference exactly at the
-    sub-stage times. The returned trace carries the frame coordinates ζ,
-    which for planar formations follow the stationary flow dζ/dt = -Q ζ.
+    inputs sampled at its left node. Over a run of constant inputs the
+    shifted state c = p - 1⊗r follows the linear flow dc/dt = -G c, which is
+    what is integrated; the world states are c + 1⊗r. Step sizes for which
+    RK4 would amplify some mode of Q - I⊗Ω raise ValueError with a suggested
+    dt, and a run that overflows raises NumericFailure. The returned trace
+    carries the frame coordinates ζ, which for planar formations follow the
+    stationary flow dζ/dt = -Q ζ.
     """
     q = lap.matrix
     d = lap.dim
@@ -300,38 +349,28 @@ def simulate_maneuver(
         start = ReferenceState.at_origin(d)
     if start.dim != d or inputs.dim != d:
         raise ValueError(f"reference dimension does not match the {d}-dimensional formation")
-    p = np.array(p0, dtype=float)
-    if p.shape != (q.shape[0],):
-        raise ValueError(f"initial state has shape {p.shape}, expected ({q.shape[0]},)")
+    p0 = np.array(p0, dtype=float)
+    if p0.shape != (q.shape[0],):
+        raise ValueError(f"initial state has shape {p0.shape}, expected ({q.shape[0]},)")
     spec = spectrum(q)
     dt, horizon, steps = resolve_grid(spec, dt, horizon)
     path = propagate_reference(inputs, start, dt, horizon)
+    segments = _segment_operators(q, path, spec, n)
 
-    states = np.empty((steps + 1, p.size))
-    states[0] = p
-    for k in range(steps):
-        r_k = path.positions[k]
-        v_k = path.step_velocities[k]
-        om = omega_matrix(path.step_omegas[k], d)
-        a_k = float(path.step_scale_rates[k])
-        v_tile = np.tile(v_k, n)
-
-        def field_fn(t_rel: float, y: NDArray[np.float64]) -> NDArray[np.float64]:
-            return _maneuver_field(q, y, r_k + v_k * t_rel, v_tile, om, a_k, n, d)
-
-        p = rk4_step(field_fn, 0.0, p, dt)
-        states[k + 1] = p
-
-    shifted = states - np.tile(path.positions, (1, n))
     E = lap.incidence.matrix
     m = lap.incidence.edge_count
-    residuals = shifted @ E
-    errors = np.sqrt((residuals.reshape(steps + 1, m, d) ** 2).sum(axis=2))
-    potentials = 0.5 * (errors ** 2).sum(axis=1)
-
-    zeta = np.empty_like(states)
-    for k in range(steps + 1):
-        zeta[k] = ((shifted[k].reshape(n, d) @ path.rotations[k]) / path.scales[k]).ravel()
+    # overflow is reported once, by require_finite, instead of as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        shifted = propagate_linear(p0 - np.tile(path.positions[0], n), segments, dt)
+        states = shifted + np.tile(path.positions, (1, n))
+        states[0] = p0
+        residuals = shifted @ E
+        errors = np.sqrt((residuals.reshape(steps + 1, m, d) ** 2).sum(axis=2))
+        potentials = 0.5 * (errors ** 2).sum(axis=1)
+        zeta = (np.einsum("kni,kij->knj", shifted.reshape(steps + 1, n, d), path.rotations)
+                / path.scales[:, None, None]).reshape(steps + 1, n * d)
+    require_finite("maneuver", path.times, reference_scales=path.scales, states=states,
+                   edge_errors=errors, potentials=potentials, zeta=zeta)
 
     meta = {"dt": dt, "horizon": horizon, "steps": steps, "method": "rk4",
             "lambda_max": spec.lambda_max, "lambda_min_pos": spec.lambda_min_pos}

@@ -91,7 +91,7 @@ def parse_trace_csv(path: str | Path) -> dict[str, NDArray[np.float64]]:
 
 
 def write_metrics_json(metrics: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(metrics, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------- SVG plotting

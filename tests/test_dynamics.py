@@ -125,6 +125,23 @@ class TestRk4Step:
         assert math.isclose(float(y1[0]), 2.0, rel_tol=1e-15)
 
 
+class TestPropagateLinear:
+    def test_matches_rk4_step_bitwise(self, path_system):
+        # each segment must reproduce rk4_step on -(G @ y), step for step
+        _, _, lap, _, _ = path_system(5)
+        rng = np.random.default_rng(31)
+        c0 = rng.uniform(-2, 2, 10)
+        g2 = lap.matrix + 0.3 * np.kron(np.eye(5), sf.omega_matrix(1.0, 2))
+        dt = 0.05
+        states = sf.propagate_linear(c0, [(lap.matrix, 7), (g2, 5)], dt)
+        assert states.shape == (13, 10)
+        assert np.array_equal(states[0], c0)
+        y = c0
+        for k, g in enumerate([lap.matrix] * 7 + [g2] * 5):
+            y = sf.rk4_step(lambda t, x, g=g: -(g @ x), k * dt, y, dt)
+            assert np.array_equal(states[k + 1], y)
+
+
 class TestIntegrate:
     def test_matches_closed_form(self, path_system):
         _, _, lap, _, _ = path_system(4)
@@ -171,11 +188,6 @@ class TestIntegrate:
         _, _, lap, _, _ = path_system(4)
         with pytest.raises(ValueError, match="try dt"):
             sf.integrate(lap, np.zeros(8), dt=1.0)
-
-    def test_unknown_method_rejected(self, path_system):
-        _, _, lap, _, _ = path_system(4)
-        with pytest.raises(ValueError, match="method"):
-            sf.integrate(lap, np.zeros(8), method="euler")
 
     def test_bad_shape_rejected(self, path_system):
         _, _, lap, _, _ = path_system(4)

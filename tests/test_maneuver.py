@@ -8,6 +8,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symform as sf
+from symform import cli
+
+
+CUBE_MANEUVER = {
+    "formation": "cube", "dt": 0.03, "horizon": 30.0,
+    "reference": {
+        "start": {"position": [0.4, -0.2, 0.9], "angle": 1.1, "axis": [0.6, 0.0, 0.8],
+                  "scale": 1.3},
+        "velocity": [[0.0, [0.3, -0.1, 0.2]], [10.0, [-0.2, 0.4, 0.0]], [20.0, [0.1, 0.1, -0.3]]],
+        "angular_velocity": [[0.0, [0.2, -0.1, 0.25]], [10.0, [0.0, 0.3, 0.0]],
+                             [20.0, [-0.15, 0.05, 0.1]]],
+        "scale_rate": [[0.0, 0.01], [10.0, -0.008], [20.0, 0.0]],
+    },
+}
+
+
+def world_rk4(lap, p0, path: sf.ReferencePath, start: sf.ReferenceState) -> np.ndarray:
+    """Reference route: rk4_step on the world-coordinate maneuver_control field,
+    with the reference origin evaluated at each stage time."""
+    p = np.array(p0, dtype=float)
+    states = [p]
+    for k in range(path.step_scale_rates.size):
+        r, v = path.positions[k], path.step_velocities[k]
+        w, a = path.step_omegas[k], float(path.step_scale_rates[k])
+
+        def field(t, y, r=r, v=v, w=w, a=a):
+            ref = sf.ReferenceState(position=r + v * t, rotation=start.rotation, scale=1.0)
+            return sf.maneuver_control(y, lap, ref, v, w, a)
+
+        p = sf.rk4_step(field, 0.0, p, path.dt)
+        states.append(p)
+    return np.array(states)
 
 
 def two_segment_inputs() -> sf.ReferenceInputs:
@@ -130,6 +162,34 @@ class TestPropagateReference:
         assert np.array_equal(path.step_velocities[1], [1.0, 0.0])
         assert np.array_equal(path.step_velocities[2], [0.0, -1.0])
 
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_matches_step_by_step_march(self, dim):
+        # the per-step loop the vectorized march replaced, kept as the bitwise reference
+        if dim == 2:
+            inputs, start = two_segment_inputs(), sf.ReferenceState(
+                position=np.array([0.3, -1.0]), rotation=sf.rotation2(0.4), scale=1.5)
+        else:
+            scn = cli.parse_scenario(CUBE_MANEUVER)
+            inputs, start = scn.reference, scn.ref_start
+        dt = 0.07
+        path = sf.propagate_reference(inputs, start, dt, 25.0)
+        pos, rot, scale = start.position, start.rotation.matrix, start.scale
+        assert np.array_equal(path.rotations[0], rot)
+        for k in range(path.step_scale_rates.size):
+            t = float(path.times[k])
+            v, w, a = inputs.velocity_at(t), inputs.omega_at(t), inputs.scale_rate_at(t)
+            assert np.array_equal(path.step_velocities[k], v)
+            assert np.array_equal(path.step_omegas[k], w)
+            assert path.step_scale_rates[k] == a
+            pos = pos + dt * v
+            turn = (sf.rotation2(w * dt).matrix if dim == 2 else
+                    sf.rotation3(w / np.linalg.norm(w), float(np.linalg.norm(w)) * dt).matrix)
+            rot = turn @ rot
+            scale = scale * math.exp(a * dt)
+            assert np.array_equal(path.positions[k + 1], pos)
+            assert np.array_equal(path.rotations[k + 1], rot)
+            assert path.scales[k + 1] == scale
+
     def test_state_at_round_trip(self):
         path = sf.propagate_reference(two_segment_inputs(),
                                       sf.ReferenceState.at_origin(), 0.5, 2.0)
@@ -242,6 +302,50 @@ class TestSimulateManeuver:
         plain = sf.integrate(lap, p0, dt=0.05, horizon=5.0)
         assert np.array_equal(still.states, plain.states)
         assert np.array_equal(still.zeta, plain.states)
+
+    def test_zero_inputs_from_offset_start_bitwise(self, path_system):
+        # the shifted state runs the stationary flow from p0 - 1⊗r0 exactly;
+        # world states add the offset back and row 0 stays the given p0
+        _, _, lap, _, _ = path_system(6)
+        p0 = np.random.default_rng(25).uniform(-2, 2, 12)
+        r0 = np.array([0.7, -1.3])
+        start = sf.ReferenceState(position=r0, rotation=sf.identity(2), scale=1.0)
+        still = sf.simulate_maneuver(lap, p0, sf.ReferenceInputs.stationary(), start=start,
+                                     dt=0.05, horizon=5.0)
+        offset = np.tile(r0, 6)
+        plain = sf.integrate(lap, p0 - offset, dt=0.05, horizon=5.0)
+        assert np.array_equal(still.states[0], p0)
+        assert np.array_equal(still.states[1:], plain.states[1:] + offset)
+        assert np.array_equal(still.zeta, plain.states)
+        assert np.array_equal(still.edge_errors, plain.edge_errors)
+
+    @pytest.mark.parametrize("name", ("maneuver_c6", "cube"))
+    def test_matches_world_coordinate_rk4(self, name):
+        if name == "cube":
+            scn = cli.parse_scenario(CUBE_MANEUVER)
+        else:
+            scn = cli.load_scenario("maneuver_c6")
+            scn.dt = 0.015  # 6,000 steps over the preset's three input segments
+        system = cli.build_system(scn)
+        p0 = cli.initial_state(scn)
+        trace = sf.simulate_maneuver(system.lap, p0, scn.reference, start=scn.ref_start,
+                                     dt=scn.dt, horizon=scn.horizon)
+        path = sf.propagate_reference(scn.reference, scn.ref_start, scn.dt, scn.horizon)
+        expected = world_rk4(system.lap, p0, path, scn.ref_start)
+        assert np.array_equal(trace.states[0], p0)
+        scale = 1.0 + np.abs(expected).max()
+        assert np.abs(trace.states - expected).max() <= 1e-10 * scale
+
+    def test_unstable_step_rejected_with_suggestion(self, path_system):
+        # omega * dt = 4 is outside RK4's stability interval on the imaginary axis
+        _, _, lap, _, _ = path_system(6)
+        p0 = np.random.default_rng(26).uniform(-2, 2, 12)
+        inputs = sf.ReferenceInputs.constant([0.0, 0.0], 80.0, 0.0)
+        with pytest.raises(ValueError, match=r"7\.61 > 1 \(try dt = ") as info:
+            sf.simulate_maneuver(lap, p0, inputs, dt=0.05, horizon=20.0)
+        suggested = float(str(info.value).rsplit("try dt = ", 1)[1].rstrip(")"))
+        trace = sf.simulate_maneuver(lap, p0, inputs, dt=suggested, horizon=1.0)
+        assert np.isfinite(trace.states).all()
 
     def test_frame_coordinates_follow_stationary_flow(self, path_system):
         # independent cross-check: zeta from the maneuver run equals a plain

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -80,6 +81,11 @@ class TestTraceCsv:
         header = text.splitlines()[0].split(",")
         assert header == ["t", "r_x", "r_y", "R_xx", "R_xy", "R_yx", "R_yy", "s"]
         assert len(text.splitlines()) == trace.times.size + 1
+
+    def test_metrics_json_rejects_non_finite(self, tmp_path):
+        with pytest.raises(ValueError):
+            output.write_metrics_json({"final_potential": math.nan}, tmp_path / "m.json")
+        assert not (tmp_path / "m.json").exists()
 
     def test_metrics_json_round_trip(self, tmp_path):
         path = tmp_path / "metrics.json"
@@ -410,6 +416,26 @@ class TestMainExitCodes:
                          "--out", str(tmp_path)])
         assert code == 2
         assert "try dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, code, message", [
+        # omega * dt = 4 lies outside RK4's stability region: once wrote NaN files
+        ({"n": 6, "dt": 0.05, "horizon": 20, "reference": {"angular_velocity": [[0, 80]]}},
+         2, "try dt"),
+        # the reference scale overflows to inf long before the horizon
+        ({"n": 6, "dt": 0.01, "horizon": 20, "reference": {"scale_rate": [[0, 1e4]]}},
+         3, "not finite"),
+        ({"n": 6, "dt": 0.01, "horizon": 20, "reference": {"scale_rate": [[0, 1e6]]}},
+         3, "overflows"),
+    ])
+    def test_failing_run_writes_nothing(self, tmp_path, capsys, scenario, code, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"name": "bad", **scenario}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_run_seed_override_changes_start(self, tmp_path):
         cli.main(["run", "example2_c4", "--horizon", "0.5", "--seed", "1",
