@@ -4,7 +4,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -174,6 +176,8 @@ def parse_scenario(raw: dict, name_hint: str = "scenario", source: str = "<memor
     _require(formation in ("planar", "cube"), "formation", f"expected 'planar' or 'cube', got {formation!r}")
     name = raw.get("name", name_hint)
     _require(isinstance(name, str) and name, "name", "expected a non-empty string")
+    _require(name not in (".", "..") and not any(c in name for c in "/\\\0"), "name",
+             f"expected a plain file name (no path separator, not '.' or '..'), got {name!r}")
 
     seed = _as_int(raw.get("seed", DEFAULT_SEED), "seed")
     dt = None if "dt" not in raw else _as_number(raw["dt"], "dt")
@@ -339,7 +343,7 @@ def run_scenario(scn: Scenario) -> tuple[dynamics.SimulationTrace, FormationSyst
 def compute_metrics(scn: Scenario, system: FormationSystem,
                     trace: dynamics.SimulationTrace, p0: NDArray[np.float64]) -> dict:
     q = system.lap.matrix
-    spec = laplacian.spectrum(q)
+    spec = system.lap.spectrum
     d, n = scn.dim, scn.n
     if isinstance(trace, maneuver.ManeuverTrace):
         z0, zT = trace.zeta[0], trace.zeta[-1]
@@ -387,17 +391,52 @@ def compute_metrics(scn: Scenario, system: FormationSystem,
     return metrics
 
 
+RUN_FILES = frozenset({"trace.csv", "metrics.json", "paths.svg", "errors.svg", "reference.csv"})
+
+
 def write_outputs(scn: Scenario, trace: dynamics.SimulationTrace, metrics: dict,
                   out_base: str) -> Path:
+    """Write the run's files into ``out_base/<name>/``, replacing any earlier run of that name.
+
+    The files are written into a staging directory next to the target and
+    moved into place only once all of them are written, so a failure part way
+    leaves no partial directory and no stale file of an earlier run survives.
+    An existing ``<name>`` that holds anything but the files of a run is left
+    alone and raises ScenarioError.
+    """
     out_dir = Path(out_base) / scn.name
-    out_dir.mkdir(parents=True, exist_ok=True)
-    output.write_trace_csv(trace, out_dir / "trace.csv")
-    output.write_metrics_json(metrics, out_dir / "metrics.json")
-    (out_dir / "paths.svg").write_text(output.svg_paths(trace, title=f"{scn.name}: agent paths"))
-    (out_dir / "errors.svg").write_text(output.svg_errors(trace, title=f"{scn.name}: edge errors"))
-    if isinstance(trace, maneuver.ManeuverTrace):
-        (out_dir / "reference.csv").write_text(output.reference_csv_text(trace))
+    if out_dir.is_symlink() or (out_dir.exists() and not _holds_only_run_files(out_dir)):
+        raise ScenarioError(f"{out_dir} exists and is not the output of an earlier run; "
+                            "move it or choose another --out")
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+    try:
+        new_dir = staging / "new"
+        new_dir.mkdir()
+        output.write_trace_csv(trace, new_dir / "trace.csv")
+        output.write_metrics_json(metrics, new_dir / "metrics.json")
+        (new_dir / "paths.svg").write_text(output.svg_paths(trace, title=f"{scn.name}: agent paths"))
+        (new_dir / "errors.svg").write_text(output.svg_errors(trace, title=f"{scn.name}: edge errors"))
+        if isinstance(trace, maneuver.ManeuverTrace):
+            (new_dir / "reference.csv").write_text(output.reference_csv_text(trace))
+        old_dir = staging / "old"
+        if out_dir.exists():
+            out_dir.rename(old_dir)
+        try:
+            new_dir.rename(out_dir)
+        except BaseException:
+            if old_dir.exists():
+                old_dir.rename(out_dir)
+            raise
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return out_dir
+
+
+def _holds_only_run_files(path: Path) -> bool:
+    """True for a directory holding nothing but files that ``write_outputs`` writes."""
+    return path.is_dir() and all(p.name in RUN_FILES and p.is_file() and not p.is_symlink()
+                                 for p in path.iterdir())
 
 
 # --------------------------------------------------------------- verification

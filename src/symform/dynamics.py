@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .laplacian import NumericFailure, Spectrum, SymmetryLaplacian, WeightedEdge, spectrum
+from .laplacian import NumericFailure, Spectrum, SymmetryLaplacian, WeightedEdge
 from .symgroup import PointGroupAssignment
 from .topology import InteractionGraph, weighted_edges
 
@@ -18,6 +18,13 @@ UNDERFLOW_FLOOR = 1e-14
 DEFAULT_STEP_FACTOR = 0.5     # dt = 0.5 / lambda_max
 DEFAULT_HORIZON_FACTOR = 40.0  # T = 40 / lambda_min_pos
 STABILITY_LIMIT = 2.0          # RK4 real-axis stability edge is ~2.785; stay under 2
+MAX_TRACE_BYTES = 512 * 2**20  # largest estimated memory of a run's trace and its CSV text
+# Estimated bytes per trace row: the float64 trace arrays (states, residuals,
+# errors, frame coordinates) and the trace CSV text, which is held twice while
+# it is joined and written. Measured peaks of planar, maneuver and cube runs
+# through write_outputs lie at 75-110 bytes per coordinate per row.
+TRACE_ROW_BYTES_PER_COORD = 96
+TRACE_ROW_BYTES_FIXED = 256
 
 
 @dataclass(frozen=True)
@@ -140,7 +147,12 @@ def rk4_step(
 def resolve_grid(
     spec: Spectrum, dt: float | None, horizon: float | None
 ) -> tuple[float, float, int]:
-    """Default/validated (dt, horizon, steps) for a flow with this spectrum."""
+    """Default/validated (dt, horizon, steps) for a flow with this spectrum.
+
+    Raises ValueError, with a horizon that would fit, when the estimated
+    memory of the grid's trace and CSV text would exceed ``MAX_TRACE_BYTES``,
+    so a run is rejected before its trace is allocated.
+    """
     lam_max = spec.lambda_max
     if dt is None:
         dt = DEFAULT_STEP_FACTOR / lam_max if lam_max > 0 else 0.1
@@ -157,6 +169,18 @@ def resolve_grid(
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     steps = max(1, int(math.ceil(horizon / dt - 1e-12)))
+    dn = spec.eigenvalues.size
+    row_bytes = TRACE_ROW_BYTES_PER_COORD * dn + TRACE_ROW_BYTES_FIXED
+    trace_bytes = (steps + 1) * row_bytes
+    if trace_bytes > MAX_TRACE_BYTES:
+        fit = max(1, MAX_TRACE_BYTES // row_bytes - 1) * dt
+        unit = 10.0 ** (math.floor(math.log10(fit)) - 2)
+        fit = math.floor(fit / unit) * unit  # three significant digits, rounded down
+        raise ValueError(
+            f"{steps} steps of {dn} coordinates need about {trace_bytes / 2**20:.4g} MiB "
+            f"for the trace and its CSV text, above the {MAX_TRACE_BYTES / 2**20:g} MiB bound "
+            f"(try horizon = {fit:.3g})"
+        )
     return dt, horizon, steps
 
 
@@ -217,7 +241,7 @@ def integrate(
     p = np.array(p0, dtype=float)
     if p.shape != (q.shape[0],):
         raise ValueError(f"initial state has shape {p.shape}, expected ({q.shape[0]},)")
-    spec = spectrum(q)
+    spec = lap.spectrum
     dt, horizon, steps = resolve_grid(spec, dt, horizon)
 
     times = np.arange(steps + 1) * dt

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -84,6 +85,11 @@ class SymmetryLaplacian:
     @property
     def edge_count(self) -> int:
         return self.incidence.edge_count
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """Spectrum of ``matrix``, computed on first use and kept (the matrix is read-only)."""
+        return spectrum(self.matrix)
 
 
 def laplacian_from_edges(n: int, dim: int, wedges: list[WeightedEdge]) -> SymmetryLaplacian:

@@ -9,7 +9,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .dynamics import DEFAULT_STEP_FACTOR, SimulationTrace, propagate_linear, require_finite, resolve_grid
-from .laplacian import NumericFailure, Spectrum, SymmetryLaplacian, spectrum
+from .laplacian import NumericFailure, Spectrum, SymmetryLaplacian
 from .symgroup import PointGroupAssignment, Rotation, identity, rotation2
 from .topology import InteractionGraph, weighted_edges
 
@@ -352,7 +352,7 @@ def simulate_maneuver(
     p0 = np.array(p0, dtype=float)
     if p0.shape != (q.shape[0],):
         raise ValueError(f"initial state has shape {p0.shape}, expected ({q.shape[0]},)")
-    spec = spectrum(q)
+    spec = lap.spectrum
     dt, horizon, steps = resolve_grid(spec, dt, horizon)
     path = propagate_reference(inputs, start, dt, horizon)
     segments = _segment_operators(q, path, spec, n)

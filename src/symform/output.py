@@ -13,6 +13,14 @@ from .maneuver import ManeuverTrace
 
 LOG_FLOOR = 1e-17
 
+# Values per formatted CSV block: bounds the block's text, not its row count.
+# At 2048 values a block's text (<= 25 bytes a value) and its format tuple stay
+# under glibc's smallest mmap threshold (128 KiB), so blocks always come from
+# the heap. Larger blocks land on either side of the threshold, which glibc
+# moves as chunks are freed, and the peak memory of a run jumps by megabytes
+# with the digits of its data.
+_CSV_BLOCK_VALUES = 2048
+
 PALETTE = (
     "#1f6f8b", "#d1495b", "#66a182", "#edae49", "#8d5a97",
     "#00798c", "#c08552", "#5c677d", "#9b2915", "#3d5a80",
@@ -21,7 +29,10 @@ PALETTE = (
 
 
 def fmt(x: float) -> str:
-    """17-significant-digit decimal, round-trip exact for float64; -0.0 normalized."""
+    """17-significant-digit decimal, round-trip exact for float64; -0.0 normalized.
+
+    The CSV value format; :func:`_csv_body` writes the same bytes a block at a time.
+    """
     return f"{float(x) + 0.0:.17g}"
 
 
@@ -38,16 +49,30 @@ def trace_header(trace: SimulationTrace) -> list[str]:
     return cols
 
 
+def _csv_body(columns: list[NDArray[np.float64]]) -> str:
+    """CSV rows of :func:`fmt`-formatted values, one line per row.
+
+    Each column is a 1-D array (one value per row) or a 2-D array (several
+    values per row); they are laid side by side. Rows are formatted a block
+    at a time with one ``%`` call, a block holding about ``_CSV_BLOCK_VALUES``
+    values, so the text equals the per-value :func:`fmt` join byte for byte.
+    """
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    cols = [c[:, None] if c.ndim == 1 else c for c in cols]
+    width = sum(c.shape[1] for c in cols)
+    row = ",".join(["%.17g"] * width) + "\n"
+    per_block = max(1, _CSV_BLOCK_VALUES // width)
+    parts = []
+    for lo in range(0, len(cols[0]), per_block):
+        block = np.hstack([c[lo:lo + per_block] for c in cols]) + 0.0  # -0.0 -> 0, as fmt
+        parts.append(row * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)
+
+
 def trace_csv_text(trace: SimulationTrace) -> str:
     """Trace as CSV: time, stacked coordinates, per-edge errors, potential."""
-    lines = [",".join(trace_header(trace))]
-    for k in range(trace.times.size):
-        row = [fmt(trace.times[k])]
-        row.extend(fmt(x) for x in trace.states[k])
-        row.extend(fmt(x) for x in trace.edge_errors[k])
-        row.append(fmt(trace.potentials[k]))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    body = _csv_body([trace.times, trace.states, trace.edge_errors, trace.potentials])
+    return ",".join(trace_header(trace)) + "\n" + body
 
 
 def write_trace_csv(trace: SimulationTrace, path: str | Path) -> None:
@@ -61,14 +86,9 @@ def reference_csv_text(trace: ManeuverTrace) -> str:
     cols = ["t"] + [f"r_{c}" for c in names]
     cols += [f"R_{a}{b}" for a in names for b in names]
     cols.append("s")
-    lines = [",".join(cols)]
-    for k in range(trace.times.size):
-        row = [fmt(trace.times[k])]
-        row.extend(fmt(x) for x in trace.ref_positions[k])
-        row.extend(fmt(x) for x in trace.ref_rotations[k].ravel())
-        row.append(fmt(trace.ref_scales[k]))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    body = _csv_body([trace.times, trace.ref_positions,
+                      trace.ref_rotations.reshape(trace.times.size, d * d), trace.ref_scales])
+    return ",".join(cols) + "\n" + body
 
 
 def parse_trace_csv(path: str | Path) -> dict[str, NDArray[np.float64]]:
@@ -159,7 +179,9 @@ def _frame(title: str, xlabel: str, ylabel: str,
 
 
 def _polyline(xs, ys, sx, sy, color: str, width: float = 1.5, dash: str | None = None) -> str:
-    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+    # sx/sy on whole arrays: the same IEEE operations in the same order as per point
+    px, py = sx(np.asarray(xs, dtype=float)), sy(np.asarray(ys, dtype=float))
+    pts = " ".join(["%.2f,%.2f"] * px.size) % tuple(np.column_stack([px, py]).ravel().tolist())
     extra = f' stroke-dasharray="{dash}"' if dash else ""
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"{extra}/>'
 

@@ -100,6 +100,8 @@ class CompositeLaplacian:
     def edge_count(self) -> int:
         return self.incidence.edge_count
 
+    spectrum = SymmetryLaplacian.spectrum  # the same once-per-system cache
+
 
 def _face_edges(nodes: tuple[int, int, int, int], w: NDArray[np.float64]) -> list[WeightedEdge]:
     return [(nodes[i], nodes[i + 1], w) for i in range(3)]

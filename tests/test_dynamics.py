@@ -241,3 +241,22 @@ class TestResolveGrid:
         spec = sf.spectrum(lap.matrix)
         dt, horizon, steps = sf.resolve_grid(spec, 0.25, 10.0)
         assert (dt, horizon, steps) == (0.25, 10.0, 40)
+
+    def test_oversized_trace_rejected_with_fitting_horizon(self, path_system):
+        _, _, lap, _, _ = path_system(6)
+        spec = sf.spectrum(lap.matrix)
+        with pytest.raises(ValueError, match="MiB bound") as info:
+            sf.resolve_grid(spec, None, 1e9)
+        suggested = float(str(info.value).rsplit("try horizon = ", 1)[1].rstrip(")"))
+        _, _, steps = sf.resolve_grid(spec, None, suggested)
+        row_bytes = 96 * 12 + 256
+        assert (steps + 1) * row_bytes <= sf.dynamics.MAX_TRACE_BYTES
+        assert (steps + 1) * row_bytes > 0.99 * sf.dynamics.MAX_TRACE_BYTES
+
+    def test_trace_bound_is_on_bytes(self, path_system):
+        _, _, lap, _, _ = path_system(6)
+        spec = sf.spectrum(lap.matrix)
+        rows = sf.dynamics.MAX_TRACE_BYTES // (96 * 12 + 256)  # rows of 12 coordinates that fit
+        assert sf.resolve_grid(spec, 0.25, (rows - 1) * 0.25)[2] == rows - 1
+        with pytest.raises(ValueError, match=f"{rows} steps of 12 coordinates"):
+            sf.resolve_grid(spec, 0.25, rows * 0.25)

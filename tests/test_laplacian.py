@@ -131,6 +131,16 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             sf.spectrum(np.eye(2), tol=0.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: sf.build_laplacian(sf.cycle_minus_edge(5, (5, 1)), sf.assignment(5)),
+        sf.build_cube,
+    ])
+    def test_system_spectrum_computed_once(self, build):
+        lap = build()
+        spec = lap.spectrum
+        assert lap.spectrum is spec
+        assert np.array_equal(spec.eigenvalues, sf.spectrum(lap.matrix).eigenvalues)
+
 
 class TestNullBasis:
     def test_columns_orthogonal_with_norm_n(self, path_system):

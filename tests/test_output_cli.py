@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import time
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symform as sf
-from symform import cli, output
+from symform import cli, laplacian, output
 
 
 def short_trace(n: int = 4, horizon: float = 1.0) -> sf.SimulationTrace:
@@ -304,6 +306,19 @@ class TestRunScenario:
         b, _, _ = cli.run_scenario(scn)
         assert output.trace_csv_text(a) == output.trace_csv_text(b)
 
+    @pytest.mark.parametrize("spec", [
+        {"n": 5, "horizon": 1.0},
+        {"n": 5, "horizon": 1.0, "reference": {"angular_velocity": [[0.0, 0.2]]}},
+        {"formation": "cube", "horizon": 1.0},
+    ])
+    def test_one_spectrum_per_run(self, spec, monkeypatch):
+        calls = []
+        original = laplacian.spectrum
+        monkeypatch.setattr(laplacian, "spectrum", lambda q, *a: calls.append(q) or original(q, *a))
+        _, system, metrics = cli.run_scenario(cli.parse_scenario(spec))
+        assert len(calls) == 1
+        assert metrics["lambda_max"] == system.lap.spectrum.lambda_max
+
     def test_write_outputs_layout(self, tmp_path):
         scn = cli.parse_scenario({"n": 4, "seed": 2, "horizon": 1.0,
                                   "name": "smoke"})
@@ -474,3 +489,207 @@ class TestMainExitCodes:
 
     def test_sweep_bad_range(self, capsys):
         assert cli.main(["sweep", "--n-from", "2", "--n-to", "5"]) == 2
+
+
+def per_value_csv(header: list[str], columns: list[np.ndarray]) -> str:
+    """The per-value fmt join: a row per index, every column's values in row-major order."""
+    lines = [",".join(header)]
+    for k in range(len(columns[0])):
+        row = []
+        for col in columns:
+            row.extend(output.fmt(x) for x in np.ravel(col[k]))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+                  1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 1e16, 0.1, math.inf, -math.inf]
+
+
+@st.composite
+def csv_columns(draw):
+    """1 to 12 rows of 1-D and 2-D columns, values mixing special and arbitrary floats."""
+    rows = draw(st.integers(1, 12))
+    widths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
+    value = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+    cols = []
+    for w in widths:
+        vals = draw(st.lists(value, min_size=rows * max(w, 1), max_size=rows * max(w, 1)))
+        cols.append(np.array(vals).reshape(rows, w) if w else np.array(vals))
+    return cols
+
+
+class TestBlockFormatting:
+    @given(csv_columns())
+    @settings(max_examples=150, deadline=None)
+    def test_csv_body_equals_per_value_fmt(self, cols):
+        assert output._csv_body(cols) == per_value_csv([], cols).split("\n", 1)[1]
+
+    @pytest.mark.parametrize("rows, width", [
+        (1, output._CSV_BLOCK_VALUES + 3),         # one row wider than a block
+        (3, 2 * output._CSV_BLOCK_VALUES - 1),
+        (3 * output._CSV_BLOCK_VALUES // 5 + 7, 5),  # rows spanning several blocks
+    ])
+    def test_csv_body_across_blocks(self, rows, width):
+        rng = np.random.default_rng(rows + width)
+        vals = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+        vals[0, 0] = -0.0
+        cols = [vals[:, 0], vals[:, 1:]]
+        assert output._csv_body(cols) == per_value_csv([], cols).split("\n", 1)[1]
+
+    @staticmethod
+    def check_polyline(xs: np.ndarray, ys: np.ndarray) -> None:
+        xlo, xhi = output._scale(float(xs.min()), float(xs.max()))
+        ylo, yhi = output._scale(float(ys.min()), float(ys.max()))
+        _, sx, sy = output._frame("t", "x", "y", xlo, xhi, ylo, yhi)
+        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        expected = f'<polyline points="{pts}" fill="none" stroke="#123456" stroke-width="1.5"/>'
+        assert output._polyline(xs, ys, sx, sy, "#123456") == expected
+
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_polyline_equals_per_point_format(self, points):
+        self.check_polyline(*np.array(points).T)
+
+    def test_polyline_many_points(self):
+        # enough pixel coordinates that some fall within float noise of a rounding edge
+        xs, ys = np.random.default_rng(11).standard_normal((2, 5000)) * [[3.0], [1e-4]]
+        self.check_polyline(xs, ys)
+
+    @pytest.mark.parametrize("spec", [("maneuver_c6", 0.015), ("cube", None), {
+        "name": "cube_maneuver", "formation": "cube", "dt": 0.05, "horizon": 6.0,
+        "reference": {"velocity": [[0.0, [0.1, -0.2, 0.3]]],
+                      "angular_velocity": [[0.0, [0.2, 0.1, -0.3]]], "scale_rate": [[0.0, -0.01]]}},
+    ], ids=["maneuver_c6", "cube", "cube_maneuver"])
+    def test_trace_files_equal_per_value_fmt(self, spec):
+        if isinstance(spec, tuple):  # a preset, maneuver_c6 at the benchmark's dt
+            scn = cli.load_scenario(spec[0])
+            scn.dt = spec[1] or scn.dt
+        else:
+            scn = cli.parse_scenario(spec)
+        trace, _, _ = cli.run_scenario(scn)
+        expected = per_value_csv(output.trace_header(trace),
+                                 [trace.times, trace.states, trace.edge_errors, trace.potentials])
+        assert output.trace_csv_text(trace) == expected
+        if isinstance(trace, sf.ManeuverTrace):
+            header = output.reference_csv_text(trace).split("\n", 1)[0].split(",")
+            expected = per_value_csv(header, [trace.times, trace.ref_positions,
+                                              trace.ref_rotations, trace.ref_scales])
+            assert output.reference_csv_text(trace) == expected
+
+
+def disk_full(*args, **kwargs):
+    raise OSError("disk full")
+
+
+class TestAtomicOutputs:
+    def run(self, spec: dict):
+        scn = cli.parse_scenario({"name": "atomic", "n": 4, "horizon": 1.0, "dt": 0.05, **spec})
+        trace, _, metrics = cli.run_scenario(scn)
+        return scn, trace, metrics
+
+    def test_failure_while_writing_leaves_nothing(self, tmp_path, monkeypatch):
+        scn, trace, metrics = self.run({})
+        monkeypatch.setattr(output, "svg_errors", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            cli.write_outputs(scn, trace, metrics, str(tmp_path / "out"))
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_failure_keeps_the_earlier_run_whole(self, tmp_path, monkeypatch):
+        scn, trace, metrics = self.run({"seed": 1})
+        out_dir = cli.write_outputs(scn, trace, metrics, str(tmp_path))
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        scn, trace, metrics = self.run({"seed": 2})
+        monkeypatch.setattr(output, "svg_paths", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            cli.write_outputs(scn, trace, metrics, str(tmp_path))
+        assert [p.name for p in tmp_path.iterdir()] == ["atomic"]
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    def test_rerun_replaces_stale_files(self, tmp_path):
+        scn, trace, metrics = self.run({"reference": {"velocity": [[0.0, [0.1, 0.0]]]}})
+        out_dir = cli.write_outputs(scn, trace, metrics, str(tmp_path))
+        assert (out_dir / "reference.csv").is_file()
+        scn, trace, metrics = self.run({})
+        assert cli.write_outputs(scn, trace, metrics, str(tmp_path)) == out_dir
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic"]
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "errors.svg", "metrics.json", "paths.svg", "trace.csv"]
+        assert (out_dir / "trace.csv").read_text() == output.trace_csv_text(trace)
+
+    def test_failed_swap_restores_the_earlier_run(self, tmp_path, monkeypatch):
+        scn, trace, metrics = self.run({"seed": 1})
+        out_dir = cli.write_outputs(scn, trace, metrics, str(tmp_path))
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        rename = Path.rename
+
+        def failing_rename(self, target):
+            if self.name == "new":
+                raise OSError("rename failed")
+            return rename(self, target)
+
+        monkeypatch.setattr(Path, "rename", failing_rename)
+        scn, trace, metrics = self.run({"seed": 2})
+        with pytest.raises(OSError, match="rename failed"):
+            cli.write_outputs(scn, trace, metrics, str(tmp_path))
+        assert [p.name for p in tmp_path.iterdir()] == ["atomic"]
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    def test_directory_with_a_foreign_file_left_alone(self, tmp_path):
+        scn, trace, metrics = self.run({})
+        (tmp_path / "atomic").mkdir()
+        (tmp_path / "atomic" / "trace.csv").write_text("old run\n")
+        (tmp_path / "atomic" / "notes.txt").write_text("keep me\n")
+        with pytest.raises(cli.ScenarioError, match="not the output of an earlier run"):
+            cli.write_outputs(scn, trace, metrics, str(tmp_path))
+        assert [p.name for p in tmp_path.iterdir()] == ["atomic"]
+        assert sorted(p.name for p in (tmp_path / "atomic").iterdir()) == ["notes.txt", "trace.csv"]
+        assert (tmp_path / "atomic" / "notes.txt").read_text() == "keep me\n"
+
+    def test_unrelated_directory_named_like_the_run_left_alone(self, tmp_path, capsys):
+        (tmp_path / "src" / "pkg").mkdir(parents=True)
+        (tmp_path / "src" / "pkg" / "module.py").write_text("x = 1\n")
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"name": "src", "n": 4, "horizon": 1.0, "dt": 0.05}))
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert "not the output of an earlier run" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scn.json", "src"]
+        assert (tmp_path / "src" / "pkg" / "module.py").read_text() == "x = 1\n"
+
+
+class TestScenarioName:
+    @pytest.mark.parametrize("name", [".", "..", "/tmp/elsewhere", "a/b", "a\\b", "nul\0"])
+    def test_path_like_names_rejected(self, name):
+        with pytest.raises(cli.ScenarioError, match="name: expected a plain file name"):
+            cli.parse_scenario({"name": name, "n": 4})
+
+    @pytest.mark.parametrize("name", [".", "absolute"])
+    def test_cli_run_touches_nothing(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        if name == "absolute":  # an absolute path to a directory of its own
+            name = str(tmp_path / "victim")
+            (tmp_path / "victim").mkdir()
+        (out / "earlier").mkdir(parents=True)
+        (out / "earlier" / "trace.csv").write_text("earlier run\n")
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"name": name, "n": 4, "horizon": 1.0, "dt": 0.05}))
+        assert cli.main(["run", str(path), "--out", str(out)]) == 2
+        assert "plain file name" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["earlier"]
+        assert (out / "earlier" / "trace.csv").read_text() == "earlier run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["out", "scn.json"] + (["victim"] if name.endswith("victim") else []))
+
+
+class TestOversizedRun:
+    def test_rejected_before_allocating(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"name": "huge", "n": 6, "horizon": 1e9}))
+        start = time.perf_counter()
+        code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "MiB bound" in err and "try horizon" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        assert elapsed < 1.0
