@@ -14,6 +14,7 @@ from .symgroup import (
     assignment,
     identity,
     rotation2,
+    rotation3,
     rotational_automorphisms,
 )
 from .topology import (
@@ -22,7 +23,6 @@ from .topology import (
     RotationChain,
     chain_matrices,
     cycle_minus_edge,
-    permutation_action,
     rotation_chain,
     validate,
     weighted_edges,
@@ -80,7 +80,6 @@ from .spatial3d import (
     CubeSpec,
     build_cube,
     cube_corners,
-    rotation3,
     simulate_cube,
 )
 
@@ -98,7 +97,7 @@ __all__ = [
     "fit_rate", "frame_to_world", "from_waypoints", "identity",
     "incidence_from_edges", "integrate", "laplacian_from_edges",
     "maneuver_control", "moving_frame", "null_basis", "null_basis_from_chain",
-    "omega_matrix", "permutation_action", "potential", "product_laplacian",
+    "omega_matrix", "potential", "product_laplacian",
     "propagate_linear", "propagate_reference", "resolve_grid", "rk4_step", "rotation2", "rotation3",
     "rotation_chain", "rotational_automorphisms", "shifted_errors",
     "simulate_cube", "simulate_maneuver", "spectrum", "steady_state",

@@ -1,0 +1,107 @@
+"""The paper's structural claims about Q, checked with named tolerances."""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from numpy.typing import NDArray
+
+from . import dynamics, laplacian
+from .laplacian import SYMMETRY_TOL, Spectrum
+
+ROUTE_TOL = 1e-12     # max |Q - M| for an independent construction route M
+NULL_TOL = 1e-10      # max |Q V0| for the null basis V0
+GRADIENT_TOL = 1e-6   # max |FD gradient - Q p| / (1 + max |Q p|)
+SOLVER_TOL = 1e-6     # |RK4 - closed form| after unit time
+FD_BLOCK = 64         # perturbed points per matrix product in the gradient check
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str
+    value: float | None = None  # the measured quantity the verdict rests on
+
+
+def _tol(tol: float) -> str:
+    """A tolerance as printed in check details: 1e-06 reads '1e-6'."""
+    mantissa, exponent = f"{tol:.0e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
+
+
+def structure_checks(q: NDArray[np.float64], spec: Spectrum, n: int, dim: int, null_matrix: NDArray[np.float64],
+                     routes: list[tuple[str, str, NDArray[np.float64]]]) -> list[CheckResult]:
+    """PSD, rank dn - d with a d-dimensional null space, agreement with each (name, label,
+    matrix) construction route, and Q V0 = 0. ``spec`` is the spectrum of (the symmetric part
+    of) ``q``: eigenvalues below its threshold, ``laplacian.RANK_TOL`` · max(1, λ_max), are zero."""
+    threshold = spec.tol * max(1.0, spec.lambda_max)
+    min_eig = float(spec.eigenvalues[0])
+    expected = dim * n - dim
+    out = [CheckResult("positive_semidefinite", min_eig >= -threshold,
+                       f"min eigenvalue {min_eig:.3e} (tol -{threshold:.1e})", min_eig),
+           CheckResult("rank", spec.rank == expected and spec.null_dim == dim,
+                       f"rank {spec.rank} null {spec.null_dim} (expected {expected} and {dim})", spec.rank)]
+    for name, label, matrix in routes:
+        gap = float(np.abs(q - matrix).max())
+        out.append(CheckResult(name, gap <= ROUTE_TOL, f"max {label} {gap:.3e} (tol {_tol(ROUTE_TOL)})", gap))
+    null_gap = float(np.abs(q @ null_matrix).max())
+    out.append(CheckResult("null_basis", null_gap <= NULL_TOL,
+                           f"max |Q V0| = {null_gap:.3e} (tol {_tol(NULL_TOL)})", null_gap))
+    return out
+
+
+def _perturbed_potentials(incidence_matrix: NDArray[np.float64], p: NDArray[np.float64], h: float) -> NDArray[np.float64]:
+    """0.5 ||E^T x||^2 at each x = p with one p_i replaced by p_i + h (row 0) and by p_i - h
+    (row 1); the points are the rows of blocks of at most FD_BLOCK copies of p."""
+    out = np.empty((2, p.size))
+    for start in range(0, p.size, FD_BLOCK):
+        idx = np.arange(start, min(start + FD_BLOCK, p.size))
+        rows = np.tile(p, (idx.size, 1))
+        for sign, step in enumerate((h, -h)):
+            rows[np.arange(idx.size), idx] = p[idx] + step
+            out[sign, idx] = 0.5 * np.sum((rows @ incidence_matrix) ** 2, axis=1)
+    return out
+
+
+def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray[np.float64],
+                        null_matrix: NDArray[np.float64], n: int, dim: int,
+                        alt_matrix: NDArray[np.float64] | None = None, seed: int = 0) -> list[CheckResult]:
+    """Construction and dynamics checks on explicit matrices.
+
+    Takes raw matrices (not built objects) so a deliberately corrupted input
+    is detected rather than silently rebuilt.
+    """
+    rng = np.random.default_rng(seed)
+    asym = float(np.abs(q_matrix - q_matrix.T).max())
+    out = [CheckResult("symmetric", asym <= SYMMETRY_TOL,
+                       f"max asymmetry {asym:.3e} (tol {_tol(SYMMETRY_TOL)})", asym)]
+    sym = 0.5 * (q_matrix + q_matrix.T)  # for the spectrum only; asymmetry already reported
+    spec = laplacian.spectrum(sym)
+    routes = [("incidence_product", "|Q - E E^T| =", incidence_matrix @ incidence_matrix.T)]
+    if alt_matrix is not None:
+        routes.append(("construction_routes", "route disagreement", alt_matrix))
+    out += structure_checks(q_matrix, spec, n, dim, null_matrix, routes)
+
+    # gradient of 0.5 ||E^T p||^2 must match Q p (central differences, h = 1e-5)
+    h = 1e-5
+    worst = 0.0
+    for _ in range(10):
+        p = rng.uniform(-2.0, 2.0, size=dim * n)
+        grad = q_matrix @ p
+        plus, minus = _perturbed_potentials(incidence_matrix, p, h)
+        worst = max(worst, float(np.abs((plus - minus) / (2 * h) - grad).max() / (1.0 + np.abs(grad).max())))
+    out.append(CheckResult("gradient", worst <= GRADIENT_TOL,
+                           f"max relative FD mismatch {worst:.3e} (tol {_tol(GRADIENT_TOL)})", worst))
+
+    # short run of the run-path RK4 propagator against the closed-form solution
+    p0 = rng.uniform(-2.0, 2.0, size=dim * n)
+    dt = 0.01 / spec.lambda_max if spec.lambda_max > 0 else 0.01
+    steps = int(math.ceil(1.0 / dt))
+    p = dynamics.propagate_linear(p0, [(sym, steps)], dt)[-1]
+    solver_gap = float(np.linalg.norm(p - laplacian.closed_form_solution(sym, p0, steps * dt, spec=spec)))
+    out.append(CheckResult("solver_cross_check", solver_gap <= SOLVER_TOL,
+                           f"|RK4 - closed form| = {solver_gap:.3e} at t = {steps * dt:.3f} "
+                           f"(tol {_tol(SOLVER_TOL)})", solver_gap))
+    return out

@@ -16,6 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import dynamics, laplacian, maneuver, output, spatial3d, symgroup, topology
+from .checks import CheckResult, structure_checks, verification_checks
 from .laplacian import NumericFailure
 
 DEFAULT_BOX = (-2.0, 2.0)
@@ -129,7 +130,7 @@ def _parse_reference(raw, dim: int, path: str) -> tuple[maneuver.ReferenceInputs
         axis_raw = start_raw.get("axis", [0.0, 0.0, 1.0])
         axis = _as_vector(axis_raw, 3, f"{path}.start.axis")
         try:
-            rot = spatial3d.rotation3(axis, angle) if angle != 0.0 else symgroup.identity(3)
+            rot = symgroup.rotation3(axis, angle) if angle != 0.0 else symgroup.identity(3)
         except ValueError as exc:
             raise ScenarioError(f"{path}.start.axis: {exc}") from exc
     try:
@@ -282,20 +283,17 @@ def load_scenario(spec: str) -> Scenario:
 
 @dataclass(eq=False)
 class FormationSystem:
-    """Built artifacts for one scenario: constraint matrices, chain, null basis."""
+    """Built artifacts for one scenario: constraint matrices and null basis."""
 
     lap: object                      # SymmetryLaplacian | CompositeLaplacian
     basis: laplacian.NullBasis
-    chain: list
     alt_matrix: NDArray[np.float64]  # independent construction route
-    graph: topology.InteractionGraph | None = None
 
 
 def build_system(scn: Scenario) -> FormationSystem:
     if scn.formation == "cube":
         lap = spatial3d.build_cube(scn.cube_spec)
-        return FormationSystem(lap=lap, basis=lap.basis, chain=list(lap.chain),
-                               alt_matrix=lap.composed)
+        return FormationSystem(lap=lap, basis=lap.basis, alt_matrix=lap.composed)
     tau = symgroup.assignment(scn.n)
     edges = tuple((u, v, symgroup.CyclicAutomorphism(scn.n, s)) for (u, v, s) in scn.tree_edges)
     graph = topology.InteractionGraph(n=scn.n, edges=edges)
@@ -303,10 +301,8 @@ def build_system(scn: Scenario) -> FormationSystem:
     if msg is not None:
         raise ScenarioError(f"tree: {msg}")
     lap = laplacian.build_laplacian(graph, tau)
-    basis = laplacian.null_basis(graph, tau)
-    chain = topology.rotation_chain(graph, tau).matrices()
-    return FormationSystem(lap=lap, basis=basis, chain=chain,
-                           alt_matrix=laplacian.product_laplacian(lap.incidence), graph=graph)
+    return FormationSystem(lap=lap, basis=laplacian.null_basis(graph, tau),
+                           alt_matrix=laplacian.product_laplacian(lap.incidence))
 
 
 def initial_state(scn: Scenario) -> NDArray[np.float64]:
@@ -342,7 +338,6 @@ def run_scenario(scn: Scenario) -> tuple[dynamics.SimulationTrace, FormationSyst
 
 def compute_metrics(scn: Scenario, system: FormationSystem,
                     trace: dynamics.SimulationTrace, p0: NDArray[np.float64]) -> dict:
-    q = system.lap.matrix
     spec = system.lap.spectrum
     d, n = scn.dim, scn.n
     if isinstance(trace, maneuver.ManeuverTrace):
@@ -357,11 +352,14 @@ def compute_metrics(scn: Scenario, system: FormationSystem,
     expected_rate = -spec.lambda_min_pos if spec.lambda_min_pos else None
     rate_gap = (abs(fitted - expected_rate) / abs(expected_rate)
                 if fitted is not None and expected_rate else None)
+    passed = {r.name: r.passed for r in structure_checks(
+        system.lap.matrix, spec, n, d, system.basis.v0,
+        [("construction_routes", "route disagreement", system.alt_matrix)])}
     checks = {
-        "psd": bool(spec.eigenvalues[0] >= -1e-9 * max(1.0, spec.lambda_max)),
-        "rank_matches": bool(spec.rank == d * n - d and spec.null_dim == d),
-        "construction_routes_agree": bool(np.abs(q - system.alt_matrix).max() <= 1e-12),
-        "null_basis_annihilated": bool(np.abs(q @ system.basis.v0).max() <= 1e-10),
+        "psd": passed["positive_semidefinite"],
+        "rank_matches": passed["rank"],
+        "construction_routes_agree": passed["construction_routes"],
+        "null_basis_annihilated": passed["null_basis"],
     }
     metrics = {
         "name": scn.name,
@@ -441,92 +439,6 @@ def _holds_only_run_files(path: Path) -> bool:
 
 # --------------------------------------------------------------- verification
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-def verification_checks(
-    q_matrix: NDArray[np.float64],
-    incidence_matrix: NDArray[np.float64],
-    null_matrix: NDArray[np.float64],
-    n: int,
-    dim: int,
-    alt_matrix: NDArray[np.float64] | None = None,
-    seed: int = 0,
-) -> list[CheckResult]:
-    """Construction and dynamics checks on explicit matrices.
-
-    Takes raw matrices (not built objects) so a deliberately corrupted input
-    is detected rather than silently rebuilt.
-    """
-    rng = np.random.default_rng(seed)
-    out: list[CheckResult] = []
-
-    asym = float(np.abs(q_matrix - q_matrix.T).max())
-    out.append(CheckResult("symmetric", asym <= 1e-10, f"max asymmetry {asym:.3e} (tol 1e-10)"))
-    sym = 0.5 * (q_matrix + q_matrix.T)  # for eigh only; asymmetry already reported
-
-    try:
-        eigenvalues = np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"eigendecomposition failed: {exc}") from exc
-    lam_max = float(eigenvalues[-1])
-    threshold = 1e-9 * max(1.0, lam_max)
-    min_eig = float(eigenvalues[0])
-    out.append(CheckResult("positive_semidefinite", min_eig >= -threshold,
-                           f"min eigenvalue {min_eig:.3e} (tol -{threshold:.1e})"))
-    null_dim = int(np.sum(np.abs(eigenvalues) < threshold))
-    rank = eigenvalues.size - null_dim
-    out.append(CheckResult("rank", rank == dim * n - dim and null_dim == dim,
-                           f"rank {rank} null {null_dim} (expected {dim * n - dim} and {dim})"))
-
-    prod_gap = float(np.abs(q_matrix - incidence_matrix @ incidence_matrix.T).max())
-    out.append(CheckResult("incidence_product", prod_gap <= 1e-12,
-                           f"max |Q - E E^T| = {prod_gap:.3e} (tol 1e-12)"))
-    if alt_matrix is not None:
-        alt_gap = float(np.abs(q_matrix - alt_matrix).max())
-        out.append(CheckResult("construction_routes", alt_gap <= 1e-12,
-                               f"max route disagreement {alt_gap:.3e} (tol 1e-12)"))
-
-    null_gap = float(np.abs(q_matrix @ null_matrix).max())
-    out.append(CheckResult("null_basis", null_gap <= 1e-10,
-                           f"max |Q V0| = {null_gap:.3e} (tol 1e-10)"))
-
-    # gradient of 0.5 ||E^T p||^2 must match Q p (central differences, h = 1e-5)
-    h = 1e-5
-    worst = 0.0
-    for _ in range(10):
-        p = rng.uniform(-2.0, 2.0, size=dim * n)
-        grad = q_matrix @ p
-        fd = np.empty_like(p)
-        for i in range(p.size):
-            e = np.zeros_like(p)
-            e[i] = h
-            fp = 0.5 * float(np.sum((incidence_matrix.T @ (p + e)) ** 2))
-            fm = 0.5 * float(np.sum((incidence_matrix.T @ (p - e)) ** 2))
-            fd[i] = (fp - fm) / (2 * h)
-        rel = float(np.abs(fd - grad).max() / (1.0 + np.abs(grad).max()))
-        worst = max(worst, rel)
-    out.append(CheckResult("gradient", worst <= 1e-6,
-                           f"max relative FD mismatch {worst:.3e} (tol 1e-6)"))
-
-    # short run of the run-path RK4 propagator against the closed-form solution
-    p0 = rng.uniform(-2.0, 2.0, size=dim * n)
-    dt = 0.01 / lam_max if lam_max > 0 else 0.01
-    steps = int(math.ceil(1.0 / dt))
-    p = dynamics.propagate_linear(p0, [(sym, steps)], dt)[-1]
-    lam, vec = np.linalg.eigh(sym)
-    lam = np.where(np.abs(lam) < threshold, 0.0, lam)
-    exact = vec @ (np.exp(-lam * (steps * dt)) * (vec.T @ p0))
-    solver_gap = float(np.linalg.norm(p - exact))
-    out.append(CheckResult("solver_cross_check", solver_gap <= 1e-6,
-                           f"|RK4 - closed form| = {solver_gap:.3e} at t = {steps * dt:.3f} (tol 1e-6)"))
-    return out
-
-
 def verify_scenario(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     system = build_system(scn)
     return verification_checks(
@@ -546,22 +458,16 @@ def sweep_sizes(n_from: int, n_to: int) -> list[dict]:
         raise ScenarioError(f"--n-to must be >= --n-from, got {n_to} < {n_from}")
     rows = []
     for n in range(n_from, n_to + 1):
-        tau = symgroup.assignment(n)
-        graph = topology.cycle_minus_edge(n, (n, 1))
-        lap = laplacian.build_laplacian(graph, tau)
-        basis = laplacian.null_basis(graph, tau)
-        spec = laplacian.spectrum(lap.matrix)
-        prod_gap = float(np.abs(lap.matrix - laplacian.product_laplacian(lap.incidence)).max())
-        null_gap = float(np.abs(lap.matrix @ basis.v0).max())
-        ok = (
-            spec.eigenvalues[0] >= -1e-9 * max(1.0, spec.lambda_max)
-            and spec.rank == 2 * n - 2 and spec.null_dim == 2
-            and prod_gap <= 1e-12 and null_gap <= 1e-10
-        )
+        system = build_system(parse_scenario({"n": n}))
+        spec = system.lap.spectrum
+        results = {r.name: r for r in structure_checks(
+            system.lap.matrix, spec, n, 2, system.basis.v0,
+            [("incidence_product", "|Q - E E^T| =", system.alt_matrix)])}
         rows.append({
             "n": n, "rank": spec.rank, "null_dim": spec.null_dim,
             "lambda_min_pos": spec.lambda_min_pos, "lambda_max": spec.lambda_max,
-            "product_gap": prod_gap, "null_gap": null_gap, "passed": bool(ok),
+            "product_gap": results["incidence_product"].value, "null_gap": results["null_basis"].value,
+            "passed": all(r.passed for r in results.values()),
         })
     return rows
 

@@ -7,7 +7,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .symgroup import PointGroupAssignment
+from .symgroup import PointGroupAssignment, _freeze
 from .topology import InteractionGraph, RotationChain, rotation_chain, weighted_edges
 
 SYMMETRY_TOL = 1e-10
@@ -18,12 +18,6 @@ WeightedEdge = tuple[int, int, NDArray[np.float64]]
 
 class NumericFailure(Exception):
     """A linear-algebra routine failed to converge or produced garbage."""
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +73,6 @@ class SymmetryLaplacian:
     incidence: SymmetryIncidence
     n: int
     dim: int
-    graph: InteractionGraph | None = None
     wedges: tuple[WeightedEdge, ...] = field(default=())
 
     @property
@@ -110,11 +103,7 @@ def laplacian_from_edges(n: int, dim: int, wedges: list[WeightedEdge]) -> Symmet
 
 def build_laplacian(graph: InteractionGraph, tau: PointGroupAssignment) -> SymmetryLaplacian:
     """Laplacian of a planar constraint tree."""
-    lap = laplacian_from_edges(graph.n, 2, weighted_edges(graph, tau))
-    return SymmetryLaplacian(
-        matrix=lap.matrix, incidence=lap.incidence, n=lap.n, dim=lap.dim,
-        graph=graph, wedges=lap.wedges,
-    )
+    return laplacian_from_edges(graph.n, 2, weighted_edges(graph, tau))
 
 
 def product_laplacian(incidence: SymmetryIncidence) -> NDArray[np.float64]:

@@ -3,14 +3,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import DEFAULT_STEP_FACTOR, SimulationTrace, propagate_linear, require_finite, resolve_grid
+from .dynamics import (DEFAULT_STEP_FACTOR, SimulationTrace, edge_residual_norms, propagate_linear,
+                       require_finite, resolve_grid)
 from .laplacian import NumericFailure, Spectrum, SymmetryLaplacian
-from .symgroup import PointGroupAssignment, Rotation, identity, rotation2
+from .symgroup import PointGroupAssignment, Rotation, identity, rotation2, rotation3
 from .topology import InteractionGraph, weighted_edges
 
 # RK4 may not amplify any mode by more than rounding: max |P(-dt μ)| <= 1 + this
@@ -139,8 +140,6 @@ def _rotation_step(omega, dim: int, dt: float) -> NDArray[np.float64]:
     angle = float(np.linalg.norm(w)) * dt
     if angle == 0.0:
         return np.eye(3)
-    from .spatial3d import rotation3  # local import; spatial3d depends on laplacian only
-
     return rotation3(w / np.linalg.norm(w), angle).matrix
 
 
@@ -391,8 +390,6 @@ def shifted_errors(
     tau: PointGroupAssignment,
 ) -> NDArray[np.float64]:
     """Per-edge constraint violations of the recentered configuration."""
-    from .dynamics import edge_residual_norms
-
     p = np.asarray(p, dtype=float)
     n = graph.n
     shifted = p - np.tile(ref.position, n)

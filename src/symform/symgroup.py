@@ -85,6 +85,39 @@ def rotation2(angle: float) -> Rotation:
     return Rotation(np.array([[c, -s], [s, c]]), angle=angle)
 
 
+AXES = {
+    "x": np.array([1.0, 0.0, 0.0]),
+    "y": np.array([0.0, 1.0, 0.0]),
+    "z": np.array([0.0, 0.0, 1.0]),
+}
+
+UNIT_AXIS_TOL = 1e-12
+
+
+def rotation3(axis, angle: float) -> Rotation:
+    """Rotation by ``angle`` about a unit ``axis`` ("x"/"y"/"z" or a 3-vector).
+
+    Rodrigues form; the axis must have unit norm within 1e-12 (a zero axis is
+    rejected rather than normalized).
+    """
+    if isinstance(axis, str):
+        if axis not in AXES:
+            raise ValueError(f"unknown axis name {axis!r}; use 'x', 'y', 'z' or a unit 3-vector")
+        a = AXES[axis]
+    else:
+        a = np.asarray(axis, dtype=float)
+        if a.shape != (3,):
+            raise ValueError(f"axis must be a 3-vector, got shape {a.shape}")
+        norm = float(np.linalg.norm(a))
+        if abs(norm - 1.0) > UNIT_AXIS_TOL:
+            raise ValueError(f"axis norm {norm:.6e} is not 1 within {UNIT_AXIS_TOL:.0e}")
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle}")
+    K = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+    m = np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+    return Rotation(m, angle=angle, axis=a)
+
+
 @dataclass(frozen=True)
 class CyclicAutomorphism:
     """A rotational automorphism of the cycle graph C_n: vertex i maps to i+shift (1-based, mod n)."""

@@ -95,11 +95,6 @@ def require_valid(graph: InteractionGraph) -> None:
         raise ValueError(f"invalid interaction graph: {msg}")
 
 
-def permutation_action(gamma: CyclicAutomorphism, i: int) -> int:
-    """Image of vertex i under an automorphism."""
-    return gamma.apply(i)
-
-
 def weighted_edges(
     graph: InteractionGraph, tau: PointGroupAssignment
 ) -> list[tuple[int, int, NDArray[np.float64]]]:

@@ -1,0 +1,129 @@
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from symform import checks, cli, laplacian
+
+PRESETS = ("example2_c4", "example3_c6", "maneuver_c6", "cube")
+SRC = Path(__file__).resolve().parents[1] / "src" / "symform"
+
+# metrics.json "checks" key -> the structure check it reports
+METRIC_NAMES = {
+    "psd": "positive_semidefinite",
+    "rank_matches": "rank",
+    "construction_routes_agree": "construction_routes",
+    "null_basis_annihilated": "null_basis",
+}
+
+
+def scenario(spec) -> cli.Scenario:
+    scn = cli.load_scenario(spec) if isinstance(spec, str) else cli.parse_scenario(spec)
+    scn.horizon = 1.0  # the checks do not depend on the trace
+    return scn
+
+
+def planar_system(n: int) -> cli.FormationSystem:
+    return cli.build_system(cli.parse_scenario({"n": n}))
+
+
+class TestOneCheckPath:
+    @pytest.mark.parametrize("spec", [*PRESETS, *({"n": n} for n in range(3, 9))], ids=str)
+    def test_run_metrics_agree_with_verify(self, spec):
+        scn = scenario(spec)
+        _, _, metrics = cli.run_scenario(scn)
+        verify = {r.name: r.passed for r in cli.verify_scenario(scn)}
+        assert metrics["checks"] == {key: verify[name] for key, name in METRIC_NAMES.items()}
+        assert all(verify.values())
+
+    def test_sweep_agrees_with_verify(self):
+        rows = cli.sweep_sizes(3, 8)
+        for row in rows:
+            verify = {r.name: r for r in cli.verify_scenario(scenario({"n": row["n"]}))}
+            assert row["product_gap"] == verify["incidence_product"].value
+            assert row["product_gap"] == verify["construction_routes"].value
+            assert row["null_gap"] == verify["null_basis"].value
+            assert row["rank"] == verify["rank"].value
+            structural = ("positive_semidefinite", "rank", "incidence_product", "null_basis")
+            assert row["passed"] == all(verify[name].passed for name in structural)
+
+    def test_sweep_reports_a_failing_structure_check(self, monkeypatch):
+        monkeypatch.setattr(checks, "NULL_TOL", 0.0)  # any roundoff in Q V0 now fails
+        rows = cli.sweep_sizes(5, 5)
+        assert rows[0]["null_gap"] > 0.0 and not rows[0]["passed"]
+
+
+class TestVerificationChecks:
+    def test_one_spectrum_and_no_eigvalsh(self, monkeypatch):
+        system = planar_system(5)
+        calls = []
+        spectrum = laplacian.spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return spectrum(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(laplacian, "spectrum", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        results = cli.verification_checks(system.lap.matrix, system.lap.incidence.matrix,
+                                          system.basis.v0, 5, 2, alt_matrix=system.alt_matrix)
+        assert len(calls) == 1
+        assert all(r.passed for r in results)
+
+    @pytest.mark.parametrize("corrupt", ["scaled", "symmetric_entry"])
+    def test_gradient_detects_a_wrong_q(self, corrupt):
+        system = planar_system(4)
+        q = system.lap.matrix.copy()
+        if corrupt == "scaled":
+            q = 1.01 * q
+        else:
+            q[0, 2] += 1e-3
+            q[2, 0] += 1e-3
+        by_name = {r.name: r for r in cli.verification_checks(
+            q, system.lap.incidence.matrix, system.basis.v0, 4, 2)}
+        assert by_name["symmetric"].passed
+        assert not by_name["gradient"].passed
+        assert by_name["gradient"].value > checks.GRADIENT_TOL
+
+    @pytest.mark.parametrize("n", [4, 37])  # dn = 8 and 74: one partial block, and 64 + 10
+    def test_blocked_potentials_match_per_coordinate(self, n):
+        E = planar_system(n).lap.incidence.matrix
+        h = 1e-5
+        p = np.random.default_rng(n).uniform(-2.0, 2.0, size=2 * n)
+        plus, minus = checks._perturbed_potentials(E, p, h)
+        ref_plus, ref_minus = np.empty_like(p), np.empty_like(p)
+        for i in range(p.size):
+            e = np.zeros_like(p)
+            e[i] = h
+            ref_plus[i] = 0.5 * float(np.sum((E.T @ (p + e)) ** 2))
+            ref_minus[i] = 0.5 * float(np.sum((E.T @ (p - e)) ** 2))
+        np.testing.assert_allclose(plus, ref_plus, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(minus, ref_minus, rtol=1e-12, atol=0.0)
+
+    def test_tolerances_printed_in_details(self):
+        system = planar_system(4)
+        details = {r.name: r.detail for r in cli.verification_checks(
+            system.lap.matrix, system.lap.incidence.matrix, system.basis.v0, 4, 2,
+            alt_matrix=system.alt_matrix)}
+        assert details["symmetric"].endswith("(tol 1e-10)")
+        assert details["incidence_product"].endswith("(tol 1e-12)")
+        assert details["null_basis"].endswith("(tol 1e-10)")
+        assert details["gradient"].endswith("(tol 1e-6)")
+        assert details["solver_cross_check"].endswith("(tol 1e-6)")
+
+
+def test_no_imports_inside_functions():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno} in {func.name}" for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, "imports inside function bodies: " + ", ".join(found)

@@ -78,6 +78,11 @@ class TestCyclicAutomorphism:
         g = sf.CyclicAutomorphism(3, 2)
         assert [g.apply(i) for i in (1, 2, 3)] == [3, 1, 2]
 
+    def test_action_wraps_around(self):
+        g = sf.CyclicAutomorphism(6, 2)
+        assert g.apply(5) == 1
+        assert g.apply(6) == 2
+
     def test_composition_matches_function_composition(self):
         # brute-force oracle: composing shifts must act like composing the vertex maps
         for n in range(3, 9):

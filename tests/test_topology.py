@@ -146,11 +146,6 @@ class TestRotationChain:
 
 
 class TestHelpers:
-    def test_permutation_action(self):
-        g = sf.CyclicAutomorphism(6, 2)
-        assert sf.permutation_action(g, 5) == 1
-        assert sf.permutation_action(g, 6) == 2
-
     def test_weighted_edges_materialization(self):
         graph, tau = sf.cycle_minus_edge(3, (3, 1)), sf.assignment(3)
         wedges = sf.weighted_edges(graph, tau)
