@@ -34,14 +34,19 @@ def _tol(tol: float) -> str:
 def structure_checks(q: NDArray[np.float64], spec: Spectrum, n: int, dim: int, null_matrix: NDArray[np.float64],
                      routes: list[tuple[str, str, NDArray[np.float64]]]) -> list[CheckResult]:
     """PSD, rank dn - d with a d-dimensional null space, agreement with each (name, label,
-    matrix) construction route, and Q V0 = 0. ``spec`` is the spectrum of (the symmetric part
-    of) ``q``: eigenvalues below its threshold, ``laplacian.RANK_TOL`` · max(1, λ_max), are zero."""
+    matrix) construction route, and Q V0 = 0. ``spec`` is a spectrum of (the symmetric part
+    of) ``q``: eigenvalues below its threshold, ``laplacian.RANK_TOL`` · max(1, λ_max), are zero.
+    Each eigenvalue of ``q`` lies within ``spec.spread`` of the one reported, so PSD and rank
+    pass only when they hold for every value in that interval."""
     threshold = spec.tol * max(1.0, spec.lambda_max)
-    min_eig = float(spec.eigenvalues[0])
+    lam, spread = spec.eigenvalues, spec.spread
+    min_eig = float(lam[0]) - spread
+    surely_null = int(np.sum(np.abs(lam) + spread < threshold))
+    maybe_null = int(np.sum(np.abs(lam) - spread < threshold))
     expected = dim * n - dim
     out = [CheckResult("positive_semidefinite", min_eig >= -threshold,
                        f"min eigenvalue {min_eig:.3e} (tol -{threshold:.1e})", min_eig),
-           CheckResult("rank", spec.rank == expected and spec.null_dim == dim,
+           CheckResult("rank", surely_null == maybe_null == dim and lam.size - dim == expected,
                        f"rank {spec.rank} null {spec.null_dim} (expected {expected} and {dim})", spec.rank)]
     for name, label, matrix in routes:
         gap = float(np.abs(q - matrix).max())

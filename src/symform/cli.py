@@ -283,17 +283,16 @@ def load_scenario(spec: str) -> Scenario:
 
 @dataclass(eq=False)
 class FormationSystem:
-    """Built artifacts for one scenario: constraint matrices and null basis."""
+    """Built artifacts for one scenario: constraint matrices (``lap.basis`` is the null basis)."""
 
     lap: object                      # SymmetryLaplacian | CompositeLaplacian
-    basis: laplacian.NullBasis
-    alt_matrix: NDArray[np.float64]  # independent construction route
+    alt_matrix: NDArray[np.float64]  # independent construction route: cube composed, planar gauge
 
 
 def build_system(scn: Scenario) -> FormationSystem:
     if scn.formation == "cube":
         lap = spatial3d.build_cube(scn.cube_spec)
-        return FormationSystem(lap=lap, basis=lap.basis, alt_matrix=lap.composed)
+        return FormationSystem(lap=lap, alt_matrix=lap.composed)
     tau = symgroup.assignment(scn.n)
     edges = tuple((u, v, symgroup.CyclicAutomorphism(scn.n, s)) for (u, v, s) in scn.tree_edges)
     graph = topology.InteractionGraph(n=scn.n, edges=edges)
@@ -301,8 +300,7 @@ def build_system(scn: Scenario) -> FormationSystem:
     if msg is not None:
         raise ScenarioError(f"tree: {msg}")
     lap = laplacian.build_laplacian(graph, tau)
-    return FormationSystem(lap=lap, basis=laplacian.null_basis(graph, tau),
-                           alt_matrix=laplacian.product_laplacian(lap.incidence))
+    return FormationSystem(lap=lap, alt_matrix=lap.gauge.matrix)
 
 
 def initial_state(scn: Scenario) -> NDArray[np.float64]:
@@ -342,9 +340,9 @@ def compute_metrics(scn: Scenario, system: FormationSystem,
     d, n = scn.dim, scn.n
     if isinstance(trace, maneuver.ManeuverTrace):
         z0, zT = trace.zeta[0], trace.zeta[-1]
-        projection_residual = float(np.linalg.norm(zT - system.basis.project(z0)))
+        projection_residual = float(np.linalg.norm(zT - system.lap.basis.project(z0)))
     else:
-        projection_residual = float(np.linalg.norm(trace.final_state - system.basis.project(p0)))
+        projection_residual = float(np.linalg.norm(trace.final_state - system.lap.basis.project(p0)))
     try:
         fitted = dynamics.fit_rate(trace)
     except ValueError:
@@ -352,13 +350,15 @@ def compute_metrics(scn: Scenario, system: FormationSystem,
     expected_rate = -spec.lambda_min_pos if spec.lambda_min_pos else None
     rate_gap = (abs(fitted - expected_rate) / abs(expected_rate)
                 if fitted is not None and expected_rate else None)
-    passed = {r.name: r.passed for r in structure_checks(
-        system.lap.matrix, spec, n, d, system.basis.v0,
-        [("construction_routes", "route disagreement", system.alt_matrix)])}
+    gauge = system.lap.gauge.matrix
+    routes = [("construction_routes", "route disagreement", system.alt_matrix)]
+    if system.alt_matrix is not gauge:  # the cube's composed route; a planar alt_matrix is the gauge route
+        routes.append(("gauge_route", "|Q - S (L x I) S^T| =", gauge))
+    passed = {r.name: r.passed for r in structure_checks(system.lap.matrix, spec, n, d, system.lap.basis.v0, routes)}
     checks = {
         "psd": passed["positive_semidefinite"],
         "rank_matches": passed["rank"],
-        "construction_routes_agree": passed["construction_routes"],
+        "construction_routes_agree": all(passed[name] for name, _, _ in routes),
         "null_basis_annihilated": passed["null_basis"],
     }
     metrics = {
@@ -442,7 +442,7 @@ def _holds_only_run_files(path: Path) -> bool:
 def verify_scenario(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     system = build_system(scn)
     return verification_checks(
-        system.lap.matrix, system.lap.incidence.matrix, system.basis.v0,
+        system.lap.matrix, system.lap.incidence.matrix, system.lap.basis.v0,
         scn.n, scn.dim, alt_matrix=system.alt_matrix,
         seed=scn.seed if seed is None else seed,
     )
@@ -461,8 +461,8 @@ def sweep_sizes(n_from: int, n_to: int) -> list[dict]:
         system = build_system(parse_scenario({"n": n}))
         spec = system.lap.spectrum
         results = {r.name: r for r in structure_checks(
-            system.lap.matrix, spec, n, 2, system.basis.v0,
-            [("incidence_product", "|Q - E E^T| =", system.alt_matrix)])}
+            system.lap.matrix, spec, n, 2, system.lap.basis.v0,
+            [("incidence_product", "|Q - E E^T| =", laplacian.product_laplacian(system.lap.incidence))])}
         rows.append({
             "n": n, "rank": spec.rank, "null_dim": spec.null_dim,
             "lambda_min_pos": spec.lambda_min_pos, "lambda_max": spec.lambda_max,

@@ -8,7 +8,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .symgroup import PointGroupAssignment, _freeze
-from .topology import InteractionGraph, RotationChain, rotation_chain, weighted_edges
+from .topology import InteractionGraph, RotationChain, chain_matrices, rotation_chain, weighted_edges
 
 SYMMETRY_TOL = 1e-10
 RANK_TOL = 1e-9
@@ -60,6 +60,40 @@ def build_incidence(graph: InteractionGraph, tau: PointGroupAssignment) -> Symme
 
 
 @dataclass(frozen=True, eq=False)
+class TreeGauge:
+    """A constraint tree in the gauge of its chain rotations: Q = S (L ⊗ I_d) Sᵀ.
+
+    ``chain`` stacks the rotations S_i (dn x d, the null basis V0), ``scalar``
+    is the n x n scalar tree Laplacian L and ``matrix`` the dn x dn product
+    S (L ⊗ I_d) Sᵀ, whose block (i, j) is L_ij S_i S_jᵀ.
+    """
+
+    chain: NDArray[np.float64]
+    scalar: NDArray[np.float64]
+    matrix: NDArray[np.float64]
+
+
+def tree_gauge(basis: NullBasis, wedges: tuple[WeightedEdge, ...] | list[WeightedEdge]) -> TreeGauge:
+    """Gauge form of a spanning tree whose chain rotations are stacked in ``basis``."""
+    n, d = basis.n, basis.dim
+    if len(wedges) != n - 1:
+        raise ValueError(f"the gauge form needs a spanning tree of {n - 1} edges, got {len(wedges)}")
+    u = np.array([a - 1 for (a, _, _) in wedges], dtype=int)
+    v = np.array([b - 1 for (_, b, _) in wedges], dtype=int)
+    nodes = np.arange(n)
+    scalar = np.zeros((n, n))
+    scalar[nodes, nodes] = np.bincount(np.concatenate([u, v]), minlength=n)
+    scalar[u, v] = scalar[v, u] = -1.0
+    # only the blocks on L's pattern (diagonal and tree edges) are nonzero
+    rows, cols = np.concatenate([nodes, u, v]), np.concatenate([nodes, v, u])
+    chain = basis.v0.reshape(n, d, d)
+    matrix = np.zeros((n, d, n, d))
+    blocks = np.einsum("kab,kcb->kac", chain[rows], chain[cols])
+    matrix[rows, :, cols, :] = scalar[rows, cols, None, None] * blocks
+    return TreeGauge(chain=basis.v0, scalar=_freeze(scalar), matrix=_freeze(matrix.reshape(n * d, n * d)))
+
+
+@dataclass(frozen=True, eq=False)
 class SymmetryLaplacian:
     """Matrix-weighted Laplacian of a constraint tree.
 
@@ -67,6 +101,9 @@ class SymmetryLaplacian:
     transposed edge rotation at (u, v) and minus the edge rotation at (v, u).
     It equals incidence @ incidence.T up to float roundoff; the product route
     lives in :func:`product_laplacian` so the two stay independently checkable.
+    ``basis`` stacks the chain rotations S_i when they are known at assembly
+    (planar trees: exact integer shifts); without it they are taken from BFS
+    products of the edge rotations when ``gauge`` is first read.
     """
 
     matrix: NDArray[np.float64]
@@ -74,19 +111,49 @@ class SymmetryLaplacian:
     n: int
     dim: int
     wedges: tuple[WeightedEdge, ...] = field(default=())
+    basis: NullBasis | None = None
 
     @property
     def edge_count(self) -> int:
         return self.incidence.edge_count
 
     @cached_property
+    def gauge(self) -> TreeGauge:
+        """Q = S (L ⊗ I_d) Sᵀ, built on first use (a non-spanning edge set raises ValueError)."""
+        basis = self.basis
+        if basis is None:
+            basis = null_basis_from_chain(chain_matrices(self.n, list(self.wedges)))
+        return tree_gauge(basis, self.wedges)
+
+    @cached_property
     def spectrum(self) -> Spectrum:
-        """Spectrum of ``matrix``, computed on first use and kept (the matrix is read-only)."""
-        return spectrum(self.matrix)
+        """Spectrum of ``matrix`` from one eigendecomposition of the n x n tree Laplacian L.
+
+        Eigenvalues are L's, each repeated d times, and eigenvectors
+        S (V_L ⊗ I_d). ``spread`` is ‖Q - S (L ⊗ I_d) Sᵀ‖_F, which by Weyl's
+        inequality bounds how far each eigenvalue of ``matrix`` lies from the
+        one reported. Computed on first use and kept (the matrix is read-only).
+        """
+        gauge = self.gauge
+        scalar = spectrum(gauge.scalar)
+        n, d = self.n, self.dim
+        chain = gauge.chain.reshape(n, d, d)
+        vectors = np.empty((n, d, n, d))  # entry (i, a, k, b) is (S_i)_ab (V_L)_ik
+        for a in range(d):
+            for b in range(d):
+                np.multiply(chain[:, a, b, None], scalar.eigenvectors, out=vectors[:, a, :, b])
+        return Spectrum(
+            eigenvalues=_freeze(np.repeat(scalar.eigenvalues, d)),
+            eigenvectors=_freeze(vectors.reshape(n * d, n * d)),
+            tol=scalar.tol, rank=d * scalar.rank, null_dim=d * scalar.null_dim,
+            spread=float(np.linalg.norm(self.matrix - gauge.matrix)),
+        )
 
 
-def laplacian_from_edges(n: int, dim: int, wedges: list[WeightedEdge]) -> SymmetryLaplacian:
-    """Block-entry Laplacian assembly for matrix-weighted edges."""
+def laplacian_from_edges(
+    n: int, dim: int, wedges: list[WeightedEdge], basis: NullBasis | None = None
+) -> SymmetryLaplacian:
+    """Block-entry Laplacian assembly for matrix-weighted edges (``basis``: the tree's chain, if known)."""
     Q = np.zeros((dim * n, dim * n))
     eye = np.eye(dim)
     for (u, v, w) in wedges:
@@ -98,12 +165,12 @@ def laplacian_from_edges(n: int, dim: int, wedges: list[WeightedEdge]) -> Symmet
         Q[bv, bu] -= w
     inc = incidence_from_edges(n, dim, wedges)
     frozen = tuple((u, v, _freeze(w)) for (u, v, w) in wedges)
-    return SymmetryLaplacian(matrix=_freeze(Q), incidence=inc, n=n, dim=dim, wedges=frozen)
+    return SymmetryLaplacian(matrix=_freeze(Q), incidence=inc, n=n, dim=dim, wedges=frozen, basis=basis)
 
 
 def build_laplacian(graph: InteractionGraph, tau: PointGroupAssignment) -> SymmetryLaplacian:
-    """Laplacian of a planar constraint tree."""
-    return laplacian_from_edges(graph.n, 2, weighted_edges(graph, tau))
+    """Laplacian of a planar constraint tree, carrying its exact-shift chain as ``basis``."""
+    return laplacian_from_edges(graph.n, 2, weighted_edges(graph, tau), basis=null_basis(graph, tau))
 
 
 def product_laplacian(incidence: SymmetryIncidence) -> NDArray[np.float64]:
@@ -178,7 +245,9 @@ def steady_state_per_agent(
 class Spectrum:
     """Eigen-decomposition of a symmetric PSD matrix with a rank tolerance.
 
-    Eigenvalues below tol·max(1, λ_max) count as zero.
+    Eigenvalues below tol·max(1, λ_max) count as zero. ``spread`` bounds the
+    distance of each eigenvalue of the matrix from ``eigenvalues``: 0 for a
+    direct decomposition, ‖Q - S (L ⊗ I_d) Sᵀ‖_F for one taken in the gauge.
     """
 
     eigenvalues: NDArray[np.float64]
@@ -186,6 +255,7 @@ class Spectrum:
     tol: float
     rank: int
     null_dim: int
+    spread: float = 0.0
 
     @property
     def lambda_max(self) -> float:

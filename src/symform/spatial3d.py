@@ -66,7 +66,8 @@ class CompositeLaplacian:
     def edge_count(self) -> int:
         return self.incidence.edge_count
 
-    spectrum = SymmetryLaplacian.spectrum  # the same once-per-system cache
+    gauge = SymmetryLaplacian.gauge  # the same gauge form and once-per-system spectrum cache
+    spectrum = SymmetryLaplacian.spectrum
 
 
 def _face_edges(nodes: tuple[int, int, int, int], w: NDArray[np.float64]) -> list[WeightedEdge]:

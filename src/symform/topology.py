@@ -102,7 +102,9 @@ def weighted_edges(
     require_valid(graph)
     if tau.n != graph.n:
         raise ValueError(f"assignment on C_{tau.n} does not match graph on C_{graph.n}")
-    return [(u, v, tau.rotation_for(g).matrix) for (u, v, g) in graph.edges]
+    labels = {g.shift: g for (_, _, g) in graph.edges}
+    matrices = {shift: tau.rotation_for(g).matrix for shift, g in labels.items()}  # one rotation per shift
+    return [(u, v, matrices[g.shift]) for (u, v, g) in graph.edges]
 
 
 def _bfs_tree(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +45,27 @@ class TestOneCheckPath:
         for row in rows:
             verify = {r.name: r for r in cli.verify_scenario(scenario({"n": row["n"]}))}
             assert row["product_gap"] == verify["incidence_product"].value
-            assert row["product_gap"] == verify["construction_routes"].value
             assert row["null_gap"] == verify["null_basis"].value
             assert row["rank"] == verify["rank"].value
             structural = ("positive_semidefinite", "rank", "incidence_product", "null_basis")
             assert row["passed"] == all(verify[name].passed for name in structural)
+
+    @pytest.mark.parametrize("spec", ["example3_c6", "cube"])
+    def test_psd_and_rank_widened_by_the_spread(self, spec):
+        system = cli.build_system(scenario(spec))
+        lap = system.lap
+        gauge = lap.spectrum
+        threshold = gauge.tol * max(1.0, gauge.lambda_max)
+
+        def verdicts(spread):
+            results = checks.structure_checks(lap.matrix, dataclasses.replace(gauge, spread=spread),
+                                              lap.n, lap.dim, lap.basis.v0, [])
+            return {r.name: r.passed for r in results}
+
+        assert gauge.spread <= 1e-14
+        assert verdicts(gauge.spread) == {"positive_semidefinite": True, "rank": True, "null_basis": True}
+        # an eigenvalue of Q anywhere within the spread of zero could be nonzero or negative
+        assert verdicts(2 * threshold) == {"positive_semidefinite": False, "rank": False, "null_basis": True}
 
     def test_sweep_reports_a_failing_structure_check(self, monkeypatch):
         monkeypatch.setattr(checks, "NULL_TOL", 0.0)  # any roundoff in Q V0 now fails
@@ -72,9 +89,36 @@ class TestVerificationChecks:
         monkeypatch.setattr(laplacian, "spectrum", counted)
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         results = cli.verification_checks(system.lap.matrix, system.lap.incidence.matrix,
-                                          system.basis.v0, 5, 2, alt_matrix=system.alt_matrix)
+                                          system.lap.basis.v0, 5, 2, alt_matrix=system.alt_matrix)
         assert len(calls) == 1
         assert all(r.passed for r in results)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_planar_routes_are_separate_computations(self, n, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("planar build formed E E^T")
+
+        monkeypatch.setattr(laplacian, "product_laplacian", forbidden)
+        system = planar_system(n)
+        assert system.alt_matrix is system.lap.gauge.matrix
+        q, E = system.lap.matrix, system.lap.incidence.matrix
+        by_name = {r.name: r for r in cli.verify_scenario(scenario({"n": n}))}
+        assert by_name["construction_routes"].value == np.abs(q - system.lap.gauge.matrix).max()
+        assert by_name["incidence_product"].value == np.abs(q - E @ E.T).max()
+        assert by_name["construction_routes"].passed and by_name["incidence_product"].passed
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_transposed_block_fails_construction_routes(self, n):
+        # edge (1, 2) read in the wrong direction: block (1, 2) and its mirror transposed,
+        # so Q stays symmetric and only a second construction route can tell
+        system = planar_system(n)
+        q = system.lap.matrix.copy()
+        q[0:2, 2:4] = system.lap.matrix[0:2, 2:4].T
+        q[2:4, 0:2] = system.lap.matrix[2:4, 0:2].T
+        by_name = {r.name: r for r in cli.verification_checks(
+            q, system.lap.incidence.matrix, system.lap.basis.v0, n, 2, alt_matrix=system.alt_matrix)}
+        assert by_name["symmetric"].passed
+        assert not by_name["construction_routes"].passed
 
     @pytest.mark.parametrize("corrupt", ["scaled", "symmetric_entry"])
     def test_gradient_detects_a_wrong_q(self, corrupt):
@@ -86,7 +130,7 @@ class TestVerificationChecks:
             q[0, 2] += 1e-3
             q[2, 0] += 1e-3
         by_name = {r.name: r for r in cli.verification_checks(
-            q, system.lap.incidence.matrix, system.basis.v0, 4, 2)}
+            q, system.lap.incidence.matrix, system.lap.basis.v0, 4, 2)}
         assert by_name["symmetric"].passed
         assert not by_name["gradient"].passed
         assert by_name["gradient"].value > checks.GRADIENT_TOL
@@ -109,7 +153,7 @@ class TestVerificationChecks:
     def test_tolerances_printed_in_details(self):
         system = planar_system(4)
         details = {r.name: r.detail for r in cli.verification_checks(
-            system.lap.matrix, system.lap.incidence.matrix, system.basis.v0, 4, 2,
+            system.lap.matrix, system.lap.incidence.matrix, system.lap.basis.v0, 4, 2,
             alt_matrix=system.alt_matrix)}
         assert details["symmetric"].endswith("(tol 1e-10)")
         assert details["incidence_product"].endswith("(tol 1e-12)")

@@ -139,7 +139,72 @@ class TestSpectrum:
         lap = build()
         spec = lap.spectrum
         assert lap.spectrum is spec
-        assert np.array_equal(spec.eigenvalues, sf.spectrum(lap.matrix).eigenvalues)
+
+
+def random_tree(n: int, cut: int, shifts: list[int], flips: list[bool]) -> sf.InteractionGraph:
+    """C_n without its edge (cut, cut + 1), each kept edge with its own shift and orientation."""
+    edges = []
+    for k, (i, j) in enumerate(e for e in sf.CycleGraph(n).edges if e[0] != cut):
+        g = sf.CyclicAutomorphism(n, shifts[k])
+        edges.append((j, i, g) if flips[k] else (i, j, g))
+    return sf.InteractionGraph(n=n, edges=tuple(edges))
+
+
+def assert_gauge_spectrum_matches_dense(lap) -> None:
+    """The gauge spectrum of a system against one dense eigendecomposition of its matrix."""
+    gauge, dense = lap.spectrum, sf.spectrum(lap.matrix)
+    lam, vectors = gauge.eigenvalues, gauge.eigenvectors
+    assert np.abs(lam - dense.eigenvalues).max() <= 1e-12 * max(1.0, dense.lambda_max)
+    assert (gauge.rank, gauge.null_dim) == (dense.rank, dense.null_dim)
+    assert np.linalg.norm(lap.matrix @ vectors - vectors * lam) <= 1e-12
+    assert np.linalg.norm(vectors.T @ vectors - np.eye(lam.size)) <= 1e-12
+    assert 0.0 <= gauge.spread <= 1e-12
+
+
+class TestGaugeSpectrum:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 40).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, n),
+        st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1),
+        st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))))
+    def test_random_trees_match_dense_route(self, case):
+        n, cut, shifts, flips = case
+        assert_gauge_spectrum_matches_dense(sf.build_laplacian(random_tree(n, cut, shifts, flips), sf.assignment(n)))
+
+    @pytest.mark.parametrize("spec", [
+        sf.CubeSpec(),
+        sf.CubeSpec(face_axis="y", face_angle=0.7, cross_axis="z", cross_angle=1.1,
+                    cross_edge=(2, 6), cross_nodes=(2, 6, 7, 3)),
+    ], ids=["default", "custom"])
+    def test_cube_matches_dense_route(self, spec):
+        assert_gauge_spectrum_matches_dense(sf.build_cube(spec))
+
+    def test_planar_chain_is_the_exact_shift_null_basis(self):
+        graph, tau = random_tree(9, 4, [1, 3, 0, 8, 2, 5, 7, 4], [False, True] * 4), sf.assignment(9)
+        lap = sf.build_laplacian(graph, tau)
+        assert np.array_equal(lap.gauge.chain, sf.null_basis(graph, tau).v0)
+
+    def test_scalar_laplacian_is_one_eigendecomposition(self, monkeypatch):
+        sizes = []
+        original = sf.laplacian.spectrum
+        monkeypatch.setattr(sf.laplacian, "spectrum", lambda q, *a: sizes.append(q.shape) or original(q, *a))
+        sf.build_laplacian(sf.cycle_minus_edge(7, (7, 1)), sf.assignment(7)).spectrum
+        assert sizes == [(7, 7)]
+
+    def test_non_spanning_edges_build_lazily(self):
+        # the cube's cross block: one edge among four nodes; only its matrix is read
+        w = sf.rotation3("x", -math.pi / 2).matrix
+        lap = sf.laplacian_from_edges(4, 3, [(1, 2, w)])
+        assert lap.matrix.shape == (12, 12)
+        with pytest.raises(ValueError):
+            lap.spectrum
+
+    def test_cycle_rejected(self):
+        # n edges carry holonomy the gauge cannot remove: refused, not misreported
+        w = sf.rotation2(2 * math.pi / 4).matrix
+        lap = sf.laplacian_from_edges(4, 2, [(i, i % 4 + 1, w) for i in range(1, 5)])
+        with pytest.raises(ValueError, match="spanning tree"):
+            lap.spectrum
 
 
 class TestNullBasis:

@@ -347,7 +347,7 @@ class TestVerificationChecks:
         system = self.build()
         results = cli.verification_checks(system.lap.matrix,
                                           system.lap.incidence.matrix,
-                                          system.basis.v0, 4, 2,
+                                          system.lap.basis.v0, 4, 2,
                                           alt_matrix=system.alt_matrix)
         assert [r.name for r in results] == [
             "symmetric", "positive_semidefinite", "rank", "incidence_product",
@@ -360,7 +360,7 @@ class TestVerificationChecks:
         q = system.lap.matrix.copy()
         q[0, 2] += 1e-3  # breaks symmetry and the incidence product
         results = cli.verification_checks(q, system.lap.incidence.matrix,
-                                          system.basis.v0, 4, 2)
+                                          system.lap.basis.v0, 4, 2)
         by_name = {r.name: r.passed for r in results}
         assert not by_name["symmetric"]
         assert not by_name["incidence_product"]
@@ -371,7 +371,7 @@ class TestVerificationChecks:
         q[0, 2] += 1e-3
         q[2, 0] += 1e-3  # stays symmetric, no longer E E^T or PSD-structured
         results = cli.verification_checks(q, system.lap.incidence.matrix,
-                                          system.basis.v0, 4, 2)
+                                          system.lap.basis.v0, 4, 2)
         by_name = {r.name: r.passed for r in results}
         assert by_name["symmetric"]
         assert not by_name["incidence_product"]
@@ -379,7 +379,7 @@ class TestVerificationChecks:
 
     def test_wrong_null_basis_detected(self):
         system = self.build()
-        bogus = np.random.default_rng(0).normal(size=system.basis.v0.shape)
+        bogus = np.random.default_rng(0).normal(size=system.lap.basis.v0.shape)
         results = cli.verification_checks(system.lap.matrix,
                                           system.lap.incidence.matrix,
                                           bogus, 4, 2)

@@ -153,6 +153,18 @@ class TestHelpers:
         for (_, _, w) in wedges:
             assert np.array_equal(w, sf.rotation2(2 * math.pi / 3).matrix)
 
+    def test_weighted_edges_one_rotation_per_shift(self, monkeypatch):
+        built = []
+        original = sf.Rotation.__post_init__
+        monkeypatch.setattr(sf.Rotation, "__post_init__", lambda r: built.append(r) or original(r))
+        n = 20
+        one, three = sf.CyclicAutomorphism(n, 1), sf.CyclicAutomorphism(n, 3)
+        graph = sf.InteractionGraph(n=n, edges=tuple((i, i + 1, one if i % 2 else three) for i in range(1, n)))
+        wedges = sf.weighted_edges(graph, sf.assignment(n))
+        assert len(built) == 2
+        for (_, _, w), (_, _, g) in zip(wedges, graph.edges):
+            assert np.array_equal(w, sf.rotation2(g.shift * 2 * math.pi / n).matrix)
+
     def test_weighted_edges_group_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             sf.weighted_edges(sf.cycle_minus_edge(4, (4, 1)), sf.assignment(5))
