@@ -15,7 +15,6 @@ from .symgroup import (
     identity,
     rotation2,
     rotation3,
-    rotational_automorphisms,
 )
 from .topology import (
     CycleGraph,
@@ -47,7 +46,6 @@ from .laplacian import (
     symmetric_configuration,
 )
 from .dynamics import (
-    Configuration,
     SimulationTrace,
     control,
     control_per_agent,
@@ -66,7 +64,6 @@ from .maneuver import (
     ReferencePath,
     ReferenceState,
     frame_to_world,
-    from_waypoints,
     maneuver_control,
     moving_frame,
     omega_matrix,
@@ -76,31 +73,28 @@ from .maneuver import (
     zeta_consistency_residual,
 )
 from .spatial3d import (
-    CompositeLaplacian,
     CubeSpec,
     build_cube,
-    cube_corners,
     simulate_cube,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompositeLaplacian", "Configuration", "CubeSpec", "CycleGraph",
-    "CyclicAutomorphism", "InteractionGraph", "ManeuverTrace", "NullBasis",
-    "NumericFailure", "PointGroupAssignment", "ReferenceInputs",
-    "ReferencePath", "ReferenceState", "Rotation", "RotationChain",
-    "SimulationTrace", "Spectrum", "SymmetryIncidence", "SymmetryLaplacian",
-    "assignment", "build_cube", "build_incidence", "build_laplacian",
-    "chain_matrices", "closed_form_solution", "control", "control_per_agent",
-    "cube_corners", "cycle_minus_edge", "edge_errors", "edge_residual_norms",
-    "fit_rate", "frame_to_world", "from_waypoints", "identity",
+    "CubeSpec", "CycleGraph", "CyclicAutomorphism", "InteractionGraph",
+    "ManeuverTrace", "NullBasis", "NumericFailure", "PointGroupAssignment",
+    "ReferenceInputs", "ReferencePath", "ReferenceState", "Rotation",
+    "RotationChain", "SimulationTrace", "Spectrum", "SymmetryIncidence",
+    "SymmetryLaplacian", "assignment", "build_cube", "build_incidence",
+    "build_laplacian", "chain_matrices", "closed_form_solution", "control",
+    "control_per_agent", "cycle_minus_edge", "edge_errors",
+    "edge_residual_norms", "fit_rate", "frame_to_world", "identity",
     "incidence_from_edges", "integrate", "laplacian_from_edges",
-    "maneuver_control", "moving_frame", "null_basis", "null_basis_from_chain",
-    "omega_matrix", "potential", "product_laplacian",
-    "propagate_linear", "propagate_reference", "resolve_grid", "rk4_step", "rotation2", "rotation3",
-    "rotation_chain", "rotational_automorphisms", "shifted_errors",
-    "simulate_cube", "simulate_maneuver", "spectrum", "steady_state",
-    "steady_state_per_agent", "symmetric_configuration", "validate",
-    "weighted_edges", "zeta_consistency_residual",
+    "maneuver_control", "moving_frame", "null_basis",
+    "null_basis_from_chain", "omega_matrix", "potential",
+    "product_laplacian", "propagate_linear", "propagate_reference",
+    "resolve_grid", "rk4_step", "rotation2", "rotation3", "rotation_chain",
+    "shifted_errors", "simulate_cube", "simulate_maneuver", "spectrum",
+    "steady_state", "steady_state_per_agent", "symmetric_configuration",
+    "validate", "weighted_edges", "zeta_consistency_residual",
 ]

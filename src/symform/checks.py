@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import dynamics, laplacian
-from .laplacian import SYMMETRY_TOL, Spectrum
+from .laplacian import SYMMETRY_TOL, Route, Spectrum
 
 ROUTE_TOL = 1e-12     # max |Q - M| for an independent construction route M
 NULL_TOL = 1e-10      # max |Q V0| for the null basis V0
@@ -32,7 +33,7 @@ def _tol(tol: float) -> str:
 
 
 def structure_checks(q: NDArray[np.float64], spec: Spectrum, n: int, dim: int, null_matrix: NDArray[np.float64],
-                     routes: list[tuple[str, str, NDArray[np.float64]]]) -> list[CheckResult]:
+                     routes: Sequence[Route]) -> list[CheckResult]:
     """PSD, rank dn - d with a d-dimensional null space, agreement with each (name, label,
     matrix) construction route, and Q V0 = 0. ``spec`` is a spectrum of (the symmetric part
     of) ``q``: eigenvalues below its threshold, ``laplacian.RANK_TOL`` · max(1, λ_max), are zero.
@@ -72,11 +73,12 @@ def _perturbed_potentials(incidence_matrix: NDArray[np.float64], p: NDArray[np.f
 
 def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray[np.float64],
                         null_matrix: NDArray[np.float64], n: int, dim: int,
-                        alt_matrix: NDArray[np.float64] | None = None, seed: int = 0) -> list[CheckResult]:
+                        routes: Sequence[Route] = (), seed: int = 0) -> list[CheckResult]:
     """Construction and dynamics checks on explicit matrices.
 
     Takes raw matrices (not built objects) so a deliberately corrupted input
-    is detected rather than silently rebuilt.
+    is detected rather than silently rebuilt. ``routes`` (a built Laplacian's
+    ``routes``) are checked after the product route E Eᵀ.
     """
     rng = np.random.default_rng(seed)
     asym = float(np.abs(q_matrix - q_matrix.T).max())
@@ -84,10 +86,8 @@ def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray
                        f"max asymmetry {asym:.3e} (tol {_tol(SYMMETRY_TOL)})", asym)]
     sym = 0.5 * (q_matrix + q_matrix.T)  # for the spectrum only; asymmetry already reported
     spec = laplacian.spectrum(sym)
-    routes = [("incidence_product", "|Q - E E^T| =", incidence_matrix @ incidence_matrix.T)]
-    if alt_matrix is not None:
-        routes.append(("construction_routes", "route disagreement", alt_matrix))
-    out += structure_checks(q_matrix, spec, n, dim, null_matrix, routes)
+    product = ("incidence_product", "|Q - E E^T| =", incidence_matrix @ incidence_matrix.T)
+    out += structure_checks(q_matrix, spec, n, dim, null_matrix, [product, *routes])
 
     # gradient of 0.5 ||E^T p||^2 must match Q p (central differences, h = 1e-5)
     h = 1e-5

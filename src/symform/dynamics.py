@@ -25,34 +25,11 @@ MAX_TRACE_BYTES = 512 * 2**20  # largest estimated memory of a run's trace and i
 # through write_outputs lie at 75-110 bytes per coordinate per row.
 TRACE_ROW_BYTES_PER_COORD = 96
 TRACE_ROW_BYTES_FIXED = 256
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """A stacked configuration of n agents in R^d (agent-major layout)."""
-
-    dim: int
-    n: int
-    vector: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        v = np.ascontiguousarray(self.vector, dtype=float)
-        if v.shape != (self.dim * self.n,):
-            raise ValueError(f"vector has shape {v.shape}, expected ({self.dim * self.n},)")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("configuration contains non-finite entries")
-        v.flags.writeable = False
-        object.__setattr__(self, "vector", v)
-
-    @classmethod
-    def from_points(cls, points: NDArray[np.float64]) -> Configuration:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2:
-            raise ValueError("points must be an (n, d) array")
-        return cls(dim=pts.shape[1], n=pts.shape[0], vector=pts.ravel())
-
-    def points(self) -> NDArray[np.float64]:
-        return self.vector.reshape(self.n, self.dim)
+MAX_BUILD_BYTES = 512 * 2**20  # largest estimated memory of a formation's dense build
+# Estimated dn x dn float64 arrays held while a formation is built and checked:
+# Q, E, the gauge matrix, the spectrum's eigenvectors and one temporary. A
+# planar n = 1831 run (dn = 3662, the largest accepted) peaks at 705 MB RSS.
+BUILD_DENSE_MATRICES = 5
 
 
 def edge_residual_norms(
@@ -144,6 +121,19 @@ def rk4_step(
     return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def require_build_fits(n: int, dim: int) -> None:
+    """Raise ValueError, naming the largest n that fits, when the dense matrices of an
+    n-agent formation in R^dim would exceed ``MAX_BUILD_BYTES``, before any is built."""
+    dn = dim * n
+    build_bytes = BUILD_DENSE_MATRICES * dn * dn * 8
+    if build_bytes > MAX_BUILD_BYTES:
+        fit = math.isqrt(MAX_BUILD_BYTES // (BUILD_DENSE_MATRICES * 8)) // dim
+        raise ValueError(
+            f"n = {n} needs about {build_bytes / 2**20:.1f} MiB for its dense {dn}x{dn} matrices, "
+            f"above the {MAX_BUILD_BYTES / 2**20:g} MiB bound (the largest n that fits is {fit})"
+        )
+
+
 def resolve_grid(
     spec: Spectrum, dt: float | None, horizon: float | None
 ) -> tuple[float, float, int]:
@@ -168,7 +158,8 @@ def resolve_grid(
         horizon = DEFAULT_HORIZON_FACTOR / rate if rate else 10.0
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    steps = max(1, int(math.ceil(horizon / dt - 1e-12)))
+    span = horizon / dt - 1e-12
+    steps = max(1, int(math.ceil(span))) if math.isfinite(span) else math.inf
     dn = spec.eigenvalues.size
     row_bytes = TRACE_ROW_BYTES_PER_COORD * dn + TRACE_ROW_BYTES_FIXED
     trace_bytes = (steps + 1) * row_bytes
@@ -177,7 +168,7 @@ def resolve_grid(
         unit = 10.0 ** (math.floor(math.log10(fit)) - 2)
         fit = math.floor(fit / unit) * unit  # three significant digits, rounded down
         raise ValueError(
-            f"{steps} steps of {dn} coordinates need about {trace_bytes / 2**20:.4g} MiB "
+            f"{steps:.3g} steps of {dn} coordinates need about {trace_bytes / 2**20:.4g} MiB "
             f"for the trace and its CSV text, above the {MAX_TRACE_BYTES / 2**20:g} MiB bound "
             f"(try horizon = {fit:.3g})"
         )
@@ -225,6 +216,33 @@ def require_finite(stage: str, times: NDArray[np.float64], **arrays: NDArray[np.
             )
 
 
+def _trace_tail(
+    stage: str,
+    lap: SymmetryLaplacian,
+    shifted: NDArray[np.float64],
+    times: NDArray[np.float64],
+    dt: float,
+    horizon: float,
+    metadata: dict | None,
+    **checked: NDArray[np.float64],
+) -> tuple[NDArray[np.float64], NDArray[np.float64], dict]:
+    """Per-edge errors and potentials of the rows of ``shifted``, checked finite after
+    the ``checked`` arrays, and the trace metadata, updated from ``metadata``."""
+    steps = times.size - 1
+    m, d = lap.incidence.edge_count, lap.dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = shifted @ lap.incidence.matrix
+        errors = np.sqrt((residuals.reshape(steps + 1, m, d) ** 2).sum(axis=2))
+        potentials = 0.5 * (errors ** 2).sum(axis=1)
+    require_finite(stage, times, **checked, edge_errors=errors, potentials=potentials)
+    spec = lap.spectrum
+    meta = {"dt": dt, "horizon": horizon, "steps": steps, "method": "rk4",
+            "lambda_max": spec.lambda_max, "lambda_min_pos": spec.lambda_min_pos}
+    if metadata:
+        meta.update(metadata)
+    return errors, potentials, meta
+
+
 def integrate(
     lap: SymmetryLaplacian,
     p0: NDArray[np.float64],
@@ -245,20 +263,11 @@ def integrate(
     dt, horizon, steps = resolve_grid(spec, dt, horizon)
 
     times = np.arange(steps + 1) * dt
-    E = lap.incidence.matrix
-    m, d = lap.incidence.edge_count, lap.dim
     # overflow is reported once, by require_finite, instead of as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         states = propagate_linear(p, [(q, steps)], dt)
-        residuals = states @ E
-        errors = np.sqrt((residuals.reshape(steps + 1, m, d) ** 2).sum(axis=2))
-        potentials = 0.5 * (errors ** 2).sum(axis=1)
-    require_finite("integrate", times, states=states, edge_errors=errors, potentials=potentials)
-
-    meta = {"dt": dt, "horizon": horizon, "steps": steps, "method": "rk4",
-            "lambda_max": spec.lambda_max, "lambda_min_pos": spec.lambda_min_pos}
-    if metadata:
-        meta.update(metadata)
+    errors, potentials, meta = _trace_tail("integrate", lap, states, times, dt, horizon, metadata,
+                                           states=states)
     return SimulationTrace(
         times=times, states=states, edge_errors=errors, potentials=potentials,
         n=lap.n, dim=lap.dim, edge_index=lap.incidence.edge_index, metadata=meta,

@@ -14,6 +14,7 @@ SYMMETRY_TOL = 1e-10
 RANK_TOL = 1e-9
 
 WeightedEdge = tuple[int, int, NDArray[np.float64]]
+Route = tuple[str, str, NDArray[np.float64]]  # (check name, detail label, matrix)
 
 
 class NumericFailure(Exception):
@@ -102,8 +103,10 @@ class SymmetryLaplacian:
     It equals incidence @ incidence.T up to float roundoff; the product route
     lives in :func:`product_laplacian` so the two stay independently checkable.
     ``basis`` stacks the chain rotations S_i when they are known at assembly
-    (planar trees: exact integer shifts); without it they are taken from BFS
-    products of the edge rotations when ``gauge`` is first read.
+    (planar trees: exact integer shifts, the cube: its BFS chain); without it
+    they are taken from BFS products of the edge rotations when ``gauge`` is
+    first read. ``composed`` is a second assembly of ``matrix`` from
+    sub-blocks, when the builder has one (the cube's face and cross blocks).
     """
 
     matrix: NDArray[np.float64]
@@ -112,6 +115,7 @@ class SymmetryLaplacian:
     dim: int
     wedges: tuple[WeightedEdge, ...] = field(default=())
     basis: NullBasis | None = None
+    composed: NDArray[np.float64] | None = None
 
     @property
     def edge_count(self) -> int:
@@ -124,6 +128,20 @@ class SymmetryLaplacian:
         if basis is None:
             basis = null_basis_from_chain(chain_matrices(self.n, list(self.wedges)))
         return tree_gauge(basis, self.wedges)
+
+    @cached_property
+    def routes(self) -> tuple[Route, ...]:
+        """Independent constructions of ``matrix`` as (name, label, matrix), built on first use.
+
+        ``construction_routes`` is ``composed`` when the builder gave one,
+        followed by the gauge form as ``gauge_route``; otherwise it is the
+        gauge form.
+        """
+        gauge = self.gauge.matrix
+        if self.composed is None:
+            return (("construction_routes", "route disagreement", gauge),)
+        return (("construction_routes", "route disagreement", self.composed),
+                ("gauge_route", "|Q - S (L x I) S^T| =", gauge))
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -151,9 +169,11 @@ class SymmetryLaplacian:
 
 
 def laplacian_from_edges(
-    n: int, dim: int, wedges: list[WeightedEdge], basis: NullBasis | None = None
+    n: int, dim: int, wedges: list[WeightedEdge], basis: NullBasis | None = None,
+    composed: NDArray[np.float64] | None = None,
 ) -> SymmetryLaplacian:
-    """Block-entry Laplacian assembly for matrix-weighted edges (``basis``: the tree's chain, if known)."""
+    """Block-entry Laplacian assembly for matrix-weighted edges (``basis``: the tree's chain,
+    ``composed``: a second assembly of the same matrix, if known)."""
     Q = np.zeros((dim * n, dim * n))
     eye = np.eye(dim)
     for (u, v, w) in wedges:
@@ -165,7 +185,8 @@ def laplacian_from_edges(
         Q[bv, bu] -= w
     inc = incidence_from_edges(n, dim, wedges)
     frozen = tuple((u, v, _freeze(w)) for (u, v, w) in wedges)
-    return SymmetryLaplacian(matrix=_freeze(Q), incidence=inc, n=n, dim=dim, wedges=frozen, basis=basis)
+    return SymmetryLaplacian(matrix=_freeze(Q), incidence=inc, n=n, dim=dim, wedges=frozen, basis=basis,
+                             composed=None if composed is None else _freeze(composed))
 
 
 def build_laplacian(graph: InteractionGraph, tau: PointGroupAssignment) -> SymmetryLaplacian:

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import (DEFAULT_STEP_FACTOR, SimulationTrace, edge_residual_norms, propagate_linear,
-                       require_finite, resolve_grid)
+from .dynamics import (DEFAULT_STEP_FACTOR, SimulationTrace, _trace_tail, edge_residual_norms,
+                       propagate_linear, require_finite, resolve_grid)
 from .laplacian import NumericFailure, Spectrum, SymmetryLaplacian
 from .symgroup import PointGroupAssignment, Rotation, identity, rotation2, rotation3
 from .topology import InteractionGraph, weighted_edges
@@ -307,9 +307,10 @@ def _segment_operators(
             rotating[key] = (m, np.linalg.eigvals(m) if any(key) else spec.eigenvalues)
         m, mu = rotating[key]
         runs.append((lo, hi, m, mu + max(-float(a[lo]), 0.0)))
-    gains = [float(_rk4_gain(-dt * mu).max()) for *_, mu in runs]
-    worst = int(np.argmax(gains))
-    if gains[worst] > 1 + RK4_GAIN_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed gain is rejected below
+        gains = [float(_rk4_gain(-dt * mu).max()) for *_, mu in runs]
+    worst = int(np.argmax(gains))  # the first NaN, if any
+    if not gains[worst] <= 1 + RK4_GAIN_TOL:
         stiffest = max(float(np.abs(mu).max()) for *_, mu in runs)
         t = float(path.times[runs[worst][0]])
         raise ValueError(
@@ -339,7 +340,9 @@ def simulate_maneuver(
     RK4 would amplify some mode of Q - I⊗Ω raise ValueError with a suggested
     dt, and a run that overflows raises NumericFailure. The returned trace
     carries the frame coordinates ζ, which for planar formations follow the
-    stationary flow dζ/dt = -Q ζ.
+    stationary flow dζ/dt = -Q ζ. For spatial formations they need not, and
+    the residual of that flow is reported, never asserted zero, in the
+    trace metadata under ``zeta_residual``.
     """
     q = lap.matrix
     d = lap.dim
@@ -356,31 +359,26 @@ def simulate_maneuver(
     path = propagate_reference(inputs, start, dt, horizon)
     segments = _segment_operators(q, path, spec, n)
 
-    E = lap.incidence.matrix
-    m = lap.incidence.edge_count
     # overflow is reported once, by require_finite, instead of as numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         shifted = propagate_linear(p0 - np.tile(path.positions[0], n), segments, dt)
         states = shifted + np.tile(path.positions, (1, n))
         states[0] = p0
-        residuals = shifted @ E
-        errors = np.sqrt((residuals.reshape(steps + 1, m, d) ** 2).sum(axis=2))
-        potentials = 0.5 * (errors ** 2).sum(axis=1)
         zeta = (np.einsum("kni,kij->knj", shifted.reshape(steps + 1, n, d), path.rotations)
                 / path.scales[:, None, None]).reshape(steps + 1, n * d)
-    require_finite("maneuver", path.times, reference_scales=path.scales, states=states,
-                   edge_errors=errors, potentials=potentials, zeta=zeta)
-
-    meta = {"dt": dt, "horizon": horizon, "steps": steps, "method": "rk4",
-            "lambda_max": spec.lambda_max, "lambda_min_pos": spec.lambda_min_pos}
-    if metadata:
-        meta.update(metadata)
-    return ManeuverTrace(
+    errors, potentials, meta = _trace_tail("maneuver", lap, shifted, path.times, dt, horizon, metadata,
+                                           reference_scales=path.scales, states=states)
+    del shifted  # not held while the 3-D residual below makes its temporaries
+    require_finite("maneuver", path.times, zeta=zeta)
+    trace = ManeuverTrace(
         times=path.times, states=states, edge_errors=errors, potentials=potentials,
         n=n, dim=d, edge_index=lap.incidence.edge_index, metadata=meta,
         ref_positions=path.positions, ref_rotations=path.rotations,
         ref_scales=path.scales, zeta=zeta,
     )
+    if d == 3:  # spatial edge rotations need not commute with the reference attitude
+        trace.metadata["zeta_residual"] = zeta_consistency_residual(trace, q)
+    return trace
 
 
 def shifted_errors(
@@ -411,47 +409,3 @@ def zeta_consistency_residual(trace: ManeuverTrace, q_matrix: NDArray[np.float64
     dz = (z[2:] - z[:-2]) / (2.0 * dt)
     resid = dz + z[1:-1] @ q_matrix.T
     return float(np.sqrt((resid ** 2).sum(axis=1)).max())
-
-
-def from_waypoints(
-    points: NDArray[np.float64],
-    segment_duration: float,
-    scales: NDArray[np.float64] | None = None,
-) -> tuple[ReferenceInputs, ReferenceState]:
-    """Build planar piecewise inputs steering the frame through waypoints.
-
-    Velocities come from consecutive differences, headings from their
-    directions, angular velocity from the heading rate, and scale rates from
-    log-ratios of the optional per-waypoint scales. The returned start state
-    is aligned with the first leg's heading.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-        raise ValueError("waypoints must be an (k >= 2, 2) array")
-    if not (segment_duration > 0 and math.isfinite(segment_duration)):
-        raise ValueError(f"segment duration must be positive and finite, got {segment_duration}")
-    legs = np.diff(pts, axis=0)
-    if np.any(np.sqrt((legs ** 2).sum(axis=1)) == 0.0):
-        raise ValueError("consecutive waypoints must be distinct")
-    headings = np.arctan2(legs[:, 1], legs[:, 0])
-    k = legs.shape[0]
-    velocity = tuple((i * segment_duration, legs[i] / segment_duration) for i in range(k))
-    omegas = []
-    for i in range(k):
-        if i < k - 1:
-            turn = math.remainder(headings[i + 1] - headings[i], math.tau)
-            omegas.append((i * segment_duration, turn / segment_duration))
-        else:
-            omegas.append((i * segment_duration, 0.0))
-    if scales is None:
-        rates = tuple(((i * segment_duration), 0.0) for i in range(k))
-        s0 = 1.0
-    else:
-        s = np.asarray(scales, dtype=float)
-        if s.shape != (pts.shape[0],) or np.any(s <= 0):
-            raise ValueError("scales must be positive, one per waypoint")
-        rates = tuple((i * segment_duration, math.log(s[i + 1] / s[i]) / segment_duration) for i in range(k))
-        s0 = float(s[0])
-    inputs = ReferenceInputs(dim=2, velocity=velocity, angular=tuple(omegas), scale_rate=rates)
-    start = ReferenceState(position=pts[0], rotation=rotation2(float(headings[0])), scale=s0)
-    return inputs, start

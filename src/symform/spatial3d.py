@@ -8,17 +8,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .dynamics import SimulationTrace, integrate
-from .laplacian import (
-    NullBasis,
-    SymmetryIncidence,
-    SymmetryLaplacian,
-    WeightedEdge,
-    laplacian_from_edges,
-    null_basis_from_chain,
-)
-from .maneuver import ManeuverTrace, ReferenceInputs, ReferenceState, simulate_maneuver, zeta_consistency_residual
+from .laplacian import SymmetryLaplacian, WeightedEdge, laplacian_from_edges, null_basis_from_chain
+from .maneuver import ManeuverTrace, ReferenceInputs, ReferenceState, simulate_maneuver
 from .symgroup import rotation3
 from .topology import chain_matrices
+
 
 @dataclass(frozen=True)
 class CubeSpec:
@@ -40,42 +34,27 @@ class CubeSpec:
     cross_nodes: tuple[int, int, int, int] = (1, 5, 8, 4)
 
 
-@dataclass(frozen=True, eq=False)
-class CompositeLaplacian:
-    """Cube constraint matrix with both construction routes retained.
-
-    ``matrix`` is the per-edge sum (normative); ``composed`` stacks the two
-    face-chain blocks and permutes in the cross-chain block, and must agree
-    entrywise. ``chain`` maps a seed point to the eight target corners.
-    """
-
-    matrix: NDArray[np.float64]
-    incidence: SymmetryIncidence
-    n: int
-    dim: int
-    wedges: tuple[WeightedEdge, ...]
-    composed: NDArray[np.float64]
-    face_block: NDArray[np.float64]
-    cross_block: NDArray[np.float64]
-    permutation: NDArray[np.float64]
-    chain: tuple[NDArray[np.float64], ...]
-    basis: NullBasis
-    spec: CubeSpec
-
-    @property
-    def edge_count(self) -> int:
-        return self.incidence.edge_count
-
-    gauge = SymmetryLaplacian.gauge  # the same gauge form and once-per-system spectrum cache
-    spectrum = SymmetryLaplacian.spectrum
-
-
 def _face_edges(nodes: tuple[int, int, int, int], w: NDArray[np.float64]) -> list[WeightedEdge]:
     return [(nodes[i], nodes[i + 1], w) for i in range(3)]
 
 
-def build_cube(spec: CubeSpec | None = None) -> CompositeLaplacian:
-    """Assemble the cube constraint matrix from two face chains plus a cross edge."""
+def cube_permutation(spec: CubeSpec) -> NDArray[np.float64]:
+    """24×24 block permutation taking the cross-chain orbit to the first four agent slots."""
+    if sorted(spec.cross_nodes) != sorted({spec.cross_edge[0], spec.cross_edge[1]} | set(spec.cross_nodes)):
+        raise ValueError("cross_nodes must contain the cross edge endpoints")
+    order = list(spec.cross_nodes) + [i for i in range(1, 9) if i not in spec.cross_nodes]
+    perm = np.zeros((24, 24))
+    for loc, g in enumerate(order):
+        perm[3 * (g - 1):3 * g, 3 * loc:3 * loc + 3] = np.eye(3)
+    return perm
+
+
+def build_cube(spec: CubeSpec | None = None) -> SymmetryLaplacian:
+    """Assemble the cube constraint matrix from two face chains plus a cross edge.
+
+    The result carries the tree's chain as ``basis`` and, as ``composed``, the
+    face-chain block stacked twice plus the cross-chain block permuted in.
+    """
     if spec is None:
         spec = CubeSpec()
     nodes = (*spec.top_nodes, *spec.bottom_nodes)
@@ -101,8 +80,6 @@ def build_cube(spec: CubeSpec | None = None) -> CompositeLaplacian:
     except ValueError as exc:
         raise ValueError(f"constraint edges do not form a spanning tree: {exc}") from exc
 
-    lap = laplacian_from_edges(8, 3, wedges)
-
     # composed route: per-face chain block twice, cross-chain block permuted in
     local_face = [(i + 1, i + 2, w_face) for i in range(3)]
     face_block = laplacian_from_edges(4, 3, local_face).matrix
@@ -110,32 +87,15 @@ def build_cube(spec: CubeSpec | None = None) -> CompositeLaplacian:
     stacked = np.zeros((24, 24))
     stacked[:12, :12] = face_block
     stacked[12:, 12:] = face_block
-    if sorted(spec.cross_nodes) != sorted({spec.cross_edge[0], spec.cross_edge[1]} | set(spec.cross_nodes)):
-        raise ValueError("cross_nodes must contain the cross edge endpoints")
-    order = list(spec.cross_nodes) + [i for i in range(1, 9) if i not in spec.cross_nodes]
-    perm = np.zeros((24, 24))
-    for loc, g in enumerate(order):
-        perm[3 * (g - 1):3 * g, 3 * loc:3 * loc + 3] = np.eye(3)
+    perm = cube_permutation(spec)
     embedded = np.zeros((24, 24))
     embedded[:12, :12] = cross_block
     composed = stacked + perm @ embedded @ perm.T
-
-    return CompositeLaplacian(
-        matrix=lap.matrix, incidence=lap.incidence, n=8, dim=3, wedges=lap.wedges,
-        composed=composed, face_block=face_block, cross_block=cross_block,
-        permutation=perm, chain=tuple(chain), basis=null_basis_from_chain(chain),
-        spec=spec,
-    )
-
-
-def cube_corners(lap: CompositeLaplacian, seed_point=(1.0, 1.0, 1.0)) -> NDArray[np.float64]:
-    """Target corner positions: the chain applied to a seed corner."""
-    q = np.asarray(seed_point, dtype=float)
-    return np.concatenate([m @ q for m in lap.chain])
+    return laplacian_from_edges(8, 3, wedges, basis=null_basis_from_chain(chain), composed=composed)
 
 
 def simulate_cube(
-    lap: CompositeLaplacian,
+    lap: SymmetryLaplacian,
     p0: NDArray[np.float64],
     inputs: ReferenceInputs | None = None,
     start: ReferenceState | None = None,
@@ -143,14 +103,7 @@ def simulate_cube(
     horizon: float | None = None,
     metadata: dict | None = None,
 ) -> SimulationTrace | ManeuverTrace:
-    """Run the cube flow, stationary or maneuvering.
-
-    With inputs, the frame-reduction residual is attached to the trace
-    metadata under ``zeta_residual``: spatial edge rotations need not commute
-    with the reference attitude, so it is reported, never asserted zero.
-    """
+    """Run the cube flow: :func:`integrate` without inputs, :func:`simulate_maneuver` with them."""
     if inputs is None:
         return integrate(lap, p0, dt=dt, horizon=horizon, metadata=metadata)
-    trace = simulate_maneuver(lap, p0, inputs, start=start, dt=dt, horizon=horizon, metadata=metadata)
-    trace.metadata["zeta_residual"] = zeta_consistency_residual(trace, lap.matrix)
-    return trace
+    return simulate_maneuver(lap, p0, inputs, start=start, dt=dt, horizon=horizon, metadata=metadata)

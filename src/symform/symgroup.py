@@ -148,13 +148,6 @@ class CyclicAutomorphism:
         return self.shift == 0
 
 
-def rotational_automorphisms(n: int) -> list[CyclicAutomorphism]:
-    """All n rotational automorphisms of C_n (shifts 0..n-1)."""
-    if n < 3:
-        raise ValueError(f"cycle graphs need n >= 3 nodes, got n={n}")
-    return [CyclicAutomorphism(n, k) for k in range(n)]
-
-
 @dataclass(frozen=True)
 class PointGroupAssignment:
     """Homomorphism from the rotational automorphisms of C_n to planar rotations.
@@ -178,9 +171,6 @@ class PointGroupAssignment:
         if gamma.n != self.n:
             raise ValueError(f"automorphism of C_{gamma.n} passed to an assignment on C_{self.n}")
         return rotation2(gamma.shift * self.base_angle)
-
-    def elements(self) -> list[CyclicAutomorphism]:
-        return rotational_automorphisms(self.n)
 
 
 def assignment(n: int) -> PointGroupAssignment:

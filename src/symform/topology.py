@@ -143,11 +143,6 @@ class RotationChain:
     rotations: tuple[Rotation, ...]
     shifts: tuple[int, ...]
 
-    @property
-    def is_cyclic_target(self) -> bool:
-        """True when the chain realizes a full C_n orbit (node i carries shift i-1)."""
-        return all(s == i % self.n for i, s in enumerate(self.shifts))
-
     def matrices(self) -> list[NDArray[np.float64]]:
         return [r.matrix for r in self.rotations]
 

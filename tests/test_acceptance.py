@@ -126,13 +126,13 @@ def test_criterion_5_maneuver_reduction():
     """The maneuver preset's frame coordinates follow the stationary flow."""
     with criterion(5, "moving-frame reduction on the bundled maneuver preset", budget=5.0):
         scn = cli.load_scenario("maneuver_c6")
-        system = cli.build_system(scn)
+        lap = cli.build_system(scn)
         p0 = cli.initial_state(scn)
-        trace = sf.simulate_maneuver(system.lap, p0, scn.reference,
+        trace = sf.simulate_maneuver(lap, p0, scn.reference,
                                      start=scn.ref_start, dt=scn.dt,
                                      horizon=scn.horizon)
         zeta0 = sf.moving_frame(p0, scn.ref_start)
-        reduced = sf.integrate(system.lap, zeta0, dt=scn.dt, horizon=scn.horizon)
+        reduced = sf.integrate(lap, zeta0, dt=scn.dt, horizon=scn.horizon)
         per_step = np.sqrt(((trace.zeta - reduced.states) ** 2).sum(axis=1))
         assert per_step.max() <= 1e-5, f"max frame gap {per_step.max()}"
         assert trace.total_errors[-1] <= 1e-8, (
@@ -157,7 +157,8 @@ def test_criterion_7_cube():
         spec = sf.spectrum(lap.matrix, tol=1e-9)
         assert spec.eigenvalues[0] >= -1e-9, f"min eigenvalue {spec.eigenvalues[0]}"
         assert spec.null_dim == 3, f"null dimension {spec.null_dim}"
-        route_gap = np.abs(lap.matrix - lap.composed).max()
+        composed = {name: matrix for name, _, matrix in lap.routes}["construction_routes"]
+        route_gap = np.abs(lap.matrix - composed).max()
         assert route_gap <= 1e-12, f"construction route gap {route_gap}"
         p0 = np.random.default_rng(11).uniform(-2.0, 2.0, 24)
         trace = sf.simulate_cube(lap, p0)

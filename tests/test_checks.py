@@ -27,7 +27,7 @@ def scenario(spec) -> cli.Scenario:
     return scn
 
 
-def planar_system(n: int) -> cli.FormationSystem:
+def planar_lap(n: int) -> laplacian.SymmetryLaplacian:
     return cli.build_system(cli.parse_scenario({"n": n}))
 
 
@@ -52,8 +52,7 @@ class TestOneCheckPath:
 
     @pytest.mark.parametrize("spec", ["example3_c6", "cube"])
     def test_psd_and_rank_widened_by_the_spread(self, spec):
-        system = cli.build_system(scenario(spec))
-        lap = system.lap
+        lap = cli.build_system(scenario(spec))
         gauge = lap.spectrum
         threshold = gauge.tol * max(1.0, gauge.lambda_max)
 
@@ -75,7 +74,7 @@ class TestOneCheckPath:
 
 class TestVerificationChecks:
     def test_one_spectrum_and_no_eigvalsh(self, monkeypatch):
-        system = planar_system(5)
+        lap = planar_lap(5)
         calls = []
         spectrum = laplacian.spectrum
 
@@ -88,8 +87,8 @@ class TestVerificationChecks:
 
         monkeypatch.setattr(laplacian, "spectrum", counted)
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-        results = cli.verification_checks(system.lap.matrix, system.lap.incidence.matrix,
-                                          system.lap.basis.v0, 5, 2, alt_matrix=system.alt_matrix)
+        results = cli.verification_checks(lap.matrix, lap.incidence.matrix, lap.basis.v0, 5, 2,
+                                          routes=lap.routes)
         assert len(calls) == 1
         assert all(r.passed for r in results)
 
@@ -99,11 +98,12 @@ class TestVerificationChecks:
             raise AssertionError("planar build formed E E^T")
 
         monkeypatch.setattr(laplacian, "product_laplacian", forbidden)
-        system = planar_system(n)
-        assert system.alt_matrix is system.lap.gauge.matrix
-        q, E = system.lap.matrix, system.lap.incidence.matrix
+        lap = planar_lap(n)
+        (name, _, matrix), = lap.routes
+        assert name == "construction_routes" and matrix is lap.gauge.matrix
+        q, E = lap.matrix, lap.incidence.matrix
         by_name = {r.name: r for r in cli.verify_scenario(scenario({"n": n}))}
-        assert by_name["construction_routes"].value == np.abs(q - system.lap.gauge.matrix).max()
+        assert by_name["construction_routes"].value == np.abs(q - lap.gauge.matrix).max()
         assert by_name["incidence_product"].value == np.abs(q - E @ E.T).max()
         assert by_name["construction_routes"].passed and by_name["incidence_product"].passed
 
@@ -111,33 +111,33 @@ class TestVerificationChecks:
     def test_transposed_block_fails_construction_routes(self, n):
         # edge (1, 2) read in the wrong direction: block (1, 2) and its mirror transposed,
         # so Q stays symmetric and only a second construction route can tell
-        system = planar_system(n)
-        q = system.lap.matrix.copy()
-        q[0:2, 2:4] = system.lap.matrix[0:2, 2:4].T
-        q[2:4, 0:2] = system.lap.matrix[2:4, 0:2].T
+        lap = planar_lap(n)
+        q = lap.matrix.copy()
+        q[0:2, 2:4] = lap.matrix[0:2, 2:4].T
+        q[2:4, 0:2] = lap.matrix[2:4, 0:2].T
         by_name = {r.name: r for r in cli.verification_checks(
-            q, system.lap.incidence.matrix, system.lap.basis.v0, n, 2, alt_matrix=system.alt_matrix)}
+            q, lap.incidence.matrix, lap.basis.v0, n, 2, routes=lap.routes)}
         assert by_name["symmetric"].passed
         assert not by_name["construction_routes"].passed
 
     @pytest.mark.parametrize("corrupt", ["scaled", "symmetric_entry"])
     def test_gradient_detects_a_wrong_q(self, corrupt):
-        system = planar_system(4)
-        q = system.lap.matrix.copy()
+        lap = planar_lap(4)
+        q = lap.matrix.copy()
         if corrupt == "scaled":
             q = 1.01 * q
         else:
             q[0, 2] += 1e-3
             q[2, 0] += 1e-3
         by_name = {r.name: r for r in cli.verification_checks(
-            q, system.lap.incidence.matrix, system.lap.basis.v0, 4, 2)}
+            q, lap.incidence.matrix, lap.basis.v0, 4, 2)}
         assert by_name["symmetric"].passed
         assert not by_name["gradient"].passed
         assert by_name["gradient"].value > checks.GRADIENT_TOL
 
     @pytest.mark.parametrize("n", [4, 37])  # dn = 8 and 74: one partial block, and 64 + 10
     def test_blocked_potentials_match_per_coordinate(self, n):
-        E = planar_system(n).lap.incidence.matrix
+        E = planar_lap(n).incidence.matrix
         h = 1e-5
         p = np.random.default_rng(n).uniform(-2.0, 2.0, size=2 * n)
         plus, minus = checks._perturbed_potentials(E, p, h)
@@ -151,10 +151,9 @@ class TestVerificationChecks:
         np.testing.assert_allclose(minus, ref_minus, rtol=1e-12, atol=0.0)
 
     def test_tolerances_printed_in_details(self):
-        system = planar_system(4)
+        lap = planar_lap(4)
         details = {r.name: r.detail for r in cli.verification_checks(
-            system.lap.matrix, system.lap.incidence.matrix, system.lap.basis.v0, 4, 2,
-            alt_matrix=system.alt_matrix)}
+            lap.matrix, lap.incidence.matrix, lap.basis.v0, 4, 2, routes=lap.routes)}
         assert details["symmetric"].endswith("(tol 1e-10)")
         assert details["incidence_product"].endswith("(tol 1e-12)")
         assert details["null_basis"].endswith("(tol 1e-10)")

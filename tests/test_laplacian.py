@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import symform as sf
 from conftest import path_eigenvalues, slowest_rate
+from symform import checks, cli
 
 
 def hand_built_incidence_c3() -> np.ndarray:
@@ -298,3 +301,36 @@ class TestSymmetricConfiguration:
         p = sf.symmetric_configuration(chain, np.array([2.0, 0.5]))
         assert sf.edge_errors(p, graph, tau).max() < 1e-14
         assert np.abs(lap.matrix @ p).max() < 1e-13
+
+
+class TestOneFormationType:
+    SPECS = ({"n": 5}, {"n": 7, "tree": {"remove": [3, 4]}}, {"formation": "cube"})
+
+    def test_planar_and_cube_build_the_same_type(self):
+        built = [cli.build_system(cli.parse_scenario(spec)) for spec in self.SPECS]
+        assert {type(lap) for lap in built} == {sf.SymmetryLaplacian}
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_every_route_agrees_with_the_matrix(self, spec):
+        lap = cli.build_system(cli.parse_scenario(spec))
+        assert lap.routes and lap.routes[0][0] == "construction_routes"
+        for name, _, matrix in lap.routes:
+            assert np.abs(lap.matrix - matrix).max() <= checks.ROUTE_TOL, name
+
+    def test_routes_are_built_on_first_use(self):
+        # a non-spanning edge set (the cube's cross block) has a matrix but no gauge form
+        w = sf.rotation3("x", -math.pi / 2).matrix
+        block = sf.laplacian_from_edges(4, 3, [(1, 2, w)])
+        assert block.matrix.shape == (12, 12)
+        with pytest.raises(ValueError, match="do not connect"):
+            block.routes
+
+
+def test_package_exports_are_its_imports():
+    tree = ast.parse(Path(sf.__file__).read_text())
+    imported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name != "annotations"]
+    assert len(sf.__all__) == len(set(sf.__all__))
+    assert set(sf.__all__) == set(imported)
+    for name in sf.__all__:
+        assert getattr(sf, name) is not None

@@ -326,12 +326,12 @@ class TestSimulateManeuver:
         else:
             scn = cli.load_scenario("maneuver_c6")
             scn.dt = 0.015  # 6,000 steps over the preset's three input segments
-        system = cli.build_system(scn)
+        lap = cli.build_system(scn)
         p0 = cli.initial_state(scn)
-        trace = sf.simulate_maneuver(system.lap, p0, scn.reference, start=scn.ref_start,
+        trace = sf.simulate_maneuver(lap, p0, scn.reference, start=scn.ref_start,
                                      dt=scn.dt, horizon=scn.horizon)
         path = sf.propagate_reference(scn.reference, scn.ref_start, scn.dt, scn.horizon)
-        expected = world_rk4(system.lap, p0, path, scn.ref_start)
+        expected = world_rk4(lap, p0, path, scn.ref_start)
         assert np.array_equal(trace.states[0], p0)
         scale = 1.0 + np.abs(expected).max()
         assert np.abs(trace.states - expected).max() <= 1e-10 * scale
@@ -399,42 +399,3 @@ class TestSimulateManeuver:
                                      dt=0.1, horizon=0.1)
         with pytest.raises(ValueError, match="three samples"):
             sf.zeta_consistency_residual(trace, lap.matrix)
-
-
-class TestFromWaypoints:
-    def test_l_shaped_path_frozen(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])
-        inputs, start = sf.from_waypoints(pts, 2.0)
-        assert np.allclose(inputs.velocity_at(0.0), [0.5, 0.0], atol=1e-15)
-        assert np.allclose(inputs.velocity_at(2.0), [0.0, 1.0], atol=1e-15)
-        # quarter turn spread over the first leg's duration
-        assert math.isclose(inputs.omega_at(0.0), math.pi / 4, rel_tol=1e-12)
-        assert inputs.omega_at(2.0) == 0.0
-        assert np.array_equal(start.position, [0.0, 0.0])
-        assert start.rotation.is_identity()
-
-    def test_reference_passes_through_waypoints(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.5], [-1.0, 1.0], [0.0, -2.0]])
-        inputs, start = sf.from_waypoints(pts, 1.0)
-        path = sf.propagate_reference(inputs, start, 0.125, 3.0)
-        for i, k in enumerate((0, 8, 16, 24)):
-            assert np.allclose(path.positions[k], pts[i], atol=1e-12)
-
-    def test_scales_produce_exact_ratios(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        inputs, start = sf.from_waypoints(pts, 1.0, scales=np.array([1.0, 2.0, 4.0]))
-        assert start.scale == 1.0
-        path = sf.propagate_reference(inputs, start, 0.25, 2.0)
-        assert math.isclose(path.scales[4], 2.0, rel_tol=1e-12)
-        assert math.isclose(path.scales[8], 4.0, rel_tol=1e-12)
-
-    def test_validation_errors(self):
-        with pytest.raises(ValueError, match="waypoints"):
-            sf.from_waypoints(np.zeros((1, 2)), 1.0)
-        with pytest.raises(ValueError, match="distinct"):
-            sf.from_waypoints(np.array([[0.0, 0.0], [0.0, 0.0]]), 1.0)
-        with pytest.raises(ValueError, match="duration"):
-            sf.from_waypoints(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.0)
-        with pytest.raises(ValueError, match="scales"):
-            sf.from_waypoints(np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0,
-                              scales=np.array([1.0, -2.0]))

@@ -292,13 +292,13 @@ class TestInitialState:
 class TestRunScenario:
     def test_metrics_and_checks(self):
         scn = cli.parse_scenario({"n": 4, "seed": 7, "horizon": 40.0})
-        trace, system, metrics = cli.run_scenario(scn)
+        trace, lap, metrics = cli.run_scenario(scn)
         assert metrics["rank"] == 6 and metrics["null_dim"] == 2
         assert metrics["final_max_edge_error"] < 1e-6
         assert metrics["projection_residual"] < 1e-6
         assert all(metrics["checks"].values())
         assert math.isclose(metrics["lambda_max"],
-                            sf.spectrum(system.lap.matrix).lambda_max)
+                            sf.spectrum(lap.matrix).lambda_max)
 
     def test_deterministic_bytes(self):
         scn = cli.parse_scenario({"n": 4, "seed": 1, "horizon": 2.0})
@@ -315,9 +315,9 @@ class TestRunScenario:
         calls = []
         original = laplacian.spectrum
         monkeypatch.setattr(laplacian, "spectrum", lambda q, *a: calls.append(q) or original(q, *a))
-        _, system, metrics = cli.run_scenario(cli.parse_scenario(spec))
+        _, lap, metrics = cli.run_scenario(cli.parse_scenario(spec))
         assert len(calls) == 1
-        assert metrics["lambda_max"] == system.lap.spectrum.lambda_max
+        assert metrics["lambda_max"] == lap.spectrum.lambda_max
 
     def test_write_outputs_layout(self, tmp_path):
         scn = cli.parse_scenario({"n": 4, "seed": 2, "horizon": 1.0,
@@ -344,11 +344,9 @@ class TestVerificationChecks:
         return cli.build_system(scn)
 
     def test_all_pass_on_sound_system(self):
-        system = self.build()
-        results = cli.verification_checks(system.lap.matrix,
-                                          system.lap.incidence.matrix,
-                                          system.lap.basis.v0, 4, 2,
-                                          alt_matrix=system.alt_matrix)
+        lap = self.build()
+        results = cli.verification_checks(lap.matrix, lap.incidence.matrix, lap.basis.v0, 4, 2,
+                                          routes=lap.routes)
         assert [r.name for r in results] == [
             "symmetric", "positive_semidefinite", "rank", "incidence_product",
             "construction_routes", "null_basis", "gradient", "solver_cross_check",
@@ -356,33 +354,29 @@ class TestVerificationChecks:
         assert all(r.passed for r in results)
 
     def test_corrupted_entry_detected(self):
-        system = self.build()
-        q = system.lap.matrix.copy()
+        lap = self.build()
+        q = lap.matrix.copy()
         q[0, 2] += 1e-3  # breaks symmetry and the incidence product
-        results = cli.verification_checks(q, system.lap.incidence.matrix,
-                                          system.lap.basis.v0, 4, 2)
+        results = cli.verification_checks(q, lap.incidence.matrix, lap.basis.v0, 4, 2)
         by_name = {r.name: r.passed for r in results}
         assert not by_name["symmetric"]
         assert not by_name["incidence_product"]
 
     def test_corrupted_symmetric_perturbation_detected(self):
-        system = self.build()
-        q = system.lap.matrix.copy()
+        lap = self.build()
+        q = lap.matrix.copy()
         q[0, 2] += 1e-3
         q[2, 0] += 1e-3  # stays symmetric, no longer E E^T or PSD-structured
-        results = cli.verification_checks(q, system.lap.incidence.matrix,
-                                          system.lap.basis.v0, 4, 2)
+        results = cli.verification_checks(q, lap.incidence.matrix, lap.basis.v0, 4, 2)
         by_name = {r.name: r.passed for r in results}
         assert by_name["symmetric"]
         assert not by_name["incidence_product"]
         assert not by_name["null_basis"]
 
     def test_wrong_null_basis_detected(self):
-        system = self.build()
-        bogus = np.random.default_rng(0).normal(size=system.lap.basis.v0.shape)
-        results = cli.verification_checks(system.lap.matrix,
-                                          system.lap.incidence.matrix,
-                                          bogus, 4, 2)
+        lap = self.build()
+        bogus = np.random.default_rng(0).normal(size=lap.basis.v0.shape)
+        results = cli.verification_checks(lap.matrix, lap.incidence.matrix, bogus, 4, 2)
         by_name = {r.name: r.passed for r in results}
         assert not by_name["null_basis"]
 
@@ -693,3 +687,39 @@ class TestOversizedRun:
         assert "MiB bound" in err and "try horizon" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("scenario, message", [
+        # the RK4 gains overflow to NaN, which no '>' comparison rejects
+        ({"n": 6, "dt": 0.05, "horizon": 1, "reference": {"angular_velocity": [[0, 1e300]]}}, "try dt"),
+        # about 6.8e301 steps: the count is printed to three digits, not three hundred
+        ({"n": 4, "dt": 1e-300}, "6.83e+301 steps"),
+        # horizon / dt overflows to inf
+        ({"n": 4, "dt": 1e-308, "horizon": 1e300}, "inf steps"),
+        # a dense 40000 x 40000 Q alone is 11.9 GiB
+        ({"n": 20000}, "the largest n that fits is 1831"),
+    ], ids=["nan_gain", "huge_step_count", "infinite_step_count", "huge_n"])
+    def test_rejected_in_one_line(self, tmp_path, capsys, monkeypatch, scenario, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense build started")
+
+        if scenario["n"] == 20000:  # rejected before the dense build, whatever memory the machine has
+            monkeypatch.setattr(laplacian, "laplacian_from_edges", forbidden)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"name": "bad", **scenario}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert not caught
+        assert message in err and err.count("\n") == 1
+        assert "Traceback" not in err and "Warning" not in err
+        assert not (tmp_path / "out" / "bad").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_verify_and_sweep_share_the_build_bound(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(laplacian, "laplacian_from_edges", lambda *a, **k: pytest.fail("dense build"))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"n": 20000}))
+        argv = {"verify": ["verify", str(path)], "sweep": ["sweep", "--n-from", "20000", "--n-to", "20000"]}
+        assert cli.main(argv[command]) == 2
+        assert "the largest n that fits is 1831" in capsys.readouterr().err

@@ -9,6 +9,12 @@ from hypothesis import strategies as st
 
 import symform as sf
 from conftest import path_eigenvalues
+from symform.spatial3d import cube_permutation
+
+
+def cube_corners(lap: sf.SymmetryLaplacian, seed_point=(1.0, 1.0, 1.0)) -> np.ndarray:
+    """Target corners: the cube's chain applied to a seed corner."""
+    return sf.symmetric_configuration(list(lap.basis.v0.reshape(8, 3, 3)), np.array(seed_point))
 
 
 class TestRotation3:
@@ -70,7 +76,9 @@ class TestBuildCube:
 
     def test_construction_routes_agree(self):
         lap = sf.build_cube()
-        assert np.abs(lap.matrix - lap.composed).max() <= 1e-12
+        assert [name for name, _, _ in lap.routes] == ["construction_routes", "gauge_route"]
+        for _, _, matrix in lap.routes:
+            assert np.abs(lap.matrix - matrix).max() <= 1e-12
         assert np.abs(lap.matrix - sf.product_laplacian(lap.incidence)).max() <= 1e-12
 
     def test_symmetric(self):
@@ -89,8 +97,7 @@ class TestBuildCube:
         assert np.abs(lap.matrix @ lap.basis.v0).max() <= 1e-12
 
     def test_permutation_is_orthogonal(self):
-        lap = sf.build_cube()
-        perm = lap.permutation
+        perm = cube_permutation(sf.CubeSpec())
         assert np.array_equal(perm @ perm.T, np.eye(24))
 
     def test_bad_partition_rejected(self):
@@ -110,7 +117,7 @@ class TestBuildCube:
 class TestCubeCorners:
     def test_unit_cube_from_all_ones_seed(self):
         lap = sf.build_cube()
-        corners = sf.cube_corners(lap).reshape(8, 3)
+        corners = cube_corners(lap).reshape(8, 3)
         expected = np.array([
             [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, -1.0, 1.0],
             [1.0, 1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, -1.0], [1.0, -1.0, -1.0],
@@ -119,13 +126,13 @@ class TestCubeCorners:
 
     def test_corners_have_zero_error(self):
         lap = sf.build_cube()
-        corners = sf.cube_corners(lap, seed_point=(0.3, -1.1, 0.8))
+        corners = cube_corners(lap, seed_point=(0.3, -1.1, 0.8))
         res = lap.incidence.residuals(corners)
         assert np.abs(res).max() < 1e-14
 
     def test_edge_lengths_equal(self):
         lap = sf.build_cube()
-        pts = sf.cube_corners(lap).reshape(8, 3)
+        pts = cube_corners(lap).reshape(8, 3)
         lengths = {round(float(np.linalg.norm(pts[u - 1] - pts[v - 1])), 9)
                    for (u, v, _) in lap.wedges}
         assert lengths == {2.0}
@@ -143,7 +150,7 @@ class TestSimulateCube:
 
     def test_maneuver_reports_frame_residual(self):
         lap = sf.build_cube()
-        p0 = sf.cube_corners(lap) + np.random.default_rng(32).normal(0, 0.1, 24)
+        p0 = cube_corners(lap) + np.random.default_rng(32).normal(0, 0.1, 24)
         inputs = sf.ReferenceInputs.constant([0.1, 0.0, 0.05], [0.0, 0.0, 0.2], 0.0,
                                              dim=3)
         trace = sf.simulate_cube(lap, p0, inputs=inputs, dt=0.02, horizon=5.0)
@@ -164,3 +171,11 @@ class TestSimulateCube:
         assert np.isfinite(gap)
         # the cross edge breaks exact commutation, so only boundedness holds
         assert trace.metadata["zeta_residual"] < 10.0
+
+    def test_simulate_maneuver_reports_frame_residual(self):
+        # the residual is attached by the maneuver integrator itself for any 3-D formation
+        lap = sf.build_cube()
+        p0 = np.random.default_rng(34).uniform(-2, 2, 24)
+        inputs = sf.ReferenceInputs.constant([0.1, 0.0, 0.05], [0.0, 0.0, 0.2], 0.0, dim=3)
+        trace = sf.simulate_maneuver(lap, p0, inputs, dt=0.02, horizon=1.0)
+        assert trace.metadata["zeta_residual"] == sf.zeta_consistency_residual(trace, lap.matrix)

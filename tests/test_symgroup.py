@@ -121,12 +121,6 @@ class TestCyclicAutomorphism:
         with pytest.raises(ValueError):
             sf.CyclicAutomorphism(4, 1).compose(sf.CyclicAutomorphism(5, 1))
 
-    def test_enumeration(self):
-        autos = sf.rotational_automorphisms(5)
-        assert [g.shift for g in autos] == [0, 1, 2, 3, 4]
-        with pytest.raises(ValueError):
-            sf.rotational_automorphisms(2)
-
 
 class TestPointGroupAssignment:
     @given(st.integers(3, 12), st.integers(0, 11), st.integers(0, 11))
@@ -163,6 +157,3 @@ class TestPointGroupAssignment:
     def test_mismatched_group_rejected(self):
         with pytest.raises(ValueError):
             sf.assignment(4).rotation_for(sf.CyclicAutomorphism(5, 1))
-
-    def test_elements(self):
-        assert len(sf.assignment(5).elements()) == 5
