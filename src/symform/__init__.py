@@ -19,7 +19,6 @@ from .symgroup import (
 from .topology import (
     CycleGraph,
     InteractionGraph,
-    RotationChain,
     chain_matrices,
     cycle_minus_edge,
     rotation_chain,
@@ -27,18 +26,13 @@ from .topology import (
     weighted_edges,
 )
 from .laplacian import (
-    NullBasis,
     NumericFailure,
     Spectrum,
-    SymmetryIncidence,
     SymmetryLaplacian,
-    build_incidence,
     build_laplacian,
     closed_form_solution,
-    incidence_from_edges,
     laplacian_from_edges,
     null_basis,
-    null_basis_from_chain,
     product_laplacian,
     spectrum,
     steady_state,
@@ -82,19 +76,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CubeSpec", "CycleGraph", "CyclicAutomorphism", "InteractionGraph",
-    "ManeuverTrace", "NullBasis", "NumericFailure", "PointGroupAssignment",
+    "ManeuverTrace", "NumericFailure", "PointGroupAssignment",
     "ReferenceInputs", "ReferencePath", "ReferenceState", "Rotation",
-    "RotationChain", "SimulationTrace", "Spectrum", "SymmetryIncidence",
-    "SymmetryLaplacian", "assignment", "build_cube", "build_incidence",
-    "build_laplacian", "chain_matrices", "closed_form_solution", "control",
-    "control_per_agent", "cycle_minus_edge", "edge_errors",
-    "edge_residual_norms", "fit_rate", "frame_to_world", "identity",
-    "incidence_from_edges", "integrate", "laplacian_from_edges",
-    "maneuver_control", "moving_frame", "null_basis",
-    "null_basis_from_chain", "omega_matrix", "potential",
-    "product_laplacian", "propagate_linear", "propagate_reference",
-    "resolve_grid", "rk4_step", "rotation2", "rotation3", "rotation_chain",
-    "shifted_errors", "simulate_cube", "simulate_maneuver", "spectrum",
-    "steady_state", "steady_state_per_agent", "symmetric_configuration",
-    "validate", "weighted_edges", "zeta_consistency_residual",
+    "SimulationTrace", "Spectrum", "SymmetryLaplacian", "assignment",
+    "build_cube", "build_laplacian", "chain_matrices",
+    "closed_form_solution", "control", "control_per_agent",
+    "cycle_minus_edge", "edge_errors", "edge_residual_norms", "fit_rate",
+    "frame_to_world", "identity", "integrate", "laplacian_from_edges",
+    "maneuver_control", "moving_frame", "null_basis", "omega_matrix",
+    "potential", "product_laplacian", "propagate_linear",
+    "propagate_reference", "resolve_grid", "rk4_step", "rotation2",
+    "rotation3", "rotation_chain", "shifted_errors", "simulate_cube",
+    "simulate_maneuver", "spectrum", "steady_state",
+    "steady_state_per_agent", "symmetric_configuration", "validate",
+    "weighted_edges", "zeta_consistency_residual",
 ]

@@ -36,10 +36,10 @@ def structure_checks(q: NDArray[np.float64], spec: Spectrum, n: int, dim: int, n
                      routes: Sequence[Route]) -> list[CheckResult]:
     """PSD, rank dn - d with a d-dimensional null space, agreement with each (name, label,
     matrix) construction route, and Q V0 = 0. ``spec`` is a spectrum of (the symmetric part
-    of) ``q``: eigenvalues below its threshold, ``laplacian.RANK_TOL`` · max(1, λ_max), are zero.
+    of) ``q``: eigenvalues below its ``threshold`` are zero.
     Each eigenvalue of ``q`` lies within ``spec.spread`` of the one reported, so PSD and rank
     pass only when they hold for every value in that interval."""
-    threshold = spec.tol * max(1.0, spec.lambda_max)
+    threshold = spec.threshold
     lam, spread = spec.eigenvalues, spec.spread
     min_eig = float(lam[0]) - spread
     surely_null = int(np.sum(np.abs(lam) + spread < threshold))
@@ -50,7 +50,7 @@ def structure_checks(q: NDArray[np.float64], spec: Spectrum, n: int, dim: int, n
            CheckResult("rank", surely_null == maybe_null == dim and lam.size - dim == expected,
                        f"rank {spec.rank} null {spec.null_dim} (expected {expected} and {dim})", spec.rank)]
     for name, label, matrix in routes:
-        gap = float(np.abs(q - matrix).max())
+        gap = laplacian.max_abs_difference(q, matrix)
         out.append(CheckResult(name, gap <= ROUTE_TOL, f"max {label} {gap:.3e} (tol {_tol(ROUTE_TOL)})", gap))
     null_gap = float(np.abs(q @ null_matrix).max())
     out.append(CheckResult("null_basis", null_gap <= NULL_TOL,
@@ -81,7 +81,7 @@ def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray
     ``routes``) are checked after the product route E Eᵀ.
     """
     rng = np.random.default_rng(seed)
-    asym = float(np.abs(q_matrix - q_matrix.T).max())
+    asym = laplacian.max_abs_difference(q_matrix, q_matrix.T)
     out = [CheckResult("symmetric", asym <= SYMMETRY_TOL,
                        f"max asymmetry {asym:.3e} (tol {_tol(SYMMETRY_TOL)})", asym)]
     sym = 0.5 * (q_matrix + q_matrix.T)  # for the spectrum only; asymmetry already reported

@@ -25,8 +25,9 @@ EXIT_VERIFY = 4
 # --------------------------------------------------------------------- system
 
 def build_system(scn: Scenario) -> SymmetryLaplacian:
-    """The scenario's constraint Laplacian (``basis`` is its null basis, ``routes`` its
-    independent construction routes), rejected before any allocation when too large."""
+    """The scenario's constraint tree as a :class:`SymmetryLaplacian` (``chain`` spans its
+    null space, ``routes`` are its independent constructions), rejected before any
+    allocation when too large. A planar tree is validated here, once per build."""
     dynamics.require_build_fits(scn.n, scn.dim)
     if scn.formation == "cube":
         return spatial3d.build_cube(scn.cube_spec)
@@ -70,9 +71,9 @@ def compute_metrics(scn: Scenario, lap: SymmetryLaplacian,
     d, n = scn.dim, scn.n
     if isinstance(trace, maneuver.ManeuverTrace):
         z0, zT = trace.zeta[0], trace.zeta[-1]
-        projection_residual = float(np.linalg.norm(zT - lap.basis.project(z0)))
+        projection_residual = float(np.linalg.norm(zT - laplacian.steady_state(z0, lap.chain)))
     else:
-        projection_residual = float(np.linalg.norm(trace.final_state - lap.basis.project(p0)))
+        projection_residual = float(np.linalg.norm(trace.final_state - laplacian.steady_state(p0, lap.chain)))
     try:
         fitted = dynamics.fit_rate(trace)
     except ValueError:
@@ -80,7 +81,7 @@ def compute_metrics(scn: Scenario, lap: SymmetryLaplacian,
     expected_rate = -spec.lambda_min_pos if spec.lambda_min_pos else None
     rate_gap = (abs(fitted - expected_rate) / abs(expected_rate)
                 if fitted is not None and expected_rate else None)
-    passed = {r.name: r.passed for r in structure_checks(lap.matrix, spec, n, d, lap.basis.v0, lap.routes)}
+    passed = {r.name: r.passed for r in structure_checks(lap.matrix, spec, n, d, lap.chain, lap.routes)}
     checks = {
         "psd": passed["positive_semidefinite"],
         "rank_matches": passed["rank"],
@@ -167,7 +168,7 @@ def _holds_only_run_files(path: Path) -> bool:
 
 def verify_scenario(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     lap = build_system(scn)
-    return verification_checks(lap.matrix, lap.incidence.matrix, lap.basis.v0, scn.n, scn.dim,
+    return verification_checks(lap.matrix, lap.incidence, lap.chain, scn.n, scn.dim,
                                routes=lap.routes, seed=scn.seed if seed is None else seed)
 
 
@@ -184,7 +185,7 @@ def sweep_sizes(n_from: int, n_to: int) -> list[dict]:
         lap = build_system(parse_scenario({"n": n}))
         spec = lap.spectrum
         results = {r.name: r for r in structure_checks(
-            lap.matrix, spec, n, 2, lap.basis.v0,
+            lap.matrix, spec, n, 2, lap.chain,
             [("incidence_product", "|Q - E E^T| =", laplacian.product_laplacian(lap.incidence))])}
         rows.append({
             "n": n, "rank": spec.rank, "null_dim": spec.null_dim,

@@ -229,9 +229,9 @@ def _trace_tail(
     """Per-edge errors and potentials of the rows of ``shifted``, checked finite after
     the ``checked`` arrays, and the trace metadata, updated from ``metadata``."""
     steps = times.size - 1
-    m, d = lap.incidence.edge_count, lap.dim
+    m, d = lap.edge_count, lap.dim
     with np.errstate(over="ignore", invalid="ignore"):
-        residuals = shifted @ lap.incidence.matrix
+        residuals = shifted @ lap.incidence
         errors = np.sqrt((residuals.reshape(steps + 1, m, d) ** 2).sum(axis=2))
         potentials = 0.5 * (errors ** 2).sum(axis=1)
     require_finite(stage, times, **checked, edge_errors=errors, potentials=potentials)
@@ -270,7 +270,7 @@ def integrate(
                                            states=states)
     return SimulationTrace(
         times=times, states=states, edge_errors=errors, potentials=potentials,
-        n=lap.n, dim=lap.dim, edge_index=lap.incidence.edge_index, metadata=meta,
+        n=lap.n, dim=lap.dim, edge_index=lap.edge_index, metadata=meta,
     )
 
 

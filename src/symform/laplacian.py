@@ -1,17 +1,19 @@
-"""Symmetry-constraining incidence and Laplacian matrices, null bases, spectra."""
+"""Constraint trees as arrays (Q, E, the chain, the gauge form) and their spectra."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .symgroup import PointGroupAssignment, _freeze
-from .topology import InteractionGraph, RotationChain, chain_matrices, rotation_chain, weighted_edges
+from .topology import InteractionGraph, chain_matrices, rotation_chain, tree_problem, weighted_edges
 
 SYMMETRY_TOL = 1e-10
 RANK_TOL = 1e-9
+ROW_BLOCK = 64  # rows per block when two dn x dn matrices are compared
 
 WeightedEdge = tuple[int, int, NDArray[np.float64]]
 Route = tuple[str, str, NDArray[np.float64]]  # (check name, detail label, matrix)
@@ -21,127 +23,64 @@ class NumericFailure(Exception):
     """A linear-algebra routine failed to converge or produced garbage."""
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetryIncidence:
-    """Block incidence matrix of a constraint-labeled tree.
-
-    The block column of edge (u, v) holds +I at node u and minus the edge
-    rotation at node v, so column e of ``residuals`` is p_u - W_e^T p_v:
-    zero exactly when the edge constraint p_v = W_e p_u holds.
-    """
-
-    matrix: NDArray[np.float64]
-    n: int
-    dim: int
-    edge_count: int
-    edge_index: tuple[tuple[int, int], ...]
-
-    def residuals(self, p: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Per-edge residual vectors, shape (m, d)."""
-        return (self.matrix.T @ np.asarray(p, dtype=float)).reshape(self.edge_count, self.dim)
+def _row_differences(a: NDArray[np.float64], b: NDArray[np.float64]):
+    """a - b, ``ROW_BLOCK`` rows at a time, so two dn x dn matrices are compared
+    without a dn x dn temporary."""
+    for start in range(0, a.shape[0], ROW_BLOCK):
+        yield a[start:start + ROW_BLOCK] - b[start:start + ROW_BLOCK]
 
 
-def incidence_from_edges(n: int, dim: int, wedges: list[WeightedEdge]) -> SymmetryIncidence:
-    """Assemble the dn x dm incidence matrix from matrix-weighted edges."""
-    m = len(wedges)
-    E = np.zeros((dim * n, dim * m))
-    index = []
-    for e, (u, v, w) in enumerate(wedges):
-        if w.shape != (dim, dim):
-            raise ValueError(f"edge ({u}, {v}) weight has shape {w.shape}, expected ({dim}, {dim})")
-        E[dim * (u - 1):dim * u, dim * e:dim * (e + 1)] = np.eye(dim)
-        E[dim * (v - 1):dim * v, dim * e:dim * (e + 1)] = -w
-        index.append((u, v))
-    return SymmetryIncidence(matrix=_freeze(E), n=n, dim=dim, edge_count=m, edge_index=tuple(index))
-
-
-def build_incidence(graph: InteractionGraph, tau: PointGroupAssignment) -> SymmetryIncidence:
-    """Incidence matrix of a planar constraint tree."""
-    return incidence_from_edges(graph.n, 2, weighted_edges(graph, tau))
-
-
-@dataclass(frozen=True, eq=False)
-class TreeGauge:
-    """A constraint tree in the gauge of its chain rotations: Q = S (L ⊗ I_d) Sᵀ.
-
-    ``chain`` stacks the rotations S_i (dn x d, the null basis V0), ``scalar``
-    is the n x n scalar tree Laplacian L and ``matrix`` the dn x dn product
-    S (L ⊗ I_d) Sᵀ, whose block (i, j) is L_ij S_i S_jᵀ.
-    """
-
-    chain: NDArray[np.float64]
-    scalar: NDArray[np.float64]
-    matrix: NDArray[np.float64]
-
-
-def tree_gauge(basis: NullBasis, wedges: tuple[WeightedEdge, ...] | list[WeightedEdge]) -> TreeGauge:
-    """Gauge form of a spanning tree whose chain rotations are stacked in ``basis``."""
-    n, d = basis.n, basis.dim
-    if len(wedges) != n - 1:
-        raise ValueError(f"the gauge form needs a spanning tree of {n - 1} edges, got {len(wedges)}")
-    u = np.array([a - 1 for (a, _, _) in wedges], dtype=int)
-    v = np.array([b - 1 for (_, b, _) in wedges], dtype=int)
-    nodes = np.arange(n)
-    scalar = np.zeros((n, n))
-    scalar[nodes, nodes] = np.bincount(np.concatenate([u, v]), minlength=n)
-    scalar[u, v] = scalar[v, u] = -1.0
-    # only the blocks on L's pattern (diagonal and tree edges) are nonzero
-    rows, cols = np.concatenate([nodes, u, v]), np.concatenate([nodes, v, u])
-    chain = basis.v0.reshape(n, d, d)
-    matrix = np.zeros((n, d, n, d))
-    blocks = np.einsum("kab,kcb->kac", chain[rows], chain[cols])
-    matrix[rows, :, cols, :] = scalar[rows, cols, None, None] * blocks
-    return TreeGauge(chain=basis.v0, scalar=_freeze(scalar), matrix=_freeze(matrix.reshape(n * d, n * d)))
+def max_abs_difference(a: NDArray[np.float64], b: NDArray[np.float64]) -> float:
+    """max |a - b|, formed a block of rows at a time."""
+    return float(np.max([np.abs(block).max() for block in _row_differences(a, b)]))
 
 
 @dataclass(frozen=True, eq=False)
 class SymmetryLaplacian:
-    """Matrix-weighted Laplacian of a constraint tree.
+    """A spanning tree of n - 1 rotation-labelled edges on n agents in R^d, held as arrays.
 
-    ``matrix`` is assembled block-wise: degree·I on the diagonal, minus the
+    ``matrix`` is Q, assembled block-wise: degree·I on the diagonal, minus the
     transposed edge rotation at (u, v) and minus the edge rotation at (v, u).
-    It equals incidence @ incidence.T up to float roundoff; the product route
-    lives in :func:`product_laplacian` so the two stay independently checkable.
-    ``basis`` stacks the chain rotations S_i when they are known at assembly
-    (planar trees: exact integer shifts, the cube: its BFS chain); without it
-    they are taken from BFS products of the edge rotations when ``gauge`` is
-    first read. ``composed`` is a second assembly of ``matrix`` from
-    sub-blocks, when the builder has one (the cube's face and cross blocks).
+    ``incidence`` is E (dn x d(n-1)): the block column of edge (u, v) holds +I
+    at node u and minus the edge rotation W at node v, so block e of Eᵀ p is
+    p_u - Wᵀ p_v, zero exactly when the edge constraint p_v = W p_u holds;
+    ``edge_index`` lists each block column's (u, v). Q equals E Eᵀ up to float
+    roundoff; the product route lives in :func:`product_laplacian` so the two
+    stay independently checkable. ``chain`` stacks the chain rotations S_i
+    (dn x d): its columns, of squared norm n, span the null space of Q.
+    ``scalar`` is the n x n scalar tree Laplacian L and ``gauge`` the gauge form
+    S (L ⊗ I_d) Sᵀ of Q, whose block (i, j) is L_ij S_i S_jᵀ. ``composed`` is a
+    second assembly of Q from sub-blocks, when the builder has one (the
+    cube's face and cross blocks).
     """
 
     matrix: NDArray[np.float64]
-    incidence: SymmetryIncidence
+    incidence: NDArray[np.float64]
+    edge_index: tuple[tuple[int, int], ...]
+    chain: NDArray[np.float64]
+    scalar: NDArray[np.float64]
+    gauge: NDArray[np.float64]
     n: int
     dim: int
-    wedges: tuple[WeightedEdge, ...] = field(default=())
-    basis: NullBasis | None = None
+    wedges: tuple[WeightedEdge, ...]
     composed: NDArray[np.float64] | None = None
 
     @property
     def edge_count(self) -> int:
-        return self.incidence.edge_count
+        return len(self.edge_index)
 
-    @cached_property
-    def gauge(self) -> TreeGauge:
-        """Q = S (L ⊗ I_d) Sᵀ, built on first use (a non-spanning edge set raises ValueError)."""
-        basis = self.basis
-        if basis is None:
-            basis = null_basis_from_chain(chain_matrices(self.n, list(self.wedges)))
-        return tree_gauge(basis, self.wedges)
-
-    @cached_property
+    @property
     def routes(self) -> tuple[Route, ...]:
-        """Independent constructions of ``matrix`` as (name, label, matrix), built on first use.
+        """Independent constructions of ``matrix`` as (name, label, matrix).
 
         ``construction_routes`` is ``composed`` when the builder gave one,
         followed by the gauge form as ``gauge_route``; otherwise it is the
         gauge form.
         """
-        gauge = self.gauge.matrix
         if self.composed is None:
-            return (("construction_routes", "route disagreement", gauge),)
+            return (("construction_routes", "route disagreement", self.gauge),)
         return (("construction_routes", "route disagreement", self.composed),
-                ("gauge_route", "|Q - S (L x I) S^T| =", gauge))
+                ("gauge_route", "|Q - S (L x I) S^T| =", self.gauge))
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -152,28 +91,22 @@ class SymmetryLaplacian:
         inequality bounds how far each eigenvalue of ``matrix`` lies from the
         one reported. Computed on first use and kept (the matrix is read-only).
         """
-        gauge = self.gauge
-        scalar = spectrum(gauge.scalar)
+        spread = math.sqrt(sum(float(np.vdot(x, x)) for x in _row_differences(self.matrix, self.gauge)))
+        scalar = spectrum(self.scalar)
         n, d = self.n, self.dim
-        chain = gauge.chain.reshape(n, d, d)
+        chain = self.chain.reshape(n, d, d)
         vectors = np.empty((n, d, n, d))  # entry (i, a, k, b) is (S_i)_ab (V_L)_ik
         for a in range(d):
             for b in range(d):
                 np.multiply(chain[:, a, b, None], scalar.eigenvectors, out=vectors[:, a, :, b])
         return Spectrum(
             eigenvalues=_freeze(np.repeat(scalar.eigenvalues, d)),
-            eigenvectors=_freeze(vectors.reshape(n * d, n * d)),
-            tol=scalar.tol, rank=d * scalar.rank, null_dim=d * scalar.null_dim,
-            spread=float(np.linalg.norm(self.matrix - gauge.matrix)),
+            eigenvectors=_freeze(vectors.reshape(n * d, n * d)), tol=scalar.tol, spread=spread,
         )
 
 
-def laplacian_from_edges(
-    n: int, dim: int, wedges: list[WeightedEdge], basis: NullBasis | None = None,
-    composed: NDArray[np.float64] | None = None,
-) -> SymmetryLaplacian:
-    """Block-entry Laplacian assembly for matrix-weighted edges (``basis``: the tree's chain,
-    ``composed``: a second assembly of the same matrix, if known)."""
+def assemble_laplacian(n: int, dim: int, wedges: list[WeightedEdge]) -> NDArray[np.float64]:
+    """Block-entry assembly of Q for matrix-weighted edges (u, v, W), any edge set."""
     Q = np.zeros((dim * n, dim * n))
     eye = np.eye(dim)
     for (u, v, w) in wedges:
@@ -183,69 +116,100 @@ def laplacian_from_edges(
         Q[bv, bv] += eye
         Q[bu, bv] -= w.T
         Q[bv, bu] -= w
-    inc = incidence_from_edges(n, dim, wedges)
-    frozen = tuple((u, v, _freeze(w)) for (u, v, w) in wedges)
-    return SymmetryLaplacian(matrix=_freeze(Q), incidence=inc, n=n, dim=dim, wedges=frozen, basis=basis,
-                             composed=None if composed is None else _freeze(composed))
+    return Q
+
+
+def laplacian_from_edges(
+    n: int, dim: int, wedges: list[WeightedEdge], chain: NDArray[np.float64] | None = None,
+) -> SymmetryLaplacian:
+    """The arrays of a spanning tree of matrix-weighted edges (u, v, W), W mapping p_u to p_v.
+
+    ``chain`` is the stacked chain rotations when the caller has walked the
+    tree already (planar trees: exact shifts, see :func:`null_basis`);
+    otherwise the edges are checked with :func:`topology.tree_problem` and
+    walked by :func:`chain_matrices`. Any other edge set raises ValueError.
+    """
+    if chain is not None:
+        problem = None if len(wedges) == n - 1 else f"{len(wedges)} edges on {n} nodes"
+    else:
+        problem = tree_problem(n, wedges)
+        if problem is None:
+            try:
+                chain = np.vstack(chain_matrices(n, wedges))
+            except ValueError as exc:
+                problem = str(exc)
+    if problem is not None:
+        raise ValueError(f"constraint edges do not form a spanning tree: {problem}")
+    m = len(wedges)
+    E = np.zeros((dim * n, dim * m))
+    for e, (u, v, w) in enumerate(wedges):
+        if w.shape != (dim, dim):
+            raise ValueError(f"edge ({u}, {v}) weight has shape {w.shape}, expected ({dim}, {dim})")
+        E[dim * (u - 1):dim * u, dim * e:dim * (e + 1)] = np.eye(dim)
+        E[dim * (v - 1):dim * v, dim * e:dim * (e + 1)] = -w
+
+    # gauge form: only the blocks on L's pattern (diagonal and tree edges) are nonzero
+    u = np.array([a - 1 for (a, _, _) in wedges], dtype=int)
+    v = np.array([b - 1 for (_, b, _) in wedges], dtype=int)
+    nodes = np.arange(n)
+    scalar = np.zeros((n, n))
+    scalar[nodes, nodes] = np.bincount(np.concatenate([u, v]), minlength=n)
+    scalar[u, v] = scalar[v, u] = -1.0
+    rows, cols = np.concatenate([nodes, u, v]), np.concatenate([nodes, v, u])
+    blocks = chain.reshape(n, dim, dim)
+    gauge = np.zeros((n, dim, n, dim))
+    gauge[rows, :, cols, :] = scalar[rows, cols, None, None] * np.einsum(
+        "kab,kcb->kac", blocks[rows], blocks[cols])
+    return SymmetryLaplacian(
+        matrix=_freeze(assemble_laplacian(n, dim, wedges)), incidence=_freeze(E),
+        edge_index=tuple((a, b) for (a, b, _) in wedges), chain=_freeze(chain),
+        scalar=_freeze(scalar), gauge=_freeze(gauge.reshape(n * dim, n * dim)), n=n, dim=dim,
+        wedges=tuple((a, b, _freeze(w)) for (a, b, w) in wedges),
+    )
 
 
 def build_laplacian(graph: InteractionGraph, tau: PointGroupAssignment) -> SymmetryLaplacian:
-    """Laplacian of a planar constraint tree, carrying its exact-shift chain as ``basis``."""
-    return laplacian_from_edges(graph.n, 2, weighted_edges(graph, tau), basis=null_basis(graph, tau))
+    """Laplacian of a planar constraint tree that :func:`topology.validate` accepts,
+    carrying its exact-shift chain (the tree is walked once, by :func:`null_basis`)."""
+    return laplacian_from_edges(graph.n, 2, weighted_edges(graph, tau), chain=null_basis(graph, tau))
 
 
-def product_laplacian(incidence: SymmetryIncidence) -> NDArray[np.float64]:
+def product_laplacian(incidence: NDArray[np.float64]) -> NDArray[np.float64]:
     """The independent product-form route E @ E.T (cross-check against block assembly)."""
-    return incidence.matrix @ incidence.matrix.T
+    return incidence @ incidence.T
 
 
-@dataclass(frozen=True, eq=False)
-class NullBasis:
-    """Stacked rotation-chain basis of the Laplacian null space (dn x d).
+def null_basis(graph: InteractionGraph, tau: PointGroupAssignment) -> NDArray[np.float64]:
+    """Stacked chain rotations S_i = R(k_i · 2π/n) of a planar tree (dn x d), the null basis of Q.
 
-    Columns are orthogonal with squared norm n; ``normalized`` rescales to an
-    orthonormal basis.
+    Entries are cos and sin of the exact shifts of :func:`rotation_chain`, the
+    bits :func:`symgroup.rotation2` gives each rotation.
     """
-
-    v0: NDArray[np.float64]
-    n: int
-    dim: int
-
-    @property
-    def normalized(self) -> NDArray[np.float64]:
-        return self.v0 / np.sqrt(self.n)
-
-    def project(self, p: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Orthogonal projection onto the basis span."""
-        p = np.asarray(p, dtype=float)
-        return self.v0 @ (self.v0.T @ p) / self.n
+    if tau.n != graph.n:
+        raise ValueError(f"assignment on C_{tau.n} does not match graph on C_{graph.n}")
+    angles = [k * tau.base_angle for k in rotation_chain(graph)]
+    cos = np.array([math.cos(a) for a in angles])
+    sin = np.array([math.sin(a) for a in angles])
+    chain = np.empty((graph.n, 2, 2))
+    chain[:, 0, 0] = chain[:, 1, 1] = cos
+    chain[:, 0, 1] = -sin
+    chain[:, 1, 0] = sin
+    return _freeze(chain.reshape(2 * graph.n, 2))
 
 
-def null_basis_from_chain(matrices: list[NDArray[np.float64]]) -> NullBasis:
-    """Stack per-node chain rotations into a null-space basis."""
-    n = len(matrices)
-    dim = matrices[0].shape[0]
-    return NullBasis(v0=_freeze(np.vstack(matrices)), n=n, dim=dim)
+def symmetric_configuration(chain: NDArray[np.float64], seed_point: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Stacked configuration placing node i at S_i applied to the seed point (``chain``: dn x d)."""
+    return chain @ np.asarray(seed_point, dtype=float)
 
 
-def null_basis(graph: InteractionGraph, tau: PointGroupAssignment) -> NullBasis:
-    """Null-space basis of a planar constraint tree's Laplacian."""
-    return null_basis_from_chain(rotation_chain(graph, tau).matrices())
-
-
-def symmetric_configuration(chain: RotationChain | list[NDArray[np.float64]], seed_point: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Stacked configuration placing node i at S_i applied to the seed point."""
-    mats = chain.matrices() if isinstance(chain, RotationChain) else chain
-    q = np.asarray(seed_point, dtype=float)
-    return np.concatenate([m @ q for m in mats])
-
-
-def steady_state(p0: NDArray[np.float64], basis: NullBasis) -> NDArray[np.float64]:
-    """Limit of the constraint gradient flow: the null-space projection of the start."""
+def steady_state(p0: NDArray[np.float64], chain: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Limit of the constraint gradient flow: the orthogonal projection of the start onto
+    the span of the stacked chain (dn x d, columns of squared norm n)."""
     p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (basis.n * basis.dim,):
-        raise ValueError(f"configuration has shape {p0.shape}, expected ({basis.n * basis.dim},)")
-    return basis.project(p0)
+    dn, d = chain.shape
+    if p0.shape != (dn,):
+        raise ValueError(f"configuration has shape {p0.shape}, expected ({dn},)")
+    return chain @ (chain.T @ p0) / (dn // d)
 
 
 def steady_state_per_agent(
@@ -266,21 +230,33 @@ def steady_state_per_agent(
 class Spectrum:
     """Eigen-decomposition of a symmetric PSD matrix with a rank tolerance.
 
-    Eigenvalues below tol·max(1, λ_max) count as zero. ``spread`` bounds the
-    distance of each eigenvalue of the matrix from ``eigenvalues``: 0 for a
-    direct decomposition, ‖Q - S (L ⊗ I_d) Sᵀ‖_F for one taken in the gauge.
+    Eigenvalues below ``threshold`` = tol·max(1, λ_max) count as zero.
+    ``spread`` bounds the distance of each eigenvalue of the matrix from
+    ``eigenvalues``: 0 for a direct decomposition, ‖Q - S (L ⊗ I_d) Sᵀ‖_F for
+    one taken in the gauge.
     """
 
     eigenvalues: NDArray[np.float64]
     eigenvectors: NDArray[np.float64]
     tol: float
-    rank: int
-    null_dim: int
     spread: float = 0.0
 
     @property
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
+
+    @property
+    def threshold(self) -> float:
+        """The zero threshold tol·max(1, λ_max)."""
+        return self.tol * max(1.0, self.lambda_max)
+
+    @cached_property
+    def null_dim(self) -> int:
+        return int(np.sum(np.abs(self.eigenvalues) < self.threshold))
+
+    @property
+    def rank(self) -> int:
+        return self.eigenvalues.size - self.null_dim
 
     @property
     def lambda_min_pos(self) -> float | None:
@@ -300,20 +276,14 @@ def spectrum(q_matrix: NDArray[np.float64], tol: float = RANK_TOL) -> Spectrum:
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     q_matrix = np.asarray(q_matrix, dtype=float)
-    asym = np.abs(q_matrix - q_matrix.T).max()
+    asym = max_abs_difference(q_matrix, q_matrix.T)
     if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(q_matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"eigendecomposition failed: {exc}") from exc
-    threshold = tol * max(1.0, float(eigenvalues[-1]))
-    null_dim = int(np.sum(np.abs(eigenvalues) < threshold))
-    rank = eigenvalues.size - null_dim
-    return Spectrum(
-        eigenvalues=_freeze(eigenvalues), eigenvectors=_freeze(eigenvectors),
-        tol=tol, rank=rank, null_dim=null_dim,
-    )
+    return Spectrum(eigenvalues=_freeze(eigenvalues), eigenvectors=_freeze(eigenvectors), tol=tol)
 
 
 def closed_form_solution(
@@ -333,6 +303,6 @@ def closed_form_solution(
     if spec is None:
         spec = spectrum(q_matrix)
     lam = spec.eigenvalues.copy()
-    lam[np.abs(lam) < spec.tol * max(1.0, spec.lambda_max)] = 0.0
+    lam[np.abs(lam) < spec.threshold] = 0.0
     V = spec.eigenvectors
     return V @ (np.exp(-lam * t) * (V.T @ p0))

@@ -342,7 +342,8 @@ def simulate_maneuver(
     carries the frame coordinates ζ, which for planar formations follow the
     stationary flow dζ/dt = -Q ζ. For spatial formations they need not, and
     the residual of that flow is reported, never asserted zero, in the
-    trace metadata under ``zeta_residual``.
+    trace metadata under ``zeta_residual``; a spatial grid of fewer than
+    three samples, too short for that residual, raises ValueError.
     """
     q = lap.matrix
     d = lap.dim
@@ -356,6 +357,11 @@ def simulate_maneuver(
         raise ValueError(f"initial state has shape {p0.shape}, expected ({q.shape[0]},)")
     spec = lap.spectrum
     dt, horizon, steps = resolve_grid(spec, dt, horizon)
+    if d == 3 and steps < 2:
+        raise ValueError(
+            f"maneuver: the 3-D frame residual needs at least three samples, but horizon "
+            f"{horizon:g} at dt {dt:g} gives {steps + 1} (try horizon = {2 * dt:g})"
+        )
     path = propagate_reference(inputs, start, dt, horizon)
     segments = _segment_operators(q, path, spec, n)
 
@@ -372,7 +378,7 @@ def simulate_maneuver(
     require_finite("maneuver", path.times, zeta=zeta)
     trace = ManeuverTrace(
         times=path.times, states=states, edge_errors=errors, potentials=potentials,
-        n=n, dim=d, edge_index=lap.incidence.edge_index, metadata=meta,
+        n=n, dim=d, edge_index=lap.edge_index, metadata=meta,
         ref_positions=path.positions, ref_rotations=path.rotations,
         ref_scales=path.scales, zeta=zeta,
     )

@@ -2,16 +2,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .dynamics import SimulationTrace, integrate
-from .laplacian import SymmetryLaplacian, WeightedEdge, laplacian_from_edges, null_basis_from_chain
+from .laplacian import SymmetryLaplacian, WeightedEdge, assemble_laplacian, laplacian_from_edges
 from .maneuver import ManeuverTrace, ReferenceInputs, ReferenceState, simulate_maneuver
-from .symgroup import rotation3
-from .topology import chain_matrices
+from .symgroup import _freeze, rotation3
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,8 @@ def cube_permutation(spec: CubeSpec) -> NDArray[np.float64]:
 def build_cube(spec: CubeSpec | None = None) -> SymmetryLaplacian:
     """Assemble the cube constraint matrix from two face chains plus a cross edge.
 
-    The result carries the tree's chain as ``basis`` and, as ``composed``, the
+    The seven edges are checked and walked as any tree by
+    :func:`laplacian_from_edges`; the result carries, as ``composed``, the
     face-chain block stacked twice plus the cross-chain block permuted in.
     """
     if spec is None:
@@ -67,31 +67,18 @@ def build_cube(spec: CubeSpec | None = None) -> SymmetryLaplacian:
         + _face_edges(spec.bottom_nodes, w_face)
         + [(spec.cross_edge[0], spec.cross_edge[1], w_cross)]
     )
-    seen: set[frozenset[int]] = set()
-    for (u, v, _) in wedges:
-        if not (1 <= u <= 8 and 1 <= v <= 8) or u == v:
-            raise ValueError(f"invalid edge ({u}, {v})")
-        key = frozenset((u, v))
-        if key in seen:
-            raise ValueError(f"duplicate edge ({u}, {v})")
-        seen.add(key)
-    try:
-        chain = chain_matrices(8, wedges)
-    except ValueError as exc:
-        raise ValueError(f"constraint edges do not form a spanning tree: {exc}") from exc
+    lap = laplacian_from_edges(8, 3, wedges)
 
     # composed route: per-face chain block twice, cross-chain block permuted in
-    local_face = [(i + 1, i + 2, w_face) for i in range(3)]
-    face_block = laplacian_from_edges(4, 3, local_face).matrix
-    cross_block = laplacian_from_edges(4, 3, [(1, 2, w_cross)]).matrix
+    face_block = assemble_laplacian(4, 3, [(i + 1, i + 2, w_face) for i in range(3)])
+    cross_block = assemble_laplacian(4, 3, [(1, 2, w_cross)])
     stacked = np.zeros((24, 24))
     stacked[:12, :12] = face_block
     stacked[12:, 12:] = face_block
     perm = cube_permutation(spec)
     embedded = np.zeros((24, 24))
     embedded[:12, :12] = cross_block
-    composed = stacked + perm @ embedded @ perm.T
-    return laplacian_from_edges(8, 3, wedges, basis=null_basis_from_chain(chain), composed=composed)
+    return replace(lap, composed=_freeze(stacked + perm @ embedded @ perm.T))
 
 
 def simulate_cube(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .symgroup import CyclicAutomorphism, PointGroupAssignment, Rotation, rotation2
+from .symgroup import CyclicAutomorphism, PointGroupAssignment
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class InteractionGraph:
 
     n: int
     edges: tuple[tuple[int, int, CyclicAutomorphism], ...]
-    dim: int = 2
 
 
 def cycle_minus_edge(n: int, removed: tuple[int, int]) -> InteractionGraph:
@@ -64,55 +63,68 @@ def cycle_minus_edge(n: int, removed: tuple[int, int]) -> InteractionGraph:
     return InteractionGraph(n=n, edges=tuple(kept))
 
 
-def validate(graph: InteractionGraph) -> str | None:
-    """Check the spanning-tree invariants; return the first violation or None."""
-    n = graph.n
-    cycle = CycleGraph(n)
+def tree_problem(n: int, edges, edge_problem=None) -> str | None:
+    """First reason the (u, v, label) ``edges`` cannot be a spanning tree of nodes 1..n, or None.
+
+    Each edge needs distinct endpoints in 1..n, then passes ``edge_problem(u, v, label)`` (a
+    message or None) when given, and may not repeat an earlier edge; then the count must be
+    n - 1. Such a set is a spanning tree exactly when it is connected, which the walk that
+    builds the chain (:func:`_bfs_tree`) finds out.
+    """
     seen: set[frozenset[int]] = set()
-    for (u, v, g) in graph.edges:
+    for (u, v, label) in edges:
         if not (1 <= u <= n and 1 <= v <= n) or u == v:
             return f"invalid edge ({u}, {v})"
-        if g.n != n:
-            return f"edge ({u}, {v}) labeled with an automorphism of C_{g.n}, expected C_{n}"
-        if not cycle.contains_edge(u, v):
-            return f"edge ({u}, {v}) is not an edge of C_{n}"
+        msg = None if edge_problem is None else edge_problem(u, v, label)
+        if msg is not None:
+            return msg
         key = frozenset((u, v))
         if key in seen:
             return f"duplicate edge ({u}, {v})"
         seen.add(key)
-    if len(graph.edges) > n - 1:
+    if len(edges) > n - 1:
         return "not acyclic"
-    if len(graph.edges) < n - 1:
-        return "not connected"
-    if len(_bfs_tree(n, graph.edges)) != n:
+    if len(edges) < n - 1:
         return "not connected"
     return None
 
 
-def require_valid(graph: InteractionGraph) -> None:
-    msg = validate(graph)
-    if msg is not None:
-        raise ValueError(f"invalid interaction graph: {msg}")
+def validate(graph: InteractionGraph) -> str | None:
+    """Check the spanning-tree invariants; return the first violation or None.
+
+    Any n - 1 distinct edges of C_n are C_n without one edge, a path through
+    every node, so a graph that passes needs no walk to prove it connected.
+    """
+    n = graph.n
+    cycle = CycleGraph(n)
+
+    def label_problem(u: int, v: int, g: CyclicAutomorphism) -> str | None:
+        if g.n != n:
+            return f"edge ({u}, {v}) labeled with an automorphism of C_{g.n}, expected C_{n}"
+        if not cycle.contains_edge(u, v):
+            return f"edge ({u}, {v}) is not an edge of C_{n}"
+        return None
+
+    return tree_problem(n, graph.edges, label_problem)
 
 
 def weighted_edges(
     graph: InteractionGraph, tau: PointGroupAssignment
 ) -> list[tuple[int, int, NDArray[np.float64]]]:
-    """Materialize each stored edge label as its assigned rotation matrix."""
-    require_valid(graph)
+    """Materialize each stored edge label as its assigned rotation matrix (one per distinct shift)."""
     if tau.n != graph.n:
         raise ValueError(f"assignment on C_{tau.n} does not match graph on C_{graph.n}")
     labels = {g.shift: g for (_, _, g) in graph.edges}
-    matrices = {shift: tau.rotation_for(g).matrix for shift, g in labels.items()}  # one rotation per shift
+    matrices = {shift: tau.rotation_for(g).matrix for shift, g in labels.items()}
     return [(u, v, matrices[g.shift]) for (u, v, g) in graph.edges]
 
 
-def _bfs_tree(
-    n: int, edges: tuple[tuple[int, int, CyclicAutomorphism], ...] | list
-) -> list[tuple[int, int, object, bool]]:
-    """BFS from node 1; yields (node, parent, edge_label, forward) per reached non-root node.
+def _bfs_tree(n: int, edges) -> list[tuple[int, int, object, bool]]:
+    """BFS from node 1 over (u, v, label) edges; (node, parent, label, forward) per reached node.
 
-    ``forward`` is True when the stored edge is (parent, node).
+    The root comes first as (1, 0, None, True). ``forward`` is True when the
+    stored edge is (parent, node). Fewer than n entries means the edges do not
+    connect every node.
     """
     adj: dict[int, list[tuple[int, object, bool]]] = {i: [] for i in range(1, n + 1)}
     for (u, v, g) in edges:
@@ -131,62 +143,31 @@ def _bfs_tree(
     return order
 
 
-@dataclass(frozen=True)
-class RotationChain:
-    """Per-node rotations S_i mapping a seed point to each agent's target.
+def rotation_chain(graph: InteractionGraph) -> tuple[int, ...]:
+    """Shift k_i of each node's chain rotation S_i = τ(k_i), nodes in order.
 
-    S_1 is the identity; following a stored edge (u, v) multiplies by the
-    edge rotation on the left, so at a compatible target p_i = S_i q.
+    Shifts are composed from node 1 (shift 0) outward with exact integer
+    arithmetic mod n: following a stored edge (u, v) adds its shift, walking
+    it backwards subtracts it. At a compatible target p_i = S_i q.
     """
-
-    n: int
-    rotations: tuple[Rotation, ...]
-    shifts: tuple[int, ...]
-
-    def matrices(self) -> list[NDArray[np.float64]]:
-        return [r.matrix for r in self.rotations]
-
-
-def rotation_chain(graph: InteractionGraph, tau: PointGroupAssignment) -> RotationChain:
-    """Accumulate edge automorphisms from node 1 outward.
-
-    Shifts are composed with exact integer arithmetic mod n and materialized
-    as rotations once, so no floating-point products accumulate.
-    """
-    require_valid(graph)
-    if tau.n != graph.n:
-        raise ValueError(f"assignment on C_{tau.n} does not match graph on C_{graph.n}")
     n = graph.n
-    shifts: dict[int, int] = {}
-    for (node, parent, g, forward) in _bfs_tree(n, graph.edges):
-        if parent == 0:
-            shifts[node] = 0
-            continue
-        step = g.shift if forward else -g.shift
-        shifts[node] = (shifts[parent] + step) % n
-    ordered = tuple(shifts[i] for i in range(1, n + 1))
-    rotations = tuple(rotation2(s * tau.base_angle) for s in ordered)
-    return RotationChain(n=n, rotations=rotations, shifts=ordered)
+    order = _bfs_tree(n, graph.edges)
+    if len(order) != n:
+        raise ValueError("invalid interaction graph: not connected")
+    shifts = [0] * (n + 1)
+    for (node, parent, g, forward) in order[1:]:
+        shifts[node] = (shifts[parent] + (g.shift if forward else -g.shift)) % n
+    return tuple(shifts[1:])
 
 
 def chain_matrices(
     n: int, wedges: list[tuple[int, int, NDArray[np.float64]]]
 ) -> list[NDArray[np.float64]]:
     """Rotation chain for arbitrary matrix-weighted tree edges (BFS products from node 1)."""
-    adj: dict[int, list[tuple[int, NDArray[np.float64], bool]]] = {i: [] for i in range(1, n + 1)}
-    for (u, v, w) in wedges:
-        adj[u].append((v, w, True))
-        adj[v].append((u, w, False))
-    mats: dict[int, NDArray[np.float64]] = {}
-    dim = wedges[0][2].shape[0] if wedges else 2
-    mats[1] = np.eye(dim)
-    queue = deque([1])
-    while queue:
-        u = queue.popleft()
-        for (v, w, fwd) in adj[u]:
-            if v not in mats:
-                mats[v] = (w @ mats[u]) if fwd else (w.T @ mats[u])
-                queue.append(v)
-    if len(mats) != n:
+    order = _bfs_tree(n, wedges)
+    if len(order) != n:
         raise ValueError("edges do not connect all nodes from node 1")
+    mats: dict[int, NDArray[np.float64]] = {1: np.eye(wedges[0][2].shape[0] if wedges else 2)}
+    for (node, parent, w, forward) in order[1:]:
+        mats[node] = (w @ mats[parent]) if forward else (w.T @ mats[parent])
     return [mats[i] for i in range(1, n + 1)]

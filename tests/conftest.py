@@ -24,9 +24,8 @@ def path_system():
         tau = sf.assignment(n)
         graph = sf.cycle_minus_edge(n, removed or (n, 1))
         lap = sf.build_laplacian(graph, tau)
-        basis = sf.null_basis(graph, tau)
-        chain = sf.rotation_chain(graph, tau)
-        return graph, tau, lap, basis, chain
+        chain = sf.null_basis(graph, tau)
+        return graph, tau, lap, chain
 
     return make
 

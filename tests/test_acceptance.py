@@ -46,16 +46,16 @@ def test_criterion_1_construction_suite():
     """Path-tree constructions for n = 3..12 satisfy every structural property."""
     with criterion(1, "construction suite n=3..12 (PSD, rank, product, null)", budget=1.0):
         for n in range(3, 13):
-            lap, basis, _, _ = path_lap(n)
+            lap, chain, _, _ = path_lap(n)
             q = lap.matrix
             assert np.array_equal(q, q.T), f"n={n}: not symmetric"
             spec = sf.spectrum(q)
             assert spec.eigenvalues[0] >= -1e-9, f"n={n}: min eigenvalue {spec.eigenvalues[0]}"
             assert spec.rank == 2 * n - 2, f"n={n}: rank {spec.rank}"
             assert spec.null_dim == 2, f"n={n}: null dimension {spec.null_dim}"
-            prod_gap = np.abs(q - lap.incidence.matrix @ lap.incidence.matrix.T).max()
+            prod_gap = np.abs(q - lap.incidence @ lap.incidence.T).max()
             assert prod_gap <= 1e-12, f"n={n}: |Q - E E^T| = {prod_gap}"
-            null_gap = np.abs(q @ basis.v0).max()
+            null_gap = np.abs(q @ chain).max()
             assert null_gap <= 1e-10, f"n={n}: |Q V0| = {null_gap}"
 
 
@@ -63,7 +63,7 @@ def test_criterion_2_gradient_law():
     """The flow's velocity is the negative potential gradient on 100 random states."""
     with criterion(2, "gradient law on 100 random configurations (n=6)", budget=1.0):
         lap, _, _, _ = path_lap(6)
-        q, E = lap.matrix, lap.incidence.matrix
+        q, E = lap.matrix, lap.incidence
         rng = np.random.default_rng(2026)
         h = 1e-5
         for _ in range(100):
@@ -84,15 +84,13 @@ def test_criterion_3_convergence_and_rate():
     """Long-horizon flows land on the null-space projection at the slowest rate."""
     with criterion(3, "convergence to projection and 5% decay-rate fit (n=4, 6)", budget=5.0):
         for n, seed in ((4, 7), (6, 42)):
-            lap, basis, _, _ = path_lap(n)
+            lap, chain, _, _ = path_lap(n)
             p0 = np.random.default_rng(seed).uniform(-2.0, 2.0, 2 * n)
             trace = sf.integrate(lap, p0)  # dt = 0.5/λ_max, T = 40/λ⁺_min
-            limit = basis.project(p0)
+            limit = sf.steady_state(p0, chain)
             gap = np.linalg.norm(trace.final_state - limit)
             assert gap <= 1e-6, f"n={n}: |p(T) - projection| = {gap}"
-            chain = sf.rotation_chain(sf.cycle_minus_edge(n, (n, 1)),
-                                      sf.assignment(n)).matrices()
-            per_agent = sf.steady_state_per_agent(p0, chain)
+            per_agent = sf.steady_state_per_agent(p0, chain.reshape(n, 2, 2))
             agent_gap = np.linalg.norm(trace.final_state - per_agent)
             assert agent_gap <= 1e-6, f"n={n}: per-agent route gap {agent_gap}"
             fitted = sf.fit_rate(trace)
@@ -162,7 +160,7 @@ def test_criterion_7_cube():
         assert route_gap <= 1e-12, f"construction route gap {route_gap}"
         p0 = np.random.default_rng(11).uniform(-2.0, 2.0, 24)
         trace = sf.simulate_cube(lap, p0)
-        gap = np.linalg.norm(trace.final_state - lap.basis.project(p0))
+        gap = np.linalg.norm(trace.final_state - sf.steady_state(p0, lap.chain))
         assert gap <= 1e-6, f"|p(T) - projection| = {gap}"
 
 

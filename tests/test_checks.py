@@ -58,7 +58,7 @@ class TestOneCheckPath:
 
         def verdicts(spread):
             results = checks.structure_checks(lap.matrix, dataclasses.replace(gauge, spread=spread),
-                                              lap.n, lap.dim, lap.basis.v0, [])
+                                              lap.n, lap.dim, lap.chain, [])
             return {r.name: r.passed for r in results}
 
         assert gauge.spread <= 1e-14
@@ -87,7 +87,7 @@ class TestVerificationChecks:
 
         monkeypatch.setattr(laplacian, "spectrum", counted)
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-        results = cli.verification_checks(lap.matrix, lap.incidence.matrix, lap.basis.v0, 5, 2,
+        results = cli.verification_checks(lap.matrix, lap.incidence, lap.chain, 5, 2,
                                           routes=lap.routes)
         assert len(calls) == 1
         assert all(r.passed for r in results)
@@ -100,10 +100,10 @@ class TestVerificationChecks:
         monkeypatch.setattr(laplacian, "product_laplacian", forbidden)
         lap = planar_lap(n)
         (name, _, matrix), = lap.routes
-        assert name == "construction_routes" and matrix is lap.gauge.matrix
-        q, E = lap.matrix, lap.incidence.matrix
+        assert name == "construction_routes" and matrix is lap.gauge
+        q, E = lap.matrix, lap.incidence
         by_name = {r.name: r for r in cli.verify_scenario(scenario({"n": n}))}
-        assert by_name["construction_routes"].value == np.abs(q - lap.gauge.matrix).max()
+        assert by_name["construction_routes"].value == np.abs(q - lap.gauge).max()
         assert by_name["incidence_product"].value == np.abs(q - E @ E.T).max()
         assert by_name["construction_routes"].passed and by_name["incidence_product"].passed
 
@@ -116,7 +116,7 @@ class TestVerificationChecks:
         q[0:2, 2:4] = lap.matrix[0:2, 2:4].T
         q[2:4, 0:2] = lap.matrix[2:4, 0:2].T
         by_name = {r.name: r for r in cli.verification_checks(
-            q, lap.incidence.matrix, lap.basis.v0, n, 2, routes=lap.routes)}
+            q, lap.incidence, lap.chain, n, 2, routes=lap.routes)}
         assert by_name["symmetric"].passed
         assert not by_name["construction_routes"].passed
 
@@ -130,14 +130,14 @@ class TestVerificationChecks:
             q[0, 2] += 1e-3
             q[2, 0] += 1e-3
         by_name = {r.name: r for r in cli.verification_checks(
-            q, lap.incidence.matrix, lap.basis.v0, 4, 2)}
+            q, lap.incidence, lap.chain, 4, 2)}
         assert by_name["symmetric"].passed
         assert not by_name["gradient"].passed
         assert by_name["gradient"].value > checks.GRADIENT_TOL
 
     @pytest.mark.parametrize("n", [4, 37])  # dn = 8 and 74: one partial block, and 64 + 10
     def test_blocked_potentials_match_per_coordinate(self, n):
-        E = planar_lap(n).incidence.matrix
+        E = planar_lap(n).incidence
         h = 1e-5
         p = np.random.default_rng(n).uniform(-2.0, 2.0, size=2 * n)
         plus, minus = checks._perturbed_potentials(E, p, h)
@@ -153,7 +153,7 @@ class TestVerificationChecks:
     def test_tolerances_printed_in_details(self):
         lap = planar_lap(4)
         details = {r.name: r.detail for r in cli.verification_checks(
-            lap.matrix, lap.incidence.matrix, lap.basis.v0, 4, 2, routes=lap.routes)}
+            lap.matrix, lap.incidence, lap.chain, 4, 2, routes=lap.routes)}
         assert details["symmetric"].endswith("(tol 1e-10)")
         assert details["incidence_product"].endswith("(tol 1e-12)")
         assert details["null_basis"].endswith("(tol 1e-10)")

@@ -37,18 +37,17 @@ class TestPotential:
 
     def test_zero_at_compatible_configuration(self):
         graph, tau = sf.cycle_minus_edge(6, (6, 1)), sf.assignment(6)
-        chain = sf.rotation_chain(graph, tau)
-        p = sf.symmetric_configuration(chain, np.array([0.7, -1.2]))
+        p = sf.symmetric_configuration(sf.null_basis(graph, tau), np.array([0.7, -1.2]))
         assert sf.potential(p, graph, tau) < 1e-26
 
 
 class TestEdgeErrors:
     def test_matches_incidence_route(self):
         graph, tau = sf.cycle_minus_edge(5, (2, 3)), sf.assignment(5)
-        inc = sf.build_incidence(graph, tau)
+        E = sf.build_laplacian(graph, tau).incidence
         p = np.random.default_rng(8).uniform(-3, 3, 10)
         direct = sf.edge_errors(p, graph, tau)
-        via_incidence = np.sqrt((inc.residuals(p) ** 2).sum(axis=1))
+        via_incidence = np.sqrt(((E.T @ p).reshape(4, 2) ** 2).sum(axis=1))
         assert np.allclose(direct, via_incidence, atol=1e-13)
 
     def test_triangle_example_frozen(self):
@@ -112,7 +111,7 @@ class TestRk4Step:
 class TestPropagateLinear:
     def test_matches_rk4_step_bitwise(self, path_system):
         # each segment must reproduce rk4_step on -(G @ y), step for step
-        _, _, lap, _, _ = path_system(5)
+        _, _, lap, _ = path_system(5)
         rng = np.random.default_rng(31)
         c0 = rng.uniform(-2, 2, 10)
         g2 = lap.matrix + 0.3 * np.kron(np.eye(5), sf.omega_matrix(1.0, 2))
@@ -128,7 +127,7 @@ class TestPropagateLinear:
 
 class TestIntegrate:
     def test_matches_closed_form(self, path_system):
-        _, _, lap, _, _ = path_system(4)
+        _, _, lap, _ = path_system(4)
         spec = sf.spectrum(lap.matrix)
         p0 = np.random.default_rng(1).uniform(-2, 2, 8)
         dt = 0.01 / spec.lambda_max
@@ -137,30 +136,30 @@ class TestIntegrate:
         assert np.abs(trace.final_state - exact).max() < 1e-10
 
     def test_default_grid_converges(self, path_system):
-        _, _, lap, basis, _ = path_system(6)
+        _, _, lap, chain = path_system(6)
         p0 = np.random.default_rng(2).uniform(-2, 2, 12)
         trace = sf.integrate(lap, p0)
-        assert np.abs(trace.final_state - basis.project(p0)).max() < 1e-6
+        assert np.abs(trace.final_state - sf.steady_state(p0, chain)).max() < 1e-6
         assert math.isclose(trace.metadata["dt"] * trace.metadata["lambda_max"], 0.5,
                             rel_tol=1e-12)
 
     def test_potential_monotone_under_default_step(self, path_system):
-        _, _, lap, _, _ = path_system(5)
+        _, _, lap, _ = path_system(5)
         p0 = np.random.default_rng(3).uniform(-2, 2, 10)
         trace = sf.integrate(lap, p0, horizon=5.0)
         diffs = np.diff(trace.potentials)
         assert (diffs <= 1e-15).all()
 
     def test_null_component_preserved(self, path_system):
-        _, _, lap, basis, _ = path_system(4)
+        _, _, lap, chain = path_system(4)
         p0 = np.random.default_rng(4).uniform(-2, 2, 8)
         trace = sf.integrate(lap, p0, horizon=3.0)
-        start_null = basis.v0.T @ trace.states[0]
-        end_null = basis.v0.T @ trace.final_state
+        start_null = chain.T @ trace.states[0]
+        end_null = chain.T @ trace.final_state
         assert np.allclose(start_null, end_null, atol=1e-12)
 
     def test_trace_shapes_and_grid(self, path_system):
-        _, _, lap, _, _ = path_system(3)
+        _, _, lap, _ = path_system(3)
         trace = sf.integrate(lap, np.zeros(6), dt=0.1, horizon=1.0)
         assert trace.states.shape == (11, 6)
         assert trace.edge_errors.shape == (11, 2)
@@ -169,17 +168,17 @@ class TestIntegrate:
         assert trace.edge_index == ((1, 2), (2, 3))
 
     def test_unstable_step_rejected_with_suggestion(self, path_system):
-        _, _, lap, _, _ = path_system(4)
+        _, _, lap, _ = path_system(4)
         with pytest.raises(ValueError, match="try dt"):
             sf.integrate(lap, np.zeros(8), dt=1.0)
 
     def test_bad_shape_rejected(self, path_system):
-        _, _, lap, _, _ = path_system(4)
+        _, _, lap, _ = path_system(4)
         with pytest.raises(ValueError, match="shape"):
             sf.integrate(lap, np.zeros(7))
 
     def test_bad_grid_rejected(self, path_system):
-        _, _, lap, _, _ = path_system(4)
+        _, _, lap, _ = path_system(4)
         with pytest.raises(ValueError):
             sf.integrate(lap, np.zeros(8), dt=-0.1)
         with pytest.raises(ValueError):
@@ -190,7 +189,7 @@ class TestFitRate:
     @pytest.mark.parametrize("n", (4, 6))
     def test_slowest_eigenvector_rate(self, n, path_system):
         # start on the slowest decaying eigenvector so the rate is known exactly
-        _, _, lap, _, _ = path_system(n)
+        _, _, lap, _ = path_system(n)
         spec = sf.spectrum(lap.matrix)
         v = spec.eigenvectors[:, spec.null_dim]
         trace = sf.integrate(lap, v, horizon=10.0 / slowest_rate(n))
@@ -198,13 +197,13 @@ class TestFitRate:
         assert math.isclose(-fitted, slowest_rate(n), rel_tol=1e-2)
 
     def test_generic_start_fits_slowest_rate(self, path_system):
-        _, _, lap, _, _ = path_system(6)
+        _, _, lap, _ = path_system(6)
         p0 = np.random.default_rng(6).uniform(-2, 2, 12)
         trace = sf.integrate(lap, p0)
         assert math.isclose(-sf.fit_rate(trace), slowest_rate(6), rel_tol=0.05)
 
     def test_zero_error_start_rejected(self, path_system):
-        _, _, lap, _, chain = path_system(4)
+        _, _, lap, chain = path_system(4)
         p0 = sf.symmetric_configuration(chain, np.array([1.0, 0.0]))
         trace = sf.integrate(lap, p0, horizon=2.0)
         with pytest.raises(ValueError, match="underflow"):
@@ -213,7 +212,7 @@ class TestFitRate:
 
 class TestResolveGrid:
     def test_defaults_from_spectrum(self, path_system):
-        _, _, lap, _, _ = path_system(6)
+        _, _, lap, _ = path_system(6)
         spec = sf.spectrum(lap.matrix)
         dt, horizon, steps = sf.resolve_grid(spec, None, None)
         assert math.isclose(dt, 0.5 / spec.lambda_max, rel_tol=1e-12)
@@ -221,13 +220,13 @@ class TestResolveGrid:
         assert steps == math.ceil(horizon / dt - 1e-12)
 
     def test_explicit_grid_passes_through(self, path_system):
-        _, _, lap, _, _ = path_system(6)
+        _, _, lap, _ = path_system(6)
         spec = sf.spectrum(lap.matrix)
         dt, horizon, steps = sf.resolve_grid(spec, 0.25, 10.0)
         assert (dt, horizon, steps) == (0.25, 10.0, 40)
 
     def test_oversized_trace_rejected_with_fitting_horizon(self, path_system):
-        _, _, lap, _, _ = path_system(6)
+        _, _, lap, _ = path_system(6)
         spec = sf.spectrum(lap.matrix)
         with pytest.raises(ValueError, match="MiB bound") as info:
             sf.resolve_grid(spec, None, 1e9)
@@ -238,7 +237,7 @@ class TestResolveGrid:
         assert (steps + 1) * row_bytes > 0.99 * sf.dynamics.MAX_TRACE_BYTES
 
     def test_trace_bound_is_on_bytes(self, path_system):
-        _, _, lap, _, _ = path_system(6)
+        _, _, lap, _ = path_system(6)
         spec = sf.spectrum(lap.matrix)
         rows = sf.dynamics.MAX_TRACE_BYTES // (96 * 12 + 256)  # rows of 12 coordinates that fit
         assert sf.resolve_grid(spec, 0.25, (rows - 1) * 0.25)[2] == rows - 1

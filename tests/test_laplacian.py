@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import symform as sf
 from conftest import path_eigenvalues, slowest_rate
-from symform import checks, cli
+from symform import checks, cli, topology
 
 
 def hand_built_incidence_c3() -> np.ndarray:
@@ -28,31 +28,30 @@ def hand_built_incidence_c3() -> np.ndarray:
 class TestIncidence:
     def test_triangle_blocks_frozen(self):
         graph, tau = sf.cycle_minus_edge(3, (3, 1)), sf.assignment(3)
-        inc = sf.build_incidence(graph, tau)
-        assert inc.matrix.shape == (6, 4)
-        assert np.array_equal(inc.matrix, hand_built_incidence_c3())
-        assert inc.edge_index == ((1, 2), (2, 3))
+        lap = sf.build_laplacian(graph, tau)
+        assert lap.incidence.shape == (6, 4)
+        assert np.array_equal(lap.incidence, hand_built_incidence_c3())
+        assert lap.edge_index == ((1, 2), (2, 3))
 
     def test_residual_zero_on_compatible_configuration(self):
         graph, tau = sf.cycle_minus_edge(5, (5, 1)), sf.assignment(5)
-        chain = sf.rotation_chain(graph, tau)
-        p = sf.symmetric_configuration(chain, np.array([1.3, -0.4]))
-        inc = sf.build_incidence(graph, tau)
-        assert np.abs(inc.residuals(p)).max() < 1e-14
+        p = sf.symmetric_configuration(sf.null_basis(graph, tau), np.array([1.3, -0.4]))
+        lap = sf.build_laplacian(graph, tau)
+        assert np.abs(lap.incidence.T @ p).max() < 1e-14
 
     def test_residual_is_direct_edge_mismatch(self):
         graph, tau = sf.cycle_minus_edge(4, (4, 1)), sf.assignment(4)
-        inc = sf.build_incidence(graph, tau)
+        lap = sf.build_laplacian(graph, tau)
         rng = np.random.default_rng(3)
         p = rng.uniform(-2, 2, 8)
-        res = inc.residuals(p)
+        res = (lap.incidence.T @ p).reshape(lap.edge_count, 2)
         for e, (u, v, w) in enumerate(sf.weighted_edges(graph, tau)):
             direct = p[2 * u - 2:2 * u] - w.T @ p[2 * v - 2:2 * v]
             assert np.allclose(res[e], direct, atol=1e-15)
 
     def test_weight_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
-            sf.incidence_from_edges(3, 2, [(1, 2, np.eye(3))])
+            sf.laplacian_from_edges(2, 2, [(1, 2, np.eye(3))])
 
 
 class TestLaplacian:
@@ -92,7 +91,7 @@ class TestLaplacian:
         rng = np.random.default_rng(11)
         samples = rng.uniform(-5, 5, size=(1000, 12))
         quad = np.einsum("ki,ij,kj->k", samples, lap.matrix, samples)
-        residual_sq = ((samples @ lap.incidence.matrix) ** 2).sum(axis=1)
+        residual_sq = ((samples @ lap.incidence) ** 2).sum(axis=1)
         assert quad.min() >= -1e-12
         assert np.allclose(quad, residual_sq, atol=1e-10)
 
@@ -108,7 +107,7 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_rank_and_closed_form_spectrum(self, n, path_system):
-        _, _, lap, _, _ = path_system(n)
+        _, _, lap, _ = path_system(n)
         spec = sf.spectrum(lap.matrix)
         assert spec.rank == 2 * n - 2
         assert spec.null_dim == 2
@@ -118,8 +117,8 @@ class TestSpectrum:
     @pytest.mark.parametrize("n", (3, 6, 9))
     def test_svd_cross_route(self, n, path_system):
         # independent decomposition: squared singular values of the incidence
-        _, _, lap, _, _ = path_system(n)
-        svals = np.linalg.svd(lap.incidence.matrix, compute_uv=False)
+        _, _, lap, _ = path_system(n)
+        svals = np.linalg.svd(lap.incidence, compute_uv=False)
         nonzero = np.sort(svals ** 2)
         spec = sf.spectrum(lap.matrix)
         assert np.allclose(np.sort(spec.eigenvalues)[2:], nonzero, atol=1e-12)
@@ -185,7 +184,7 @@ class TestGaugeSpectrum:
     def test_planar_chain_is_the_exact_shift_null_basis(self):
         graph, tau = random_tree(9, 4, [1, 3, 0, 8, 2, 5, 7, 4], [False, True] * 4), sf.assignment(9)
         lap = sf.build_laplacian(graph, tau)
-        assert np.array_equal(lap.gauge.chain, sf.null_basis(graph, tau).v0)
+        assert np.array_equal(lap.chain, sf.null_basis(graph, tau))
 
     def test_scalar_laplacian_is_one_eigendecomposition(self, monkeypatch):
         sizes = []
@@ -194,60 +193,51 @@ class TestGaugeSpectrum:
         sf.build_laplacian(sf.cycle_minus_edge(7, (7, 1)), sf.assignment(7)).spectrum
         assert sizes == [(7, 7)]
 
-    def test_non_spanning_edges_build_lazily(self):
-        # the cube's cross block: one edge among four nodes; only its matrix is read
-        w = sf.rotation3("x", -math.pi / 2).matrix
-        lap = sf.laplacian_from_edges(4, 3, [(1, 2, w)])
-        assert lap.matrix.shape == (12, 12)
-        with pytest.raises(ValueError):
-            lap.spectrum
-
     def test_cycle_rejected(self):
         # n edges carry holonomy the gauge cannot remove: refused, not misreported
         w = sf.rotation2(2 * math.pi / 4).matrix
-        lap = sf.laplacian_from_edges(4, 2, [(i, i % 4 + 1, w) for i in range(1, 5)])
         with pytest.raises(ValueError, match="spanning tree"):
-            lap.spectrum
+            sf.laplacian_from_edges(4, 2, [(i, i % 4 + 1, w) for i in range(1, 5)])
 
 
 class TestNullBasis:
     def test_columns_orthogonal_with_norm_n(self, path_system):
         for n in (3, 5, 8):
-            _, _, _, basis, _ = path_system(n)
-            assert np.allclose(basis.v0.T @ basis.v0, n * np.eye(2), atol=1e-12)
-            normalized = basis.normalized
+            _, _, _, chain = path_system(n)
+            assert np.allclose(chain.T @ chain, n * np.eye(2), atol=1e-12)
+            normalized = chain / math.sqrt(n)
             assert np.allclose(normalized.T @ normalized, np.eye(2), atol=1e-12)
 
     def test_annihilated_by_laplacian(self, path_system):
         for n in (3, 6, 10):
-            _, _, lap, basis, _ = path_system(n)
-            assert np.abs(lap.matrix @ basis.v0).max() <= 1e-10
+            _, _, lap, chain = path_system(n)
+            assert np.abs(lap.matrix @ chain).max() <= 1e-10
 
     def test_projection_idempotent(self, path_system):
-        _, _, _, basis, _ = path_system(6)
+        _, _, _, chain = path_system(6)
         rng = np.random.default_rng(5)
         p = rng.uniform(-3, 3, 12)
-        once = basis.project(p)
-        assert np.allclose(basis.project(once), once, atol=1e-12)
+        once = sf.steady_state(p, chain)
+        assert np.allclose(sf.steady_state(once, chain), once, atol=1e-12)
 
     def test_rotated_basis_stays_in_null_space(self, path_system):
         # a globally rotated symmetric formation is still symmetric (planar case)
-        _, _, lap, basis, _ = path_system(5)
+        _, _, lap, chain = path_system(5)
         rng = np.random.default_rng(9)
         for _ in range(10):
             r = sf.rotation2(rng.uniform(-math.pi, math.pi)).matrix
             q_seed = rng.uniform(-2, 2, 2)
-            rotated = np.kron(np.eye(5), r) @ basis.v0 @ q_seed
+            rotated = np.kron(np.eye(5), r) @ chain @ q_seed
             assert np.abs(lap.matrix @ rotated).max() <= 1e-10
 
 
 class TestSteadyState:
     def test_single_excited_agent_frozen(self, path_system):
         # start with agent 1 at (1,0), everyone else at the origin
-        _, _, _, basis, _ = path_system(4)
+        _, _, _, chain = path_system(4)
         p0 = np.zeros(8)
         p0[0] = 1.0
-        limit = sf.steady_state(p0, basis)
+        limit = sf.steady_state(p0, chain)
         expected = np.array([0.25, 0.0, 0.0, 0.25, -0.25, 0.0, 0.0, -0.25])
         assert np.allclose(limit, expected, atol=1e-15)
 
@@ -256,32 +246,31 @@ class TestSteadyState:
     def test_per_agent_route_agrees(self, n, seed):
         tau = sf.assignment(n)
         graph = sf.cycle_minus_edge(n, (n, 1))
-        basis = sf.null_basis(graph, tau)
-        chain = sf.rotation_chain(graph, tau).matrices()
+        chain = sf.null_basis(graph, tau)
         p0 = np.random.default_rng(seed).uniform(-4, 4, 2 * n)
-        assert np.allclose(sf.steady_state(p0, basis),
-                           sf.steady_state_per_agent(p0, chain), atol=1e-12)
+        assert np.allclose(sf.steady_state(p0, chain),
+                           sf.steady_state_per_agent(p0, chain.reshape(n, 2, 2)), atol=1e-12)
 
     def test_shape_mismatch_rejected(self, path_system):
-        _, _, _, basis, _ = path_system(4)
+        _, _, _, chain = path_system(4)
         with pytest.raises(ValueError, match="shape"):
-            sf.steady_state(np.zeros(6), basis)
+            sf.steady_state(np.zeros(6), chain)
 
 
 class TestClosedFormSolution:
     def test_time_zero_returns_start(self, path_system):
-        _, _, lap, _, _ = path_system(5)
+        _, _, lap, _ = path_system(5)
         p0 = np.random.default_rng(2).uniform(-2, 2, 10)
         assert np.allclose(sf.closed_form_solution(lap.matrix, p0, 0.0), p0, atol=1e-12)
 
     def test_long_horizon_converges_to_projection(self, path_system):
-        _, _, lap, basis, _ = path_system(6)
+        _, _, lap, chain = path_system(6)
         p0 = np.random.default_rng(4).uniform(-2, 2, 12)
         far = sf.closed_form_solution(lap.matrix, p0, 1e6)
-        assert np.allclose(far, basis.project(p0), atol=1e-9)
+        assert np.allclose(far, sf.steady_state(p0, chain), atol=1e-9)
 
     def test_eigenvector_decays_at_its_rate(self, path_system):
-        _, _, lap, _, _ = path_system(4)
+        _, _, lap, _ = path_system(4)
         spec = sf.spectrum(lap.matrix)
         lam = spec.eigenvalues[spec.null_dim]
         v = spec.eigenvectors[:, spec.null_dim]
@@ -290,14 +279,14 @@ class TestClosedFormSolution:
                            math.exp(-lam * t) * v, atol=1e-12)
 
     def test_negative_time_rejected(self, path_system):
-        _, _, lap, _, _ = path_system(4)
+        _, _, lap, _ = path_system(4)
         with pytest.raises(ValueError):
             sf.closed_form_solution(lap.matrix, np.zeros(8), -1.0)
 
 
 class TestSymmetricConfiguration:
     def test_zero_errors_at_target(self, path_system):
-        graph, tau, lap, _, chain = path_system(7)
+        graph, tau, lap, chain = path_system(7)
         p = sf.symmetric_configuration(chain, np.array([2.0, 0.5]))
         assert sf.edge_errors(p, graph, tau).max() < 1e-14
         assert np.abs(lap.matrix @ p).max() < 1e-13
@@ -317,13 +306,33 @@ class TestOneFormationType:
         for name, _, matrix in lap.routes:
             assert np.abs(lap.matrix - matrix).max() <= checks.ROUTE_TOL, name
 
-    def test_routes_are_built_on_first_use(self):
-        # a non-spanning edge set (the cube's cross block) has a matrix but no gauge form
-        w = sf.rotation3("x", -math.pi / 2).matrix
-        block = sf.laplacian_from_edges(4, 3, [(1, 2, w)])
-        assert block.matrix.shape == (12, 12)
-        with pytest.raises(ValueError, match="do not connect"):
-            block.routes
+
+class TestOneTreeWalk:
+    W = sf.rotation2(2 * math.pi / 5).matrix
+
+    @pytest.mark.parametrize("edges", [  # a cycle: TestGaugeSpectrum.test_cycle_rejected
+        [(1, 2), (2, 3), (3, 1), (4, 5)],
+        [(1, 2), (2, 3), (3, 4)],
+    ], ids=["disconnected", "too_few_edges"])
+    def test_only_spanning_trees_accepted(self, edges):
+        with pytest.raises(ValueError, match="spanning tree"):
+            sf.laplacian_from_edges(5, 2, [(u, v, self.W) for (u, v) in edges])
+
+    @pytest.mark.parametrize("spec", [{"n": 600}, {"formation": "cube"}], ids=["planar_600", "cube"])
+    def test_each_build_walks_its_tree_once(self, spec, monkeypatch):
+        walks = []
+        original = topology._bfs_tree
+        monkeypatch.setattr(topology, "_bfs_tree", lambda *a: walks.append(a[0]) or original(*a))
+        cli.build_system(cli.parse_scenario(spec))
+        assert len(walks) == 1
+
+    def test_planar_build_makes_one_rotation_per_edge_shift(self, monkeypatch):
+        built = []
+        original = sf.Rotation.__post_init__
+        monkeypatch.setattr(sf.Rotation, "__post_init__", lambda r: built.append(r) or original(r))
+        lap = cli.build_system(cli.parse_scenario({"n": 600}))
+        assert len(built) == 1  # the path tree's one shift; the chain is cos/sin of exact shifts
+        assert lap.chain.shape == (1200, 2)
 
 
 def test_package_exports_are_its_imports():

@@ -238,7 +238,7 @@ class TestFrames:
 
 class TestManeuverControl:
     def test_zero_inputs_reduce_to_gradient_flow_bitwise(self, path_system):
-        _, _, lap, _, _ = path_system(5)
+        _, _, lap, _ = path_system(5)
         p = np.random.default_rng(12).uniform(-2, 2, 10)
         u = sf.maneuver_control(p, lap, sf.ReferenceState.at_origin(),
                                 np.zeros(2), 0.0, 0.0)
@@ -247,7 +247,7 @@ class TestManeuverControl:
     def test_on_manifold_control_is_pure_feedforward(self, path_system):
         # when the shifted state sits in the constraint set, -Qc vanishes and
         # the control per agent is exactly v + (omega skew + alpha I)(p_i - r)
-        _, _, lap, _, chain = path_system(6)
+        _, _, lap, chain = path_system(6)
         rng = np.random.default_rng(13)
         ref = sf.ReferenceState(position=rng.uniform(-2, 2, 2),
                                 rotation=sf.rotation2(0.8), scale=1.7)
@@ -263,7 +263,7 @@ class TestManeuverControl:
     def test_matches_finite_difference_of_frame_flow(self, path_system):
         # independent route: the control must equal the time derivative of
         # frame_to_world(zeta(t), ref(t)) when zeta follows -Q zeta
-        _, _, lap, _, _ = path_system(4)
+        _, _, lap, _ = path_system(4)
         rng = np.random.default_rng(14)
         p = rng.uniform(-2, 2, 8)
         ref = sf.ReferenceState(position=np.array([0.5, 0.2]),
@@ -295,7 +295,7 @@ class TestManeuverControl:
 
 class TestSimulateManeuver:
     def test_zero_inputs_match_stationary_run_bitwise(self, path_system):
-        _, _, lap, _, _ = path_system(6)
+        _, _, lap, _ = path_system(6)
         p0 = np.random.default_rng(21).uniform(-2, 2, 12)
         still = sf.simulate_maneuver(lap, p0, sf.ReferenceInputs.stationary(),
                                      dt=0.05, horizon=5.0)
@@ -306,7 +306,7 @@ class TestSimulateManeuver:
     def test_zero_inputs_from_offset_start_bitwise(self, path_system):
         # the shifted state runs the stationary flow from p0 - 1⊗r0 exactly;
         # world states add the offset back and row 0 stays the given p0
-        _, _, lap, _, _ = path_system(6)
+        _, _, lap, _ = path_system(6)
         p0 = np.random.default_rng(25).uniform(-2, 2, 12)
         r0 = np.array([0.7, -1.3])
         start = sf.ReferenceState(position=r0, rotation=sf.identity(2), scale=1.0)
@@ -338,7 +338,7 @@ class TestSimulateManeuver:
 
     def test_unstable_step_rejected_with_suggestion(self, path_system):
         # omega * dt = 4 is outside RK4's stability interval on the imaginary axis
-        _, _, lap, _, _ = path_system(6)
+        _, _, lap, _ = path_system(6)
         p0 = np.random.default_rng(26).uniform(-2, 2, 12)
         inputs = sf.ReferenceInputs.constant([0.0, 0.0], 80.0, 0.0)
         with pytest.raises(ValueError, match=r"7\.61 > 1 \(try dt = ") as info:
@@ -350,7 +350,7 @@ class TestSimulateManeuver:
     def test_frame_coordinates_follow_stationary_flow(self, path_system):
         # independent cross-check: zeta from the maneuver run equals a plain
         # gradient-flow run started from the initial frame coordinates
-        _, _, lap, _, _ = path_system(6)
+        _, _, lap, _ = path_system(6)
         rng = np.random.default_rng(22)
         p0 = rng.uniform(-2, 2, 12)
         inputs = two_segment_inputs()
@@ -359,7 +359,7 @@ class TestSimulateManeuver:
         assert np.abs(trace.zeta - plain.states).max() < 1e-8
 
     def test_shifted_errors_converge(self, path_system):
-        graph, tau, lap, _, _ = path_system(4)
+        graph, tau, lap, _ = path_system(4)
         rng = np.random.default_rng(23)
         p0 = rng.uniform(-2, 2, 8)
         inputs = sf.ReferenceInputs.constant([0.3, 0.1], 0.2, 0.01)
@@ -372,14 +372,14 @@ class TestSimulateManeuver:
         assert np.allclose(direct, trace.edge_errors[-1], atol=1e-13)
 
     def test_zeta_residual_small_for_planar(self, path_system):
-        _, _, lap, _, _ = path_system(4)
+        _, _, lap, _ = path_system(4)
         p0 = np.random.default_rng(24).uniform(-2, 2, 8)
         inputs = two_segment_inputs()
         trace = sf.simulate_maneuver(lap, p0, inputs, dt=0.005, horizon=3.0)
         assert sf.zeta_consistency_residual(trace, lap.matrix) < 1e-3
 
     def test_reference_arrays_on_trace(self, path_system):
-        _, _, lap, _, _ = path_system(3)
+        _, _, lap, _ = path_system(3)
         trace = sf.simulate_maneuver(lap, np.zeros(6),
                                      sf.ReferenceInputs.stationary(),
                                      dt=0.1, horizon=1.0)
@@ -388,12 +388,12 @@ class TestSimulateManeuver:
         assert trace.ref_scales.shape == (11,)
 
     def test_dimension_mismatch_rejected(self, path_system):
-        _, _, lap, _, _ = path_system(4)
+        _, _, lap, _ = path_system(4)
         with pytest.raises(ValueError, match="dimension"):
             sf.simulate_maneuver(lap, np.zeros(8), sf.ReferenceInputs.stationary(dim=3))
 
     def test_short_trace_rejected_by_residual(self, path_system):
-        _, _, lap, _, _ = path_system(3)
+        _, _, lap, _ = path_system(3)
         trace = sf.simulate_maneuver(lap, np.zeros(6),
                                      sf.ReferenceInputs.stationary(),
                                      dt=0.1, horizon=0.1)

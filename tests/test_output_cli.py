@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symform as sf
-from symform import cli, laplacian, output
+from symform import cli, dynamics, laplacian, output
 
 
 def short_trace(n: int = 4, horizon: float = 1.0) -> sf.SimulationTrace:
@@ -125,8 +126,7 @@ class TestSvg:
         tau = sf.assignment(4)
         graph = sf.cycle_minus_edge(4, (4, 1))
         lap = sf.build_laplacian(graph, tau)
-        chain = sf.rotation_chain(graph, tau)
-        p0 = sf.symmetric_configuration(chain, np.array([1.0, 0.0]))
+        p0 = sf.symmetric_configuration(sf.null_basis(graph, tau), np.array([1.0, 0.0]))
         trace = sf.integrate(lap, p0, dt=0.1, horizon=1.0)
         ET.fromstring(output.svg_errors(trace))
 
@@ -345,7 +345,7 @@ class TestVerificationChecks:
 
     def test_all_pass_on_sound_system(self):
         lap = self.build()
-        results = cli.verification_checks(lap.matrix, lap.incidence.matrix, lap.basis.v0, 4, 2,
+        results = cli.verification_checks(lap.matrix, lap.incidence, lap.chain, 4, 2,
                                           routes=lap.routes)
         assert [r.name for r in results] == [
             "symmetric", "positive_semidefinite", "rank", "incidence_product",
@@ -357,7 +357,7 @@ class TestVerificationChecks:
         lap = self.build()
         q = lap.matrix.copy()
         q[0, 2] += 1e-3  # breaks symmetry and the incidence product
-        results = cli.verification_checks(q, lap.incidence.matrix, lap.basis.v0, 4, 2)
+        results = cli.verification_checks(q, lap.incidence, lap.chain, 4, 2)
         by_name = {r.name: r.passed for r in results}
         assert not by_name["symmetric"]
         assert not by_name["incidence_product"]
@@ -367,7 +367,7 @@ class TestVerificationChecks:
         q = lap.matrix.copy()
         q[0, 2] += 1e-3
         q[2, 0] += 1e-3  # stays symmetric, no longer E E^T or PSD-structured
-        results = cli.verification_checks(q, lap.incidence.matrix, lap.basis.v0, 4, 2)
+        results = cli.verification_checks(q, lap.incidence, lap.chain, 4, 2)
         by_name = {r.name: r.passed for r in results}
         assert by_name["symmetric"]
         assert not by_name["incidence_product"]
@@ -375,8 +375,8 @@ class TestVerificationChecks:
 
     def test_wrong_null_basis_detected(self):
         lap = self.build()
-        bogus = np.random.default_rng(0).normal(size=lap.basis.v0.shape)
-        results = cli.verification_checks(lap.matrix, lap.incidence.matrix, bogus, 4, 2)
+        bogus = np.random.default_rng(0).normal(size=lap.chain.shape)
+        results = cli.verification_checks(lap.matrix, lap.incidence, bogus, 4, 2)
         by_name = {r.name: r.passed for r in results}
         assert not by_name["null_basis"]
 
@@ -697,12 +697,16 @@ class TestOversizedRun:
         ({"n": 4, "dt": 1e-308, "horizon": 1e300}, "inf steps"),
         # a dense 40000 x 40000 Q alone is 11.9 GiB
         ({"n": 20000}, "the largest n that fits is 1831"),
-    ], ids=["nan_gain", "huge_step_count", "infinite_step_count", "huge_n"])
+        # two samples are too few for the 3-D frame residual's central difference
+        ({"formation": "cube", "dt": 0.05, "horizon": 0.05, "reference": {"velocity": [[0, [1, 0, 0]]]}},
+         "the 3-D frame residual needs at least three samples, but horizon 0.05 at dt 0.05 gives 2 "
+         "(try horizon = 0.1)"),
+    ], ids=["nan_gain", "huge_step_count", "infinite_step_count", "huge_n", "short_cube_maneuver"])
     def test_rejected_in_one_line(self, tmp_path, capsys, monkeypatch, scenario, message):
         def forbidden(*args, **kwargs):
             raise AssertionError("dense build started")
 
-        if scenario["n"] == 20000:  # rejected before the dense build, whatever memory the machine has
+        if scenario.get("n") == 20000:  # rejected before the dense build, whatever memory the machine has
             monkeypatch.setattr(laplacian, "laplacian_from_edges", forbidden)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"name": "bad", **scenario}))
@@ -714,6 +718,18 @@ class TestOversizedRun:
         assert message in err and err.count("\n") == 1
         assert "Traceback" not in err and "Warning" not in err
         assert not (tmp_path / "out" / "bad").exists()
+
+    def test_dense_build_peak_within_estimate(self):
+        # the run holds Q, E, the gauge form and the eigenvectors; comparisons go by blocks of rows
+        n = 400
+        scn = cli.parse_scenario({"n": n, "horizon": 1})
+        tracemalloc.start()
+        try:
+            cli.run_scenario(scn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= dynamics.BUILD_DENSE_MATRICES * (2 * n) ** 2 * 8
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_verify_and_sweep_share_the_build_bound(self, tmp_path, capsys, monkeypatch, command):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symform as sf
+from symform import topology
 
 
 class TestCycleGraph:
@@ -79,35 +80,48 @@ class TestValidate:
         g = sf.InteractionGraph(n=4, edges=((1, 2, bad), (2, 3, one), (3, 4, one)))
         assert "C_5" in sf.validate(g)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 40).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, n),
+        st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1),
+        st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))))
+    def test_any_n_minus_one_cycle_edges_are_a_spanning_tree(self, case):
+        # so validate needs no walk: its count check leaves no disconnected graph
+        n, cut, shifts, flips = case
+        kept = [e for e in sf.CycleGraph(n).edges if e[0] != cut]
+        edges = tuple((v, u, sf.CyclicAutomorphism(n, s)) if flip else (u, v, sf.CyclicAutomorphism(n, s))
+                      for (u, v), s, flip in zip(kept, shifts, flips))
+        assert sf.validate(sf.InteractionGraph(n=n, edges=edges)) is None
+        assert sorted(node for node, *_ in topology._bfs_tree(n, edges)) == list(range(1, n + 1))
+
     def test_invalid_graph_blocks_downstream_ops(self):
         one = sf.CyclicAutomorphism(4, 1)
         g = sf.InteractionGraph(n=4, edges=((1, 2, one), (3, 4, one)))
         with pytest.raises(ValueError, match="not connected"):
-            sf.rotation_chain(g, sf.assignment(4))
+            sf.rotation_chain(g)
 
 
 class TestRotationChain:
     def test_square_chain_frozen(self):
         # expected: identity, quarter, half, three-quarter turns
         graph, tau = sf.cycle_minus_edge(4, (4, 1)), sf.assignment(4)
-        chain = sf.rotation_chain(graph, tau)
-        assert chain.shifts == (0, 1, 2, 3)
-        for k, rot in enumerate(chain.rotations):
-            assert np.array_equal(rot.matrix, sf.rotation2(k * tau.base_angle).matrix)
-        assert np.allclose(chain.rotations[1].matrix, [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
-        assert chain.rotations[0].is_identity()
+        assert sf.rotation_chain(graph) == (0, 1, 2, 3)
+        mats = sf.null_basis(graph, tau).reshape(4, 2, 2)
+        for k, mat in enumerate(mats):
+            assert np.array_equal(mat, sf.rotation2(k * tau.base_angle).matrix)
+        assert np.allclose(mats[1], [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
+        assert np.array_equal(mats[0], np.eye(2))
 
     def test_hexagon_last_link(self):
         graph, tau = sf.cycle_minus_edge(6, (6, 1)), sf.assignment(6)
-        chain = sf.rotation_chain(graph, tau)
-        assert np.array_equal(chain.rotations[5].matrix, sf.rotation2(5 * tau.base_angle).matrix)
-        assert chain.shifts == (0, 1, 2, 3, 4, 5)
+        mats = sf.null_basis(graph, tau).reshape(6, 2, 2)
+        assert np.array_equal(mats[5], sf.rotation2(5 * tau.base_angle).matrix)
+        assert sf.rotation_chain(graph) == (0, 1, 2, 3, 4, 5)
 
     def test_interior_removal_reaches_all_nodes(self):
         # BFS must cross the (n,1) edge backwards; shifts still enumerate 0..n-1
-        graph, tau = sf.cycle_minus_edge(4, (2, 3)), sf.assignment(4)
-        chain = sf.rotation_chain(graph, tau)
-        assert chain.shifts == (0, 1, 2, 3)
+        graph = sf.cycle_minus_edge(4, (2, 3))
+        assert sf.rotation_chain(graph) == (0, 1, 2, 3)
 
     @given(st.integers(3, 12), st.integers(0, 11))
     @settings(max_examples=40, deadline=None)
@@ -115,7 +129,7 @@ class TestRotationChain:
         removed = sf.CycleGraph(n).edges[removed_idx % n]
         tau = sf.assignment(n)
         graph = sf.cycle_minus_edge(n, removed)
-        mats = sf.rotation_chain(graph, tau).matrices()
+        mats = sf.null_basis(graph, tau).reshape(n, 2, 2)
         for (u, v, w) in sf.weighted_edges(graph, tau):
             assert np.allclose(mats[v - 1], w @ mats[u - 1], atol=1e-12)
         assert np.array_equal(mats[0], np.eye(2))
@@ -124,15 +138,14 @@ class TestRotationChain:
         two = sf.CyclicAutomorphism(4, 2)
         one = sf.CyclicAutomorphism(4, 1)
         g = sf.InteractionGraph(n=4, edges=((1, 2, two), (2, 3, one), (3, 4, one)))
-        chain = sf.rotation_chain(g, sf.assignment(4))
-        assert chain.shifts == (0, 2, 3, 0)  # not the full C_4 orbit (0, 1, 2, 3)
+        assert sf.rotation_chain(g) == (0, 2, 3, 0)  # not the full C_4 orbit (0, 1, 2, 3)
 
     def test_generic_chain_matches_shift_chain(self):
         # independent route: BFS matrix products vs exact shift arithmetic
         for n in (3, 5, 8):
             tau = sf.assignment(n)
             graph = sf.cycle_minus_edge(n, (2, 3))
-            by_shift = sf.rotation_chain(graph, tau).matrices()
+            by_shift = sf.null_basis(graph, tau).reshape(n, 2, 2)
             by_product = sf.chain_matrices(n, sf.weighted_edges(graph, tau))
             for a, b in zip(by_shift, by_product):
                 assert np.allclose(a, b, atol=1e-13)
