@@ -88,7 +88,7 @@ def compute_metrics(scn: Scenario, lap: SymmetryLaplacian,
         "construction_routes_agree": all(passed[name] for name, _, _ in lap.routes),
         "null_basis_annihilated": passed["null_basis"],
     }
-    metrics = {
+    return {
         "name": scn.name,
         "formation": scn.formation,
         "n": n,
@@ -113,7 +113,6 @@ def compute_metrics(scn: Scenario, lap: SymmetryLaplacian,
         "zeta_residual": trace.metadata.get("zeta_residual"),
         "checks": checks,
     }
-    return metrics
 
 
 RUN_FILES = frozenset({"trace.csv", "metrics.json", "paths.svg", "errors.svg", "reference.csv"})
@@ -166,10 +165,10 @@ def _holds_only_run_files(path: Path) -> bool:
 
 # --------------------------------------------------------------- verification
 
-def verify_scenario(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
+def verify_scenario(scn: Scenario) -> list[CheckResult]:
     lap = build_system(scn)
     return verification_checks(lap.matrix, lap.incidence, lap.chain, scn.n, scn.dim,
-                               routes=lap.routes, seed=scn.seed if seed is None else seed)
+                               routes=lap.routes, seed=scn.seed)
 
 
 # ---------------------------------------------------------------------- sweep
@@ -200,6 +199,8 @@ def sweep_sizes(n_from: int, n_to: int) -> list[dict]:
 
 def _apply_overrides(scn: Scenario, args: argparse.Namespace) -> Scenario:
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ScenarioError(f"--seed must be non-negative, got {args.seed}")
         scn.seed = args.seed
     if getattr(args, "dt", None) is not None:
         if args.dt <= 0:
@@ -301,6 +302,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # a path the operating system refuses, e.g. --out under a regular file
+        print(f"file system error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -27,8 +27,8 @@ TRACE_ROW_BYTES_PER_COORD = 96
 TRACE_ROW_BYTES_FIXED = 256
 MAX_BUILD_BYTES = 512 * 2**20  # largest estimated memory of a formation's dense build
 # Estimated dn x dn float64 arrays held while a formation is built and checked:
-# Q, E, the gauge matrix, the spectrum's eigenvectors and one temporary. A
-# planar n = 1831 run (dn = 3662, the largest accepted) peaks at 705 MB RSS.
+# Q, E, the gauge matrix and two temporaries (a maneuver's G, an eigensolver's
+# copy of Q - I⊗Ω, or a route held for comparison).
 BUILD_DENSE_MATRICES = 5
 
 
@@ -177,18 +177,19 @@ def resolve_grid(
 
 def propagate_linear(
     c0: NDArray[np.float64],
-    segments: list[tuple[NDArray[np.float64], int]],
+    segments: Iterable[tuple[NDArray[np.float64], int]],
     dt: float,
+    steps: int,
 ) -> NDArray[np.float64]:
-    """Classical RK4 on dc/dt = -G c over consecutive (G, step_count) segments.
+    """Classical RK4 on dc/dt = -G c over consecutive (G, step_count) segments, read once.
 
-    Returns the (total_steps + 1, dim) array of states, row 0 being ``c0``.
-    The stages use the operation order of :func:`rk4_step` on the field
-    -(G @ y), so a single segment reproduces that stepper bitwise.
+    Returns the (steps + 1, dim) array of states, row 0 being ``c0``; the
+    step counts must add up to ``steps``. The stages use the operation order
+    of :func:`rk4_step` on the field -(G @ y), so a single segment
+    reproduces that stepper bitwise.
     """
     x = np.array(c0, dtype=float)
-    total = sum(count for _, count in segments)
-    out = np.empty((total + 1, x.size))
+    out = np.empty((steps + 1, x.size))
     out[0] = x
     half, sixth = dt / 2, dt / 6
     k = 0
@@ -201,6 +202,9 @@ def propagate_linear(
             x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
             k += 1
             out[k] = x
+        del g  # released before the next run's G is formed
+    if k != steps:
+        raise ValueError(f"segments hold {k} steps, expected {steps}")
     return out
 
 
@@ -229,10 +233,9 @@ def _trace_tail(
     """Per-edge errors and potentials of the rows of ``shifted``, checked finite after
     the ``checked`` arrays, and the trace metadata, updated from ``metadata``."""
     steps = times.size - 1
-    m, d = lap.edge_count, lap.dim
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = shifted @ lap.incidence
-        errors = np.sqrt((residuals.reshape(steps + 1, m, d) ** 2).sum(axis=2))
+        errors = np.sqrt((residuals.reshape(steps + 1, -1, lap.dim) ** 2).sum(axis=2))
         potentials = 0.5 * (errors ** 2).sum(axis=1)
     require_finite(stage, times, **checked, edge_errors=errors, potentials=potentials)
     spec = lap.spectrum
@@ -265,7 +268,7 @@ def integrate(
     times = np.arange(steps + 1) * dt
     # overflow is reported once, by require_finite, instead of as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        states = propagate_linear(p, [(q, steps)], dt)
+        states = propagate_linear(p, [(q, steps)], dt, steps)
     errors, potentials, meta = _trace_tail("integrate", lap, states, times, dt, horizon, metadata,
                                            states=states)
     return SimulationTrace(

@@ -62,12 +62,7 @@ class SymmetryLaplacian:
     gauge: NDArray[np.float64]
     n: int
     dim: int
-    wedges: tuple[WeightedEdge, ...]
     composed: NDArray[np.float64] | None = None
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edge_index)
 
     @property
     def routes(self) -> tuple[Route, ...]:
@@ -84,25 +79,17 @@ class SymmetryLaplacian:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        """Spectrum of ``matrix`` from one eigendecomposition of the n x n tree Laplacian L.
+        """Eigenvalues of ``matrix`` from one eigendecomposition of the n x n tree Laplacian L.
 
-        Eigenvalues are L's, each repeated d times, and eigenvectors
-        S (V_L ⊗ I_d). ``spread`` is ‖Q - S (L ⊗ I_d) Sᵀ‖_F, which by Weyl's
-        inequality bounds how far each eigenvalue of ``matrix`` lies from the
-        one reported. Computed on first use and kept (the matrix is read-only).
+        Eigenvalues are L's, each repeated d times; no eigenvectors are kept.
+        ``spread`` is ‖Q - S (L ⊗ I_d) Sᵀ‖_F, which by Weyl's inequality bounds
+        how far each eigenvalue of ``matrix`` lies from the one reported.
+        Computed on first use and kept (the matrix is read-only).
         """
         spread = math.sqrt(sum(float(np.vdot(x, x)) for x in _row_differences(self.matrix, self.gauge)))
         scalar = spectrum(self.scalar)
-        n, d = self.n, self.dim
-        chain = self.chain.reshape(n, d, d)
-        vectors = np.empty((n, d, n, d))  # entry (i, a, k, b) is (S_i)_ab (V_L)_ik
-        for a in range(d):
-            for b in range(d):
-                np.multiply(chain[:, a, b, None], scalar.eigenvectors, out=vectors[:, a, :, b])
-        return Spectrum(
-            eigenvalues=_freeze(np.repeat(scalar.eigenvalues, d)),
-            eigenvectors=_freeze(vectors.reshape(n * d, n * d)), tol=scalar.tol, spread=spread,
-        )
+        return Spectrum(eigenvalues=_freeze(np.repeat(scalar.eigenvalues, self.dim)),
+                        tol=scalar.tol, spread=spread)
 
 
 def assemble_laplacian(n: int, dim: int, wedges: list[WeightedEdge]) -> NDArray[np.float64]:
@@ -164,7 +151,6 @@ def laplacian_from_edges(
         matrix=_freeze(assemble_laplacian(n, dim, wedges)), incidence=_freeze(E),
         edge_index=tuple((a, b) for (a, b, _) in wedges), chain=_freeze(chain),
         scalar=_freeze(scalar), gauge=_freeze(gauge.reshape(n * dim, n * dim)), n=n, dim=dim,
-        wedges=tuple((a, b, _freeze(w)) for (a, b, w) in wedges),
     )
 
 
@@ -228,18 +214,18 @@ def steady_state_per_agent(
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigen-decomposition of a symmetric PSD matrix with a rank tolerance.
+    """Eigenvalues of a symmetric PSD matrix with a rank tolerance.
 
     Eigenvalues below ``threshold`` = tol·max(1, λ_max) count as zero.
     ``spread`` bounds the distance of each eigenvalue of the matrix from
-    ``eigenvalues``: 0 for a direct decomposition, ‖Q - S (L ⊗ I_d) Sᵀ‖_F for
-    one taken in the gauge.
+    ``eigenvalues``: 0 for a direct decomposition (:func:`spectrum`, the only
+    one with ``eigenvectors``), ‖Q - S (L ⊗ I_d) Sᵀ‖_F for one in the gauge.
     """
 
     eigenvalues: NDArray[np.float64]
-    eigenvectors: NDArray[np.float64]
     tol: float
     spread: float = 0.0
+    eigenvectors: NDArray[np.float64] | None = None
 
     @property
     def lambda_max(self) -> float:
@@ -283,7 +269,7 @@ def spectrum(q_matrix: NDArray[np.float64], tol: float = RANK_TOL) -> Spectrum:
         eigenvalues, eigenvectors = np.linalg.eigh(q_matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"eigendecomposition failed: {exc}") from exc
-    return Spectrum(eigenvalues=_freeze(eigenvalues), eigenvectors=_freeze(eigenvectors), tol=tol)
+    return Spectrum(eigenvalues=_freeze(eigenvalues), tol=tol, eigenvectors=_freeze(eigenvectors))
 
 
 def closed_form_solution(

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,15 +282,16 @@ def _rk4_gain(z: NDArray[np.complex128]) -> NDArray[np.float64]:
 
 
 def _segment_operators(
-    q: NDArray[np.float64], path: ReferencePath, spec: Spectrum, n: int
-) -> list[tuple[NDArray[np.float64], int]]:
+    q: NDArray[np.float64], path: ReferencePath, spec: Spectrum
+) -> Iterator[tuple[NDArray[np.float64], int]]:
     """(G, step_count) for each run of steps with constant (ω, α), checked for RK4 stability.
 
     On such a run the shifted state c = p - 1⊗r obeys dc/dt = -G c with
     G = Q - I⊗Ω - α I. Raises ValueError, with a suggested dt, when RK4
     would amplify a mode: |P(-dt μ)| > 1 for an eigenvalue μ of Q - I⊗Ω,
     shifted by -α when the frame shrinks. A growing frame (α > 0) is the
-    commanded growth and is left out of the test.
+    commanded growth and is left out of the test. All runs are checked first;
+    the returned iterator then forms each G only when it is reached.
     """
     d, dt = path.dim, path.dt
     w = path.step_omegas.reshape(len(path.step_scale_rates), -1)
@@ -297,16 +299,14 @@ def _segment_operators(
     cuts = np.flatnonzero((w[1:] != w[:-1]).any(axis=1) | (a[1:] != a[:-1])) + 1
     starts = np.concatenate([[0], cuts]).tolist()
     ends = starts[1:] + [a.size]
-    # Q - I⊗Ω and its eigenvalues, once per distinct angular velocity
-    rotating: dict[tuple, tuple[NDArray[np.float64], NDArray]] = {}
+    rotating: dict[tuple, NDArray] = {}  # eigenvalues of Q - I⊗Ω per distinct angular velocity
     runs = []
     for lo, hi in zip(starts, ends):
         key = tuple(w[lo].tolist())
         if key not in rotating:
-            m = q - np.kron(np.eye(n), omega_matrix(path.step_omegas[lo], d))
-            rotating[key] = (m, np.linalg.eigvals(m) if any(key) else spec.eigenvalues)
-        m, mu = rotating[key]
-        runs.append((lo, hi, m, mu + max(-float(a[lo]), 0.0)))
+            rotating[key] = (np.linalg.eigvals(_segment_operator(q, path.step_omegas[lo], 0.0, d))
+                             if any(key) else spec.eigenvalues)
+        runs.append((lo, hi, rotating[key] + max(-float(a[lo]), 0.0)))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed gain is rejected below
         gains = [float(_rk4_gain(-dt * mu).max()) for *_, mu in runs]
     worst = int(np.argmax(gains))  # the first NaN, if any
@@ -318,8 +318,16 @@ def _segment_operators(
             f"a mode by max |P(-dt mu)| = {gains[worst]:.3g} > 1 "
             f"(try dt = {DEFAULT_STEP_FACTOR / stiffest:g})"
         )
-    eye = np.eye(q.shape[0])
-    return [(m - float(a[lo]) * eye, hi - lo) for lo, hi, m, _ in runs]
+    return ((_segment_operator(q, path.step_omegas[lo], float(a[lo]), d), hi - lo) for lo, hi, _ in runs)
+
+
+def _segment_operator(q: NDArray[np.float64], omega, alpha: float, d: int) -> NDArray[np.float64]:
+    """Q - I⊗Ω - α I as a new array: Ω subtracted on the n diagonal blocks, then α on the diagonal."""
+    g = q.copy()
+    n = q.shape[0] // d
+    g.reshape(n, d, n, d)[np.arange(n), :, np.arange(n), :] -= omega_matrix(omega, d)
+    g.flat[::g.shape[0] + 1] -= alpha
+    return g
 
 
 def simulate_maneuver(
@@ -345,9 +353,7 @@ def simulate_maneuver(
     trace metadata under ``zeta_residual``; a spatial grid of fewer than
     three samples, too short for that residual, raises ValueError.
     """
-    q = lap.matrix
-    d = lap.dim
-    n = lap.n
+    q, d, n = lap.matrix, lap.dim, lap.n
     if start is None:
         start = ReferenceState.at_origin(d)
     if start.dim != d or inputs.dim != d:
@@ -363,11 +369,11 @@ def simulate_maneuver(
             f"{horizon:g} at dt {dt:g} gives {steps + 1} (try horizon = {2 * dt:g})"
         )
     path = propagate_reference(inputs, start, dt, horizon)
-    segments = _segment_operators(q, path, spec, n)
+    segments = _segment_operators(q, path, spec)
 
     # overflow is reported once, by require_finite, instead of as numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        shifted = propagate_linear(p0 - np.tile(path.positions[0], n), segments, dt)
+        shifted = propagate_linear(p0 - np.tile(path.positions[0], n), segments, dt, steps)
         states = shifted + np.tile(path.positions, (1, n))
         states[0] = p0
         zeta = (np.einsum("kni,kij->knj", shifted.reshape(steps + 1, n, d), path.rotations)

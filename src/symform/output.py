@@ -202,8 +202,7 @@ def svg_paths(trace: SimulationTrace, title: str = "agent paths") -> str:
     proj = _project(trace.states, trace.n, trace.dim)
     ref = None
     if isinstance(trace, ManeuverTrace):
-        ref3 = trace.ref_positions.reshape(trace.times.size, 1, trace.dim)
-        ref = _project(ref3.reshape(trace.times.size, trace.dim * 1), 1, trace.dim)[:, 0, :]
+        ref = _project(trace.ref_positions, 1, trace.dim)[:, 0, :]
     all_x = proj[..., 0].ravel() if ref is None else np.concatenate([proj[..., 0].ravel(), ref[:, 0]])
     all_y = proj[..., 1].ravel() if ref is None else np.concatenate([proj[..., 1].ravel(), ref[:, 1]])
     xlo, xhi = _scale(float(all_x.min()), float(all_x.max()))

@@ -37,7 +37,6 @@ class Scenario:
     dt: float | None
     horizon: float | None
     cube_spec: spatial3d.CubeSpec | None
-    source: str = "<memory>"
 
     def summary(self) -> str:
         bits = [f"name={self.name}", f"formation={self.formation}", f"n={self.n}",
@@ -151,7 +150,7 @@ def _parse_cube(raw, path: str) -> spatial3d.CubeSpec:
     return spatial3d.CubeSpec(**{**spec.__dict__, **kwargs})
 
 
-def parse_scenario(raw: dict, name_hint: str = "scenario", source: str = "<memory>") -> Scenario:
+def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
     """Validate a scenario dict and resolve every default."""
     _require(isinstance(raw, dict), "$", "scenario must be a JSON object")
     known = {"name", "formation", "n", "tree", "initial", "seed", "reference",
@@ -167,6 +166,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario", source: str = "<memor
              f"expected a plain file name (no path separator, not '.' or '..'), got {name!r}")
 
     seed = _as_int(raw.get("seed", DEFAULT_SEED), "seed")
+    _require(seed >= 0, "seed", f"must be non-negative, got {seed}")
     dt = None if "dt" not in raw else _as_number(raw["dt"], "dt")
     if dt is not None:
         _require(dt > 0, "dt", "must be positive")
@@ -227,9 +227,11 @@ def parse_scenario(raw: dict, name_hint: str = "scenario", source: str = "<memor
             lo = _as_number(b[0], "initial.box[0]")
             hi = _as_number(b[1], "initial.box[1]")
             _require(lo < hi, "initial.box", "lo must be < hi")
+            _require(math.isfinite(hi - lo), "initial.box", "hi - lo must be finite")
             box = (lo, hi)
         if "seed" in init_raw:
             seed = _as_int(init_raw["seed"], "initial.seed")
+            _require(seed >= 0, "initial.seed", f"must be non-negative, got {seed}")
 
     reference = None
     ref_start = None
@@ -239,8 +241,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario", source: str = "<memor
     return Scenario(
         name=name, formation=formation, n=n, dim=dim, tree_edges=tree_edges,
         initial_points=initial_points, box=box, seed=seed,
-        reference=reference, ref_start=ref_start, dt=dt, horizon=horizon,
-        cube_spec=cube_spec, source=source,
+        reference=reference, ref_start=ref_start, dt=dt, horizon=horizon, cube_spec=cube_spec,
     )
 
 
@@ -262,5 +263,5 @@ def load_scenario(spec: str) -> Scenario:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return parse_scenario(raw, name_hint=path.stem, source=str(path))
+    return parse_scenario(raw, name_hint=path.stem)
 

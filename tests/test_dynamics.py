@@ -116,13 +116,18 @@ class TestPropagateLinear:
         c0 = rng.uniform(-2, 2, 10)
         g2 = lap.matrix + 0.3 * np.kron(np.eye(5), sf.omega_matrix(1.0, 2))
         dt = 0.05
-        states = sf.propagate_linear(c0, [(lap.matrix, 7), (g2, 5)], dt)
+        states = sf.propagate_linear(c0, iter([(lap.matrix, 7), (g2, 5)]), dt, 12)
         assert states.shape == (13, 10)
         assert np.array_equal(states[0], c0)
         y = c0
         for k, g in enumerate([lap.matrix] * 7 + [g2] * 5):
             y = sf.rk4_step(lambda t, x, g=g: -(g @ x), k * dt, y, dt)
             assert np.array_equal(states[k + 1], y)
+
+    def test_step_counts_must_add_up(self, path_system):
+        _, _, lap, _ = path_system(3)
+        with pytest.raises(ValueError, match="segments hold 7 steps, expected 12"):
+            sf.propagate_linear(np.ones(6), [(lap.matrix, 7)], 0.05, 12)
 
 
 class TestIntegrate:

@@ -44,7 +44,7 @@ class TestIncidence:
         lap = sf.build_laplacian(graph, tau)
         rng = np.random.default_rng(3)
         p = rng.uniform(-2, 2, 8)
-        res = (lap.incidence.T @ p).reshape(lap.edge_count, 2)
+        res = (lap.incidence.T @ p).reshape(len(lap.edge_index), 2)
         for e, (u, v, w) in enumerate(sf.weighted_edges(graph, tau)):
             direct = p[2 * u - 2:2 * u] - w.T @ p[2 * v - 2:2 * v]
             assert np.allclose(res[e], direct, atol=1e-15)
@@ -155,11 +155,10 @@ def random_tree(n: int, cut: int, shifts: list[int], flips: list[bool]) -> sf.In
 def assert_gauge_spectrum_matches_dense(lap) -> None:
     """The gauge spectrum of a system against one dense eigendecomposition of its matrix."""
     gauge, dense = lap.spectrum, sf.spectrum(lap.matrix)
-    lam, vectors = gauge.eigenvalues, gauge.eigenvectors
+    lam = gauge.eigenvalues
     assert np.abs(lam - dense.eigenvalues).max() <= 1e-12 * max(1.0, dense.lambda_max)
     assert (gauge.rank, gauge.null_dim) == (dense.rank, dense.null_dim)
-    assert np.linalg.norm(lap.matrix @ vectors - vectors * lam) <= 1e-12
-    assert np.linalg.norm(vectors.T @ vectors - np.eye(lam.size)) <= 1e-12
+    assert gauge.eigenvectors is None
     assert 0.0 <= gauge.spread <= 1e-12
 
 

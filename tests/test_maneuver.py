@@ -319,6 +319,26 @@ class TestSimulateManeuver:
         assert np.array_equal(still.zeta, plain.states)
         assert np.array_equal(still.edge_errors, plain.edge_errors)
 
+    @pytest.mark.parametrize("spec", [
+        {"n": 5, "reference": {"angular_velocity": [[0, 0.3], [0.2, 0.0], [0.3, -0.5]],
+                               "scale_rate": [[0, -0.1], [0.25, 0.2]]}},
+        CUBE_MANEUVER,
+    ], ids=["planar", "cube"])
+    def test_segment_operators_are_the_kron_form(self, spec):
+        # each run's G equals Q - I⊗Ω - αI built densely, bit for bit, and is a fresh array
+        scn = cli.parse_scenario({"dt": 0.05, "horizon": 0.5, **spec})
+        lap = cli.build_system(scn)
+        path = sf.propagate_reference(scn.reference, scn.ref_start, scn.dt, scn.horizon)
+        n, d = lap.n, lap.dim
+        eye = np.eye(n * d)
+        k = 0
+        for g, count in sf.maneuver._segment_operators(lap.matrix, path, lap.spectrum):
+            dense = lap.matrix - np.kron(np.eye(n), sf.omega_matrix(path.step_omegas[k], d))
+            assert np.array_equal(g, dense - float(path.step_scale_rates[k]) * eye)
+            assert g is not lap.matrix
+            k += count
+        assert k == path.times.size - 1
+
     @pytest.mark.parametrize("name", ("maneuver_c6", "cube"))
     def test_matches_world_coordinate_rk4(self, name):
         if name == "cube":

@@ -675,6 +675,11 @@ class TestScenarioName:
             ["out", "scn.json"] + (["victim"] if name.endswith("victim") else []))
 
 
+# 20 runs of constant input: angular velocity and scale rate change every 0.1, some rates negative
+TWENTY_RUNS = {"angular_velocity": [[0.1 * k, 0.2 + 0.05 * (k % 3)] for k in range(20)],
+               "scale_rate": [[0.1 * k, -0.02 if k % 2 else 0.01] for k in range(20)]}
+
+
 class TestOversizedRun:
     def test_rejected_before_allocating(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
@@ -701,7 +706,13 @@ class TestOversizedRun:
         ({"formation": "cube", "dt": 0.05, "horizon": 0.05, "reference": {"velocity": [[0, [1, 0, 0]]]}},
          "the 3-D frame residual needs at least three samples, but horizon 0.05 at dt 0.05 gives 2 "
          "(try horizon = 0.1)"),
-    ], ids=["nan_gain", "huge_step_count", "infinite_step_count", "huge_n", "short_cube_maneuver"])
+        # hi - lo overflows to inf, which rng.uniform refuses with an OverflowError
+        ({"n": 3, "initial": {"box": [-1e308, 1e308]}}, "initial.box: hi - lo must be finite"),
+        # numpy's own message for a negative seed does not name the field
+        ({"n": 3, "seed": -1}, "seed: must be non-negative, got -1"),
+        ({"n": 3, "initial": {"seed": -1}}, "initial.seed: must be non-negative, got -1"),
+    ], ids=["nan_gain", "huge_step_count", "infinite_step_count", "huge_n", "short_cube_maneuver",
+            "infinite_box_width", "negative_seed", "negative_initial_seed"])
     def test_rejected_in_one_line(self, tmp_path, capsys, monkeypatch, scenario, message):
         def forbidden(*args, **kwargs):
             raise AssertionError("dense build started")
@@ -719,13 +730,45 @@ class TestOversizedRun:
         assert "Traceback" not in err and "Warning" not in err
         assert not (tmp_path / "out" / "bad").exists()
 
-    def test_dense_build_peak_within_estimate(self):
-        # the run holds Q, E, the gauge form and the eigenvectors; comparisons go by blocks of rows
-        n = 400
-        scn = cli.parse_scenario({"n": n, "horizon": 1})
+    def test_negative_seed_override_rejected(self, tmp_path, capsys):
+        assert cli.main(["run", "example2_c4", "--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "scenario error: --seed must be non-negative, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case", ["run_under_file", "sweep_under_file", "long_name"])
+    def test_refused_output_path(self, tmp_path, capsys, case):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "out"
+        argv = {"run_under_file": ["run", "example2_c4", "--out", str(tmp_path / "afile" / "x")],
+                "sweep_under_file": ["sweep", "--n-from", "3", "--n-to", "4",
+                                     "--out", str(tmp_path / "afile" / "y")]}.get(case)
+        if argv is None:
+            path = tmp_path / "long.json"
+            path.write_text(json.dumps({"name": "a" * 300, "n": 3, "horizon": 1}))
+            argv = ["run", str(path), "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        refused = str(out / ".aaa") if case == "long_name" else argv[-1]
+        reason = "File name too long" if case == "long_name" else "Not a directory"
+        assert err.startswith("file system error: ") and err.count("\n") == 1
+        assert refused in err and reason in err and "Traceback" not in err
+        assert (tmp_path / "afile").read_text() == ""
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("n, command", [
+        (400, lambda: cli.run_scenario(cli.parse_scenario({"n": 400, "horizon": 1}))),
+        (300, lambda: cli.run_scenario(cli.parse_scenario(
+            {"n": 300, "horizon": 1, "reference": {"angular_velocity": [[0, 0.3]]}}))),
+        (300, lambda: cli.run_scenario(cli.parse_scenario(
+            {"n": 300, "horizon": 2, "reference": TWENTY_RUNS}))),
+        (300, lambda: cli.sweep_sizes(300, 300)),
+    ], ids=["stationary", "maneuver", "maneuver_20_runs", "sweep"])
+    def test_dense_build_peak_within_estimate(self, n, command):
+        # Q, E and the gauge form are held; a maneuver forms one G at a time,
+        # and comparisons go by blocks of rows
         tracemalloc.start()
         try:
-            cli.run_scenario(scn)
+            command()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

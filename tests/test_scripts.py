@@ -28,3 +28,16 @@ def test_decay_rate_study():
     result = run_script("decay_rate_study.py", "--n-from", "3", "--n-to", "5")
     assert result.returncode == 0, result.stderr
     assert "worst relative gap" in result.stdout
+
+
+def test_snapshot_outputs(tmp_path):
+    result = run_script("snapshot_outputs.py", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    runs = tmp_path / "runs"
+    assert sorted(p.name for p in runs.iterdir()) == [
+        "cube", "cube_maneuver", "example2_c4", "example3_c6", "maneuver_20_runs", "maneuver_c6",
+        "planar_n600"]
+    assert all("runtime_seconds" not in p.read_text() for p in runs.glob("*/metrics.json"))
+    log = (tmp_path / "log.txt").read_text()
+    assert log.count("\nexit 0\n") == 12 and str(tmp_path) not in log
+    assert (tmp_path / "sweep" / "sweep.json").is_file()

@@ -62,9 +62,8 @@ class TestRotation3:
 class TestBuildCube:
     def test_edge_list(self):
         lap = sf.build_cube()
-        pairs = [(u, v) for (u, v, _) in lap.wedges]
+        pairs = list(lap.edge_index)
         assert pairs == [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (1, 5)]
-        assert lap.edge_count == 7
         assert lap.matrix.shape == (24, 24)
 
     def test_psd_and_null_dimension(self):
@@ -134,7 +133,7 @@ class TestCubeCorners:
         lap = sf.build_cube()
         pts = cube_corners(lap).reshape(8, 3)
         lengths = {round(float(np.linalg.norm(pts[u - 1] - pts[v - 1])), 9)
-                   for (u, v, _) in lap.wedges}
+                   for (u, v) in lap.edge_index}
         assert lengths == {2.0}
 
 
