@@ -30,6 +30,7 @@ MAX_BUILD_BYTES = 512 * 2**20  # largest estimated memory of a formation's dense
 # Q, E, the gauge matrix and two temporaries (a maneuver's G, an eigensolver's
 # copy of Q - I⊗Ω, or a route held for comparison).
 BUILD_DENSE_MATRICES = 5
+POWER_STACK_CAP = 256  # most RK4 steps propagate_linear writes with one matrix product
 
 
 def edge_residual_norms(
@@ -175,6 +176,44 @@ def resolve_grid(
     return dt, horizon, steps
 
 
+def _rk4_increment(g: NDArray[np.float64], dt: float) -> NDArray[np.float64]:
+    """D = P - I = H + H²/2 + H³/6 + H⁴/24 for the RK4 step matrix P of dc/dt = -G c, H = -dt G.
+
+    Kept apart from I so that its rounding scales with dt G, not with 1."""
+    m = g.shape[0]
+    h = -dt * g
+    d = h / 24
+    for coefficient in (1 / 6, 1 / 2, 1.0):
+        d.flat[::m + 1] += coefficient
+        d = h @ d
+    return d
+
+
+def _power_steps(out: NDArray[np.float64], k: int, count: int, d: NDArray[np.float64], block: int) -> None:
+    """Write rows k+1 … k+count of ``out`` as out[j+1] = out[j] + D out[j], D = P - I.
+
+    ``block`` rows go per matrix product with the stack D_1 … D_block, D_j = P^j - I,
+    built by doubling (D_(i+j) = D_i D_j + D_i + D_j); the rest go one row at a time."""
+    dn = d.shape[0]
+    stack = np.empty((block, dn, dn))
+    stack[0] = d
+    have = 1
+    while have < block:
+        more = min(have, block - have)
+        new = stack[have:have + more]
+        np.matmul(stack[:more], stack[have - 1], out=new)
+        new += stack[:more]
+        new += stack[have - 1]
+        have += more
+    stack = stack.reshape(block * dn, dn)
+    end = k + count
+    while end - k >= block:
+        out[k + 1:k + block + 1] = (stack @ out[k]).reshape(block, dn) + out[k]
+        k += block
+    for k in range(k, end):
+        out[k + 1] = out[k] + d @ out[k]
+
+
 def propagate_linear(
     c0: NDArray[np.float64],
     segments: Iterable[tuple[NDArray[np.float64], int]],
@@ -184,24 +223,42 @@ def propagate_linear(
     """Classical RK4 on dc/dt = -G c over consecutive (G, step_count) segments, read once.
 
     Returns the (steps + 1, dim) array of states, row 0 being ``c0``; the
-    step counts must add up to ``steps``. The stages use the operation order
-    of :func:`rk4_step` on the field -(G @ y), so a single segment
-    reproduces that stepper bitwise.
+    step counts must add up to ``steps``. On a segment RK4 is exactly
+    c_{k+1} = P c_k with P = I + H + H²/2 + H³/6 + H⁴/24, H = -dt G.
+
+    - A segment of at least ``2 * dim`` steps takes the block path: it forms
+      D = P - I once, stacks D_j = P^j - I for j = 1 … B with
+      B = min(``POWER_STACK_CAP``, step_count // dim), and writes B states
+      per matrix product, the leftover steps one product each. The stack is
+      never larger than the segment's rows of the returned array.
+    - A shorter segment takes the stage loop, which uses the operation order
+      of :func:`rk4_step` on the field -(G @ y) and so reproduces that
+      stepper bitwise. The block path agrees with it only to rounding.
+
+    Overflow is left to the caller's ``np.errstate``; it shows as
+    non-finite states.
     """
     x = np.array(c0, dtype=float)
-    out = np.empty((steps + 1, x.size))
+    dn = x.size
+    out = np.empty((steps + 1, dn))
     out[0] = x
     half, sixth = dt / 2, dt / 6
     k = 0
     for g, count in segments:
-        for _ in range(count):
-            k1 = -(g @ x)
-            k2 = -(g @ (x + half * k1))
-            k3 = -(g @ (x + half * k2))
-            k4 = -(g @ (x + dt * k3))
-            x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-            k += 1
-            out[k] = x
+        block = min(POWER_STACK_CAP, count // dn)
+        if block >= 2:
+            _power_steps(out, k, count, _rk4_increment(g, dt), block)
+            k += count
+            x = out[k]
+        else:
+            for _ in range(count):
+                k1 = -(g @ x)
+                k2 = -(g @ (x + half * k1))
+                k3 = -(g @ (x + half * k2))
+                k4 = -(g @ (x + dt * k3))
+                x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+                k += 1
+                out[k] = x
         del g  # released before the next run's G is formed
     if k != steps:
         raise ValueError(f"segments hold {k} steps, expected {steps}")

@@ -304,8 +304,7 @@ def _segment_operators(
     for lo, hi in zip(starts, ends):
         key = tuple(w[lo].tolist())
         if key not in rotating:
-            rotating[key] = (np.linalg.eigvals(_segment_operator(q, path.step_omegas[lo], 0.0, d))
-                             if any(key) else spec.eigenvalues)
+            rotating[key] = _rotating_eigenvalues(q, spec, path.step_omegas[lo], d)
         runs.append((lo, hi, rotating[key] + max(-float(a[lo]), 0.0)))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed gain is rejected below
         gains = [float(_rk4_gain(-dt * mu).max()) for *_, mu in runs]
@@ -319,6 +318,19 @@ def _segment_operators(
             f"(try dt = {DEFAULT_STEP_FACTOR / stiffest:g})"
         )
     return ((_segment_operator(q, path.step_omegas[lo], float(a[lo]), d), hi - lo) for lo, hi, _ in runs)
+
+
+def _rotating_eigenvalues(q: NDArray[np.float64], spec: Spectrum, omega, d: int) -> NDArray:
+    """Eigenvalues of Q - I⊗Ω, up to complex conjugation, which leaves every |P(-dt μ)| as it is.
+
+    A planar Ω commutes with every edge rotation S_i of Q = S (L ⊗ I) Sᵀ, so
+    they are λ ± iω for the eigenvalues λ of ``spec``; in 3-D a dense solve.
+    """
+    if d == 2:
+        return spec.eigenvalues + 1j * float(omega)
+    if not np.any(omega):
+        return spec.eigenvalues
+    return np.linalg.eigvals(_segment_operator(q, omega, 0.0, d))
 
 
 def _segment_operator(q: NDArray[np.float64], omega, alpha: float, d: int) -> NDArray[np.float64]:

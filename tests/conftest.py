@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import symform as sf
 
@@ -44,3 +45,20 @@ def path_eigenvalues(n: int, dim: int) -> np.ndarray:
 def slowest_rate(n: int) -> float:
     """Closed-form smallest positive eigenvalue: 4 sin^2(pi / 2n)."""
     return float(4.0 * np.sin(np.pi / (2 * n)) ** 2)
+
+
+def random_tree(n: int, cut: int, shifts: list[int], flips: list[bool]) -> sf.InteractionGraph:
+    """C_n without its edge (cut, cut + 1), each kept edge with its own shift and orientation."""
+    edges = []
+    for k, (i, j) in enumerate(e for e in sf.CycleGraph(n).edges if e[0] != cut):
+        g = sf.CyclicAutomorphism(n, shifts[k])
+        edges.append((j, i, g) if flips[k] else (i, j, g))
+    return sf.InteractionGraph(n=n, edges=tuple(edges))
+
+
+def random_tree_cases(n_max: int) -> st.SearchStrategy:
+    """(n, cut, shifts, flips) arguments of :func:`random_tree` for 3 <= n <= n_max."""
+    return st.integers(3, n_max).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, n),
+        st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1),
+        st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))

@@ -124,6 +124,48 @@ class TestPropagateLinear:
             y = sf.rk4_step(lambda t, x, g=g: -(g @ x), k * dt, y, dt)
             assert np.array_equal(states[k + 1], y)
 
+    @pytest.mark.parametrize("formation", ["planar", "cube"])
+    def test_block_path_matches_rk4_step(self, path_system, formation):
+        # 3,000 steps of dim 10 (blocks of 256) and 2,000 of dim 24 (blocks of 83)
+        if formation == "planar":
+            lap, steps = path_system(5)[2], 3000
+            g = lap.matrix - np.kron(np.eye(5), sf.omega_matrix(0.4, 2)) + 0.02 * np.eye(10)
+        else:
+            lap, steps = sf.build_cube(), 2000
+            g = lap.matrix - np.kron(np.eye(8), sf.omega_matrix([0.2, -0.1, 0.3], 3)) + 0.01 * np.eye(24)
+        c0 = np.random.default_rng(33).uniform(-2, 2, g.shape[0])
+        states = sf.propagate_linear(c0, [(g, steps)], 0.04, steps)
+        y = c0
+        for k in range(steps):
+            y = sf.rk4_step(lambda t, x: -(g @ x), k * 0.04, y, 0.04)
+            assert np.abs(states[k + 1] - y).max() <= 1e-12 * np.abs(states).max()
+
+    def test_block_size_follows_count_and_dim(self, path_system, monkeypatch):
+        # blocks of min(256, count // dim) steps; a segment under 2·dim steps runs the stage
+        # loop and reproduces rk4_step bitwise from wherever the block path left it
+        _, _, lap, _ = path_system(5)
+        g2 = lap.matrix + 0.3 * np.kron(np.eye(5), sf.omega_matrix(1.0, 2))
+        g3 = lap.matrix + 0.05 * np.eye(10)
+        blocks = []
+        power_steps = sf.dynamics._power_steps
+        monkeypatch.setattr(sf.dynamics, "_power_steps",
+                            lambda out, k, count, d, block: blocks.append(block) or power_steps(out, k, count, d, block))
+        c0 = np.random.default_rng(34).uniform(-2, 2, 10)
+        segments = [(lap.matrix, 137), (g2, 19), (g3, 2900)]
+        states = sf.propagate_linear(c0, iter(segments), 0.05, 3056)
+        assert blocks == [13, 256]
+        y, k = c0, 0
+        for g, count in segments:
+            if count < 20:
+                y = states[k]
+            for _ in range(count):
+                y = sf.rk4_step(lambda t, x, g=g: -(g @ x), k * 0.05, y, 0.05)
+                k += 1
+                if count < 20:
+                    assert np.array_equal(states[k], y)
+                else:
+                    assert np.abs(states[k] - y).max() <= 1e-12 * np.abs(states).max()
+
     def test_step_counts_must_add_up(self, path_system):
         _, _, lap, _ = path_system(3)
         with pytest.raises(ValueError, match="segments hold 7 steps, expected 12"):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symform as sf
-from conftest import path_eigenvalues, slowest_rate
+from conftest import path_eigenvalues, random_tree, random_tree_cases, slowest_rate
 from symform import checks, cli, topology
 
 
@@ -143,15 +143,6 @@ class TestSpectrum:
         assert lap.spectrum is spec
 
 
-def random_tree(n: int, cut: int, shifts: list[int], flips: list[bool]) -> sf.InteractionGraph:
-    """C_n without its edge (cut, cut + 1), each kept edge with its own shift and orientation."""
-    edges = []
-    for k, (i, j) in enumerate(e for e in sf.CycleGraph(n).edges if e[0] != cut):
-        g = sf.CyclicAutomorphism(n, shifts[k])
-        edges.append((j, i, g) if flips[k] else (i, j, g))
-    return sf.InteractionGraph(n=n, edges=tuple(edges))
-
-
 def assert_gauge_spectrum_matches_dense(lap) -> None:
     """The gauge spectrum of a system against one dense eigendecomposition of its matrix."""
     gauge, dense = lap.spectrum, sf.spectrum(lap.matrix)
@@ -164,10 +155,7 @@ def assert_gauge_spectrum_matches_dense(lap) -> None:
 
 class TestGaugeSpectrum:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(3, 40).flatmap(lambda n: st.tuples(
-        st.just(n), st.integers(1, n),
-        st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1),
-        st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))))
+    @given(random_tree_cases(40))
     def test_random_trees_match_dense_route(self, case):
         n, cut, shifts, flips = case
         assert_gauge_spectrum_matches_dense(sf.build_laplacian(random_tree(n, cut, shifts, flips), sf.assignment(n)))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symform as sf
+from conftest import random_tree, random_tree_cases
 from symform import cli
 
 
@@ -338,6 +339,17 @@ class TestSimulateManeuver:
             assert g is not lap.matrix
             k += count
         assert k == path.times.size - 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_tree_cases(24), st.floats(-3.0, 3.0), st.floats(-0.5, 0.5), st.floats(0.01, 0.45))
+    def test_planar_gains_match_dense_eigenvalues(self, case, omega, alpha, dt):
+        # λ + iω from the tree spectrum gives the RK4 gains of a dense eigvals of Q - I⊗Ω
+        lap = sf.build_laplacian(random_tree(*case), sf.assignment(case[0]))
+        gauge = sf.maneuver._rotating_eigenvalues(lap.matrix, lap.spectrum, omega, 2)
+        dense = np.linalg.eigvals(sf.maneuver._segment_operator(lap.matrix, omega, 0.0, 2))
+        shift = max(-alpha, 0.0)
+        gains = [np.sort(sf.maneuver._rk4_gain(-dt * (mu + shift))) for mu in (gauge, dense)]
+        assert np.abs(gains[0] - gains[1]).max() <= 1e-12
 
     @pytest.mark.parametrize("name", ("maneuver_c6", "cube"))
     def test_matches_world_coordinate_rk4(self, name):

@@ -446,6 +446,19 @@ class TestMainExitCodes:
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_overflow_inside_a_block(self, tmp_path, capsys):
+        # the frame grows by e^(100 t) from scale 1e-300, so the reference stays finite while
+        # the shifted states overflow at step 713, inside a block of 83 steps (1,000 steps, dim 12)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"name": "grow", "n": 6, "dt": 0.01, "horizon": 10, "reference": {
+            "start": {"scale": 1e-300}, "scale_rate": [[0, 100]]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == ("numerical failure: maneuver: states is not finite from step 713 "
+                                           "(t = 7.13); the run overflowed\n")
+        assert not (tmp_path / "out").exists()
+
     def test_run_seed_override_changes_start(self, tmp_path):
         cli.main(["run", "example2_c4", "--horizon", "0.5", "--seed", "1",
                   "--out", str(tmp_path / "a")])
@@ -773,6 +786,24 @@ class TestOversizedRun:
         finally:
             tracemalloc.stop()
         assert peak <= dynamics.BUILD_DENSE_MATRICES * (2 * n) ** 2 * 8
+
+    @pytest.mark.parametrize("scenario", ["maneuver_c6", {"n": 16}], ids=["maneuver_c6", "planar_n16"])
+    def test_block_path_peak_within_estimate(self, scenario):
+        # a long run stacks powers of its step matrix, never more floats than its share of
+        # the states array, so its peak stays within the trace and build estimates
+        scn = cli.load_scenario(scenario) if isinstance(scenario, str) else cli.parse_scenario(scenario)
+        lap = cli.build_system(scn)
+        dn = lap.n * lap.dim
+        _, _, steps = dynamics.resolve_grid(lap.spectrum, scn.dt, scn.horizon)
+        del lap
+        tracemalloc.start()
+        try:
+            cli.run_scenario(scn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row_bytes = dynamics.TRACE_ROW_BYTES_PER_COORD * dn + dynamics.TRACE_ROW_BYTES_FIXED
+        assert peak <= (steps + 1) * row_bytes + dynamics.BUILD_DENSE_MATRICES * dn ** 2 * 8
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_verify_and_sweep_share_the_build_bound(self, tmp_path, capsys, monkeypatch, command):

@@ -41,3 +41,24 @@ def test_snapshot_outputs(tmp_path):
     log = (tmp_path / "log.txt").read_text()
     assert log.count("\nexit 0\n") == 12 and str(tmp_path) not in log
     assert (tmp_path / "sweep" / "sweep.json").is_file()
+
+
+def test_compare_snapshots(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, states, potential, rate in ((a, "2,-4", 8, -0.5), (b, "2,-4.000000001", 8.0000001, -0.25)):
+        (root / "runs" / "x").mkdir(parents=True)
+        (root / "runs" / "x" / "trace.csv").write_text(
+            f"t,p1_x,p1_y,err_1_2,potential\n0,1,-1,0.5,{potential}\n1,{states},0.25,0.5\n")
+        (root / "runs" / "x" / "metrics.json").write_text(
+            f'{{"fitted_rate": {rate}, "steps": 1, "checks": {{"psd": true}}, "spectrum": [1, 3]}}')
+        (root / "runs" / "x" / "paths.svg").write_text("<svg/>")
+    result = run_script("compare_snapshots.py", str(a), str(b))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "runs/x/metrics.json: fitted_rate 0.5, 3 numbers unchanged",
+        "runs/x/paths.svg: identical",
+        "runs/x/trace.csv: t 0, p 2.5e-10, err 0, potential 1.2e-08",
+    ]
+    (b / "runs" / "x" / "errors.svg").write_text("<svg/>")
+    result = run_script("compare_snapshots.py", str(a), str(b))
+    assert result.returncode == 1 and "runs/x/errors.svg: only in B" in result.stdout
