@@ -9,10 +9,15 @@ For every file of the two trees A and B it prints one line:
   largest max |B - A| / max |A| over its columns;
 - a JSON file (``metrics.json``, ``sweep.json``): the relative change
   |B - A| / |A| of each number that differs, and how many did not;
+- an SVG file: the largest distance, in px, from a vertex of one of A's
+  polylines to the polyline of B in the same place, pairing the
+  ``<polyline>`` elements in order;
 - any other file: ``identical`` or ``differs``.
 
-A file in one tree only, or a CSV whose header or row count differs, is
-named and makes the exit status 1. Usage:
+A file in one tree only, a CSV whose header or row count differs, or an SVG
+whose lines other than polyline points differ or whose polylines lie more
+than ``POLYLINE_TOL_PX`` = 0.5 px apart is named and makes the exit status
+1. Usage:
 
     python scripts/compare_snapshots.py /tmp/old /tmp/new
 """
@@ -25,6 +30,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+POLYLINE_TOL_PX = 0.5  # how far a vertex of A may lie from B's polyline
+_POLYLINE = re.compile(r'<polyline points="([^"]*)"(.*)')
+_PAIRS_PER_BLOCK = 2**18  # vertex-segment pairs measured with one set of array operations
 
 
 def _ratio(delta: float, scale: float) -> float:
@@ -51,6 +60,80 @@ def csv_drift(a: Path, b: Path) -> dict[str, float]:
     return drift
 
 
+def _vertices(points: str) -> np.ndarray:
+    return np.array(points.replace(",", " ").split(), dtype=float).reshape(-1, 2)
+
+
+def _segment_distance(px, py, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Distance from points (px, py) to segments start-end ((..., 2) arrays), broadcasting."""
+    dx, dy = end[..., 0] - start[..., 0], end[..., 1] - start[..., 1]
+    rx, ry = px - start[..., 0], py - start[..., 1]
+    # a zero-length segment has rx * dx + ry * dy = 0, so t = 0 and its start is measured
+    t = np.clip((rx * dx + ry * dy) / np.maximum(dx * dx + dy * dy, 1e-300), 0.0, 1.0)
+    return np.hypot(rx - t * dx, ry - t * dy)
+
+
+def _bracket_bounds(a: np.ndarray, b: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """An upper bound on each vertex's distance from ``a`` to ``b``.
+
+    When ``b`` keeps a subsequence of ``a``'s vertices, a vertex is measured to
+    the segment of ``b`` between the kept vertices around it; otherwise no
+    vertex is bounded (inf).
+    """
+    kept, i, rows = [], 0, a.tolist()
+    for vertex in b.tolist():
+        while i < len(rows) and rows[i] != vertex:
+            i += 1
+        if i == len(rows):
+            return np.full(len(a), np.inf)
+        kept.append(i)
+        i += 1
+    seg = np.clip(np.searchsorted(kept, np.arange(len(a)), side="right") - 1, 0, len(start) - 1)
+    return _segment_distance(a[:, 0], a[:, 1], start[seg], end[seg])
+
+
+def vertex_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest distance from a vertex of polyline ``a`` to polyline ``b`` (both (k, 2)).
+
+    Vertices are measured against every segment of ``b`` in order of their
+    :func:`_bracket_bounds`, largest first, until no bound left exceeds the
+    largest distance found, so a ``b`` that drops vertices of ``a`` costs a
+    few blocks and any other ``b`` costs every vertex-segment pair.
+    """
+    start, end = (b[:-1], b[1:]) if len(b) > 1 else (b, b)
+    bound = _bracket_bounds(a, b, start, end)
+    order = np.argsort(-bound, kind="stable")
+    step = max(1, _PAIRS_PER_BLOCK // len(start))
+    worst = 0.0
+    for lo in range(0, len(a), step):
+        block = order[lo:lo + step]
+        if bound[block[0]] <= worst:
+            break
+        dist = _segment_distance(a[block, :1], a[block, 1:], start, end)
+        worst = max(worst, float(dist.min(axis=1).max()))
+    return worst
+
+
+def svg_drift(a: Path, b: Path) -> float:
+    """Largest :func:`vertex_distance` over the polylines of two SVGs paired in order."""
+    split = []
+    for path in (a, b):
+        lines = path.read_text().split("\n")
+        split.append(([m.groups() for m in map(_POLYLINE.match, lines) if m],
+                      [ln for ln in lines if not _POLYLINE.match(ln)]))
+    (lines_a, rest_a), (lines_b, rest_b) = split
+    if rest_a != rest_b:
+        raise ValueError("lines other than polylines differ")
+    if len(lines_a) != len(lines_b):
+        raise ValueError(f"polyline counts differ: {len(lines_a)} and {len(lines_b)}")
+    worst = 0.0
+    for k, ((pts_a, attrs_a), (pts_b, attrs_b)) in enumerate(zip(lines_a, lines_b)):
+        if attrs_a != attrs_b:
+            raise ValueError(f"attributes of polyline {k} differ")
+        worst = max(worst, vertex_distance(_vertices(pts_a), _vertices(pts_b)))
+    return worst
+
+
 def _numbers(value, key: str = "") -> dict[str, float]:
     """Every non-boolean number in a JSON value, keyed by its dotted path."""
     if isinstance(value, dict):
@@ -73,7 +156,8 @@ def json_drift(a: Path, b: Path) -> tuple[dict[str, float], int]:
 
 
 def compare(a: Path, b: Path) -> tuple[list[str], bool]:
-    """One report line per file of the two trees, and whether their structure matches."""
+    """One report line per file of the two trees, and whether their structure matches
+    and their SVG polylines lie within ``POLYLINE_TOL_PX`` of each other."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
     lines, ok = [], True
@@ -94,6 +178,12 @@ def compare(a: Path, b: Path) -> tuple[list[str], bool]:
                 changed, same = json_drift(fa, fb)
                 parts = [f"{k} {r:.2g}" for k, r in changed.items()] + [f"{same} numbers unchanged"]
                 lines.append(f"{rel}: " + ", ".join(parts))
+            elif rel.suffix == ".svg":
+                drift = svg_drift(fa, fb)
+                lines.append(f"{rel}: polyline {drift:.3g} px")
+                if drift > POLYLINE_TOL_PX:
+                    lines[-1] += f" exceeds {POLYLINE_TOL_PX} px"
+                    ok = False
             else:
                 lines.append(f"{rel}: differs")
         except ValueError as exc:

@@ -2,13 +2,14 @@
 """Write a byte-comparable snapshot of symform's outputs into OUT.
 
 Every command goes through ``symform.cli.main``: ``run`` of each bundled
-preset and of three fixed scenarios (a planar n = 600 run, a planar maneuver
-of 20 runs of constant input and a cube maneuver, both maneuvers with
-negative scale rates), ``verify`` of each preset, and ``sweep --n-from 3
---n-to 30``. The run files land in OUT/runs and OUT/sweep, with
-``runtime_seconds`` dropped from each metrics.json; each command's exit
-code, stdout and stderr go to OUT/log.txt. Two snapshots, say of two
-checkouts, are compared with ``diff -r``:
+preset and of four fixed scenarios (a planar n = 600 run, a planar n = 16 run
+on the default grid, whose SVGs are the largest the benchmark's ``flow``
+workload writes, a planar maneuver of 20 runs of constant input and a cube
+maneuver, both maneuvers with negative scale rates), ``verify`` of each
+preset, and ``sweep --n-from 3 --n-to 30``. The run files land in OUT/runs
+and OUT/sweep, with ``runtime_seconds`` dropped from each metrics.json; each
+command's exit code, stdout and stderr go to OUT/log.txt. Two snapshots, say
+of two checkouts, are compared with ``diff -r``:
 
     PYTHONPATH=src python scripts/snapshot_outputs.py /tmp/new
     PYTHONPATH=../other/src python scripts/snapshot_outputs.py /tmp/old
@@ -29,6 +30,7 @@ PRESETS = ("example2_c4", "example3_c6", "maneuver_c6", "cube")
 TIMES = [2.0 * k for k in range(20)]
 SCENARIOS = {
     "planar_n600": {"n": 600, "horizon": 5.0},
+    "planar_n16": {"n": 16},
     "maneuver_20_runs": {
         "n": 12, "dt": 0.02, "horizon": 45.0,
         "reference": {

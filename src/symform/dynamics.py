@@ -12,8 +12,10 @@ from .laplacian import NumericFailure, Spectrum, SymmetryLaplacian, WeightedEdge
 from .symgroup import PointGroupAssignment
 from .topology import InteractionGraph, weighted_edges
 
-# error magnitudes below this are float noise; rate fits stop here
-UNDERFLOW_FLOOR = 1e-14
+UNDERFLOW_FLOOR = 1e-14  # error magnitudes below this are float noise
+# Rate fits stop two decades above the noise: below 1e-12 the total error of a
+# converged run carries rounding, and the fitted slope follows its last bits.
+FIT_FLOOR = 100 * UNDERFLOW_FLOOR
 
 DEFAULT_STEP_FACTOR = 0.5     # dt = 0.5 / lambda_max
 DEFAULT_HORIZON_FACTOR = 40.0  # T = 40 / lambda_min_pos
@@ -337,20 +339,23 @@ def integrate(
 def fit_rate(trace: SimulationTrace) -> float:
     """Least-squares slope of log total error over the tail of a trace.
 
-    The fit window is the final third of the pre-underflow region (total
-    error above 1e-14); with no underflow that is the final third of the
-    trace. Raises ValueError when the error never rises above float noise
-    (e.g. a start already inside the constraint set).
+    The fit window is the final third of the samples up to the last one whose
+    total error is above ``FIT_FLOOR`` (1e-12, two decades above the 1e-14
+    underflow floor, so the window stays clear of rounding noise), less any
+    sample at or below that floor; when the error never falls below it, the
+    window is the final third of the trace. Raises ValueError when the error
+    never rises above the fit floor (e.g. a start already inside the
+    constraint set).
     """
     total = trace.total_errors
-    valid = np.nonzero(total > UNDERFLOW_FLOOR)[0]
+    valid = np.nonzero(total > FIT_FLOOR)[0]
     if valid.size < 2:
-        raise ValueError("total error is below the underflow floor; nothing to fit")
+        raise ValueError("total error stays within two decades of the underflow floor; nothing to fit")
     last = valid[-1]
     lo = (2 * last) // 3
     window = np.arange(lo, last + 1)
-    window = window[total[window] > UNDERFLOW_FLOOR]
+    window = window[total[window] > FIT_FLOOR]
     if window.size < 2:
-        raise ValueError("fewer than two points above the underflow floor in the fit window")
+        raise ValueError("fewer than two points above the fit floor in the fit window")
     slope = np.polyfit(trace.times[window], np.log(total[window]), 1)[0]
     return float(slope)

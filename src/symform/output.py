@@ -118,6 +118,10 @@ def write_metrics_json(metrics: dict, path: str | Path) -> None:
 
 _W, _H = 720, 520
 _ML, _MR, _MT, _MB = 64, 16, 36, 44
+# Polyline cell size in px: a vertex whose cell equals its predecessor's is
+# dropped. The cell diagonal, 0.35 * sqrt(2) = 0.495 px, bounds the distance
+# from every point of the full line to the drawn one.
+_CELL_PX = 0.35
 
 
 def _scale(lo: float, hi: float) -> tuple[float, float]:
@@ -186,6 +190,31 @@ def _polyline(xs, ys, sx, sy, color: str, width: float = 1.5, dash: str | None =
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"{extra}/>'
 
 
+def _keep_mask(px: NDArray[np.float64], py: NDArray[np.float64]) -> NDArray[np.bool_]:
+    """Which points of each series (column) a plot draws.
+
+    ``px`` and ``py`` are pixel coordinates, one row per sample, broadcasting
+    to one (samples, series) shape. A series keeps its first and last points
+    and every point whose _CELL_PX cell differs from its predecessor's.
+    """
+    cx, cy = np.floor(px / _CELL_PX), np.floor(py / _CELL_PX)
+    keep = np.ones(np.broadcast_shapes(px.shape, py.shape), dtype=bool)
+    keep[1:-1] = (cx[1:-1] != cx[:-2]) | (cy[1:-1] != cy[:-2])
+    return keep
+
+
+def _kept_series(xs: NDArray[np.float64], ys: NDArray[np.float64],
+                 keep: NDArray[np.bool_]) -> list[tuple[NDArray[np.float64], NDArray[np.float64]]]:
+    """The kept (x, y) values of each series (column).
+
+    One gather per plot: a boolean index per series would cost a plot of
+    many short series (a planar n = 600 run draws 1,199) more than it saves.
+    """
+    ends = np.cumsum(keep.sum(axis=0)).tolist()
+    xk, yk = xs.T[keep.T], ys.T[keep.T]
+    return [(xk[lo:hi], yk[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)]
+
+
 def _project(states: NDArray[np.float64], n: int, dim: int) -> NDArray[np.float64]:
     """Per-agent plane coordinates; 3-D points drop to an oblique projection."""
     pts = states.reshape(states.shape[0], n, dim)
@@ -198,23 +227,27 @@ def _project(states: NDArray[np.float64], n: int, dim: int) -> NDArray[np.float6
 
 
 def svg_paths(trace: SimulationTrace, title: str = "agent paths") -> str:
-    """Trajectories per agent with start squares and end dots."""
+    """Trajectories per agent with start squares and end dots.
+
+    Each path draws only the points :func:`_keep_mask` keeps; the CSV holds every step.
+    """
     proj = _project(trace.states, trace.n, trace.dim)
-    ref = None
-    if isinstance(trace, ManeuverTrace):
-        ref = _project(trace.ref_positions, 1, trace.dim)[:, 0, :]
-    all_x = proj[..., 0].ravel() if ref is None else np.concatenate([proj[..., 0].ravel(), ref[:, 0]])
-    all_y = proj[..., 1].ravel() if ref is None else np.concatenate([proj[..., 1].ravel(), ref[:, 1]])
-    xlo, xhi = _scale(float(all_x.min()), float(all_x.max()))
-    ylo, yhi = _scale(float(all_y.min()), float(all_y.max()))
+    has_ref = isinstance(trace, ManeuverTrace)
+    if has_ref:  # the reference path is series 0, the agents follow it
+        proj = np.concatenate([_project(trace.ref_positions, 1, trace.dim), proj], axis=1)
+    xs, ys = proj[..., 0], proj[..., 1]
+    xlo, xhi = _scale(float(xs.min()), float(xs.max()))
+    ylo, yhi = _scale(float(ys.min()), float(ys.max()))
     parts, sx, sy = _frame(title, "x", "y", xlo, xhi, ylo, yhi)
-    if ref is not None:
-        parts.append(_polyline(ref[:, 0], ref[:, 1], sx, sy, "#999999", 1.2, dash="6 4"))
+    series = _kept_series(xs, ys, _keep_mask(sx(xs), sy(ys)))
+    if has_ref:
+        parts.append(_polyline(*series[0], sx, sy, "#999999", 1.2, dash="6 4"))
     for i in range(trace.n):
+        j = i + has_ref
         color = PALETTE[i % len(PALETTE)]
-        parts.append(_polyline(proj[:, i, 0], proj[:, i, 1], sx, sy, color))
-        x0, y0 = sx(proj[0, i, 0]), sy(proj[0, i, 1])
-        x1, y1 = sx(proj[-1, i, 0]), sy(proj[-1, i, 1])
+        parts.append(_polyline(*series[j], sx, sy, color))
+        x0, y0 = sx(xs[0, j]), sy(ys[0, j])
+        x1, y1 = sx(xs[-1, j]), sy(ys[-1, j])
         parts.append(f'<rect x="{x0 - 3:.2f}" y="{y0 - 3:.2f}" width="6" height="6" fill="{color}"/>')
         parts.append(f'<circle cx="{x1:.2f}" cy="{y1:.2f}" r="4" fill="{color}"/>')
     parts.append("</svg>")
@@ -222,12 +255,17 @@ def svg_paths(trace: SimulationTrace, title: str = "agent paths") -> str:
 
 
 def svg_errors(trace: SimulationTrace, title: str = "edge errors") -> str:
-    """Per-edge constraint violations on a log10 scale."""
+    """Per-edge constraint violations on a log10 scale.
+
+    Each series draws only the points :func:`_keep_mask` keeps; the CSV holds every step.
+    """
     logs = np.log10(np.maximum(trace.edge_errors, LOG_FLOOR))
     xlo, xhi = _scale(float(trace.times[0]), float(trace.times[-1]))
     ylo, yhi = _scale(float(logs.min()), float(logs.max()))
     parts, sx, sy = _frame(title, "t", "log10 edge error", xlo, xhi, ylo, yhi)
-    for e in range(trace.edge_errors.shape[1]):
-        parts.append(_polyline(trace.times, logs[:, e], sx, sy, PALETTE[e % len(PALETTE)], 1.2))
+    times = np.broadcast_to(trace.times[:, None], logs.shape)
+    series = _kept_series(times, logs, _keep_mask(sx(trace.times)[:, None], sy(logs)))
+    for e, (ts, ls) in enumerate(series):
+        parts.append(_polyline(ts, ls, sx, sy, PALETTE[e % len(PALETTE)], 1.2))
     parts.append("</svg>")
     return "\n".join(parts)

@@ -131,6 +131,68 @@ class TestSvg:
         ET.fromstring(output.svg_errors(trace))
 
 
+@st.composite
+def walks(draw):
+    """1 to 2,000 points of a random walk: repeated points, a stationary tail, any scale."""
+    size = draw(st.integers(1, 2000))
+    scale = 10.0 ** draw(st.floats(-6, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    steps = rng.standard_normal((size, 2)) * scale
+    steps[rng.random(size) < draw(st.floats(0, 0.9))] = 0.0
+    tail = draw(st.integers(0, size))
+    steps[size - tail:] *= draw(st.sampled_from([0.0, 0.99, 0.999])) ** np.arange(1, tail + 1)[:, None]
+    return rng.uniform(-1, 1, 2) * scale * draw(st.sampled_from([0, 1, 1e3])) + np.cumsum(steps, axis=0)
+
+
+class TestDecimation:
+    @given(walks())
+    @settings(max_examples=150, deadline=None)
+    def test_kept_polyline_within_half_pixel(self, pts):
+        xs, ys = pts.T
+        xlo, xhi = output._scale(float(xs.min()), float(xs.max()))
+        ylo, yhi = output._scale(float(ys.min()), float(ys.max()))
+        _, sx, sy = output._frame("t", "x", "y", xlo, xhi, ylo, yhi)
+        px, py = sx(xs), sy(ys)
+        keep = output._keep_mask(px, py)
+        assert keep[0] and keep[-1]
+        # points 0.5 px or more from their predecessor cannot share its cell
+        assert keep[1:][np.hypot(np.diff(px), np.diff(py)) >= 0.5].all()
+        # each dropped vertex against the kept segment around it bounds its
+        # distance to the kept polyline
+        kept = np.flatnonzero(keep)
+        dropped = np.flatnonzero(~keep)
+        seg = np.searchsorted(kept, dropped) - 1
+        a, b = kept[seg], kept[seg + 1]
+        dx, dy = px[b] - px[a], py[b] - py[a]
+        rx, ry = px[dropped] - px[a], py[dropped] - py[a]
+        t = np.clip((rx * dx + ry * dy) / np.maximum(dx * dx + dy * dy, 1e-300), 0.0, 1.0)
+        assert (np.hypot(rx - t * dx, ry - t * dy) <= 0.5).all()
+
+    def test_spread_series_keeps_every_point(self):
+        # wide's edge errors: 41 samples 16 px apart in x
+        trace = sf.integrate(sf.build_laplacian(sf.cycle_minus_edge(8, (8, 1)), sf.assignment(8)),
+                             np.random.default_rng(1).uniform(-2, 2, 16), dt=0.125, horizon=5.0)
+        points = [ln.split('"')[1].split() for ln in output.svg_errors(trace).splitlines()
+                  if ln.startswith("<polyline")]
+        assert [len(p) for p in points] == [41] * 7
+
+    def test_flow_n16_paths_keep_few_points(self):
+        trace, _, _ = cli.run_scenario(cli.parse_scenario({"name": "flow_n16", "n": 16}))
+        root = ET.fromstring(output.svg_paths(trace))
+        tag = lambda name: root.findall(f"{{http://www.w3.org/2000/svg}}{name}")  # noqa: E731
+        points = [line.get("points").split() for line in tag("polyline")]
+        assert sum(map(len, points)) <= 0.05 * trace.times.size * trace.n
+        pts = trace.states.reshape(trace.times.size, trace.n, 2)
+        xlo, xhi = output._scale(float(pts[..., 0].min()), float(pts[..., 0].max()))
+        ylo, yhi = output._scale(float(pts[..., 1].min()), float(pts[..., 1].max()))
+        _, sx, sy = output._frame("t", "x", "y", xlo, xhi, ylo, yhi)
+        for i, (line, rect, dot) in enumerate(zip(points, tag("rect")[2:], tag("circle"))):
+            (x0, y0), (x1, y1) = (sx(pts[0, i, 0]), sy(pts[0, i, 1])), (sx(pts[-1, i, 0]), sy(pts[-1, i, 1]))
+            assert (line[0], line[-1]) == (f"{x0:.2f},{y0:.2f}", f"{x1:.2f},{y1:.2f}")
+            assert (rect.get("x"), rect.get("y")) == (f"{x0 - 3:.2f}", f"{y0 - 3:.2f}")
+            assert (dot.get("cx"), dot.get("cy")) == (f"{x1:.2f}", f"{y1:.2f}")
+
+
 class TestParseScenario:
     def test_minimal_planar_defaults(self):
         scn = cli.parse_scenario({"n": 4})

@@ -36,10 +36,10 @@ def test_snapshot_outputs(tmp_path):
     runs = tmp_path / "runs"
     assert sorted(p.name for p in runs.iterdir()) == [
         "cube", "cube_maneuver", "example2_c4", "example3_c6", "maneuver_20_runs", "maneuver_c6",
-        "planar_n600"]
+        "planar_n16", "planar_n600"]
     assert all("runtime_seconds" not in p.read_text() for p in runs.glob("*/metrics.json"))
     log = (tmp_path / "log.txt").read_text()
-    assert log.count("\nexit 0\n") == 12 and str(tmp_path) not in log
+    assert log.count("\nexit 0\n") == 13 and str(tmp_path) not in log
     assert (tmp_path / "sweep" / "sweep.json").is_file()
 
 
@@ -62,3 +62,29 @@ def test_compare_snapshots(tmp_path):
     (b / "runs" / "x" / "errors.svg").write_text("<svg/>")
     result = run_script("compare_snapshots.py", str(a), str(b))
     assert result.returncode == 1 and "runs/x/errors.svg: only in B" in result.stdout
+
+
+def svg(*polylines: str) -> str:
+    lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="720" height="520">']
+    lines += [f'<polyline points="{pts}" fill="none" stroke="#123456" stroke-width="1.5"/>'
+              for pts in polylines]
+    return "\n".join(lines + ['<circle cx="3.00" cy="4.00" r="4"/>', "</svg>"])
+
+
+def test_compare_snapshots_svg(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    (a / "paths.svg").write_text(svg("0.00,0.00 1.00,0.30 2.00,0.00 3.00,4.00", "5.00,5.00"))
+    # dropping (1.00, 0.30) leaves it 0.3 px from the segment (0, 0)-(2, 0)
+    (b / "paths.svg").write_text(svg("0.00,0.00 2.00,0.00 3.00,4.00", "5.00,5.00"))
+    result = run_script("compare_snapshots.py", str(a), str(b))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["paths.svg: polyline 0.3 px"]
+    (b / "paths.svg").write_text(svg("0.00,0.00 2.00,0.00 3.00,4.00", "5.00,5.60"))
+    result = run_script("compare_snapshots.py", str(a), str(b))
+    assert result.returncode == 1
+    assert result.stdout.splitlines() == ["paths.svg: polyline 0.6 px exceeds 0.5 px"]
+    (b / "paths.svg").write_text(svg("0.00,0.00 1.00,0.30 2.00,0.00 3.00,4.00"))
+    result = run_script("compare_snapshots.py", str(a), str(b))
+    assert result.returncode == 1
+    assert result.stdout.splitlines() == ["paths.svg: polyline counts differ: 2 and 1"]
