@@ -2,10 +2,12 @@
 """Write a byte-comparable snapshot of symform's outputs into OUT.
 
 Every command goes through ``symform.cli.main``: ``run`` of each bundled
-preset and of four fixed scenarios (a planar n = 600 run, a planar n = 16 run
+preset and of five fixed scenarios (a planar n = 600 run, a planar n = 16 run
 on the default grid, whose SVGs are the largest the benchmark's ``flow``
-workload writes, a planar maneuver of 20 runs of constant input and a cube
-maneuver, both maneuvers with negative scale rates), ``verify`` of each
+workload writes, a planar maneuver of 20 runs of constant input, a planar
+n = 64 maneuver whose two runs of constant nonzero angular velocity are long
+enough (200 steps each, at least 2n) for the complex block path, and a cube
+maneuver, all three maneuvers with negative scale rates), ``verify`` of each
 preset, and ``sweep --n-from 3 --n-to 30``. The run files land in OUT/runs
 and OUT/sweep, with ``runtime_seconds`` dropped from each metrics.json; each
 command's exit code, stdout and stderr go to OUT/log.txt. Two snapshots, say
@@ -39,6 +41,10 @@ SCENARIOS = {
             "angular_velocity": [[t, 0.05 * (k % 5) - 0.1] for k, t in enumerate(TIMES)],
             "scale_rate": [[t, 0.004 * (k % 3) - 0.006] for k, t in enumerate(TIMES)],
         },
+    },
+    "maneuver_n64": {
+        "n": 64, "dt": 0.1, "horizon": 40,
+        "reference": {"angular_velocity": [[0, 0.2], [20, -0.1]], "scale_rate": [[0, -0.005]]},
     },
     "cube_maneuver": {
         "formation": "cube", "dt": 0.03, "horizon": 60.0,

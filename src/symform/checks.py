@@ -9,7 +9,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import dynamics, laplacian
-from .laplacian import SYMMETRY_TOL, Route, Spectrum
+from .laplacian import SYMMETRY_TOL, Gap, Route, Spectrum
 
 ROUTE_TOL = 1e-12     # max |Q - M| for an independent construction route M
 NULL_TOL = 1e-10      # max |Q V0| for the null basis V0
@@ -32,12 +32,14 @@ def _tol(tol: float) -> str:
     return f"{mantissa}e{int(exponent)}"
 
 
-def structure_checks(q: NDArray[np.float64], spec: Spectrum, n: int, dim: int, null_matrix: NDArray[np.float64],
-                     routes: Sequence[Route]) -> list[CheckResult]:
-    """PSD, rank dn - d with a d-dimensional null space, agreement with each (name, label,
-    matrix) construction route, and Q V0 = 0. ``spec`` is a spectrum of (the symmetric part
-    of) ``q``: eigenvalues below its ``threshold`` are zero.
-    Each eigenvalue of ``q`` lies within ``spec.spread`` of the one reported, so PSD and rank
+def structure_checks(spec: Spectrum, n: int, dim: int, gaps: Sequence[Gap], null_gap: float) -> list[CheckResult]:
+    """PSD, rank dn - d with a d-dimensional null space, agreement with each construction
+    route and Q V0 = 0, from measured values. ``spec`` is a spectrum of (the symmetric
+    part of) Q: eigenvalues below its ``threshold`` are zero. ``gaps`` holds
+    (name, label, max |Q - M|) for each route M and ``null_gap`` is max |Q V0|, measured
+    on dense matrices (:func:`dense_gaps`) or on a tree's blocks
+    (``SymmetryLaplacian.route_gaps`` and ``null_gap``).
+    Each eigenvalue of Q lies within ``spec.spread`` of the one reported, so PSD and rank
     pass only when they hold for every value in that interval."""
     threshold = spec.threshold
     lam, spread = spec.eigenvalues, spec.spread
@@ -49,13 +51,19 @@ def structure_checks(q: NDArray[np.float64], spec: Spectrum, n: int, dim: int, n
                        f"min eigenvalue {min_eig:.3e} (tol -{threshold:.1e})", min_eig),
            CheckResult("rank", surely_null == maybe_null == dim and lam.size - dim == expected,
                        f"rank {spec.rank} null {spec.null_dim} (expected {expected} and {dim})", spec.rank)]
-    for name, label, matrix in routes:
-        gap = laplacian.max_abs_difference(q, matrix)
+    for name, label, gap in gaps:
         out.append(CheckResult(name, gap <= ROUTE_TOL, f"max {label} {gap:.3e} (tol {_tol(ROUTE_TOL)})", gap))
-    null_gap = float(np.abs(q @ null_matrix).max())
     out.append(CheckResult("null_basis", null_gap <= NULL_TOL,
                            f"max |Q V0| = {null_gap:.3e} (tol {_tol(NULL_TOL)})", null_gap))
     return out
+
+
+def dense_gaps(q: NDArray[np.float64], null_matrix: NDArray[np.float64],
+               routes: Sequence[Route]) -> tuple[list[Gap], float]:
+    """(name, label, max |Q - M|) of each (name, label, matrix) route and max |Q V0|, from
+    the dense matrices: the arguments of :func:`structure_checks` for ``verify`` and ``sweep``."""
+    gaps = [(name, label, laplacian.max_abs_difference(q, matrix)) for name, label, matrix in routes]
+    return gaps, float(np.abs(q @ null_matrix).max())
 
 
 def _perturbed_potentials(incidence_matrix: NDArray[np.float64], p: NDArray[np.float64], h: float) -> NDArray[np.float64]:
@@ -87,7 +95,7 @@ def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray
     sym = 0.5 * (q_matrix + q_matrix.T)  # for the spectrum only; asymmetry already reported
     spec = laplacian.spectrum(sym)
     product = ("incidence_product", "|Q - E E^T| =", incidence_matrix @ incidence_matrix.T)
-    out += structure_checks(q_matrix, spec, n, dim, null_matrix, [product, *routes])
+    out += structure_checks(spec, n, dim, *dense_gaps(q_matrix, null_matrix, [product, *routes]))
 
     # gradient of 0.5 ||E^T p||^2 must match Q p (central differences, h = 1e-5)
     h = 1e-5

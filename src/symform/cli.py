@@ -12,7 +12,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import dynamics, laplacian, maneuver, output, spatial3d, symgroup, topology
-from .checks import CheckResult, structure_checks, verification_checks
+from .checks import CheckResult, dense_gaps, structure_checks, verification_checks
 from .laplacian import NumericFailure, SymmetryLaplacian
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 
@@ -28,7 +28,7 @@ def build_system(scn: Scenario) -> SymmetryLaplacian:
     """The scenario's constraint tree as a :class:`SymmetryLaplacian` (``chain`` spans its
     null space, ``routes`` are its independent constructions), rejected before any
     allocation when too large. A planar tree is validated here, once per build."""
-    dynamics.require_build_fits(scn.n, scn.dim)
+    dynamics.require_build_fits(scn.n, scn.dim, dynamics.BUILD_DENSE_MATRICES)
     if scn.formation == "cube":
         return spatial3d.build_cube(scn.cube_spec)
     tau = symgroup.assignment(scn.n)
@@ -81,11 +81,17 @@ def compute_metrics(scn: Scenario, lap: SymmetryLaplacian,
     expected_rate = -spec.lambda_min_pos if spec.lambda_min_pos else None
     rate_gap = (abs(fitted - expected_rate) / abs(expected_rate)
                 if fitted is not None and expected_rate else None)
-    passed = {r.name: r.passed for r in structure_checks(lap.matrix, spec, n, d, lap.chain, lap.routes)}
+    decay = trace.metadata["horizon"] * spec.lambda_min_pos if spec.lambda_min_pos else None
+    rate_note = None
+    if decay is not None and decay < dynamics.RATE_FIT_MIN_DECAY:
+        rate_note = (f"horizon * lambda_min_pos = {decay:.3g} is below {dynamics.RATE_FIT_MIN_DECAY:g}: "
+                     "the slowest mode has barely decayed, so fitted_rate follows faster modes")
+    gaps = lap.route_gaps
+    passed = {r.name: r.passed for r in structure_checks(spec, n, d, gaps, lap.null_gap)}
     checks = {
         "psd": passed["positive_semidefinite"],
         "rank_matches": passed["rank"],
-        "construction_routes_agree": all(passed[name] for name, _, _ in lap.routes),
+        "construction_routes_agree": all(passed[name] for name, _, _ in gaps),
         "null_basis_annihilated": passed["null_basis"],
     }
     return {
@@ -110,6 +116,7 @@ def compute_metrics(scn: Scenario, lap: SymmetryLaplacian,
         "fitted_rate": fitted,
         "expected_rate": expected_rate,
         "fitted_rate_rel_gap": rate_gap,
+        "rate_note": rate_note,
         "zeta_residual": trace.metadata.get("zeta_residual"),
         "checks": checks,
     }
@@ -166,6 +173,7 @@ def _holds_only_run_files(path: Path) -> bool:
 # --------------------------------------------------------------- verification
 
 def verify_scenario(scn: Scenario) -> list[CheckResult]:
+    dynamics.require_build_fits(scn.n, scn.dim, dynamics.VERIFY_DENSE_MATRICES)
     lap = build_system(scn)
     return verification_checks(lap.matrix, lap.incidence, lap.chain, scn.n, scn.dim,
                                routes=lap.routes, seed=scn.seed)
@@ -183,9 +191,8 @@ def sweep_sizes(n_from: int, n_to: int) -> list[dict]:
     for n in range(n_from, n_to + 1):
         lap = build_system(parse_scenario({"n": n}))
         spec = lap.spectrum
-        results = {r.name: r for r in structure_checks(
-            lap.matrix, spec, n, 2, lap.chain,
-            [("incidence_product", "|Q - E E^T| =", laplacian.product_laplacian(lap.incidence))])}
+        product = ("incidence_product", "|Q - E E^T| =", laplacian.product_laplacian(lap.incidence))
+        results = {r.name: r for r in structure_checks(spec, n, 2, *dense_gaps(lap.matrix, lap.chain, [product]))}
         rows.append({
             "n": n, "rank": spec.rank, "null_dim": spec.null_dim,
             "lambda_min_pos": spec.lambda_min_pos, "lambda_max": spec.lambda_max,

@@ -16,6 +16,10 @@ UNDERFLOW_FLOOR = 1e-14  # error magnitudes below this are float noise
 # Rate fits stop two decades above the noise: below 1e-12 the total error of a
 # converged run carries rounding, and the fitted slope follows its last bits.
 FIT_FLOOR = 100 * UNDERFLOW_FLOOR
+# A fitted rate is the slowest mode's only once that mode has decayed: below
+# horizon · λ⁺_min = 1 it has fallen by less than a factor e over the run, and the
+# slope of the total error follows the faster modes.
+RATE_FIT_MIN_DECAY = 1.0
 
 DEFAULT_STEP_FACTOR = 0.5     # dt = 0.5 / lambda_max
 DEFAULT_HORIZON_FACTOR = 40.0  # T = 40 / lambda_min_pos
@@ -28,10 +32,15 @@ MAX_TRACE_BYTES = 512 * 2**20  # largest estimated memory of a run's trace and i
 TRACE_ROW_BYTES_PER_COORD = 96
 TRACE_ROW_BYTES_FIXED = 256
 MAX_BUILD_BYTES = 512 * 2**20  # largest estimated memory of a formation's dense build
-# Estimated dn x dn float64 arrays held while a formation is built and checked:
-# Q, E, the gauge matrix and two temporaries (a maneuver's G, an eigensolver's
-# copy of Q - I⊗Ω, or a route held for comparison).
+# Estimated dn x dn float64 arrays held while ``sweep`` builds and checks a formation:
+# Q, E (half of dn x dn), the gauge matrix and E Eᵀ; a planar n = 300 sweep peaks at
+# 3.5. A run forms none of them (it integrates on the n x n tree Laplacian) but is
+# held to the same bound.
 BUILD_DENSE_MATRICES = 5
+# ``verify`` holds the same arrays while a dense eigh of Q adds its copy, workspace and
+# eigenvectors: a planar n = 300 verify peaks at 7.0 dn x dn arrays (7.27 as a
+# process's first command).
+VERIFY_DENSE_MATRICES = 8
 POWER_STACK_CAP = 256  # most RK4 steps propagate_linear writes with one matrix product
 
 
@@ -124,13 +133,14 @@ def rk4_step(
     return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def require_build_fits(n: int, dim: int) -> None:
-    """Raise ValueError, naming the largest n that fits, when the dense matrices of an
-    n-agent formation in R^dim would exceed ``MAX_BUILD_BYTES``, before any is built."""
+def require_build_fits(n: int, dim: int, matrices: int) -> None:
+    """Raise ValueError, naming the largest n that fits, when ``matrices`` dense dn x dn
+    arrays of an n-agent formation in R^dim would exceed ``MAX_BUILD_BYTES``, before any
+    is built."""
     dn = dim * n
-    build_bytes = BUILD_DENSE_MATRICES * dn * dn * 8
+    build_bytes = matrices * dn * dn * 8
     if build_bytes > MAX_BUILD_BYTES:
-        fit = math.isqrt(MAX_BUILD_BYTES // (BUILD_DENSE_MATRICES * 8)) // dim
+        fit = math.isqrt(MAX_BUILD_BYTES // (matrices * 8)) // dim
         raise ValueError(
             f"n = {n} needs about {build_bytes / 2**20:.1f} MiB for its dense {dn}x{dn} matrices, "
             f"above the {MAX_BUILD_BYTES / 2**20:g} MiB bound (the largest n that fits is {fit})"
@@ -191,13 +201,13 @@ def _rk4_increment(g: NDArray[np.float64], dt: float) -> NDArray[np.float64]:
     return d
 
 
-def _power_steps(out: NDArray[np.float64], k: int, count: int, d: NDArray[np.float64], block: int) -> None:
+def _power_steps(out: NDArray, k: int, count: int, d: NDArray, block: int) -> None:
     """Write rows k+1 … k+count of ``out`` as out[j+1] = out[j] + D out[j], D = P - I.
 
     ``block`` rows go per matrix product with the stack D_1 … D_block, D_j = P^j - I,
     built by doubling (D_(i+j) = D_i D_j + D_i + D_j); the rest go one row at a time."""
-    dn = d.shape[0]
-    stack = np.empty((block, dn, dn))
+    m = d.shape[0]
+    stack = np.empty((block, m, m), dtype=d.dtype)
     stack[0] = d
     have = 1
     while have < block:
@@ -207,30 +217,48 @@ def _power_steps(out: NDArray[np.float64], k: int, count: int, d: NDArray[np.flo
         new += stack[:more]
         new += stack[have - 1]
         have += more
-    stack = stack.reshape(block * dn, dn)
+    stack = stack.reshape(block * m, m)
     end = k + count
     while end - k >= block:
-        out[k + 1:k + block + 1] = (stack @ out[k]).reshape(block, dn) + out[k]
+        out[k + 1:k + block + 1] = (stack @ out[k]).reshape(block, *out.shape[1:]) + out[k]
         k += block
     for k in range(k, end):
         out[k + 1] = out[k] + d @ out[k]
 
 
+def _rows(out: NDArray[np.float64], g: NDArray) -> NDArray:
+    """The rows of ``out`` (steps + 1, dn) that G acts on: flat rows for a dn x dn G,
+    the complex128 view of planar rows (n = dn / 2 points x + iy) for a complex n x n G,
+    and (n, dn / n) rows, G acting on each column, for a real n x n G."""
+    size, m = out.shape[1], g.shape[0]
+    if m == size:
+        return out
+    rows = out.view(np.complex128) if np.iscomplexobj(g) else out.reshape(out.shape[0], m, -1)
+    if rows.shape[1] != m:
+        raise ValueError(f"a {m} x {m} operator does not act on rows of {size} coordinates")
+    return rows
+
+
 def propagate_linear(
     c0: NDArray[np.float64],
-    segments: Iterable[tuple[NDArray[np.float64], int]],
+    segments: Iterable[tuple[NDArray, int]],
     dt: float,
     steps: int,
 ) -> NDArray[np.float64]:
     """Classical RK4 on dc/dt = -G c over consecutive (G, step_count) segments, read once.
 
-    Returns the (steps + 1, dim) array of states, row 0 being ``c0``; the
-    step counts must add up to ``steps``. On a segment RK4 is exactly
-    c_{k+1} = P c_k with P = I + H + H²/2 + H³/6 + H⁴/24, H = -dt G.
+    ``c0`` is a flat state or an (n, d) array of rows; the returned
+    (steps + 1, c0.size) array holds the flat states, row 0 being ``c0``.
+    The step counts must add up to ``steps``. Each segment's G is m x m and
+    acts on the state as :func:`_rows` says: on the flat state when
+    m = c0.size, on the complex128 view of planar (n, 2) rows when G is
+    complex, and on each of the d columns of (n, d) rows otherwise. On a
+    segment RK4 is exactly c_{k+1} = P c_k with
+    P = I + H + H²/2 + H³/6 + H⁴/24, H = -dt G.
 
-    - A segment of at least ``2 * dim`` steps takes the block path: it forms
+    - A segment of at least ``2 * m`` steps takes the block path: it forms
       D = P - I once, stacks D_j = P^j - I for j = 1 … B with
-      B = min(``POWER_STACK_CAP``, step_count // dim), and writes B states
+      B = min(``POWER_STACK_CAP``, step_count // m), and writes B states
       per matrix product, the leftover steps one product each. The stack is
       never larger than the segment's rows of the returned array.
     - A shorter segment takes the stage loop, which uses the operation order
@@ -240,19 +268,19 @@ def propagate_linear(
     Overflow is left to the caller's ``np.errstate``; it shows as
     non-finite states.
     """
-    x = np.array(c0, dtype=float)
-    dn = x.size
-    out = np.empty((steps + 1, dn))
-    out[0] = x
+    c0 = np.asarray(c0, dtype=float)
+    out = np.empty((steps + 1, c0.size))
+    out[0] = c0.ravel()
     half, sixth = dt / 2, dt / 6
     k = 0
     for g, count in segments:
-        block = min(POWER_STACK_CAP, count // dn)
+        rows = _rows(out, g)
+        block = min(POWER_STACK_CAP, count // g.shape[0])
         if block >= 2:
-            _power_steps(out, k, count, _rk4_increment(g, dt), block)
+            _power_steps(rows, k, count, _rk4_increment(g, dt), block)
             k += count
-            x = out[k]
         else:
+            x = rows[k]
             for _ in range(count):
                 k1 = -(g @ x)
                 k2 = -(g @ (x + half * k1))
@@ -260,11 +288,72 @@ def propagate_linear(
                 k4 = -(g @ (x + dt * k3))
                 x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
                 k += 1
-                out[k] = x
+                rows[k] = x
         del g  # released before the next run's G is formed
     if k != steps:
         raise ValueError(f"segments hold {k} steps, expected {steps}")
     return out
+
+
+def _phases(lap: SymmetryLaplacian) -> NDArray[np.complex128]:
+    """The planar chain rotations S_i as unit complex numbers cos θ_i + i sin θ_i."""
+    return lap.chain[0::2, 0] + 1j * lap.chain[1::2, 0]
+
+
+def _to_gauge(lap: SymmetryLaplacian, c: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Gauge rows q_i = S_iᵀ c_i (n x d) of a flat configuration c."""
+    n, d = lap.n, lap.dim
+    if d == 2:  # S_iᵀ rotates by -θ_i
+        z = np.ascontiguousarray(c).view(np.complex128) * _phases(lap).conj()
+        return z.view(np.float64).reshape(n, 2)
+    return np.einsum("nji,nj->ni", lap.chain.reshape(n, d, d), c.reshape(n, d))
+
+
+def _to_world(lap: SymmetryLaplacian, rows: NDArray[np.float64]) -> None:
+    """Rotate gauge rows (steps + 1, dn) into world coordinates c_i = S_i q_i, in place."""
+    n, d = lap.n, lap.dim
+    if d == 2:
+        rows.view(np.complex128)[:] *= _phases(lap)
+        return
+    points = rows.reshape(rows.shape[0], n, d)
+    for i, s in enumerate(lap.chain.reshape(n, d, d)):
+        points[:, i] = points[:, i] @ s.T
+
+
+def _edge_errors(lap: SymmetryLaplacian, rows: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Per-edge errors ‖q_u - q_v‖ of gauge rows (steps + 1, dn) and the potentials.
+
+    Edge (u, v) maps p_u to p_v by W, and S_v = W S_u, so its residual
+    p_u - Wᵀ p_v is S_u (q_u - q_v). The differences come from one product
+    per coordinate with the ±1 n x m tree incidence."""
+    n, d = lap.n, lap.dim
+    ends = np.array(lap.edge_index).reshape(-1, 2) - 1
+    edges = np.arange(len(ends))
+    incidence = np.zeros((n, len(ends)))
+    incidence[ends[:, 0], edges] = 1.0
+    incidence[ends[:, 1], edges] = -1.0
+    points = rows.reshape(rows.shape[0], n, d)
+    squares = sum((points[:, :, j] @ incidence) ** 2 for j in range(d))
+    errors = np.sqrt(squares)
+    return errors, 0.5 * (errors ** 2).sum(axis=1)
+
+
+def _gauge_run(
+    lap: SymmetryLaplacian,
+    c0: NDArray[np.float64],
+    segments: Iterable[tuple[NDArray, int]],
+    dt: float,
+    steps: int,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """RK4 of dc/dt = -G c from ``c0`` in gauge coordinates, each segment's G acting on
+    gauge rows: the (steps + 1, dn) world states (row 0 is ``c0``), the per-edge errors
+    and the potentials. The states are rotated out of the gauge in place, after the
+    errors are taken from them."""
+    rows = propagate_linear(_to_gauge(lap, c0), segments, dt, steps)
+    errors, potentials = _edge_errors(lap, rows)
+    _to_world(lap, rows)
+    rows[0] = c0
+    return rows, errors, potentials
 
 
 def require_finite(stage: str, times: NDArray[np.float64], **arrays: NDArray[np.float64]) -> None:
@@ -279,30 +368,15 @@ def require_finite(stage: str, times: NDArray[np.float64], **arrays: NDArray[np.
             )
 
 
-def _trace_tail(
-    stage: str,
-    lap: SymmetryLaplacian,
-    shifted: NDArray[np.float64],
-    times: NDArray[np.float64],
-    dt: float,
-    horizon: float,
-    metadata: dict | None,
-    **checked: NDArray[np.float64],
-) -> tuple[NDArray[np.float64], NDArray[np.float64], dict]:
-    """Per-edge errors and potentials of the rows of ``shifted``, checked finite after
-    the ``checked`` arrays, and the trace metadata, updated from ``metadata``."""
-    steps = times.size - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = shifted @ lap.incidence
-        errors = np.sqrt((residuals.reshape(steps + 1, -1, lap.dim) ** 2).sum(axis=2))
-        potentials = 0.5 * (errors ** 2).sum(axis=1)
-    require_finite(stage, times, **checked, edge_errors=errors, potentials=potentials)
+def _trace_metadata(lap: SymmetryLaplacian, dt: float, horizon: float, steps: int,
+                    metadata: dict | None) -> dict:
+    """The trace metadata of a run on ``lap``'s grid, updated from ``metadata``."""
     spec = lap.spectrum
     meta = {"dt": dt, "horizon": horizon, "steps": steps, "method": "rk4",
             "lambda_max": spec.lambda_max, "lambda_min_pos": spec.lambda_min_pos}
     if metadata:
         meta.update(metadata)
-    return errors, potentials, meta
+    return meta
 
 
 def integrate(
@@ -314,25 +388,27 @@ def integrate(
 ) -> SimulationTrace:
     """Fixed-step RK4 integration of dp/dt = -Q p.
 
-    Defaults: dt = 0.5/λ_max, horizon = 40/λ⁺_min. Step sizes at or beyond
-    the stability limit raise ValueError with a suggested dt.
+    Runs in gauge coordinates q_i = S_iᵀ p_i, where the flow is dq/dt = -L q
+    on the n x n tree Laplacian, one column per coordinate. Defaults:
+    dt = 0.5/λ_max, horizon = 40/λ⁺_min. Step sizes at or beyond the
+    stability limit raise ValueError with a suggested dt.
     """
-    q = lap.matrix
     p = np.array(p0, dtype=float)
-    if p.shape != (q.shape[0],):
-        raise ValueError(f"initial state has shape {p.shape}, expected ({q.shape[0]},)")
+    dn = lap.n * lap.dim
+    if p.shape != (dn,):
+        raise ValueError(f"initial state has shape {p.shape}, expected ({dn},)")
     spec = lap.spectrum
     dt, horizon, steps = resolve_grid(spec, dt, horizon)
 
     times = np.arange(steps + 1) * dt
     # overflow is reported once, by require_finite, instead of as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        states = propagate_linear(p, [(q, steps)], dt, steps)
-    errors, potentials, meta = _trace_tail("integrate", lap, states, times, dt, horizon, metadata,
-                                           states=states)
+        states, errors, potentials = _gauge_run(lap, p, [(lap.scalar, steps)], dt, steps)
+    require_finite("integrate", times, states=states, edge_errors=errors, potentials=potentials)
     return SimulationTrace(
         times=times, states=states, edge_errors=errors, potentials=potentials,
-        n=lap.n, dim=lap.dim, edge_index=lap.edge_index, metadata=meta,
+        n=lap.n, dim=lap.dim, edge_index=lap.edge_index,
+        metadata=_trace_metadata(lap, dt, horizon, steps, metadata),
     )
 
 

@@ -1,4 +1,4 @@
-"""Constraint trees as arrays (Q, E, the chain, the gauge form) and their spectra."""
+"""Constraint trees as arrays (edge rotations, the chain, the scalar tree Laplacian) and their spectra."""
 from __future__ import annotations
 
 import math
@@ -17,52 +17,100 @@ ROW_BLOCK = 64  # rows per block when two dn x dn matrices are compared
 
 WeightedEdge = tuple[int, int, NDArray[np.float64]]
 Route = tuple[str, str, NDArray[np.float64]]  # (check name, detail label, matrix)
+Gap = tuple[str, str, float]  # (check name, detail label, max |Q - M| for a route M)
 
 
 class NumericFailure(Exception):
     """A linear-algebra routine failed to converge or produced garbage."""
 
 
-def _row_differences(a: NDArray[np.float64], b: NDArray[np.float64]):
-    """a - b, ``ROW_BLOCK`` rows at a time, so two dn x dn matrices are compared
-    without a dn x dn temporary."""
-    for start in range(0, a.shape[0], ROW_BLOCK):
-        yield a[start:start + ROW_BLOCK] - b[start:start + ROW_BLOCK]
-
-
 def max_abs_difference(a: NDArray[np.float64], b: NDArray[np.float64]) -> float:
-    """max |a - b|, formed a block of rows at a time."""
-    return float(np.max([np.abs(block).max() for block in _row_differences(a, b)]))
+    """max |a - b|, formed ``ROW_BLOCK`` rows at a time, so two dn x dn matrices are
+    compared without a dn x dn temporary."""
+    return float(np.max([np.abs(a[lo:lo + ROW_BLOCK] - b[lo:lo + ROW_BLOCK]).max()
+                         for lo in range(0, a.shape[0], ROW_BLOCK)]))
 
 
 @dataclass(frozen=True, eq=False)
 class SymmetryLaplacian:
     """A spanning tree of n - 1 rotation-labelled edges on n agents in R^d, held as arrays.
 
-    ``matrix`` is Q, assembled block-wise: degree·I on the diagonal, minus the
-    transposed edge rotation at (u, v) and minus the edge rotation at (v, u).
-    ``incidence`` is E (dn x d(n-1)): the block column of edge (u, v) holds +I
-    at node u and minus the edge rotation W at node v, so block e of Eᵀ p is
-    p_u - Wᵀ p_v, zero exactly when the edge constraint p_v = W p_u holds;
-    ``edge_index`` lists each block column's (u, v). Q equals E Eᵀ up to float
-    roundoff; the product route lives in :func:`product_laplacian` so the two
-    stay independently checkable. ``chain`` stacks the chain rotations S_i
-    (dn x d): its columns, of squared norm n, span the null space of Q.
-    ``scalar`` is the n x n scalar tree Laplacian L and ``gauge`` the gauge form
-    S (L ⊗ I_d) Sᵀ of Q, whose block (i, j) is L_ij S_i S_jᵀ. ``composed`` is a
-    second assembly of Q from sub-blocks, when the builder has one (the
-    cube's face and cross blocks).
+    ``rotations`` (m x d x d) holds each edge's rotation W, mapping p_u to p_v
+    on the edge (u, v) that ``edge_index`` lists at the same position.
+    ``chain`` stacks the chain rotations S_i (dn x d): its columns, of squared
+    norm n, span the null space of Q. ``scalar`` is the n x n scalar tree
+    Laplacian L. On a tree Q = S (L ⊗ I_d) Sᵀ, so a run needs only these
+    arrays: it integrates in gauge coordinates q_i = S_iᵀ p_i on L.
+
+    The dense dn x dn arrays are built on first read, for ``verify``,
+    ``sweep`` and the tests. ``matrix`` is Q, assembled block-wise: degree·I
+    on the diagonal, minus the transposed edge rotation at (u, v) and minus
+    the edge rotation at (v, u). ``incidence`` is E (dn x d(n-1)): the block
+    column of edge (u, v) holds +I at node u and minus W at node v, so block
+    e of Eᵀ p is p_u - Wᵀ p_v, zero exactly when the edge constraint
+    p_v = W p_u holds. Q equals E Eᵀ up to float roundoff; the product route
+    lives in :func:`product_laplacian` so the two stay independently
+    checkable. ``gauge`` is the gauge form S (L ⊗ I_d) Sᵀ of Q, whose block
+    (i, j) is L_ij S_i S_jᵀ. ``composed`` is a second assembly of Q from
+    sub-blocks, when the builder has one (the cube's face and cross blocks).
     """
 
-    matrix: NDArray[np.float64]
-    incidence: NDArray[np.float64]
+    rotations: NDArray[np.float64]
     edge_index: tuple[tuple[int, int], ...]
     chain: NDArray[np.float64]
     scalar: NDArray[np.float64]
-    gauge: NDArray[np.float64]
     n: int
     dim: int
     composed: NDArray[np.float64] | None = None
+
+    @cached_property
+    def matrix(self) -> NDArray[np.float64]:
+        return _freeze(assemble_laplacian(self.n, self.dim, self._wedges()))
+
+    @cached_property
+    def incidence(self) -> NDArray[np.float64]:
+        d = self.dim
+        E = np.zeros((d * self.n, d * len(self.edge_index)))
+        for e, (u, v, w) in enumerate(self._wedges()):
+            E[d * (u - 1):d * u, d * e:d * (e + 1)] = np.eye(d)
+            E[d * (v - 1):d * v, d * e:d * (e + 1)] = -w
+        return _freeze(E)
+
+    @cached_property
+    def gauge(self) -> NDArray[np.float64]:
+        n, d = self.n, self.dim
+        rows, cols = self._pattern
+        gauge = np.zeros((n, d, n, d))
+        gauge[rows, :, cols, :] = self._gauge_blocks
+        return _freeze(gauge.reshape(n * d, n * d))
+
+    def _wedges(self) -> list[WeightedEdge]:
+        return [(u, v, w) for (u, v), w in zip(self.edge_index, self.rotations)]
+
+    @cached_property
+    def _pattern(self) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
+        """Block rows and columns of L's nonzero pattern: the n diagonal blocks, then
+        (u, v) of every edge, then (v, u) of every edge (0-based)."""
+        ends = np.array(self.edge_index, dtype=np.intp).reshape(-1, 2) - 1
+        nodes = np.arange(self.n)
+        return (np.concatenate([nodes, ends[:, 0], ends[:, 1]]),
+                np.concatenate([nodes, ends[:, 1], ends[:, 0]]))
+
+    @cached_property
+    def _blocks(self) -> NDArray[np.float64]:
+        """Q's blocks on ``_pattern``, in its order: deg_i I, then -Wᵀ at (u, v), then -W at (v, u)."""
+        n, d = self.n, self.dim
+        q = np.empty((n + 2 * len(self.edge_index), d, d))
+        q[:n] = self.scalar[np.arange(n), np.arange(n), None, None] * np.eye(d)
+        q[n:] = -np.concatenate([self.rotations.transpose(0, 2, 1), self.rotations])
+        return q
+
+    @cached_property
+    def _gauge_blocks(self) -> NDArray[np.float64]:
+        """The gauge form's blocks L_ij S_i S_jᵀ on ``_pattern``, in its order."""
+        rows, cols = self._pattern
+        blocks = self.chain.reshape(self.n, self.dim, self.dim)
+        return self.scalar[rows, cols, None, None] * np.einsum("kab,kcb->kac", blocks[rows], blocks[cols])
 
     @property
     def routes(self) -> tuple[Route, ...]:
@@ -77,16 +125,37 @@ class SymmetryLaplacian:
         return (("construction_routes", "route disagreement", self.composed),
                 ("gauge_route", "|Q - S (L x I) S^T| =", self.gauge))
 
+    @property
+    def route_gaps(self) -> tuple[Gap, ...]:
+        """max |Q - M| for each of ``routes``, as (name, label, gap), without a dense Q for
+        the gauge form: its gap is taken on the tree's blocks, where both matrices are
+        nonzero. The cube's 24 x 24 ``composed`` is compared densely."""
+        gauge = float(np.abs(self._blocks - self._gauge_blocks).max())
+        if self.composed is None:
+            return (("construction_routes", "route disagreement", gauge),)
+        return (("construction_routes", "route disagreement", max_abs_difference(self.matrix, self.composed)),
+                ("gauge_route", "|Q - S (L x I) S^T| =", gauge))
+
+    @property
+    def null_gap(self) -> float:
+        """max |Q V0| for V0 = ``chain``: row block i of Q V0 sums Q_ij S_j over the tree's blocks."""
+        rows, cols = self._pattern
+        product = np.zeros((self.n, self.dim, self.dim))
+        np.add.at(product, rows, self._blocks @ self.chain.reshape(self.n, self.dim, self.dim)[cols])
+        return float(np.abs(product).max())
+
     @cached_property
     def spectrum(self) -> Spectrum:
         """Eigenvalues of ``matrix`` from one eigendecomposition of the n x n tree Laplacian L.
 
         Eigenvalues are L's, each repeated d times; no eigenvectors are kept.
-        ``spread`` is ‖Q - S (L ⊗ I_d) Sᵀ‖_F, which by Weyl's inequality bounds
-        how far each eigenvalue of ``matrix`` lies from the one reported.
-        Computed on first use and kept (the matrix is read-only).
+        ``spread`` is ‖Q - S (L ⊗ I_d) Sᵀ‖_F, summed over the tree's n diagonal
+        and 2(n - 1) edge blocks (both matrices are zero elsewhere); by Weyl's
+        inequality it bounds how far each eigenvalue of ``matrix`` lies from
+        the one reported. Computed on first use and kept (the arrays are read-only).
         """
-        spread = math.sqrt(sum(float(np.vdot(x, x)) for x in _row_differences(self.matrix, self.gauge)))
+        gaps = self._blocks - self._gauge_blocks
+        spread = math.sqrt(float(np.vdot(gaps, gaps)))
         scalar = spectrum(self.scalar)
         return Spectrum(eigenvalues=_freeze(np.repeat(scalar.eigenvalues, self.dim)),
                         tol=scalar.tol, spread=spread)
@@ -115,6 +184,7 @@ def laplacian_from_edges(
     tree already (planar trees: exact shifts, see :func:`null_basis`);
     otherwise the edges are checked with :func:`topology.tree_problem` and
     walked by :func:`chain_matrices`. Any other edge set raises ValueError.
+    No dn x dn array is formed.
     """
     if chain is not None:
         problem = None if len(wedges) == n - 1 else f"{len(wedges)} edges on {n} nodes"
@@ -127,30 +197,19 @@ def laplacian_from_edges(
                 problem = str(exc)
     if problem is not None:
         raise ValueError(f"constraint edges do not form a spanning tree: {problem}")
-    m = len(wedges)
-    E = np.zeros((dim * n, dim * m))
-    for e, (u, v, w) in enumerate(wedges):
+    for (u, v, w) in wedges:
         if w.shape != (dim, dim):
             raise ValueError(f"edge ({u}, {v}) weight has shape {w.shape}, expected ({dim}, {dim})")
-        E[dim * (u - 1):dim * u, dim * e:dim * (e + 1)] = np.eye(dim)
-        E[dim * (v - 1):dim * v, dim * e:dim * (e + 1)] = -w
-
-    # gauge form: only the blocks on L's pattern (diagonal and tree edges) are nonzero
     u = np.array([a - 1 for (a, _, _) in wedges], dtype=int)
     v = np.array([b - 1 for (_, b, _) in wedges], dtype=int)
     nodes = np.arange(n)
     scalar = np.zeros((n, n))
     scalar[nodes, nodes] = np.bincount(np.concatenate([u, v]), minlength=n)
     scalar[u, v] = scalar[v, u] = -1.0
-    rows, cols = np.concatenate([nodes, u, v]), np.concatenate([nodes, v, u])
-    blocks = chain.reshape(n, dim, dim)
-    gauge = np.zeros((n, dim, n, dim))
-    gauge[rows, :, cols, :] = scalar[rows, cols, None, None] * np.einsum(
-        "kab,kcb->kac", blocks[rows], blocks[cols])
     return SymmetryLaplacian(
-        matrix=_freeze(assemble_laplacian(n, dim, wedges)), incidence=_freeze(E),
+        rotations=_freeze(np.array([w for (_, _, w) in wedges], dtype=float).reshape(-1, dim, dim)),
         edge_index=tuple((a, b) for (a, b, _) in wedges), chain=_freeze(chain),
-        scalar=_freeze(scalar), gauge=_freeze(gauge.reshape(n * dim, n * dim)), n=n, dim=dim,
+        scalar=_freeze(scalar), n=n, dim=dim,
     )
 
 

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import (DEFAULT_STEP_FACTOR, SimulationTrace, _trace_tail, edge_residual_norms,
-                       propagate_linear, require_finite, resolve_grid)
-from .laplacian import NumericFailure, Spectrum, SymmetryLaplacian
+from .dynamics import (DEFAULT_STEP_FACTOR, SimulationTrace, _gauge_run, _trace_metadata, edge_residual_norms,
+                       require_finite, resolve_grid)
+from .laplacian import NumericFailure, SymmetryLaplacian
 from .symgroup import PointGroupAssignment, Rotation, identity, rotation2, rotation3
 from .topology import InteractionGraph, weighted_edges
 
@@ -281,19 +281,18 @@ def _rk4_gain(z: NDArray[np.complex128]) -> NDArray[np.float64]:
     return np.abs(1 + z * (1 + z * (1 / 2 + z * (1 / 6 + z / 24))))
 
 
-def _segment_operators(
-    q: NDArray[np.float64], path: ReferencePath, spec: Spectrum
-) -> Iterator[tuple[NDArray[np.float64], int]]:
+def _segment_operators(lap: SymmetryLaplacian, path: ReferencePath) -> Iterator[tuple[NDArray, int]]:
     """(G, step_count) for each run of steps with constant (ω, α), checked for RK4 stability.
 
-    On such a run the shifted state c = p - 1⊗r obeys dc/dt = -G c with
-    G = Q - I⊗Ω - α I. Raises ValueError, with a suggested dt, when RK4
+    On such a run the shifted state c = p - 1⊗r obeys dc/dt = -(Q - I⊗Ω - α I) c,
+    and its gauge rows q_i = S_iᵀ c_i obey dq/dt = -G q with G from
+    :func:`_segment_operator`. Raises ValueError, with a suggested dt, when RK4
     would amplify a mode: |P(-dt μ)| > 1 for an eigenvalue μ of Q - I⊗Ω,
     shifted by -α when the frame shrinks. A growing frame (α > 0) is the
     commanded growth and is left out of the test. All runs are checked first;
     the returned iterator then forms each G only when it is reached.
     """
-    d, dt = path.dim, path.dt
+    dt = path.dt
     w = path.step_omegas.reshape(len(path.step_scale_rates), -1)
     a = path.step_scale_rates
     cuts = np.flatnonzero((w[1:] != w[:-1]).any(axis=1) | (a[1:] != a[:-1])) + 1
@@ -304,7 +303,7 @@ def _segment_operators(
     for lo, hi in zip(starts, ends):
         key = tuple(w[lo].tolist())
         if key not in rotating:
-            rotating[key] = _rotating_eigenvalues(q, spec, path.step_omegas[lo], d)
+            rotating[key] = _rotating_eigenvalues(lap, path.step_omegas[lo])
         runs.append((lo, hi, rotating[key] + max(-float(a[lo]), 0.0)))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed gain is rejected below
         gains = [float(_rk4_gain(-dt * mu).max()) for *_, mu in runs]
@@ -317,27 +316,45 @@ def _segment_operators(
             f"a mode by max |P(-dt mu)| = {gains[worst]:.3g} > 1 "
             f"(try dt = {DEFAULT_STEP_FACTOR / stiffest:g})"
         )
-    return ((_segment_operator(q, path.step_omegas[lo], float(a[lo]), d), hi - lo) for lo, hi, _ in runs)
+    return ((_segment_operator(lap, path.step_omegas[lo], float(a[lo])), hi - lo) for lo, hi, _ in runs)
 
 
-def _rotating_eigenvalues(q: NDArray[np.float64], spec: Spectrum, omega, d: int) -> NDArray:
+def _rotating_eigenvalues(lap: SymmetryLaplacian, omega) -> NDArray:
     """Eigenvalues of Q - I⊗Ω, up to complex conjugation, which leaves every |P(-dt μ)| as it is.
 
-    A planar Ω commutes with every edge rotation S_i of Q = S (L ⊗ I) Sᵀ, so
-    they are λ ± iω for the eigenvalues λ of ``spec``; in 3-D a dense solve.
+    A planar Ω commutes with every chain rotation S_i of Q = S (L ⊗ I) Sᵀ, so
+    they are λ ± iω for the eigenvalues λ of the tree spectrum; in 3-D those
+    of the gauge-frame G, which is similar to Q - I⊗Ω.
     """
-    if d == 2:
+    spec = lap.spectrum
+    if lap.dim == 2:
         return spec.eigenvalues + 1j * float(omega)
     if not np.any(omega):
         return spec.eigenvalues
-    return np.linalg.eigvals(_segment_operator(q, omega, 0.0, d))
+    return np.linalg.eigvals(_segment_operator(lap, omega, 0.0))
 
 
-def _segment_operator(q: NDArray[np.float64], omega, alpha: float, d: int) -> NDArray[np.float64]:
-    """Q - I⊗Ω - α I as a new array: Ω subtracted on the n diagonal blocks, then α on the diagonal."""
-    g = q.copy()
-    n = q.shape[0] // d
-    g.reshape(n, d, n, d)[np.arange(n), :, np.arange(n), :] -= omega_matrix(omega, d)
+def _segment_operator(lap: SymmetryLaplacian, omega, alpha: float) -> NDArray:
+    """G = Sᵀ (Q - I⊗Ω - α I) S in gauge coordinates, as a new array.
+
+    - ω = 0: L - α I, real n x n, acting on each coordinate column;
+    - planar ω ≠ 0: L - (α + iω) I, complex n x n, acting on x + iy (Ω commutes
+      with every S_i and acts on x + iy as multiplication by iω);
+    - spatial ω ≠ 0: L ⊗ I - blockdiag(S_iᵀ Ω S_i) - α I, dn x dn.
+    """
+    n, d = lap.n, lap.dim
+    if not np.any(omega):
+        g = lap.scalar.copy()
+        g.flat[::n + 1] -= alpha
+        return g
+    if d == 2:
+        g = lap.scalar.astype(complex)
+        g.flat[::n + 1] -= complex(alpha, float(omega))
+        return g
+    blocks = lap.chain.reshape(n, d, d)
+    g = np.kron(lap.scalar, np.eye(d))
+    g.reshape(n, d, n, d)[np.arange(n), :, np.arange(n), :] -= (
+        blocks.transpose(0, 2, 1) @ omega_matrix(omega, d) @ blocks)
     g.flat[::g.shape[0] + 1] -= alpha
     return g
 
@@ -355,8 +372,10 @@ def simulate_maneuver(
 
     The reference and the agents share one grid; each RK4 step holds the
     inputs sampled at its left node. Over a run of constant inputs the
-    shifted state c = p - 1⊗r follows the linear flow dc/dt = -G c, which is
-    what is integrated; the world states are c + 1⊗r. Step sizes for which
+    shifted state c = p - 1⊗r follows the linear flow
+    dc/dt = -(Q - I⊗Ω - α I) c, which is integrated in gauge coordinates
+    q_i = S_iᵀ c_i (see :func:`_segment_operator`); the world states are
+    c + 1⊗r. Step sizes for which
     RK4 would amplify some mode of Q - I⊗Ω raise ValueError with a suggested
     dt, and a run that overflows raises NumericFailure. The returned trace
     carries the frame coordinates ζ, which for planar formations follow the
@@ -365,14 +384,14 @@ def simulate_maneuver(
     trace metadata under ``zeta_residual``; a spatial grid of fewer than
     three samples, too short for that residual, raises ValueError.
     """
-    q, d, n = lap.matrix, lap.dim, lap.n
+    d, n = lap.dim, lap.n
     if start is None:
         start = ReferenceState.at_origin(d)
     if start.dim != d or inputs.dim != d:
         raise ValueError(f"reference dimension does not match the {d}-dimensional formation")
     p0 = np.array(p0, dtype=float)
-    if p0.shape != (q.shape[0],):
-        raise ValueError(f"initial state has shape {p0.shape}, expected ({q.shape[0]},)")
+    if p0.shape != (n * d,):
+        raise ValueError(f"initial state has shape {p0.shape}, expected ({n * d},)")
     spec = lap.spectrum
     dt, horizon, steps = resolve_grid(spec, dt, horizon)
     if d == 3 and steps < 2:
@@ -381,27 +400,26 @@ def simulate_maneuver(
             f"{horizon:g} at dt {dt:g} gives {steps + 1} (try horizon = {2 * dt:g})"
         )
     path = propagate_reference(inputs, start, dt, horizon)
-    segments = _segment_operators(q, path, spec)
+    segments = _segment_operators(lap, path)
 
     # overflow is reported once, by require_finite, instead of as numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        shifted = propagate_linear(p0 - np.tile(path.positions[0], n), segments, dt, steps)
+        shifted, errors, potentials = _gauge_run(lap, p0 - np.tile(path.positions[0], n), segments, dt, steps)
         states = shifted + np.tile(path.positions, (1, n))
         states[0] = p0
         zeta = (np.einsum("kni,kij->knj", shifted.reshape(steps + 1, n, d), path.rotations)
                 / path.scales[:, None, None]).reshape(steps + 1, n * d)
-    errors, potentials, meta = _trace_tail("maneuver", lap, shifted, path.times, dt, horizon, metadata,
-                                           reference_scales=path.scales, states=states)
     del shifted  # not held while the 3-D residual below makes its temporaries
-    require_finite("maneuver", path.times, zeta=zeta)
+    require_finite("maneuver", path.times, reference_scales=path.scales, states=states,
+                   edge_errors=errors, potentials=potentials, zeta=zeta)
     trace = ManeuverTrace(
         times=path.times, states=states, edge_errors=errors, potentials=potentials,
-        n=n, dim=d, edge_index=lap.edge_index, metadata=meta,
+        n=n, dim=d, edge_index=lap.edge_index, metadata=_trace_metadata(lap, dt, horizon, steps, metadata),
         ref_positions=path.positions, ref_rotations=path.rotations,
         ref_scales=path.scales, zeta=zeta,
     )
     if d == 3:  # spatial edge rotations need not commute with the reference attitude
-        trace.metadata["zeta_residual"] = zeta_consistency_residual(trace, q)
+        trace.metadata["zeta_residual"] = zeta_consistency_residual(trace, lap.matrix)
     return trace
 
 

@@ -8,10 +8,8 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import SimulationTrace
+from .dynamics import FIT_FLOOR, SimulationTrace
 from .maneuver import ManeuverTrace
-
-LOG_FLOOR = 1e-17
 
 # Values per formatted CSV block: bounds the block's text, not its row count.
 # At 2048 values a block's text (<= 25 bytes a value) and its format tuple stay
@@ -255,11 +253,13 @@ def svg_paths(trace: SimulationTrace, title: str = "agent paths") -> str:
 
 
 def svg_errors(trace: SimulationTrace, title: str = "edge errors") -> str:
-    """Per-edge constraint violations on a log10 scale.
+    """Per-edge constraint violations on a log10 scale, clamped at ``dynamics.FIT_FLOOR``.
 
-    Each series draws only the points :func:`_keep_mask` keeps; the CSV holds every step.
+    Below the floor an error is rounding noise (the rate fit stops there too),
+    so it is drawn on the floor. Each series draws only the points
+    :func:`_keep_mask` keeps; the CSV holds every step.
     """
-    logs = np.log10(np.maximum(trace.edge_errors, LOG_FLOOR))
+    logs = np.log10(np.maximum(trace.edge_errors, FIT_FLOOR))
     xlo, xhi = _scale(float(trace.times[0]), float(trace.times[-1]))
     ylo, yhi = _scale(float(logs.min()), float(logs.max()))
     parts, sx, sy = _frame(title, "t", "log10 edge error", xlo, xhi, ylo, yhi)

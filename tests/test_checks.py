@@ -57,8 +57,8 @@ class TestOneCheckPath:
         threshold = gauge.tol * max(1.0, gauge.lambda_max)
 
         def verdicts(spread):
-            results = checks.structure_checks(lap.matrix, dataclasses.replace(gauge, spread=spread),
-                                              lap.n, lap.dim, lap.chain, [])
+            results = checks.structure_checks(dataclasses.replace(gauge, spread=spread),
+                                              lap.n, lap.dim, [], lap.null_gap)
             return {r.name: r.passed for r in results}
 
         assert gauge.spread <= 1e-14

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import symform as sf
 from conftest import random_tree, random_tree_cases
-from symform import cli
+from symform import checks, cli
 
 
 CUBE_MANEUVER = {
@@ -326,17 +326,28 @@ class TestSimulateManeuver:
         CUBE_MANEUVER,
     ], ids=["planar", "cube"])
     def test_segment_operators_are_the_kron_form(self, spec):
-        # each run's G equals Q - I⊗Ω - αI built densely, bit for bit, and is a fresh array
+        # each run's G, a fresh array, is Sᵀ(Q - I⊗Ω - αI)S on the gauge rows it acts on:
+        # n x n (complex for a planar ω ≠ 0, acting on x + iy) or dn x dn (the cube's ω ≠ 0)
         scn = cli.parse_scenario({"dt": 0.05, "horizon": 0.5, **spec})
         lap = cli.build_system(scn)
         path = sf.propagate_reference(scn.reference, scn.ref_start, scn.dt, scn.horizon)
         n, d = lap.n, lap.dim
         eye = np.eye(n * d)
+        chain = np.zeros((n * d, n * d))
+        for i, block in enumerate(lap.chain.reshape(n, d, d)):
+            chain[d * i:d * (i + 1), d * i:d * (i + 1)] = block
+        quarter = sf.omega_matrix(1.0, 2)  # i acting on x + iy
         k = 0
-        for g, count in sf.maneuver._segment_operators(lap.matrix, path, lap.spectrum):
-            dense = lap.matrix - np.kron(np.eye(n), sf.omega_matrix(path.step_omegas[k], d))
-            assert np.array_equal(g, dense - float(path.step_scale_rates[k]) * eye)
-            assert g is not lap.matrix
+        for g, count in sf.maneuver._segment_operators(lap, path):
+            omega = sf.omega_matrix(path.step_omegas[k], d)
+            alpha = float(path.step_scale_rates[k])
+            assert g is not lap.scalar
+            if g.shape == (n, n):
+                g = np.kron(g.real, np.eye(d)) + (np.kron(g.imag, quarter) if d == 2 else 0.0)
+                # the planar kron form holds bit for bit: Ω commutes with every S_i
+                assert np.array_equal(g, np.kron(lap.scalar, np.eye(d)) - np.kron(np.eye(n), omega) - alpha * eye)
+            dense = chain.T @ (lap.matrix - np.kron(np.eye(n), omega) - alpha * eye) @ chain
+            assert np.abs(g - dense).max() <= checks.ROUTE_TOL
             k += count
         assert k == path.times.size - 1
 
@@ -345,11 +356,39 @@ class TestSimulateManeuver:
     def test_planar_gains_match_dense_eigenvalues(self, case, omega, alpha, dt):
         # λ + iω from the tree spectrum gives the RK4 gains of a dense eigvals of Q - I⊗Ω
         lap = sf.build_laplacian(random_tree(*case), sf.assignment(case[0]))
-        gauge = sf.maneuver._rotating_eigenvalues(lap.matrix, lap.spectrum, omega, 2)
-        dense = np.linalg.eigvals(sf.maneuver._segment_operator(lap.matrix, omega, 0.0, 2))
+        gauge = sf.maneuver._rotating_eigenvalues(lap, omega)
+        dense = np.linalg.eigvals(lap.matrix - np.kron(np.eye(lap.n), sf.omega_matrix(omega, 2)))
         shift = max(-alpha, 0.0)
         gains = [np.sort(sf.maneuver._rk4_gain(-dt * (mu + shift))) for mu in (gauge, dense)]
         assert np.abs(gains[0] - gains[1]).max() <= 1e-12
+
+    def test_cube_gains_match_dense_eigenvalues(self):
+        # the gauge-frame G is similar to Q - I⊗Ω, so both give the same RK4 gains
+        lap = sf.build_cube()
+        omega = [0.4, -1.1, 0.7]
+        gauge = sf.maneuver._rotating_eigenvalues(lap, np.array(omega))
+        dense = np.linalg.eigvals(lap.matrix - np.kron(np.eye(8), sf.omega_matrix(omega, 3)))
+        gains = [np.sort(sf.maneuver._rk4_gain(-0.3 * mu)) for mu in (gauge, dense)]
+        assert np.abs(gains[0] - gains[1]).max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_tree_cases(12), st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+           st.one_of(st.just(0.0), st.floats(-0.2, 0.2)), st.integers(0, 2 ** 32 - 1))
+    def test_gauge_run_matches_dense_world_run(self, case, omega, alpha, seed):
+        # n steps take the stage loop, 3n the block path; both against rk4_step on the
+        # world-frame field -(Q - I⊗Ω - αI) c with the dense Q
+        n = case[0]
+        lap = sf.build_laplacian(random_tree(*case), sf.assignment(n))
+        p0 = np.random.default_rng(seed).uniform(-2, 2, 2 * n)
+        g = lap.matrix - np.kron(np.eye(n), sf.omega_matrix(omega, 2)) - alpha * np.eye(2 * n)
+        inputs = sf.ReferenceInputs.constant([0.0, 0.0], omega, alpha)
+        for steps in (n, 3 * n):
+            trace = sf.simulate_maneuver(lap, p0, inputs, dt=0.05, horizon=0.05 * steps)
+            expected = [p0]
+            for k in range(steps):
+                expected.append(sf.rk4_step(lambda t, x: -(g @ x), 0.05 * k, expected[-1], 0.05))
+            expected = np.array(expected)
+            assert np.abs(trace.states - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("name", ("maneuver_c6", "cube"))
     def test_matches_world_coordinate_rk4(self, name):

@@ -176,6 +176,19 @@ class TestDecimation:
                   if ln.startswith("<polyline")]
         assert [len(p) for p in points] == [41] * 7
 
+    def test_errors_clamped_at_the_fit_floor(self):
+        # a converged run's rounding noise is drawn on the floor's pixel row, never below it
+        trace, _, _ = cli.run_scenario(cli.parse_scenario({"name": "flow_n16", "n": 16}))
+        assert trace.edge_errors.min() < dynamics.FIT_FLOOR
+        logs = np.log10(np.maximum(trace.edge_errors, dynamics.FIT_FLOOR))
+        ylo, yhi = output._scale(float(logs.min()), float(logs.max()))
+        _, _, sy = output._frame("t", "t", "log10 edge error", 0.0, 1.0, ylo, yhi)
+        floor = float(f"{sy(math.log10(dynamics.FIT_FLOOR)):.2f}")
+        root = ET.fromstring(output.svg_errors(trace))
+        rows = [float(pt.split(",")[1]) for line in root.findall("{http://www.w3.org/2000/svg}polyline")
+                for pt in line.get("points").split()]
+        assert max(rows) == floor
+
     def test_flow_n16_paths_keep_few_points(self):
         trace, _, _ = cli.run_scenario(cli.parse_scenario({"name": "flow_n16", "n": 16}))
         root = ET.fromstring(output.svg_paths(trace))
@@ -510,7 +523,7 @@ class TestMainExitCodes:
 
     def test_overflow_inside_a_block(self, tmp_path, capsys):
         # the frame grows by e^(100 t) from scale 1e-300, so the reference stays finite while
-        # the shifted states overflow at step 713, inside a block of 83 steps (1,000 steps, dim 12)
+        # the shifted states overflow at step 713, inside a block of 166 steps (1,000 steps, a 6 x 6 G)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"name": "grow", "n": 6, "dt": 0.01, "horizon": 10, "reference": {
             "start": {"scale": 1e-300}, "scale_rate": [[0, 100]]}}))
@@ -755,6 +768,19 @@ TWENTY_RUNS = {"angular_velocity": [[0.1 * k, 0.2 + 0.05 * (k % 3)] for k in ran
                "scale_rate": [[0.1 * k, -0.02 if k % 2 else 0.01] for k in range(20)]}
 
 
+class TestGaugeRunPath:
+    @pytest.mark.parametrize("reference", [None, {"angular_velocity": [[0, 0.3]]}, TWENTY_RUNS],
+                             ids=["stationary", "constant_omega", "twenty_runs"])
+    def test_planar_run_reads_no_dense_matrix(self, monkeypatch, reference):
+        # a planar run integrates on the n x n tree Laplacian and checks Q on its blocks
+        for name in ("matrix", "incidence", "gauge"):
+            monkeypatch.setattr(laplacian.SymmetryLaplacian, name,
+                                property(lambda lap, name=name: pytest.fail(f"run read lap.{name}")))
+        spec = {"n": 12, "horizon": 2} | ({"reference": reference} if reference else {})
+        _, _, metrics = cli.run_scenario(cli.parse_scenario(spec))
+        assert all(metrics["checks"].values())
+
+
 class TestOversizedRun:
     def test_rejected_before_allocating(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
@@ -830,24 +856,26 @@ class TestOversizedRun:
         assert (tmp_path / "afile").read_text() == ""
         assert not out.exists() or list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("n, command", [
-        (400, lambda: cli.run_scenario(cli.parse_scenario({"n": 400, "horizon": 1}))),
+    @pytest.mark.parametrize("n, command, matrices", [
+        (400, lambda: cli.run_scenario(cli.parse_scenario({"n": 400, "horizon": 1})), 2),
         (300, lambda: cli.run_scenario(cli.parse_scenario(
-            {"n": 300, "horizon": 1, "reference": {"angular_velocity": [[0, 0.3]]}}))),
+            {"n": 300, "horizon": 1, "reference": {"angular_velocity": [[0, 0.3]]}})), 2),
         (300, lambda: cli.run_scenario(cli.parse_scenario(
-            {"n": 300, "horizon": 2, "reference": TWENTY_RUNS}))),
-        (300, lambda: cli.sweep_sizes(300, 300)),
-    ], ids=["stationary", "maneuver", "maneuver_20_runs", "sweep"])
-    def test_dense_build_peak_within_estimate(self, n, command):
-        # Q, E and the gauge form are held; a maneuver forms one G at a time,
-        # and comparisons go by blocks of rows
+            {"n": 300, "horizon": 2, "reference": TWENTY_RUNS})), 2),
+        (300, lambda: cli.sweep_sizes(300, 300), dynamics.BUILD_DENSE_MATRICES),
+        (300, lambda: cli.verify_scenario(cli.parse_scenario({"n": 300})), dynamics.VERIFY_DENSE_MATRICES),
+    ], ids=["stationary", "maneuver", "maneuver_20_runs", "sweep", "verify"])
+    def test_dense_build_peak_within_estimate(self, n, command, matrices):
+        # a run forms n x n arrays only (L, its eigensolver's copies, one G at a time);
+        # sweep holds Q, E, the gauge form and E Eᵀ, and verify adds a dense eigh of Q;
+        # comparisons go by blocks of rows
         tracemalloc.start()
         try:
             command()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= dynamics.BUILD_DENSE_MATRICES * (2 * n) ** 2 * 8
+        assert peak <= matrices * (2 * n) ** 2 * 8
 
     @pytest.mark.parametrize("scenario", ["maneuver_c6", {"n": 16}], ids=["maneuver_c6", "planar_n16"])
     def test_block_path_peak_within_estimate(self, scenario):
@@ -874,4 +902,5 @@ class TestOversizedRun:
         path.write_text(json.dumps({"n": 20000}))
         argv = {"verify": ["verify", str(path)], "sweep": ["sweep", "--n-from", "20000", "--n-to", "20000"]}
         assert cli.main(argv[command]) == 2
-        assert "the largest n that fits is 1831" in capsys.readouterr().err
+        fit = {"verify": 1448, "sweep": 1831}[command]
+        assert f"the largest n that fits is {fit}" in capsys.readouterr().err

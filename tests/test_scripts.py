@@ -36,10 +36,10 @@ def test_snapshot_outputs(tmp_path):
     runs = tmp_path / "runs"
     assert sorted(p.name for p in runs.iterdir()) == [
         "cube", "cube_maneuver", "example2_c4", "example3_c6", "maneuver_20_runs", "maneuver_c6",
-        "planar_n16", "planar_n600"]
+        "maneuver_n64", "planar_n16", "planar_n600"]
     assert all("runtime_seconds" not in p.read_text() for p in runs.glob("*/metrics.json"))
     log = (tmp_path / "log.txt").read_text()
-    assert log.count("\nexit 0\n") == 13 and str(tmp_path) not in log
+    assert log.count("\nexit 0\n") == 14 and str(tmp_path) not in log
     assert (tmp_path / "sweep" / "sweep.json").is_file()
 
 
