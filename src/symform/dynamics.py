@@ -27,8 +27,10 @@ STABILITY_LIMIT = 2.0          # RK4 real-axis stability edge is ~2.785; stay un
 MAX_TRACE_BYTES = 512 * 2**20  # largest estimated memory of a run's trace and its CSV text
 # Estimated bytes per trace row: the float64 trace arrays (states, residuals,
 # errors, frame coordinates) and the trace CSV text, which is held twice while
-# it is joined and written. Measured peaks of planar, maneuver and cube runs
-# through write_outputs lie at 75-110 bytes per coordinate per row.
+# it is decoded and written. Measured peaks of planar, maneuver and cube runs
+# through write_outputs lie at 70-101 bytes per coordinate per row; the top
+# of that range is a 1,116-row run, where the CSV kernel's fixed block
+# workspace (about 0.8 MB) counts.
 TRACE_ROW_BYTES_PER_COORD = 96
 TRACE_ROW_BYTES_FIXED = 256
 MAX_BUILD_BYTES = 512 * 2**20  # largest estimated memory of a formation's dense build

@@ -1,9 +1,12 @@
 """Trace serialization (CSV, JSON metrics) and minimal SVG plotting."""
 from __future__ import annotations
 
+import functools
+import io
 import json
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -11,13 +14,30 @@ from numpy.typing import NDArray
 from .dynamics import FIT_FLOOR, SimulationTrace
 from .maneuver import ManeuverTrace
 
-# Values per formatted CSV block: bounds the block's text, not its row count.
-# At 2048 values a block's text (<= 25 bytes a value) and its format tuple stay
-# under glibc's smallest mmap threshold (128 KiB), so blocks always come from
-# the heap. Larger blocks land on either side of the threshold, which glibc
-# moves as chunks are freed, and the peak memory of a run jumps by megabytes
-# with the digits of its data.
-_CSV_BLOCK_VALUES = 2048
+# Values per CSV block. A block's arrays peak near 200 bytes a value (its
+# slot matrix, digit groups and double-double temporaries), so 4096 values
+# keep them near 0.8 MB: few enough bytes that the heap holes they leave
+# add little to a run's peak RSS, and enough values that the kernel's fixed
+# cost per block (about 100 numpy calls) stays small.
+_CSV_BLOCK_VALUES = 4096
+# The kernel's fast path takes |x| in [1e-280, 1e280). Its decimal exponents k,
+# moved by one or two, keep q = 16 - k inside the 10**q table, and no Veltkamp
+# split of |x| or of 10**q overflows.
+_FAST_LO, _FAST_HI = 1e-280, 1e280
+_Q_MIN, _Q_MAX = -270, 300
+_X_MIN = 16 - _Q_MAX  # the smallest exponent the per-exponent tables cover
+_SPLITTER = 134217729.0  # 2**27 + 1
+_E16, _E17 = 10 ** 16, 10 ** 17
+# A value whose scaled fraction lies this close to 1/2 is formatted by `fmt`:
+# the double-double product is off by about 1e-14, so every exact tie lands here
+# and half-even rounding stays Python's.
+_TIE_BAND = 1e-9
+# Byte slots per value, in six uint64 words: sign, "0.000" and the first digit;
+# digits 2-17, each with a slot for a point after it; "e+ddd" and the separator.
+# Unused slots hold 0 and are deleted from the block's bytes.
+_SLOTS = 48
+_GROUP = np.arange(4)  # the four-digit groups of digits 2-17
+_GROUP_OFFSET = 10 ** 4 * _GROUP[:, None]  # each group's rows in the `last` table
 
 PALETTE = (
     "#1f6f8b", "#d1495b", "#66a182", "#edae49", "#8d5a97",
@@ -47,30 +67,171 @@ def trace_header(trace: SimulationTrace) -> list[str]:
     return cols
 
 
-def _csv_body(columns: list[NDArray[np.float64]]) -> str:
-    """CSV rows of :func:`fmt`-formatted values, one line per row.
+def _split(x: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Veltkamp split: x = hi + lo, each half with at most 26 significant bits."""
+    c = _SPLITTER * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+class _Tables(NamedTuple):
+    pow10: NDArray[np.float64]  # [:, q - _Q_MIN]: 10**q as hi, hi's Veltkamp halves, lo
+    head: NDArray[np.uint64]    # [X - _X_MIN]: slots 0-7, the "0.000" prefix of -4 <= X < 0
+    tail: NDArray[np.uint64]    # [X - _X_MIN]: slots 40-47, "e+ddd" outside -4 <= X <= 16, and ","
+    pairs: NDArray[np.uint64]   # [g]: the digits of f"{g:04d}", each before a free slot
+    keep: NDArray[np.uint64]    # [k]: the mask that keeps a group's first k digits
+    last: NDArray[np.int8]      # [10**4 j + g]: 4j + position (1-4) of g's last nonzero digit, or 0 for g = 0
+
+
+@functools.cache
+def _kernel_tables() -> _Tables:
+    """The CSV kernel's lookup tables, built on first use (a few ms, once a process).
+
+    10**q is a double-double whose two parts are each rounded once from exact
+    integers (int true division rounds correctly).
+    """
+    pows = []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
+        hi = num / den
+        h_num, h_den = hi.as_integer_ratio()
+        pows.append((hi, (num * h_den - h_num * den) / (den * h_den)))
+    hi, lo = np.array(pows).T
+
+    def words(texts):
+        return np.frombuffer(b"".join(t.encode().ljust(8, b"\0") for t in texts), np.uint64)
+
+    exps = range(_X_MIN, 16 - _Q_MIN + 1)
+    head = words("\0" + ("0." + "0" * (-1 - x) if -4 <= x < 0 else "") for x in exps)
+    tail = words(("" if -4 <= x <= 16 else f"e{x:+03d}").ljust(7, "\0") + "," for x in exps)
+    g = np.arange(10000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    pairs = np.zeros((g.size, 8), np.uint8)
+    pairs[:, 0::2] = digits + ord("0")
+    keep = np.zeros((5, 8), np.uint8)
+    for k in range(5):
+        keep[k, :2 * k] = 0xFF
+    last = np.where(g > 0, 4 - np.argmax(digits[:, ::-1] > 0, axis=1), 0)
+    last = np.where(last > 0, last + 4 * _GROUP[:, None], 0).astype(np.int8).ravel()
+    return _Tables(np.stack([hi, *_split(hi), lo]), head, tail,
+                   pairs.view(np.uint64).ravel(), keep.view(np.uint64).ravel(), last)
+
+
+def _scaled(a, a_hi, a_lo, k, pow10) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
+    """Integer and fractional parts of y = a * 10**(16 - k), to about 1e-14.
+
+    Dekker's two-product gives a * hi exactly as p + err (numpy has no fma);
+    a * lo adds the table's second part.
+    """
+    i = 16 - k - _Q_MIN
+    hi, h_hi, h_lo, lo = (part[i] for part in pow10)
+    p = a * hi
+    rest = (((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo) + a * lo
+    whole = np.floor(p)
+    frac = (p - whole) + rest
+    carry = np.floor(frac)
+    return whole.astype(np.int64) + carry.astype(np.int64), frac - carry
+
+
+def _decimal(v: NDArray[np.float64]) -> tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.bool_]]:
+    """``%.17g``'s digits of each value: |v| = N * 10**(X - 16), N an int64 of
+    17 digits (0 for zero), X the exponent of the leading digit. The third array
+    marks the values whose N and X are exact; the others go to :func:`fmt`.
+    """
+    a = np.abs(v)
+    fast = (a >= _FAST_LO) & (a < _FAST_HI)
+    a = np.where(fast, a, 1.0)
+    pow10 = _kernel_tables().pow10
+    a_hi, a_lo = _split(a)
+    x = np.floor(np.log10(a)).astype(np.int64)
+    n, frac = _scaled(a, a_hi, a_lo, x, pow10)
+    # log10 can put x one off near a power of ten; the integer part shows it
+    # (compared in int64: float64 cannot hold 10**16 - 1)
+    off = (n >= _E17).astype(np.int64) - (n < _E16)
+    redo = np.flatnonzero(off)
+    if redo.size:
+        x[redo] += off[redo]
+        n[redo], frac[redo] = _scaled(a[redo], a_hi[redo], a_lo[redo], x[redo], pow10)
+    n += frac > 0.5
+    up = n == _E17  # rounded up to the next power of ten
+    n[up] = _E16
+    x[up] += 1
+    exact = fast & (np.abs(frac - 0.5) > _TIE_BAND) & (n >= _E16) & (n < _E17)
+    zero = v == 0
+    n[zero] = 0
+    x[zero] = 0
+    return n, x, exact | zero
+
+
+def _digit_groups(n: NDArray[np.int64]) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    """Each 17-digit n as its leading digit and a 4 x size array of 4-digit groups."""
+    high, low = np.divmod(n, 10 ** 8)
+    first, high = np.divmod(high, 10 ** 8)
+    return first, np.stack([*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4)])
+
+
+def _slots(v: NDArray[np.float64], width: int) -> bytearray:
+    """``width`` values per line, each as :func:`fmt` writes it, comma-separated,
+    in _SLOTS byte slots per value; empty slots hold 0.
+
+    ``%.17g`` layout: fixed notation for -4 <= X <= 16, else a mantissa and an
+    exponent of at least two digits; trailing zeros and a bare point dropped;
+    -0.0 written as 0.
+    """
+    n, x, exact = _decimal(v)
+    first, groups = _digit_groups(n)
+    tab = _kernel_tables()
+    last = tab.last[groups + _GROUP_OFFSET].max(axis=0)  # the last nonzero digit, 0 to 16
+    fixed = (x >= -4) & (x <= 16)
+    point = np.where(fixed, x, 0)  # the digit the point follows (X < 0: in the prefix)
+    # digits kept per group: up to the last nonzero one and the point
+    kept = np.clip(np.maximum(last, point) - 4 * _GROUP[:, None], 0, 4)
+    digits = tab.pairs[groups]
+    digits &= tab.keep[kept]
+    slots = bytearray(v.size * _SLOTS)  # filled through a numpy view: no copy to delete from
+    out = np.frombuffer(slots, np.uint8).reshape(v.size, _SLOTS)
+    words = out.view(np.uint64)
+    words[:, 0] = tab.head[x - _X_MIN]
+    words[:, 1:5] = digits.T
+    words[:, 5] = tab.tail[x - _X_MIN]
+    out[:, 0] = np.where(v < 0, ord("-"), 0)
+    out[:, 6] = first + ord("0")
+    dotted = np.flatnonzero((last > point) & (point >= 0))
+    out[dotted, 7 + 2 * point[dotted]] = ord(".")
+    out[width - 1::width, -1] = ord("\n")
+    for i in np.flatnonzero(~exact):
+        text = fmt(v[i]).encode()
+        out[i, :-1] = 0
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return slots
+
+
+def _csv_body(columns: list[NDArray[np.float64]], head: str = "") -> str:
+    """``head``, then CSV rows of :func:`fmt`-formatted values, one line per row.
 
     Each column is a 1-D array (one value per row) or a 2-D array (several
     values per row); they are laid side by side. Rows are formatted a block
-    at a time with one ``%`` call, a block holding about ``_CSV_BLOCK_VALUES``
-    values, so the text equals the per-value :func:`fmt` join byte for byte.
+    of about ``_CSV_BLOCK_VALUES`` values at a time: :func:`_slots` lays the
+    block out and its empty slots are deleted, so the text equals the
+    per-value :func:`fmt` join byte for byte. The blocks' bytes go into one
+    growing buffer, which is decoded once: no part outlives its block.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
     cols = [c[:, None] if c.ndim == 1 else c for c in cols]
     width = sum(c.shape[1] for c in cols)
-    row = ",".join(["%.17g"] * width) + "\n"
     per_block = max(1, _CSV_BLOCK_VALUES // width)
-    parts = []
+    text = io.BytesIO()
+    text.write(head.encode())
     for lo in range(0, len(cols[0]), per_block):
-        block = np.hstack([c[lo:lo + per_block] for c in cols]) + 0.0  # -0.0 -> 0, as fmt
-        parts.append(row * len(block) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+        text.write(_slots(np.hstack([c[lo:lo + per_block] for c in cols]).ravel(), width)
+                   .translate(None, b"\0"))
+    return text.getvalue().decode()
 
 
 def trace_csv_text(trace: SimulationTrace) -> str:
     """Trace as CSV: time, stacked coordinates, per-edge errors, potential."""
-    body = _csv_body([trace.times, trace.states, trace.edge_errors, trace.potentials])
-    return ",".join(trace_header(trace)) + "\n" + body
+    return _csv_body([trace.times, trace.states, trace.edge_errors, trace.potentials],
+                     ",".join(trace_header(trace)) + "\n")
 
 
 def write_trace_csv(trace: SimulationTrace, path: str | Path) -> None:
@@ -84,9 +245,9 @@ def reference_csv_text(trace: ManeuverTrace) -> str:
     cols = ["t"] + [f"r_{c}" for c in names]
     cols += [f"R_{a}{b}" for a in names for b in names]
     cols.append("s")
-    body = _csv_body([trace.times, trace.ref_positions,
-                      trace.ref_rotations.reshape(trace.times.size, d * d), trace.ref_scales])
-    return ",".join(cols) + "\n" + body
+    return _csv_body([trace.times, trace.ref_positions,
+                      trace.ref_rotations.reshape(trace.times.size, d * d), trace.ref_scales],
+                     ",".join(cols) + "\n")
 
 
 def parse_trace_csv(path: str | Path) -> dict[str, NDArray[np.float64]]:
@@ -146,6 +307,11 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return out
 
 
+def _escape(text: str) -> str:
+    """Text as XML character data: a scenario name may hold ``&``, ``<`` or ``>``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _frame(title: str, xlabel: str, ylabel: str,
            xlo: float, xhi: float, ylo: float, yhi: float) -> tuple[list[str], callable, callable]:
     def sx(x: float) -> float:
@@ -159,7 +325,7 @@ def _frame(title: str, xlabel: str, ylabel: str,
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.1f}" y="22" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="15" fill="#222">{title}</text>',
+        f'font-size="15" fill="#222">{_escape(title)}</text>',
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
         'fill="none" stroke="#888" stroke-width="1"/>',
     ]

@@ -121,6 +121,21 @@ class TestSvg:
         ET.fromstring(output.svg_paths(trace))
         ET.fromstring(output.svg_errors(trace))
 
+    def test_markup_in_the_name_is_escaped(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"name": "a<b&c", "n": 4, "horizon": 1}))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        for name, title in (("paths.svg", "agent paths"), ("errors.svg", "edge errors")):
+            root = ET.parse(tmp_path / "out" / "a<b&c" / name).getroot()
+            assert root.find("{http://www.w3.org/2000/svg}text").text == f"a<b&c: {title}"
+
+    def test_plain_titles_unchanged(self):
+        trace = short_trace()
+        for plot in (output.svg_paths, output.svg_errors):
+            plain = plot(trace, title="abc: plot")
+            assert '>abc: plot</text>' in plain
+            assert plot(trace, title="a<b&c: plot") == plain.replace(">abc:", ">a&lt;b&amp;c:")
+
     def test_zero_error_trace_plots(self):
         # a run started on target: every error is identically zero
         tau = sf.assignment(4)
@@ -618,6 +633,68 @@ class TestBlockFormatting:
         vals[0, 0] = -0.0
         cols = [vals[:, 0], vals[:, 1:]]
         assert output._csv_body(cols) == per_value_csv([], cols).split("\n", 1)[1]
+
+    @staticmethod
+    def check_kernel(values: np.ndarray, width: int) -> None:
+        """_csv_body of ``values`` laid out ``width`` per row equals the per-value fmt join."""
+        rows = np.asarray(values, dtype=float).reshape(-1, width)
+        assert output._csv_body([rows]) == per_value_csv([], [rows]).split("\n", 1)[1]
+
+    @given(st.lists(st.floats(), min_size=1, max_size=100), st.integers(1, 60), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_equals_fmt_over_all_floats(self, values, width, blocks):
+        # the drawn values tiled over `blocks` full blocks and part of one more
+        rows = blocks * max(1, output._CSV_BLOCK_VALUES // width) + 1
+        self.check_kernel(np.resize(np.array(values), rows * width), width)
+
+    def test_kernel_on_adversarial_values(self):
+        rng = np.random.default_rng(12)
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        # 18-digit decimals halfway between two 17-digit ones, over the whole exponent range
+        halfway = np.array([float(f"{m}5e{e}") for m, e in zip(
+            rng.integers(10 ** 16, 10 ** 17, 20000).tolist(), rng.integers(-320, 290, 20000).tolist())])
+        edges = np.array([1e-5, 1e-4, 1e16, 1e17, 2.0 ** 53, 5e-324, 2.2250738585072014e-308,
+                          1.7976931348623157e308])
+        near = np.concatenate([powers, halfway, edges])
+        with np.errstate(over="ignore"):  # the largest float's upper neighbour is inf
+            above = np.nextafter(near, np.inf)
+        values = np.concatenate([near, above, np.nextafter(near, -np.inf),
+                                 [0.0, -0.0, math.inf, -math.inf, math.nan]])
+        values = np.concatenate([values, -values])
+        for width in (1, 7, 60):
+            self.check_kernel(values[:values.size - values.size % width], width)
+
+    def test_exact_tie_takes_the_fallback(self):
+        # ...125 lies exactly halfway between two 17-digit decimals: half-even keeps the 2
+        tie = 123456789012345.125
+        assert output.fmt(tie) == "123456789012345.12"
+        assert not output._decimal(np.array([tie]))[2][0]
+        assert output._csv_body([np.array([tie, -tie])]) == "123456789012345.12\n-123456789012345.12\n"
+
+    @pytest.mark.parametrize("name", ["example2_c4", "example3_c6", "maneuver_c6", "cube"])
+    def test_presets_never_take_the_fallback(self, name, monkeypatch):
+        trace, _, _ = cli.run_scenario(cli.load_scenario(name))
+        calls, fmt = [], output.fmt
+        monkeypatch.setattr(output, "fmt", lambda x: calls.append(x) or fmt(x))
+        output.trace_csv_text(trace)
+        if isinstance(trace, sf.ManeuverTrace):
+            output.reference_csv_text(trace)
+        assert calls == []
+
+    def test_trace_text_peak_memory(self):
+        # planar n = 16 on the default grid (8,248 rows, 8.6 MB of text). The block-% route
+        # this kernel replaced peaked at 2.0020 times the text's length under tracemalloc:
+        # the blocks' texts and the joined text. The kernel must not hold more.
+        trace, _, _ = cli.run_scenario(cli.parse_scenario({"name": "n16", "n": 16}))
+        output.trace_csv_text(short_trace())  # builds the kernel's tables outside the count
+        tracemalloc.start()
+        try:
+            text = output.trace_csv_text(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 8_000_000
+        assert peak <= 2.0020 * len(text)
 
     @staticmethod
     def check_polyline(xs: np.ndarray, ys: np.ndarray) -> None:
