@@ -27,13 +27,16 @@ EXIT_VERIFY = 4
 def build_system(scn: Scenario) -> SymmetryLaplacian:
     """The scenario's constraint tree as a :class:`SymmetryLaplacian` (``chain`` spans its
     null space, ``routes`` are its independent constructions), rejected before any
-    allocation when too large. A planar tree is validated here, once per build."""
+    allocation when too large. A planar tree is built and validated here, once per build."""
     dynamics.require_build_fits(scn.n, scn.dim, dynamics.BUILD_DENSE_MATRICES)
     if scn.formation == "cube":
         return spatial3d.build_cube(scn.cube_spec)
     tau = symgroup.assignment(scn.n)
-    edges = tuple((u, v, symgroup.CyclicAutomorphism(scn.n, s)) for (u, v, s) in scn.tree_edges)
-    graph = topology.InteractionGraph(n=scn.n, edges=edges)
+    if scn.tree_edges is None:
+        graph = topology.cycle_minus_edge(scn.n, scn.removed_edge)
+    else:
+        edges = tuple((u, v, symgroup.CyclicAutomorphism(scn.n, s)) for (u, v, s) in scn.tree_edges)
+        graph = topology.InteractionGraph(n=scn.n, edges=edges)
     msg = topology.validate(graph)
     if msg is not None:
         raise ScenarioError(f"tree: {msg}")
@@ -187,6 +190,7 @@ def sweep_sizes(n_from: int, n_to: int) -> list[dict]:
         raise ScenarioError(f"--n-from must be at least 3, got {n_from}")
     if n_to < n_from:
         raise ScenarioError(f"--n-to must be >= --n-from, got {n_to} < {n_from}")
+    dynamics.require_build_fits(n_to, 2, dynamics.BUILD_DENSE_MATRICES)
     rows = []
     for n in range(n_from, n_to + 1):
         lap = build_system(parse_scenario({"n": n}))

@@ -149,6 +149,13 @@ def require_build_fits(n: int, dim: int, matrices: int) -> None:
         )
 
 
+def _step_count(dt: float, horizon: float) -> int | float:
+    """ceil(horizon / dt), at least 1 (less 1e-12, so an exact multiple takes no extra
+    step); inf when horizon / dt overflows."""
+    span = horizon / dt - 1e-12
+    return max(1, int(math.ceil(span))) if math.isfinite(span) else math.inf
+
+
 def resolve_grid(
     spec: Spectrum, dt: float | None, horizon: float | None
 ) -> tuple[float, float, int]:
@@ -173,8 +180,7 @@ def resolve_grid(
         horizon = DEFAULT_HORIZON_FACTOR / rate if rate else 10.0
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    span = horizon / dt - 1e-12
-    steps = max(1, int(math.ceil(span))) if math.isfinite(span) else math.inf
+    steps = _step_count(dt, horizon)
     dn = spec.eigenvalues.size
     row_bytes = TRACE_ROW_BYTES_PER_COORD * dn + TRACE_ROW_BYTES_FIXED
     trace_bytes = (steps + 1) * row_bytes
@@ -229,16 +235,14 @@ def _power_steps(out: NDArray, k: int, count: int, d: NDArray, block: int) -> No
 
 
 def _rows(out: NDArray[np.float64], g: NDArray) -> NDArray:
-    """The rows of ``out`` (steps + 1, dn) that G acts on: flat rows for a dn x dn G,
-    the complex128 view of planar rows (n = dn / 2 points x + iy) for a complex n x n G,
-    and (n, dn / n) rows, G acting on each column, for a real n x n G."""
-    size, m = out.shape[1], g.shape[0]
-    if m == size:
-        return out
-    rows = out.view(np.complex128) if np.iscomplexobj(g) else out.reshape(out.shape[0], m, -1)
-    if rows.shape[1] != m:
-        raise ValueError(f"a {m} x {m} operator does not act on rows of {size} coordinates")
-    return rows
+    """``out`` (steps + 1, size) as (steps + 1, m, size / m) rows for an m x m G acting on
+    axis 1, taken from the complex128 view (planar points x + iy) when G is complex. A
+    real n x n G so acts on each of the d columns of (n, d) rows, a dn x dn G on one."""
+    m = g.shape[0]
+    rows = out.view(np.complex128) if np.iscomplexobj(g) else out
+    if rows.shape[1] % m:
+        raise ValueError(f"a {m} x {m} operator does not act on rows of {out.shape[1]} coordinates")
+    return rows.reshape(rows.shape[0], m, -1)
 
 
 def propagate_linear(
@@ -252,9 +256,8 @@ def propagate_linear(
     ``c0`` is a flat state or an (n, d) array of rows; the returned
     (steps + 1, c0.size) array holds the flat states, row 0 being ``c0``.
     The step counts must add up to ``steps``. Each segment's G is m x m and
-    acts on the state as :func:`_rows` says: on the flat state when
-    m = c0.size, on the complex128 view of planar (n, 2) rows when G is
-    complex, and on each of the d columns of (n, d) rows otherwise. On a
+    acts on the state as :func:`_rows` says: on the (m, -1) rows of the
+    state, or of its complex128 view when G is complex. On a
     segment RK4 is exactly c_{k+1} = P c_k with
     P = I + H + H²/2 + H³/6 + H⁴/24, H = -dt G.
 
@@ -326,16 +329,10 @@ def _edge_errors(lap: SymmetryLaplacian, rows: NDArray[np.float64]) -> tuple[NDA
     """Per-edge errors ‖q_u - q_v‖ of gauge rows (steps + 1, dn) and the potentials.
 
     Edge (u, v) maps p_u to p_v by W, and S_v = W S_u, so its residual
-    p_u - Wᵀ p_v is S_u (q_u - q_v). The differences come from one product
-    per coordinate with the ±1 n x m tree incidence."""
-    n, d = lap.n, lap.dim
-    ends = np.array(lap.edge_index).reshape(-1, 2) - 1
-    edges = np.arange(len(ends))
-    incidence = np.zeros((n, len(ends)))
-    incidence[ends[:, 0], edges] = 1.0
-    incidence[ends[:, 1], edges] = -1.0
-    points = rows.reshape(rows.shape[0], n, d)
-    squares = sum((points[:, :, j] @ incidence) ** 2 for j in range(d))
+    p_u - Wᵀ p_v is S_u (q_u - q_v), taken from the rows at the edge ends one coordinate
+    at a time, so the errors stay C-ordered and the potentials' row sums keep their bits."""
+    u, v = lap.dim * lap.ends.T
+    squares = sum((rows.take(u + j, axis=1) - rows.take(v + j, axis=1)) ** 2 for j in range(lap.dim))
     errors = np.sqrt(squares)
     return errors, 0.5 * (errors ** 2).sum(axis=1)
 

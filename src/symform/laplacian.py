@@ -88,13 +88,17 @@ class SymmetryLaplacian:
         return [(u, v, w) for (u, v), w in zip(self.edge_index, self.rotations)]
 
     @cached_property
+    def ends(self) -> NDArray[np.intp]:
+        """The 0-based ends (u, v) of each edge of ``edge_index`` (m x 2)."""
+        return np.array(self.edge_index, dtype=np.intp).reshape(-1, 2) - 1
+
+    @cached_property
     def _pattern(self) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
         """Block rows and columns of L's nonzero pattern: the n diagonal blocks, then
         (u, v) of every edge, then (v, u) of every edge (0-based)."""
-        ends = np.array(self.edge_index, dtype=np.intp).reshape(-1, 2) - 1
+        u, v = self.ends.T
         nodes = np.arange(self.n)
-        return (np.concatenate([nodes, ends[:, 0], ends[:, 1]]),
-                np.concatenate([nodes, ends[:, 1], ends[:, 0]]))
+        return np.concatenate([nodes, u, v]), np.concatenate([nodes, v, u])
 
     @cached_property
     def _blocks(self) -> NDArray[np.float64]:

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import (DEFAULT_STEP_FACTOR, SimulationTrace, _gauge_run, _trace_metadata, edge_residual_norms,
-                       require_finite, resolve_grid)
+from .dynamics import (DEFAULT_STEP_FACTOR, SimulationTrace, _gauge_run, _step_count, _trace_metadata,
+                       edge_residual_norms, require_finite, resolve_grid)
 from .laplacian import NumericFailure, SymmetryLaplacian
 from .symgroup import PointGroupAssignment, Rotation, identity, rotation2, rotation3
 from .topology import InteractionGraph, weighted_edges
@@ -181,7 +181,8 @@ def _step_indices(segs: tuple, times: NDArray[np.float64]) -> NDArray[np.intp]:
 def propagate_reference(
     inputs: ReferenceInputs, start: ReferenceState, dt: float, horizon: float
 ) -> ReferencePath:
-    """March the reference frame over a fixed grid of ceil(horizon/dt) steps."""
+    """March the reference frame over the grid of :func:`resolve_grid`, ceil(horizon/dt) steps;
+    a step count that overflows raises ValueError."""
     if start.dim != inputs.dim:
         raise ValueError(f"start state dimension {start.dim} != inputs dimension {inputs.dim}")
     if not (dt > 0 and math.isfinite(dt)):
@@ -189,7 +190,9 @@ def propagate_reference(
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     d = inputs.dim
-    steps = max(1, int(math.ceil(horizon / dt - 1e-12)))
+    steps = _step_count(dt, horizon)
+    if steps == math.inf:
+        raise ValueError(f"horizon {horizon:g} / step size {dt:g} overflows the step count")
     times = np.arange(steps + 1) * dt
     iv, iw, ia = (_step_indices(segs, times[:-1])
                   for segs in (inputs.velocity, inputs.angular, inputs.scale_rate))

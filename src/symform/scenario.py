@@ -28,7 +28,8 @@ class Scenario:
     formation: str            # "planar" | "cube"
     n: int
     dim: int
-    tree_edges: tuple | None  # planar: ((u, v, shift), ...)
+    tree_edges: tuple | None  # planar, given as edges: ((u, v, shift), ...)
+    removed_edge: tuple[int, int] | None  # planar, given as C_n less this edge (u, v)
     initial_points: NDArray[np.float64] | None
     box: tuple[float, float]
     seed: int
@@ -178,7 +179,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
         _require("tree" not in raw, "tree", "cube formations fix their own constraint tree")
         n, dim = 8, 3
         cube_spec = _parse_cube(raw.get("cube"), "cube")
-        tree_edges = None
+        tree_edges = removed_edge = None
     else:
         _require("cube" not in raw, "cube", "only valid for cube formations")
         _require("n" in raw, "n", "required for planar formations")
@@ -200,15 +201,14 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
                 v = _as_int(item[1], f"{p}[1]")
                 s = _as_int(item[2], f"{p}[2]")
                 edges.append((u, v, s))
-            tree_edges = tuple(edges)
+            tree_edges, removed_edge = tuple(edges), None
         else:
             rm = tree_raw.get("remove", [n, 1])
             _require(isinstance(rm, list) and len(rm) == 2, "tree.remove", "expected [u, v]")
             u = _as_int(rm[0], "tree.remove[0]")
             v = _as_int(rm[1], "tree.remove[1]")
-            cycle = topology.CycleGraph(n)
-            _require(cycle.contains_edge(u, v), "tree.remove", f"[{u}, {v}] is not an edge of C_{n}")
-            tree_edges = tuple((a, b, g.shift) for (a, b, g) in topology.cycle_minus_edge(n, (u, v)).edges)
+            _require(topology.CycleGraph(n).contains_edge(u, v), "tree.remove", f"[{u}, {v}] is not an edge of C_{n}")
+            tree_edges, removed_edge = None, (u, v)  # cli.build_system builds the tree once n is known to fit
 
     initial_points = None
     box = DEFAULT_BOX
@@ -239,7 +239,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
         reference, ref_start = _parse_reference(raw["reference"], dim, "reference")
 
     return Scenario(
-        name=name, formation=formation, n=n, dim=dim, tree_edges=tree_edges,
+        name=name, formation=formation, n=n, dim=dim, tree_edges=tree_edges, removed_edge=removed_edge,
         initial_points=initial_points, box=box, seed=seed,
         reference=reference, ref_start=ref_start, dt=dt, horizon=horizon, cube_spec=cube_spec,
     )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symform as sf
-from conftest import slowest_rate
+from conftest import random_tree, random_tree_cases, slowest_rate
 from symform import cli
 
 
@@ -55,6 +56,38 @@ class TestEdgeErrors:
         graph, tau, p = triangle_example()
         errs = sf.edge_errors(p, graph, tau)
         assert np.allclose(errs, [math.sqrt(3), math.sqrt(3)], atol=1e-12)
+
+    @staticmethod
+    def check_gauge_rows(lap: sf.SymmetryLaplacian, seed: int) -> None:
+        # ‖q_u - q_v‖ of the gauge rows against the dense ‖(Eᵀ p)_e‖ of the world states
+        states = np.random.default_rng(seed).uniform(-3, 3, (7, lap.n * lap.dim))
+        rows = np.array([sf.dynamics._to_gauge(lap, p).ravel() for p in states])
+        errors, potentials = sf.dynamics._edge_errors(lap, rows)
+        dense = np.sqrt(((states @ lap.incidence).reshape(7, -1, lap.dim) ** 2).sum(axis=2))
+        assert errors.shape == dense.shape and errors.flags.c_contiguous
+        assert np.abs(errors - dense).max() <= 1e-12 * dense.max()
+        assert np.abs(potentials - 0.5 * (dense ** 2).sum(axis=1)).max() <= 1e-12 * potentials.max()
+
+    @given(random_tree_cases(12), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_gauge_rows_match_incidence_route(self, case, seed):
+        self.check_gauge_rows(sf.build_laplacian(random_tree(*case), sf.assignment(case[0])), seed)
+
+    def test_cube_gauge_rows_match_incidence_route(self):
+        self.check_gauge_rows(sf.build_cube(), 12)
+
+    def test_gauge_rows_form_no_incidence(self, path_system):
+        # 41 rows of a planar n = 600 run peak below half of one n x (n - 1) array,
+        # which a ±1 tree incidence alone would fill
+        lap = path_system(600)[2]
+        rows = np.random.default_rng(13).uniform(-2, 2, (41, 1200))
+        tracemalloc.start()
+        try:
+            sf.dynamics._edge_errors(lap, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 600 * 599 * 8
 
 
 class TestControl:
@@ -166,6 +199,13 @@ class TestPropagateLinear:
                     assert np.array_equal(states[k], y)
                 else:
                     assert np.abs(states[k] - y).max() <= 1e-12 * np.abs(states).max()
+
+    @pytest.mark.parametrize("g", [np.eye(4), np.eye(2, dtype=complex)], ids=["real", "complex"])
+    def test_operator_must_divide_the_row(self, g):
+        # 6 coordinates are 3 complex points: neither a 4 x 4 nor a complex 2 x 2 G acts on them
+        m = g.shape[0]
+        with pytest.raises(ValueError, match=f"a {m} x {m} operator does not act on rows of 6 coordinates"):
+            sf.propagate_linear(np.ones(6), [(g, 2)], 0.05, 2)
 
     def test_step_counts_must_add_up(self, path_system):
         _, _, lap, _ = path_system(3)

@@ -206,6 +206,17 @@ class TestPropagateReference:
         with pytest.raises(ValueError, match="horizon"):
             sf.propagate_reference(inputs, sf.ReferenceState.at_origin(), 0.1, -1.0)
 
+    def test_overflowing_step_count_rejected(self):
+        with pytest.raises(ValueError, match="overflows the step count"):
+            sf.propagate_reference(sf.ReferenceInputs.stationary(), sf.ReferenceState.at_origin(), 1e-308, 1e300)
+
+    @pytest.mark.parametrize("dt, horizon", [(0.1, 1.0), (0.1, 0.3), (0.07, 25.0), (0.3, 0.1), (1e-3, 2.0)])
+    def test_grid_matches_resolve_grid(self, path_system, dt, horizon):
+        spec = path_system(4)[2].spectrum
+        steps = sf.resolve_grid(spec, dt, horizon)[2]
+        path = sf.propagate_reference(sf.ReferenceInputs.stationary(), sf.ReferenceState.at_origin(), dt, horizon)
+        assert path.times.size == steps + 1
+
     def test_dimension_mismatch_rejected(self):
         inputs = sf.ReferenceInputs.stationary(dim=3)
         with pytest.raises(ValueError, match="dimension"):

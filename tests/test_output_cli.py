@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symform as sf
-from symform import cli, dynamics, laplacian, output
+from symform import cli, dynamics, laplacian, output, topology
 
 
 def short_trace(n: int = 4, horizon: float = 1.0) -> sf.SimulationTrace:
@@ -227,7 +227,9 @@ class TestParseScenario:
         assert scn.formation == "planar" and scn.n == 4 and scn.dim == 2
         assert scn.seed == 0
         assert scn.box == (-2.0, 2.0)
-        assert scn.tree_edges == ((1, 2, 1), (2, 3, 1), (3, 4, 1))
+        assert scn.tree_edges is None and scn.removed_edge == (4, 1)
+        graph = cli.build_system(scn)
+        assert graph.edge_index == ((1, 2), (2, 3), (3, 4))
         assert scn.reference is None and scn.dt is None and scn.horizon is None
 
     def test_unknown_field_named(self):
@@ -971,6 +973,27 @@ class TestOversizedRun:
             tracemalloc.stop()
         row_bytes = dynamics.TRACE_ROW_BYTES_PER_COORD * dn + dynamics.TRACE_ROW_BYTES_FIXED
         assert peak <= (steps + 1) * row_bytes + dynamics.BUILD_DENSE_MATRICES * dn ** 2 * 8
+
+    @pytest.mark.parametrize("command, fit", [("run", 1831), ("verify", 1448)])
+    def test_huge_n_rejected_before_the_tree(self, tmp_path, capsys, monkeypatch, command, fit):
+        monkeypatch.setattr(topology, "cycle_minus_edge", lambda *a, **k: pytest.fail("tree built"))
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 10_000_000}))
+        argv = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+        start = time.perf_counter()
+        assert cli.main(argv) == 2
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert f"the largest n that fits is {fit}" in err and err.count("\n") == 1 and "Traceback" not in err
+        assert elapsed < 1.0 and not (tmp_path / "out").exists()
+
+    def test_sweep_checks_n_to_before_any_build(self, capsys, monkeypatch):
+        monkeypatch.setattr(laplacian, "laplacian_from_edges", lambda *a, **k: pytest.fail("dense build"))
+        monkeypatch.setattr(topology, "cycle_minus_edge", lambda *a, **k: pytest.fail("tree built"))
+        assert cli.main(["sweep", "--n-from", "3", "--n-to", "20000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "n = 20000" in captured.err and "the largest n that fits is 1831" in captured.err
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_verify_and_sweep_share_the_build_bound(self, tmp_path, capsys, monkeypatch, command):

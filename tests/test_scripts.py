@@ -16,14 +16,6 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def test_run_presets(tmp_path):
-    result = run_script("run_presets.py", "--out", str(tmp_path))
-    assert result.returncode == 0, result.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "cube", "example2_c4", "example3_c6", "maneuver_c6"]
-    assert (tmp_path / "maneuver_c6" / "reference.csv").is_file()
-
-
 def test_decay_rate_study():
     result = run_script("decay_rate_study.py", "--n-from", "3", "--n-to", "5")
     assert result.returncode == 0, result.stderr
