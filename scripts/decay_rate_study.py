@@ -18,9 +18,7 @@ import symform as sf
 
 
 def study_row(n: int, seed: int) -> dict:
-    tau = sf.assignment(n)
-    graph = sf.cycle_minus_edge(n, (n, 1))
-    lap = sf.build_laplacian(graph, tau)
+    lap = sf.build_laplacian(sf.cycle_minus_edge(n, (n, 1)))
     p0 = np.random.default_rng(seed).uniform(-2.0, 2.0, 2 * n)
     trace = sf.integrate(lap, p0)
     fitted = sf.fit_rate(trace)
@@ -30,7 +28,7 @@ def study_row(n: int, seed: int) -> dict:
         "fitted": fitted,
         "expected": expected,
         "rel_gap": abs(fitted - expected) / abs(expected),
-        "steps": trace.times.size - 1,
+        "steps": trace.steps,
     }
 
 

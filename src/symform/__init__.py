@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from .symgroup import (
     CyclicAutomorphism,
-    PointGroupAssignment,
     Rotation,
-    assignment,
     identity,
     rotation2,
     rotation3,
@@ -76,10 +74,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CubeSpec", "CycleGraph", "CyclicAutomorphism", "InteractionGraph",
-    "ManeuverTrace", "NumericFailure", "PointGroupAssignment",
-    "ReferenceInputs", "ReferencePath", "ReferenceState", "Rotation",
-    "SimulationTrace", "Spectrum", "SymmetryLaplacian", "assignment",
-    "build_cube", "build_laplacian", "chain_matrices",
+    "ManeuverTrace", "NumericFailure", "ReferenceInputs", "ReferencePath",
+    "ReferenceState", "Rotation", "SimulationTrace", "Spectrum",
+    "SymmetryLaplacian", "build_cube", "build_laplacian", "chain_matrices",
     "closed_form_solution", "control", "control_per_agent",
     "cycle_minus_edge", "edge_errors", "edge_residual_norms", "fit_rate",
     "frame_to_world", "identity", "integrate", "laplacian_from_edges",

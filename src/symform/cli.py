@@ -31,7 +31,6 @@ def build_system(scn: Scenario) -> SymmetryLaplacian:
     dynamics.require_build_fits(scn.n, scn.dim, dynamics.BUILD_DENSE_MATRICES)
     if scn.formation == "cube":
         return spatial3d.build_cube(scn.cube_spec)
-    tau = symgroup.assignment(scn.n)
     if scn.tree_edges is None:
         graph = topology.cycle_minus_edge(scn.n, scn.removed_edge)
     else:
@@ -40,7 +39,7 @@ def build_system(scn: Scenario) -> SymmetryLaplacian:
     msg = topology.validate(graph)
     if msg is not None:
         raise ScenarioError(f"tree: {msg}")
-    return laplacian.build_laplacian(graph, tau)
+    return laplacian.build_laplacian(graph)
 
 
 def initial_state(scn: Scenario) -> NDArray[np.float64]:
@@ -57,26 +56,25 @@ def run_scenario(scn: Scenario) -> tuple[dynamics.SimulationTrace, SymmetryLapla
     t0 = time.perf_counter()
     lap = build_system(scn)
     p0 = initial_state(scn)
-    meta = {"seed": scn.seed, "scenario": scn.name}
     if scn.reference is None:
-        trace = dynamics.integrate(lap, p0, dt=scn.dt, horizon=scn.horizon, metadata=meta)
+        trace = dynamics.integrate(lap, p0, dt=scn.dt, horizon=scn.horizon)
     else:
         trace = maneuver.simulate_maneuver(lap, p0, scn.reference, start=scn.ref_start,
-                                           dt=scn.dt, horizon=scn.horizon, metadata=meta)
-    metrics = compute_metrics(scn, lap, trace, p0)
+                                           dt=scn.dt, horizon=scn.horizon)
+    metrics = compute_metrics(scn, lap, trace)
     metrics["runtime_seconds"] = time.perf_counter() - t0
     return trace, lap, metrics
 
 
-def compute_metrics(scn: Scenario, lap: SymmetryLaplacian,
-                    trace: dynamics.SimulationTrace, p0: NDArray[np.float64]) -> dict:
+def compute_metrics(scn: Scenario, lap: SymmetryLaplacian, trace: dynamics.SimulationTrace) -> dict:
     spec = lap.spectrum
     d, n = scn.dim, scn.n
     if isinstance(trace, maneuver.ManeuverTrace):
         z0, zT = trace.zeta[0], trace.zeta[-1]
         projection_residual = float(np.linalg.norm(zT - laplacian.steady_state(z0, lap.chain)))
     else:
-        projection_residual = float(np.linalg.norm(trace.final_state - laplacian.steady_state(p0, lap.chain)))
+        limit = laplacian.steady_state(trace.states[0], lap.chain)
+        projection_residual = float(np.linalg.norm(trace.final_state - limit))
     try:
         fitted = dynamics.fit_rate(trace)
     except ValueError:
@@ -84,7 +82,7 @@ def compute_metrics(scn: Scenario, lap: SymmetryLaplacian,
     expected_rate = -spec.lambda_min_pos if spec.lambda_min_pos else None
     rate_gap = (abs(fitted - expected_rate) / abs(expected_rate)
                 if fitted is not None and expected_rate else None)
-    decay = trace.metadata["horizon"] * spec.lambda_min_pos if spec.lambda_min_pos else None
+    decay = trace.horizon * spec.lambda_min_pos if spec.lambda_min_pos else None
     rate_note = None
     if decay is not None and decay < dynamics.RATE_FIT_MIN_DECAY:
         rate_note = (f"horizon * lambda_min_pos = {decay:.3g} is below {dynamics.RATE_FIT_MIN_DECAY:g}: "
@@ -103,9 +101,9 @@ def compute_metrics(scn: Scenario, lap: SymmetryLaplacian,
         "n": n,
         "dim": d,
         "seed": scn.seed,
-        "dt": trace.metadata["dt"],
-        "horizon": trace.metadata["horizon"],
-        "steps": trace.metadata["steps"],
+        "dt": trace.dt,
+        "horizon": trace.horizon,
+        "steps": trace.steps,
         "lambda_max": spec.lambda_max,
         "lambda_min_pos": spec.lambda_min_pos,
         "rank": spec.rank,
@@ -120,7 +118,7 @@ def compute_metrics(scn: Scenario, lap: SymmetryLaplacian,
         "expected_rate": expected_rate,
         "fitted_rate_rel_gap": rate_gap,
         "rate_note": rate_note,
-        "zeta_residual": trace.metadata.get("zeta_residual"),
+        "zeta_residual": getattr(trace, "zeta_residual", None),
         "checks": checks,
     }
 

@@ -2,14 +2,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .laplacian import NumericFailure, Spectrum, SymmetryLaplacian, WeightedEdge
-from .symgroup import PointGroupAssignment
 from .topology import InteractionGraph, weighted_edges
 
 UNDERFLOW_FLOOR = 1e-14  # error magnitudes below this are float noise
@@ -58,18 +57,14 @@ def edge_residual_norms(
     return out
 
 
-def edge_errors(
-    p: NDArray[np.float64], graph: InteractionGraph, tau: PointGroupAssignment
-) -> NDArray[np.float64]:
+def edge_errors(p: NDArray[np.float64], graph: InteractionGraph) -> NDArray[np.float64]:
     """Per-edge constraint violations of a planar tree."""
-    return edge_residual_norms(p, weighted_edges(graph, tau), 2)
+    return edge_residual_norms(p, weighted_edges(graph), 2)
 
 
-def potential(
-    p: NDArray[np.float64], graph: InteractionGraph, tau: PointGroupAssignment
-) -> float:
+def potential(p: NDArray[np.float64], graph: InteractionGraph) -> float:
     """Half the summed squared edge residuals (the flow's Lyapunov function)."""
-    errs = edge_errors(p, graph, tau)
+    errs = edge_errors(p, graph)
     return 0.5 * float(errs @ errs)
 
 
@@ -79,9 +74,7 @@ def control(p: NDArray[np.float64], q_matrix: NDArray[np.float64] | SymmetryLapl
     return -(q @ np.asarray(p, dtype=float))
 
 
-def control_per_agent(
-    p: NDArray[np.float64], graph: InteractionGraph, tau: PointGroupAssignment
-) -> NDArray[np.float64]:
+def control_per_agent(p: NDArray[np.float64], graph: InteractionGraph) -> NDArray[np.float64]:
     """Neighbor-sum form of the gradient velocity.
 
     Agent i moves by the sum over incident edges of (rotated neighbor - self),
@@ -92,7 +85,7 @@ def control_per_agent(
     n, d = graph.n, 2
     pts = p.reshape(n, d)
     out = np.zeros_like(pts)
-    for (u, v, w) in weighted_edges(graph, tau):
+    for (u, v, w) in weighted_edges(graph):
         out[u - 1] += w.T @ pts[v - 1] - pts[u - 1]
         out[v - 1] += w @ pts[u - 1] - pts[v - 1]
     return out.ravel()
@@ -100,7 +93,8 @@ def control_per_agent(
 
 @dataclass(eq=False)
 class SimulationTrace:
-    """Sampled gradient-flow run: states, per-edge errors, and the potential."""
+    """Sampled gradient-flow run on the grid of :func:`resolve_grid` (``steps`` + 1 times
+    k·dt): states, per-edge errors, and the potential."""
 
     times: NDArray[np.float64]
     states: NDArray[np.float64]
@@ -109,7 +103,12 @@ class SimulationTrace:
     n: int
     dim: int
     edge_index: tuple[tuple[int, int], ...]
-    metadata: dict = field(default_factory=dict)
+    dt: float
+    horizon: float
+
+    @property
+    def steps(self) -> int:
+        return self.times.size - 1
 
     @property
     def total_errors(self) -> NDArray[np.float64]:
@@ -143,8 +142,9 @@ def require_build_fits(n: int, dim: int, matrices: int) -> None:
     build_bytes = matrices * dn * dn * 8
     if build_bytes > MAX_BUILD_BYTES:
         fit = math.isqrt(MAX_BUILD_BYTES // (matrices * 8)) // dim
+        mib = build_bytes / 2**20 if build_bytes < 2**1000 else math.inf  # inf beyond a float
         raise ValueError(
-            f"n = {n} needs about {build_bytes / 2**20:.1f} MiB for its dense {dn}x{dn} matrices, "
+            f"n = {n} needs about {mib:.1f} MiB for its dense {dn}x{dn} matrices, "
             f"above the {MAX_BUILD_BYTES / 2**20:g} MiB bound (the largest n that fits is {fit})"
         )
 
@@ -182,18 +182,25 @@ def resolve_grid(
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     steps = _step_count(dt, horizon)
     dn = spec.eigenvalues.size
-    row_bytes = TRACE_ROW_BYTES_PER_COORD * dn + TRACE_ROW_BYTES_FIXED
-    trace_bytes = (steps + 1) * row_bytes
-    if trace_bytes > MAX_TRACE_BYTES:
+    _require_grid_fits(steps, dt, TRACE_ROW_BYTES_PER_COORD * dn + TRACE_ROW_BYTES_FIXED,
+                       f"steps of {dn} coordinates", "the trace and its CSV text")
+    return dt, horizon, steps
+
+
+def _require_grid_fits(steps: int | float, dt: float, row_bytes: int, rows: str, holding: str) -> None:
+    """Raise ValueError, with a horizon that would fit, when ``steps`` + 1 rows of ``row_bytes``
+    each would exceed ``MAX_TRACE_BYTES``; ``rows`` and ``holding`` name the steps and
+    their arrays in the message."""
+    grid_bytes = (steps + 1) * row_bytes
+    if grid_bytes > MAX_TRACE_BYTES:
         fit = max(1, MAX_TRACE_BYTES // row_bytes - 1) * dt
         unit = 10.0 ** (math.floor(math.log10(fit)) - 2)
         fit = math.floor(fit / unit) * unit  # three significant digits, rounded down
         raise ValueError(
-            f"{steps:.3g} steps of {dn} coordinates need about {trace_bytes / 2**20:.4g} MiB "
-            f"for the trace and its CSV text, above the {MAX_TRACE_BYTES / 2**20:g} MiB bound "
+            f"{steps:.3g} {rows} need about {grid_bytes / 2**20:.4g} MiB "
+            f"for {holding}, above the {MAX_TRACE_BYTES / 2**20:g} MiB bound "
             f"(try horizon = {fit:.3g})"
         )
-    return dt, horizon, steps
 
 
 def _rk4_increment(g: NDArray[np.float64], dt: float) -> NDArray[np.float64]:
@@ -239,9 +246,10 @@ def _rows(out: NDArray[np.float64], g: NDArray) -> NDArray:
     axis 1, taken from the complex128 view (planar points x + iy) when G is complex. A
     real n x n G so acts on each of the d columns of (n, d) rows, a dn x dn G on one."""
     m = g.shape[0]
-    rows = out.view(np.complex128) if np.iscomplexobj(g) else out
-    if rows.shape[1] % m:
+    complex_rows = np.iscomplexobj(g)
+    if out.shape[1] % (2 * m if complex_rows else m):
         raise ValueError(f"a {m} x {m} operator does not act on rows of {out.shape[1]} coordinates")
+    rows = out.view(np.complex128) if complex_rows else out
     return rows.reshape(rows.shape[0], m, -1)
 
 
@@ -367,23 +375,11 @@ def require_finite(stage: str, times: NDArray[np.float64], **arrays: NDArray[np.
             )
 
 
-def _trace_metadata(lap: SymmetryLaplacian, dt: float, horizon: float, steps: int,
-                    metadata: dict | None) -> dict:
-    """The trace metadata of a run on ``lap``'s grid, updated from ``metadata``."""
-    spec = lap.spectrum
-    meta = {"dt": dt, "horizon": horizon, "steps": steps, "method": "rk4",
-            "lambda_max": spec.lambda_max, "lambda_min_pos": spec.lambda_min_pos}
-    if metadata:
-        meta.update(metadata)
-    return meta
-
-
 def integrate(
     lap: SymmetryLaplacian,
     p0: NDArray[np.float64],
     dt: float | None = None,
     horizon: float | None = None,
-    metadata: dict | None = None,
 ) -> SimulationTrace:
     """Fixed-step RK4 integration of dp/dt = -Q p.
 
@@ -406,8 +402,7 @@ def integrate(
     require_finite("integrate", times, states=states, edge_errors=errors, potentials=potentials)
     return SimulationTrace(
         times=times, states=states, edge_errors=errors, potentials=potentials,
-        n=lap.n, dim=lap.dim, edge_index=lap.edge_index,
-        metadata=_trace_metadata(lap, dt, horizon, steps, metadata),
+        n=lap.n, dim=lap.dim, edge_index=lap.edge_index, dt=dt, horizon=horizon,
     )
 
 

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .symgroup import PointGroupAssignment, _freeze
+from .symgroup import _freeze
 from .topology import InteractionGraph, chain_matrices, rotation_chain, tree_problem, weighted_edges
 
 SYMMETRY_TOL = 1e-10
@@ -217,10 +217,10 @@ def laplacian_from_edges(
     )
 
 
-def build_laplacian(graph: InteractionGraph, tau: PointGroupAssignment) -> SymmetryLaplacian:
+def build_laplacian(graph: InteractionGraph) -> SymmetryLaplacian:
     """Laplacian of a planar constraint tree that :func:`topology.validate` accepts,
     carrying its exact-shift chain (the tree is walked once, by :func:`null_basis`)."""
-    return laplacian_from_edges(graph.n, 2, weighted_edges(graph, tau), chain=null_basis(graph, tau))
+    return laplacian_from_edges(graph.n, 2, weighted_edges(graph), chain=null_basis(graph))
 
 
 def product_laplacian(incidence: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -228,15 +228,13 @@ def product_laplacian(incidence: NDArray[np.float64]) -> NDArray[np.float64]:
     return incidence @ incidence.T
 
 
-def null_basis(graph: InteractionGraph, tau: PointGroupAssignment) -> NDArray[np.float64]:
+def null_basis(graph: InteractionGraph) -> NDArray[np.float64]:
     """Stacked chain rotations S_i = R(k_i · 2π/n) of a planar tree (dn x d), the null basis of Q.
 
     Entries are cos and sin of the exact shifts of :func:`rotation_chain`, the
     bits :func:`symgroup.rotation2` gives each rotation.
     """
-    if tau.n != graph.n:
-        raise ValueError(f"assignment on C_{tau.n} does not match graph on C_{graph.n}")
-    angles = [k * tau.base_angle for k in rotation_chain(graph)]
+    angles = [k * (math.tau / graph.n) for k in rotation_chain(graph)]
     cos = np.array([math.cos(a) for a in angles])
     sin = np.array([math.sin(a) for a in angles])
     chain = np.empty((graph.n, 2, 2))

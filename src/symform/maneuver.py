@@ -9,10 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import (DEFAULT_STEP_FACTOR, SimulationTrace, _gauge_run, _step_count, _trace_metadata,
+from .dynamics import (DEFAULT_STEP_FACTOR, SimulationTrace, _gauge_run, _require_grid_fits, _step_count,
                        edge_residual_norms, require_finite, resolve_grid)
 from .laplacian import NumericFailure, SymmetryLaplacian
-from .symgroup import PointGroupAssignment, Rotation, identity, rotation2, rotation3
+from .symgroup import Rotation, identity, rotation2, rotation3
 from .topology import InteractionGraph, weighted_edges
 
 # RK4 may not amplify any mode by more than rounding: max |P(-dt μ)| <= 1 + this
@@ -182,7 +182,8 @@ def propagate_reference(
     inputs: ReferenceInputs, start: ReferenceState, dt: float, horizon: float
 ) -> ReferencePath:
     """March the reference frame over the grid of :func:`resolve_grid`, ceil(horizon/dt) steps;
-    a step count that overflows raises ValueError."""
+    a step count that overflows, or a path above ``MAX_TRACE_BYTES``, raises ValueError
+    before any array is allocated."""
     if start.dim != inputs.dim:
         raise ValueError(f"start state dimension {start.dim} != inputs dimension {inputs.dim}")
     if not (dt > 0 and math.isfinite(dt)):
@@ -193,6 +194,9 @@ def propagate_reference(
     steps = _step_count(dt, horizon)
     if steps == math.inf:
         raise ValueError(f"horizon {horizon:g} / step size {dt:g} overflows the step count")
+    # the tracemalloc peak per row is 17 floats planar (136 bytes), 26 spatial (208 bytes):
+    # the path's arrays, the per-step inputs and the lists that index them
+    _require_grid_fits(steps, dt, 8 * (d * d + 4 * d + 5), "reference steps", "the reference path")
     times = np.arange(steps + 1) * dt
     iv, iw, ia = (_step_indices(segs, times[:-1])
                   for segs in (inputs.velocity, inputs.angular, inputs.scale_rate))
@@ -271,12 +275,15 @@ class ManeuverTrace(SimulationTrace):
 
     ``edge_errors`` and ``potentials`` are computed on the shifted state
     p - 1⊗r, so they measure formation-shape error, not tracking offset.
+    ``zeta_residual`` is :func:`zeta_consistency_residual` for spatial runs,
+    None for planar ones.
     """
 
     ref_positions: NDArray[np.float64] = None
     ref_rotations: NDArray[np.float64] = None
     ref_scales: NDArray[np.float64] = None
     zeta: NDArray[np.float64] = None
+    zeta_residual: float | None = None
 
 
 def _rk4_gain(z: NDArray[np.complex128]) -> NDArray[np.float64]:
@@ -369,7 +376,6 @@ def simulate_maneuver(
     start: ReferenceState | None = None,
     dt: float | None = None,
     horizon: float | None = None,
-    metadata: dict | None = None,
 ) -> ManeuverTrace:
     """Integrate the maneuver control law alongside its reference trajectory.
 
@@ -377,14 +383,14 @@ def simulate_maneuver(
     inputs sampled at its left node. Over a run of constant inputs the
     shifted state c = p - 1⊗r follows the linear flow
     dc/dt = -(Q - I⊗Ω - α I) c, which is integrated in gauge coordinates
-    q_i = S_iᵀ c_i (see :func:`_segment_operator`); the world states are
-    c + 1⊗r. Step sizes for which
+    q_i = S_iᵀ c_i (see :func:`_segment_operator`); ζ is taken from c, and
+    the world states c + 1⊗r are formed in c's array. Step sizes for which
     RK4 would amplify some mode of Q - I⊗Ω raise ValueError with a suggested
     dt, and a run that overflows raises NumericFailure. The returned trace
     carries the frame coordinates ζ, which for planar formations follow the
     stationary flow dζ/dt = -Q ζ. For spatial formations they need not, and
-    the residual of that flow is reported, never asserted zero, in the
-    trace metadata under ``zeta_residual``; a spatial grid of fewer than
+    the residual of that flow is reported, never asserted zero, as the
+    trace's ``zeta_residual``; a spatial grid of fewer than
     three samples, too short for that residual, raises ValueError.
     """
     d, n = lap.dim, lap.n
@@ -407,36 +413,32 @@ def simulate_maneuver(
 
     # overflow is reported once, by require_finite, instead of as numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        shifted, errors, potentials = _gauge_run(lap, p0 - np.tile(path.positions[0], n), segments, dt, steps)
-        states = shifted + np.tile(path.positions, (1, n))
+        states, errors, potentials = _gauge_run(lap, p0 - np.tile(path.positions[0], n), segments, dt, steps)
+        points = states.reshape(steps + 1, n, d)
+        zeta = np.einsum("kni,kij->knj", points, path.rotations)
+        zeta /= path.scales[:, None, None]
+        zeta = zeta.reshape(steps + 1, n * d)
+        points += path.positions[:, None, :]
         states[0] = p0
-        zeta = (np.einsum("kni,kij->knj", shifted.reshape(steps + 1, n, d), path.rotations)
-                / path.scales[:, None, None]).reshape(steps + 1, n * d)
-    del shifted  # not held while the 3-D residual below makes its temporaries
     require_finite("maneuver", path.times, reference_scales=path.scales, states=states,
                    edge_errors=errors, potentials=potentials, zeta=zeta)
     trace = ManeuverTrace(
         times=path.times, states=states, edge_errors=errors, potentials=potentials,
-        n=n, dim=d, edge_index=lap.edge_index, metadata=_trace_metadata(lap, dt, horizon, steps, metadata),
+        n=n, dim=d, edge_index=lap.edge_index, dt=dt, horizon=horizon,
         ref_positions=path.positions, ref_rotations=path.rotations,
         ref_scales=path.scales, zeta=zeta,
     )
     if d == 3:  # spatial edge rotations need not commute with the reference attitude
-        trace.metadata["zeta_residual"] = zeta_consistency_residual(trace, lap.matrix)
+        trace.zeta_residual = zeta_consistency_residual(trace, lap.matrix)
     return trace
 
 
-def shifted_errors(
-    p: NDArray[np.float64],
-    ref: ReferenceState,
-    graph: InteractionGraph,
-    tau: PointGroupAssignment,
-) -> NDArray[np.float64]:
+def shifted_errors(p: NDArray[np.float64], ref: ReferenceState, graph: InteractionGraph) -> NDArray[np.float64]:
     """Per-edge constraint violations of the recentered configuration."""
     p = np.asarray(p, dtype=float)
     n = graph.n
     shifted = p - np.tile(ref.position, n)
-    return edge_residual_norms(shifted, weighted_edges(graph, tau), 2)
+    return edge_residual_norms(shifted, weighted_edges(graph), 2)
 
 
 def zeta_consistency_residual(trace: ManeuverTrace, q_matrix: NDArray[np.float64]) -> float:

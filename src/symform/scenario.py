@@ -61,7 +61,10 @@ def _as_int(value, path: str) -> int:
 def _as_number(value, path: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              path, f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     _require(math.isfinite(value), path, "must be finite")
     return value
 
@@ -108,11 +111,10 @@ def _parse_reference(raw, dim: int, path: str) -> tuple[maneuver.ReferenceInputs
     _require(isinstance(start_raw, dict), f"{path}.start", "expected an object")
     pos = _as_vector(start_raw.get("position", [0.0] * dim), dim, f"{path}.start.position")
     scale = _as_number(start_raw.get("scale", 1.0), f"{path}.start.scale")
+    angle = _as_number(start_raw.get("angle", 0.0), f"{path}.start.angle")
     if dim == 2:
-        angle = _as_number(start_raw.get("angle", 0.0), f"{path}.start.angle")
         rot = symgroup.rotation2(angle)
     else:
-        angle = _as_number(start_raw.get("angle", 0.0), f"{path}.start.angle")
         axis_raw = start_raw.get("axis", [0.0, 0.0, 1.0])
         axis = _as_vector(axis_raw, 3, f"{path}.start.axis")
         try:
@@ -263,5 +265,9 @@ def load_scenario(spec: str) -> Scenario:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ScenarioError(f"{path}: invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # not UTF-8, or an integer of more digits than int() converts
+        raise ScenarioError(f"{path}: {exc}") from None
     return parse_scenario(raw, name_hint=path.stem)
 

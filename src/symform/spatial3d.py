@@ -88,9 +88,8 @@ def simulate_cube(
     start: ReferenceState | None = None,
     dt: float | None = None,
     horizon: float | None = None,
-    metadata: dict | None = None,
 ) -> SimulationTrace | ManeuverTrace:
     """Run the cube flow: :func:`integrate` without inputs, :func:`simulate_maneuver` with them."""
     if inputs is None:
-        return integrate(lap, p0, dt=dt, horizon=horizon, metadata=metadata)
-    return simulate_maneuver(lap, p0, inputs, start=start, dt=dt, horizon=horizon, metadata=metadata)
+        return integrate(lap, p0, dt=dt, horizon=horizon)
+    return simulate_maneuver(lap, p0, inputs, start=start, dt=dt, horizon=horizon)

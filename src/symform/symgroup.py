@@ -147,32 +147,8 @@ class CyclicAutomorphism:
     def is_identity(self) -> bool:
         return self.shift == 0
 
-
-@dataclass(frozen=True)
-class PointGroupAssignment:
-    """Homomorphism from the rotational automorphisms of C_n to planar rotations.
-
-    Shift k maps to R(k·2π/n); inverses map to transposes and compositions to
-    products by construction.
-    """
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"cycle graphs need n >= 3 nodes, got n={self.n}")
-
     @property
-    def base_angle(self) -> float:
-        return math.tau / self.n
-
-    def rotation_for(self, gamma: CyclicAutomorphism) -> Rotation:
-        """The planar rotation assigned to an automorphism."""
-        if gamma.n != self.n:
-            raise ValueError(f"automorphism of C_{gamma.n} passed to an assignment on C_{self.n}")
-        return rotation2(gamma.shift * self.base_angle)
-
-
-def assignment(n: int) -> PointGroupAssignment:
-    """The standard assignment sending shift 1 to R(2π/n)."""
-    return PointGroupAssignment(n)
+    def rotation(self) -> Rotation:
+        """The planar rotation R(shift·2π/n) this automorphism is assigned: inverses map to
+        transposes and compositions to products."""
+        return rotation2(self.shift * (math.tau / self.n))

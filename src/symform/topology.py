@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .symgroup import CyclicAutomorphism, PointGroupAssignment
+from .symgroup import CyclicAutomorphism
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,8 @@ class InteractionGraph:
     """A spanning tree of C_n whose directed edges carry automorphism labels.
 
     A stored edge (u, v, g) means the constraint "agent v sits at g applied to
-    agent u": at a constraint-compatible configuration, p_v = τ(g) p_u.
+    agent u": at a constraint-compatible configuration, p_v = R(g) p_u, with
+    R(g) = ``g.rotation``.
     Traversed v→u the label acts as its inverse.
     """
 
@@ -108,14 +109,10 @@ def validate(graph: InteractionGraph) -> str | None:
     return tree_problem(n, graph.edges, label_problem)
 
 
-def weighted_edges(
-    graph: InteractionGraph, tau: PointGroupAssignment
-) -> list[tuple[int, int, NDArray[np.float64]]]:
+def weighted_edges(graph: InteractionGraph) -> list[tuple[int, int, NDArray[np.float64]]]:
     """Materialize each stored edge label as its assigned rotation matrix (one per distinct shift)."""
-    if tau.n != graph.n:
-        raise ValueError(f"assignment on C_{tau.n} does not match graph on C_{graph.n}")
     labels = {g.shift: g for (_, _, g) in graph.edges}
-    matrices = {shift: tau.rotation_for(g).matrix for shift, g in labels.items()}
+    matrices = {shift: g.rotation.matrix for shift, g in labels.items()}
     return [(u, v, matrices[g.shift]) for (u, v, g) in graph.edges]
 
 
@@ -144,7 +141,7 @@ def _bfs_tree(n: int, edges) -> list[tuple[int, int, object, bool]]:
 
 
 def rotation_chain(graph: InteractionGraph) -> tuple[int, ...]:
-    """Shift k_i of each node's chain rotation S_i = τ(k_i), nodes in order.
+    """Shift k_i of each node's chain rotation S_i = R(k_i · 2π/n), nodes in order.
 
     Shifts are composed from node 1 (shift 0) outward with exact integer
     arithmetic mod n: following a stored edge (u, v) adds its shift, walking

@@ -22,11 +22,8 @@ def path_system():
     """Factory: cycle-minus-one-edge system for a given n (the canonical path tree)."""
 
     def make(n: int, removed: tuple[int, int] | None = None):
-        tau = sf.assignment(n)
         graph = sf.cycle_minus_edge(n, removed or (n, 1))
-        lap = sf.build_laplacian(graph, tau)
-        chain = sf.null_basis(graph, tau)
-        return graph, tau, lap, chain
+        return graph, sf.build_laplacian(graph), sf.null_basis(graph)
 
     return make
 

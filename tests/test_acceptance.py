@@ -37,16 +37,15 @@ def criterion(num: int, description: str, budget: float | None = None):
 
 
 def path_lap(n: int):
-    tau = sf.assignment(n)
     graph = sf.cycle_minus_edge(n, (n, 1))
-    return sf.build_laplacian(graph, tau), sf.null_basis(graph, tau), graph, tau
+    return sf.build_laplacian(graph), sf.null_basis(graph)
 
 
 def test_criterion_1_construction_suite():
     """Path-tree constructions for n = 3..12 satisfy every structural property."""
     with criterion(1, "construction suite n=3..12 (PSD, rank, product, null)", budget=1.0):
         for n in range(3, 13):
-            lap, chain, _, _ = path_lap(n)
+            lap, chain = path_lap(n)
             q = lap.matrix
             assert np.array_equal(q, q.T), f"n={n}: not symmetric"
             spec = sf.spectrum(q)
@@ -62,7 +61,7 @@ def test_criterion_1_construction_suite():
 def test_criterion_2_gradient_law():
     """The flow's velocity is the negative potential gradient on 100 random states."""
     with criterion(2, "gradient law on 100 random configurations (n=6)", budget=1.0):
-        lap, _, _, _ = path_lap(6)
+        lap, _ = path_lap(6)
         q, E = lap.matrix, lap.incidence
         rng = np.random.default_rng(2026)
         h = 1e-5
@@ -84,7 +83,7 @@ def test_criterion_3_convergence_and_rate():
     """Long-horizon flows land on the null-space projection at the slowest rate."""
     with criterion(3, "convergence to projection and 5% decay-rate fit (n=4, 6)", budget=5.0):
         for n, seed in ((4, 7), (6, 42)):
-            lap, chain, _, _ = path_lap(n)
+            lap, chain = path_lap(n)
             p0 = np.random.default_rng(seed).uniform(-2.0, 2.0, 2 * n)
             trace = sf.integrate(lap, p0)  # dt = 0.5/λ_max, T = 40/λ⁺_min
             limit = sf.steady_state(p0, chain)
@@ -102,7 +101,7 @@ def test_criterion_3_convergence_and_rate():
 def test_criterion_4_square_matrix_blocks():
     """The n=4 constraint matrix reproduces the quarter-turn block pattern exactly."""
     with criterion(4, "n=4 block pattern (I, 2I diagonals; quarter-turn couplings)"):
-        lap, _, _, _ = path_lap(4)
+        lap, _ = path_lap(4)
         q = lap.matrix
         r = sf.rotation2(math.pi / 2).matrix
         eye, zero = np.eye(2), np.zeros((2, 2))
@@ -140,7 +139,7 @@ def test_criterion_5_maneuver_reduction():
 def test_criterion_6_zero_input_degeneracy():
     """A maneuver with zero inputs reproduces the stationary run byte for byte."""
     with criterion(6, "zero-input maneuver equals stationary trace byte-identically"):
-        lap, _, _, _ = path_lap(6)
+        lap, _ = path_lap(6)
         p0 = np.random.default_rng(42).uniform(-2.0, 2.0, 12)
         still = sf.simulate_maneuver(lap, p0, sf.ReferenceInputs.stationary(),
                                      dt=0.05, horizon=10.0)

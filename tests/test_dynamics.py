@@ -16,45 +16,45 @@ from symform import cli
 
 def triangle_example():
     """Frozen n=3 configuration: all three agents stacked at (1, 0)."""
-    graph, tau = sf.cycle_minus_edge(3, (3, 1)), sf.assignment(3)
+    graph = sf.cycle_minus_edge(3, (3, 1))
     p = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-    return graph, tau, p
+    return graph, p
 
 
 class TestPotential:
     def test_triangle_example_frozen(self):
         # both edge residuals are (3/2, sqrt(3)/2) with norm sqrt(3), so the
         # potential is exactly 0.5 * (3 + 3) = 3
-        graph, tau, p = triangle_example()
-        assert math.isclose(sf.potential(p, graph, tau), 3.0, abs_tol=1e-12)
+        graph, p = triangle_example()
+        assert math.isclose(sf.potential(p, graph), 3.0, abs_tol=1e-12)
 
     @given(st.integers(3, 9), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_matches_quadratic_form(self, n, seed):
-        graph, tau = sf.cycle_minus_edge(n, (n, 1)), sf.assignment(n)
-        q = sf.build_laplacian(graph, tau).matrix
+        graph = sf.cycle_minus_edge(n, (n, 1))
+        q = sf.build_laplacian(graph).matrix
         p = np.random.default_rng(seed).uniform(-4, 4, 2 * n)
-        assert math.isclose(sf.potential(p, graph, tau), 0.5 * float(p @ q @ p),
+        assert math.isclose(sf.potential(p, graph), 0.5 * float(p @ q @ p),
                             rel_tol=1e-10, abs_tol=1e-10)
 
     def test_zero_at_compatible_configuration(self):
-        graph, tau = sf.cycle_minus_edge(6, (6, 1)), sf.assignment(6)
-        p = sf.symmetric_configuration(sf.null_basis(graph, tau), np.array([0.7, -1.2]))
-        assert sf.potential(p, graph, tau) < 1e-26
+        graph = sf.cycle_minus_edge(6, (6, 1))
+        p = sf.symmetric_configuration(sf.null_basis(graph), np.array([0.7, -1.2]))
+        assert sf.potential(p, graph) < 1e-26
 
 
 class TestEdgeErrors:
     def test_matches_incidence_route(self):
-        graph, tau = sf.cycle_minus_edge(5, (2, 3)), sf.assignment(5)
-        E = sf.build_laplacian(graph, tau).incidence
+        graph = sf.cycle_minus_edge(5, (2, 3))
+        E = sf.build_laplacian(graph).incidence
         p = np.random.default_rng(8).uniform(-3, 3, 10)
-        direct = sf.edge_errors(p, graph, tau)
+        direct = sf.edge_errors(p, graph)
         via_incidence = np.sqrt(((E.T @ p).reshape(4, 2) ** 2).sum(axis=1))
         assert np.allclose(direct, via_incidence, atol=1e-13)
 
     def test_triangle_example_frozen(self):
-        graph, tau, p = triangle_example()
-        errs = sf.edge_errors(p, graph, tau)
+        graph, p = triangle_example()
+        errs = sf.edge_errors(p, graph)
         assert np.allclose(errs, [math.sqrt(3), math.sqrt(3)], atol=1e-12)
 
     @staticmethod
@@ -71,7 +71,7 @@ class TestEdgeErrors:
     @given(random_tree_cases(12), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_gauge_rows_match_incidence_route(self, case, seed):
-        self.check_gauge_rows(sf.build_laplacian(random_tree(*case), sf.assignment(case[0])), seed)
+        self.check_gauge_rows(sf.build_laplacian(random_tree(*case)), seed)
 
     def test_cube_gauge_rows_match_incidence_route(self):
         self.check_gauge_rows(sf.build_cube(), 12)
@@ -79,7 +79,7 @@ class TestEdgeErrors:
     def test_gauge_rows_form_no_incidence(self, path_system):
         # 41 rows of a planar n = 600 run peak below half of one n x (n - 1) array,
         # which a ±1 tree incidence alone would fill
-        lap = path_system(600)[2]
+        lap = path_system(600)[1]
         rows = np.random.default_rng(13).uniform(-2, 2, (41, 1200))
         tracemalloc.start()
         try:
@@ -93,8 +93,8 @@ class TestEdgeErrors:
 class TestControl:
     def test_triangle_example_frozen(self):
         # hand-reduced gradient at the frozen stacked configuration
-        graph, tau, p = triangle_example()
-        lap = sf.build_laplacian(graph, tau)
+        graph, p = triangle_example()
+        lap = sf.build_laplacian(graph)
         root3 = math.sqrt(3)
         expected = np.array([-1.5, -root3 / 2, -3.0, 0.0, -1.5, root3 / 2])
         assert np.allclose(sf.control(p, lap), expected, atol=1e-12)
@@ -102,21 +102,21 @@ class TestControl:
     @given(st.integers(3, 9), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_per_agent_route_agrees(self, n, seed):
-        graph, tau = sf.cycle_minus_edge(n, (n, 1)), sf.assignment(n)
-        lap = sf.build_laplacian(graph, tau)
+        graph = sf.cycle_minus_edge(n, (n, 1))
+        lap = sf.build_laplacian(graph)
         p = np.random.default_rng(seed).uniform(-4, 4, 2 * n)
-        assert np.allclose(sf.control(p, lap), sf.control_per_agent(p, graph, tau),
+        assert np.allclose(sf.control(p, lap), sf.control_per_agent(p, graph),
                            atol=1e-12)
 
     def test_accepts_raw_matrix(self):
-        graph, tau, p = triangle_example()
-        lap = sf.build_laplacian(graph, tau)
+        graph, p = triangle_example()
+        lap = sf.build_laplacian(graph)
         assert np.array_equal(sf.control(p, lap), sf.control(p, lap.matrix))
 
     def test_is_negative_gradient_of_potential(self):
         # central finite differences of the potential against -control
-        graph, tau = sf.cycle_minus_edge(6, (6, 1)), sf.assignment(6)
-        lap = sf.build_laplacian(graph, tau)
+        graph = sf.cycle_minus_edge(6, (6, 1))
+        lap = sf.build_laplacian(graph)
         rng = np.random.default_rng(17)
         p = rng.uniform(-2, 2, 12)
         u = sf.control(p, lap)
@@ -124,7 +124,7 @@ class TestControl:
         for i in range(12):
             step = np.zeros(12)
             step[i] = h
-            fd = (sf.potential(p + step, graph, tau) - sf.potential(p - step, graph, tau)) / (2 * h)
+            fd = (sf.potential(p + step, graph) - sf.potential(p - step, graph)) / (2 * h)
             assert math.isclose(-u[i], fd, rel_tol=1e-6, abs_tol=1e-8)
 
 
@@ -145,7 +145,7 @@ class TestRk4Step:
 class TestPropagateLinear:
     def test_matches_rk4_step_bitwise(self, path_system):
         # each segment must reproduce rk4_step on -(G @ y), step for step
-        _, _, lap, _ = path_system(5)
+        _, lap, _ = path_system(5)
         rng = np.random.default_rng(31)
         c0 = rng.uniform(-2, 2, 10)
         g2 = lap.matrix + 0.3 * np.kron(np.eye(5), sf.omega_matrix(1.0, 2))
@@ -162,7 +162,7 @@ class TestPropagateLinear:
     def test_block_path_matches_rk4_step(self, path_system, formation):
         # 3,000 steps of dim 10 (blocks of 256) and 2,000 of dim 24 (blocks of 83)
         if formation == "planar":
-            lap, steps = path_system(5)[2], 3000
+            lap, steps = path_system(5)[1], 3000
             g = lap.matrix - np.kron(np.eye(5), sf.omega_matrix(0.4, 2)) + 0.02 * np.eye(10)
         else:
             lap, steps = sf.build_cube(), 2000
@@ -177,7 +177,7 @@ class TestPropagateLinear:
     def test_block_size_follows_count_and_dim(self, path_system, monkeypatch):
         # blocks of min(256, count // dim) steps; a segment under 2·dim steps runs the stage
         # loop and reproduces rk4_step bitwise from wherever the block path left it
-        _, _, lap, _ = path_system(5)
+        _, lap, _ = path_system(5)
         g2 = lap.matrix + 0.3 * np.kron(np.eye(5), sf.omega_matrix(1.0, 2))
         g3 = lap.matrix + 0.05 * np.eye(10)
         blocks = []
@@ -200,22 +200,25 @@ class TestPropagateLinear:
                 else:
                     assert np.abs(states[k] - y).max() <= 1e-12 * np.abs(states).max()
 
-    @pytest.mark.parametrize("g", [np.eye(4), np.eye(2, dtype=complex)], ids=["real", "complex"])
-    def test_operator_must_divide_the_row(self, g):
-        # 6 coordinates are 3 complex points: neither a 4 x 4 nor a complex 2 x 2 G acts on them
+    @pytest.mark.parametrize("width, g", [(6, np.eye(4)), (6, np.eye(2, dtype=complex)),
+                                          (5, np.eye(2, dtype=complex))],
+                             ids=["real", "complex", "complex_odd_width"])
+    def test_operator_must_divide_the_row(self, width, g):
+        # 6 coordinates are 3 complex points: neither a 4 x 4 nor a complex 2 x 2 G acts on them;
+        # 5 coordinates are no whole number of complex points
         m = g.shape[0]
-        with pytest.raises(ValueError, match=f"a {m} x {m} operator does not act on rows of 6 coordinates"):
-            sf.propagate_linear(np.ones(6), [(g, 2)], 0.05, 2)
+        with pytest.raises(ValueError, match=f"a {m} x {m} operator does not act on rows of {width} coordinates"):
+            sf.propagate_linear(np.ones(width), [(g, 2)], 0.05, 2)
 
     def test_step_counts_must_add_up(self, path_system):
-        _, _, lap, _ = path_system(3)
+        _, lap, _ = path_system(3)
         with pytest.raises(ValueError, match="segments hold 7 steps, expected 12"):
             sf.propagate_linear(np.ones(6), [(lap.matrix, 7)], 0.05, 12)
 
 
 class TestIntegrate:
     def test_matches_closed_form(self, path_system):
-        _, _, lap, _ = path_system(4)
+        _, lap, _ = path_system(4)
         spec = sf.spectrum(lap.matrix)
         p0 = np.random.default_rng(1).uniform(-2, 2, 8)
         dt = 0.01 / spec.lambda_max
@@ -224,22 +227,21 @@ class TestIntegrate:
         assert np.abs(trace.final_state - exact).max() < 1e-10
 
     def test_default_grid_converges(self, path_system):
-        _, _, lap, chain = path_system(6)
+        _, lap, chain = path_system(6)
         p0 = np.random.default_rng(2).uniform(-2, 2, 12)
         trace = sf.integrate(lap, p0)
         assert np.abs(trace.final_state - sf.steady_state(p0, chain)).max() < 1e-6
-        assert math.isclose(trace.metadata["dt"] * trace.metadata["lambda_max"], 0.5,
-                            rel_tol=1e-12)
+        assert math.isclose(trace.dt * lap.spectrum.lambda_max, 0.5, rel_tol=1e-12)
 
     def test_potential_monotone_under_default_step(self, path_system):
-        _, _, lap, _ = path_system(5)
+        _, lap, _ = path_system(5)
         p0 = np.random.default_rng(3).uniform(-2, 2, 10)
         trace = sf.integrate(lap, p0, horizon=5.0)
         diffs = np.diff(trace.potentials)
         assert (diffs <= 1e-15).all()
 
     def test_null_component_preserved(self, path_system):
-        _, _, lap, chain = path_system(4)
+        _, lap, chain = path_system(4)
         p0 = np.random.default_rng(4).uniform(-2, 2, 8)
         trace = sf.integrate(lap, p0, horizon=3.0)
         start_null = chain.T @ trace.states[0]
@@ -247,7 +249,7 @@ class TestIntegrate:
         assert np.allclose(start_null, end_null, atol=1e-12)
 
     def test_trace_shapes_and_grid(self, path_system):
-        _, _, lap, _ = path_system(3)
+        _, lap, _ = path_system(3)
         trace = sf.integrate(lap, np.zeros(6), dt=0.1, horizon=1.0)
         assert trace.states.shape == (11, 6)
         assert trace.edge_errors.shape == (11, 2)
@@ -256,17 +258,17 @@ class TestIntegrate:
         assert trace.edge_index == ((1, 2), (2, 3))
 
     def test_unstable_step_rejected_with_suggestion(self, path_system):
-        _, _, lap, _ = path_system(4)
+        _, lap, _ = path_system(4)
         with pytest.raises(ValueError, match="try dt"):
             sf.integrate(lap, np.zeros(8), dt=1.0)
 
     def test_bad_shape_rejected(self, path_system):
-        _, _, lap, _ = path_system(4)
+        _, lap, _ = path_system(4)
         with pytest.raises(ValueError, match="shape"):
             sf.integrate(lap, np.zeros(7))
 
     def test_bad_grid_rejected(self, path_system):
-        _, _, lap, _ = path_system(4)
+        _, lap, _ = path_system(4)
         with pytest.raises(ValueError):
             sf.integrate(lap, np.zeros(8), dt=-0.1)
         with pytest.raises(ValueError):
@@ -277,7 +279,7 @@ class TestFitRate:
     @pytest.mark.parametrize("n", (4, 6))
     def test_slowest_eigenvector_rate(self, n, path_system):
         # start on the slowest decaying eigenvector so the rate is known exactly
-        _, _, lap, _ = path_system(n)
+        _, lap, _ = path_system(n)
         spec = sf.spectrum(lap.matrix)
         v = spec.eigenvectors[:, spec.null_dim]
         trace = sf.integrate(lap, v, horizon=10.0 / slowest_rate(n))
@@ -285,7 +287,7 @@ class TestFitRate:
         assert math.isclose(-fitted, slowest_rate(n), rel_tol=1e-2)
 
     def test_generic_start_fits_slowest_rate(self, path_system):
-        _, _, lap, _ = path_system(6)
+        _, lap, _ = path_system(6)
         p0 = np.random.default_rng(6).uniform(-2, 2, 12)
         trace = sf.integrate(lap, p0)
         assert math.isclose(-sf.fit_rate(trace), slowest_rate(6), rel_tol=0.05)
@@ -298,7 +300,7 @@ class TestFitRate:
         assert metrics["fitted_rate_rel_gap"] <= 1e-4
 
     def test_zero_error_start_rejected(self, path_system):
-        _, _, lap, chain = path_system(4)
+        _, lap, chain = path_system(4)
         p0 = sf.symmetric_configuration(chain, np.array([1.0, 0.0]))
         trace = sf.integrate(lap, p0, horizon=2.0)
         with pytest.raises(ValueError, match="underflow"):
@@ -307,7 +309,7 @@ class TestFitRate:
 
 class TestResolveGrid:
     def test_defaults_from_spectrum(self, path_system):
-        _, _, lap, _ = path_system(6)
+        _, lap, _ = path_system(6)
         spec = sf.spectrum(lap.matrix)
         dt, horizon, steps = sf.resolve_grid(spec, None, None)
         assert math.isclose(dt, 0.5 / spec.lambda_max, rel_tol=1e-12)
@@ -315,13 +317,13 @@ class TestResolveGrid:
         assert steps == math.ceil(horizon / dt - 1e-12)
 
     def test_explicit_grid_passes_through(self, path_system):
-        _, _, lap, _ = path_system(6)
+        _, lap, _ = path_system(6)
         spec = sf.spectrum(lap.matrix)
         dt, horizon, steps = sf.resolve_grid(spec, 0.25, 10.0)
         assert (dt, horizon, steps) == (0.25, 10.0, 40)
 
     def test_oversized_trace_rejected_with_fitting_horizon(self, path_system):
-        _, _, lap, _ = path_system(6)
+        _, lap, _ = path_system(6)
         spec = sf.spectrum(lap.matrix)
         with pytest.raises(ValueError, match="MiB bound") as info:
             sf.resolve_grid(spec, None, 1e9)
@@ -332,7 +334,7 @@ class TestResolveGrid:
         assert (steps + 1) * row_bytes > 0.99 * sf.dynamics.MAX_TRACE_BYTES
 
     def test_trace_bound_is_on_bytes(self, path_system):
-        _, _, lap, _ = path_system(6)
+        _, lap, _ = path_system(6)
         spec = sf.spectrum(lap.matrix)
         rows = sf.dynamics.MAX_TRACE_BYTES // (96 * 12 + 256)  # rows of 12 coordinates that fit
         assert sf.resolve_grid(spec, 0.25, (rows - 1) * 0.25)[2] == rows - 1

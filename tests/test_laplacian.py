@@ -27,25 +27,25 @@ def hand_built_incidence_c3() -> np.ndarray:
 
 class TestIncidence:
     def test_triangle_blocks_frozen(self):
-        graph, tau = sf.cycle_minus_edge(3, (3, 1)), sf.assignment(3)
-        lap = sf.build_laplacian(graph, tau)
+        graph = sf.cycle_minus_edge(3, (3, 1))
+        lap = sf.build_laplacian(graph)
         assert lap.incidence.shape == (6, 4)
         assert np.array_equal(lap.incidence, hand_built_incidence_c3())
         assert lap.edge_index == ((1, 2), (2, 3))
 
     def test_residual_zero_on_compatible_configuration(self):
-        graph, tau = sf.cycle_minus_edge(5, (5, 1)), sf.assignment(5)
-        p = sf.symmetric_configuration(sf.null_basis(graph, tau), np.array([1.3, -0.4]))
-        lap = sf.build_laplacian(graph, tau)
+        graph = sf.cycle_minus_edge(5, (5, 1))
+        p = sf.symmetric_configuration(sf.null_basis(graph), np.array([1.3, -0.4]))
+        lap = sf.build_laplacian(graph)
         assert np.abs(lap.incidence.T @ p).max() < 1e-14
 
     def test_residual_is_direct_edge_mismatch(self):
-        graph, tau = sf.cycle_minus_edge(4, (4, 1)), sf.assignment(4)
-        lap = sf.build_laplacian(graph, tau)
+        graph = sf.cycle_minus_edge(4, (4, 1))
+        lap = sf.build_laplacian(graph)
         rng = np.random.default_rng(3)
         p = rng.uniform(-2, 2, 8)
         res = (lap.incidence.T @ p).reshape(len(lap.edge_index), 2)
-        for e, (u, v, w) in enumerate(sf.weighted_edges(graph, tau)):
+        for e, (u, v, w) in enumerate(sf.weighted_edges(graph)):
             direct = p[2 * u - 2:2 * u] - w.T @ p[2 * v - 2:2 * v]
             assert np.allclose(res[e], direct, atol=1e-15)
 
@@ -56,8 +56,8 @@ class TestIncidence:
 
 class TestLaplacian:
     def test_square_block_pattern_frozen(self):
-        graph, tau = sf.cycle_minus_edge(4, (4, 1)), sf.assignment(4)
-        q = sf.build_laplacian(graph, tau).matrix
+        graph = sf.cycle_minus_edge(4, (4, 1))
+        q = sf.build_laplacian(graph).matrix
         r = sf.rotation2(math.pi / 2).matrix
         eye = np.eye(2)
         assert np.array_equal(q[0:2, 0:2], eye)
@@ -76,18 +76,18 @@ class TestLaplacian:
     @settings(max_examples=40, deadline=None)
     def test_product_route_agrees(self, n, removed_idx):
         removed = sf.CycleGraph(n).edges[removed_idx % n]
-        graph, tau = sf.cycle_minus_edge(n, removed), sf.assignment(n)
-        lap = sf.build_laplacian(graph, tau)
+        graph = sf.cycle_minus_edge(n, removed)
+        lap = sf.build_laplacian(graph)
         assert np.abs(lap.matrix - sf.product_laplacian(lap.incidence)).max() <= 1e-12
 
     def test_symmetric_exactly(self):
-        graph, tau = sf.cycle_minus_edge(7, (7, 1)), sf.assignment(7)
-        q = sf.build_laplacian(graph, tau).matrix
+        graph = sf.cycle_minus_edge(7, (7, 1))
+        q = sf.build_laplacian(graph).matrix
         assert np.array_equal(q, q.T)
 
     def test_quadratic_form_nonnegative_and_matches_residuals(self):
-        graph, tau = sf.cycle_minus_edge(6, (6, 1)), sf.assignment(6)
-        lap = sf.build_laplacian(graph, tau)
+        graph = sf.cycle_minus_edge(6, (6, 1))
+        lap = sf.build_laplacian(graph)
         rng = np.random.default_rng(11)
         samples = rng.uniform(-5, 5, size=(1000, 12))
         quad = np.einsum("ki,ij,kj->k", samples, lap.matrix, samples)
@@ -99,15 +99,15 @@ class TestLaplacian:
 class TestSpectrum:
     def test_square_eigenvalues_frozen(self):
         # closed forms: 0, 2 - sqrt(2), 2, 2 + sqrt(2), each twice
-        graph, tau = sf.cycle_minus_edge(4, (4, 1)), sf.assignment(4)
-        spec = sf.spectrum(sf.build_laplacian(graph, tau).matrix)
+        graph = sf.cycle_minus_edge(4, (4, 1))
+        spec = sf.spectrum(sf.build_laplacian(graph).matrix)
         expected = np.sort(np.array([0.0, 0.0, 2 - math.sqrt(2), 2 - math.sqrt(2),
                                      2.0, 2.0, 2 + math.sqrt(2), 2 + math.sqrt(2)]))
         assert np.allclose(spec.eigenvalues, expected, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_rank_and_closed_form_spectrum(self, n, path_system):
-        _, _, lap, _ = path_system(n)
+        _, lap, _ = path_system(n)
         spec = sf.spectrum(lap.matrix)
         assert spec.rank == 2 * n - 2
         assert spec.null_dim == 2
@@ -117,7 +117,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("n", (3, 6, 9))
     def test_svd_cross_route(self, n, path_system):
         # independent decomposition: squared singular values of the incidence
-        _, _, lap, _ = path_system(n)
+        _, lap, _ = path_system(n)
         svals = np.linalg.svd(lap.incidence, compute_uv=False)
         nonzero = np.sort(svals ** 2)
         spec = sf.spectrum(lap.matrix)
@@ -134,7 +134,7 @@ class TestSpectrum:
             sf.spectrum(np.eye(2), tol=0.0)
 
     @pytest.mark.parametrize("build", [
-        lambda: sf.build_laplacian(sf.cycle_minus_edge(5, (5, 1)), sf.assignment(5)),
+        lambda: sf.build_laplacian(sf.cycle_minus_edge(5, (5, 1))),
         sf.build_cube,
     ])
     def test_system_spectrum_computed_once(self, build):
@@ -158,7 +158,7 @@ class TestGaugeSpectrum:
     @given(random_tree_cases(40))
     def test_random_trees_match_dense_route(self, case):
         n, cut, shifts, flips = case
-        assert_gauge_spectrum_matches_dense(sf.build_laplacian(random_tree(n, cut, shifts, flips), sf.assignment(n)))
+        assert_gauge_spectrum_matches_dense(sf.build_laplacian(random_tree(n, cut, shifts, flips)))
 
     @pytest.mark.parametrize("spec", [
         sf.CubeSpec(),
@@ -169,15 +169,15 @@ class TestGaugeSpectrum:
         assert_gauge_spectrum_matches_dense(sf.build_cube(spec))
 
     def test_planar_chain_is_the_exact_shift_null_basis(self):
-        graph, tau = random_tree(9, 4, [1, 3, 0, 8, 2, 5, 7, 4], [False, True] * 4), sf.assignment(9)
-        lap = sf.build_laplacian(graph, tau)
-        assert np.array_equal(lap.chain, sf.null_basis(graph, tau))
+        graph = random_tree(9, 4, [1, 3, 0, 8, 2, 5, 7, 4], [False, True] * 4)
+        lap = sf.build_laplacian(graph)
+        assert np.array_equal(lap.chain, sf.null_basis(graph))
 
     def test_scalar_laplacian_is_one_eigendecomposition(self, monkeypatch):
         sizes = []
         original = sf.laplacian.spectrum
         monkeypatch.setattr(sf.laplacian, "spectrum", lambda q, *a: sizes.append(q.shape) or original(q, *a))
-        sf.build_laplacian(sf.cycle_minus_edge(7, (7, 1)), sf.assignment(7)).spectrum
+        sf.build_laplacian(sf.cycle_minus_edge(7, (7, 1))).spectrum
         assert sizes == [(7, 7)]
 
     def test_cycle_rejected(self):
@@ -190,18 +190,18 @@ class TestGaugeSpectrum:
 class TestNullBasis:
     def test_columns_orthogonal_with_norm_n(self, path_system):
         for n in (3, 5, 8):
-            _, _, _, chain = path_system(n)
+            _, _, chain = path_system(n)
             assert np.allclose(chain.T @ chain, n * np.eye(2), atol=1e-12)
             normalized = chain / math.sqrt(n)
             assert np.allclose(normalized.T @ normalized, np.eye(2), atol=1e-12)
 
     def test_annihilated_by_laplacian(self, path_system):
         for n in (3, 6, 10):
-            _, _, lap, chain = path_system(n)
+            _, lap, chain = path_system(n)
             assert np.abs(lap.matrix @ chain).max() <= 1e-10
 
     def test_projection_idempotent(self, path_system):
-        _, _, _, chain = path_system(6)
+        _, _, chain = path_system(6)
         rng = np.random.default_rng(5)
         p = rng.uniform(-3, 3, 12)
         once = sf.steady_state(p, chain)
@@ -209,7 +209,7 @@ class TestNullBasis:
 
     def test_rotated_basis_stays_in_null_space(self, path_system):
         # a globally rotated symmetric formation is still symmetric (planar case)
-        _, _, lap, chain = path_system(5)
+        _, lap, chain = path_system(5)
         rng = np.random.default_rng(9)
         for _ in range(10):
             r = sf.rotation2(rng.uniform(-math.pi, math.pi)).matrix
@@ -221,7 +221,7 @@ class TestNullBasis:
 class TestSteadyState:
     def test_single_excited_agent_frozen(self, path_system):
         # start with agent 1 at (1,0), everyone else at the origin
-        _, _, _, chain = path_system(4)
+        _, _, chain = path_system(4)
         p0 = np.zeros(8)
         p0[0] = 1.0
         limit = sf.steady_state(p0, chain)
@@ -231,33 +231,32 @@ class TestSteadyState:
     @given(st.integers(3, 10), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_per_agent_route_agrees(self, n, seed):
-        tau = sf.assignment(n)
         graph = sf.cycle_minus_edge(n, (n, 1))
-        chain = sf.null_basis(graph, tau)
+        chain = sf.null_basis(graph)
         p0 = np.random.default_rng(seed).uniform(-4, 4, 2 * n)
         assert np.allclose(sf.steady_state(p0, chain),
                            sf.steady_state_per_agent(p0, chain.reshape(n, 2, 2)), atol=1e-12)
 
     def test_shape_mismatch_rejected(self, path_system):
-        _, _, _, chain = path_system(4)
+        _, _, chain = path_system(4)
         with pytest.raises(ValueError, match="shape"):
             sf.steady_state(np.zeros(6), chain)
 
 
 class TestClosedFormSolution:
     def test_time_zero_returns_start(self, path_system):
-        _, _, lap, _ = path_system(5)
+        _, lap, _ = path_system(5)
         p0 = np.random.default_rng(2).uniform(-2, 2, 10)
         assert np.allclose(sf.closed_form_solution(lap.matrix, p0, 0.0), p0, atol=1e-12)
 
     def test_long_horizon_converges_to_projection(self, path_system):
-        _, _, lap, chain = path_system(6)
+        _, lap, chain = path_system(6)
         p0 = np.random.default_rng(4).uniform(-2, 2, 12)
         far = sf.closed_form_solution(lap.matrix, p0, 1e6)
         assert np.allclose(far, sf.steady_state(p0, chain), atol=1e-9)
 
     def test_eigenvector_decays_at_its_rate(self, path_system):
-        _, _, lap, _ = path_system(4)
+        _, lap, _ = path_system(4)
         spec = sf.spectrum(lap.matrix)
         lam = spec.eigenvalues[spec.null_dim]
         v = spec.eigenvectors[:, spec.null_dim]
@@ -266,16 +265,16 @@ class TestClosedFormSolution:
                            math.exp(-lam * t) * v, atol=1e-12)
 
     def test_negative_time_rejected(self, path_system):
-        _, _, lap, _ = path_system(4)
+        _, lap, _ = path_system(4)
         with pytest.raises(ValueError):
             sf.closed_form_solution(lap.matrix, np.zeros(8), -1.0)
 
 
 class TestSymmetricConfiguration:
     def test_zero_errors_at_target(self, path_system):
-        graph, tau, lap, chain = path_system(7)
+        graph, lap, chain = path_system(7)
         p = sf.symmetric_configuration(chain, np.array([2.0, 0.5]))
-        assert sf.edge_errors(p, graph, tau).max() < 1e-14
+        assert sf.edge_errors(p, graph).max() < 1e-14
         assert np.abs(lap.matrix @ p).max() < 1e-13
 
 

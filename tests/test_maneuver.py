@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import symform as sf
 from conftest import random_tree, random_tree_cases
-from symform import checks, cli
+from symform import checks, cli, dynamics
 
 
 CUBE_MANEUVER = {
@@ -210,9 +211,33 @@ class TestPropagateReference:
         with pytest.raises(ValueError, match="overflows the step count"):
             sf.propagate_reference(sf.ReferenceInputs.stationary(), sf.ReferenceState.at_origin(), 1e-308, 1e300)
 
+    def test_oversized_path_rejected_before_allocating(self, monkeypatch):
+        # 1e9 steps would take about 130 GiB; the bound refuses them before np.arange runs
+        monkeypatch.setattr(np, "arange", lambda *a, **k: pytest.fail("path arrays allocated"))
+        with pytest.raises(ValueError, match=r"1e\+09 reference steps need about .* MiB bound") as info:
+            sf.propagate_reference(sf.ReferenceInputs.stationary(), sf.ReferenceState.at_origin(), 1e-9, 1.0)
+        suggested = float(str(info.value).rsplit("try horizon = ", 1)[1].rstrip(")"))
+        rows = round(suggested / 1e-9) + 1
+        assert 0.99 * dynamics.MAX_TRACE_BYTES < rows * 136 <= dynamics.MAX_TRACE_BYTES
+
+    @pytest.mark.parametrize("dim, row_bytes", [(2, 136), (3, 208)])
+    def test_path_peak_within_row_estimate(self, dim, row_bytes):
+        # the bound's bytes per row cover the path's arrays and the lists that index them
+        omega = 0.2 if dim == 2 else [0.0, 0.1, 0.2]
+        inputs = sf.ReferenceInputs(dim=dim, velocity=[(0.0, np.ones(dim)), (1.0, -np.ones(dim))],
+                                    angular=[(0.0, omega)], scale_rate=[(0.0, 0.01), (1.5, -0.01)])
+        start = sf.ReferenceState.at_origin(dim)
+        tracemalloc.start()
+        try:
+            path = sf.propagate_reference(inputs, start, 1e-4, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= path.times.size * row_bytes + 2**16
+
     @pytest.mark.parametrize("dt, horizon", [(0.1, 1.0), (0.1, 0.3), (0.07, 25.0), (0.3, 0.1), (1e-3, 2.0)])
     def test_grid_matches_resolve_grid(self, path_system, dt, horizon):
-        spec = path_system(4)[2].spectrum
+        spec = path_system(4)[1].spectrum
         steps = sf.resolve_grid(spec, dt, horizon)[2]
         path = sf.propagate_reference(sf.ReferenceInputs.stationary(), sf.ReferenceState.at_origin(), dt, horizon)
         assert path.times.size == steps + 1
@@ -250,7 +275,7 @@ class TestFrames:
 
 class TestManeuverControl:
     def test_zero_inputs_reduce_to_gradient_flow_bitwise(self, path_system):
-        _, _, lap, _ = path_system(5)
+        _, lap, _ = path_system(5)
         p = np.random.default_rng(12).uniform(-2, 2, 10)
         u = sf.maneuver_control(p, lap, sf.ReferenceState.at_origin(),
                                 np.zeros(2), 0.0, 0.0)
@@ -259,7 +284,7 @@ class TestManeuverControl:
     def test_on_manifold_control_is_pure_feedforward(self, path_system):
         # when the shifted state sits in the constraint set, -Qc vanishes and
         # the control per agent is exactly v + (omega skew + alpha I)(p_i - r)
-        _, _, lap, chain = path_system(6)
+        _, lap, chain = path_system(6)
         rng = np.random.default_rng(13)
         ref = sf.ReferenceState(position=rng.uniform(-2, 2, 2),
                                 rotation=sf.rotation2(0.8), scale=1.7)
@@ -275,7 +300,7 @@ class TestManeuverControl:
     def test_matches_finite_difference_of_frame_flow(self, path_system):
         # independent route: the control must equal the time derivative of
         # frame_to_world(zeta(t), ref(t)) when zeta follows -Q zeta
-        _, _, lap, _ = path_system(4)
+        _, lap, _ = path_system(4)
         rng = np.random.default_rng(14)
         p = rng.uniform(-2, 2, 8)
         ref = sf.ReferenceState(position=np.array([0.5, 0.2]),
@@ -307,7 +332,7 @@ class TestManeuverControl:
 
 class TestSimulateManeuver:
     def test_zero_inputs_match_stationary_run_bitwise(self, path_system):
-        _, _, lap, _ = path_system(6)
+        _, lap, _ = path_system(6)
         p0 = np.random.default_rng(21).uniform(-2, 2, 12)
         still = sf.simulate_maneuver(lap, p0, sf.ReferenceInputs.stationary(),
                                      dt=0.05, horizon=5.0)
@@ -318,7 +343,7 @@ class TestSimulateManeuver:
     def test_zero_inputs_from_offset_start_bitwise(self, path_system):
         # the shifted state runs the stationary flow from p0 - 1⊗r0 exactly;
         # world states add the offset back and row 0 stays the given p0
-        _, _, lap, _ = path_system(6)
+        _, lap, _ = path_system(6)
         p0 = np.random.default_rng(25).uniform(-2, 2, 12)
         r0 = np.array([0.7, -1.3])
         start = sf.ReferenceState(position=r0, rotation=sf.identity(2), scale=1.0)
@@ -366,7 +391,7 @@ class TestSimulateManeuver:
     @given(random_tree_cases(24), st.floats(-3.0, 3.0), st.floats(-0.5, 0.5), st.floats(0.01, 0.45))
     def test_planar_gains_match_dense_eigenvalues(self, case, omega, alpha, dt):
         # λ + iω from the tree spectrum gives the RK4 gains of a dense eigvals of Q - I⊗Ω
-        lap = sf.build_laplacian(random_tree(*case), sf.assignment(case[0]))
+        lap = sf.build_laplacian(random_tree(*case))
         gauge = sf.maneuver._rotating_eigenvalues(lap, omega)
         dense = np.linalg.eigvals(lap.matrix - np.kron(np.eye(lap.n), sf.omega_matrix(omega, 2)))
         shift = max(-alpha, 0.0)
@@ -389,7 +414,7 @@ class TestSimulateManeuver:
         # n steps take the stage loop, 3n the block path; both against rk4_step on the
         # world-frame field -(Q - I⊗Ω - αI) c with the dense Q
         n = case[0]
-        lap = sf.build_laplacian(random_tree(*case), sf.assignment(n))
+        lap = sf.build_laplacian(random_tree(*case))
         p0 = np.random.default_rng(seed).uniform(-2, 2, 2 * n)
         g = lap.matrix - np.kron(np.eye(n), sf.omega_matrix(omega, 2)) - alpha * np.eye(2 * n)
         inputs = sf.ReferenceInputs.constant([0.0, 0.0], omega, alpha)
@@ -420,7 +445,7 @@ class TestSimulateManeuver:
 
     def test_unstable_step_rejected_with_suggestion(self, path_system):
         # omega * dt = 4 is outside RK4's stability interval on the imaginary axis
-        _, _, lap, _ = path_system(6)
+        _, lap, _ = path_system(6)
         p0 = np.random.default_rng(26).uniform(-2, 2, 12)
         inputs = sf.ReferenceInputs.constant([0.0, 0.0], 80.0, 0.0)
         with pytest.raises(ValueError, match=r"7\.61 > 1 \(try dt = ") as info:
@@ -432,7 +457,7 @@ class TestSimulateManeuver:
     def test_frame_coordinates_follow_stationary_flow(self, path_system):
         # independent cross-check: zeta from the maneuver run equals a plain
         # gradient-flow run started from the initial frame coordinates
-        _, _, lap, _ = path_system(6)
+        _, lap, _ = path_system(6)
         rng = np.random.default_rng(22)
         p0 = rng.uniform(-2, 2, 12)
         inputs = two_segment_inputs()
@@ -441,7 +466,7 @@ class TestSimulateManeuver:
         assert np.abs(trace.zeta - plain.states).max() < 1e-8
 
     def test_shifted_errors_converge(self, path_system):
-        graph, tau, lap, _ = path_system(4)
+        graph, lap, _ = path_system(4)
         rng = np.random.default_rng(23)
         p0 = rng.uniform(-2, 2, 8)
         inputs = sf.ReferenceInputs.constant([0.3, 0.1], 0.2, 0.01)
@@ -450,18 +475,35 @@ class TestSimulateManeuver:
         ref = sf.ReferenceState(position=trace.ref_positions[-1],
                                 rotation=sf.Rotation(trace.ref_rotations[-1]),
                                 scale=float(trace.ref_scales[-1]))
-        direct = sf.shifted_errors(trace.final_state, ref, graph, tau)
+        direct = sf.shifted_errors(trace.final_state, ref, graph)
         assert np.allclose(direct, trace.edge_errors[-1], atol=1e-13)
 
     def test_zeta_residual_small_for_planar(self, path_system):
-        _, _, lap, _ = path_system(4)
+        _, lap, _ = path_system(4)
         p0 = np.random.default_rng(24).uniform(-2, 2, 8)
         inputs = two_segment_inputs()
         trace = sf.simulate_maneuver(lap, p0, inputs, dt=0.005, horizon=3.0)
         assert sf.zeta_consistency_residual(trace, lap.matrix) < 1e-3
 
+    def test_world_states_assembled_in_place(self, path_system):
+        # ζ is taken from the shifted rows before 1⊗r is added into them, so the run holds
+        # no second copy of the states: 20,000 steps of n = 6 peak at 3.65 trace arrays, where
+        # a separate world-state array, summed from the rows and tiled positions, reads 5.54
+        _, lap, _ = path_system(6)
+        p0 = np.random.default_rng(27).uniform(-2, 2, 12)
+        inputs = sf.ReferenceInputs.constant([0.1, 0.0], 0.2, -0.001)
+        lap.spectrum
+        tracemalloc.start()
+        try:
+            trace = sf.simulate_maneuver(lap, p0, inputs, dt=0.0015, horizon=30.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.steps == 20_000
+        assert peak < 4.5 * trace.states.nbytes
+
     def test_reference_arrays_on_trace(self, path_system):
-        _, _, lap, _ = path_system(3)
+        _, lap, _ = path_system(3)
         trace = sf.simulate_maneuver(lap, np.zeros(6),
                                      sf.ReferenceInputs.stationary(),
                                      dt=0.1, horizon=1.0)
@@ -470,12 +512,12 @@ class TestSimulateManeuver:
         assert trace.ref_scales.shape == (11,)
 
     def test_dimension_mismatch_rejected(self, path_system):
-        _, _, lap, _ = path_system(4)
+        _, lap, _ = path_system(4)
         with pytest.raises(ValueError, match="dimension"):
             sf.simulate_maneuver(lap, np.zeros(8), sf.ReferenceInputs.stationary(dim=3))
 
     def test_short_trace_rejected_by_residual(self, path_system):
-        _, _, lap, _ = path_system(3)
+        _, lap, _ = path_system(3)
         trace = sf.simulate_maneuver(lap, np.zeros(6),
                                      sf.ReferenceInputs.stationary(),
                                      dt=0.1, horizon=0.1)

@@ -18,17 +18,15 @@ from symform import cli, dynamics, laplacian, output, topology
 
 
 def short_trace(n: int = 4, horizon: float = 1.0) -> sf.SimulationTrace:
-    tau = sf.assignment(n)
     graph = sf.cycle_minus_edge(n, (n, 1))
-    lap = sf.build_laplacian(graph, tau)
+    lap = sf.build_laplacian(graph)
     p0 = np.random.default_rng(3).uniform(-2, 2, 2 * n)
     return sf.integrate(lap, p0, dt=0.1, horizon=horizon)
 
 
 def short_maneuver(horizon: float = 1.0) -> sf.ManeuverTrace:
-    tau = sf.assignment(4)
     graph = sf.cycle_minus_edge(4, (4, 1))
-    lap = sf.build_laplacian(graph, tau)
+    lap = sf.build_laplacian(graph)
     p0 = np.random.default_rng(5).uniform(-2, 2, 8)
     inputs = sf.ReferenceInputs.constant([0.2, -0.1], 0.3, 0.01)
     return sf.simulate_maneuver(lap, p0, inputs, dt=0.1, horizon=horizon)
@@ -138,10 +136,9 @@ class TestSvg:
 
     def test_zero_error_trace_plots(self):
         # a run started on target: every error is identically zero
-        tau = sf.assignment(4)
         graph = sf.cycle_minus_edge(4, (4, 1))
-        lap = sf.build_laplacian(graph, tau)
-        p0 = sf.symmetric_configuration(sf.null_basis(graph, tau), np.array([1.0, 0.0]))
+        lap = sf.build_laplacian(graph)
+        p0 = sf.symmetric_configuration(sf.null_basis(graph), np.array([1.0, 0.0]))
         trace = sf.integrate(lap, p0, dt=0.1, horizon=1.0)
         ET.fromstring(output.svg_errors(trace))
 
@@ -185,7 +182,7 @@ class TestDecimation:
 
     def test_spread_series_keeps_every_point(self):
         # wide's edge errors: 41 samples 16 px apart in x
-        trace = sf.integrate(sf.build_laplacian(sf.cycle_minus_edge(8, (8, 1)), sf.assignment(8)),
+        trace = sf.integrate(sf.build_laplacian(sf.cycle_minus_edge(8, (8, 1))),
                              np.random.default_rng(1).uniform(-2, 2, 16), dt=0.125, horizon=5.0)
         points = [ln.split('"')[1].split() for ln in output.svg_errors(trace).splitlines()
                   if ln.startswith("<polyline")]
@@ -221,7 +218,53 @@ class TestDecimation:
             assert (dot.get("cx"), dot.get("cy")) == (f"{x1:.2f}", f"{y1:.2f}")
 
 
+# JSON-like values for every scenario field: integers beyond the float range, floats
+# with inf and nan, and nested lists and objects keyed by the scenario's field names
+FIELDS = ["name", "formation", "n", "tree", "initial", "seed", "reference", "dt", "horizon", "cube",
+          "remove", "edges", "points", "box", "start", "velocity", "angular_velocity", "scale_rate",
+          "position", "angle", "scale", "axis", "face_axis", "cross_axis", "face_angle", "cross_angle",
+          "top_nodes", "bottom_nodes", "cross_nodes", "cross_edge"]
+NUMBERS = st.integers(-10**400, 10**400) | st.integers(-3, 9) | st.floats()
+VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.sampled_from(["planar", "cube", "x", "z", "", "a/b"]),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.sampled_from(FIELDS), kids, max_size=4),
+    max_leaves=10)
+
+
+def vectors(width: int) -> st.SearchStrategy:
+    return st.lists(NUMBERS, min_size=width, max_size=width) | VALUES
+
+
+SEGMENTS = st.lists(st.tuples(NUMBERS, NUMBERS | vectors(2) | vectors(3)).map(list), min_size=1, max_size=3)
+SCENARIOS = st.fixed_dictionaries({}, optional={
+    "formation": st.sampled_from(["planar", "cube"]) | VALUES,
+    "n": st.integers(3, 6) | VALUES, "seed": NUMBERS | VALUES, "dt": NUMBERS | VALUES,
+    "horizon": NUMBERS | VALUES, "name": st.sampled_from(["a", "."]) | VALUES,
+    "tree": st.fixed_dictionaries({}, optional={"remove": vectors(2),
+                                                "edges": st.lists(vectors(3), max_size=5)}) | VALUES,
+    "initial": st.fixed_dictionaries({}, optional={"points": st.lists(vectors(2) | vectors(3), max_size=8),
+                                                   "box": vectors(2), "seed": NUMBERS | VALUES}) | VALUES,
+    "reference": st.fixed_dictionaries({}, optional={
+        "start": st.fixed_dictionaries({}, optional={
+            "position": vectors(2) | vectors(3), "angle": NUMBERS | VALUES,
+            "scale": NUMBERS | VALUES, "axis": vectors(3)}) | VALUES,
+        "velocity": SEGMENTS | VALUES, "angular_velocity": SEGMENTS | VALUES,
+        "scale_rate": SEGMENTS | VALUES}) | VALUES,
+    "cube": st.dictionaries(st.sampled_from(FIELDS[20:]), VALUES | NUMBERS | vectors(4), max_size=4) | VALUES,
+}) | VALUES
+
+
 class TestParseScenario:
+    @given(SCENARIOS)
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_value_parses_or_is_rejected(self, raw):
+        # a scenario error names the field; any other exception would escape as a traceback
+        try:
+            scn = cli.parse_scenario(raw)
+        except cli.ScenarioError:
+            return
+        assert isinstance(scn, cli.Scenario)
+
     def test_minimal_planar_defaults(self):
         scn = cli.parse_scenario({"n": 4})
         assert scn.formation == "planar" and scn.n == 4 and scn.dim == 2
@@ -891,16 +934,30 @@ class TestOversizedRun:
         # numpy's own message for a negative seed does not name the field
         ({"n": 3, "seed": -1}, "seed: must be non-negative, got -1"),
         ({"n": 3, "initial": {"seed": -1}}, "initial.seed: must be non-negative, got -1"),
+        # integers beyond the float range, which float() refuses with an OverflowError
+        ({"n": 3, "dt": 10 ** 400}, "dt: must be finite"),
+        ({"n": 3, "initial": {"box": [-1, 10 ** 400]}}, "initial.box[1]: must be finite"),
+        ({"n": 3, "initial": {"points": [[0, 0], [10 ** 400, 0], [1, 1]]}}, "initial.points[1][0]: must be finite"),
+        ({"n": 3, "reference": {"start": {"scale": 10 ** 400}}}, "reference.start.scale: must be finite"),
+        ({"n": 10 ** 400}, "needs about inf MiB"),
+        # json.loads recurses once per level and raises RecursionError
+        ('{"n": 3, "dt": ' + "[" * 100_000 + "]" * 100_000 + "}", "scenario.json: invalid JSON: nested too deeply"),
+        # ValueErrors of the file's reading and decoding, not of a field
+        ('{"n": 3, "dt": ' + "1" * 5000 + "}", "scenario.json: Exceeds the limit (4300 digits)"),
+        (b'{"n": 3, "name": "\xff"}', "scenario.json: 'utf-8' codec can't decode byte 0xff"),
     ], ids=["nan_gain", "huge_step_count", "infinite_step_count", "huge_n", "short_cube_maneuver",
-            "infinite_box_width", "negative_seed", "negative_initial_seed"])
+            "infinite_box_width", "negative_seed", "negative_initial_seed", "huge_int_dt", "huge_int_box",
+            "huge_int_point", "huge_int_scale", "huge_int_n", "deep_json", "long_int_json", "non_utf8"])
     def test_rejected_in_one_line(self, tmp_path, capsys, monkeypatch, scenario, message):
         def forbidden(*args, **kwargs):
             raise AssertionError("dense build started")
 
-        if scenario.get("n") == 20000:  # rejected before the dense build, whatever memory the machine has
+        if isinstance(scenario, dict) and scenario.get("n", 0) >= 20000:
+            # rejected before the dense build, whatever memory the machine has
             monkeypatch.setattr(laplacian, "laplacian_from_edges", forbidden)
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"name": "bad", **scenario}))
+        text = scenario if isinstance(scenario, (str, bytes)) else json.dumps({"name": "bad", **scenario})
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2

@@ -153,8 +153,7 @@ class TestSimulateCube:
         inputs = sf.ReferenceInputs.constant([0.1, 0.0, 0.05], [0.0, 0.0, 0.2], 0.0,
                                              dim=3)
         trace = sf.simulate_cube(lap, p0, inputs=inputs, dt=0.02, horizon=5.0)
-        assert "zeta_residual" in trace.metadata
-        assert np.isfinite(trace.metadata["zeta_residual"])
+        assert np.isfinite(trace.zeta_residual)
         assert trace.total_errors[-1] < trace.total_errors[0]
 
     def test_maneuver_about_face_axis_still_reduces(self):
@@ -169,7 +168,7 @@ class TestSimulateCube:
         gap = np.abs(trace.zeta - plain.states).max()
         assert np.isfinite(gap)
         # the cross edge breaks exact commutation, so only boundedness holds
-        assert trace.metadata["zeta_residual"] < 10.0
+        assert trace.zeta_residual < 10.0
 
     def test_simulate_maneuver_reports_frame_residual(self):
         # the residual is attached by the maneuver integrator itself for any 3-D formation
@@ -177,4 +176,4 @@ class TestSimulateCube:
         p0 = np.random.default_rng(34).uniform(-2, 2, 24)
         inputs = sf.ReferenceInputs.constant([0.1, 0.0, 0.05], [0.0, 0.0, 0.2], 0.0, dim=3)
         trace = sf.simulate_maneuver(lap, p0, inputs, dt=0.02, horizon=1.0)
-        assert trace.metadata["zeta_residual"] == sf.zeta_consistency_residual(trace, lap.matrix)
+        assert trace.zeta_residual == sf.zeta_consistency_residual(trace, lap.matrix)

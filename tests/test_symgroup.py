@@ -123,37 +123,29 @@ class TestCyclicAutomorphism:
 
 
 class TestPointGroupAssignment:
+    """``CyclicAutomorphism.rotation`` is the assignment: shift k maps to R(k·2π/n)."""
+
     @given(st.integers(3, 12), st.integers(0, 11), st.integers(0, 11))
     @settings(max_examples=60, deadline=None)
     def test_homomorphism(self, n, k1, k2):
-        tau = sf.assignment(n)
         a, b = sf.CyclicAutomorphism(n, k1), sf.CyclicAutomorphism(n, k2)
-        product = tau.rotation_for(a).matrix @ tau.rotation_for(b).matrix
-        assert np.allclose(tau.rotation_for(a.compose(b)).matrix, product, atol=1e-12)
+        product = a.rotation.matrix @ b.rotation.matrix
+        assert np.allclose(a.compose(b).rotation.matrix, product, atol=1e-12)
 
     @given(st.integers(3, 12), st.integers(0, 11))
     @settings(max_examples=40, deadline=None)
     def test_inverse_maps_to_transpose(self, n, k):
-        tau = sf.assignment(n)
         g = sf.CyclicAutomorphism(n, k)
-        assert np.allclose(tau.rotation_for(g.inverse()).matrix,
-                           tau.rotation_for(g).matrix.T, atol=1e-12)
+        assert np.allclose(g.inverse().rotation.matrix, g.rotation.matrix.T, atol=1e-12)
 
     def test_identity_maps_to_identity(self):
-        tau = sf.assignment(7)
-        assert tau.rotation_for(sf.CyclicAutomorphism(7, 0)).is_identity()
+        assert sf.CyclicAutomorphism(7, 0).rotation.is_identity()
 
     def test_half_turn_frozen(self):
         # shift n/2 on C_6 is the half turn: R(pi) = -I
-        tau = sf.assignment(6)
-        r = tau.rotation_for(sf.CyclicAutomorphism(6, 3))
+        r = sf.CyclicAutomorphism(6, 3).rotation
         assert np.allclose(r.matrix, -np.eye(2), atol=1e-15)
 
     def test_generator_angle(self):
-        tau = sf.assignment(4)
-        r = tau.rotation_for(sf.CyclicAutomorphism(4, 1))
+        r = sf.CyclicAutomorphism(4, 1).rotation
         assert r.angle == math.tau / 4
-
-    def test_mismatched_group_rejected(self):
-        with pytest.raises(ValueError):
-            sf.assignment(4).rotation_for(sf.CyclicAutomorphism(5, 1))

@@ -104,18 +104,18 @@ class TestValidate:
 class TestRotationChain:
     def test_square_chain_frozen(self):
         # expected: identity, quarter, half, three-quarter turns
-        graph, tau = sf.cycle_minus_edge(4, (4, 1)), sf.assignment(4)
+        graph = sf.cycle_minus_edge(4, (4, 1))
         assert sf.rotation_chain(graph) == (0, 1, 2, 3)
-        mats = sf.null_basis(graph, tau).reshape(4, 2, 2)
+        mats = sf.null_basis(graph).reshape(4, 2, 2)
         for k, mat in enumerate(mats):
-            assert np.array_equal(mat, sf.rotation2(k * tau.base_angle).matrix)
+            assert np.array_equal(mat, sf.rotation2(k * (math.tau / 4)).matrix)
         assert np.allclose(mats[1], [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
         assert np.array_equal(mats[0], np.eye(2))
 
     def test_hexagon_last_link(self):
-        graph, tau = sf.cycle_minus_edge(6, (6, 1)), sf.assignment(6)
-        mats = sf.null_basis(graph, tau).reshape(6, 2, 2)
-        assert np.array_equal(mats[5], sf.rotation2(5 * tau.base_angle).matrix)
+        graph = sf.cycle_minus_edge(6, (6, 1))
+        mats = sf.null_basis(graph).reshape(6, 2, 2)
+        assert np.array_equal(mats[5], sf.rotation2(5 * (math.tau / 6)).matrix)
         assert sf.rotation_chain(graph) == (0, 1, 2, 3, 4, 5)
 
     def test_interior_removal_reaches_all_nodes(self):
@@ -127,10 +127,9 @@ class TestRotationChain:
     @settings(max_examples=40, deadline=None)
     def test_chain_satisfies_edge_relations(self, n, removed_idx):
         removed = sf.CycleGraph(n).edges[removed_idx % n]
-        tau = sf.assignment(n)
         graph = sf.cycle_minus_edge(n, removed)
-        mats = sf.null_basis(graph, tau).reshape(n, 2, 2)
-        for (u, v, w) in sf.weighted_edges(graph, tau):
+        mats = sf.null_basis(graph).reshape(n, 2, 2)
+        for (u, v, w) in sf.weighted_edges(graph):
             assert np.allclose(mats[v - 1], w @ mats[u - 1], atol=1e-12)
         assert np.array_equal(mats[0], np.eye(2))
 
@@ -143,10 +142,9 @@ class TestRotationChain:
     def test_generic_chain_matches_shift_chain(self):
         # independent route: BFS matrix products vs exact shift arithmetic
         for n in (3, 5, 8):
-            tau = sf.assignment(n)
             graph = sf.cycle_minus_edge(n, (2, 3))
-            by_shift = sf.null_basis(graph, tau).reshape(n, 2, 2)
-            by_product = sf.chain_matrices(n, sf.weighted_edges(graph, tau))
+            by_shift = sf.null_basis(graph).reshape(n, 2, 2)
+            by_product = sf.chain_matrices(n, sf.weighted_edges(graph))
             for a, b in zip(by_shift, by_product):
                 assert np.allclose(a, b, atol=1e-13)
 
@@ -158,8 +156,8 @@ class TestRotationChain:
 
 class TestHelpers:
     def test_weighted_edges_materialization(self):
-        graph, tau = sf.cycle_minus_edge(3, (3, 1)), sf.assignment(3)
-        wedges = sf.weighted_edges(graph, tau)
+        graph = sf.cycle_minus_edge(3, (3, 1))
+        wedges = sf.weighted_edges(graph)
         assert [(u, v) for (u, v, _) in wedges] == [(1, 2), (2, 3)]
         for (_, _, w) in wedges:
             assert np.array_equal(w, sf.rotation2(2 * math.pi / 3).matrix)
@@ -171,11 +169,7 @@ class TestHelpers:
         n = 20
         one, three = sf.CyclicAutomorphism(n, 1), sf.CyclicAutomorphism(n, 3)
         graph = sf.InteractionGraph(n=n, edges=tuple((i, i + 1, one if i % 2 else three) for i in range(1, n)))
-        wedges = sf.weighted_edges(graph, sf.assignment(n))
+        wedges = sf.weighted_edges(graph)
         assert len(built) == 2
         for (_, _, w), (_, _, g) in zip(wedges, graph.edges):
             assert np.array_equal(w, sf.rotation2(g.shift * 2 * math.pi / n).matrix)
-
-    def test_weighted_edges_group_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            sf.weighted_edges(sf.cycle_minus_edge(4, (4, 1)), sf.assignment(5))
