@@ -12,12 +12,15 @@ For every file of the two trees A and B it prints one line:
 - an SVG file: the largest distance, in px, from a vertex of one of A's
   polylines to the polyline of B in the same place, pairing the
   ``<polyline>`` elements in order;
+- ``log.txt``: for each line that differs only in its numbers, the relative
+  change of each number that differs, after the line's text up to it;
 - any other file: ``identical`` or ``differs``.
 
-A file in one tree only, a CSV whose header or row count differs, or an SVG
+A file in one tree only, a CSV whose header or row count differs, an SVG
 whose lines other than polyline points differ or whose polylines lie more
-than ``POLYLINE_TOL_PX`` = 0.5 px apart is named and makes the exit status
-1. Usage:
+than ``POLYLINE_TOL_PX`` = 0.5 px apart, or a log whose line count, exit
+codes or text other than numbers differ (a PASS that turns into FAIL, say)
+is named and makes the exit status 1. Usage:
 
     python scripts/compare_snapshots.py /tmp/old /tmp/new
 """
@@ -34,6 +37,7 @@ import numpy as np
 POLYLINE_TOL_PX = 0.5  # how far a vertex of A may lie from B's polyline
 _POLYLINE = re.compile(r'<polyline points="([^"]*)"(.*)')
 _PAIRS_PER_BLOCK = 2**18  # vertex-segment pairs measured with one set of array operations
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _ratio(delta: float, scale: float) -> float:
@@ -155,6 +159,27 @@ def json_drift(a: Path, b: Path) -> tuple[dict[str, float], int]:
     return changed, len(num_a) - len(changed)
 
 
+def log_drift(a: Path, b: Path) -> list[str]:
+    """'line k <text>: <a> -> <b> (<relative change>)' for each number that differs on the
+    lines of two logs that differ only in numbers. Raises ValueError naming the first line
+    whose exit code or other text differs."""
+    lines_a, lines_b = a.read_text().splitlines(), b.read_text().splitlines()
+    if len(lines_a) != len(lines_b):
+        raise ValueError(f"line counts differ: {len(lines_a)} and {len(lines_b)}")
+    changes = []
+    for k, (line_a, line_b) in enumerate(zip(lines_a, lines_b), start=1):
+        if line_a == line_b:
+            continue
+        if line_a.startswith("exit ") or _NUMBER.sub("#", line_a) != _NUMBER.sub("#", line_b):
+            raise ValueError(f"line {k} differs: {line_a.strip()!r} and {line_b.strip()!r}")
+        for num_a, num_b in zip(_NUMBER.finditer(line_a), _NUMBER.finditer(line_b)):
+            x, y = num_a.group(), num_b.group()
+            if x != y:
+                change = _ratio(abs(float(y) - float(x)), abs(float(x)))
+                changes.append(f"line {k} {line_a[:num_a.start()].strip()} {x} -> {y} ({change:.2g})")
+    return changes
+
+
 def compare(a: Path, b: Path) -> tuple[list[str], bool]:
     """One report line per file of the two trees, and whether their structure matches
     and their SVG polylines lie within ``POLYLINE_TOL_PX`` of each other."""
@@ -184,6 +209,8 @@ def compare(a: Path, b: Path) -> tuple[list[str], bool]:
                 if drift > POLYLINE_TOL_PX:
                     lines[-1] += f" exceeds {POLYLINE_TOL_PX} px"
                     ok = False
+            elif rel.name == "log.txt":
+                lines.append(f"{rel}: " + ", ".join(log_drift(fa, fb)))
             else:
                 lines.append(f"{rel}: differs")
         except ValueError as exc:

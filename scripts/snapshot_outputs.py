@@ -8,7 +8,9 @@ workload writes, a planar maneuver of 20 runs of constant input, a planar
 n = 64 maneuver whose two runs of constant nonzero angular velocity are long
 enough (200 steps each, at least 2n) for the complex block path, and a cube
 maneuver, all three maneuvers with negative scale rates), ``verify`` of each
-preset, and ``sweep --n-from 3 --n-to 30``. The run files land in OUT/runs
+preset and of a planar n = 256 scenario (the shape of the benchmark's
+``checks`` workload, so its check values land in the log), and
+``sweep --n-from 3 --n-to 30``. The run files land in OUT/runs
 and OUT/sweep, with ``runtime_seconds`` dropped from each metrics.json; each
 command's exit code, stdout and stderr go to OUT/log.txt. Two snapshots, say
 of two checkouts, are compared with ``diff -r``:
@@ -16,6 +18,9 @@ of two checkouts, are compared with ``diff -r``:
     PYTHONPATH=src python scripts/snapshot_outputs.py /tmp/new
     PYTHONPATH=../other/src python scripts/snapshot_outputs.py /tmp/old
     diff -r /tmp/old /tmp/new
+
+or with ``scripts/compare_snapshots.py /tmp/old /tmp/new``, which reports how
+far their numbers drift.
 """
 from __future__ import annotations
 
@@ -57,6 +62,15 @@ SCENARIOS = {
     },
 }
 
+VERIFIED = {"verify_n256": {"n": 256}}
+
+
+def write_scenario(scenarios: Path, name: str, scenario: dict) -> str:
+    """Write ``scenario`` named ``name`` into the directory ``scenarios``; return its path."""
+    path = scenarios / f"{name}.json"
+    path.write_text(json.dumps({"name": name, **scenario}))
+    return str(path)
+
 
 def run_logged(argv: list[str], out: Path, log: io.TextIOBase) -> None:
     """Run one command, appending its exit code, stdout and stderr to ``log`` with
@@ -76,9 +90,9 @@ def main(argv: list[str] | None = None) -> int:
     scenarios.mkdir(parents=True, exist_ok=True)
     with open(out / "log.txt", "w") as log:
         for name, scenario in SCENARIOS.items():
-            path = scenarios / f"{name}.json"
-            path.write_text(json.dumps({"name": name, **scenario}))
-            run_logged(["run", str(path), "--out", str(out / "runs")], out, log)
+            run_logged(["run", write_scenario(scenarios, name, scenario), "--out", str(out / "runs")], out, log)
+        for name, scenario in VERIFIED.items():
+            run_logged(["verify", write_scenario(scenarios, name, scenario)], out, log)
         for name in PRESETS:
             run_logged(["run", name, "--out", str(out / "runs")], out, log)
             run_logged(["verify", name], out, log)

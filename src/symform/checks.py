@@ -15,7 +15,6 @@ ROUTE_TOL = 1e-12     # max |Q - M| for an independent construction route M
 NULL_TOL = 1e-10      # max |Q V0| for the null basis V0
 GRADIENT_TOL = 1e-6   # max |FD gradient - Q p| / (1 + max |Q p|)
 SOLVER_TOL = 1e-6     # |RK4 - closed form| after unit time
-FD_BLOCK = 64         # perturbed points per matrix product in the gradient check
 
 
 @dataclass(frozen=True)
@@ -66,17 +65,17 @@ def dense_gaps(q: NDArray[np.float64], null_matrix: NDArray[np.float64],
     return gaps, float(np.abs(q @ null_matrix).max())
 
 
-def _perturbed_potentials(incidence_matrix: NDArray[np.float64], p: NDArray[np.float64], h: float) -> NDArray[np.float64]:
-    """0.5 ||E^T x||^2 at each x = p with one p_i replaced by p_i + h (row 0) and by p_i - h
-    (row 1); the points are the rows of blocks of at most FD_BLOCK copies of p."""
-    out = np.empty((2, p.size))
-    for start in range(0, p.size, FD_BLOCK):
-        idx = np.arange(start, min(start + FD_BLOCK, p.size))
-        rows = np.tile(p, (idx.size, 1))
-        for sign, step in enumerate((h, -h)):
-            rows[np.arange(idx.size), idx] = p[idx] + step
-            out[sign, idx] = 0.5 * np.sum((rows @ incidence_matrix) ** 2, axis=1)
-    return out
+def _perturbed_potentials(incidence: NDArray[np.float64], points: NDArray[np.float64], h: float) -> NDArray[np.float64]:
+    """Φ(x ± h e_i) - Φ(x) for Φ(x) = 0.5 ||Eᵀ x||², at each of the k ``points`` x and coordinate i:
+    +h in row 0 and -h in row 1 (2 x k x dn). Moving x_i by s moves r_j of r = Eᵀ x to r_j + s E_ij,
+    so the change sums 0.5 ((r_j + s E_ij)² - r_j²) over the nonzero entries E_ij of row i."""
+    k, size = points.shape
+    rows, cols = np.nonzero(incidence)
+    entries = incidence[rows, cols]
+    r = (points @ incidence)[:, cols]
+    index = (rows + size * np.arange(k)[:, None]).ravel()
+    return np.array([np.bincount(index, (0.5 * ((r + s * entries) ** 2 - r ** 2)).ravel(), minlength=k * size)
+                     for s in (h, -h)]).reshape(2, k, size)
 
 
 def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray[np.float64],
@@ -99,12 +98,10 @@ def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray
 
     # gradient of 0.5 ||E^T p||^2 must match Q p (central differences, h = 1e-5)
     h = 1e-5
-    worst = 0.0
-    for _ in range(10):
-        p = rng.uniform(-2.0, 2.0, size=dim * n)
-        grad = q_matrix @ p
-        plus, minus = _perturbed_potentials(incidence_matrix, p, h)
-        worst = max(worst, float(np.abs((plus - minus) / (2 * h) - grad).max() / (1.0 + np.abs(grad).max())))
+    points = rng.uniform(-2.0, 2.0, size=(10, dim * n))
+    plus, minus = _perturbed_potentials(incidence_matrix, points, h)
+    grads = points @ q_matrix.T  # Q p for each point p
+    worst = float(np.max(np.abs((plus - minus) / (2 * h) - grads).max(axis=1) / (1.0 + np.abs(grads).max(axis=1))))
     out.append(CheckResult("gradient", worst <= GRADIENT_TOL,
                            f"max relative FD mismatch {worst:.3e} (tol {_tol(GRADIENT_TOL)})", worst))
 

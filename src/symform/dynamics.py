@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -43,6 +44,14 @@ BUILD_DENSE_MATRICES = 5
 # process's first command).
 VERIFY_DENSE_MATRICES = 8
 POWER_STACK_CAP = 256  # most RK4 steps propagate_linear writes with one matrix product
+# The RK4 stage loop applies a real m x m G through its nonzero entries from
+# m = NONZERO_STAGE_ROWS x (columns of the state) up, the dense product below.
+# Measured per apply (best of 9 x 300, one BLAS thread, 2-vCPU 2.0 GHz Xeon) on
+# tree Laplacians, dense / nonzeros in µs: dn x dn Q on 1 column, m = 256:
+# 15.1 / 15.9, m = 320: 20.9 / 18.8, m = 512: 72 / 25; n x n L on 2 columns,
+# m = 256: 12.4 / 17.5, m = 512: 61 / 27, m = 640: 142 / 29; on 3 columns,
+# m = 768: 700 / 55.
+NONZERO_STAGE_ROWS = 256
 
 
 def edge_residual_norms(
@@ -144,7 +153,8 @@ def require_build_fits(n: int, dim: int, matrices: int) -> None:
         fit = math.isqrt(MAX_BUILD_BYTES // (matrices * 8)) // dim
         mib = build_bytes / 2**20 if build_bytes < 2**1000 else math.inf  # inf beyond a float
         raise ValueError(
-            f"n = {n} needs about {mib:.1f} MiB for its dense {dn}x{dn} matrices, "
+            f"n = {reprlib.repr(n)} needs about {mib:.1f} MiB for its dense "
+            f"{reprlib.repr(dn)}x{reprlib.repr(dn)} matrices, "
             f"above the {MAX_BUILD_BYTES / 2**20:g} MiB bound (the largest n that fits is {fit})"
         )
 
@@ -241,6 +251,41 @@ def _power_steps(out: NDArray, k: int, count: int, d: NDArray, block: int) -> No
         out[k + 1] = out[k] + d @ out[k]
 
 
+def _stage_product(g: NDArray, columns: int) -> Callable[[NDArray], NDArray]:
+    """x ↦ G x on (m, ``columns``) rows, for the stage loop.
+
+    A real G of at least ``NONZERO_STAGE_ROWS`` rows per column is applied
+    through its nonzero entries, read from G itself (one bincount per column);
+    any other G, complex ones included, through the dense product."""
+    m = g.shape[0]
+    if np.iscomplexobj(g) or m < NONZERO_STAGE_ROWS * columns:
+        return g.__matmul__
+    rows, cols = np.nonzero(g)
+    entries = g[rows, cols]
+
+    def product(x: NDArray[np.float64]) -> NDArray[np.float64]:
+        y = np.empty((m, columns))
+        for j in range(columns):
+            y[:, j] = np.bincount(rows, entries * x[cols, j], minlength=m)
+        return y
+
+    return product
+
+
+def _stage_steps(out: NDArray, k: int, count: int, product: Callable[[NDArray], NDArray], dt: float) -> None:
+    """Write rows k+1 … k+count of ``out`` by RK4 stages on the field -G y, G y = ``product(y)``,
+    in the operation order of :func:`rk4_step`."""
+    half, sixth = dt / 2, dt / 6
+    x = out[k]
+    for row in range(k + 1, k + count + 1):
+        k1 = -product(x)
+        k2 = -product(x + half * k1)
+        k3 = -product(x + half * k2)
+        k4 = -product(x + dt * k3)
+        x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[row] = x
+
+
 def _rows(out: NDArray[np.float64], g: NDArray) -> NDArray:
     """``out`` (steps + 1, size) as (steps + 1, m, size / m) rows for an m x m G acting on
     axis 1, taken from the complex128 view (planar points x + iy) when G is complex. A
@@ -275,8 +320,12 @@ def propagate_linear(
       per matrix product, the leftover steps one product each. The stack is
       never larger than the segment's rows of the returned array.
     - A shorter segment takes the stage loop, which uses the operation order
-      of :func:`rk4_step` on the field -(G @ y) and so reproduces that
-      stepper bitwise. The block path agrees with it only to rounding.
+      of :func:`rk4_step` on the field -G y. Below the crossover of
+      :func:`_stage_product` (a complex G, or a real one of fewer than
+      ``NONZERO_STAGE_ROWS`` rows per column) G y is the dense ``g @ y``,
+      so the loop reproduces :func:`rk4_step` on -(G @ y) bitwise. Past it,
+      G y is summed over G's nonzero entries and agrees with the dense
+      product only to rounding, as the block path does.
 
     Overflow is left to the caller's ``np.errstate``; it shows as
     non-finite states.
@@ -284,24 +333,15 @@ def propagate_linear(
     c0 = np.asarray(c0, dtype=float)
     out = np.empty((steps + 1, c0.size))
     out[0] = c0.ravel()
-    half, sixth = dt / 2, dt / 6
     k = 0
     for g, count in segments:
         rows = _rows(out, g)
         block = min(POWER_STACK_CAP, count // g.shape[0])
         if block >= 2:
             _power_steps(rows, k, count, _rk4_increment(g, dt), block)
-            k += count
         else:
-            x = rows[k]
-            for _ in range(count):
-                k1 = -(g @ x)
-                k2 = -(g @ (x + half * k1))
-                k3 = -(g @ (x + half * k2))
-                k4 = -(g @ (x + dt * k3))
-                x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-                k += 1
-                rows[k] = x
+            _stage_steps(rows, k, count, _stage_product(g, rows.shape[2]), dt)
+        k += count
         del g  # released before the next run's G is formed
     if k != steps:
         raise ValueError(f"segments hold {k} steps, expected {steps}")

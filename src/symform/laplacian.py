@@ -42,8 +42,8 @@ class SymmetryLaplacian:
     Laplacian L. On a tree Q = S (L ⊗ I_d) Sᵀ, so a run needs only these
     arrays: it integrates in gauge coordinates q_i = S_iᵀ p_i on L.
 
-    The dense dn x dn arrays are built on first read, for ``verify``,
-    ``sweep`` and the tests. ``matrix`` is Q, assembled block-wise: degree·I
+    The dense dn x dn arrays are built on first read, for ``verify``, ``sweep``
+    and the tests, each by one scatter of its blocks. ``matrix`` is Q: degree·I
     on the diagonal, minus the transposed edge rotation at (u, v) and minus
     the edge rotation at (v, u). ``incidence`` is E (dn x d(n-1)): the block
     column of edge (u, v) holds +I at node u and minus W at node v, so block
@@ -65,27 +65,29 @@ class SymmetryLaplacian:
 
     @cached_property
     def matrix(self) -> NDArray[np.float64]:
-        return _freeze(assemble_laplacian(self.n, self.dim, self._wedges()))
+        return self._dense(self._blocks)
 
     @cached_property
     def incidence(self) -> NDArray[np.float64]:
-        d = self.dim
-        E = np.zeros((d * self.n, d * len(self.edge_index)))
-        for e, (u, v, w) in enumerate(self._wedges()):
-            E[d * (u - 1):d * u, d * e:d * (e + 1)] = np.eye(d)
-            E[d * (v - 1):d * v, d * e:d * (e + 1)] = -w
-        return _freeze(E)
+        u, v = self.ends.T
+        edges = np.arange(len(u))
+        E = np.zeros((self.n, self.dim, len(u), self.dim))
+        E[u, :, edges, :] = np.eye(self.dim)
+        E[v, :, edges, :] = -self.rotations
+        return _freeze(E.reshape(self.n * self.dim, -1))
 
     @cached_property
     def gauge(self) -> NDArray[np.float64]:
+        return self._dense(self._gauge_blocks)
+
+    def _dense(self, blocks: NDArray[np.float64]) -> NDArray[np.float64]:
+        """The dn x dn array of ``blocks`` on ``_pattern``, zero elsewhere. The blocks are
+        added onto zeros, so an entry -0.0 lands as 0.0, the bits a per-edge assembly writes."""
         n, d = self.n, self.dim
         rows, cols = self._pattern
-        gauge = np.zeros((n, d, n, d))
-        gauge[rows, :, cols, :] = self._gauge_blocks
-        return _freeze(gauge.reshape(n * d, n * d))
-
-    def _wedges(self) -> list[WeightedEdge]:
-        return [(u, v, w) for (u, v), w in zip(self.edge_index, self.rotations)]
+        dense = np.zeros((n, d, n, d))
+        dense[rows, :, cols, :] += blocks
+        return _freeze(dense.reshape(n * d, n * d))
 
     @cached_property
     def ends(self) -> NDArray[np.intp]:

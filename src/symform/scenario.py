@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -40,8 +41,8 @@ class Scenario:
     cube_spec: spatial3d.CubeSpec | None
 
     def summary(self) -> str:
-        bits = [f"name={self.name}", f"formation={self.formation}", f"n={self.n}",
-                f"dim={self.dim}", f"seed={self.seed}",
+        bits = [f"name={self.name}", f"formation={self.formation}", f"n={reprlib.repr(self.n)}",
+                f"dim={self.dim}", f"seed={reprlib.repr(self.seed)}",
                 f"dt={'auto' if self.dt is None else self.dt}",
                 f"horizon={'auto' if self.horizon is None else self.horizon}",
                 f"reference={'yes' if self.reference is not None else 'no'}"]
@@ -54,13 +55,14 @@ def _require(cond: bool, path: str, msg: str) -> None:
 
 
 def _as_int(value, path: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), path, f"expected an integer, got {value!r}")
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             path, f"expected an integer, got {reprlib.repr(value)}")
     return value
 
 
 def _as_number(value, path: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             path, f"expected a number, got {value!r}")
+             path, f"expected a number, got {reprlib.repr(value)}")
     try:
         value = float(value)
     except OverflowError:  # an integer beyond the float range
@@ -162,14 +164,15 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
         _require(key in known, key, "unknown field")
 
     formation = raw.get("formation", "planar")
-    _require(formation in ("planar", "cube"), "formation", f"expected 'planar' or 'cube', got {formation!r}")
+    _require(formation in ("planar", "cube"), "formation",
+             f"expected 'planar' or 'cube', got {reprlib.repr(formation)}")
     name = raw.get("name", name_hint)
     _require(isinstance(name, str) and name, "name", "expected a non-empty string")
     _require(name not in (".", "..") and not any(c in name for c in "/\\\0"), "name",
-             f"expected a plain file name (no path separator, not '.' or '..'), got {name!r}")
+             f"expected a plain file name (no path separator, not '.' or '..'), got {reprlib.repr(name)}")
 
     seed = _as_int(raw.get("seed", DEFAULT_SEED), "seed")
-    _require(seed >= 0, "seed", f"must be non-negative, got {seed}")
+    _require(seed >= 0, "seed", f"must be non-negative, got {reprlib.repr(seed)}")
     dt = None if "dt" not in raw else _as_number(raw["dt"], "dt")
     if dt is not None:
         _require(dt > 0, "dt", "must be positive")
@@ -209,7 +212,8 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
             _require(isinstance(rm, list) and len(rm) == 2, "tree.remove", "expected [u, v]")
             u = _as_int(rm[0], "tree.remove[0]")
             v = _as_int(rm[1], "tree.remove[1]")
-            _require(topology.CycleGraph(n).contains_edge(u, v), "tree.remove", f"[{u}, {v}] is not an edge of C_{n}")
+            _require(topology.CycleGraph(n).contains_edge(u, v), "tree.remove",
+                     f"{reprlib.repr([u, v])} is not an edge of C_{reprlib.repr(n)}")
             tree_edges, removed_edge = None, (u, v)  # cli.build_system builds the tree once n is known to fit
 
     initial_points = None
@@ -233,7 +237,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
             box = (lo, hi)
         if "seed" in init_raw:
             seed = _as_int(init_raw["seed"], "initial.seed")
-            _require(seed >= 0, "initial.seed", f"must be non-negative, got {seed}")
+            _require(seed >= 0, "initial.seed", f"must be non-negative, got {reprlib.repr(seed)}")
 
     reference = None
     ref_start = None

@@ -135,20 +135,39 @@ class TestVerificationChecks:
         assert not by_name["gradient"].passed
         assert by_name["gradient"].value > checks.GRADIENT_TOL
 
-    @pytest.mark.parametrize("n", [4, 37])  # dn = 8 and 74: one partial block, and 64 + 10
-    def test_blocked_potentials_match_per_coordinate(self, n):
+    @pytest.mark.parametrize("entry", ["on_pattern", "off_pattern"])
+    def test_gradient_detects_a_corrupted_incidence_entry(self, entry):
+        # the FD potentials read E's nonzero entries from E itself, so a wrong entry
+        # counts whether or not the tree puts a nonzero there
+        lap = planar_lap(5)
+        E = lap.incidence.copy()
+        i, j = np.argwhere(E != 0 if entry == "on_pattern" else E == 0)[0]
+        E[i, j] += 1e-3
+        gradient = {r.name: r for r in cli.verification_checks(lap.matrix, E, lap.chain, 5, 2)}["gradient"]
+        assert not gradient.passed and gradient.value > checks.GRADIENT_TOL
+
+    @pytest.mark.parametrize("n", [4, 37])  # dn = 8 and 74
+    def test_perturbed_potentials_match_per_coordinate(self, n):
+        # each change Φ(x ± h e_i) - Φ(x) against Φ formed densely at x and at the moved point
         E = planar_lap(n).incidence
         h = 1e-5
-        p = np.random.default_rng(n).uniform(-2.0, 2.0, size=2 * n)
-        plus, minus = checks._perturbed_potentials(E, p, h)
-        ref_plus, ref_minus = np.empty_like(p), np.empty_like(p)
-        for i in range(p.size):
-            e = np.zeros_like(p)
-            e[i] = h
-            ref_plus[i] = 0.5 * float(np.sum((E.T @ (p + e)) ** 2))
-            ref_minus[i] = 0.5 * float(np.sum((E.T @ (p - e)) ** 2))
-        np.testing.assert_allclose(plus, ref_plus, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(minus, ref_minus, rtol=1e-12, atol=0.0)
+        points = np.random.default_rng(n).uniform(-2.0, 2.0, size=(3, 2 * n))
+        plus, minus = checks._perturbed_potentials(E, points, h)
+        assert plus.shape == minus.shape == points.shape
+
+        def phi(x):
+            return 0.5 * float(np.sum((E.T @ x) ** 2))
+
+        for x, up, down in zip(points, plus, minus):
+            base = phi(x)
+            # each dense Φ sums 2(n - 1) squares, and rounds within 2(n - 1)·eps·Φ(x),
+            # under 1.6e-14·Φ(x) for n = 37; the difference of two of them within twice that
+            tol = 1e-13 * base
+            for i in range(x.size):
+                e = np.zeros_like(x)
+                e[i] = h
+                assert abs(up[i] - (phi(x + e) - base)) <= tol
+                assert abs(down[i] - (phi(x - e) - base)) <= tol
 
     def test_tolerances_printed_in_details(self):
         lap = planar_lap(4)

@@ -200,6 +200,27 @@ class TestPropagateLinear:
                 else:
                     assert np.abs(states[k] - y).max() <= 1e-12 * np.abs(states).max()
 
+    @pytest.mark.parametrize("operator", ["scalar_on_rows", "matrix_on_one_column", "matrix_off_tree"])
+    def test_nonzero_stage_loop_matches_dense(self, path_system, operator):
+        # at the crossover the stage loop sums G y over G's nonzero entries; it matches the
+        # dense stage loop (rk4_step on -(G @ y), on the same rows) to rounding
+        rows_per_column = sf.dynamics.NONZERO_STAGE_ROWS
+        if operator == "scalar_on_rows":  # an n x n L on (n, 2) rows
+            g, columns = path_system(2 * rows_per_column)[1].scalar, 2
+        else:  # a dn x dn Q on one column
+            g, columns = path_system(rows_per_column // 2)[1].matrix, 1
+        if operator == "matrix_off_tree":  # the entries are read from G, not from the tree
+            g = g.copy()
+            g[0, 7] = g[7, 0] = 0.25
+        product = sf.dynamics._stage_product(g, columns)
+        assert getattr(product, "__self__", None) is not g  # not the dense g.__matmul__
+        c0 = np.random.default_rng(35).uniform(-2, 2, (g.shape[0], columns))
+        states = sf.propagate_linear(c0, [(g, 12)], 0.05, 12)
+        y = c0
+        for k in range(12):
+            y = sf.rk4_step(lambda t, x: -(g @ x), k * 0.05, y, 0.05)
+            assert np.abs(states[k + 1] - y.ravel()).max() <= 1e-14 * np.abs(states).max()
+
     @pytest.mark.parametrize("width, g", [(6, np.eye(4)), (6, np.eye(2, dtype=complex)),
                                           (5, np.eye(2, dtype=complex))],
                              ids=["real", "complex", "complex_odd_width"])

@@ -96,6 +96,30 @@ class TestLaplacian:
         assert np.allclose(quad, residual_sq, atol=1e-10)
 
 
+def per_edge_matrices(lap) -> tuple[np.ndarray, np.ndarray]:
+    """Q and E assembled one edge at a time: the reference for the scattered arrays."""
+    d = lap.dim
+    wedges = [(u, v, w) for (u, v), w in zip(lap.edge_index, lap.rotations)]
+    E = np.zeros((d * lap.n, d * len(wedges)))
+    for e, (u, v, w) in enumerate(wedges):
+        E[d * (u - 1):d * u, d * e:d * (e + 1)] = np.eye(d)
+        E[d * (v - 1):d * v, d * e:d * (e + 1)] = -w
+    return sf.laplacian.assemble_laplacian(lap.n, d, wedges), E
+
+
+@pytest.mark.parametrize("build", [lambda: sf.build_laplacian(sf.cycle_minus_edge(3, (3, 1))),
+                                   lambda: sf.build_laplacian(sf.cycle_minus_edge(37, (12, 13))),
+                                   sf.build_cube], ids=["n3", "n37", "cube"])
+def test_matrix_and_incidence_equal_per_edge_assembly(build):
+    lap = build()
+    q, E = per_edge_matrices(lap)
+    assert np.array_equal(lap.matrix, q)
+    assert np.array_equal(lap.incidence, E)
+    # no -0.0 where the per-edge sums write 0.0: the same bits, not only equal values
+    assert lap.matrix.tobytes() == q.tobytes()
+    assert lap.incidence.tobytes() == E.tobytes()
+
+
 class TestSpectrum:
     def test_square_eigenvalues_frozen(self):
         # closed forms: 0, 2 - sqrt(2), 2, 2 + sqrt(2), each twice

@@ -594,6 +594,22 @@ class TestMainExitCodes:
                                            "(t = 7.13); the run overflowed\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("probe", ["nested_dt", "long_n"])
+    def test_messages_are_bounded(self, tmp_path, capsys, command, probe):
+        # a value is quoted by reprlib, not in full: a list nested 900 deep, a 401-digit n
+        nested = 0.05
+        for _ in range(900):
+            nested = [nested]
+        raw = {"n": 3, "dt": nested} if probe == "nested_dt" else {"n": int("7" * 401)}
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(raw))
+        argv = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        lines = (captured.out + captured.err).splitlines()
+        assert lines and max(map(len, lines)) <= 300
+
     def test_run_seed_override_changes_start(self, tmp_path):
         cli.main(["run", "example2_c4", "--horizon", "0.5", "--seed", "1",
                   "--out", str(tmp_path / "a")])

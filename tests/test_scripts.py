@@ -31,7 +31,8 @@ def test_snapshot_outputs(tmp_path):
         "maneuver_n64", "planar_n16", "planar_n600"]
     assert all("runtime_seconds" not in p.read_text() for p in runs.glob("*/metrics.json"))
     log = (tmp_path / "log.txt").read_text()
-    assert log.count("\nexit 0\n") == 14 and str(tmp_path) not in log
+    assert log.count("\nexit 0\n") == 15 and str(tmp_path) not in log
+    assert "$ symform verify OUT/scenarios/verify_n256.json\nexit 0\n" in log
     assert (tmp_path / "sweep" / "sweep.json").is_file()
 
 
@@ -54,6 +55,37 @@ def test_compare_snapshots(tmp_path):
     (b / "runs" / "x" / "errors.svg").write_text("<svg/>")
     result = run_script("compare_snapshots.py", str(a), str(b))
     assert result.returncode == 1 and "runs/x/errors.svg: only in B" in result.stdout
+
+
+LOG = """$ symform verify x
+exit 0
+--- stdout
+  PASS gradient: max relative FD mismatch {gradient} (tol 1e-6)
+  {verdict} solver_cross_check: |RK4 - closed form| = 9.005e-11 at t = 1.000 (tol 1e-6)
+verification passed
+--- stderr
+
+$ symform run y
+exit {code}
+"""
+
+
+def test_compare_snapshots_log(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    (a / "log.txt").write_text(LOG.format(gradient="1.302e-09", verdict="PASS", code=0))
+    (b / "log.txt").write_text(LOG.format(gradient="1.726e-11", verdict="PASS", code=0))
+    result = run_script("compare_snapshots.py", str(a), str(b))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "log.txt: line 4 PASS gradient: max relative FD mismatch 1.302e-09 -> 1.726e-11 (0.99)"]
+    # a changed exit code, or a verdict that turns from PASS to FAIL, fails the comparison
+    for verdict, code, line in (("PASS", 4, "line 10 differs: 'exit 0' and 'exit 4'"),
+                                ("FAIL", 0, "line 5 differs: 'PASS solver_cross_check")):
+        (b / "log.txt").write_text(LOG.format(gradient="1.302e-09", verdict=verdict, code=code))
+        result = run_script("compare_snapshots.py", str(a), str(b))
+        assert result.returncode == 1
+        assert result.stdout.startswith(f"log.txt: {line}")
 
 
 def svg(*polylines: str) -> str:
