@@ -32,6 +32,8 @@ _E16, _E17 = 10 ** 16, 10 ** 17
 # the double-double product is off by about 1e-14, so every exact tie lands here
 # and half-even rounding stays Python's.
 _TIE_BAND = 1e-9
+# The SVG kernel's band: 100 v within this of a half-integer goes to `_fmt2`.
+_CENT_TIE_BAND = 1e-6
 # Byte slots per value, in six uint64 words: sign, "0.000" and the first digit;
 # digits 2-17, each with a slot for a point after it; "e+ddd" and the separator.
 # Unused slots hold 0 and are deleted from the block's bytes.
@@ -346,14 +348,6 @@ def _frame(title: str, xlabel: str, ylabel: str,
     return parts, sx, sy
 
 
-def _polyline(xs, ys, sx, sy, color: str, width: float = 1.5, dash: str | None = None) -> str:
-    # sx/sy on whole arrays: the same IEEE operations in the same order as per point
-    px, py = sx(np.asarray(xs, dtype=float)), sy(np.asarray(ys, dtype=float))
-    pts = " ".join(["%.2f,%.2f"] * px.size) % tuple(np.column_stack([px, py]).ravel().tolist())
-    extra = f' stroke-dasharray="{dash}"' if dash else ""
-    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"{extra}/>'
-
-
 def _keep_mask(px: NDArray[np.float64], py: NDArray[np.float64]) -> NDArray[np.bool_]:
     """Which points of each series (column) a plot draws.
 
@@ -367,16 +361,88 @@ def _keep_mask(px: NDArray[np.float64], py: NDArray[np.float64]) -> NDArray[np.b
     return keep
 
 
-def _kept_series(xs: NDArray[np.float64], ys: NDArray[np.float64],
-                 keep: NDArray[np.bool_]) -> list[tuple[NDArray[np.float64], NDArray[np.float64]]]:
-    """The kept (x, y) values of each series (column).
+def _fmt2(x: float) -> str:
+    """``%.2f``: an SVG coordinate; :func:`_polylines` writes the same bytes a block at a time."""
+    return "%.2f" % x
 
-    One gather per plot: a boolean index per series would cost a plot of
-    many short series (a planar n = 600 run draws 1,199) more than it saves.
+
+class _CentTables(NamedTuple):
+    whole: NDArray[np.uint64]  # [k]: the digits of k right-aligned in slots 0-3, the point in slot 4
+    cents: NDArray[np.uint64]  # [c]: the two digits of f"{c:02d}" in slots 5-6
+    seps: NDArray[np.uint64]   # [code]: nothing, "," or " " in slot 7
+    width: NDArray[np.uint8]   # [k]: len(f"{k}.")
+
+
+_SEPS = ("", ",", " ")  # a value's separator by code: the end of a series, after x, after y
+
+
+@functools.cache
+def _cent_tables() -> _CentTables:
+    """The SVG kernel's lookup tables, built on first use (under 1 ms, once a process)."""
+    k = np.arange(10000)
+    size = 1 + (k >= 10) + (k >= 100) + (k >= 1000)  # digits of k
+    whole = np.zeros((k.size, 8), np.uint8)
+    for slot, unit in enumerate((1000, 100, 10, 1)):
+        whole[:, slot] = np.where(4 - slot <= size, k // unit % 10 + ord("0"), 0)
+    whole[:, 4] = ord(".")
+    c = np.arange(100)
+    cents = np.zeros((c.size, 8), np.uint8)
+    cents[:, 5], cents[:, 6] = c // 10 + ord("0"), c % 10 + ord("0")
+    seps = np.zeros((len(_SEPS), 8), np.uint8)
+    seps[:, 7] = [ord(sep or "\0") for sep in _SEPS]
+    return _CentTables(*(t.view(np.uint64).ravel() for t in (whole, cents, seps)),
+                       (size + 1).astype(np.uint8))
+
+
+def _polylines(px: NDArray[np.float64], py: NDArray[np.float64], keep: NDArray[np.bool_],
+               styles: list[str]) -> list[str]:
+    """One ``<polyline>`` per series (column): the points ``keep`` marks, as
+    ``"%.2f,%.2f"`` pairs joined by spaces, then ``fill="none"`` and the series' style.
+
+    ``px`` and ``py`` broadcast to the (samples, series) shape of ``keep``. The
+    kept points of every series are formatted in one pass, ``_CSV_BLOCK_VALUES``
+    values at a time. A value v with 0 <= 100 v < 999,999.5 takes an 8-byte slot:
+    for N = floor(100 v + 1/2), the digits of N // 100 and the point from one
+    table, the two decimals N % 100 from another, then its separator (',' after
+    x, ' ' after y, nothing at the end of a series). The empty slots are deleted
+    and the text is cut per series at offsets summed from the slot lengths. A set
+    sign bit (negatives, -0.0), a larger or non-finite value, or a 100 v within
+    _CENT_TIE_BAND of a half-integer goes to :func:`_fmt2`: below 1e4, 100 v is
+    within 6e-11 of exact, so every tie lands there and half-even rounding stays
+    Python's.
     """
-    ends = np.cumsum(keep.sum(axis=0)).tolist()
-    xk, yk = xs.T[keep.T], ys.T[keep.T]
-    return [(xk[lo:hi], yk[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)]
+    px, py = np.broadcast_arrays(px, py)
+    counts = keep.sum(axis=0)
+    values = np.empty((int(counts.sum()), 2))
+    values[:, 0] = px.T[keep.T]  # series-major, as the series are written
+    values[:, 1] = py.T[keep.T]
+    values = values.ravel()
+    lasts = 2 * np.cumsum(counts) - 1  # each series' last value
+    codes = np.tile(np.array([1, 2], np.uint8), values.size // 2)
+    codes[lasts] = 0
+    sizes = np.empty(values.size, np.uint8)  # each value's text length with its separator
+    tab = _cent_tables()
+    text = io.BytesIO()
+    for lo in range(0, values.size, _CSV_BLOCK_VALUES):
+        v, code = values[lo:lo + _CSV_BLOCK_VALUES], codes[lo:lo + _CSV_BLOCK_VALUES]
+        scaled = 100.0 * v
+        fast = (scaled < 999999.5) & ~np.signbit(v)  # False for NaN
+        scaled = np.where(fast, scaled, 0.0)
+        fast &= np.abs(scaled - np.floor(scaled) - 0.5) > _CENT_TIE_BAND
+        whole, cents = np.divmod(np.floor(scaled + 0.5).astype(np.int64), 100)
+        words = tab.whole[whole] | tab.cents[cents] | tab.seps[code]
+        sizes[lo:lo + v.size] = tab.width[whole] + 2 + (code > 0)
+        done = 0
+        for i in np.flatnonzero(~fast).tolist():
+            cell = (_fmt2(v[i]) + _SEPS[code[i]]).encode()
+            text.write(words[done:i].tobytes().translate(None, b"\0") + cell)
+            sizes[lo + i] = len(cell)
+            done = i + 1
+        text.write(words[done:].tobytes().translate(None, b"\0"))
+    ends = np.add.reduceat(sizes, lasts + 1 - 2 * counts, dtype=np.int64).cumsum().tolist()
+    data = text.getvalue()
+    return [f'<polyline points="{data[lo:hi].decode()}" fill="none" {style}/>'
+            for lo, hi, style in zip([0] + ends[:-1], ends, styles)]
 
 
 def _project(states: NDArray[np.float64], n: int, dim: int) -> NDArray[np.float64]:
@@ -399,21 +465,21 @@ def svg_paths(trace: SimulationTrace, title: str = "agent paths") -> str:
     has_ref = isinstance(trace, ManeuverTrace)
     if has_ref:  # the reference path is series 0, the agents follow it
         proj = np.concatenate([_project(trace.ref_positions, 1, trace.dim), proj], axis=1)
-    xs, ys = proj[..., 0], proj[..., 1]
-    xlo, xhi = _scale(float(xs.min()), float(xs.max()))
-    ylo, yhi = _scale(float(ys.min()), float(ys.max()))
+    xlo, xhi = _scale(float(proj[..., 0].min()), float(proj[..., 0].max()))
+    ylo, yhi = _scale(float(proj[..., 1].min()), float(proj[..., 1].max()))
     parts, sx, sy = _frame(title, "x", "y", xlo, xhi, ylo, yhi)
-    series = _kept_series(xs, ys, _keep_mask(sx(xs), sy(ys)))
-    if has_ref:
-        parts.append(_polyline(*series[0], sx, sy, "#999999", 1.2, dash="6 4"))
-    for i in range(trace.n):
-        j = i + has_ref
-        color = PALETTE[i % len(PALETTE)]
-        parts.append(_polyline(*series[j], sx, sy, color))
-        x0, y0 = sx(xs[0, j]), sy(ys[0, j])
-        x1, y1 = sx(xs[-1, j]), sy(ys[-1, j])
-        parts.append(f'<rect x="{x0 - 3:.2f}" y="{y0 - 3:.2f}" width="6" height="6" fill="{color}"/>')
-        parts.append(f'<circle cx="{x1:.2f}" cy="{y1:.2f}" r="4" fill="{color}"/>')
+    px, py = sx(proj[..., 0]), sy(proj[..., 1])
+    del proj  # the pixel arrays hold all the plot needs
+    colors = [PALETTE[i % len(PALETTE)] for i in range(trace.n)]
+    styles = ['stroke="#999999" stroke-width="1.2" stroke-dasharray="6 4"'] * has_ref
+    styles += [f'stroke="{color}" stroke-width="1.5"' for color in colors]
+    lines = _polylines(px, py, _keep_mask(px, py), styles)
+    x0, y0, x1, y1 = (a[has_ref:].tolist() for a in (px[0], py[0], px[-1], py[-1]))
+    parts.extend(lines[:has_ref])
+    for i, color in enumerate(colors):
+        parts.append(lines[i + has_ref])
+        parts.append(f'<rect x="{x0[i] - 3:.2f}" y="{y0[i] - 3:.2f}" width="6" height="6" fill="{color}"/>')
+        parts.append(f'<circle cx="{x1[i]:.2f}" cy="{y1[i]:.2f}" r="4" fill="{color}"/>')
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -429,9 +495,9 @@ def svg_errors(trace: SimulationTrace, title: str = "edge errors") -> str:
     xlo, xhi = _scale(float(trace.times[0]), float(trace.times[-1]))
     ylo, yhi = _scale(float(logs.min()), float(logs.max()))
     parts, sx, sy = _frame(title, "t", "log10 edge error", xlo, xhi, ylo, yhi)
-    times = np.broadcast_to(trace.times[:, None], logs.shape)
-    series = _kept_series(times, logs, _keep_mask(sx(trace.times)[:, None], sy(logs)))
-    for e, (ts, ls) in enumerate(series):
-        parts.append(_polyline(ts, ls, sx, sy, PALETTE[e % len(PALETTE)], 1.2))
+    px, py = sx(trace.times)[:, None], sy(logs)
+    del logs  # as in svg_paths: the pixel arrays hold all the plot needs
+    styles = [f'stroke="{PALETTE[e % len(PALETTE)]}" stroke-width="1.2"' for e in range(py.shape[1])]
+    parts.extend(_polylines(px, py, _keep_mask(px, py), styles))
     parts.append("</svg>")
     return "\n".join(parts)

@@ -15,6 +15,9 @@ from . import maneuver, spatial3d, symgroup, topology
 
 DEFAULT_BOX = (-2.0, 2.0)
 DEFAULT_SEED = 0
+# A run stages its files in ".<name>.XXXXXXXX" beside the output directory: 245 bytes
+# of name keep that within the 255-byte file name limit of common file systems.
+MAX_NAME_BYTES = 245
 
 
 class ScenarioError(Exception):
@@ -97,7 +100,7 @@ def _parse_reference(raw, dim: int, path: str) -> tuple[maneuver.ReferenceInputs
     _require(isinstance(raw, dict), path, "expected an object")
     known = {"start", "velocity", "angular_velocity", "scale_rate"}
     for key in raw:
-        _require(key in known, f"{path}.{key}", "unknown field")
+        _require(key in known, path, f"unknown field {reprlib.repr(key)}")
     zero_v = [[0.0, [0.0] * dim]]
     zero_w = [[0.0, [0.0, 0.0, 0.0] if dim == 3 else 0.0]]
     zero_a = [[0.0, 0.0]]
@@ -151,7 +154,7 @@ def _parse_cube(raw, path: str) -> spatial3d.CubeSpec:
             _require(isinstance(vals, list) and len(vals) == 2, f"{path}.{key}", "expected [u, v]")
             kwargs[key] = tuple(_as_int(v, f"{path}.{key}[{i}]") for i, v in enumerate(vals))
         else:
-            raise ScenarioError(f"{path}.{key}: unknown field")
+            raise ScenarioError(f"{path}: unknown field {reprlib.repr(key)}")
     return spatial3d.CubeSpec(**{**spec.__dict__, **kwargs})
 
 
@@ -161,7 +164,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
     known = {"name", "formation", "n", "tree", "initial", "seed", "reference",
              "dt", "horizon", "cube"}
     for key in raw:
-        _require(key in known, key, "unknown field")
+        _require(key in known, "$", f"unknown field {reprlib.repr(key)}")
 
     formation = raw.get("formation", "planar")
     _require(formation in ("planar", "cube"), "formation",
@@ -170,6 +173,14 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
     _require(isinstance(name, str) and name, "name", "expected a non-empty string")
     _require(name not in (".", "..") and not any(c in name for c in "/\\\0"), "name",
              f"expected a plain file name (no path separator, not '.' or '..'), got {reprlib.repr(name)}")
+    # control characters are not XML, so the SVG titles would not parse; a lone
+    # surrogate (JSON allows "\ud800") has no UTF-8 form to print or to name a file
+    _require(not any(c < " " or c == "\x7f" or "\ud800" <= c <= "\udfff" for c in name), "name",
+             "must not hold control characters (U+0000-U+001F, U+007F) or surrogates (U+D800-U+DFFF), "
+             f"got {reprlib.repr(name)}")
+    size = len(name.encode())
+    _require(size <= MAX_NAME_BYTES, "name",
+             f"must be at most {MAX_NAME_BYTES} bytes in UTF-8, got {size}: {reprlib.repr(name)}")
 
     seed = _as_int(raw.get("seed", DEFAULT_SEED), "seed")
     _require(seed >= 0, "seed", f"must be non-negative, got {reprlib.repr(seed)}")
@@ -221,7 +232,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
     init_raw = raw.get("initial", {})
     _require(isinstance(init_raw, dict), "initial", "expected an object")
     for key in init_raw:
-        _require(key in ("points", "box", "seed"), f"initial.{key}", "unknown field")
+        _require(key in ("points", "box", "seed"), "initial", f"unknown field {reprlib.repr(key)}")
     if "points" in init_raw:
         pts = init_raw["points"]
         _require(isinstance(pts, list) and len(pts) == n, "initial.points", f"expected {n} points")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import symform as sf
 from symform import cli, dynamics, laplacian, output, topology
+from symform.scenario import MAX_NAME_BYTES
 
 
 def short_trace(n: int = 4, horizon: float = 1.0) -> sf.SimulationTrace:
@@ -345,7 +347,7 @@ class TestParseScenario:
         assert math.isclose(scn.ref_start.scale, 2.0)
 
     def test_reference_unknown_field_named(self):
-        with pytest.raises(cli.ScenarioError, match="reference.spin"):
+        with pytest.raises(cli.ScenarioError, match="reference: unknown field 'spin'"):
             cli.parse_scenario({"n": 4, "reference": {"spin": 1}})
 
     def test_reference_segment_errors_carry_path(self):
@@ -372,7 +374,7 @@ class TestParseScenario:
         assert math.isclose(scn.cube_spec.cross_angle, 1.5708)
 
     def test_cube_unknown_field_named(self):
-        with pytest.raises(cli.ScenarioError, match="cube.spin"):
+        with pytest.raises(cli.ScenarioError, match="cube: unknown field 'spin'"):
             cli.parse_scenario({"formation": "cube", "cube": {"spin": 1}})
 
 
@@ -764,7 +766,9 @@ class TestBlockFormatting:
         _, sx, sy = output._frame("t", "x", "y", xlo, xhi, ylo, yhi)
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
         expected = f'<polyline points="{pts}" fill="none" stroke="#123456" stroke-width="1.5"/>'
-        assert output._polyline(xs, ys, sx, sy, "#123456") == expected
+        px, py = sx(xs)[:, None], sy(ys)[:, None]
+        keep = np.ones(px.shape, dtype=bool)
+        assert output._polylines(px, py, keep, ['stroke="#123456" stroke-width="1.5"']) == [expected]
 
     @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=60))
     @settings(max_examples=200, deadline=None)
@@ -796,6 +800,145 @@ class TestBlockFormatting:
             expected = per_value_csv(header, [trace.times, trace.ref_positions,
                                               trace.ref_rotations, trace.ref_scales])
             assert output.reference_csv_text(trace) == expected
+
+
+def kernel_cents(values) -> list[str]:
+    """Each value as the SVG kernel writes it: the values are the x of one series,
+    their reverse its y."""
+    v = np.asarray(values, dtype=float)
+    line = output._polylines(v[:, None], v[::-1, None], np.ones((v.size, 1), dtype=bool), [""])[0]
+    pairs = [pt.split(",") for pt in line.split('"')[1].split(" ")]
+    assert [y for _, y in pairs] == [y for y, _ in pairs][::-1]
+    return [x for x, _ in pairs]
+
+
+def per_point_svgs(trace: sf.SimulationTrace, name: str) -> tuple[str, str]:
+    """paths.svg and errors.svg drawn point by point: each coordinate through its own
+    ``%`` or f-string, on the frame, projection and kept points of ``output``."""
+    def polyline(xs, ys, sx, sy, style: str) -> str:
+        pts = " ".join("%.2f,%.2f" % (sx(x), sy(y)) for x, y in zip(xs, ys))
+        return f'<polyline points="{pts}" fill="none" {style}/>'
+
+    proj = output._project(trace.states, trace.n, trace.dim)
+    has_ref = isinstance(trace, sf.ManeuverTrace)
+    if has_ref:
+        proj = np.concatenate([output._project(trace.ref_positions, 1, trace.dim), proj], axis=1)
+    xs, ys = proj[..., 0], proj[..., 1]
+    xlo, xhi = output._scale(float(xs.min()), float(xs.max()))
+    ylo, yhi = output._scale(float(ys.min()), float(ys.max()))
+    parts, sx, sy = output._frame(f"{name}: agent paths", "x", "y", xlo, xhi, ylo, yhi)
+    keep = output._keep_mask(sx(xs), sy(ys))
+    if has_ref:
+        parts.append(polyline(xs[keep[:, 0], 0], ys[keep[:, 0], 0], sx, sy,
+                              'stroke="#999999" stroke-width="1.2" stroke-dasharray="6 4"'))
+    for i in range(trace.n):
+        j, color = i + has_ref, output.PALETTE[i % len(output.PALETTE)]
+        parts.append(polyline(xs[keep[:, j], j], ys[keep[:, j], j], sx, sy,
+                              f'stroke="{color}" stroke-width="1.5"'))
+        parts.append(f'<rect x="{sx(xs[0, j]) - 3:.2f}" y="{sy(ys[0, j]) - 3:.2f}" '
+                     f'width="6" height="6" fill="{color}"/>')
+        parts.append(f'<circle cx="{sx(xs[-1, j]):.2f}" cy="{sy(ys[-1, j]):.2f}" r="4" fill="{color}"/>')
+    paths = "\n".join(parts + ["</svg>"])
+
+    logs = np.log10(np.maximum(trace.edge_errors, dynamics.FIT_FLOOR))
+    xlo, xhi = output._scale(float(trace.times[0]), float(trace.times[-1]))
+    ylo, yhi = output._scale(float(logs.min()), float(logs.max()))
+    parts, sx, sy = output._frame(f"{name}: edge errors", "t", "log10 edge error", xlo, xhi, ylo, yhi)
+    keep = output._keep_mask(sx(trace.times)[:, None], sy(logs))
+    for e in range(logs.shape[1]):
+        parts.append(polyline(trace.times[keep[:, e]], logs[keep[:, e], e], sx, sy,
+                              f'stroke="{output.PALETTE[e % len(output.PALETTE)]}" stroke-width="1.2"'))
+    return paths, "\n".join(parts + ["</svg>"])
+
+
+SVG_RUNS = {
+    "maneuver_c6": ("maneuver_c6", 0.015),  # the benchmark's dt
+    "cube": ("cube", None),
+    "cube_maneuver": {"formation": "cube", "dt": 0.05, "horizon": 6.0,
+                      "reference": {"velocity": [[0.0, [0.1, -0.2, 0.3]]],
+                                    "angular_velocity": [[0.0, [0.2, 0.1, -0.3]]],
+                                    "scale_rate": [[0.0, -0.01]]}},
+    "planar_n600": {"n": 600, "horizon": 5.0},
+}
+
+
+@functools.cache
+def svg_run(case: str) -> sf.SimulationTrace:
+    spec = SVG_RUNS[case]
+    if isinstance(spec, tuple):
+        scn = cli.load_scenario(spec[0])
+        scn.dt = spec[1] or scn.dt
+    else:
+        scn = cli.parse_scenario(spec)
+    return cli.run_scenario(scn)[0]
+
+
+class TestSvgKernel:
+    @staticmethod
+    def check_cents(values) -> None:
+        assert kernel_cents(values) == ["%.2f" % x for x in values]
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_percent_format(self, values):
+        self.check_cents(values)
+
+    @given(st.lists(st.floats(0, output._W), min_size=1, max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_percent_format_in_pixel_range(self, values):
+        self.check_cents(values)
+
+    def test_half_cent_decimals(self):
+        # every multiple of 0.005 in [0, 720]: the double nearest each x.xx5 lies within
+        # float noise of a tie
+        values = np.arange(144_001) / 200
+        assert kernel_cents(values) == ["%.2f" % x for x in values.tolist()]
+
+    def test_special_values(self):
+        self.check_cents([0.0, -0.0, 9999.994, 9999.995, 1e4, 1e9, math.nan, math.inf, -math.inf])
+
+    def test_block_edges(self):
+        # series cut at and across block boundaries, one of a single point
+        size = output._CSV_BLOCK_VALUES
+        px = np.random.default_rng(2).uniform(0, 720, (size + 3, 3))
+        keep = np.ones(px.shape, dtype=bool)
+        keep[1:, 1] = False
+        lines = output._polylines(px, px[::-1], keep, ["a", "b", "c"])
+        for j, line in enumerate(lines):
+            rows = np.flatnonzero(keep[:, j])
+            pts = " ".join("%.2f,%.2f" % (px[r, j], px[-1 - r, j]) for r in rows)
+            assert line == f'<polyline points="{pts}" fill="none" {"abc"[j]}/>'
+
+    @pytest.mark.parametrize("case", list(SVG_RUNS))
+    def test_files_equal_per_point_format(self, case):
+        trace = svg_run(case)
+        paths, errors = per_point_svgs(trace, case)
+        assert output.svg_paths(trace, title=f"{case}: agent paths") == paths
+        assert output.svg_errors(trace, title=f"{case}: edge errors") == errors
+
+    @pytest.mark.parametrize("case", list(SVG_RUNS))
+    def test_files_never_take_the_fallback(self, case, monkeypatch):
+        trace = svg_run(case)
+        calls, fmt2 = [], output._fmt2
+        monkeypatch.setattr(output, "_fmt2", lambda x: calls.append(x) or fmt2(x))
+        output.svg_paths(trace)
+        output.svg_errors(trace)
+        assert calls == []
+
+    @pytest.mark.parametrize("plot, bound", [("svg_paths", 2_356_533), ("svg_errors", 1_059_740)])
+    def test_peak_memory(self, plot, bound):
+        # maneuver_c6 at the benchmark's dt: the bounds are the tracemalloc peaks of the
+        # per-series % route this kernel replaced (2.36 and 1.06 MB)
+        trace = svg_run("maneuver_c6")
+        draw = getattr(output, plot)
+        draw(trace)  # builds the kernel's tables outside the count
+        tracemalloc.start()
+        try:
+            draw(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 def disk_full(*args, **kwargs):
@@ -883,6 +1026,16 @@ class TestScenarioName:
         with pytest.raises(cli.ScenarioError, match="name: expected a plain file name"):
             cli.parse_scenario({"name": name, "n": 4})
 
+    def test_longest_name_runs(self, tmp_path):
+        # 245 bytes in UTF-8: the staging directory ".<name>.XXXXXXXX" takes all 255
+        name = "\u00e9" * 122 + "a"
+        assert len(name.encode()) == MAX_NAME_BYTES
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"name": name, "n": 3, "horizon": 1.0, "dt": 0.05}))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert sorted(p.name for p in (tmp_path / "out" / name).iterdir()) == [
+            "errors.svg", "metrics.json", "paths.svg", "trace.csv"]
+
     @pytest.mark.parametrize("name", [".", "absolute"])
     def test_cli_run_touches_nothing(self, tmp_path, capsys, name):
         out = tmp_path / "out"
@@ -961,14 +1114,24 @@ class TestOversizedRun:
         # ValueErrors of the file's reading and decoding, not of a field
         ('{"n": 3, "dt": ' + "1" * 5000 + "}", "scenario.json: Exceeds the limit (4300 digits)"),
         (b'{"n": 3, "name": "\xff"}', "scenario.json: 'utf-8' codec can't decode byte 0xff"),
+        # a control character is not XML: the SVG titles would not parse
+        ({"n": 3, "name": "a\u0001b"}, "name: must not hold control characters (U+0000-U+001F, U+007F) "
+                                       "or surrogates (U+D800-U+DFFF), got 'a\\x01b'"),
+        # a lone surrogate has no UTF-8 form to print or to name a directory
+        ({"n": 3, "name": "a\ud800"}, "name: must not hold control characters"),
+        # 246 bytes in UTF-8 (123 characters): the staging directory's name would pass 255 bytes
+        ({"n": 3, "name": "\u00e9" * 123}, "name: must be at most 245 bytes in UTF-8, got 246"),
+        ({"n": 3, "x" * 2000: 1}, "$: unknown field 'xxxxxxxxxxxx"),
     ], ids=["nan_gain", "huge_step_count", "infinite_step_count", "huge_n", "short_cube_maneuver",
             "infinite_box_width", "negative_seed", "negative_initial_seed", "huge_int_dt", "huge_int_box",
-            "huge_int_point", "huge_int_scale", "huge_int_n", "deep_json", "long_int_json", "non_utf8"])
+            "huge_int_point", "huge_int_scale", "huge_int_n", "deep_json", "long_int_json", "non_utf8",
+            "control_character_name", "surrogate_name", "long_name", "long_unknown_field"])
     def test_rejected_in_one_line(self, tmp_path, capsys, monkeypatch, scenario, message):
         def forbidden(*args, **kwargs):
             raise AssertionError("dense build started")
 
-        if isinstance(scenario, dict) and scenario.get("n", 0) >= 20000:
+        parsed_away = message.startswith(("name:", "$:"))  # a bad name or field, before any build
+        if isinstance(scenario, dict) and (scenario.get("n", 0) >= 20000 or parsed_away):
             # rejected before the dense build, whatever memory the machine has
             monkeypatch.setattr(laplacian, "laplacian_from_edges", forbidden)
         path = tmp_path / "scenario.json"
@@ -979,9 +1142,9 @@ class TestOversizedRun:
             assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert not caught
-        assert message in err and err.count("\n") == 1
+        assert message in err and err.count("\n") == 1 and len(err) <= 300
         assert "Traceback" not in err and "Warning" not in err
-        assert not (tmp_path / "out" / "bad").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_override_rejected(self, tmp_path, capsys):
         assert cli.main(["run", "example2_c4", "--seed", "-1", "--out", str(tmp_path)]) == 2
@@ -995,13 +1158,11 @@ class TestOversizedRun:
         argv = {"run_under_file": ["run", "example2_c4", "--out", str(tmp_path / "afile" / "x")],
                 "sweep_under_file": ["sweep", "--n-from", "3", "--n-to", "4",
                                      "--out", str(tmp_path / "afile" / "y")]}.get(case)
-        if argv is None:
-            path = tmp_path / "long.json"
-            path.write_text(json.dumps({"name": "a" * 300, "n": 3, "horizon": 1}))
-            argv = ["run", str(path), "--out", str(out)]
+        if argv is None:  # a scenario name cannot be too long (parse_scenario bounds it); --out can
+            argv = ["run", "example2_c4", "--out", str(out / ("o" * 300))]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        refused = str(out / ".aaa") if case == "long_name" else argv[-1]
+        refused = argv[-1]
         reason = "File name too long" if case == "long_name" else "Not a directory"
         assert err.startswith("file system error: ") and err.count("\n") == 1
         assert refused in err and reason in err and "Traceback" not in err
