@@ -147,10 +147,12 @@ def write_outputs(scn: Scenario, trace: dynamics.SimulationTrace, metrics: dict,
         new_dir.mkdir()
         output.write_trace_csv(trace, new_dir / "trace.csv")
         output.write_metrics_json(metrics, new_dir / "metrics.json")
-        (new_dir / "paths.svg").write_text(output.svg_paths(trace, title=f"{scn.name}: agent paths"))
-        (new_dir / "errors.svg").write_text(output.svg_errors(trace, title=f"{scn.name}: edge errors"))
+        (new_dir / "paths.svg").write_text(output.svg_paths(trace, title=f"{scn.name}: agent paths"),
+                                           encoding="utf-8")
+        (new_dir / "errors.svg").write_text(output.svg_errors(trace, title=f"{scn.name}: edge errors"),
+                                            encoding="utf-8")
         if isinstance(trace, maneuver.ManeuverTrace):
-            (new_dir / "reference.csv").write_text(output.reference_csv_text(trace))
+            output.write_reference_csv(trace, new_dir / "reference.csv")
         old_dir = staging / "old"
         if out_dir.exists():
             out_dir.rename(old_dir)

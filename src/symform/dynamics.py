@@ -24,14 +24,14 @@ RATE_FIT_MIN_DECAY = 1.0
 DEFAULT_STEP_FACTOR = 0.5     # dt = 0.5 / lambda_max
 DEFAULT_HORIZON_FACTOR = 40.0  # T = 40 / lambda_min_pos
 STABILITY_LIMIT = 2.0          # RK4 real-axis stability edge is ~2.785; stay under 2
-MAX_TRACE_BYTES = 512 * 2**20  # largest estimated memory of a run's trace and its CSV text
+MAX_TRACE_BYTES = 512 * 2**20  # largest estimated memory of a run's trace and its output
 # Estimated bytes per trace row: the float64 trace arrays (states, residuals,
-# errors, frame coordinates) and the trace CSV text, which is held twice while
-# it is decoded and written. Measured peaks of planar, maneuver and cube runs
-# through write_outputs lie at 70-101 bytes per coordinate per row; the top
-# of that range is a 1,116-row run, where the CSV kernel's fixed block
-# workspace (about 0.8 MB) counts.
-TRACE_ROW_BYTES_PER_COORD = 96
+# errors, frame coordinates) and what writing the run's files adds to them (the
+# CSVs are streamed a block at a time, so only the SVGs' pixel arrays grow with
+# the rows). Measured peaks of long planar, maneuver and cube runs through
+# write_outputs, less the fixed bytes per row, lie at 18-39 bytes per coordinate
+# per row; the top of that range is a 12,001-row cube maneuver, which peaks in the run.
+TRACE_ROW_BYTES_PER_COORD = 48
 TRACE_ROW_BYTES_FIXED = 256
 MAX_BUILD_BYTES = 512 * 2**20  # largest estimated memory of a formation's dense build
 # Estimated dn x dn float64 arrays held while ``sweep`` builds and checks a formation:
@@ -172,7 +172,7 @@ def resolve_grid(
     """Default/validated (dt, horizon, steps) for a flow with this spectrum.
 
     Raises ValueError, with a horizon that would fit, when the estimated
-    memory of the grid's trace and CSV text would exceed ``MAX_TRACE_BYTES``,
+    memory of the grid's trace and its output would exceed ``MAX_TRACE_BYTES``,
     so a run is rejected before its trace is allocated.
     """
     lam_max = spec.lambda_max
@@ -193,7 +193,7 @@ def resolve_grid(
     steps = _step_count(dt, horizon)
     dn = spec.eigenvalues.size
     _require_grid_fits(steps, dt, TRACE_ROW_BYTES_PER_COORD * dn + TRACE_ROW_BYTES_FIXED,
-                       f"steps of {dn} coordinates", "the trace and its CSV text")
+                       f"steps of {dn} coordinates", "the trace and its output")
     return dt, horizon, steps
 
 

@@ -6,7 +6,7 @@ import io
 import json
 import math
 from pathlib import Path
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -208,53 +208,73 @@ def _slots(v: NDArray[np.float64], width: int) -> bytearray:
     return slots
 
 
-def _csv_body(columns: list[NDArray[np.float64]], head: str = "") -> str:
-    """``head``, then CSV rows of :func:`fmt`-formatted values, one line per row.
+def _csv_body(columns: list[NDArray[np.float64]], head: str, out: BinaryIO) -> None:
+    """Write ``head``, then CSV rows of :func:`fmt`-formatted values, one line per row, to ``out``.
 
     Each column is a 1-D array (one value per row) or a 2-D array (several
     values per row); they are laid side by side. Rows are formatted a block
     of about ``_CSV_BLOCK_VALUES`` values at a time: :func:`_slots` lays the
-    block out and its empty slots are deleted, so the text equals the
-    per-value :func:`fmt` join byte for byte. The blocks' bytes go into one
-    growing buffer, which is decoded once: no part outlives its block.
+    block out and its empty slots are deleted, so the bytes equal the
+    per-value :func:`fmt` join. Each block's bytes are written as soon as they
+    are formed: no part outlives its block.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
     cols = [c[:, None] if c.ndim == 1 else c for c in cols]
     width = sum(c.shape[1] for c in cols)
     per_block = max(1, _CSV_BLOCK_VALUES // width)
-    text = io.BytesIO()
-    text.write(head.encode())
+    out.write(head.encode())
     for lo in range(0, len(cols[0]), per_block):
-        text.write(_slots(np.hstack([c[lo:lo + per_block] for c in cols]).ravel(), width)
-                   .translate(None, b"\0"))
-    return text.getvalue().decode()
+        out.write(_slots(np.hstack([c[lo:lo + per_block] for c in cols]).ravel(), width)
+                  .translate(None, b"\0"))
 
 
-def trace_csv_text(trace: SimulationTrace) -> str:
+def _write_trace(trace: SimulationTrace, out: BinaryIO) -> None:
     """Trace as CSV: time, stacked coordinates, per-edge errors, potential."""
-    return _csv_body([trace.times, trace.states, trace.edge_errors, trace.potentials],
-                     ",".join(trace_header(trace)) + "\n")
+    _csv_body([trace.times, trace.states, trace.edge_errors, trace.potentials],
+              ",".join(trace_header(trace)) + "\n", out)
 
 
-def write_trace_csv(trace: SimulationTrace, path: str | Path) -> None:
-    Path(path).write_text(trace_csv_text(trace))
-
-
-def reference_csv_text(trace: ManeuverTrace) -> str:
+def _write_reference(trace: ManeuverTrace, out: BinaryIO) -> None:
     """Reference trajectory as CSV: origin, attitude (row-major), scale."""
     d = trace.dim
     names = _coord_names(d)
     cols = ["t"] + [f"r_{c}" for c in names]
     cols += [f"R_{a}{b}" for a in names for b in names]
     cols.append("s")
-    return _csv_body([trace.times, trace.ref_positions,
-                      trace.ref_rotations.reshape(trace.times.size, d * d), trace.ref_scales],
-                     ",".join(cols) + "\n")
+    _csv_body([trace.times, trace.ref_positions,
+               trace.ref_rotations.reshape(trace.times.size, d * d), trace.ref_scales],
+              ",".join(cols) + "\n", out)
+
+
+def trace_csv_text(trace: SimulationTrace) -> str:
+    """The bytes :func:`write_trace_csv` writes, as text."""
+    buf = io.BytesIO()
+    _write_trace(trace, buf)
+    return buf.getvalue().decode()
+
+
+def reference_csv_text(trace: ManeuverTrace) -> str:
+    """The bytes :func:`write_reference_csv` writes, as text."""
+    buf = io.BytesIO()
+    _write_reference(trace, buf)
+    return buf.getvalue().decode()
+
+
+def write_trace_csv(trace: SimulationTrace, path: str | Path) -> None:
+    """Stream the trace CSV (UTF-8, a block at a time) into ``path``."""
+    with open(path, "wb") as out:
+        _write_trace(trace, out)
+
+
+def write_reference_csv(trace: ManeuverTrace, path: str | Path) -> None:
+    """Stream the reference CSV (UTF-8, a block at a time) into ``path``."""
+    with open(path, "wb") as out:
+        _write_reference(trace, out)
 
 
 def parse_trace_csv(path: str | Path) -> dict[str, NDArray[np.float64]]:
     """Read back a trace CSV into arrays keyed times/states/edge_errors/potentials."""
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln]
     header = lines[0].split(",")
     if header[0] != "t" or header[-1] != "potential":
@@ -272,7 +292,8 @@ def parse_trace_csv(path: str | Path) -> dict[str, NDArray[np.float64]]:
 
 
 def write_metrics_json(metrics: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(metrics, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    Path(path).write_text(json.dumps(metrics, indent=2, sort_keys=True, allow_nan=False) + "\n",
+                          encoding="utf-8")
 
 
 # ---------------------------------------------------------------- SVG plotting

@@ -114,6 +114,9 @@ def _parse_reference(raw, dim: int, path: str) -> tuple[maneuver.ReferenceInputs
 
     start_raw = raw.get("start", {})
     _require(isinstance(start_raw, dict), f"{path}.start", "expected an object")
+    for key in start_raw:
+        _require(key in ("position", "scale", "angle", "axis"), f"{path}.start",
+                 f"unknown field {reprlib.repr(key)}")
     pos = _as_vector(start_raw.get("position", [0.0] * dim), dim, f"{path}.start.position")
     scale = _as_number(start_raw.get("scale", 1.0), f"{path}.start.scale")
     angle = _as_number(start_raw.get("angle", 0.0), f"{path}.start.angle")
@@ -205,6 +208,8 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
         cube_spec = None
         tree_raw = raw.get("tree", {"remove": [n, 1]})
         _require(isinstance(tree_raw, dict), "tree", "expected an object")
+        for key in tree_raw:
+            _require(key in ("remove", "edges"), "tree", f"unknown field {reprlib.repr(key)}")
         if "remove" in tree_raw and "edges" in tree_raw:
             raise ScenarioError("tree: give either 'remove' or 'edges', not both")
         if "edges" in tree_raw:
@@ -277,7 +282,7 @@ def load_scenario(spec: str) -> Scenario:
             raise ScenarioError(f"scenario file not found: {spec}")
         path = bundled
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_bytes())  # RFC 8259: JSON text is UTF-8, whatever the locale
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError:

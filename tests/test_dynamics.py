@@ -350,14 +350,15 @@ class TestResolveGrid:
             sf.resolve_grid(spec, None, 1e9)
         suggested = float(str(info.value).rsplit("try horizon = ", 1)[1].rstrip(")"))
         _, _, steps = sf.resolve_grid(spec, None, suggested)
-        row_bytes = 96 * 12 + 256
+        row_bytes = sf.dynamics.TRACE_ROW_BYTES_PER_COORD * 12 + sf.dynamics.TRACE_ROW_BYTES_FIXED
         assert (steps + 1) * row_bytes <= sf.dynamics.MAX_TRACE_BYTES
         assert (steps + 1) * row_bytes > 0.99 * sf.dynamics.MAX_TRACE_BYTES
 
     def test_trace_bound_is_on_bytes(self, path_system):
         _, lap, _ = path_system(6)
         spec = sf.spectrum(lap.matrix)
-        rows = sf.dynamics.MAX_TRACE_BYTES // (96 * 12 + 256)  # rows of 12 coordinates that fit
+        row_bytes = sf.dynamics.TRACE_ROW_BYTES_PER_COORD * 12 + sf.dynamics.TRACE_ROW_BYTES_FIXED
+        rows = sf.dynamics.MAX_TRACE_BYTES // row_bytes  # rows of 12 coordinates that fit
         assert sf.resolve_grid(spec, 0.25, (rows - 1) * 0.25)[2] == rows - 1
         with pytest.raises(ValueError, match=re.escape(f"{rows:.3g} steps of 12 coordinates")):
             sf.resolve_grid(spec, 0.25, rows * 0.25)

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -413,6 +417,18 @@ class TestLoadScenario:
         assert scn.n == 5
         assert scn.name == "mine"
 
+    def test_utf8_file_loads_under_an_ascii_locale(self, tmp_path):
+        # JSON text is UTF-8 whatever the locale; the C locale's ASCII decoding refused it
+        path = tmp_path / "cafe.json"
+        path.write_bytes('{"n": 3, "name": "caf\u00e9"}'.encode())
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(sf.__file__).parents[1])}
+        code = "import sys; from symform import cli; print(ascii(cli.load_scenario(sys.argv[1]).name))"
+        done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == ascii("caf\u00e9")
+
 
 class TestInitialState:
     def test_explicit_points(self):
@@ -662,6 +678,13 @@ def per_value_csv(header: list[str], columns: list[np.ndarray]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def csv_body(columns: list[np.ndarray]) -> str:
+    """The bytes output._csv_body writes for ``columns``, with no header, as text."""
+    buf = io.BytesIO()
+    output._csv_body(columns, "", buf)
+    return buf.getvalue().decode()
+
+
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
                   1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 1e16, 0.1, math.inf, -math.inf]
 
@@ -683,7 +706,7 @@ class TestBlockFormatting:
     @given(csv_columns())
     @settings(max_examples=150, deadline=None)
     def test_csv_body_equals_per_value_fmt(self, cols):
-        assert output._csv_body(cols) == per_value_csv([], cols).split("\n", 1)[1]
+        assert csv_body(cols) == per_value_csv([], cols).split("\n", 1)[1]
 
     @pytest.mark.parametrize("rows, width", [
         (1, output._CSV_BLOCK_VALUES + 3),         # one row wider than a block
@@ -695,13 +718,13 @@ class TestBlockFormatting:
         vals = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
         vals[0, 0] = -0.0
         cols = [vals[:, 0], vals[:, 1:]]
-        assert output._csv_body(cols) == per_value_csv([], cols).split("\n", 1)[1]
+        assert csv_body(cols) == per_value_csv([], cols).split("\n", 1)[1]
 
     @staticmethod
     def check_kernel(values: np.ndarray, width: int) -> None:
         """_csv_body of ``values`` laid out ``width`` per row equals the per-value fmt join."""
         rows = np.asarray(values, dtype=float).reshape(-1, width)
-        assert output._csv_body([rows]) == per_value_csv([], [rows]).split("\n", 1)[1]
+        assert csv_body([rows]) == per_value_csv([], [rows]).split("\n", 1)[1]
 
     @given(st.lists(st.floats(), min_size=1, max_size=100), st.integers(1, 60), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
@@ -732,7 +755,7 @@ class TestBlockFormatting:
         tie = 123456789012345.125
         assert output.fmt(tie) == "123456789012345.12"
         assert not output._decimal(np.array([tie]))[2][0]
-        assert output._csv_body([np.array([tie, -tie])]) == "123456789012345.12\n-123456789012345.12\n"
+        assert csv_body([np.array([tie, -tie])]) == "123456789012345.12\n-123456789012345.12\n"
 
     @pytest.mark.parametrize("name", ["example2_c4", "example3_c6", "maneuver_c6", "cube"])
     def test_presets_never_take_the_fallback(self, name, monkeypatch):
@@ -758,6 +781,37 @@ class TestBlockFormatting:
             tracemalloc.stop()
         assert len(text) > 8_000_000
         assert peak <= 2.0020 * len(text)
+
+    def test_streamed_trace_peak_memory(self, tmp_path):
+        # the same 8.6 MB trace.csv written to its file a block at a time holds one
+        # block's arrays (about 0.8 MB), never the file's text
+        trace, _, _ = cli.run_scenario(cli.parse_scenario({"name": "n16", "n": 16}))
+        output.trace_csv_text(short_trace())  # builds the kernel's tables outside the count
+        path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            output.write_trace_csv(trace, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 8_000_000
+        assert peak < 2_000_000
+
+    def test_streamed_files_equal_text(self, tmp_path):
+        # both files over several blocks (rows of 13 and 8 values), one value in each
+        # taking the fmt fallback
+        trace = short_maneuver(horizon=150.0)
+        assert trace.times.size > 2 * output._CSV_BLOCK_VALUES // 8
+        tie = 123456789012345.125
+        trace.states[700, 3] = tie
+        trace.ref_scales[1100] = tie
+        output.write_trace_csv(trace, tmp_path / "trace.csv")
+        output.write_reference_csv(trace, tmp_path / "reference.csv")
+        streamed = (tmp_path / "trace.csv").read_bytes()
+        reference = (tmp_path / "reference.csv").read_bytes()
+        assert streamed == output.trace_csv_text(trace).encode()
+        assert reference == output.reference_csv_text(trace).encode()
+        assert b",123456789012345.12," in streamed and b",123456789012345.12\n" in reference
 
     @staticmethod
     def check_polyline(xs: np.ndarray, ys: np.ndarray) -> None:
@@ -1122,15 +1176,19 @@ class TestOversizedRun:
         # 246 bytes in UTF-8 (123 characters): the staging directory's name would pass 255 bytes
         ({"n": 3, "name": "\u00e9" * 123}, "name: must be at most 245 bytes in UTF-8, got 246"),
         ({"n": 3, "x" * 2000: 1}, "$: unknown field 'xxxxxxxxxxxx"),
+        # misspelt nested fields, which would run the default removed edge or start pose
+        ({"n": 5, "tree": {"remvoe": [2, 3]}}, "tree: unknown field 'remvoe'"),
+        ({"n": 5, "reference": {"start": {"postion": [1, 2]}}}, "reference.start: unknown field 'postion'"),
     ], ids=["nan_gain", "huge_step_count", "infinite_step_count", "huge_n", "short_cube_maneuver",
             "infinite_box_width", "negative_seed", "negative_initial_seed", "huge_int_dt", "huge_int_box",
             "huge_int_point", "huge_int_scale", "huge_int_n", "deep_json", "long_int_json", "non_utf8",
-            "control_character_name", "surrogate_name", "long_name", "long_unknown_field"])
+            "control_character_name", "surrogate_name", "long_name", "long_unknown_field",
+            "unknown_tree_field", "unknown_start_field"])
     def test_rejected_in_one_line(self, tmp_path, capsys, monkeypatch, scenario, message):
         def forbidden(*args, **kwargs):
             raise AssertionError("dense build started")
 
-        parsed_away = message.startswith(("name:", "$:"))  # a bad name or field, before any build
+        parsed_away = message.startswith(("name:", "$:", "tree:", "reference.start:"))  # before any build
         if isinstance(scenario, dict) and (scenario.get("n", 0) >= 20000 or parsed_away):
             # rejected before the dense build, whatever memory the machine has
             monkeypatch.setattr(laplacian, "laplacian_from_edges", forbidden)
@@ -1190,23 +1248,44 @@ class TestOversizedRun:
             tracemalloc.stop()
         assert peak <= matrices * (2 * n) ** 2 * 8
 
-    @pytest.mark.parametrize("scenario", ["maneuver_c6", {"n": 16}], ids=["maneuver_c6", "planar_n16"])
-    def test_block_path_peak_within_estimate(self, scenario):
-        # a long run stacks powers of its step matrix, never more floats than its share of
-        # the states array, so its peak stays within the trace and build estimates
+    @staticmethod
+    def trace_estimate(scenario) -> tuple[cli.Scenario, int]:
+        """The scenario and its bytes by the trace row and build estimates."""
         scn = cli.load_scenario(scenario) if isinstance(scenario, str) else cli.parse_scenario(scenario)
         lap = cli.build_system(scn)
         dn = lap.n * lap.dim
         _, _, steps = dynamics.resolve_grid(lap.spectrum, scn.dt, scn.horizon)
-        del lap
+        row_bytes = dynamics.TRACE_ROW_BYTES_PER_COORD * dn + dynamics.TRACE_ROW_BYTES_FIXED
+        return scn, (steps + 1) * row_bytes + dynamics.BUILD_DENSE_MATRICES * dn ** 2 * 8
+
+    @pytest.mark.parametrize("scenario", ["maneuver_c6", {"n": 16}], ids=["maneuver_c6", "planar_n16"])
+    def test_block_path_peak_within_estimate(self, scenario):
+        # a long run stacks powers of its step matrix, never more floats than its share of
+        # the states array, so its peak stays within the trace and build estimates
+        scn, estimate = self.trace_estimate(scenario)
         tracemalloc.start()
         try:
             cli.run_scenario(scn)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        row_bytes = dynamics.TRACE_ROW_BYTES_PER_COORD * dn + dynamics.TRACE_ROW_BYTES_FIXED
-        assert peak <= (steps + 1) * row_bytes + dynamics.BUILD_DENSE_MATRICES * dn ** 2 * 8
+        assert peak <= estimate
+
+    @pytest.mark.parametrize("scenario", [{"n": 16}, "maneuver_c6", "cube"],
+                             ids=["planar_n16", "maneuver_c6", "cube"])
+    def test_run_and_write_peak_within_estimate(self, tmp_path, scenario):
+        # writing the files adds to the trace only what the row estimate counts: the
+        # CSVs go to disk a block at a time, the SVGs hold pixel arrays of the points
+        scn, estimate = self.trace_estimate(scenario)
+        output.trace_csv_text(short_trace())  # builds the kernel's tables outside the count
+        tracemalloc.start()
+        try:
+            trace, _, metrics = cli.run_scenario(scn)
+            cli.write_outputs(scn, trace, metrics, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate
 
     @pytest.mark.parametrize("command, fit", [("run", 1831), ("verify", 1448)])
     def test_huge_n_rejected_before_the_tree(self, tmp_path, capsys, monkeypatch, command, fit):
