@@ -7,8 +7,9 @@ For every file of the two trees A and B it prints one line:
   whose headers share their leading letters (``t``, ``p`` for states,
   ``err``, ``potential``; ``r``, ``R``, ``s`` for the reference), the
   largest max |B - A| / max |A| over its columns;
-- a JSON file (``metrics.json``, ``sweep.json``): the relative change
-  |B - A| / |A| of each number that differs, and how many did not;
+- a JSON file (``metrics.json``, ``sweep.json``): each number that
+  differs as ``key a -> b (relative change |B - A| / |A|)``, and how many
+  did not;
 - an SVG file: the largest distance, in px, from a vertex of one of A's
   polylines to the polyline of B in the same place, pairing the
   ``<polyline>`` elements in order;
@@ -150,12 +151,14 @@ def _numbers(value, key: str = "") -> dict[str, float]:
     return {}
 
 
-def json_drift(a: Path, b: Path) -> tuple[dict[str, float], int]:
-    """Relative change of each number that differs, and the count of numbers that do not."""
+def json_drift(a: Path, b: Path) -> tuple[dict[str, tuple[float, float, float]], int]:
+    """(A's value, B's value, relative change) of each number that differs, and the count
+    of numbers that do not."""
     num_a, num_b = _numbers(json.loads(a.read_text())), _numbers(json.loads(b.read_text()))
     if num_a.keys() != num_b.keys():
         raise ValueError(f"numbers differ in keys: {sorted(num_a.keys() ^ num_b.keys())}")
-    changed = {k: _ratio(abs(num_b[k] - num_a[k]), abs(num_a[k])) for k in num_a if num_b[k] != num_a[k]}
+    changed = {k: (num_a[k], num_b[k], _ratio(abs(num_b[k] - num_a[k]), abs(num_a[k])))
+               for k in num_a if num_b[k] != num_a[k]}
     return changed, len(num_a) - len(changed)
 
 
@@ -201,7 +204,8 @@ def compare(a: Path, b: Path) -> tuple[list[str], bool]:
                 lines.append(f"{rel}: " + ", ".join(f"{g} {r:.2g}" for g, r in drift.items()))
             elif rel.suffix == ".json":
                 changed, same = json_drift(fa, fb)
-                parts = [f"{k} {r:.2g}" for k, r in changed.items()] + [f"{same} numbers unchanged"]
+                parts = [f"{k} {x:.3g} -> {y:.3g} ({r:.2g})" for k, (x, y, r) in changed.items()]
+                parts.append(f"{same} numbers unchanged")
                 lines.append(f"{rel}: " + ", ".join(parts))
             elif rel.suffix == ".svg":
                 drift = svg_drift(fa, fb)

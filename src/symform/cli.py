@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import shutil
 import sys
 import tempfile
@@ -137,6 +138,12 @@ def write_outputs(scn: Scenario, trace: dynamics.SimulationTrace, metrics: dict,
     alone and raises ScenarioError.
     """
     out_dir = Path(out_base) / scn.name
+    try:
+        os.fsencode(out_dir)
+    except UnicodeEncodeError:
+        raise ScenarioError(f"output path {out_dir} cannot be encoded in the file system encoding "
+                            f"{sys.getfilesystemencoding()}; rename the scenario or choose another --out"
+                            ) from None
     if out_dir.is_symlink() or (out_dir.exists() and not _holds_only_run_files(out_dir)):
         raise ScenarioError(f"{out_dir} exists and is not the output of an earlier run; "
                             "move it or choose another --out")
@@ -300,6 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # what the streams cannot encode (a scenario name under an ASCII locale, say)
+    # prints as backslash escapes instead of failing the command
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -152,9 +152,10 @@ class SymmetryLaplacian:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        """Eigenvalues of ``matrix`` from one eigendecomposition of the n x n tree Laplacian L.
+        """Eigenvalues of ``matrix`` from the eigenvalues alone of the n x n tree Laplacian L.
 
-        Eigenvalues are L's, each repeated d times; no eigenvectors are kept.
+        Eigenvalues are L's (``spectrum(L, vectors=False)``), each repeated d
+        times; no eigenvectors are formed, so ``eigenvectors`` is None.
         ``spread`` is ‖Q - S (L ⊗ I_d) Sᵀ‖_F, summed over the tree's n diagonal
         and 2(n - 1) edge blocks (both matrices are zero elsewhere); by Weyl's
         inequality it bounds how far each eigenvalue of ``matrix`` lies from
@@ -162,7 +163,7 @@ class SymmetryLaplacian:
         """
         gaps = self._blocks - self._gauge_blocks
         spread = math.sqrt(float(np.vdot(gaps, gaps)))
-        scalar = spectrum(self.scalar)
+        scalar = spectrum(self.scalar, vectors=False)
         return Spectrum(eigenvalues=_freeze(np.repeat(scalar.eigenvalues, self.dim)),
                         tol=scalar.tol, spread=spread)
 
@@ -281,8 +282,10 @@ class Spectrum:
 
     Eigenvalues below ``threshold`` = tol·max(1, λ_max) count as zero.
     ``spread`` bounds the distance of each eigenvalue of the matrix from
-    ``eigenvalues``: 0 for a direct decomposition (:func:`spectrum`, the only
-    one with ``eigenvectors``), ‖Q - S (L ⊗ I_d) Sᵀ‖_F for one in the gauge.
+    ``eigenvalues``: 0 for a direct decomposition (:func:`spectrum`),
+    ‖Q - S (L ⊗ I_d) Sᵀ‖_F for one in the gauge. ``eigenvectors`` are
+    filled only by ``spectrum(q)`` with its default ``vectors=True``; the
+    gauge spectrum and ``spectrum(q, vectors=False)`` hold eigenvalues only.
     """
 
     eigenvalues: NDArray[np.float64]
@@ -315,9 +318,12 @@ class Spectrum:
         return float(self.eigenvalues[self.null_dim])
 
 
-def spectrum(q_matrix: NDArray[np.float64], tol: float = RANK_TOL) -> Spectrum:
+def spectrum(q_matrix: NDArray[np.float64], tol: float = RANK_TOL, *, vectors: bool = True) -> Spectrum:
     """Symmetric eigendecomposition with a relative zero threshold.
 
+    With ``vectors=False`` only the eigenvalues are computed (``eigvalsh``,
+    about half the time of ``eigh`` on a large matrix) and ``eigenvectors``
+    is None; the values agree with ``eigh``'s to rounding, not bit for bit.
     Raises ValueError when the matrix is visibly asymmetric (a construction
     bug, never silently symmetrized) and NumericFailure when the
     eigensolver does not converge.
@@ -329,6 +335,8 @@ def spectrum(q_matrix: NDArray[np.float64], tol: float = RANK_TOL) -> Spectrum:
     if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
     try:
+        if not vectors:
+            return Spectrum(eigenvalues=_freeze(np.linalg.eigvalsh(q_matrix)), tol=tol)
         eigenvalues, eigenvectors = np.linalg.eigh(q_matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"eigendecomposition failed: {exc}") from exc
@@ -344,13 +352,17 @@ def closed_form_solution(
     """Exact solution of dp/dt = -Q p at time t via the eigendecomposition.
 
     Eigenvalues under the rank tolerance are clamped to zero so the
-    null-space component is preserved exactly for any horizon.
+    null-space component is preserved exactly for any horizon. ``spec``
+    must hold eigenvectors (``spectrum(q)``); a values-only spectrum, such
+    as a ``SymmetryLaplacian``'s, raises ValueError.
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     p0 = np.asarray(p0, dtype=float)
     if spec is None:
         spec = spectrum(q_matrix)
+    elif spec.eigenvectors is None:
+        raise ValueError("the spectrum holds no eigenvectors: pass spec=spectrum(q) or spec=None")
     lam = spec.eigenvalues.copy()
     lam[np.abs(lam) < spec.threshold] = 0.0
     V = spec.eigenvectors

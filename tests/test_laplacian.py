@@ -150,12 +150,23 @@ class TestSpectrum:
     def test_asymmetric_matrix_rejected(self):
         q = np.eye(4)
         q[0, 1] = 1e-6
-        with pytest.raises(ValueError, match="asymmetry"):
-            sf.spectrum(q)
+        for vectors in (True, False):
+            with pytest.raises(ValueError, match="asymmetry"):
+                sf.spectrum(q, vectors=vectors)
 
     def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            sf.spectrum(np.eye(2), tol=0.0)
+        for vectors in (True, False):
+            with pytest.raises(ValueError, match="tolerance"):
+                sf.spectrum(np.eye(2), tol=0.0, vectors=vectors)
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_solver_failure_is_a_numeric_failure(self, vectors, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced non-convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh" if vectors else "eigvalsh", fail)
+        with pytest.raises(sf.NumericFailure, match="forced non-convergence"):
+            sf.spectrum(np.eye(3), vectors=vectors)
 
     @pytest.mark.parametrize("build", [
         lambda: sf.build_laplacian(sf.cycle_minus_edge(5, (5, 1))),
@@ -168,13 +179,14 @@ class TestSpectrum:
 
 
 def assert_gauge_spectrum_matches_dense(lap) -> None:
-    """The gauge spectrum of a system against one dense eigendecomposition of its matrix."""
-    gauge, dense = lap.spectrum, sf.spectrum(lap.matrix)
-    lam = gauge.eigenvalues
-    assert np.abs(lam - dense.eigenvalues).max() <= 1e-12 * max(1.0, dense.lambda_max)
-    assert (gauge.rank, gauge.null_dim) == (dense.rank, dense.null_dim)
-    assert gauge.eigenvectors is None
-    assert 0.0 <= gauge.spread <= 1e-12
+    """The gauge spectrum of a system, and the values-only spectrum of its matrix, against
+    one dense eigendecomposition of the matrix."""
+    dense = sf.spectrum(lap.matrix)
+    for values_only in (lap.spectrum, sf.spectrum(lap.matrix, vectors=False)):
+        assert np.abs(values_only.eigenvalues - dense.eigenvalues).max() <= 1e-12 * max(1.0, dense.lambda_max)
+        assert (values_only.rank, values_only.null_dim) == (dense.rank, dense.null_dim)
+        assert values_only.eigenvectors is None
+    assert 0.0 <= lap.spectrum.spread <= 1e-12
 
 
 class TestGaugeSpectrum:
@@ -200,7 +212,8 @@ class TestGaugeSpectrum:
     def test_scalar_laplacian_is_one_eigendecomposition(self, monkeypatch):
         sizes = []
         original = sf.laplacian.spectrum
-        monkeypatch.setattr(sf.laplacian, "spectrum", lambda q, *a: sizes.append(q.shape) or original(q, *a))
+        monkeypatch.setattr(sf.laplacian, "spectrum",
+                            lambda q, *a, **k: sizes.append(q.shape) or original(q, *a, **k))
         sf.build_laplacian(sf.cycle_minus_edge(7, (7, 1))).spectrum
         assert sizes == [(7, 7)]
 
@@ -292,6 +305,16 @@ class TestClosedFormSolution:
         _, lap, _ = path_system(4)
         with pytest.raises(ValueError):
             sf.closed_form_solution(lap.matrix, np.zeros(8), -1.0)
+
+    def test_vectorless_spectrum_rejected(self, path_system):
+        # a system's spectrum holds eigenvalues only: named, not an AttributeError
+        _, lap, _ = path_system(4)
+        p0 = np.random.default_rng(6).uniform(-2, 2, 8)
+        for spec in (lap.spectrum, sf.spectrum(lap.matrix, vectors=False)):
+            with pytest.raises(ValueError, match="no eigenvectors"):
+                sf.closed_form_solution(lap.matrix, p0, 1.0, spec=spec)
+        assert np.array_equal(sf.closed_form_solution(lap.matrix, p0, 1.0, spec=sf.spectrum(lap.matrix)),
+                              sf.closed_form_solution(lap.matrix, p0, 1.0))
 
 
 class TestSymmetricConfiguration:

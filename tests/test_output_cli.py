@@ -429,6 +429,34 @@ class TestLoadScenario:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == ascii("caf\u00e9")
 
+    def test_unencodable_name_under_an_ascii_locale(self, tmp_path):
+        # stdout escapes what it cannot encode; an output path the file system encoding
+        # cannot hold exits 2 with one line naming the path and the encoding
+        path = tmp_path / "cafe.json"
+        path.write_bytes('{"name": "caf\u00e9", "n": 4, "horizon": 1}'.encode())
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(sf.__file__).parents[1])}
+        env.pop("PYTHONIOENCODING", None)
+
+        def python(*args: str) -> subprocess.CompletedProcess:
+            return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+
+        encoding = python("-c", "import sys; print(sys.getfilesystemencoding())").stdout.decode().strip()
+        if "caf\u00e9".encode(encoding, "replace") == "caf\u00e9".encode(encoding, "ignore"):
+            pytest.skip(f"the C locale's encoding {encoding} holds the name")
+        verify = python("-m", "symform", "verify", str(path))
+        assert verify.returncode == 0, verify.stderr
+        assert b"verifying name=caf\\xe9 " in verify.stdout
+        assert verify.stdout.count(b"PASS") == 8
+        out = tmp_path / "out"
+        run = python("-m", "symform", "run", str(path), "--out", str(out))
+        assert b"running name=caf\\xe9 " in run.stdout
+        assert run.returncode == 2
+        err = run.stderr.decode("ascii").splitlines()
+        assert len(err) == 1, err
+        assert f"{out}{os.sep}caf\\xe9" in err[0] and f"file system encoding {encoding}" in err[0]
+        assert not out.exists()
+
 
 class TestInitialState:
     def test_explicit_points(self):
@@ -467,10 +495,27 @@ class TestRunScenario:
     def test_one_spectrum_per_run(self, spec, monkeypatch):
         calls = []
         original = laplacian.spectrum
-        monkeypatch.setattr(laplacian, "spectrum", lambda q, *a: calls.append(q) or original(q, *a))
+        monkeypatch.setattr(laplacian, "spectrum", lambda q, *a, **k: calls.append(q) or original(q, *a, **k))
         _, lap, metrics = cli.run_scenario(cli.parse_scenario(spec))
         assert len(calls) == 1
         assert metrics["lambda_max"] == lap.spectrum.lambda_max
+
+    @pytest.mark.parametrize("spec", [
+        "example3_c6",
+        "cube",
+        {"n": 5, "horizon": 2.0, "reference": {"velocity": [[0.0, [0.3, -0.1]]],
+                                               "angular_velocity": [[0.0, 0.2]], "scale_rate": [[0.0, -0.01]]}},
+        {"formation": "cube", "horizon": 2.0, "reference": {"velocity": [[0.0, [0.2, 0.0, -0.1]]],
+                                                            "angular_velocity": [[0.0, [0.1, 0.0, 0.2]]]}},
+    ], ids=["example3_c6", "cube", "planar_maneuver", "cube_maneuver"])
+    def test_run_takes_eigenvalues_only(self, spec, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a run formed eigenvectors")
+
+        scn = cli.load_scenario(spec) if isinstance(spec, str) else cli.parse_scenario(spec)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        _, _, metrics = cli.run_scenario(scn)
+        assert all(metrics["checks"].values())
 
     def test_write_outputs_layout(self, tmp_path):
         scn = cli.parse_scenario({"n": 4, "seed": 2, "horizon": 1.0,
@@ -547,6 +592,13 @@ class TestSweep:
             assert row["passed"]
             expected = 4 * math.sin(math.pi / (2 * row["n"])) ** 2
             assert math.isclose(row["lambda_min_pos"], expected, rel_tol=1e-9)
+
+    def test_takes_eigenvalues_only(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sweep formed eigenvectors")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        assert all(row["passed"] for row in cli.sweep_sizes(3, 8))
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(cli.ScenarioError, match="at least 3"):

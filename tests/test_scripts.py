@@ -48,7 +48,7 @@ def test_compare_snapshots(tmp_path):
     result = run_script("compare_snapshots.py", str(a), str(b))
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
-        "runs/x/metrics.json: fitted_rate 0.5, 3 numbers unchanged",
+        "runs/x/metrics.json: fitted_rate -0.5 -> -0.25 (0.5), 3 numbers unchanged",
         "runs/x/paths.svg: identical",
         "runs/x/trace.csv: t 0, p 2.5e-10, err 0, potential 1.2e-08",
     ]
