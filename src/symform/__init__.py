@@ -28,24 +28,16 @@ from .laplacian import (
     Spectrum,
     SymmetryLaplacian,
     build_laplacian,
-    closed_form_solution,
     laplacian_from_edges,
     null_basis,
     product_laplacian,
     spectrum,
     steady_state,
-    steady_state_per_agent,
-    symmetric_configuration,
 )
 from .dynamics import (
     SimulationTrace,
-    control,
-    control_per_agent,
-    edge_errors,
-    edge_residual_norms,
     fit_rate,
     integrate,
-    potential,
     propagate_linear,
     resolve_grid,
     rk4_step,
@@ -55,12 +47,8 @@ from .maneuver import (
     ReferenceInputs,
     ReferencePath,
     ReferenceState,
-    frame_to_world,
-    maneuver_control,
-    moving_frame,
     omega_matrix,
     propagate_reference,
-    shifted_errors,
     simulate_maneuver,
     zeta_consistency_residual,
 )
@@ -68,6 +56,19 @@ from .spatial3d import (
     CubeSpec,
     build_cube,
     simulate_cube,
+)
+from .checks import (
+    closed_form_solution,
+    control,
+    control_per_agent,
+    edge_errors,
+    frame_to_world,
+    maneuver_control,
+    moving_frame,
+    potential,
+    shifted_errors,
+    steady_state_per_agent,
+    symmetric_configuration,
 )
 
 __version__ = "0.1.0"
@@ -78,13 +79,12 @@ __all__ = [
     "ReferenceState", "Rotation", "SimulationTrace", "Spectrum",
     "SymmetryLaplacian", "build_cube", "build_laplacian", "chain_matrices",
     "closed_form_solution", "control", "control_per_agent",
-    "cycle_minus_edge", "edge_errors", "edge_residual_norms", "fit_rate",
-    "frame_to_world", "identity", "integrate", "laplacian_from_edges",
-    "maneuver_control", "moving_frame", "null_basis", "omega_matrix",
-    "potential", "product_laplacian", "propagate_linear",
-    "propagate_reference", "resolve_grid", "rk4_step", "rotation2",
-    "rotation3", "rotation_chain", "shifted_errors", "simulate_cube",
-    "simulate_maneuver", "spectrum", "steady_state",
-    "steady_state_per_agent", "symmetric_configuration", "validate",
-    "weighted_edges", "zeta_consistency_residual",
+    "cycle_minus_edge", "edge_errors", "fit_rate", "frame_to_world",
+    "identity", "integrate", "laplacian_from_edges", "maneuver_control",
+    "moving_frame", "null_basis", "omega_matrix", "potential",
+    "product_laplacian", "propagate_linear", "propagate_reference",
+    "resolve_grid", "rk4_step", "rotation2", "rotation3", "rotation_chain",
+    "shifted_errors", "simulate_cube", "simulate_maneuver", "spectrum",
+    "steady_state", "steady_state_per_agent", "symmetric_configuration",
+    "validate", "weighted_edges", "zeta_consistency_residual",
 ]

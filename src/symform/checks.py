@@ -1,4 +1,5 @@
-"""The paper's structural claims about Q, checked with named tolerances."""
+"""The paper's structural claims about Q, checked with named tolerances, and the
+independent routes that ``verify`` and the tests check the run path against."""
 from __future__ import annotations
 
 import math
@@ -9,7 +10,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import dynamics, laplacian
-from .laplacian import SYMMETRY_TOL, Gap, Route, Spectrum
+from .laplacian import SYMMETRY_TOL, Gap, Route, Spectrum, SymmetryLaplacian
+from .maneuver import ReferenceState, omega_matrix
+from .topology import InteractionGraph, weighted_edges
 
 ROUTE_TOL = 1e-12     # max |Q - M| for an independent construction route M
 NULL_TOL = 1e-10      # max |Q V0| for the null basis V0
@@ -111,8 +114,143 @@ def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray
     steps = int(math.ceil(1.0 / dt))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check, unwarned
         p = dynamics.propagate_linear(p0, [(sym, steps)], dt, steps)[-1]
-    solver_gap = float(np.linalg.norm(p - laplacian.closed_form_solution(sym, p0, steps * dt, spec=spec)))
+    solver_gap = float(np.linalg.norm(p - closed_form_solution(sym, p0, steps * dt, spec=spec)))
     out.append(CheckResult("solver_cross_check", solver_gap <= SOLVER_TOL,
                            f"|RK4 - closed form| = {solver_gap:.3e} at t = {steps * dt:.3f} "
                            f"(tol {_tol(SOLVER_TOL)})", solver_gap))
     return out
+
+
+# Independent routes: the paper's claims computed a second way, read by verify and the tests.
+
+def edge_errors(p: NDArray[np.float64], graph: InteractionGraph) -> NDArray[np.float64]:
+    """Per-edge constraint violations ‖p_u - Wᵀ p_v‖ of a planar tree, from its edge list."""
+    p = np.asarray(p, dtype=float)
+    wedges = weighted_edges(graph)
+    out = np.empty(len(wedges))
+    for e, (u, v, w) in enumerate(wedges):
+        r = p[2 * (u - 1):2 * u] - w.T @ p[2 * (v - 1):2 * v]
+        out[e] = math.sqrt(float(r @ r))
+    return out
+
+
+def potential(p: NDArray[np.float64], graph: InteractionGraph) -> float:
+    """Half the summed squared edge residuals (the flow's Lyapunov function)."""
+    errs = edge_errors(p, graph)
+    return 0.5 * float(errs @ errs)
+
+
+def control(p: NDArray[np.float64], q_matrix: NDArray[np.float64] | SymmetryLaplacian) -> NDArray[np.float64]:
+    """Gradient-descent velocity -Q p."""
+    q = np.asarray(getattr(q_matrix, "matrix", q_matrix), dtype=float)
+    return -(q @ np.asarray(p, dtype=float))
+
+
+def control_per_agent(p: NDArray[np.float64], graph: InteractionGraph) -> NDArray[np.float64]:
+    """Neighbor-sum form of the gradient velocity.
+
+    Agent i moves by the sum over incident edges of (rotated neighbor - self),
+    with the edge rotation applied forward or inverted by traversal direction.
+    Independent route kept for cross-checking against :func:`control`.
+    """
+    p = np.asarray(p, dtype=float)
+    n, d = graph.n, 2
+    pts = p.reshape(n, d)
+    out = np.zeros_like(pts)
+    for (u, v, w) in weighted_edges(graph):
+        out[u - 1] += w.T @ pts[v - 1] - pts[u - 1]
+        out[v - 1] += w @ pts[u - 1] - pts[v - 1]
+    return out.ravel()
+
+
+def symmetric_configuration(chain: NDArray[np.float64], seed_point: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Stacked configuration placing node i at S_i applied to the seed point (``chain``: dn x d)."""
+    return chain @ np.asarray(seed_point, dtype=float)
+
+
+def steady_state_per_agent(
+    p0: NDArray[np.float64], matrices: list[NDArray[np.float64]]
+) -> NDArray[np.float64]:
+    """Per-agent form of the flow limit: node i converges to S_i times the
+    chain-aligned average (1/n)·Σ_k S_k^T p_k(0). Independent route kept for
+    cross-checking against :func:`laplacian.steady_state`."""
+    p0 = np.asarray(p0, dtype=float)
+    n = len(matrices)
+    dim = matrices[0].shape[0]
+    pts = p0.reshape(n, dim)
+    mean = sum(matrices[k].T @ pts[k] for k in range(n)) / n
+    return np.concatenate([matrices[i] @ mean for i in range(n)])
+
+
+def closed_form_solution(
+    q_matrix: NDArray[np.float64],
+    p0: NDArray[np.float64],
+    t: float,
+    spec: Spectrum | None = None,
+) -> NDArray[np.float64]:
+    """Exact solution of dp/dt = -Q p at time t via the eigendecomposition.
+
+    Eigenvalues under the rank tolerance are clamped to zero so the
+    null-space component is preserved exactly for any horizon. ``spec``
+    must hold eigenvectors (``spectrum(q)``); a values-only spectrum, such
+    as a ``SymmetryLaplacian``'s, raises ValueError.
+    """
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    p0 = np.asarray(p0, dtype=float)
+    if spec is None:
+        spec = laplacian.spectrum(q_matrix)
+    elif spec.eigenvectors is None:
+        raise ValueError("the spectrum holds no eigenvectors: pass spec=spectrum(q) or spec=None")
+    lam = spec.eigenvalues.copy()
+    lam[np.abs(lam) < spec.threshold] = 0.0
+    V = spec.eigenvectors
+    return V @ (np.exp(-lam * t) * (V.T @ p0))
+
+
+def moving_frame(p: NDArray[np.float64], ref: ReferenceState) -> NDArray[np.float64]:
+    """Express a configuration in the reference frame: unscale, unrotate, recenter."""
+    p = np.asarray(p, dtype=float)
+    d = ref.dim
+    n = p.size // d
+    pts = p.reshape(n, d) - ref.position
+    return ((pts @ ref.rotation.matrix) / ref.scale).ravel()
+
+
+def frame_to_world(zeta: NDArray[np.float64], ref: ReferenceState) -> NDArray[np.float64]:
+    """Inverse of :func:`moving_frame`."""
+    zeta = np.asarray(zeta, dtype=float)
+    d = ref.dim
+    n = zeta.size // d
+    pts = (zeta.reshape(n, d) * ref.scale) @ ref.rotation.matrix.T + ref.position
+    return pts.ravel()
+
+
+def maneuver_control(
+    p: NDArray[np.float64],
+    q_matrix: NDArray[np.float64] | SymmetryLaplacian,
+    ref: ReferenceState,
+    velocity,
+    omega,
+    scale_rate: float,
+) -> NDArray[np.float64]:
+    """Tracking control: gradient descent on the shifted state plus feed-forward.
+
+    u = -Q(p - 1⊗r) + 1⊗v + (I⊗Ω + α I)(p - 1⊗r); with zero inputs this is
+    the stationary gradient flow.
+    """
+    q = np.asarray(getattr(q_matrix, "matrix", q_matrix), dtype=float)
+    p = np.asarray(p, dtype=float)
+    d = ref.dim
+    n = p.size // d
+    v = np.asarray(velocity, dtype=float)
+    # operation order fixed so zero inputs reduce bitwise to -Q p
+    c = p - np.tile(ref.position, n)
+    blocks = c.reshape(n, d)
+    rotation = (blocks @ omega_matrix(omega, d).T).ravel()
+    return -(q @ c) + np.tile(v, n) + rotation + float(scale_rate) * c
+
+
+def shifted_errors(p: NDArray[np.float64], ref: ReferenceState, graph: InteractionGraph) -> NDArray[np.float64]:
+    """Per-edge constraint violations of the recentered configuration."""
+    return edge_errors(np.asarray(p, dtype=float) - np.tile(ref.position, graph.n), graph)

@@ -134,19 +134,9 @@ def write_outputs(scn: Scenario, trace: dynamics.SimulationTrace, metrics: dict,
     The files are written into a staging directory next to the target and
     moved into place only once all of them are written, so a failure part way
     leaves no partial directory and no stale file of an earlier run survives.
-    An existing ``<name>`` that holds anything but the files of a run is left
-    alone and raises ScenarioError.
+    An unusable ``<name>`` (:func:`_output_target`) is left alone and raises ScenarioError.
     """
-    out_dir = Path(out_base) / scn.name
-    try:
-        os.fsencode(out_dir)
-    except UnicodeEncodeError:
-        raise ScenarioError(f"output path {out_dir} cannot be encoded in the file system encoding "
-                            f"{sys.getfilesystemencoding()}; rename the scenario or choose another --out"
-                            ) from None
-    if out_dir.is_symlink() or (out_dir.exists() and not _holds_only_run_files(out_dir)):
-        raise ScenarioError(f"{out_dir} exists and is not the output of an earlier run; "
-                            "move it or choose another --out")
+    out_dir = _output_target(scn, out_base)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
     try:
@@ -171,6 +161,22 @@ def write_outputs(scn: Scenario, trace: dynamics.SimulationTrace, metrics: dict,
             raise
     finally:
         shutil.rmtree(staging, ignore_errors=True)
+    return out_dir
+
+
+def _output_target(scn: Scenario, out_base: str) -> Path:
+    """The run directory ``out_base/<name>``; raises ScenarioError when its path cannot be
+    encoded in the file system encoding or it exists holding anything but the files of a run."""
+    out_dir = Path(out_base) / scn.name
+    try:
+        os.fsencode(out_dir)
+    except UnicodeEncodeError:
+        raise ScenarioError(f"output path {out_dir} cannot be encoded in the file system encoding "
+                            f"{sys.getfilesystemencoding()}; rename the scenario or choose another --out"
+                            ) from None
+    if out_dir.is_symlink() or (out_dir.exists() and not _holds_only_run_files(out_dir)):
+        raise ScenarioError(f"{out_dir} exists and is not the output of an earlier run; "
+                            "move it or choose another --out")
     return out_dir
 
 
@@ -234,6 +240,7 @@ def _apply_overrides(scn: Scenario, args: argparse.Namespace) -> Scenario:
 def _cmd_run(args: argparse.Namespace) -> int:
     scn = _apply_overrides(load_scenario(args.scenario), args)
     print(f"running {scn.summary()}")
+    _output_target(scn, args.out)  # an unusable target fails before the run, not after it
     trace, _, metrics = run_scenario(scn)
     out_dir = write_outputs(scn, trace, metrics, args.out)
     print(f"  steps={metrics['steps']} dt={metrics['dt']:.6g} horizon={metrics['horizon']:.6g}")

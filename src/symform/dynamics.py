@@ -9,8 +9,7 @@ from typing import Callable, Iterable
 import numpy as np
 from numpy.typing import NDArray
 
-from .laplacian import NumericFailure, Spectrum, SymmetryLaplacian, WeightedEdge
-from .topology import InteractionGraph, weighted_edges
+from .laplacian import NumericFailure, Spectrum, SymmetryLaplacian
 
 UNDERFLOW_FLOOR = 1e-14  # error magnitudes below this are float noise
 # Rate fits stop two decades above the noise: below 1e-12 the total error of a
@@ -52,52 +51,6 @@ POWER_STACK_CAP = 256  # most RK4 steps propagate_linear writes with one matrix 
 # m = 256: 12.4 / 17.5, m = 512: 61 / 27, m = 640: 142 / 29; on 3 columns,
 # m = 768: 700 / 55.
 NONZERO_STAGE_ROWS = 256
-
-
-def edge_residual_norms(
-    p: NDArray[np.float64], wedges: list[WeightedEdge] | tuple[WeightedEdge, ...], dim: int
-) -> NDArray[np.float64]:
-    """Constraint violation per edge, computed directly from the edge list."""
-    p = np.asarray(p, dtype=float)
-    out = np.empty(len(wedges))
-    for e, (u, v, w) in enumerate(wedges):
-        r = p[dim * (u - 1):dim * u] - w.T @ p[dim * (v - 1):dim * v]
-        out[e] = math.sqrt(float(r @ r))
-    return out
-
-
-def edge_errors(p: NDArray[np.float64], graph: InteractionGraph) -> NDArray[np.float64]:
-    """Per-edge constraint violations of a planar tree."""
-    return edge_residual_norms(p, weighted_edges(graph), 2)
-
-
-def potential(p: NDArray[np.float64], graph: InteractionGraph) -> float:
-    """Half the summed squared edge residuals (the flow's Lyapunov function)."""
-    errs = edge_errors(p, graph)
-    return 0.5 * float(errs @ errs)
-
-
-def control(p: NDArray[np.float64], q_matrix: NDArray[np.float64] | SymmetryLaplacian) -> NDArray[np.float64]:
-    """Gradient-descent velocity -Q p."""
-    q = np.asarray(getattr(q_matrix, "matrix", q_matrix), dtype=float)
-    return -(q @ np.asarray(p, dtype=float))
-
-
-def control_per_agent(p: NDArray[np.float64], graph: InteractionGraph) -> NDArray[np.float64]:
-    """Neighbor-sum form of the gradient velocity.
-
-    Agent i moves by the sum over incident edges of (rotated neighbor - self),
-    with the edge rotation applied forward or inverted by traversal direction.
-    Independent route kept for cross-checking against :func:`control`.
-    """
-    p = np.asarray(p, dtype=float)
-    n, d = graph.n, 2
-    pts = p.reshape(n, d)
-    out = np.zeros_like(pts)
-    for (u, v, w) in weighted_edges(graph):
-        out[u - 1] += w.T @ pts[v - 1] - pts[u - 1]
-        out[v - 1] += w @ pts[u - 1] - pts[v - 1]
-    return out.ravel()
 
 
 @dataclass(eq=False)

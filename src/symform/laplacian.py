@@ -247,11 +247,6 @@ def null_basis(graph: InteractionGraph) -> NDArray[np.float64]:
     return _freeze(chain.reshape(2 * graph.n, 2))
 
 
-def symmetric_configuration(chain: NDArray[np.float64], seed_point: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Stacked configuration placing node i at S_i applied to the seed point (``chain``: dn x d)."""
-    return chain @ np.asarray(seed_point, dtype=float)
-
-
 def steady_state(p0: NDArray[np.float64], chain: NDArray[np.float64]) -> NDArray[np.float64]:
     """Limit of the constraint gradient flow: the orthogonal projection of the start onto
     the span of the stacked chain (dn x d, columns of squared norm n)."""
@@ -260,20 +255,6 @@ def steady_state(p0: NDArray[np.float64], chain: NDArray[np.float64]) -> NDArray
     if p0.shape != (dn,):
         raise ValueError(f"configuration has shape {p0.shape}, expected ({dn},)")
     return chain @ (chain.T @ p0) / (dn // d)
-
-
-def steady_state_per_agent(
-    p0: NDArray[np.float64], matrices: list[NDArray[np.float64]]
-) -> NDArray[np.float64]:
-    """Per-agent form of the flow limit: node i converges to S_i times the
-    chain-aligned average (1/n)·Σ_k S_k^T p_k(0). Independent route kept for
-    cross-checking against :func:`steady_state`."""
-    p0 = np.asarray(p0, dtype=float)
-    n = len(matrices)
-    dim = matrices[0].shape[0]
-    pts = p0.reshape(n, dim)
-    mean = sum(matrices[k].T @ pts[k] for k in range(n)) / n
-    return np.concatenate([matrices[i] @ mean for i in range(n)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,28 +323,3 @@ def spectrum(q_matrix: NDArray[np.float64], tol: float = RANK_TOL, *, vectors: b
         raise NumericFailure(f"eigendecomposition failed: {exc}") from exc
     return Spectrum(eigenvalues=_freeze(eigenvalues), tol=tol, eigenvectors=_freeze(eigenvectors))
 
-
-def closed_form_solution(
-    q_matrix: NDArray[np.float64],
-    p0: NDArray[np.float64],
-    t: float,
-    spec: Spectrum | None = None,
-) -> NDArray[np.float64]:
-    """Exact solution of dp/dt = -Q p at time t via the eigendecomposition.
-
-    Eigenvalues under the rank tolerance are clamped to zero so the
-    null-space component is preserved exactly for any horizon. ``spec``
-    must hold eigenvectors (``spectrum(q)``); a values-only spectrum, such
-    as a ``SymmetryLaplacian``'s, raises ValueError.
-    """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    p0 = np.asarray(p0, dtype=float)
-    if spec is None:
-        spec = spectrum(q_matrix)
-    elif spec.eigenvectors is None:
-        raise ValueError("the spectrum holds no eigenvectors: pass spec=spectrum(q) or spec=None")
-    lam = spec.eigenvalues.copy()
-    lam[np.abs(lam) < spec.threshold] = 0.0
-    V = spec.eigenvectors
-    return V @ (np.exp(-lam * t) * (V.T @ p0))

@@ -10,10 +10,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .dynamics import (DEFAULT_STEP_FACTOR, SimulationTrace, _gauge_run, _require_grid_fits, _step_count,
-                       edge_residual_norms, require_finite, resolve_grid)
+                       require_finite, resolve_grid)
 from .laplacian import NumericFailure, SymmetryLaplacian
 from .symgroup import Rotation, identity, rotation2, rotation3
-from .topology import InteractionGraph, weighted_edges
 
 # RK4 may not amplify any mode by more than rounding: max |P(-dt μ)| <= 1 + this
 RK4_GAIN_TOL = 1e-12
@@ -226,49 +225,6 @@ def propagate_reference(
     )
 
 
-def moving_frame(p: NDArray[np.float64], ref: ReferenceState) -> NDArray[np.float64]:
-    """Express a configuration in the reference frame: unscale, unrotate, recenter."""
-    p = np.asarray(p, dtype=float)
-    d = ref.dim
-    n = p.size // d
-    pts = p.reshape(n, d) - ref.position
-    return ((pts @ ref.rotation.matrix) / ref.scale).ravel()
-
-
-def frame_to_world(zeta: NDArray[np.float64], ref: ReferenceState) -> NDArray[np.float64]:
-    """Inverse of :func:`moving_frame`."""
-    zeta = np.asarray(zeta, dtype=float)
-    d = ref.dim
-    n = zeta.size // d
-    pts = (zeta.reshape(n, d) * ref.scale) @ ref.rotation.matrix.T + ref.position
-    return pts.ravel()
-
-
-def maneuver_control(
-    p: NDArray[np.float64],
-    q_matrix: NDArray[np.float64] | SymmetryLaplacian,
-    ref: ReferenceState,
-    velocity,
-    omega,
-    scale_rate: float,
-) -> NDArray[np.float64]:
-    """Tracking control: gradient descent on the shifted state plus feed-forward.
-
-    u = -Q(p - 1⊗r) + 1⊗v + (I⊗Ω + α I)(p - 1⊗r); with zero inputs this is
-    the stationary gradient flow.
-    """
-    q = np.asarray(getattr(q_matrix, "matrix", q_matrix), dtype=float)
-    p = np.asarray(p, dtype=float)
-    d = ref.dim
-    n = p.size // d
-    v = np.asarray(velocity, dtype=float)
-    # operation order fixed so zero inputs reduce bitwise to -Q p
-    c = p - np.tile(ref.position, n)
-    blocks = c.reshape(n, d)
-    rotation = (blocks @ omega_matrix(omega, d).T).ravel()
-    return -(q @ c) + np.tile(v, n) + rotation + float(scale_rate) * c
-
-
 @dataclass(eq=False)
 class ManeuverTrace(SimulationTrace):
     """Maneuver run: world states plus the reference and the frame coordinates.
@@ -431,14 +387,6 @@ def simulate_maneuver(
     if d == 3:  # spatial edge rotations need not commute with the reference attitude
         trace.zeta_residual = zeta_consistency_residual(trace, lap.matrix)
     return trace
-
-
-def shifted_errors(p: NDArray[np.float64], ref: ReferenceState, graph: InteractionGraph) -> NDArray[np.float64]:
-    """Per-edge constraint violations of the recentered configuration."""
-    p = np.asarray(p, dtype=float)
-    n = graph.n
-    shifted = p - np.tile(ref.position, n)
-    return edge_residual_norms(shifted, weighted_edges(graph), 2)
 
 
 def zeta_consistency_residual(trace: ManeuverTrace, q_matrix: NDArray[np.float64]) -> float:

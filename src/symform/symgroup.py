@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -21,13 +21,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class Rotation:
     """A proper rotation matrix in dimension 2 or 3.
 
-    ``angle`` (and ``axis`` for 3-D) are kept as metadata when the rotation
-    was built from an angle; composed products may drop them.
+    ``angle`` is kept as metadata when the rotation was built from an angle;
+    composed products may drop it.
     """
 
     matrix: NDArray[np.float64]
     angle: float | None = None
-    axis: NDArray[np.float64] | None = field(default=None)
 
     def __post_init__(self) -> None:
         m = _freeze(np.asarray(self.matrix, dtype=float))
@@ -39,8 +38,6 @@ class Rotation:
         if abs(np.linalg.det(m) - 1.0) > DET_TOL:
             raise ValueError("matrix determinant is not +1 within 1e-12 (improper rotation)")
         object.__setattr__(self, "matrix", m)
-        if self.axis is not None:
-            object.__setattr__(self, "axis", _freeze(np.asarray(self.axis, dtype=float)))
 
     @property
     def dimension(self) -> int:
@@ -64,7 +61,7 @@ class Rotation:
 
     def inverse(self) -> Rotation:
         angle = None if self.angle is None else -self.angle
-        return Rotation(self.matrix.T, angle=angle, axis=self.axis)
+        return Rotation(self.matrix.T, angle=angle)
 
     def is_identity(self, tol: float = 1e-12) -> bool:
         return bool(np.abs(self.matrix - np.eye(self.dimension)).max() <= tol)
@@ -115,7 +112,7 @@ def rotation3(axis, angle: float) -> Rotation:
         raise ValueError(f"angle must be finite, got {angle}")
     K = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
     m = np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
-    return Rotation(m, angle=angle, axis=a)
+    return Rotation(m, angle=angle)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symform import checks, cli, laplacian
+import symform as sf
+from symform import checks, cli, dynamics, laplacian, maneuver
 
 PRESETS = ("example2_c4", "example3_c6", "maneuver_c6", "cube")
 SRC = Path(__file__).resolve().parents[1] / "src" / "symform"
+# the independent routes the run path does not call
+ROUTES = ("control", "control_per_agent", "edge_errors", "potential", "maneuver_control", "moving_frame",
+          "frame_to_world", "shifted_errors", "steady_state_per_agent", "closed_form_solution",
+          "symmetric_configuration")
 
 # metrics.json "checks" key -> the structure check it reports
 METRIC_NAMES = {
@@ -178,6 +183,30 @@ class TestVerificationChecks:
         assert details["null_basis"].endswith("(tol 1e-10)")
         assert details["gradient"].endswith("(tol 1e-6)")
         assert details["solver_cross_check"].endswith("(tol 1e-6)")
+
+
+class TestRoutesLiveInChecks:
+    @pytest.mark.parametrize("name", ROUTES)
+    def test_route_defined_in_checks_only(self, name):
+        assert getattr(sf, name).__module__ == "symform.checks"
+        assert [m.__name__ for m in (dynamics, maneuver, laplacian) if hasattr(m, name)] == []
+
+    def test_edge_residual_norms_folded_into_edge_errors(self):
+        assert [m.__name__ for m in (sf, checks, dynamics, maneuver) if hasattr(m, "edge_residual_norms")] == []
+
+    @pytest.mark.parametrize("spec", [
+        *sorted(p.stem for p in (SRC / "presets").glob("*.json")),
+        {"n": 5, "horizon": 2.0, "reference": {"velocity": [[0.0, [0.3, -0.1]]],
+                                               "angular_velocity": [[0.0, 0.2]], "scale_rate": [[0.0, -0.01]]}},
+        {"formation": "cube", "horizon": 2.0, "reference": {"velocity": [[0.0, [0.2, 0.0, -0.1]]],
+                                                            "angular_velocity": [[0.0, [0.1, 0.0, 0.2]]]}},
+    ], ids=lambda spec: spec if isinstance(spec, str) else f"{spec.get('formation', 'planar')}_maneuver")
+    def test_runs_call_no_route(self, spec, monkeypatch):
+        for name in ROUTES:
+            monkeypatch.setattr(checks, name, lambda *a, name=name, **k: pytest.fail(f"a run called {name}"))
+        scn = cli.load_scenario(spec) if isinstance(spec, str) else cli.parse_scenario(spec)
+        _, _, metrics = cli.run_scenario(scn)
+        assert all(metrics["checks"].values())
 
 
 def test_no_imports_inside_functions():

@@ -1125,6 +1125,17 @@ class TestAtomicOutputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scn.json", "src"]
         assert (tmp_path / "src" / "pkg" / "module.py").read_text() == "x = 1\n"
 
+    def test_foreign_directory_rejected_before_the_run(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "early").mkdir()
+        (tmp_path / "early" / "notes.txt").write_text("keep me\n")
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"name": "early", "n": 4, "horizon": 1.0, "dt": 0.05}))
+        monkeypatch.setattr(cli, "run_scenario", lambda scn: pytest.fail("simulated before checking --out"))
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert "not the output of an earlier run" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["early", "scn.json"]
+        assert (tmp_path / "early" / "notes.txt").read_text() == "keep me\n"
+
 
 class TestScenarioName:
     @pytest.mark.parametrize("name", [".", "..", "/tmp/elsewhere", "a/b", "a\\b", "nul\0"])
