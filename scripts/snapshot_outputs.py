@@ -2,14 +2,18 @@
 """Write a byte-comparable snapshot of symform's outputs into OUT.
 
 Every command goes through ``symform.cli.main``: ``run`` of each bundled
-preset and of five fixed scenarios (a planar n = 600 run, a planar n = 16 run
+preset and of seven fixed scenarios (a planar n = 600 run, a planar n = 16 run
 on the default grid, whose SVGs are the largest the benchmark's ``flow``
 workload writes, a planar maneuver of 20 runs of constant input, a planar
 n = 64 maneuver whose two runs of constant nonzero angular velocity are long
 enough (200 steps each, at least 2n) for the complex block path, and a cube
-maneuver, all three maneuvers with negative scale rates), ``verify`` of each
-preset and of a planar n = 256 scenario (the shape of the benchmark's
-``checks`` workload, so its check values land in the log), and
+maneuver, all three maneuvers with negative scale rates; a cube whose cross
+edge (2, 6) makes a tree that is not a path, so its spectrum comes from
+``eigvalsh`` of L rather than the path formula; and a planar n = 9 tree given
+edge by edge, cut at (4, 5), with its own shifts and flipped edges),
+``verify`` of each preset, of those last two and of a planar n = 256
+scenario (the shape of the benchmark's ``checks`` workload, so its check
+values land in the log), and
 ``sweep --n-from 3 --n-to 30``. The run files land in OUT/runs
 and OUT/sweep, with ``runtime_seconds`` dropped from each metrics.json; each
 command's exit code, stdout and stderr go to OUT/log.txt. Two snapshots, say
@@ -60,9 +64,15 @@ SCENARIOS = {
             "scale_rate": [[0.0, 0.01], [20.0, -0.008], [40.0, 0.0]],
         },
     },
+    "cube_cross_edge": {"formation": "cube", "cube": {"cross_edge": [2, 6], "cross_nodes": [2, 6, 7, 3]}},
+    "planar_tree_n9": {
+        "n": 9, "seed": 3,
+        "tree": {"edges": [[1, 2, 1], [3, 2, 3], [3, 4, 0], [6, 5, 8], [6, 7, 2], [8, 7, 5], [8, 9, 7], [1, 9, 4]]},
+    },
 }
 
-VERIFIED = {"verify_n256": {"n": 256}}
+VERIFIED = {"verify_n256": {"n": 256}, "cube_cross_edge": SCENARIOS["cube_cross_edge"],
+            "planar_tree_n9": SCENARIOS["planar_tree_n9"]}
 
 
 def write_scenario(scenarios: Path, name: str, scenario: dict) -> str:

@@ -3,6 +3,7 @@ independent routes that ``verify`` and the tests check the run path against."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ ROUTE_TOL = 1e-12     # max |Q - M| for an independent construction route M
 NULL_TOL = 1e-10      # max |Q V0| for the null basis V0
 GRADIENT_TOL = 1e-6   # max |FD gradient - Q p| / (1 + max |Q p|)
 SOLVER_TOL = 1e-6     # |RK4 - closed form| after unit time
+SPECTRUM_TOL = 1e-12  # max |run spectrum - eigh of Q| beyond the spread, relative to max(1, λ_max)
 
 
 @dataclass(frozen=True)
@@ -83,12 +85,16 @@ def _perturbed_potentials(incidence: NDArray[np.float64], points: NDArray[np.flo
 
 def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray[np.float64],
                         null_matrix: NDArray[np.float64], n: int, dim: int,
-                        routes: Sequence[Route] = (), seed: int = 0) -> list[CheckResult]:
+                        routes: Sequence[Route] = (), seed: int = 0,
+                        run_spectrum: Spectrum | None = None) -> list[CheckResult]:
     """Construction and dynamics checks on explicit matrices.
 
     Takes raw matrices (not built objects) so a deliberately corrupted input
     is detected rather than silently rebuilt. ``routes`` (a built Laplacian's
-    ``routes``) are checked after the product route E Eᵀ.
+    ``routes``) are checked after the product route E Eᵀ. ``run_spectrum`` (a built
+    Laplacian's ``spectrum``: the path formula, or ``eigvalsh`` of L for another tree),
+    when given, is checked against the eigenvalues of Q's own ``eigh``: they may differ
+    by its ``spread`` plus rounding, ``SPECTRUM_TOL``·max(1, λ_max).
     """
     rng = np.random.default_rng(seed)
     asym = laplacian.max_abs_difference(q_matrix, q_matrix.T)
@@ -98,6 +104,14 @@ def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray
     spec = laplacian.spectrum(sym)
     product = ("incidence_product", "|Q - E E^T| =", incidence_matrix @ incidence_matrix.T)
     out += structure_checks(spec, n, dim, *dense_gaps(q_matrix, null_matrix, [product, *routes]))
+    if run_spectrum is not None:
+        # sorted, and each eigenvalue of Q lies within the run spectrum's spread of its own
+        tol = run_spectrum.spread + SPECTRUM_TOL * max(1.0, spec.lambda_max)
+        same_size = run_spectrum.eigenvalues.shape == spec.eigenvalues.shape
+        gap = float(np.abs(run_spectrum.eigenvalues - spec.eigenvalues).max()) if same_size else math.inf
+        out.append(CheckResult("tree_spectrum", gap <= tol,
+                               f"max |run - eigh| = {gap:.3e} (tol {tol:.3e}: spread {run_spectrum.spread:.1e} "
+                               f"+ {_tol(SPECTRUM_TOL)} * max(1, lambda_max))", gap))
 
     # gradient of 0.5 ||E^T p||^2 must match Q p (central differences, h = 1e-5)
     h = 1e-5
@@ -122,6 +136,13 @@ def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray
 
 
 # Independent routes: the paper's claims computed a second way, read by verify and the tests.
+
+def segment_value(segs: tuple, t: float):
+    """The value of the piecewise-constant series ``segs`` ((start, value) pairs) at time t:
+    the scalar lookup that ``maneuver._step_indices`` vectorizes."""
+    idx = bisect_right([s[0] for s in segs], t) - 1
+    return segs[max(idx, 0)][1]
+
 
 def edge_errors(p: NDArray[np.float64], graph: InteractionGraph) -> NDArray[np.float64]:
     """Per-edge constraint violations ‖p_u - Wᵀ p_v‖ of a planar tree, from its edge list."""

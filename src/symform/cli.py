@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -134,10 +135,13 @@ def write_outputs(scn: Scenario, trace: dynamics.SimulationTrace, metrics: dict,
     The files are written into a staging directory next to the target and
     moved into place only once all of them are written, so a failure part way
     leaves no partial directory and no stale file of an earlier run survives.
-    An unusable ``<name>`` (:func:`_output_target`) is left alone and raises ScenarioError.
+    Staging directories that killed runs of this name left behind are removed first
+    (:func:`_remove_killed_staging`). An unusable ``<name>`` (:func:`_output_target`)
+    is left alone and raises ScenarioError.
     """
     out_dir = _output_target(scn, out_base)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
+    _remove_killed_staging(out_dir)
     staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
     try:
         new_dir = staging / "new"
@@ -180,6 +184,19 @@ def _output_target(scn: Scenario, out_base: str) -> Path:
     return out_dir
 
 
+def _remove_killed_staging(out_dir: Path) -> None:
+    """Remove the staging directories ``.<name>.XXXXXXXX`` (``tempfile.mkdtemp``'s eight
+    characters, so no other name's staging matches) beside ``out_dir`` that a killed run
+    left: only a real directory whose entries are all ``new`` or ``old`` directories
+    holding nothing but run files. Anything else is left alone."""
+    staging = re.compile(re.escape(f".{out_dir.name}.") + r"[a-z0-9_]{8}")
+    for path in out_dir.parent.iterdir():
+        if (staging.fullmatch(path.name) and not path.is_symlink() and path.is_dir()
+                and all(p.name in ("new", "old") and not p.is_symlink() and _holds_only_run_files(p)
+                        for p in path.iterdir())):
+            shutil.rmtree(path, ignore_errors=True)
+
+
 def _holds_only_run_files(path: Path) -> bool:
     """True for a directory holding nothing but files that ``write_outputs`` writes."""
     return path.is_dir() and all(p.name in RUN_FILES and p.is_file() and not p.is_symlink()
@@ -192,13 +209,14 @@ def verify_scenario(scn: Scenario) -> list[CheckResult]:
     dynamics.require_build_fits(scn.n, scn.dim, dynamics.VERIFY_DENSE_MATRICES)
     lap = build_system(scn)
     return verification_checks(lap.matrix, lap.incidence, lap.chain, scn.n, scn.dim,
-                               routes=lap.routes, seed=scn.seed)
+                               routes=lap.routes, seed=scn.seed, run_spectrum=lap.spectrum)
 
 
 # ---------------------------------------------------------------------- sweep
 
 def sweep_sizes(n_from: int, n_to: int) -> list[dict]:
-    """Path-tree construction checks across formation sizes."""
+    """Path-tree construction checks across formation sizes, with PSD and rank from an
+    eigensolver (``SymmetryLaplacian.numeric_spectrum``), not from the path formula a run takes."""
     if n_from < 3:
         raise ScenarioError(f"--n-from must be at least 3, got {n_from}")
     if n_to < n_from:
@@ -207,7 +225,7 @@ def sweep_sizes(n_from: int, n_to: int) -> list[dict]:
     rows = []
     for n in range(n_from, n_to + 1):
         lap = build_system(parse_scenario({"n": n}))
-        spec = lap.spectrum
+        spec = lap.numeric_spectrum()
         product = ("incidence_product", "|Q - E E^T| =", laplacian.product_laplacian(lap.incidence))
         results = {r.name: r for r in structure_checks(spec, n, 2, *dense_gaps(lap.matrix, lap.chain, [product]))}
         rows.append({

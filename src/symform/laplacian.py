@@ -150,22 +150,41 @@ class SymmetryLaplacian:
         np.add.at(product, rows, self._blocks @ self.chain.reshape(self.n, self.dim, self.dim)[cols])
         return float(np.abs(product).max())
 
+    @property
+    def spread(self) -> float:
+        """‖Q - S (L ⊗ I_d) Sᵀ‖_F, summed over the tree's n diagonal and 2(n - 1) edge
+        blocks (both matrices are zero elsewhere). By Weyl's inequality it bounds how far
+        the k-th smallest eigenvalue of ``matrix`` lies from the k-th smallest of L ⊗ I_d."""
+        gaps = self._blocks - self._gauge_blocks
+        return math.sqrt(float(np.vdot(gaps, gaps)))
+
     @cached_property
     def spectrum(self) -> Spectrum:
-        """Eigenvalues of ``matrix`` from the eigenvalues alone of the n x n tree Laplacian L.
+        """Eigenvalues of ``matrix``: those of the n x n tree Laplacian L, each repeated d
+        times, with ``spread`` as the bound on their distance from Q's.
 
-        Eigenvalues are L's (``spectrum(L, vectors=False)``), each repeated d
-        times; no eigenvectors are formed, so ``eigenvectors`` is None.
-        ``spread`` is ‖Q - S (L ⊗ I_d) Sᵀ‖_F, summed over the tree's n diagonal
-        and 2(n - 1) edge blocks (both matrices are zero elsewhere); by Weyl's
-        inequality it bounds how far each eigenvalue of ``matrix`` lies from
-        the one reported. Computed on first use and kept (the arrays are read-only).
+        A spanning tree in which no node has degree 3 or more is a path, and the
+        Laplacian of a path on n nodes has the eigenvalues 4 sin²(kπ/2n),
+        k = 0, …, n - 1 (Brouwer & Haemers, *Spectra of Graphs*, §1.4.4): sorted,
+        λ_0 exactly 0, each within a few ulps of λ_max of the true value, and no
+        eigensolver runs. Every planar tree and the default cube tree are paths.
+        Any other tree takes :meth:`numeric_spectrum`. No eigenvectors are formed,
+        so ``eigenvectors`` is None. Computed on first use and kept (the arrays are
+        read-only).
         """
-        gaps = self._blocks - self._gauge_blocks
-        spread = math.sqrt(float(np.vdot(gaps, gaps)))
+        if np.bincount(self.ends.ravel(), minlength=self.n).max() > 2:
+            return self.numeric_spectrum()
+        path = 4.0 * np.sin(np.arange(self.n) * (math.pi / (2 * self.n))) ** 2
+        return Spectrum(eigenvalues=_freeze(np.repeat(path, self.dim)), tol=RANK_TOL, spread=self.spread)
+
+    def numeric_spectrum(self) -> Spectrum:
+        """The spectrum of any tree from an eigensolver: ``eigvalsh`` of L
+        (``spectrum(L, vectors=False)``), each value repeated d times, with ``spread``.
+        ``sweep`` takes its PSD and rank verdicts from it, so they are measured, not
+        read off the path formula; :attr:`spectrum` takes it for a tree that is not a path."""
         scalar = spectrum(self.scalar, vectors=False)
         return Spectrum(eigenvalues=_freeze(np.repeat(scalar.eigenvalues, self.dim)),
-                        tol=scalar.tol, spread=spread)
+                        tol=scalar.tol, spread=self.spread)
 
 
 def assemble_laplacian(n: int, dim: int, wedges: list[WeightedEdge]) -> NDArray[np.float64]:

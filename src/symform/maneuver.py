@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -49,11 +48,6 @@ def _check_segments(name: str, segs: tuple, width: int | None) -> tuple:
     return tuple(out)
 
 
-def _segment_value(segs: tuple, t: float):
-    idx = bisect_right([s[0] for s in segs], t) - 1
-    return segs[max(idx, 0)][1]
-
-
 @dataclass(frozen=True)
 class ReferenceInputs:
     """Piecewise-constant maneuver inputs: linear velocity, angular velocity, scaling rate.
@@ -85,15 +79,6 @@ class ReferenceInputs:
     def stationary(cls, dim: int = 2) -> ReferenceInputs:
         omega = 0.0 if dim == 2 else np.zeros(3)
         return cls.constant(np.zeros(dim), omega, 0.0, dim=dim)
-
-    def velocity_at(self, t: float) -> NDArray[np.float64]:
-        return _segment_value(self.velocity, t)
-
-    def omega_at(self, t: float):
-        return _segment_value(self.angular, t)
-
-    def scale_rate_at(self, t: float) -> float:
-        return _segment_value(self.scale_rate, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,17 +147,9 @@ class ReferencePath:
     dim: int
     dt: float
 
-    def state_at(self, k: int) -> ReferenceState:
-        return ReferenceState(
-            position=self.positions[k],
-            rotation=Rotation(self.rotations[k]),
-            scale=float(self.scales[k]),
-            time=float(self.times[k]),
-        )
-
 
 def _step_indices(segs: tuple, times: NDArray[np.float64]) -> NDArray[np.intp]:
-    """Index of the segment holding at each time (the vector form of _segment_value)."""
+    """Index of the segment holding at each time (the vector form of :func:`checks.segment_value`)."""
     starts = np.array([t for t, _ in segs])
     return np.maximum(np.searchsorted(starts, times, side="right") - 1, 0)
 

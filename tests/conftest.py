@@ -44,6 +44,10 @@ def slowest_rate(n: int) -> float:
     return float(4.0 * np.sin(np.pi / (2 * n)) ** 2)
 
 
+# a cube tree whose cross edge (2, 6) gives nodes 2 and 6 degree 3, so it is not a path
+CROSS_CUBE = {"cross_edge": [2, 6], "cross_nodes": [2, 6, 7, 3]}
+
+
 def random_tree(n: int, cut: int, shifts: list[int], flips: list[bool]) -> sf.InteractionGraph:
     """C_n without its edge (cut, cut + 1), each kept edge with its own shift and orientation."""
     edges = []

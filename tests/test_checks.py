@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import symform as sf
+from conftest import CROSS_CUBE
 from symform import checks, cli, dynamics, laplacian, maneuver
 
 PRESETS = ("example2_c4", "example3_c6", "maneuver_c6", "cube")
@@ -96,6 +97,35 @@ class TestVerificationChecks:
                                           routes=lap.routes)
         assert len(calls) == 1
         assert all(r.passed for r in results)
+
+    @pytest.mark.parametrize("spec", [*PRESETS, {"n": 256}, {"formation": "cube", "cube": CROSS_CUBE}], ids=str)
+    def test_run_spectrum_matches_eigh_of_q(self, spec):
+        # measured max |run - eigh|: 2.2e-15 at n = 256, 4.4e-15 for the cube, 5.3e-15 with
+        # the cross edge (eigvalsh of L), against a tolerance of about 4e-12
+        check = {r.name: r for r in cli.verify_scenario(scenario(spec))}["tree_spectrum"]
+        assert check.passed and check.value <= 1e-14
+
+    @pytest.mark.parametrize("spec", ["example3_c6", "cube"])
+    def test_tree_spectrum_detects_a_formula_off_by_1e_8(self, spec, monkeypatch):
+        formula = laplacian.SymmetryLaplacian.spectrum.func
+
+        def slowest_mode_off(lap):
+            run = formula(lap)
+            values = run.eigenvalues.copy()
+            values[lap.dim] += 1e-8  # λ⁺_min, the rate a run reports
+            return dataclasses.replace(run, eigenvalues=values)
+
+        monkeypatch.setattr(laplacian.SymmetryLaplacian, "spectrum", property(slowest_mode_off))
+        by_name = {r.name: r for r in cli.verify_scenario(scenario(spec))}
+        assert not by_name["tree_spectrum"].passed
+        assert by_name["tree_spectrum"].value == pytest.approx(1e-8, rel=1e-6)
+        assert all(r.passed for name, r in by_name.items() if name != "tree_spectrum")
+
+    def test_tree_spectrum_of_another_size_fails(self):
+        lap = planar_lap(4)
+        check = {r.name: r for r in cli.verification_checks(
+            lap.matrix, lap.incidence, lap.chain, 4, 2, run_spectrum=planar_lap(5).spectrum)}["tree_spectrum"]
+        assert not check.passed and check.value == np.inf
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_planar_routes_are_separate_computations(self, n, monkeypatch):
@@ -190,6 +220,14 @@ class TestRoutesLiveInChecks:
     def test_route_defined_in_checks_only(self, name):
         assert getattr(sf, name).__module__ == "symform.checks"
         assert [m.__name__ for m in (dynamics, maneuver, laplacian) if hasattr(m, name)] == []
+
+    def test_scalar_segment_lookup_lives_in_checks_only(self):
+        assert checks.segment_value.__module__ == "symform.checks"
+        gone = [(owner.__name__, name) for owner, names in [
+            (maneuver, ("_segment_value",)),
+            (maneuver.ReferenceInputs, ("velocity_at", "omega_at", "scale_rate_at")),
+            (maneuver.ReferencePath, ("state_at",))] for name in names if hasattr(owner, name)]
+        assert gone == []
 
     def test_edge_residual_norms_folded_into_edge_errors(self):
         assert [m.__name__ for m in (sf, checks, dynamics, maneuver) if hasattr(m, "edge_residual_norms")] == []

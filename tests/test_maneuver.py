@@ -56,19 +56,33 @@ def two_segment_inputs() -> sf.ReferenceInputs:
 class TestReferenceInputs:
     def test_segment_lookup_holds_left_value(self):
         inputs = two_segment_inputs()
-        assert np.array_equal(inputs.velocity_at(0.0), [1.0, 0.0])
-        assert np.array_equal(inputs.velocity_at(1.999), [1.0, 0.0])
-        assert np.array_equal(inputs.velocity_at(2.0), [0.0, -1.0])
-        assert inputs.omega_at(5.0) == -0.25
-        assert inputs.scale_rate_at(0.5) == 0.1
+        assert np.array_equal(checks.segment_value(inputs.velocity, 0.0), [1.0, 0.0])
+        assert np.array_equal(checks.segment_value(inputs.velocity, 1.999), [1.0, 0.0])
+        assert np.array_equal(checks.segment_value(inputs.velocity, 2.0), [0.0, -1.0])
+        assert checks.segment_value(inputs.angular, 5.0) == -0.25
+        assert checks.segment_value(inputs.scale_rate, 0.5) == 0.1
+
+    def test_step_indices_match_the_scalar_lookup(self):
+        # the run's vector lookup against the scalar one on every step of a reference
+        # with several segments per series, segment starts on and off the grid
+        scn = cli.parse_scenario({"n": 4, "reference": {
+            "velocity": [[0.0, [0.1, 0.0]], [0.35, [0.0, 0.2]], [1.0, [0.3, 0.3]], [2.05, [0.0, 0.0]]],
+            "angular_velocity": [[0.0, 0.1], [0.7, -0.2], [1.4, 0.0]],
+            "scale_rate": [[0.0, 0.01], [1.05, -0.02]]}})
+        times = np.arange(60) * 0.05
+        for segs in (scn.reference.velocity, scn.reference.angular, scn.reference.scale_rate):
+            picked = sf.maneuver._step_indices(segs, times)
+            assert len(set(picked.tolist())) == len(segs)
+            for t, k in zip(times, picked):
+                assert segs[k][1] is checks.segment_value(segs, float(t))
 
     def test_constant_and_stationary(self):
         const = sf.ReferenceInputs.constant([0.3, 0.4], 0.2, -0.05)
-        assert np.array_equal(const.velocity_at(100.0), [0.3, 0.4])
+        assert np.array_equal(checks.segment_value(const.velocity, 100.0), [0.3, 0.4])
         still = sf.ReferenceInputs.stationary()
-        assert np.array_equal(still.velocity_at(0.0), [0.0, 0.0])
-        assert still.omega_at(0.0) == 0.0
-        assert still.scale_rate_at(0.0) == 0.0
+        assert np.array_equal(checks.segment_value(still.velocity, 0.0), [0.0, 0.0])
+        assert checks.segment_value(still.angular, 0.0) == 0.0
+        assert checks.segment_value(still.scale_rate, 0.0) == 0.0
 
     def test_gap_before_zero_rejected(self):
         with pytest.raises(ValueError, match="gap"):
@@ -98,7 +112,7 @@ class TestReferenceInputs:
 
     def test_spatial_angular_is_three_vector(self):
         inputs = sf.ReferenceInputs.constant([0, 0, 0], [0.1, 0.0, 0.2], 0.0, dim=3)
-        assert np.array_equal(inputs.omega_at(0.0), [0.1, 0.0, 0.2])
+        assert np.array_equal(checks.segment_value(inputs.angular, 0.0), [0.1, 0.0, 0.2])
         with pytest.raises(ValueError, match="shape"):
             sf.ReferenceInputs(dim=3, velocity=((0.0, np.zeros(3)),),
                                angular=((0.0, np.zeros(2)),), scale_rate=((0.0, 0.0),))
@@ -179,7 +193,8 @@ class TestPropagateReference:
         assert np.array_equal(path.rotations[0], rot)
         for k in range(path.step_scale_rates.size):
             t = float(path.times[k])
-            v, w, a = inputs.velocity_at(t), inputs.omega_at(t), inputs.scale_rate_at(t)
+            v, w, a = (checks.segment_value(segs, t)
+                       for segs in (inputs.velocity, inputs.angular, inputs.scale_rate))
             assert np.array_equal(path.step_velocities[k], v)
             assert np.array_equal(path.step_omegas[k], w)
             assert path.step_scale_rates[k] == a
@@ -192,10 +207,11 @@ class TestPropagateReference:
             assert np.array_equal(path.rotations[k + 1], rot)
             assert path.scales[k + 1] == scale
 
-    def test_state_at_round_trip(self):
+    def test_path_row_is_a_reference_state(self):
         path = sf.propagate_reference(two_segment_inputs(),
                                       sf.ReferenceState.at_origin(), 0.5, 2.0)
-        ref = path.state_at(2)
+        ref = sf.ReferenceState(position=path.positions[2], rotation=sf.Rotation(path.rotations[2]),
+                                scale=float(path.scales[2]), time=float(path.times[2]))
         assert ref.time == path.times[2]
         assert np.array_equal(ref.position, path.positions[2])
         assert math.isclose(ref.scale, path.scales[2])

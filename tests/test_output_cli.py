@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symform as sf
-from symform import cli, dynamics, laplacian, output, topology
+from conftest import CROSS_CUBE
+from symform import checks, cli, dynamics, laplacian, output, topology
 from symform.scenario import MAX_NAME_BYTES
 
 
@@ -346,7 +347,7 @@ class TestParseScenario:
             },
         })
         assert scn.reference is not None
-        assert np.array_equal(scn.reference.velocity_at(0.0), [0.1, 0.2])
+        assert np.array_equal(checks.segment_value(scn.reference.velocity, 0.0), [0.1, 0.2])
         assert np.array_equal(scn.ref_start.position, [1.0, 2.0])
         assert math.isclose(scn.ref_start.scale, 2.0)
 
@@ -447,7 +448,7 @@ class TestLoadScenario:
         verify = python("-m", "symform", "verify", str(path))
         assert verify.returncode == 0, verify.stderr
         assert b"verifying name=caf\\xe9 " in verify.stdout
-        assert verify.stdout.count(b"PASS") == 8
+        assert verify.stdout.count(b"PASS") == 9
         out = tmp_path / "out"
         run = python("-m", "symform", "run", str(path), "--out", str(out))
         assert b"running name=caf\\xe9 " in run.stdout
@@ -491,13 +492,22 @@ class TestRunScenario:
         {"n": 5, "horizon": 1.0},
         {"n": 5, "horizon": 1.0, "reference": {"angular_velocity": [[0.0, 0.2]]}},
         {"formation": "cube", "horizon": 1.0},
+        {"formation": "cube", "horizon": 1.0, "cube": CROSS_CUBE},
     ])
     def test_one_spectrum_per_run(self, spec, monkeypatch):
+        # a path tree's spectrum is the closed form; only a tree with a degree-3 node
+        # (the cube's cross edge (2, 6)) takes one eigvalsh, of its 8 x 8 L
+        solved = [("eigvalsh", (8, 8))] if "cube" in spec else []
         calls = []
-        original = laplacian.spectrum
-        monkeypatch.setattr(laplacian, "spectrum", lambda q, *a, **k: calls.append(q) or original(q, *a, **k))
+
+        def spy(name):
+            solver = getattr(np.linalg, name)
+            return lambda a: calls.append((name, a.shape)) or solver(a)
+
+        for name in ("eigh", "eigvalsh", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
         _, lap, metrics = cli.run_scenario(cli.parse_scenario(spec))
-        assert len(calls) == 1
+        assert calls == solved
         assert metrics["lambda_max"] == lap.spectrum.lambda_max
 
     @pytest.mark.parametrize("spec", [
@@ -544,10 +554,10 @@ class TestVerificationChecks:
     def test_all_pass_on_sound_system(self):
         lap = self.build()
         results = cli.verification_checks(lap.matrix, lap.incidence, lap.chain, 4, 2,
-                                          routes=lap.routes)
+                                          routes=lap.routes, run_spectrum=lap.spectrum)
         assert [r.name for r in results] == [
             "symmetric", "positive_semidefinite", "rank", "incidence_product",
-            "construction_routes", "null_basis", "gradient", "solver_cross_check",
+            "construction_routes", "null_basis", "tree_spectrum", "gradient", "solver_cross_check",
         ]
         assert all(r.passed for r in results)
 
@@ -599,6 +609,20 @@ class TestSweep:
 
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         assert all(row["passed"] for row in cli.sweep_sizes(3, 8))
+
+    def test_verdicts_from_one_eigvalsh_per_size(self, monkeypatch):
+        # PSD and rank are measured by an eigensolver, not read off the path formula
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(a.shape) or eigvalsh(a))
+        rows = cli.sweep_sizes(3, 8)
+        assert sizes == [(n, n) for n in range(3, 9)]
+        assert all(row["passed"] for row in rows)
+
+    def test_a_wrong_eigenvalue_fails_the_row(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) - 1e-3)
+        assert not any(row["passed"] for row in cli.sweep_sizes(3, 5))
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(cli.ScenarioError, match="at least 3"):
@@ -692,7 +716,7 @@ class TestMainExitCodes:
     def test_verify_preset(self, capsys):
         assert cli.main(["verify", "example2_c4"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 8
+        assert out.count("PASS") == 9
         assert "verification passed" in out
 
     def test_verify_failure_exit_code(self, monkeypatch, capsys):
@@ -1103,6 +1127,26 @@ class TestAtomicOutputs:
             cli.write_outputs(scn, trace, metrics, str(tmp_path))
         assert [p.name for p in tmp_path.iterdir()] == ["atomic"]
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    def test_staging_left_by_a_killed_run_removed(self, tmp_path):
+        def plant(*paths):  # a path ending in "/" is a directory, any other a file
+            for rel in paths:
+                path = tmp_path / rel
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.mkdir() if rel.endswith("/") else path.write_text("x\n")
+
+        scn, trace, metrics = self.run({})
+        plant(".atomic.k1lled_0/new/trace.csv", ".atomic.k1lled_0/old/metrics.json", ".atomic.empty___/")
+        kept = [".atomic.f0reign_/new/", ".atomic.f0reign_/notes.txt",  # a foreign entry
+                ".atomic.extra___/new/", ".atomic.extra___/extra/",
+                ".atomic.bad_file/new/notes.txt",                       # a foreign file in new/
+                ".atomic2.k1lled_/new/", ".atomic.long_name_/new/"]     # not this name's staging
+        plant(*kept)
+        (tmp_path / ".atomic.symlink_").symlink_to(tmp_path / ".atomic.k1lled_0", target_is_directory=True)
+        cli.write_outputs(scn, trace, metrics, str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            {"atomic", ".atomic.symlink_", *(rel.split("/")[0] for rel in kept)})
+        assert all((tmp_path / rel).exists() for rel in kept)
 
     def test_directory_with_a_foreign_file_left_alone(self, tmp_path):
         scn, trace, metrics = self.run({})
