@@ -13,21 +13,26 @@ For every file of the two trees A and B it prints one line:
 - an SVG file: the largest distance, in px, from a vertex of one of A's
   polylines to the polyline of B in the same place, pairing the
   ``<polyline>`` elements in order;
-- ``log.txt``: for each line that differs only in its numbers, the relative
-  change of each number that differs, after the line's text up to it;
+- ``log.txt``: compared one command block (a ``$ symform ...`` line and the
+  lines up to the next) at a time, the blocks paired by their command and
+  their lines aligned by their text with the numbers left out: for each
+  line that differs only in its numbers, the relative change of each number
+  that differs, after the line's text up to it;
 - any other file: ``identical`` or ``differs``.
 
 A file in one tree only, a CSV whose header or row count differs, an SVG
 whose lines other than polyline points differ or whose polylines lie more
-than ``POLYLINE_TOL_PX`` = 0.5 px apart, or a log whose line count, exit
-codes or text other than numbers differ (a PASS that turns into FAIL, say)
-is named and makes the exit status 1. Usage:
+than ``POLYLINE_TOL_PX`` = 0.5 px apart, or a log with a block or a line
+that only one of the two holds, or whose exit codes or text other than
+numbers differ (a PASS that turns into FAIL, say), is named and makes the
+exit status 1; the numbers of every other log line are still compared. Usage:
 
     python scripts/compare_snapshots.py /tmp/old /tmp/new
 """
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import re
 import sys
@@ -162,25 +167,59 @@ def json_drift(a: Path, b: Path) -> tuple[dict[str, tuple[float, float, float]],
     return changed, len(num_a) - len(changed)
 
 
-def log_drift(a: Path, b: Path) -> list[str]:
-    """'line k <text>: <a> -> <b> (<relative change>)' for each number that differs on the
-    lines of two logs that differ only in numbers. Raises ValueError naming the first line
-    whose exit code or other text differs."""
-    lines_a, lines_b = a.read_text().splitlines(), b.read_text().splitlines()
-    if len(lines_a) != len(lines_b):
-        raise ValueError(f"line counts differ: {len(lines_a)} and {len(lines_b)}")
+def _log_blocks(path: Path) -> dict[str, list[tuple[int, str]]]:
+    """The numbered lines of a log by command block, keyed by the block's ``$ symform ...``
+    line (lines before the first block key as "")."""
+    blocks: dict[str, list[tuple[int, str]]] = {}
+    key = ""
+    for k, line in enumerate(path.read_text().splitlines(), start=1):
+        if line.startswith("$ "):
+            key = line
+        blocks.setdefault(key, []).append((k, line))
+    return blocks
+
+
+def _number_changes(k: int, line_a: str, line_b: str) -> list[str]:
+    """'line k <text>: <a> -> <b> (<relative change>)' for each number that differs."""
     changes = []
-    for k, (line_a, line_b) in enumerate(zip(lines_a, lines_b), start=1):
-        if line_a == line_b:
-            continue
-        if line_a.startswith("exit ") or _NUMBER.sub("#", line_a) != _NUMBER.sub("#", line_b):
-            raise ValueError(f"line {k} differs: {line_a.strip()!r} and {line_b.strip()!r}")
-        for num_a, num_b in zip(_NUMBER.finditer(line_a), _NUMBER.finditer(line_b)):
-            x, y = num_a.group(), num_b.group()
-            if x != y:
-                change = _ratio(abs(float(y) - float(x)), abs(float(x)))
-                changes.append(f"line {k} {line_a[:num_a.start()].strip()} {x} -> {y} ({change:.2g})")
+    for num_a, num_b in zip(_NUMBER.finditer(line_a), _NUMBER.finditer(line_b)):
+        x, y = num_a.group(), num_b.group()
+        if x != y:
+            change = _ratio(abs(float(y) - float(x)), abs(float(x)))
+            changes.append(f"line {k} {line_a[:num_a.start()].strip()} {x} -> {y} ({change:.2g})")
     return changes
+
+
+def log_drift(a: Path, b: Path) -> tuple[list[str], list[str]]:
+    """The number changes and the differences of two logs, one command block at a time.
+
+    Blocks are paired by their command, and the lines of a pair aligned by their text
+    with the numbers left out. Each number that differs on aligned lines that differ
+    only in numbers is a change (:func:`_number_changes`). A block or a line that only
+    one log holds, a changed exit code and a line whose other text differs are named as
+    differences, numbered by their line in A (or in B, for what only B holds)."""
+    blocks_a, blocks_b = _log_blocks(a), _log_blocks(b)
+    changes: list[str] = []
+    problems = [f"block {key!r} only in B ({len(blocks_b[key])} lines)"
+                for key in blocks_b if key not in blocks_a]
+    for key, lines_a in blocks_a.items():
+        if key not in blocks_b:
+            problems.append(f"block {key!r} only in A ({len(lines_a)} lines)")
+            continue
+        lines_b = blocks_b[key]
+        matcher = difflib.SequenceMatcher(None, [_NUMBER.sub("#", line) for _, line in lines_a],
+                                          [_NUMBER.sub("#", line) for _, line in lines_b], autojunk=False)
+        for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+            pairs = list(zip(lines_a[i1:i2], lines_b[j1:j2])) if i2 - i1 == j2 - j1 else []
+            for (k, line_a), (_, line_b) in pairs:
+                if tag == "equal" and not line_a.startswith("exit "):
+                    changes += _number_changes(k, line_a, line_b)
+                elif line_a != line_b:
+                    problems.append(f"line {k} differs: {line_a.strip()!r} and {line_b.strip()!r}")
+            if not pairs:
+                problems += [f"line {k} only in A: {line.strip()!r}" for k, line in lines_a[i1:i2]]
+                problems += [f"line {k} of B only in B: {line.strip()!r}" for k, line in lines_b[j1:j2]]
+    return changes, problems
 
 
 def compare(a: Path, b: Path) -> tuple[list[str], bool]:
@@ -214,7 +253,9 @@ def compare(a: Path, b: Path) -> tuple[list[str], bool]:
                     lines[-1] += f" exceeds {POLYLINE_TOL_PX} px"
                     ok = False
             elif rel.name == "log.txt":
-                lines.append(f"{rel}: " + ", ".join(log_drift(fa, fb)))
+                changes, problems = log_drift(fa, fb)
+                lines.append(f"{rel}: " + ", ".join(problems + changes))
+                ok = ok and not problems
             else:
                 lines.append(f"{rel}: differs")
         except ValueError as exc:

@@ -2,7 +2,9 @@
 """Write a byte-comparable snapshot of symform's outputs into OUT.
 
 Every command goes through ``symform.cli.main``: ``run`` of each bundled
-preset and of seven fixed scenarios (a planar n = 600 run, a planar n = 16 run
+preset and of eight fixed scenarios (a planar n = 600 run; a planar n = 600
+run of 1,200 steps, twice m = 600, long enough for the block path were its
+real L not applied through its nonzero entries; a planar n = 16 run
 on the default grid, whose SVGs are the largest the benchmark's ``flow``
 workload writes, a planar maneuver of 20 runs of constant input, a planar
 n = 64 maneuver whose two runs of constant nonzero angular velocity are long
@@ -41,6 +43,7 @@ PRESETS = ("example2_c4", "example3_c6", "maneuver_c6", "cube")
 TIMES = [2.0 * k for k in range(20)]
 SCENARIOS = {
     "planar_n600": {"n": 600, "horizon": 5.0},
+    "planar_n600_long": {"n": 600, "dt": 0.1, "horizon": 120.0},
     "planar_n16": {"n": 16},
     "maneuver_20_runs": {
         "n": 12, "dt": 0.02, "horizon": 45.0,

@@ -11,8 +11,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import dynamics, laplacian
-from .laplacian import SYMMETRY_TOL, Gap, Route, Spectrum, SymmetryLaplacian
+from .laplacian import SYMMETRY_TOL, Gap, Spectrum, SymmetryLaplacian, WeightedEdge
 from .maneuver import ReferenceState, omega_matrix
+from .spatial3d import CubeSpec, cross_nodes_problem
+from .symgroup import rotation3
 from .topology import InteractionGraph, weighted_edges
 
 ROUTE_TOL = 1e-12     # max |Q - M| for an independent construction route M
@@ -20,6 +22,8 @@ NULL_TOL = 1e-10      # max |Q V0| for the null basis V0
 GRADIENT_TOL = 1e-6   # max |FD gradient - Q p| / (1 + max |Q p|)
 SOLVER_TOL = 1e-6     # |RK4 - closed form| after unit time
 SPECTRUM_TOL = 1e-12  # max |run spectrum - eigh of Q| beyond the spread, relative to max(1, λ_max)
+
+Route = tuple[str, str, NDArray[np.float64]]  # (check name, detail label, matrix)
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,8 @@ def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray
     """Construction and dynamics checks on explicit matrices.
 
     Takes raw matrices (not built objects) so a deliberately corrupted input
-    is detected rather than silently rebuilt. ``routes`` (a built Laplacian's
-    ``routes``) are checked after the product route E Eᵀ. ``run_spectrum`` (a built
+    is detected rather than silently rebuilt. ``routes`` (:func:`construction_routes`)
+    are checked after the product route E Eᵀ. ``run_spectrum`` (a built
     Laplacian's ``spectrum``: the path formula, or ``eigvalsh`` of L for another tree),
     when given, is checked against the eigenvalues of Q's own ``eigh``: they may differ
     by its ``spread`` plus rounding, ``SPECTRUM_TOL``·max(1, λ_max).
@@ -136,6 +140,57 @@ def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray
 
 
 # Independent routes: the paper's claims computed a second way, read by verify and the tests.
+
+def construction_routes(lap: SymmetryLaplacian, cube_spec: CubeSpec | None = None) -> tuple[Route, ...]:
+    """Independent constructions of ``lap.matrix`` as (name, label, matrix): the gauge form
+    S (L ⊗ I_d) Sᵀ, or for a cube of ``cube_spec`` its composed form, then the gauge form."""
+    if cube_spec is None:
+        return (("construction_routes", "route disagreement", lap.gauge),)
+    return (("construction_routes", "route disagreement", composed_cube_laplacian(cube_spec)),
+            ("gauge_route", "|Q - S (L x I) S^T| =", lap.gauge))
+
+
+def assemble_laplacian(n: int, dim: int, wedges: list[WeightedEdge]) -> NDArray[np.float64]:
+    """Block-entry assembly of Q for matrix-weighted edges (u, v, W), any edge set."""
+    Q = np.zeros((dim * n, dim * n))
+    eye = np.eye(dim)
+    for (u, v, w) in wedges:
+        bu = slice(dim * (u - 1), dim * u)
+        bv = slice(dim * (v - 1), dim * v)
+        Q[bu, bu] += eye
+        Q[bv, bv] += eye
+        Q[bu, bv] -= w.T
+        Q[bv, bu] -= w
+    return Q
+
+
+def cube_permutation(spec: CubeSpec) -> NDArray[np.float64]:
+    """24×24 block permutation taking the cross-chain orbit to the first four agent slots;
+    ValueError when ``spec.cross_nodes`` is no such orbit (:func:`spatial3d.cross_nodes_problem`)."""
+    problem = cross_nodes_problem(spec)
+    if problem is not None:
+        raise ValueError(f"cross_nodes {problem}")
+    order = list(spec.cross_nodes) + [i for i in range(1, 9) if i not in spec.cross_nodes]
+    perm = np.zeros((24, 24))
+    for loc, g in enumerate(order):
+        perm[3 * (g - 1):3 * g, 3 * loc:3 * loc + 3] = np.eye(3)
+    return perm
+
+
+def composed_cube_laplacian(spec: CubeSpec) -> NDArray[np.float64]:
+    """The cube's Q from sub-blocks: the face-chain block twice, the cross-chain block permuted in."""
+    w_face = rotation3(spec.face_axis, spec.face_angle).matrix
+    w_cross = rotation3(spec.cross_axis, spec.cross_angle).matrix
+    face_block = assemble_laplacian(4, 3, [(i + 1, i + 2, w_face) for i in range(3)])
+    cross_block = assemble_laplacian(4, 3, [(1, 2, w_cross)])
+    stacked = np.zeros((24, 24))
+    stacked[:12, :12] = face_block
+    stacked[12:, 12:] = face_block
+    perm = cube_permutation(spec)
+    embedded = np.zeros((24, 24))
+    embedded[:12, :12] = cross_block
+    return stacked + perm @ embedded @ perm.T
+
 
 def segment_value(segs: tuple, t: float):
     """The value of the piecewise-constant series ``segs`` ((start, value) pairs) at time t:

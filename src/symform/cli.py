@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import dynamics, laplacian, maneuver, output, spatial3d, symgroup, topology
-from .checks import CheckResult, dense_gaps, structure_checks, verification_checks
+from .checks import CheckResult, construction_routes, dense_gaps, structure_checks, verification_checks
 from .laplacian import NumericFailure, SymmetryLaplacian
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 
@@ -28,8 +28,8 @@ EXIT_VERIFY = 4
 
 def build_system(scn: Scenario) -> SymmetryLaplacian:
     """The scenario's constraint tree as a :class:`SymmetryLaplacian` (``chain`` spans its
-    null space, ``routes`` are its independent constructions), rejected before any
-    allocation when too large. A planar tree is built and validated here, once per build."""
+    null space), rejected before any allocation when too large. A planar tree is built and
+    validated here, once per build."""
     dynamics.require_build_fits(scn.n, scn.dim, dynamics.BUILD_DENSE_MATRICES)
     if scn.formation == "cube":
         return spatial3d.build_cube(scn.cube_spec)
@@ -89,12 +89,11 @@ def compute_metrics(scn: Scenario, lap: SymmetryLaplacian, trace: dynamics.Simul
     if decay is not None and decay < dynamics.RATE_FIT_MIN_DECAY:
         rate_note = (f"horizon * lambda_min_pos = {decay:.3g} is below {dynamics.RATE_FIT_MIN_DECAY:g}: "
                      "the slowest mode has barely decayed, so fitted_rate follows faster modes")
-    gaps = lap.route_gaps
-    passed = {r.name: r.passed for r in structure_checks(spec, n, d, gaps, lap.null_gap)}
+    passed = {r.name: r.passed for r in structure_checks(spec, n, d, lap.route_gaps, lap.null_gap)}
     checks = {
         "psd": passed["positive_semidefinite"],
         "rank_matches": passed["rank"],
-        "construction_routes_agree": all(passed[name] for name, _, _ in gaps),
+        "construction_routes_agree": passed["construction_routes"],
         "null_basis_annihilated": passed["null_basis"],
     }
     return {
@@ -209,7 +208,8 @@ def verify_scenario(scn: Scenario) -> list[CheckResult]:
     dynamics.require_build_fits(scn.n, scn.dim, dynamics.VERIFY_DENSE_MATRICES)
     lap = build_system(scn)
     return verification_checks(lap.matrix, lap.incidence, lap.chain, scn.n, scn.dim,
-                               routes=lap.routes, seed=scn.seed, run_spectrum=lap.spectrum)
+                               routes=construction_routes(lap, scn.cube_spec), seed=scn.seed,
+                               run_spectrum=lap.spectrum)
 
 
 # ---------------------------------------------------------------------- sweep

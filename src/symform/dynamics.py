@@ -204,6 +204,11 @@ def _power_steps(out: NDArray, k: int, count: int, d: NDArray, block: int) -> No
         out[k + 1] = out[k] + d @ out[k]
 
 
+def _dense_stages(g: NDArray, columns: int) -> bool:
+    """Whether the stage loop multiplies G densely: complex, or under ``NONZERO_STAGE_ROWS`` rows per column."""
+    return np.iscomplexobj(g) or g.shape[0] < NONZERO_STAGE_ROWS * columns
+
+
 def _stage_product(g: NDArray, columns: int) -> Callable[[NDArray], NDArray]:
     """x ↦ G x on (m, ``columns``) rows, for the stage loop.
 
@@ -211,7 +216,7 @@ def _stage_product(g: NDArray, columns: int) -> Callable[[NDArray], NDArray]:
     through its nonzero entries, read from G itself (one bincount per column);
     any other G, complex ones included, through the dense product."""
     m = g.shape[0]
-    if np.iscomplexobj(g) or m < NONZERO_STAGE_ROWS * columns:
+    if _dense_stages(g, columns):
         return g.__matmul__
     rows, cols = np.nonzero(g)
     entries = g[rows, cols]
@@ -267,18 +272,19 @@ def propagate_linear(
     segment RK4 is exactly c_{k+1} = P c_k with
     P = I + H + H²/2 + H³/6 + H⁴/24, H = -dt G.
 
-    - A segment of at least ``2 * m`` steps takes the block path: it forms
-      D = P - I once, stacks D_j = P^j - I for j = 1 … B with
+    - A segment of at least ``2 * m`` steps whose G the stage loop would
+      multiply densely takes the block path: it forms D = P - I once,
+      stacks D_j = P^j - I for j = 1 … B with
       B = min(``POWER_STACK_CAP``, step_count // m), and writes B states
       per matrix product, the leftover steps one product each. The stack is
       never larger than the segment's rows of the returned array.
-    - A shorter segment takes the stage loop, which uses the operation order
+    - Any other segment takes the stage loop, which uses the operation order
       of :func:`rk4_step` on the field -G y. Below the crossover of
-      :func:`_stage_product` (a complex G, or a real one of fewer than
+      :func:`_dense_stages` (a complex G, or a real one of fewer than
       ``NONZERO_STAGE_ROWS`` rows per column) G y is the dense ``g @ y``,
       so the loop reproduces :func:`rk4_step` on -(G @ y) bitwise. Past it,
-      G y is summed over G's nonzero entries and agrees with the dense
-      product only to rounding, as the block path does.
+      G y is summed over G's nonzero entries, however long the segment, and
+      agrees with the dense product only to rounding.
 
     Overflow is left to the caller's ``np.errstate``; it shows as
     non-finite states.
@@ -290,7 +296,7 @@ def propagate_linear(
     for g, count in segments:
         rows = _rows(out, g)
         block = min(POWER_STACK_CAP, count // g.shape[0])
-        if block >= 2:
+        if block >= 2 and _dense_stages(g, rows.shape[2]):
             _power_steps(rows, k, count, _rk4_increment(g, dt), block)
         else:
             _stage_steps(rows, k, count, _stage_product(g, rows.shape[2]), dt)

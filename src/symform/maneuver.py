@@ -141,7 +141,6 @@ class ReferencePath:
     positions: NDArray[np.float64]
     rotations: NDArray[np.float64]
     scales: NDArray[np.float64]
-    step_velocities: NDArray[np.float64]
     step_omegas: NDArray[np.float64]
     step_scale_rates: NDArray[np.float64]
     dim: int
@@ -198,7 +197,7 @@ def propagate_reference(
         rotations[k + 1] = turns[j] @ rotations[k]
     return ReferencePath(
         times=times, positions=positions, rotations=rotations, scales=scales,
-        step_velocities=vks, step_omegas=wks, step_scale_rates=aks, dim=d, dt=dt,
+        step_omegas=wks, step_scale_rates=aks, dim=d, dt=dt,
     )
 
 

@@ -272,25 +272,6 @@ def write_reference_csv(trace: ManeuverTrace, path: str | Path) -> None:
         _write_reference(trace, out)
 
 
-def parse_trace_csv(path: str | Path) -> dict[str, NDArray[np.float64]]:
-    """Read back a trace CSV into arrays keyed times/states/edge_errors/potentials."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln]
-    header = lines[0].split(",")
-    if header[0] != "t" or header[-1] != "potential":
-        raise ValueError(f"unrecognized trace header in {path}")
-    n_err = sum(1 for h in header if h.startswith("err_"))
-    n_state = len(header) - 2 - n_err
-    data = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
-    return {
-        "times": data[:, 0],
-        "states": data[:, 1:1 + n_state],
-        "edge_errors": data[:, 1 + n_state:1 + n_state + n_err],
-        "potentials": data[:, -1],
-        "header": header,
-    }
-
-
 def write_metrics_json(metrics: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(metrics, indent=2, sort_keys=True, allow_nan=False) + "\n",
                           encoding="utf-8")

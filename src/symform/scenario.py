@@ -158,7 +158,10 @@ def _parse_cube(raw, path: str) -> spatial3d.CubeSpec:
             kwargs[key] = tuple(_as_int(v, f"{path}.{key}[{i}]") for i, v in enumerate(vals))
         else:
             raise ScenarioError(f"{path}: unknown field {reprlib.repr(key)}")
-    return spatial3d.CubeSpec(**{**spec.__dict__, **kwargs})
+    spec = spatial3d.CubeSpec(**{**spec.__dict__, **kwargs})
+    problem = spatial3d.cross_nodes_problem(spec)
+    _require(problem is None, f"{path}.cross_nodes", problem)
+    return spec
 
 
 def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:

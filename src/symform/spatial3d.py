@@ -2,15 +2,16 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import reprlib
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .dynamics import SimulationTrace, integrate
-from .laplacian import SymmetryLaplacian, WeightedEdge, assemble_laplacian, laplacian_from_edges
+from .laplacian import SymmetryLaplacian, WeightedEdge, laplacian_from_edges
 from .maneuver import ManeuverTrace, ReferenceInputs, ReferenceState, simulate_maneuver
-from .symgroup import _freeze, rotation3
+from .symgroup import rotation3
 
 
 @dataclass(frozen=True)
@@ -20,7 +21,7 @@ class CubeSpec:
     Two quarter-turn chains about ``face_axis`` run along the top and bottom
     faces; one cross edge with a quarter turn about ``cross_axis`` ties them
     together. ``cross_nodes`` is the orbit of the cross-axis turn, used for
-    the permuted composed form of the constraint matrix.
+    the permuted composed form of the constraint matrix (``checks``).
     """
 
     top_nodes: tuple[int, int, int, int] = (1, 2, 3, 4)
@@ -37,24 +38,19 @@ def _face_edges(nodes: tuple[int, int, int, int], w: NDArray[np.float64]) -> lis
     return [(nodes[i], nodes[i + 1], w) for i in range(3)]
 
 
-def cube_permutation(spec: CubeSpec) -> NDArray[np.float64]:
-    """24×24 block permutation taking the cross-chain orbit to the first four agent slots."""
-    if sorted(spec.cross_nodes) != sorted({spec.cross_edge[0], spec.cross_edge[1]} | set(spec.cross_nodes)):
-        raise ValueError("cross_nodes must contain the cross edge endpoints")
-    order = list(spec.cross_nodes) + [i for i in range(1, 9) if i not in spec.cross_nodes]
-    perm = np.zeros((24, 24))
-    for loc, g in enumerate(order):
-        perm[3 * (g - 1):3 * g, 3 * loc:3 * loc + 3] = np.eye(3)
-    return perm
+def cross_nodes_problem(spec: CubeSpec) -> str | None:
+    """Why ``spec.cross_nodes`` cannot be the orbit of its cross edge, or None: it must hold
+    four distinct agents of 1..8, both ends of ``cross_edge`` among them."""
+    nodes = set(spec.cross_nodes)
+    if len(nodes) == 4 and nodes <= set(range(1, 9)) and set(spec.cross_edge) <= nodes:
+        return None
+    return (f"must be four distinct agents of 1..8 holding both ends of cross_edge "
+            f"{reprlib.repr(list(spec.cross_edge))}, got {reprlib.repr(list(spec.cross_nodes))}")
 
 
 def build_cube(spec: CubeSpec | None = None) -> SymmetryLaplacian:
-    """Assemble the cube constraint matrix from two face chains plus a cross edge.
-
-    The seven edges are checked and walked as any tree by
-    :func:`laplacian_from_edges`; the result carries, as ``composed``, the
-    face-chain block stacked twice plus the cross-chain block permuted in.
-    """
+    """The cube's constraint tree: two face chains plus a cross edge, checked and walked
+    as any tree by :func:`laplacian_from_edges`."""
     if spec is None:
         spec = CubeSpec()
     nodes = (*spec.top_nodes, *spec.bottom_nodes)
@@ -67,18 +63,7 @@ def build_cube(spec: CubeSpec | None = None) -> SymmetryLaplacian:
         + _face_edges(spec.bottom_nodes, w_face)
         + [(spec.cross_edge[0], spec.cross_edge[1], w_cross)]
     )
-    lap = laplacian_from_edges(8, 3, wedges)
-
-    # composed route: per-face chain block twice, cross-chain block permuted in
-    face_block = assemble_laplacian(4, 3, [(i + 1, i + 2, w_face) for i in range(3)])
-    cross_block = assemble_laplacian(4, 3, [(1, 2, w_cross)])
-    stacked = np.zeros((24, 24))
-    stacked[:12, :12] = face_block
-    stacked[12:, 12:] = face_block
-    perm = cube_permutation(spec)
-    embedded = np.zeros((24, 24))
-    embedded[:12, :12] = cross_block
-    return replace(lap, composed=_freeze(stacked + perm @ embedded @ perm.T))
+    return laplacian_from_edges(8, 3, wedges)
 
 
 def simulate_cube(

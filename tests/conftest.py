@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -63,3 +65,22 @@ def random_tree_cases(n_max: int) -> st.SearchStrategy:
         st.just(n), st.integers(1, n),
         st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1),
         st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))
+
+
+def parse_trace_csv(path: str | Path) -> dict[str, np.ndarray]:
+    """Read back a trace CSV into arrays keyed times/states/edge_errors/potentials."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = [ln for ln in text.splitlines() if ln]
+    header = lines[0].split(",")
+    if header[0] != "t" or header[-1] != "potential":
+        raise ValueError(f"unrecognized trace header in {path}")
+    n_err = sum(1 for h in header if h.startswith("err_"))
+    n_state = len(header) - 2 - n_err
+    data = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
+    return {
+        "times": data[:, 0],
+        "states": data[:, 1:1 + n_state],
+        "edge_errors": data[:, 1 + n_state:1 + n_state + n_err],
+        "potentials": data[:, -1],
+        "header": header,
+    }

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import symform as sf
-from symform import cli, output
-from conftest import ACCEPTANCE_LINES, slowest_rate
+from symform import checks, cli, output
+from conftest import ACCEPTANCE_LINES, parse_trace_csv, slowest_rate
 
 
 @contextmanager
@@ -154,7 +154,8 @@ def test_criterion_7_cube():
         spec = sf.spectrum(lap.matrix, tol=1e-9)
         assert spec.eigenvalues[0] >= -1e-9, f"min eigenvalue {spec.eigenvalues[0]}"
         assert spec.null_dim == 3, f"null dimension {spec.null_dim}"
-        composed = {name: matrix for name, _, matrix in lap.routes}["construction_routes"]
+        routes = {name: matrix for name, _, matrix in checks.construction_routes(lap, sf.CubeSpec())}
+        composed = routes["construction_routes"]
         route_gap = np.abs(lap.matrix - composed).max()
         assert route_gap <= 1e-12, f"construction route gap {route_gap}"
         p0 = np.random.default_rng(11).uniform(-2.0, 2.0, 24)
@@ -174,7 +175,7 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
         assert text_a == text_b
         path = tmp_path / "trace.csv"
         path.write_text(text_a)
-        back = output.parse_trace_csv(path)
+        back = parse_trace_csv(path)
         assert np.array_equal(back["times"], first.times)
         assert np.array_equal(back["states"], first.states)
         assert np.array_equal(back["edge_errors"], first.edge_errors)

@@ -9,7 +9,7 @@ import pytest
 
 import symform as sf
 from conftest import CROSS_CUBE
-from symform import checks, cli, dynamics, laplacian, maneuver
+from symform import checks, cli, dynamics, laplacian, maneuver, spatial3d
 
 PRESETS = ("example2_c4", "example3_c6", "maneuver_c6", "cube")
 SRC = Path(__file__).resolve().parents[1] / "src" / "symform"
@@ -17,6 +17,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "symform"
 ROUTES = ("control", "control_per_agent", "edge_errors", "potential", "maneuver_control", "moving_frame",
           "frame_to_world", "shifted_errors", "steady_state_per_agent", "closed_form_solution",
           "symmetric_configuration")
+# the construction routes of Q that only verify and the tests build
+CONSTRUCTIONS = ("construction_routes", "assemble_laplacian", "cube_permutation", "composed_cube_laplacian")
 
 # metrics.json "checks" key -> the structure check it reports
 METRIC_NAMES = {
@@ -43,7 +45,9 @@ class TestOneCheckPath:
         scn = scenario(spec)
         _, _, metrics = cli.run_scenario(scn)
         verify = {r.name: r.passed for r in cli.verify_scenario(scn)}
-        assert metrics["checks"] == {key: verify[name] for key, name in METRIC_NAMES.items()}
+        # a run checks the gauge route, which verify prints as gauge_route after the cube's composed route
+        names = {**METRIC_NAMES, "construction_routes_agree": "gauge_route"} if scn.cube_spec else METRIC_NAMES
+        assert metrics["checks"] == {key: verify[name] for key, name in names.items()}
         assert all(verify.values())
 
     def test_sweep_agrees_with_verify(self):
@@ -94,7 +98,7 @@ class TestVerificationChecks:
         monkeypatch.setattr(laplacian, "spectrum", counted)
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         results = cli.verification_checks(lap.matrix, lap.incidence, lap.chain, 5, 2,
-                                          routes=lap.routes)
+                                          routes=checks.construction_routes(lap))
         assert len(calls) == 1
         assert all(r.passed for r in results)
 
@@ -130,14 +134,16 @@ class TestVerificationChecks:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_planar_routes_are_separate_computations(self, n, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("planar build formed E E^T")
+            raise AssertionError("planar verify formed E E^T through product_laplacian, or a composed cube")
 
         monkeypatch.setattr(laplacian, "product_laplacian", forbidden)
+        monkeypatch.setattr(checks, "composed_cube_laplacian", forbidden)
         lap = planar_lap(n)
-        (name, _, matrix), = lap.routes
+        (name, _, matrix), = checks.construction_routes(lap)
         assert name == "construction_routes" and matrix is lap.gauge
         q, E = lap.matrix, lap.incidence
         by_name = {r.name: r for r in cli.verify_scenario(scenario({"n": n}))}
+        assert "gauge_route" not in by_name
         assert by_name["construction_routes"].value == np.abs(q - lap.gauge).max()
         assert by_name["incidence_product"].value == np.abs(q - E @ E.T).max()
         assert by_name["construction_routes"].passed and by_name["incidence_product"].passed
@@ -151,7 +157,7 @@ class TestVerificationChecks:
         q[0:2, 2:4] = lap.matrix[0:2, 2:4].T
         q[2:4, 0:2] = lap.matrix[2:4, 0:2].T
         by_name = {r.name: r for r in cli.verification_checks(
-            q, lap.incidence, lap.chain, n, 2, routes=lap.routes)}
+            q, lap.incidence, lap.chain, n, 2, routes=checks.construction_routes(lap))}
         assert by_name["symmetric"].passed
         assert not by_name["construction_routes"].passed
 
@@ -207,7 +213,7 @@ class TestVerificationChecks:
     def test_tolerances_printed_in_details(self):
         lap = planar_lap(4)
         details = {r.name: r.detail for r in cli.verification_checks(
-            lap.matrix, lap.incidence, lap.chain, 4, 2, routes=lap.routes)}
+            lap.matrix, lap.incidence, lap.chain, 4, 2, routes=checks.construction_routes(lap))}
         assert details["symmetric"].endswith("(tol 1e-10)")
         assert details["incidence_product"].endswith("(tol 1e-12)")
         assert details["null_basis"].endswith("(tol 1e-10)")
@@ -245,6 +251,28 @@ class TestRoutesLiveInChecks:
         scn = cli.load_scenario(spec) if isinstance(spec, str) else cli.parse_scenario(spec)
         _, _, metrics = cli.run_scenario(scn)
         assert all(metrics["checks"].values())
+
+    @pytest.mark.parametrize("name", CONSTRUCTIONS)
+    def test_construction_defined_in_checks_only(self, name):
+        assert getattr(checks, name).__module__ == "symform.checks"
+        assert [m.__name__ for m in (laplacian, spatial3d) if hasattr(m, name)] == []
+
+    def test_laplacian_holds_no_route(self):
+        assert "composed" not in {f.name for f in dataclasses.fields(laplacian.SymmetryLaplacian)}
+        assert not hasattr(laplacian.SymmetryLaplacian, "routes")
+
+    def test_cube_composed_assembly_runs_in_verify_only(self, monkeypatch):
+        calls = []
+        composed = checks.composed_cube_laplacian
+        monkeypatch.setattr(checks, "composed_cube_laplacian", lambda spec: calls.append(spec) or composed(spec))
+        scn = scenario("cube")
+        _, _, metrics = cli.run_scenario(scn)
+        assert calls == [] and metrics["checks"]["construction_routes_agree"]
+        results = cli.verify_scenario(scn)
+        assert calls == [scn.cube_spec]
+        routes = [r for r in results if r.name in ("construction_routes", "gauge_route")]
+        assert [r.name for r in routes] == ["construction_routes", "gauge_route"]
+        assert all(r.passed for r in routes)
 
 
 def test_no_imports_inside_functions():

@@ -104,7 +104,7 @@ def per_edge_matrices(lap) -> tuple[np.ndarray, np.ndarray]:
     for e, (u, v, w) in enumerate(wedges):
         E[d * (u - 1):d * u, d * e:d * (e + 1)] = np.eye(d)
         E[d * (v - 1):d * v, d * e:d * (e + 1)] = -w
-    return sf.laplacian.assemble_laplacian(lap.n, d, wedges), E
+    return checks.assemble_laplacian(lap.n, d, wedges), E
 
 
 @pytest.mark.parametrize("build", [lambda: sf.build_laplacian(sf.cycle_minus_edge(3, (3, 1))),
@@ -373,9 +373,11 @@ class TestOneFormationType:
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_every_route_agrees_with_the_matrix(self, spec):
-        lap = cli.build_system(cli.parse_scenario(spec))
-        assert lap.routes and lap.routes[0][0] == "construction_routes"
-        for name, _, matrix in lap.routes:
+        scn = cli.parse_scenario(spec)
+        lap = cli.build_system(scn)
+        routes = checks.construction_routes(lap, scn.cube_spec)
+        assert routes and routes[0][0] == "construction_routes"
+        for name, _, matrix in routes:
             assert np.abs(lap.matrix - matrix).max() <= checks.ROUTE_TOL, name
 
 

@@ -26,13 +26,14 @@ CUBE_MANEUVER = {
 }
 
 
-def world_rk4(lap, p0, path: sf.ReferencePath, start: sf.ReferenceState) -> np.ndarray:
+def world_rk4(lap, p0, path: sf.ReferencePath, inputs: sf.ReferenceInputs,
+              start: sf.ReferenceState) -> np.ndarray:
     """Reference route: rk4_step on the world-coordinate maneuver_control field,
     with the reference origin evaluated at each stage time."""
     p = np.array(p0, dtype=float)
     states = [p]
     for k in range(path.step_scale_rates.size):
-        r, v = path.positions[k], path.step_velocities[k]
+        r, v = path.positions[k], checks.segment_value(inputs.velocity, float(path.times[k]))
         w, a = path.step_omegas[k], float(path.step_scale_rates[k])
 
         def field(t, y, r=r, v=v, w=w, a=a):
@@ -172,11 +173,12 @@ class TestPropagateReference:
         assert np.allclose(path.scales, np.exp(0.07 * path.times), rtol=1e-12)
 
     def test_left_sampling_at_segment_boundary(self):
-        # the step that starts exactly at the switch time uses the new value
+        # the step that starts exactly at the switch time uses the new value; positions
+        # accumulate one step at a time, so each row is the last plus dt times its velocity
         path = sf.propagate_reference(two_segment_inputs(),
                                       sf.ReferenceState.at_origin(), 1.0, 3.0)
-        assert np.array_equal(path.step_velocities[1], [1.0, 0.0])
-        assert np.array_equal(path.step_velocities[2], [0.0, -1.0])
+        assert np.array_equal(path.positions[2], path.positions[1] + 1.0 * np.array([1.0, 0.0]))
+        assert np.array_equal(path.positions[3], path.positions[2] + 1.0 * np.array([0.0, -1.0]))
 
     @pytest.mark.parametrize("dim", (2, 3))
     def test_matches_step_by_step_march(self, dim):
@@ -195,7 +197,6 @@ class TestPropagateReference:
             t = float(path.times[k])
             v, w, a = (checks.segment_value(segs, t)
                        for segs in (inputs.velocity, inputs.angular, inputs.scale_rate))
-            assert np.array_equal(path.step_velocities[k], v)
             assert np.array_equal(path.step_omegas[k], w)
             assert path.step_scale_rates[k] == a
             pos = pos + dt * v
@@ -454,7 +455,7 @@ class TestSimulateManeuver:
         trace = sf.simulate_maneuver(lap, p0, scn.reference, start=scn.ref_start,
                                      dt=scn.dt, horizon=scn.horizon)
         path = sf.propagate_reference(scn.reference, scn.ref_start, scn.dt, scn.horizon)
-        expected = world_rk4(lap, p0, path, scn.ref_start)
+        expected = world_rk4(lap, p0, path, scn.reference, scn.ref_start)
         assert np.array_equal(trace.states[0], p0)
         scale = 1.0 + np.abs(expected).max()
         assert np.abs(trace.states - expected).max() <= 1e-10 * scale

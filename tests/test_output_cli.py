@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symform as sf
-from conftest import CROSS_CUBE
+from conftest import CROSS_CUBE, parse_trace_csv
 from symform import checks, cli, dynamics, laplacian, output, topology
 from symform.scenario import MAX_NAME_BYTES
 
@@ -66,7 +66,7 @@ class TestTraceCsv:
         trace = short_trace()
         path = tmp_path / "trace.csv"
         output.write_trace_csv(trace, path)
-        back = output.parse_trace_csv(path)
+        back = parse_trace_csv(path)
         assert np.array_equal(back["times"], trace.times)
         assert np.array_equal(back["states"], trace.states)
         assert np.array_equal(back["edge_errors"], trace.edge_errors)
@@ -81,7 +81,7 @@ class TestTraceCsv:
         path = tmp_path / "junk.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
-            output.parse_trace_csv(path)
+            parse_trace_csv(path)
 
     def test_reference_csv_columns(self):
         trace = short_maneuver()
@@ -554,7 +554,7 @@ class TestVerificationChecks:
     def test_all_pass_on_sound_system(self):
         lap = self.build()
         results = cli.verification_checks(lap.matrix, lap.incidence, lap.chain, 4, 2,
-                                          routes=lap.routes, run_spectrum=lap.spectrum)
+                                          routes=checks.construction_routes(lap), run_spectrum=lap.spectrum)
         assert [r.name for r in results] == [
             "symmetric", "positive_semidefinite", "rank", "incidence_product",
             "construction_routes", "null_basis", "tree_spectrum", "gradient", "solver_cross_check",
@@ -649,6 +649,21 @@ class TestMainExitCodes:
         assert cli.main(["run", str(bad)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("cube", [{"cross_edge": [2, 6]}, {"cross_nodes": [1, 5, 8, 9]},
+                                      {"cross_nodes": [1, 5, 5, 4]}], ids=str)
+    def test_inconsistent_cube_cross_nodes_rejected_before_output(self, tmp_path, capsys, command, cube):
+        # the default cross_nodes (1, 5, 8, 4) do not follow a moved cross edge
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps({"formation": "cube", "cube": cube}))
+        argv = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("scenario error: cube.cross_nodes: ")
+        assert not (tmp_path / "out").exists()
+
     def test_run_unstable_step_suggests_fix(self, tmp_path, capsys):
         code = cli.main(["run", "example2_c4", "--dt", "5.0",
                          "--out", str(tmp_path)])
@@ -709,8 +724,8 @@ class TestMainExitCodes:
                   "--out", str(tmp_path / "a")])
         cli.main(["run", "example2_c4", "--horizon", "0.5", "--seed", "2",
                   "--out", str(tmp_path / "b")])
-        a = output.parse_trace_csv(tmp_path / "a" / "example2_c4" / "trace.csv")
-        b = output.parse_trace_csv(tmp_path / "b" / "example2_c4" / "trace.csv")
+        a = parse_trace_csv(tmp_path / "a" / "example2_c4" / "trace.csv")
+        b = parse_trace_csv(tmp_path / "b" / "example2_c4" / "trace.csv")
         assert not np.array_equal(a["states"][0], b["states"][0])
 
     def test_verify_preset(self, capsys):

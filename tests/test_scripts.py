@@ -28,10 +28,10 @@ def test_snapshot_outputs(tmp_path):
     runs = tmp_path / "runs"
     assert sorted(p.name for p in runs.iterdir()) == [
         "cube", "cube_cross_edge", "cube_maneuver", "example2_c4", "example3_c6", "maneuver_20_runs",
-        "maneuver_c6", "maneuver_n64", "planar_n16", "planar_n600", "planar_tree_n9"]
+        "maneuver_c6", "maneuver_n64", "planar_n16", "planar_n600", "planar_n600_long", "planar_tree_n9"]
     assert all("runtime_seconds" not in p.read_text() for p in runs.glob("*/metrics.json"))
     log = (tmp_path / "log.txt").read_text()
-    assert log.count("\nexit 0\n") == 19 and str(tmp_path) not in log
+    assert log.count("\nexit 0\n") == 20 and str(tmp_path) not in log
     assert "$ symform verify OUT/scenarios/verify_n256.json\nexit 0\n" in log
     assert (tmp_path / "sweep" / "sweep.json").is_file()
 
@@ -86,6 +86,29 @@ def test_compare_snapshots_log(tmp_path):
         result = run_script("compare_snapshots.py", str(a), str(b))
         assert result.returncode == 1
         assert result.stdout.startswith(f"log.txt: {line}")
+
+
+def test_compare_snapshots_log_blocks(tmp_path):
+    # B adds a check line to the verify block and a whole command block; both are named,
+    # and the gradient line after the added line is still compared by its numbers
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    (a / "log.txt").write_text(LOG.format(gradient="1.302e-09", verdict="PASS", code=0))
+    added = LOG.format(gradient="1.726e-11", verdict="PASS", code=0).replace(
+        "--- stdout\n", "--- stdout\n  PASS tree_spectrum: max |run - eigh| = 2.220e-15\n")
+    (b / "log.txt").write_text(added + "$ symform sweep\nexit 0\n")
+    result = run_script("compare_snapshots.py", str(a), str(b))
+    assert result.returncode == 1
+    assert result.stdout.splitlines() == [
+        "log.txt: block '$ symform sweep' only in B (2 lines), "
+        "line 4 of B only in B: 'PASS tree_spectrum: max |run - eigh| = 2.220e-15', "
+        "line 4 PASS gradient: max relative FD mismatch 1.302e-09 -> 1.726e-11 (0.99)"]
+    result = run_script("compare_snapshots.py", str(b), str(a))
+    assert result.returncode == 1
+    assert result.stdout.splitlines() == [
+        "log.txt: line 4 only in A: 'PASS tree_spectrum: max |run - eigh| = 2.220e-15', "
+        "block '$ symform sweep' only in A (2 lines), "
+        "line 5 PASS gradient: max relative FD mismatch 1.726e-11 -> 1.302e-09 (74)"]
 
 
 def svg(*polylines: str) -> str:

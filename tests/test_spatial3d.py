@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import symform as sf
 from conftest import path_eigenvalues
-from symform.spatial3d import cube_permutation
+from symform import checks
+from symform.spatial3d import cross_nodes_problem
 
 
 def cube_corners(lap: sf.SymmetryLaplacian, seed_point=(1.0, 1.0, 1.0)) -> np.ndarray:
@@ -75,8 +76,9 @@ class TestBuildCube:
 
     def test_construction_routes_agree(self):
         lap = sf.build_cube()
-        assert [name for name, _, _ in lap.routes] == ["construction_routes", "gauge_route"]
-        for _, _, matrix in lap.routes:
+        routes = checks.construction_routes(lap, sf.CubeSpec())
+        assert [name for name, _, _ in routes] == ["construction_routes", "gauge_route"]
+        for _, _, matrix in routes:
             assert np.abs(lap.matrix - matrix).max() <= 1e-12
         assert np.abs(lap.matrix - sf.product_laplacian(lap.incidence)).max() <= 1e-12
 
@@ -96,8 +98,25 @@ class TestBuildCube:
         assert np.abs(lap.matrix @ lap.chain).max() <= 1e-12
 
     def test_permutation_is_orthogonal(self):
-        perm = cube_permutation(sf.CubeSpec())
+        perm = checks.cube_permutation(sf.CubeSpec())
         assert np.array_equal(perm @ perm.T, np.eye(24))
+
+    @pytest.mark.parametrize("spec", [
+        sf.CubeSpec(cross_edge=(2, 6)), sf.CubeSpec(cross_nodes=(1, 5, 8, 9)),
+        sf.CubeSpec(cross_nodes=(1, 5, 5, 4)), sf.CubeSpec(cross_nodes=(0, 1, 5, 8))], ids=str)
+    def test_permutation_needs_an_orbit_of_the_cross_edge(self, spec):
+        # the check parse_scenario makes on cube.cross_nodes, in the same words
+        problem = cross_nodes_problem(spec)
+        assert problem is not None and problem.startswith("must be four distinct agents of 1..8")
+        with pytest.raises(ValueError) as info:
+            checks.cube_permutation(spec)
+        assert str(info.value) == f"cross_nodes {problem}"
+
+    def test_cross_edge_orbits_accepted(self):
+        for spec in (sf.CubeSpec(), sf.CubeSpec(cross_edge=(2, 6), cross_nodes=(2, 6, 7, 3))):
+            assert cross_nodes_problem(spec) is None
+            perm = checks.cube_permutation(spec)
+            assert np.array_equal(perm @ perm.T, np.eye(24))
 
     def test_bad_partition_rejected(self):
         with pytest.raises(ValueError, match="partition"):
