@@ -2,7 +2,7 @@
 """Write a byte-comparable snapshot of symform's outputs into OUT.
 
 Every command goes through ``symform.cli.main``: ``run`` of each bundled
-preset and of eight fixed scenarios (a planar n = 600 run; a planar n = 600
+preset and of nine fixed scenarios (a planar n = 600 run; a planar n = 600
 run of 1,200 steps, twice m = 600, long enough for the block path were its
 real L not applied through its nonzero entries; a planar n = 16 run
 on the default grid, whose SVGs are the largest the benchmark's ``flow``
@@ -11,9 +11,11 @@ n = 64 maneuver whose two runs of constant nonzero angular velocity are long
 enough (200 steps each, at least 2n) for the complex block path, and a cube
 maneuver, all three maneuvers with negative scale rates; a cube whose cross
 edge (2, 6) makes a tree that is not a path, so its spectrum comes from
-``eigvalsh`` of L rather than the path formula; and a planar n = 9 tree given
+``eigvalsh`` of L rather than the path formula; a cube whose top face runs
+4-3-2-1 and whose cross edge points from 5 to 1, so the composed route must
+place its blocks by the spec's labels; and a planar n = 9 tree given
 edge by edge, cut at (4, 5), with its own shifts and flipped edges),
-``verify`` of each preset, of those last two and of a planar n = 256
+``verify`` of each preset, of those last three and of a planar n = 256
 scenario (the shape of the benchmark's ``checks`` workload, so its check
 values land in the log), and
 ``sweep --n-from 3 --n-to 30``. The run files land in OUT/runs
@@ -68,6 +70,7 @@ SCENARIOS = {
         },
     },
     "cube_cross_edge": {"formation": "cube", "cube": {"cross_edge": [2, 6], "cross_nodes": [2, 6, 7, 3]}},
+    "cube_reordered": {"formation": "cube", "cube": {"top_nodes": [4, 3, 2, 1], "cross_edge": [5, 1]}},
     "planar_tree_n9": {
         "n": 9, "seed": 3,
         "tree": {"edges": [[1, 2, 1], [3, 2, 3], [3, 4, 0], [6, 5, 8], [6, 7, 2], [8, 7, 5], [8, 9, 7], [1, 9, 4]]},
@@ -75,7 +78,7 @@ SCENARIOS = {
 }
 
 VERIFIED = {"verify_n256": {"n": 256}, "cube_cross_edge": SCENARIOS["cube_cross_edge"],
-            "planar_tree_n9": SCENARIOS["planar_tree_n9"]}
+            "cube_reordered": SCENARIOS["cube_reordered"], "planar_tree_n9": SCENARIOS["planar_tree_n9"]}
 
 
 def write_scenario(scenarios: Path, name: str, scenario: dict) -> str:

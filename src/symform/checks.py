@@ -106,7 +106,7 @@ def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray
                        f"max asymmetry {asym:.3e} (tol {_tol(SYMMETRY_TOL)})", asym)]
     sym = 0.5 * (q_matrix + q_matrix.T)  # for the spectrum only; asymmetry already reported
     spec = laplacian.spectrum(sym)
-    product = ("incidence_product", "|Q - E E^T| =", incidence_matrix @ incidence_matrix.T)
+    product = ("incidence_product", "|Q - E E^T| =", laplacian.product_laplacian(incidence_matrix))
     out += structure_checks(spec, n, dim, *dense_gaps(q_matrix, null_matrix, [product, *routes]))
     if run_spectrum is not None:
         # sorted, and each eigenvalue of Q lies within the run spectrum's spread of its own
@@ -164,21 +164,29 @@ def assemble_laplacian(n: int, dim: int, wedges: list[WeightedEdge]) -> NDArray[
     return Q
 
 
-def cube_permutation(spec: CubeSpec) -> NDArray[np.float64]:
-    """24×24 block permutation taking the cross-chain orbit to the first four agent slots;
-    ValueError when ``spec.cross_nodes`` is no such orbit (:func:`spatial3d.cross_nodes_problem`)."""
-    problem = cross_nodes_problem(spec)
-    if problem is not None:
-        raise ValueError(f"cross_nodes {problem}")
-    order = list(spec.cross_nodes) + [i for i in range(1, 9) if i not in spec.cross_nodes]
+def _slot_permutation(order: Sequence[int]) -> NDArray[np.float64]:
+    """24×24 block permutation P taking agent ``order[k]`` to slot k, so P M Pᵀ places
+    the blocks of M at slot k on agent ``order[k]``."""
     perm = np.zeros((24, 24))
     for loc, g in enumerate(order):
         perm[3 * (g - 1):3 * g, 3 * loc:3 * loc + 3] = np.eye(3)
     return perm
 
 
+def cube_permutation(spec: CubeSpec) -> NDArray[np.float64]:
+    """24×24 block permutation taking the cross-chain orbit to the first four agent slots,
+    ``cross_edge`` in its direction first; ValueError when ``spec.cross_nodes`` is no such
+    orbit (:func:`spatial3d.cross_nodes_problem`)."""
+    problem = cross_nodes_problem(spec)
+    if problem is not None:
+        raise ValueError(f"cross_nodes {problem}")
+    orbit = list(spec.cross_edge) + [i for i in spec.cross_nodes if i not in spec.cross_edge]
+    return _slot_permutation(orbit + [i for i in range(1, 9) if i not in orbit])
+
+
 def composed_cube_laplacian(spec: CubeSpec) -> NDArray[np.float64]:
-    """The cube's Q from sub-blocks: the face-chain block twice, the cross-chain block permuted in."""
+    """The cube's Q from sub-blocks: the face-chain block twice, permuted onto ``top_nodes``
+    and ``bottom_nodes``, plus the cross-chain block permuted onto ``cross_edge``."""
     w_face = rotation3(spec.face_axis, spec.face_angle).matrix
     w_cross = rotation3(spec.cross_axis, spec.cross_angle).matrix
     face_block = assemble_laplacian(4, 3, [(i + 1, i + 2, w_face) for i in range(3)])
@@ -186,10 +194,11 @@ def composed_cube_laplacian(spec: CubeSpec) -> NDArray[np.float64]:
     stacked = np.zeros((24, 24))
     stacked[:12, :12] = face_block
     stacked[12:, 12:] = face_block
+    faces = _slot_permutation((*spec.top_nodes, *spec.bottom_nodes))
     perm = cube_permutation(spec)
     embedded = np.zeros((24, 24))
     embedded[:12, :12] = cross_block
-    return stacked + perm @ embedded @ perm.T
+    return faces @ stacked @ faces.T + perm @ embedded @ perm.T
 
 
 def segment_value(segs: tuple, t: float):

@@ -37,8 +37,10 @@ class SymmetryLaplacian:
     ``rotations`` (m x d x d) holds each edge's rotation W, mapping p_u to p_v
     on the edge (u, v) that ``edge_index`` lists at the same position.
     ``chain`` stacks the chain rotations S_i (dn x d): its columns, of squared
-    norm n, span the null space of Q. ``scalar`` is the n x n scalar tree
-    Laplacian L. On a tree Q = S (L ⊗ I_d) Sᵀ, so a run needs only these
+    norm n, span the null space of Q. These three are all a tree holds; ``n``
+    and ``dim`` are read off the chain's shape, ``degrees`` counts the edge
+    ends at each node, and ``scalar`` is the n x n scalar tree Laplacian L
+    built from them. On a tree Q = S (L ⊗ I_d) Sᵀ, so a run needs only these
     arrays: it integrates in gauge coordinates q_i = S_iᵀ p_i on L.
 
     The dense dn x dn arrays are built on first read, for ``verify``, ``sweep``
@@ -56,9 +58,29 @@ class SymmetryLaplacian:
     rotations: NDArray[np.float64]
     edge_index: tuple[tuple[int, int], ...]
     chain: NDArray[np.float64]
-    scalar: NDArray[np.float64]
-    n: int
-    dim: int
+
+    @cached_property
+    def dim(self) -> int:
+        return self.chain.shape[1]
+
+    @cached_property
+    def n(self) -> int:
+        return self.chain.shape[0] // self.dim
+
+    @cached_property
+    def degrees(self) -> NDArray[np.intp]:
+        """The number of edges at each node (n)."""
+        return np.bincount(self.ends.ravel(), minlength=self.n)
+
+    @cached_property
+    def scalar(self) -> NDArray[np.float64]:
+        """L: the degrees on the diagonal, -1 at (u, v) and (v, u) of each edge."""
+        u, v = self.ends.T
+        nodes = np.arange(self.n)
+        scalar = np.zeros((self.n, self.n))
+        scalar[nodes, nodes] = self.degrees
+        scalar[u, v] = scalar[v, u] = -1.0
+        return _freeze(scalar)
 
     @cached_property
     def matrix(self) -> NDArray[np.float64]:
@@ -104,7 +126,7 @@ class SymmetryLaplacian:
         """Q's blocks on ``_pattern``, in its order: deg_i I, then -Wᵀ at (u, v), then -W at (v, u)."""
         n, d = self.n, self.dim
         q = np.empty((n + 2 * len(self.edge_index), d, d))
-        q[:n] = self.scalar[np.arange(n), np.arange(n), None, None] * np.eye(d)
+        q[:n] = self.degrees[:, None, None] * np.eye(d)
         q[n:] = -np.concatenate([self.rotations.transpose(0, 2, 1), self.rotations])
         return q
 
@@ -152,10 +174,10 @@ class SymmetryLaplacian:
         so ``eigenvectors`` is None. Computed on first use and kept (the arrays are
         read-only).
         """
-        if np.bincount(self.ends.ravel(), minlength=self.n).max() > 2:
+        if self.degrees.max() > 2:
             return self.numeric_spectrum()
         path = 4.0 * np.sin(np.arange(self.n) * (math.pi / (2 * self.n))) ** 2
-        return Spectrum(eigenvalues=_freeze(np.repeat(path, self.dim)), tol=RANK_TOL, spread=self.spread)
+        return Spectrum(eigenvalues=_freeze(np.repeat(path, self.dim)), spread=self.spread)
 
     def numeric_spectrum(self) -> Spectrum:
         """The spectrum of any tree from an eigensolver: ``eigvalsh`` of L
@@ -163,8 +185,7 @@ class SymmetryLaplacian:
         ``sweep`` takes its PSD and rank verdicts from it, so they are measured, not
         read off the path formula; :attr:`spectrum` takes it for a tree that is not a path."""
         scalar = spectrum(self.scalar, vectors=False)
-        return Spectrum(eigenvalues=_freeze(np.repeat(scalar.eigenvalues, self.dim)),
-                        tol=scalar.tol, spread=self.spread)
+        return Spectrum(eigenvalues=_freeze(np.repeat(scalar.eigenvalues, self.dim)), spread=self.spread)
 
 
 def laplacian_from_edges(
@@ -192,16 +213,9 @@ def laplacian_from_edges(
     for (u, v, w) in wedges:
         if w.shape != (dim, dim):
             raise ValueError(f"edge ({u}, {v}) weight has shape {w.shape}, expected ({dim}, {dim})")
-    u = np.array([a - 1 for (a, _, _) in wedges], dtype=int)
-    v = np.array([b - 1 for (_, b, _) in wedges], dtype=int)
-    nodes = np.arange(n)
-    scalar = np.zeros((n, n))
-    scalar[nodes, nodes] = np.bincount(np.concatenate([u, v]), minlength=n)
-    scalar[u, v] = scalar[v, u] = -1.0
     return SymmetryLaplacian(
         rotations=_freeze(np.array([w for (_, _, w) in wedges], dtype=float).reshape(-1, dim, dim)),
         edge_index=tuple((a, b) for (a, b, _) in wedges), chain=_freeze(chain),
-        scalar=_freeze(scalar), n=n, dim=dim,
     )
 
 
@@ -246,7 +260,7 @@ def steady_state(p0: NDArray[np.float64], chain: NDArray[np.float64]) -> NDArray
 class Spectrum:
     """Eigenvalues of a symmetric PSD matrix with a rank tolerance.
 
-    Eigenvalues below ``threshold`` = tol·max(1, λ_max) count as zero.
+    Eigenvalues below ``threshold`` = ``RANK_TOL``·max(1, λ_max) count as zero.
     ``spread`` bounds the distance of each eigenvalue of the matrix from
     ``eigenvalues``: 0 for a direct decomposition (:func:`spectrum`),
     ‖Q - S (L ⊗ I_d) Sᵀ‖_F for one in the gauge. ``eigenvectors`` are
@@ -255,7 +269,6 @@ class Spectrum:
     """
 
     eigenvalues: NDArray[np.float64]
-    tol: float
     spread: float = 0.0
     eigenvectors: NDArray[np.float64] | None = None
 
@@ -265,8 +278,8 @@ class Spectrum:
 
     @property
     def threshold(self) -> float:
-        """The zero threshold tol·max(1, λ_max)."""
-        return self.tol * max(1.0, self.lambda_max)
+        """The zero threshold ``RANK_TOL``·max(1, λ_max)."""
+        return RANK_TOL * max(1.0, self.lambda_max)
 
     @cached_property
     def null_dim(self) -> int:
@@ -284,7 +297,7 @@ class Spectrum:
         return float(self.eigenvalues[self.null_dim])
 
 
-def spectrum(q_matrix: NDArray[np.float64], tol: float = RANK_TOL, *, vectors: bool = True) -> Spectrum:
+def spectrum(q_matrix: NDArray[np.float64], *, vectors: bool = True) -> Spectrum:
     """Symmetric eigendecomposition with a relative zero threshold.
 
     With ``vectors=False`` only the eigenvalues are computed (``eigvalsh``,
@@ -294,17 +307,15 @@ def spectrum(q_matrix: NDArray[np.float64], tol: float = RANK_TOL, *, vectors: b
     bug, never silently symmetrized) and NumericFailure when the
     eigensolver does not converge.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     q_matrix = np.asarray(q_matrix, dtype=float)
     asym = max_abs_difference(q_matrix, q_matrix.T)
     if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
     try:
         if not vectors:
-            return Spectrum(eigenvalues=_freeze(np.linalg.eigvalsh(q_matrix)), tol=tol)
+            return Spectrum(eigenvalues=_freeze(np.linalg.eigvalsh(q_matrix)))
         eigenvalues, eigenvectors = np.linalg.eigh(q_matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"eigendecomposition failed: {exc}") from exc
-    return Spectrum(eigenvalues=_freeze(eigenvalues), tol=tol, eigenvectors=_freeze(eigenvectors))
+    return Spectrum(eigenvalues=_freeze(eigenvalues), eigenvectors=_freeze(eigenvectors))
 

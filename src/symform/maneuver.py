@@ -88,7 +88,6 @@ class ReferenceState:
     position: NDArray[np.float64]
     rotation: Rotation
     scale: float
-    time: float = 0.0
 
     def __post_init__(self) -> None:
         pos = np.ascontiguousarray(self.position, dtype=float)
@@ -143,7 +142,6 @@ class ReferencePath:
     scales: NDArray[np.float64]
     step_omegas: NDArray[np.float64]
     step_scale_rates: NDArray[np.float64]
-    dim: int
     dt: float
 
 
@@ -197,7 +195,7 @@ def propagate_reference(
         rotations[k + 1] = turns[j] @ rotations[k]
     return ReferencePath(
         times=times, positions=positions, rotations=rotations, scales=scales,
-        step_omegas=wks, step_scale_rates=aks, dim=d, dt=dt,
+        step_omegas=wks, step_scale_rates=aks, dt=dt,
     )
 
 

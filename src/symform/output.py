@@ -285,6 +285,7 @@ _ML, _MR, _MT, _MB = 64, 16, 36, 44
 # dropped. The cell diagonal, 0.35 * sqrt(2) = 0.495 px, bounds the distance
 # from every point of the full line to the drawn one.
 _CELL_PX = 0.35
+_TICK_STEPS = 5  # most tick steps across an axis
 
 
 def _scale(lo: float, hi: float) -> tuple[float, float]:
@@ -295,11 +296,13 @@ def _scale(lo: float, hi: float) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Round axis values in [lo, hi], a step of 1, 2 or 5 times a power of ten apart that
+    fits [lo, hi] at most ``_TICK_STEPS`` times."""
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / count))
+    step = 10.0 ** math.floor(math.log10(span / _TICK_STEPS))
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= count:
+        if span / (step * mult) <= _TICK_STEPS:
             step *= mult
             break
     first = math.ceil(lo / step) * step

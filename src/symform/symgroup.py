@@ -19,14 +19,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Rotation:
-    """A proper rotation matrix in dimension 2 or 3.
-
-    ``angle`` is kept as metadata when the rotation was built from an angle;
-    composed products may drop it.
-    """
+    """A proper rotation matrix in dimension 2 or 3."""
 
     matrix: NDArray[np.float64]
-    angle: float | None = None
 
     def __post_init__(self) -> None:
         m = _freeze(np.asarray(self.matrix, dtype=float))
@@ -43,35 +38,12 @@ class Rotation:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Rotate a point (or a stack of points in rows)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dimension:
-            raise ValueError(f"point dimension {x.shape[-1]} != rotation dimension {self.dimension}")
-        return x @ self.matrix.T
-
-    def compose(self, other: Rotation) -> Rotation:
-        """Return self∘other (apply ``other`` first)."""
-        if other.dimension != self.dimension:
-            raise ValueError("cannot compose rotations of different dimensions")
-        angle = None
-        if self.dimension == 2 and self.angle is not None and other.angle is not None:
-            angle = self.angle + other.angle
-        return Rotation(self.matrix @ other.matrix, angle=angle)
-
-    def inverse(self) -> Rotation:
-        angle = None if self.angle is None else -self.angle
-        return Rotation(self.matrix.T, angle=angle)
-
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        return bool(np.abs(self.matrix - np.eye(self.dimension)).max() <= tol)
-
 
 def identity(dimension: int) -> Rotation:
     """The identity rotation in the given dimension."""
     if dimension not in (2, 3):
         raise ValueError(f"dimension must be 2 or 3, got {dimension}")
-    return Rotation(np.eye(dimension), angle=0.0)
+    return Rotation(np.eye(dimension))
 
 
 def rotation2(angle: float) -> Rotation:
@@ -79,7 +51,7 @@ def rotation2(angle: float) -> Rotation:
     if not math.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle}")
     c, s = math.cos(angle), math.sin(angle)
-    return Rotation(np.array([[c, -s], [s, c]]), angle=angle)
+    return Rotation(np.array([[c, -s], [s, c]]))
 
 
 AXES = {
@@ -112,7 +84,7 @@ def rotation3(axis, angle: float) -> Rotation:
         raise ValueError(f"angle must be finite, got {angle}")
     K = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
     m = np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
-    return Rotation(m, angle=angle)
+    return Rotation(m)
 
 
 @dataclass(frozen=True)
@@ -127,25 +99,8 @@ class CyclicAutomorphism:
             raise ValueError(f"cycle graphs need n >= 3 nodes, got n={self.n}")
         object.__setattr__(self, "shift", self.shift % self.n)
 
-    def apply(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"vertex {i} outside 1..{self.n}")
-        return (i - 1 + self.shift) % self.n + 1
-
-    def compose(self, other: CyclicAutomorphism) -> CyclicAutomorphism:
-        if other.n != self.n:
-            raise ValueError("cannot compose automorphisms of different cycles")
-        return CyclicAutomorphism(self.n, self.shift + other.shift)
-
-    def inverse(self) -> CyclicAutomorphism:
-        return CyclicAutomorphism(self.n, -self.shift)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.shift == 0
-
     @property
     def rotation(self) -> Rotation:
-        """The planar rotation R(shift·2π/n) this automorphism is assigned: inverses map to
-        transposes and compositions to products."""
+        """The planar rotation R(shift·2π/n) this automorphism is assigned: shifts that add
+        map to products of rotations and a negated shift to the transpose."""
         return rotation2(self.shift * (math.tau / self.n))

@@ -151,7 +151,7 @@ def test_criterion_7_cube():
     """The 24x24 cube matrix is sound and its flow reaches the projection."""
     with criterion(7, "cube construction routes agree; flow hits projection", budget=2.0):
         lap = sf.build_cube()
-        spec = sf.spectrum(lap.matrix, tol=1e-9)
+        spec = sf.spectrum(lap.matrix)
         assert spec.eigenvalues[0] >= -1e-9, f"min eigenvalue {spec.eigenvalues[0]}"
         assert spec.null_dim == 3, f"null dimension {spec.null_dim}"
         routes = {name: matrix for name, _, matrix in checks.construction_routes(lap, sf.CubeSpec())}

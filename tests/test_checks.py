@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +65,7 @@ class TestOneCheckPath:
     def test_psd_and_rank_widened_by_the_spread(self, spec):
         lap = cli.build_system(scenario(spec))
         gauge = lap.spectrum
-        threshold = gauge.tol * max(1.0, gauge.lambda_max)
+        threshold = gauge.threshold
 
         def verdicts(spread):
             results = checks.structure_checks(dataclasses.replace(gauge, spread=spread),
@@ -134,15 +135,18 @@ class TestVerificationChecks:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_planar_routes_are_separate_computations(self, n, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("planar verify formed E E^T through product_laplacian, or a composed cube")
+            raise AssertionError("planar verify formed a composed cube")
 
-        monkeypatch.setattr(laplacian, "product_laplacian", forbidden)
+        products = []
+        product = laplacian.product_laplacian
+        monkeypatch.setattr(laplacian, "product_laplacian", lambda e: products.append(e) or product(e))
         monkeypatch.setattr(checks, "composed_cube_laplacian", forbidden)
         lap = planar_lap(n)
         (name, _, matrix), = checks.construction_routes(lap)
         assert name == "construction_routes" and matrix is lap.gauge
         q, E = lap.matrix, lap.incidence
         by_name = {r.name: r for r in cli.verify_scenario(scenario({"n": n}))}
+        assert len(products) == 1  # E E^T is formed once, for incidence_product, and is no construction route
         assert "gauge_route" not in by_name
         assert by_name["construction_routes"].value == np.abs(q - lap.gauge).max()
         assert by_name["incidence_product"].value == np.abs(q - E @ E.T).max()
@@ -273,6 +277,17 @@ class TestRoutesLiveInChecks:
         routes = [r for r in results if r.name in ("construction_routes", "gauge_route")]
         assert [r.name for r in routes] == ["construction_routes", "gauge_route"]
         assert all(r.passed for r in routes)
+
+    @pytest.mark.parametrize("cube", [{}, {"top_nodes": [4, 3, 2, 1]}, {"bottom_nodes": [6, 5, 8, 7]},
+                                      {"cross_edge": [5, 1]}], ids=str)
+    def test_composed_route_places_blocks_by_the_spec(self, tmp_path, capsys, cube):
+        # face chains at top_nodes and bottom_nodes, the cross block at cross_edge in its direction
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps({"formation": "cube", "cube": cube}))
+        assert cli.main(["verify", str(path)]) == cli.EXIT_OK
+        line, = (x for x in capsys.readouterr().out.splitlines() if "construction_routes:" in x)
+        assert line.startswith("  PASS construction_routes: max route disagreement ")
+        assert float(line.split()[5]) <= checks.ROUTE_TOL
 
 
 def test_no_imports_inside_functions():
