@@ -69,7 +69,7 @@ SCENARIOS = {
             "scale_rate": [[0.0, 0.01], [20.0, -0.008], [40.0, 0.0]],
         },
     },
-    "cube_cross_edge": {"formation": "cube", "cube": {"cross_edge": [2, 6], "cross_nodes": [2, 6, 7, 3]}},
+    "cube_cross_edge": {"formation": "cube", "cube": {"cross_edge": [2, 6]}},
     "cube_reordered": {"formation": "cube", "cube": {"top_nodes": [4, 3, 2, 1], "cross_edge": [5, 1]}},
     "planar_tree_n9": {
         "n": 9, "seed": 3,

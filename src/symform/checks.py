@@ -13,7 +13,7 @@ from numpy.typing import NDArray
 from . import dynamics, laplacian
 from .laplacian import SYMMETRY_TOL, Gap, Spectrum, SymmetryLaplacian, WeightedEdge
 from .maneuver import ReferenceState, omega_matrix
-from .spatial3d import CubeSpec, cross_nodes_problem
+from .spatial3d import CubeSpec
 from .symgroup import rotation3
 from .topology import InteractionGraph, weighted_edges
 
@@ -174,14 +174,9 @@ def _slot_permutation(order: Sequence[int]) -> NDArray[np.float64]:
 
 
 def cube_permutation(spec: CubeSpec) -> NDArray[np.float64]:
-    """24×24 block permutation taking the cross-chain orbit to the first four agent slots,
-    ``cross_edge`` in its direction first; ValueError when ``spec.cross_nodes`` is no such
-    orbit (:func:`spatial3d.cross_nodes_problem`)."""
-    problem = cross_nodes_problem(spec)
-    if problem is not None:
-        raise ValueError(f"cross_nodes {problem}")
-    orbit = list(spec.cross_edge) + [i for i in spec.cross_nodes if i not in spec.cross_edge]
-    return _slot_permutation(orbit + [i for i in range(1, 9) if i not in orbit])
+    """24×24 block permutation taking ``cross_edge``, in its direction, to the first two
+    agent slots and the other agents, in ascending order, to the rest."""
+    return _slot_permutation([*spec.cross_edge, *(i for i in range(1, 9) if i not in spec.cross_edge)])
 
 
 def composed_cube_laplacian(spec: CubeSpec) -> NDArray[np.float64]:

@@ -18,6 +18,7 @@ RK4_GAIN_TOL = 1e-12
 
 Segment = tuple[float, NDArray[np.float64]]
 ScalarSegment = tuple[float, float]
+Run = tuple[int, int, "float | NDArray[np.float64]", float]  # (first step, step count, ω, α)
 
 
 def _check_segments(name: str, segs: tuple, width: int | None) -> tuple:
@@ -133,22 +134,17 @@ class ReferencePath:
 
     Inputs are sampled once per step at the left node and held constant, so
     positions are exact piecewise-linear, attitudes exact rotation products,
-    and scales exact exponentials of the sampled rates.
+    and scales exact exponentials of the sampled rates. ``runs`` cuts the steps
+    into runs of constant angular velocity and scale rate, each
+    (first step, step count, ω, α), neighbours with equal ω and α merged.
     """
 
     times: NDArray[np.float64]
     positions: NDArray[np.float64]
     rotations: NDArray[np.float64]
     scales: NDArray[np.float64]
-    step_omegas: NDArray[np.float64]
-    step_scale_rates: NDArray[np.float64]
+    runs: tuple[Run, ...]
     dt: float
-
-
-def _step_indices(segs: tuple, times: NDArray[np.float64]) -> NDArray[np.intp]:
-    """Index of the segment holding at each time (the vector form of :func:`checks.segment_value`)."""
-    starts = np.array([t for t, _ in segs])
-    return np.maximum(np.searchsorted(starts, times, side="right") - 1, 0)
 
 
 def propagate_reference(
@@ -167,36 +163,43 @@ def propagate_reference(
     steps = _step_count(dt, horizon)
     if steps == math.inf:
         raise ValueError(f"horizon {horizon:g} / step size {dt:g} overflows the step count")
-    # the tracemalloc peak per row is 17 floats planar (136 bytes), 26 spatial (208 bytes):
-    # the path's arrays, the per-step inputs and the lists that index them
+    # the tracemalloc peak per row is 11 floats planar (88 bytes), 18 spatial (144 bytes): the
+    # path's arrays, the per-step velocities and the scale factors; the bound leaves room above it
     _require_grid_fits(steps, dt, 8 * (d * d + 4 * d + 5), "reference steps", "the reference path")
     times = np.arange(steps + 1) * dt
-    iv, iw, ia = (_step_indices(segs, times[:-1])
+    # segment j holds from the first step at or after its start to the first of segment j + 1
+    vf, wf, af = (np.searchsorted(times[:-1], [t for t, _ in segs])
                   for segs in (inputs.velocity, inputs.angular, inputs.scale_rate))
-    vks = np.array([v for _, v in inputs.velocity])[iv]
-    wks = np.array([w for _, w in inputs.angular])[iw]
-    aks = np.array([a for _, a in inputs.scale_rate])[ia]
+    cuts = sorted({lo for lo in (*wf.tolist(), *af.tolist()) if lo < steps})
+    runs: list[Run] = []
+    for lo, hi, j, i in zip(cuts, cuts[1:] + [steps], np.searchsorted(wf, cuts, side="right") - 1,
+                            np.searchsorted(af, cuts, side="right") - 1):
+        w, a = inputs.angular[j][1], inputs.scale_rate[i][1]
+        if runs and np.array_equal(runs[-1][2], w) and runs[-1][3] == a:
+            lo, _, w, a = runs.pop()  # the same inputs continue: one run, with its first values
+        runs.append((lo, hi - lo, w, a))
 
     # sequential accumulations, so every row equals the step-by-step march
-    positions = np.cumsum(np.vstack([start.position, dt * vks]), axis=0)
+    velocities = np.repeat(np.array([v for _, v in inputs.velocity]), np.diff(vf, append=steps), axis=0)
+    positions = np.cumsum(np.vstack([start.position, dt * velocities]), axis=0)
     try:
-        growth = {j: math.exp(inputs.scale_rate[j][1] * dt) for j in set(ia.tolist())}
+        growth = [math.exp(a * dt) for *_, a in runs]
     except OverflowError:
         raise NumericFailure(
             f"reference path: exp(scale_rate * dt) overflows at dt = {dt:g}"
         ) from None
-    factors = np.array([start.scale] + [growth[j] for j in ia.tolist()])
+    factors = np.concatenate([[start.scale], np.repeat(growth, [count for _, count, *_ in runs])])
     with np.errstate(over="ignore"):  # an overflowed scale fails the run's finiteness check
         scales = np.multiply.accumulate(factors)
-    turns = {j: _rotation_step(inputs.angular[j][1], d, dt) for j in set(iw.tolist())}
     rotations = np.empty((steps + 1, d, d))
     rotations[0] = start.rotation.matrix
-    for k, j in enumerate(iw.tolist()):
-        rotations[k + 1] = turns[j] @ rotations[k]
-    return ReferencePath(
-        times=times, positions=positions, rotations=rotations, scales=scales,
-        step_omegas=wks, step_scale_rates=aks, dt=dt,
-    )
+    for (_, w), lo, count in zip(inputs.angular, wf.tolist(), np.diff(wf, append=steps).tolist()):
+        if count:  # each segment's own turn, computed once
+            turn = _rotation_step(w, d, dt)
+            for k in range(lo, lo + count):
+                rotations[k + 1] = turn @ rotations[k]
+    return ReferencePath(times=times, positions=positions, rotations=rotations, scales=scales,
+                         runs=tuple(runs), dt=dt)
 
 
 @dataclass(eq=False)
@@ -233,30 +236,25 @@ def _segment_operators(lap: SymmetryLaplacian, path: ReferencePath) -> Iterator[
     the returned iterator then forms each G only when it is reached.
     """
     dt = path.dt
-    w = path.step_omegas.reshape(len(path.step_scale_rates), -1)
-    a = path.step_scale_rates
-    cuts = np.flatnonzero((w[1:] != w[:-1]).any(axis=1) | (a[1:] != a[:-1])) + 1
-    starts = np.concatenate([[0], cuts]).tolist()
-    ends = starts[1:] + [a.size]
     rotating: dict[tuple, NDArray] = {}  # eigenvalues of Q - I⊗Ω per distinct angular velocity
-    runs = []
-    for lo, hi in zip(starts, ends):
-        key = tuple(w[lo].tolist())
+    shifted = []
+    for _, _, w, a in path.runs:
+        key = tuple(np.ravel(w).tolist())
         if key not in rotating:
-            rotating[key] = _rotating_eigenvalues(lap, path.step_omegas[lo])
-        runs.append((lo, hi, rotating[key] + max(-float(a[lo]), 0.0)))
+            rotating[key] = _rotating_eigenvalues(lap, w)
+        shifted.append(rotating[key] + max(-a, 0.0))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed gain is rejected below
-        gains = [float(_rk4_gain(-dt * mu).max()) for *_, mu in runs]
+        gains = [float(_rk4_gain(-dt * mu).max()) for mu in shifted]
     worst = int(np.argmax(gains))  # the first NaN, if any
     if not gains[worst] <= 1 + RK4_GAIN_TOL:
-        stiffest = max(float(np.abs(mu).max()) for *_, mu in runs)
-        t = float(path.times[runs[worst][0]])
+        stiffest = max(float(np.abs(mu).max()) for mu in shifted)
+        t = float(path.times[path.runs[worst][0]])
         raise ValueError(
             f"step size {dt:g} is unstable for the maneuver from t = {t:g}: RK4 amplifies "
             f"a mode by max |P(-dt mu)| = {gains[worst]:.3g} > 1 "
             f"(try dt = {DEFAULT_STEP_FACTOR / stiffest:g})"
         )
-    return ((_segment_operator(lap, path.step_omegas[lo], float(a[lo])), hi - lo) for lo, hi, _ in runs)
+    return ((_segment_operator(lap, w, a), count) for _, count, w, a in path.runs)
 
 
 def _rotating_eigenvalues(lap: SymmetryLaplacian, omega) -> NDArray:

@@ -121,12 +121,12 @@ def _parse_reference(raw, dim: int, path: str) -> tuple[maneuver.ReferenceInputs
     scale = _as_number(start_raw.get("scale", 1.0), f"{path}.start.scale")
     angle = _as_number(start_raw.get("angle", 0.0), f"{path}.start.angle")
     if dim == 2:
+        _require("axis" not in start_raw, f"{path}.start.axis", "only valid for cube formations")
         rot = symgroup.rotation2(angle)
     else:
-        axis_raw = start_raw.get("axis", [0.0, 0.0, 1.0])
-        axis = _as_vector(axis_raw, 3, f"{path}.start.axis")
+        axis = _as_vector(start_raw.get("axis", [0.0, 0.0, 1.0]), 3, f"{path}.start.axis")
         try:
-            rot = symgroup.rotation3(axis, angle) if angle != 0.0 else symgroup.identity(3)
+            rot = symgroup.rotation3(axis, angle)
         except ValueError as exc:
             raise ScenarioError(f"{path}.start.axis: {exc}") from exc
     try:
@@ -140,7 +140,6 @@ def _parse_cube(raw, path: str) -> spatial3d.CubeSpec:
     if raw is None:
         return spatial3d.CubeSpec()
     _require(isinstance(raw, dict), path, "expected an object")
-    spec = spatial3d.CubeSpec()
     kwargs = {}
     for key in raw:
         if key in ("face_axis", "cross_axis"):
@@ -148,7 +147,7 @@ def _parse_cube(raw, path: str) -> spatial3d.CubeSpec:
             kwargs[key] = raw[key]
         elif key in ("face_angle", "cross_angle"):
             kwargs[key] = _as_number(raw[key], f"{path}.{key}")
-        elif key in ("top_nodes", "bottom_nodes", "cross_nodes"):
+        elif key in ("top_nodes", "bottom_nodes"):
             vals = raw[key]
             _require(isinstance(vals, list) and len(vals) == 4, f"{path}.{key}", "expected 4 node ids")
             kwargs[key] = tuple(_as_int(v, f"{path}.{key}[{i}]") for i, v in enumerate(vals))
@@ -158,10 +157,10 @@ def _parse_cube(raw, path: str) -> spatial3d.CubeSpec:
             kwargs[key] = tuple(_as_int(v, f"{path}.{key}[{i}]") for i, v in enumerate(vals))
         else:
             raise ScenarioError(f"{path}: unknown field {reprlib.repr(key)}")
-    spec = spatial3d.CubeSpec(**{**spec.__dict__, **kwargs})
-    problem = spatial3d.cross_nodes_problem(spec)
-    _require(problem is None, f"{path}.cross_nodes", problem)
-    return spec
+    try:
+        return spatial3d.CubeSpec(**kwargs)
+    except ValueError as exc:  # its message leads with the field at fault
+        raise ScenarioError(f"{path}.{exc}") from exc
 
 
 def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
@@ -199,6 +198,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
 
     if formation == "cube":
         _require("tree" not in raw, "tree", "cube formations fix their own constraint tree")
+        _require("n" not in raw, "n", "cube formations fix n = 8")
         n, dim = 8, 3
         cube_spec = _parse_cube(raw.get("cube"), "cube")
         tree_edges = removed_edge = None
@@ -242,6 +242,8 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
     for key in init_raw:
         _require(key in ("points", "box", "seed"), "initial", f"unknown field {reprlib.repr(key)}")
     if "points" in init_raw:
+        _require("box" not in init_raw and "seed" not in init_raw, "initial",
+                 "give either 'points' or 'box' and 'seed', not both")
         pts = init_raw["points"]
         _require(isinstance(pts, list) and len(pts) == n, "initial.points", f"expected {n} points")
         initial_points = np.vstack([_as_vector(p, dim, f"initial.points[{i}]") for i, p in enumerate(pts)])

@@ -20,8 +20,10 @@ class CubeSpec:
 
     Two quarter-turn chains about ``face_axis`` run along the top and bottom
     faces; one cross edge with a quarter turn about ``cross_axis`` ties them
-    together. ``cross_nodes`` is the orbit of the cross-axis turn, used for
-    the permuted composed form of the constraint matrix (``checks``).
+    together. The seven edges form a spanning tree exactly when ``top_nodes``
+    and ``bottom_nodes`` partition 1..8 and ``cross_edge`` joins a top node to
+    a bottom node; any other spec raises ValueError, its message led by the
+    field at fault.
     """
 
     top_nodes: tuple[int, int, int, int] = (1, 2, 3, 4)
@@ -31,21 +33,20 @@ class CubeSpec:
     cross_edge: tuple[int, int] = (1, 5)
     cross_axis: str = "x"
     cross_angle: float = -math.pi / 2
-    cross_nodes: tuple[int, int, int, int] = (1, 5, 8, 4)
+
+    def __post_init__(self) -> None:
+        top, bottom = self.top_nodes, self.bottom_nodes
+        if sorted((*top, *bottom)) != list(range(1, 9)):
+            raise ValueError(f"top_nodes: with bottom_nodes {reprlib.repr(list(bottom))} must partition 1..8, "
+                             f"got {reprlib.repr(list(top))}")
+        u, v = self.cross_edge
+        if not ((u in top and v in bottom) or (u in bottom and v in top)):
+            raise ValueError(f"cross_edge: must join a top node to a bottom node to make a spanning tree, "
+                             f"got {reprlib.repr(list(self.cross_edge))}")
 
 
 def _face_edges(nodes: tuple[int, int, int, int], w: NDArray[np.float64]) -> list[WeightedEdge]:
     return [(nodes[i], nodes[i + 1], w) for i in range(3)]
-
-
-def cross_nodes_problem(spec: CubeSpec) -> str | None:
-    """Why ``spec.cross_nodes`` cannot be the orbit of its cross edge, or None: it must hold
-    four distinct agents of 1..8, both ends of ``cross_edge`` among them."""
-    nodes = set(spec.cross_nodes)
-    if len(nodes) == 4 and nodes <= set(range(1, 9)) and set(spec.cross_edge) <= nodes:
-        return None
-    return (f"must be four distinct agents of 1..8 holding both ends of cross_edge "
-            f"{reprlib.repr(list(spec.cross_edge))}, got {reprlib.repr(list(spec.cross_nodes))}")
 
 
 def build_cube(spec: CubeSpec | None = None) -> SymmetryLaplacian:
@@ -53,9 +54,6 @@ def build_cube(spec: CubeSpec | None = None) -> SymmetryLaplacian:
     as any tree by :func:`laplacian_from_edges`."""
     if spec is None:
         spec = CubeSpec()
-    nodes = (*spec.top_nodes, *spec.bottom_nodes)
-    if sorted(nodes) != list(range(1, 9)):
-        raise ValueError(f"face nodes must partition 1..8, got {nodes}")
     w_face = rotation3(spec.face_axis, spec.face_angle).matrix
     w_cross = rotation3(spec.cross_axis, spec.cross_angle).matrix
     wedges = (

@@ -47,7 +47,7 @@ def slowest_rate(n: int) -> float:
 
 
 # a cube tree whose cross edge (2, 6) gives nodes 2 and 6 degree 3, so it is not a path
-CROSS_CUBE = {"cross_edge": [2, 6], "cross_nodes": [2, 6, 7, 3]}
+CROSS_CUBE = {"cross_edge": [2, 6]}
 
 
 def random_tree(n: int, cut: int, shifts: list[int], flips: list[bool]) -> sf.InteractionGraph:

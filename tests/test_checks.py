@@ -279,7 +279,7 @@ class TestRoutesLiveInChecks:
         assert all(r.passed for r in routes)
 
     @pytest.mark.parametrize("cube", [{}, {"top_nodes": [4, 3, 2, 1]}, {"bottom_nodes": [6, 5, 8, 7]},
-                                      {"cross_edge": [5, 1]}], ids=str)
+                                      {"cross_edge": [5, 1]}, {"cross_edge": [2, 6]}], ids=str)
     def test_composed_route_places_blocks_by_the_spec(self, tmp_path, capsys, cube):
         # face chains at top_nodes and bottom_nodes, the cross block at cross_edge in its direction
         path = tmp_path / "cube.json"

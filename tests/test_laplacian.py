@@ -239,7 +239,7 @@ class TestGaugeSpectrum:
     @pytest.mark.parametrize("spec", [
         sf.CubeSpec(),
         sf.CubeSpec(face_axis="y", face_angle=0.7, cross_axis="z", cross_angle=1.1,
-                    cross_edge=(2, 6), cross_nodes=(2, 6, 7, 3)),
+                    cross_edge=(2, 6)),
     ], ids=["default", "custom"])
     def test_cube_matches_dense_route(self, spec):
         assert_gauge_spectrum_matches_dense(sf.build_cube(spec))

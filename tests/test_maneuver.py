@@ -32,9 +32,10 @@ def world_rk4(lap, p0, path: sf.ReferencePath, inputs: sf.ReferenceInputs,
     with the reference origin evaluated at each stage time."""
     p = np.array(p0, dtype=float)
     states = [p]
-    for k in range(path.step_scale_rates.size):
-        r, v = path.positions[k], checks.segment_value(inputs.velocity, float(path.times[k]))
-        w, a = path.step_omegas[k], float(path.step_scale_rates[k])
+    for k in range(path.times.size - 1):
+        r = path.positions[k]
+        v, w, a = (checks.segment_value(segs, float(path.times[k]))
+                   for segs in (inputs.velocity, inputs.angular, inputs.scale_rate))
 
         def field(t, y, r=r, v=v, w=w, a=a):
             ref = sf.ReferenceState(position=r + v * t, rotation=start.rotation, scale=1.0)
@@ -63,19 +64,23 @@ class TestReferenceInputs:
         assert checks.segment_value(inputs.angular, 5.0) == -0.25
         assert checks.segment_value(inputs.scale_rate, 0.5) == 0.1
 
-    def test_step_indices_match_the_scalar_lookup(self):
-        # the run's vector lookup against the scalar one on every step of a reference
-        # with several segments per series, segment starts on and off the grid
+    def test_runs_hold_the_scalar_lookup(self):
+        # every step of every run holds the ω and α of the scalar lookup, on a reference with
+        # segment starts on and off the grid, a repeated value and a segment no step reaches
         scn = cli.parse_scenario({"n": 4, "reference": {
-            "velocity": [[0.0, [0.1, 0.0]], [0.35, [0.0, 0.2]], [1.0, [0.3, 0.3]], [2.05, [0.0, 0.0]]],
-            "angular_velocity": [[0.0, 0.1], [0.7, -0.2], [1.4, 0.0]],
-            "scale_rate": [[0.0, 0.01], [1.05, -0.02]]}})
-        times = np.arange(60) * 0.05
-        for segs in (scn.reference.velocity, scn.reference.angular, scn.reference.scale_rate):
-            picked = sf.maneuver._step_indices(segs, times)
-            assert len(set(picked.tolist())) == len(segs)
-            for t, k in zip(times, picked):
-                assert segs[k][1] is checks.segment_value(segs, float(t))
+            "angular_velocity": [[0.0, 0.1], [0.7, -0.2], [1.4, -0.2], [1.42, 0.3], [1.44, 0.0]],
+            "scale_rate": [[0.0, 0.01], [1.05, -0.02], [2.0, -0.02], [9.0, 1.0]]}})
+        path = sf.propagate_reference(scn.reference, scn.ref_start, 0.05, 3.0)
+        steps = 0
+        for first, count, w, a in path.runs:
+            assert first == steps and count > 0
+            steps += count
+            for t in path.times[first:first + count]:
+                assert w == checks.segment_value(scn.reference.angular, float(t))
+                assert a == checks.segment_value(scn.reference.scale_rate, float(t))
+        assert steps == path.times.size - 1
+        # runs cut where ω or α changes, and nowhere else
+        assert [(first, count) for first, count, *_ in path.runs] == [(0, 14), (14, 7), (21, 8), (29, 31)]
 
     def test_constant_and_stationary(self):
         const = sf.ReferenceInputs.constant([0.3, 0.4], 0.2, -0.05)
@@ -193,12 +198,10 @@ class TestPropagateReference:
         path = sf.propagate_reference(inputs, start, dt, 25.0)
         pos, rot, scale = start.position, start.rotation.matrix, start.scale
         assert np.array_equal(path.rotations[0], rot)
-        for k in range(path.step_scale_rates.size):
+        for k in range(path.times.size - 1):
             t = float(path.times[k])
             v, w, a = (checks.segment_value(segs, t)
                        for segs in (inputs.velocity, inputs.angular, inputs.scale_rate))
-            assert np.array_equal(path.step_omegas[k], w)
-            assert path.step_scale_rates[k] == a
             pos = pos + dt * v
             turn = (sf.rotation2(w * dt).matrix if dim == 2 else
                     sf.rotation3(w / np.linalg.norm(w), float(np.linalg.norm(w)) * dt).matrix)
@@ -238,7 +241,7 @@ class TestPropagateReference:
 
     @pytest.mark.parametrize("dim, row_bytes", [(2, 136), (3, 208)])
     def test_path_peak_within_row_estimate(self, dim, row_bytes):
-        # the bound's bytes per row cover the path's arrays and the lists that index them
+        # the bound's bytes per row cover the path's arrays, the per-step velocities and the scale factors
         omega = 0.2 if dim == 2 else [0.0, 0.1, 0.2]
         inputs = sf.ReferenceInputs(dim=dim, velocity=[(0.0, np.ones(dim)), (1.0, -np.ones(dim))],
                                     angular=[(0.0, omega)], scale_rate=[(0.0, 0.01), (1.5, -0.01)])
@@ -391,8 +394,9 @@ class TestSimulateManeuver:
         quarter = sf.omega_matrix(1.0, 2)  # i acting on x + iy
         k = 0
         for g, count in sf.maneuver._segment_operators(lap, path):
-            omega = sf.omega_matrix(path.step_omegas[k], d)
-            alpha = float(path.step_scale_rates[k])
+            t = float(path.times[k])
+            omega = sf.omega_matrix(checks.segment_value(scn.reference.angular, t), d)
+            alpha = checks.segment_value(scn.reference.scale_rate, t)
             assert g is not lap.scalar
             if g.shape == (n, n):
                 g = np.kron(g.real, np.eye(d)) + (np.kron(g.imag, quarter) if d == 2 else 0.0)

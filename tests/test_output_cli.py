@@ -230,7 +230,7 @@ class TestDecimation:
 FIELDS = ["name", "formation", "n", "tree", "initial", "seed", "reference", "dt", "horizon", "cube",
           "remove", "edges", "points", "box", "start", "velocity", "angular_velocity", "scale_rate",
           "position", "angle", "scale", "axis", "face_axis", "cross_axis", "face_angle", "cross_angle",
-          "top_nodes", "bottom_nodes", "cross_nodes", "cross_edge"]
+          "top_nodes", "bottom_nodes", "cross_edge"]
 NUMBERS = st.integers(-10**400, 10**400) | st.integers(-3, 9) | st.floats()
 VALUES = st.recursive(
     st.none() | st.booleans() | NUMBERS | st.sampled_from(["planar", "cube", "x", "z", "", "a/b"]),
@@ -650,18 +650,25 @@ class TestMainExitCodes:
         assert "invalid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "verify"])
-    @pytest.mark.parametrize("cube", [{"cross_edge": [2, 6]}, {"cross_nodes": [1, 5, 8, 9]},
-                                      {"cross_nodes": [1, 5, 5, 4]}], ids=str)
-    def test_inconsistent_cube_cross_nodes_rejected_before_output(self, tmp_path, capsys, command, cube):
-        # the default cross_nodes (1, 5, 8, 4) do not follow a moved cross edge
-        path = tmp_path / "cube.json"
-        path.write_text(json.dumps({"formation": "cube", "cube": cube}))
+    @pytest.mark.parametrize("scenario, field", [
+        ({"formation": "cube", "cube": {"top_nodes": [1, 2, 3, 5]}}, "cube.top_nodes"),
+        ({"formation": "cube", "cube": {"cross_edge": [1, 3]}}, "cube.cross_edge"),
+        ({"formation": "cube", "cube": {"cross_edge": [1, 1]}}, "cube.cross_edge"),
+        ({"formation": "cube", "n": "garbage"}, "n"),
+        ({"n": 3, "initial": {"points": [[0, 0], [1, 0], [0, 1]], "box": "garbage", "seed": -5}}, "initial"),
+        ({"n": 3, "reference": {"start": {"axis": "garbage"}}}, "reference.start.axis"),
+        ({"formation": "cube", "reference": {"start": {"axis": [0, 0, 0]}}}, "reference.start.axis"),
+    ], ids=["top_nodes", "cross_in_top", "cross_loop", "cube_n", "points_box", "planar_axis", "zero_axis"])
+    def test_bad_field_rejected_before_output(self, tmp_path, capsys, command, scenario, field):
+        # one line naming the field, before verify prints anything or run makes its directory
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
         argv = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("scenario error: cube.cross_nodes: ")
+        assert captured.err.startswith(f"scenario error: {field}: ")
         assert not (tmp_path / "out").exists()
 
     def test_run_unstable_step_suggests_fix(self, tmp_path, capsys):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import symform as sf
 from conftest import path_eigenvalues
 from symform import checks
-from symform.spatial3d import cross_nodes_problem
 
 
 def cube_corners(lap: sf.SymmetryLaplacian, seed_point=(1.0, 1.0, 1.0)) -> np.ndarray:
@@ -101,22 +100,29 @@ class TestBuildCube:
         perm = checks.cube_permutation(sf.CubeSpec())
         assert np.array_equal(perm @ perm.T, np.eye(24))
 
-    @pytest.mark.parametrize("spec", [
-        sf.CubeSpec(cross_edge=(2, 6)), sf.CubeSpec(cross_nodes=(1, 5, 8, 9)),
-        sf.CubeSpec(cross_nodes=(1, 5, 5, 4)), sf.CubeSpec(cross_nodes=(0, 1, 5, 8))], ids=str)
-    def test_permutation_needs_an_orbit_of_the_cross_edge(self, spec):
-        # the check parse_scenario makes on cube.cross_nodes, in the same words
-        problem = cross_nodes_problem(spec)
-        assert problem is not None and problem.startswith("must be four distinct agents of 1..8")
+    @pytest.mark.parametrize("fields, message", [
+        ({"top_nodes": (1, 2, 3, 5)}, "top_nodes: with bottom_nodes [5, 6, 7, 8] must partition 1..8, "
+                                      "got [1, 2, 3, 5]"),
+        ({"bottom_nodes": (5, 6, 7, 9)}, "top_nodes: with bottom_nodes [5, 6, 7, 9] must partition 1..8"),
+        ({"cross_edge": (1, 3)}, "cross_edge: must join a top node to a bottom node to make a spanning tree, "
+                                 "got [1, 3]"),
+        ({"cross_edge": (1, 1)}, "cross_edge: must join a top node to a bottom node"),
+        ({"cross_edge": (5, 9)}, "cross_edge: must join a top node to a bottom node"),
+    ], ids=["top_nodes", "bottom_nodes", "cross_in_top", "cross_loop", "cross_off_cube"])
+    def test_spec_checks_its_tree(self, fields, message):
+        # the one check of the cube tree; parse_scenario puts "cube." before its message
         with pytest.raises(ValueError) as info:
-            checks.cube_permutation(spec)
-        assert str(info.value) == f"cross_nodes {problem}"
+            sf.CubeSpec(**fields)
+        assert str(info.value).startswith(message)
 
     def test_cross_edge_orbits_accepted(self):
-        for spec in (sf.CubeSpec(), sf.CubeSpec(cross_edge=(2, 6), cross_nodes=(2, 6, 7, 3))):
-            assert cross_nodes_problem(spec) is None
+        # any cross edge from a top node to a bottom node, either way round, leads the slots
+        for spec in (sf.CubeSpec(), sf.CubeSpec(cross_edge=(2, 6)), sf.CubeSpec(cross_edge=(7, 3))):
             perm = checks.cube_permutation(spec)
             assert np.array_equal(perm @ perm.T, np.eye(24))
+            slots = np.argmax(perm[::3, ::3], axis=0) + 1
+            assert slots[:2].tolist() == list(spec.cross_edge)
+            assert slots[2:].tolist() == sorted(set(range(1, 9)) - set(spec.cross_edge))
 
     def test_bad_partition_rejected(self):
         with pytest.raises(ValueError, match="partition"):
@@ -128,8 +134,14 @@ class TestBuildCube:
             sf.build_cube(sf.CubeSpec(cross_edge=(1, 3)))
 
     def test_duplicate_edge_rejected(self):
+        # a cross edge along a face doubles a face edge: the spec refuses it, and the tree
+        # check refuses the doubled edge however the edges are given
+        with pytest.raises(ValueError, match="cross_edge: must join a top node to a bottom node"):
+            sf.CubeSpec(cross_edge=(1, 2))
+        w = sf.rotation3("z", math.pi / 2).matrix
+        wedges = [(1, 2, w), (2, 3, w), (3, 4, w), (5, 6, w), (6, 7, w), (7, 8, w), (1, 2, w)]
         with pytest.raises(ValueError, match="duplicate"):
-            sf.build_cube(sf.CubeSpec(cross_edge=(1, 2)))
+            sf.laplacian_from_edges(8, 3, wedges)
 
 
 class TestCubeCorners:
