@@ -198,7 +198,8 @@ def composed_cube_laplacian(spec: CubeSpec) -> NDArray[np.float64]:
 
 def segment_value(segs: tuple, t: float):
     """The value of the piecewise-constant series ``segs`` ((start, value) pairs) at time t:
-    the scalar lookup that ``maneuver._step_indices`` vectorizes."""
+    the scalar lookup that ``maneuver.propagate_reference`` makes for every step at once, by
+    one ``searchsorted`` of the segment starts on the grid."""
     idx = bisect_right([s[0] for s in segs], t) - 1
     return segs[max(idx, 0)][1]
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from . import dynamics, laplacian, maneuver, output, spatial3d, symgroup, topology
+from . import dynamics, laplacian, maneuver, output, spatial3d, topology
 from .checks import CheckResult, construction_routes, dense_gaps, structure_checks, verification_checks
 from .laplacian import NumericFailure, SymmetryLaplacian
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
@@ -27,21 +27,15 @@ EXIT_VERIFY = 4
 # --------------------------------------------------------------------- system
 
 def build_system(scn: Scenario) -> SymmetryLaplacian:
-    """The scenario's constraint tree as a :class:`SymmetryLaplacian` (``chain`` spans its
-    null space), rejected before any allocation when too large. A planar tree is built and
-    validated here, once per build."""
+    """The scenario's constraint tree, which :func:`parse_scenario` has checked, as a
+    :class:`SymmetryLaplacian` (``chain`` spans its null space), rejected before any
+    allocation when too large."""
     dynamics.require_build_fits(scn.n, scn.dim, dynamics.BUILD_DENSE_MATRICES)
     if scn.formation == "cube":
         return spatial3d.build_cube(scn.cube_spec)
-    if scn.tree_edges is None:
-        graph = topology.cycle_minus_edge(scn.n, scn.removed_edge)
-    else:
-        edges = tuple((u, v, symgroup.CyclicAutomorphism(scn.n, s)) for (u, v, s) in scn.tree_edges)
-        graph = topology.InteractionGraph(n=scn.n, edges=edges)
-    msg = topology.validate(graph)
-    if msg is not None:
-        raise ScenarioError(f"tree: {msg}")
-    return laplacian.build_laplacian(graph)
+    if scn.tree_graph is not None:
+        return laplacian.build_laplacian(scn.tree_graph)
+    return laplacian.build_laplacian(topology.cycle_minus_edge(scn.n, scn.removed_edge))
 
 
 def initial_state(scn: Scenario) -> NDArray[np.float64]:

@@ -106,7 +106,7 @@ def require_build_fits(n: int, dim: int, matrices: int) -> None:
         fit = math.isqrt(MAX_BUILD_BYTES // (matrices * 8)) // dim
         mib = build_bytes / 2**20 if build_bytes < 2**1000 else math.inf  # inf beyond a float
         raise ValueError(
-            f"n = {reprlib.repr(n)} needs about {mib:.1f} MiB for its dense "
+            f"n = {reprlib.repr(n)} needs about {mib:.4g} MiB for its dense "
             f"{reprlib.repr(dn)}x{reprlib.repr(dn)} matrices, "
             f"above the {MAX_BUILD_BYTES / 2**20:g} MiB bound (the largest n that fits is {fit})"
         )

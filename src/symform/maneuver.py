@@ -117,12 +117,17 @@ def omega_matrix(omega, dim: int) -> NDArray[np.float64]:
     return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
 
 
-def _rotation_step(omega, dim: int, dt: float) -> NDArray[np.float64]:
-    """Exact attitude increment exp(Ω dt) for one step of constant omega."""
+def _rotation_step(omega, dim: int, dt: float, t: float) -> NDArray[np.float64]:
+    """Exact attitude increment exp(Ω dt) for one step of the omega that holds from t;
+    a 3-D omega whose turn |omega| dt overflows raises ValueError."""
     if dim == 2:
         return rotation2(float(omega) * dt).matrix
     w = np.asarray(omega, dtype=float)
-    angle = float(np.linalg.norm(w)) * dt
+    with np.errstate(over="ignore"):  # an overflowed norm is rejected below
+        angle = float(np.linalg.norm(w)) * dt
+    if not math.isfinite(angle):
+        raise ValueError(f"reference path: |omega| * dt overflows for the angular velocity "
+                         f"from t = {t:g} at dt = {dt:g}")
     if angle == 0.0:
         return np.eye(3)
     return rotation3(w / np.linalg.norm(w), angle).matrix
@@ -163,8 +168,9 @@ def propagate_reference(
     steps = _step_count(dt, horizon)
     if steps == math.inf:
         raise ValueError(f"horizon {horizon:g} / step size {dt:g} overflows the step count")
-    # the tracemalloc peak per row is 11 floats planar (88 bytes), 18 spatial (144 bytes): the
-    # path's arrays, the per-step velocities and the scale factors; the bound leaves room above it
+    # the tracemalloc peak per row is the path's own arrays, 8 floats planar (64 bytes) and 14
+    # spatial (112 bytes): the per-step velocities and scale factors are freed before the
+    # rotations are allocated; the bound leaves room above it
     _require_grid_fits(steps, dt, 8 * (d * d + 4 * d + 5), "reference steps", "the reference path")
     times = np.arange(steps + 1) * dt
     # segment j holds from the first step at or after its start to the first of segment j + 1
@@ -181,7 +187,9 @@ def propagate_reference(
 
     # sequential accumulations, so every row equals the step-by-step march
     velocities = np.repeat(np.array([v for _, v in inputs.velocity]), np.diff(vf, append=steps), axis=0)
-    positions = np.cumsum(np.vstack([start.position, dt * velocities]), axis=0)
+    with np.errstate(over="ignore"):  # an overflowed position fails the run's finiteness check
+        positions = np.cumsum(np.vstack([start.position, dt * velocities]), axis=0)
+    del velocities
     try:
         growth = [math.exp(a * dt) for *_, a in runs]
     except OverflowError:
@@ -191,11 +199,12 @@ def propagate_reference(
     factors = np.concatenate([[start.scale], np.repeat(growth, [count for _, count, *_ in runs])])
     with np.errstate(over="ignore"):  # an overflowed scale fails the run's finiteness check
         scales = np.multiply.accumulate(factors)
+    del factors
     rotations = np.empty((steps + 1, d, d))
     rotations[0] = start.rotation.matrix
-    for (_, w), lo, count in zip(inputs.angular, wf.tolist(), np.diff(wf, append=steps).tolist()):
+    for (t, w), lo, count in zip(inputs.angular, wf.tolist(), np.diff(wf, append=steps).tolist()):
         if count:  # each segment's own turn, computed once
-            turn = _rotation_step(w, d, dt)
+            turn = _rotation_step(w, d, dt, t)
             for k in range(lo, lo + count):
                 rotations[k + 1] = turn @ rotations[k]
     return ReferencePath(times=times, positions=positions, rotations=rotations, scales=scales,
@@ -348,8 +357,8 @@ def simulate_maneuver(
         zeta = zeta.reshape(steps + 1, n * d)
         points += path.positions[:, None, :]
         states[0] = p0
-    require_finite("maneuver", path.times, reference_scales=path.scales, states=states,
-                   edge_errors=errors, potentials=potentials, zeta=zeta)
+    require_finite("maneuver", path.times, reference_positions=path.positions, reference_scales=path.scales,
+                   states=states, edge_errors=errors, potentials=potentials, zeta=zeta)
     trace = ManeuverTrace(
         times=path.times, states=states, edge_errors=errors, potentials=potentials,
         n=n, dim=d, edge_index=lap.edge_index, dt=dt, horizon=horizon,

@@ -1,10 +1,10 @@
 """Scenario files: parsing, validation and defaults of a run description."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import reprlib
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -24,7 +24,7 @@ class ScenarioError(Exception):
     """A scenario file is malformed; the message names the offending field."""
 
 
-@dataclass
+@dataclasses.dataclass
 class Scenario:
     """Fully resolved run description (all defaults applied)."""
 
@@ -32,7 +32,7 @@ class Scenario:
     formation: str            # "planar" | "cube"
     n: int
     dim: int
-    tree_edges: tuple | None  # planar, given as edges: ((u, v, shift), ...)
+    tree_graph: topology.InteractionGraph | None  # planar, given as edges: checked by topology.validate
     removed_edge: tuple[int, int] | None  # planar, given as C_n less this edge (u, v)
     initial_points: NDArray[np.float64] | None
     box: tuple[float, float]
@@ -79,44 +79,56 @@ def _as_vector(value, dim: int, path: str) -> np.ndarray:
     return np.array([_as_number(x, f"{path}[{i}]") for i, x in enumerate(value)])
 
 
-def _parse_segments(raw, path: str, dim: int, kind: str) -> tuple:
+def _as_seed(value, path: str) -> int:
+    seed = _as_int(value, path)
+    _require(seed >= 0, path, f"must be non-negative, got {reprlib.repr(seed)}")
+    return seed
+
+
+def _ints(raw, path: str, count: int, shape: str) -> tuple[int, ...]:
+    """``raw`` as a list of ``count`` integer ids; ``shape`` names that list in the message."""
+    _require(isinstance(raw, list) and len(raw) == count, path, f"expected {shape}")
+    return tuple(_as_int(v, f"{path}[{i}]") for i, v in enumerate(raw))
+
+
+def _fields(raw, path: str, known) -> dict:
+    """``raw`` as an object holding only ``known`` keys."""
+    _require(isinstance(raw, dict), path, "expected an object")
+    for key in raw:
+        _require(key in known, path, f"unknown field {reprlib.repr(key)}")
+    return raw
+
+
+def _parse_segments(raw, path: str, value) -> tuple:
+    """[t, value] pairs, each value read by the rule ``value(raw, path)``."""
     _require(isinstance(raw, list) and raw, path, "expected a non-empty list of [t, value] pairs")
     segs = []
     for i, pair in enumerate(raw):
         p = f"{path}[{i}]"
         _require(isinstance(pair, list) and len(pair) == 2, p, "expected a [t, value] pair")
-        t = _as_number(pair[0], f"{p}[0]")
-        if kind == "velocity":
-            value = _as_vector(pair[1], dim, f"{p}[1]")
-        elif kind == "angular" and dim == 3:
-            value = _as_vector(pair[1], 3, f"{p}[1]")
-        else:
-            value = _as_number(pair[1], f"{p}[1]")
-        segs.append((t, value))
+        segs.append((_as_number(pair[0], f"{p}[0]"), value(pair[1], f"{p}[1]")))
     return tuple(segs)
 
 
 def _parse_reference(raw, dim: int, path: str) -> tuple[maneuver.ReferenceInputs, maneuver.ReferenceState]:
-    _require(isinstance(raw, dict), path, "expected an object")
-    known = {"start", "velocity", "angular_velocity", "scale_rate"}
-    for key in raw:
-        _require(key in known, path, f"unknown field {reprlib.repr(key)}")
+    _fields(raw, path, ("start", "velocity", "angular_velocity", "scale_rate"))
     zero_v = [[0.0, [0.0] * dim]]
     zero_w = [[0.0, [0.0, 0.0, 0.0] if dim == 3 else 0.0]]
     zero_a = [[0.0, 0.0]]
-    velocity = _parse_segments(raw.get("velocity", zero_v), f"{path}.velocity", dim, "velocity")
-    angular = _parse_segments(raw.get("angular_velocity", zero_w), f"{path}.angular_velocity", dim, "angular")
-    scale_rate = _parse_segments(raw.get("scale_rate", zero_a), f"{path}.scale_rate", dim, "scale")
+
+    def vector(value, p: str) -> np.ndarray:
+        return _as_vector(value, dim, p)
+
+    velocity = _parse_segments(raw.get("velocity", zero_v), f"{path}.velocity", vector)
+    angular = _parse_segments(raw.get("angular_velocity", zero_w), f"{path}.angular_velocity",
+                              vector if dim == 3 else _as_number)
+    scale_rate = _parse_segments(raw.get("scale_rate", zero_a), f"{path}.scale_rate", _as_number)
     try:
         inputs = maneuver.ReferenceInputs(dim=dim, velocity=velocity, angular=angular, scale_rate=scale_rate)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
-    start_raw = raw.get("start", {})
-    _require(isinstance(start_raw, dict), f"{path}.start", "expected an object")
-    for key in start_raw:
-        _require(key in ("position", "scale", "angle", "axis"), f"{path}.start",
-                 f"unknown field {reprlib.repr(key)}")
+    start_raw = _fields(raw.get("start", {}), f"{path}.start", ("position", "scale", "angle", "axis"))
     pos = _as_vector(start_raw.get("position", [0.0] * dim), dim, f"{path}.start.position")
     scale = _as_number(start_raw.get("scale", 1.0), f"{path}.start.scale")
     angle = _as_number(start_raw.get("angle", 0.0), f"{path}.start.angle")
@@ -139,24 +151,18 @@ def _parse_reference(raw, dim: int, path: str) -> tuple[maneuver.ReferenceInputs
 def _parse_cube(raw, path: str) -> spatial3d.CubeSpec:
     if raw is None:
         return spatial3d.CubeSpec()
-    _require(isinstance(raw, dict), path, "expected an object")
     kwargs = {}
-    for key in raw:
+    for key, value in _fields(raw, path, [f.name for f in dataclasses.fields(spatial3d.CubeSpec)]).items():
+        p = f"{path}.{key}"
         if key in ("face_axis", "cross_axis"):
-            _require(raw[key] in ("x", "y", "z"), f"{path}.{key}", "expected 'x', 'y' or 'z'")
-            kwargs[key] = raw[key]
+            _require(value in ("x", "y", "z"), p, "expected 'x', 'y' or 'z'")
+            kwargs[key] = value
         elif key in ("face_angle", "cross_angle"):
-            kwargs[key] = _as_number(raw[key], f"{path}.{key}")
-        elif key in ("top_nodes", "bottom_nodes"):
-            vals = raw[key]
-            _require(isinstance(vals, list) and len(vals) == 4, f"{path}.{key}", "expected 4 node ids")
-            kwargs[key] = tuple(_as_int(v, f"{path}.{key}[{i}]") for i, v in enumerate(vals))
+            kwargs[key] = _as_number(value, p)
         elif key == "cross_edge":
-            vals = raw[key]
-            _require(isinstance(vals, list) and len(vals) == 2, f"{path}.{key}", "expected [u, v]")
-            kwargs[key] = tuple(_as_int(v, f"{path}.{key}[{i}]") for i, v in enumerate(vals))
+            kwargs[key] = _ints(value, p, 2, "[u, v]")
         else:
-            raise ScenarioError(f"{path}: unknown field {reprlib.repr(key)}")
+            kwargs[key] = _ints(value, p, 4, "4 node ids")
     try:
         return spatial3d.CubeSpec(**kwargs)
     except ValueError as exc:  # its message leads with the field at fault
@@ -166,10 +172,7 @@ def _parse_cube(raw, path: str) -> spatial3d.CubeSpec:
 def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
     """Validate a scenario dict and resolve every default."""
     _require(isinstance(raw, dict), "$", "scenario must be a JSON object")
-    known = {"name", "formation", "n", "tree", "initial", "seed", "reference",
-             "dt", "horizon", "cube"}
-    for key in raw:
-        _require(key in known, "$", f"unknown field {reprlib.repr(key)}")
+    _fields(raw, "$", ("name", "formation", "n", "tree", "initial", "seed", "reference", "dt", "horizon", "cube"))
 
     formation = raw.get("formation", "planar")
     _require(formation in ("planar", "cube"), "formation",
@@ -187,8 +190,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
     _require(size <= MAX_NAME_BYTES, "name",
              f"must be at most {MAX_NAME_BYTES} bytes in UTF-8, got {size}: {reprlib.repr(name)}")
 
-    seed = _as_int(raw.get("seed", DEFAULT_SEED), "seed")
-    _require(seed >= 0, "seed", f"must be non-negative, got {reprlib.repr(seed)}")
+    seed = _as_seed(raw.get("seed", DEFAULT_SEED), "seed")
     dt = None if "dt" not in raw else _as_number(raw["dt"], "dt")
     if dt is not None:
         _require(dt > 0, "dt", "must be positive")
@@ -201,7 +203,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
         _require("n" not in raw, "n", "cube formations fix n = 8")
         n, dim = 8, 3
         cube_spec = _parse_cube(raw.get("cube"), "cube")
-        tree_edges = removed_edge = None
+        tree_graph = removed_edge = None
     else:
         _require("cube" not in raw, "cube", "only valid for cube formations")
         _require("n" in raw, "n", "required for planar formations")
@@ -209,38 +211,28 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
         _require(n >= 3, "n", f"cycle formations need n >= 3, got {n}")
         dim = 2
         cube_spec = None
-        tree_raw = raw.get("tree", {"remove": [n, 1]})
-        _require(isinstance(tree_raw, dict), "tree", "expected an object")
-        for key in tree_raw:
-            _require(key in ("remove", "edges"), "tree", f"unknown field {reprlib.repr(key)}")
+        tree_raw = _fields(raw.get("tree", {}), "tree", ("remove", "edges"))
         if "remove" in tree_raw and "edges" in tree_raw:
             raise ScenarioError("tree: give either 'remove' or 'edges', not both")
         if "edges" in tree_raw:
-            edges = []
             _require(isinstance(tree_raw["edges"], list), "tree.edges", "expected a list")
+            edges = []
             for i, item in enumerate(tree_raw["edges"]):
-                p = f"tree.edges[{i}]"
-                _require(isinstance(item, list) and len(item) == 3, p, "expected [u, v, shift]")
-                u = _as_int(item[0], f"{p}[0]")
-                v = _as_int(item[1], f"{p}[1]")
-                s = _as_int(item[2], f"{p}[2]")
-                edges.append((u, v, s))
-            tree_edges, removed_edge = tuple(edges), None
+                u, v, shift = _ints(item, f"tree.edges[{i}]", 3, "[u, v, shift]")
+                edges.append((u, v, symgroup.CyclicAutomorphism(n, shift)))
+            tree_graph, removed_edge = topology.InteractionGraph(n=n, edges=tuple(edges)), None
+            problem = topology.validate(tree_graph)  # O(len(edges)): the edges, not n, set its cost
+            _require(problem is None, "tree", problem)
         else:
-            rm = tree_raw.get("remove", [n, 1])
-            _require(isinstance(rm, list) and len(rm) == 2, "tree.remove", "expected [u, v]")
-            u = _as_int(rm[0], "tree.remove[0]")
-            v = _as_int(rm[1], "tree.remove[1]")
+            u, v = _ints(tree_raw.get("remove", [n, 1]), "tree.remove", 2, "[u, v]")
             _require(topology.CycleGraph(n).contains_edge(u, v), "tree.remove",
                      f"{reprlib.repr([u, v])} is not an edge of C_{reprlib.repr(n)}")
-            tree_edges, removed_edge = None, (u, v)  # cli.build_system builds the tree once n is known to fit
+            # C_n less a cycle edge is a tree; cli.build_system builds it once n is known to fit
+            tree_graph, removed_edge = None, (u, v)
 
     initial_points = None
     box = DEFAULT_BOX
-    init_raw = raw.get("initial", {})
-    _require(isinstance(init_raw, dict), "initial", "expected an object")
-    for key in init_raw:
-        _require(key in ("points", "box", "seed"), "initial", f"unknown field {reprlib.repr(key)}")
+    init_raw = _fields(raw.get("initial", {}), "initial", ("points", "box", "seed"))
     if "points" in init_raw:
         _require("box" not in init_raw and "seed" not in init_raw, "initial",
                  "give either 'points' or 'box' and 'seed', not both")
@@ -257,8 +249,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
             _require(math.isfinite(hi - lo), "initial.box", "hi - lo must be finite")
             box = (lo, hi)
         if "seed" in init_raw:
-            seed = _as_int(init_raw["seed"], "initial.seed")
-            _require(seed >= 0, "initial.seed", f"must be non-negative, got {reprlib.repr(seed)}")
+            seed = _as_seed(init_raw["seed"], "initial.seed")
 
     reference = None
     ref_start = None
@@ -266,7 +257,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
         reference, ref_start = _parse_reference(raw["reference"], dim, "reference")
 
     return Scenario(
-        name=name, formation=formation, n=n, dim=dim, tree_edges=tree_edges, removed_edge=removed_edge,
+        name=name, formation=formation, n=n, dim=dim, tree_graph=tree_graph, removed_edge=removed_edge,
         initial_points=initial_points, box=box, seed=seed,
         reference=reference, ref_start=ref_start, dt=dt, horizon=horizon, cube_spec=cube_spec,
     )

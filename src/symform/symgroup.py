@@ -77,7 +77,8 @@ def rotation3(axis, angle: float) -> Rotation:
         a = np.asarray(axis, dtype=float)
         if a.shape != (3,):
             raise ValueError(f"axis must be a 3-vector, got shape {a.shape}")
-        norm = float(np.linalg.norm(a))
+        with np.errstate(over="ignore"):  # a norm beyond the float range is rejected below
+            norm = float(np.linalg.norm(a))
         if abs(norm - 1.0) > UNIT_AXIS_TOL:
             raise ValueError(f"axis norm {norm:.6e} is not 1 within {UNIT_AXIS_TOL:.0e}")
     if not math.isfinite(angle):

@@ -277,7 +277,7 @@ class TestParseScenario:
         assert scn.formation == "planar" and scn.n == 4 and scn.dim == 2
         assert scn.seed == 0
         assert scn.box == (-2.0, 2.0)
-        assert scn.tree_edges is None and scn.removed_edge == (4, 1)
+        assert scn.tree_graph is None and scn.removed_edge == (4, 1)
         graph = cli.build_system(scn)
         assert graph.edge_index == ((1, 2), (2, 3), (3, 4))
         assert scn.reference is None and scn.dt is None and scn.horizon is None
@@ -304,9 +304,13 @@ class TestParseScenario:
                                                  "edges": [[1, 2, 1]]}})
 
     def test_explicit_edges(self):
-        scn = cli.parse_scenario({"n": 4, "tree": {"edges": [[1, 2, 1], [2, 3, 1],
-                                                             [3, 4, 1]]}})
-        assert scn.tree_edges == ((1, 2, 1), (2, 3, 1), (3, 4, 1))
+        # the scenario holds the checked graph, its shifts reduced mod n
+        scn = cli.parse_scenario({"n": 4, "tree": {"edges": [[1, 2, 1], [2, 3, 5],
+                                                             [3, 4, -3]]}})
+        assert scn.removed_edge is None
+        assert scn.tree_graph == sf.InteractionGraph(
+            n=4, edges=tuple((u, v, sf.CyclicAutomorphism(4, 1)) for u, v in ((1, 2), (2, 3), (3, 4))))
+        assert topology.validate(scn.tree_graph) is None
 
     def test_initial_points_count_checked(self):
         with pytest.raises(cli.ScenarioError, match="initial.points"):
@@ -658,7 +662,11 @@ class TestMainExitCodes:
         ({"n": 3, "initial": {"points": [[0, 0], [1, 0], [0, 1]], "box": "garbage", "seed": -5}}, "initial"),
         ({"n": 3, "reference": {"start": {"axis": "garbage"}}}, "reference.start.axis"),
         ({"formation": "cube", "reference": {"start": {"axis": [0, 0, 0]}}}, "reference.start.axis"),
-    ], ids=["top_nodes", "cross_in_top", "cross_loop", "cube_n", "points_box", "planar_axis", "zero_axis"])
+        ({"n": 4, "tree": {"edges": [[1, 3, 1], [2, 3, 1], [3, 4, 1]]}}, "tree"),
+        ({"n": 4, "tree": {"edges": [[1, 2, 1], [2, 1, 1], [3, 4, 1]]}}, "tree"),
+        ({"n": 4, "tree": {"edges": [[1, 2, 1], [2, 3, 1]]}}, "tree"),
+    ], ids=["top_nodes", "cross_in_top", "cross_loop", "cube_n", "points_box", "planar_axis", "zero_axis",
+            "tree_not_cycle_edge", "tree_duplicate_edge", "tree_too_few_edges"])
     def test_bad_field_rejected_before_output(self, tmp_path, capsys, command, scenario, field):
         # one line naming the field, before verify prints anything or run makes its directory
         path = tmp_path / "scenario.json"
@@ -686,6 +694,10 @@ class TestMainExitCodes:
          3, "not finite"),
         ({"n": 6, "dt": 0.01, "horizon": 20, "reference": {"scale_rate": [[0, 1e6]]}},
          3, "overflows"),
+        # the reference positions overflow, and are named before the states that follow them
+        ({"n": 4, "horizon": 1, "reference": {"start": {"position": [1e308, 1e308]},
+                                             "velocity": [[0, [1e308, 0]]]}},
+         3, "maneuver: reference_positions is not finite from step 6 (t = 0.87868)"),
     ])
     def test_failing_run_writes_nothing(self, tmp_path, capsys, scenario, code, message):
         path = tmp_path / "scenario.json"
@@ -694,7 +706,7 @@ class TestMainExitCodes:
             warnings.simplefilter("error")
             assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == code
         err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
+        assert message in err and err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_overflow_inside_a_block(self, tmp_path, capsys):
@@ -1292,6 +1304,12 @@ class TestOversizedRun:
         ({"n": 3, "initial": {"points": [[0, 0], [10 ** 400, 0], [1, 1]]}}, "initial.points[1][0]: must be finite"),
         ({"n": 3, "reference": {"start": {"scale": 10 ** 400}}}, "reference.start.scale: must be finite"),
         ({"n": 10 ** 400}, "needs about inf MiB"),
+        ({"n": 10 ** 30}, "needs about 1.526e+56 MiB"),
+        # a norm beyond the float range: one message naming the input, no numpy warning
+        ({"formation": "cube", "horizon": 1, "reference": {"angular_velocity": [[0, [1e300, 0, 0]]]}},
+         "invalid argument: reference path: |omega| * dt overflows for the angular velocity from t = 0"),
+        ({"formation": "cube", "reference": {"start": {"axis": [1e300, 0, 0]}}},
+         "reference.start.axis: axis norm inf is not 1"),
         # json.loads recurses once per level and raises RecursionError
         ('{"n": 3, "dt": ' + "[" * 100_000 + "]" * 100_000 + "}", "scenario.json: invalid JSON: nested too deeply"),
         # ValueErrors of the file's reading and decoding, not of a field
@@ -1308,11 +1326,13 @@ class TestOversizedRun:
         # misspelt nested fields, which would run the default removed edge or start pose
         ({"n": 5, "tree": {"remvoe": [2, 3]}}, "tree: unknown field 'remvoe'"),
         ({"n": 5, "reference": {"start": {"postion": [1, 2]}}}, "reference.start: unknown field 'postion'"),
+        # the edges are checked as they are parsed, at their own cost and not n's
+        ({"n": 10 ** 30, "tree": {"edges": [[1, 2, 1], [2, 3, 1]]}}, "tree: not connected"),
     ], ids=["nan_gain", "huge_step_count", "infinite_step_count", "huge_n", "short_cube_maneuver",
             "infinite_box_width", "negative_seed", "negative_initial_seed", "huge_int_dt", "huge_int_box",
-            "huge_int_point", "huge_int_scale", "huge_int_n", "deep_json", "long_int_json", "non_utf8",
-            "control_character_name", "surrogate_name", "long_name", "long_unknown_field",
-            "unknown_tree_field", "unknown_start_field"])
+            "huge_int_point", "huge_int_scale", "huge_int_n", "huge_n_mib", "omega_norm", "axis_norm",
+            "deep_json", "long_int_json", "non_utf8", "control_character_name", "surrogate_name", "long_name",
+            "long_unknown_field", "unknown_tree_field", "unknown_start_field", "huge_n_short_tree"])
     def test_rejected_in_one_line(self, tmp_path, capsys, monkeypatch, scenario, message):
         def forbidden(*args, **kwargs):
             raise AssertionError("dense build started")
