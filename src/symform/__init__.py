@@ -55,7 +55,6 @@ from .maneuver import (
 from .spatial3d import (
     CubeSpec,
     build_cube,
-    simulate_cube,
 )
 from .checks import (
     closed_form_solution,
@@ -84,7 +83,7 @@ __all__ = [
     "moving_frame", "null_basis", "omega_matrix", "potential",
     "product_laplacian", "propagate_linear", "propagate_reference",
     "resolve_grid", "rk4_step", "rotation2", "rotation3", "rotation_chain",
-    "shifted_errors", "simulate_cube", "simulate_maneuver", "spectrum",
+    "shifted_errors", "simulate_maneuver", "spectrum",
     "steady_state", "steady_state_per_agent", "symmetric_configuration",
     "validate", "weighted_edges", "zeta_consistency_residual",
 ]

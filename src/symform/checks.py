@@ -139,7 +139,10 @@ def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray
     return out
 
 
-# Independent routes: the paper's claims computed a second way, read by verify and the tests.
+# Independent routes: the paper's claims computed a second way. verify reads the construction
+# routes (construction_routes and the cube's composed form) and closed_form_solution; the rest,
+# the maneuver routes among them (moving_frame, frame_to_world, maneuver_control, shifted_errors),
+# are read only by the tests.
 
 def construction_routes(lap: SymmetryLaplacian, cube_spec: CubeSpec | None = None) -> tuple[Route, ...]:
     """Independent constructions of ``lap.matrix`` as (name, label, matrix): the gauge form

@@ -16,7 +16,7 @@ from numpy.typing import NDArray
 from . import dynamics, laplacian, maneuver, output, spatial3d, topology
 from .checks import CheckResult, construction_routes, dense_gaps, structure_checks, verification_checks
 from .laplacian import NumericFailure, SymmetryLaplacian
-from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
+from .scenario import Scenario, ScenarioError, _as_positive, _as_seed, load_scenario, parse_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -234,18 +234,13 @@ def sweep_sizes(n_from: int, n_to: int) -> list[dict]:
 # ----------------------------------------------------------------------- main
 
 def _apply_overrides(scn: Scenario, args: argparse.Namespace) -> Scenario:
+    """--seed, --dt and --horizon in place of their scenario fields, checked by the same rules."""
     if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ScenarioError(f"--seed must be non-negative, got {args.seed}")
-        scn.seed = args.seed
+        scn.seed = _as_seed(args.seed, "--seed")
     if getattr(args, "dt", None) is not None:
-        if args.dt <= 0:
-            raise ScenarioError(f"--dt must be positive, got {args.dt}")
-        scn.dt = args.dt
+        scn.dt = _as_positive(args.dt, "--dt")
     if getattr(args, "horizon", None) is not None:
-        if args.horizon <= 0:
-            raise ScenarioError(f"--horizon must be positive, got {args.horizon}")
-        scn.horizon = args.horizon
+        scn.horizon = _as_positive(args.horizon, "--horizon")
     return scn
 
 

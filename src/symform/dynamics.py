@@ -328,8 +328,7 @@ def _to_world(lap: SymmetryLaplacian, rows: NDArray[np.float64]) -> None:
         rows.view(np.complex128)[:] *= _phases(lap)
         return
     points = rows.reshape(rows.shape[0], n, d)
-    for i, s in enumerate(lap.chain.reshape(n, d, d)):
-        points[:, i] = points[:, i] @ s.T
+    np.matmul(points[:, :, None, :], lap.chain.reshape(n, d, d).transpose(0, 2, 1), out=points[:, :, None, :])
 
 
 def _edge_errors(lap: SymmetryLaplacian, rows: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:

@@ -11,7 +11,7 @@ from numpy.typing import NDArray
 from .dynamics import (DEFAULT_STEP_FACTOR, SimulationTrace, _gauge_run, _require_grid_fits, _step_count,
                        require_finite, resolve_grid)
 from .laplacian import NumericFailure, SymmetryLaplacian
-from .symgroup import Rotation, identity, rotation2, rotation3
+from .symgroup import Rotation, identity
 
 # RK4 may not amplify any mode by more than rounding: max |P(-dt μ)| <= 1 + this
 RK4_GAIN_TOL = 1e-12
@@ -117,28 +117,13 @@ def omega_matrix(omega, dim: int) -> NDArray[np.float64]:
     return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
 
 
-def _rotation_step(omega, dim: int, dt: float, t: float) -> NDArray[np.float64]:
-    """Exact attitude increment exp(Ω dt) for one step of the omega that holds from t;
-    a 3-D omega whose turn |omega| dt overflows raises ValueError."""
-    if dim == 2:
-        return rotation2(float(omega) * dt).matrix
-    w = np.asarray(omega, dtype=float)
-    with np.errstate(over="ignore"):  # an overflowed norm is rejected below
-        angle = float(np.linalg.norm(w)) * dt
-    if not math.isfinite(angle):
-        raise ValueError(f"reference path: |omega| * dt overflows for the angular velocity "
-                         f"from t = {t:g} at dt = {dt:g}")
-    if angle == 0.0:
-        return np.eye(3)
-    return rotation3(w / np.linalg.norm(w), angle).matrix
-
-
 @dataclass(eq=False)
 class ReferencePath:
     """Reference trajectory sampled on the integration grid.
 
     Inputs are sampled once per step at the left node and held constant, so
-    positions are exact piecewise-linear, attitudes exact rotation products,
+    positions are exact piecewise-linear, attitudes exact turns of each
+    segment's first attitude, exp(Ω (t - t_lo)) R_lo in Rodrigues' closed form,
     and scales exact exponentials of the sampled rates. ``runs`` cuts the steps
     into runs of constant angular velocity and scale rate, each
     (first step, step count, ω, α), neighbours with equal ω and α merged.
@@ -155,7 +140,7 @@ class ReferencePath:
 def propagate_reference(
     inputs: ReferenceInputs, start: ReferenceState, dt: float, horizon: float
 ) -> ReferencePath:
-    """March the reference frame over the grid of :func:`resolve_grid`, ceil(horizon/dt) steps;
+    """Sample the reference frame on the grid of :func:`resolve_grid`, ceil(horizon/dt) steps;
     a step count that overflows, or a path above ``MAX_TRACE_BYTES``, raises ValueError
     before any array is allocated."""
     if start.dim != inputs.dim:
@@ -168,9 +153,10 @@ def propagate_reference(
     steps = _step_count(dt, horizon)
     if steps == math.inf:
         raise ValueError(f"horizon {horizon:g} / step size {dt:g} overflows the step count")
-    # the tracemalloc peak per row is the path's own arrays, 8 floats planar (64 bytes) and 14
-    # spatial (112 bytes): the per-step velocities and scale factors are freed before the
-    # rotations are allocated; the bound leaves room above it
+    # the path's own arrays are 8 floats a row planar (64 bytes) and 14 spatial (112 bytes); the
+    # per-step velocities and scale factors are freed before the rotations are allocated, and the
+    # attitudes add the angles and one (rows, d, d) product, so the tracemalloc peak
+    # is 111 bytes a row planar and 199 spatial (20,001 rows), within the bound's 136 and 208
     _require_grid_fits(steps, dt, 8 * (d * d + 4 * d + 5), "reference steps", "the reference path")
     times = np.arange(steps + 1) * dt
     # segment j holds from the first step at or after its start to the first of segment j + 1
@@ -185,7 +171,7 @@ def propagate_reference(
             lo, _, w, a = runs.pop()  # the same inputs continue: one run, with its first values
         runs.append((lo, hi - lo, w, a))
 
-    # sequential accumulations, so every row equals the step-by-step march
+    # sequential accumulations, so every position and scale equals the step-by-step march
     velocities = np.repeat(np.array([v for _, v in inputs.velocity]), np.diff(vf, append=steps), axis=0)
     with np.errstate(over="ignore"):  # an overflowed position fails the run's finiteness check
         positions = np.cumsum(np.vstack([start.position, dt * velocities]), axis=0)
@@ -203,10 +189,26 @@ def propagate_reference(
     rotations = np.empty((steps + 1, d, d))
     rotations[0] = start.rotation.matrix
     for (t, w), lo, count in zip(inputs.angular, wf.tolist(), np.diff(wf, append=steps).tolist()):
-        if count:  # each segment's own turn, computed once
-            turn = _rotation_step(w, d, dt, t)
-            for k in range(lo, lo + count):
-                rotations[k + 1] = turn @ rotations[k]
+        if not count:
+            continue
+        r, block = rotations[lo], rotations[lo + 1:lo + count + 1]
+        with np.errstate(over="ignore"):  # a 3-D norm whose squares overflow is rejected below
+            speed = abs(w) if d == 2 else float(np.linalg.norm(w))
+        turn = speed * dt
+        if not math.isfinite(turn):
+            raise ValueError(f"reference path: |omega| * dt overflows for the angular velocity "
+                             f"from t = {t:g} at dt = {dt:g}")
+        theta = math.remainder(turn, math.tau)  # a turn of at most pi is left as it is
+        if theta == 0.0:
+            block[:] = r
+            continue
+        # Rodrigues: exp(j theta K) R_lo = R_lo + sin(j theta) K R_lo + (1 - cos(j theta)) K² R_lo
+        k = omega_matrix(w, d) / speed
+        angles = np.arange(1, count + 1) * theta
+        np.multiply.outer(np.sin(angles), k @ r, out=block)
+        block += r
+        versines = np.subtract(1.0, np.cos(angles, out=angles), out=angles)  # in place, no third array
+        block += np.multiply.outer(versines, k @ (k @ r))
     return ReferencePath(times=times, positions=positions, rotations=rotations, scales=scales,
                          runs=tuple(runs), dt=dt)
 

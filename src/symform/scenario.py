@@ -79,6 +79,12 @@ def _as_vector(value, dim: int, path: str) -> np.ndarray:
     return np.array([_as_number(x, f"{path}[{i}]") for i, x in enumerate(value)])
 
 
+def _as_positive(value, path: str) -> float:
+    value = _as_number(value, path)
+    _require(value > 0, path, "must be positive")
+    return value
+
+
 def _as_seed(value, path: str) -> int:
     seed = _as_int(value, path)
     _require(seed >= 0, path, f"must be non-negative, got {reprlib.repr(seed)}")
@@ -149,8 +155,6 @@ def _parse_reference(raw, dim: int, path: str) -> tuple[maneuver.ReferenceInputs
 
 
 def _parse_cube(raw, path: str) -> spatial3d.CubeSpec:
-    if raw is None:
-        return spatial3d.CubeSpec()
     kwargs = {}
     for key, value in _fields(raw, path, [f.name for f in dataclasses.fields(spatial3d.CubeSpec)]).items():
         p = f"{path}.{key}"
@@ -191,18 +195,14 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
              f"must be at most {MAX_NAME_BYTES} bytes in UTF-8, got {size}: {reprlib.repr(name)}")
 
     seed = _as_seed(raw.get("seed", DEFAULT_SEED), "seed")
-    dt = None if "dt" not in raw else _as_number(raw["dt"], "dt")
-    if dt is not None:
-        _require(dt > 0, "dt", "must be positive")
-    horizon = None if "horizon" not in raw else _as_number(raw["horizon"], "horizon")
-    if horizon is not None:
-        _require(horizon > 0, "horizon", "must be positive")
+    dt = None if "dt" not in raw else _as_positive(raw["dt"], "dt")
+    horizon = None if "horizon" not in raw else _as_positive(raw["horizon"], "horizon")
 
     if formation == "cube":
         _require("tree" not in raw, "tree", "cube formations fix their own constraint tree")
         _require("n" not in raw, "n", "cube formations fix n = 8")
         n, dim = 8, 3
-        cube_spec = _parse_cube(raw.get("cube"), "cube")
+        cube_spec = _parse_cube(raw.get("cube", {}), "cube")
         tree_graph = removed_edge = None
     else:
         _require("cube" not in raw, "cube", "only valid for cube formations")

@@ -159,7 +159,7 @@ def test_criterion_7_cube():
         route_gap = np.abs(lap.matrix - composed).max()
         assert route_gap <= 1e-12, f"construction route gap {route_gap}"
         p0 = np.random.default_rng(11).uniform(-2.0, 2.0, 24)
-        trace = sf.simulate_cube(lap, p0)
+        trace = sf.integrate(lap, p0)
         gap = np.linalg.norm(trace.final_state - sf.steady_state(p0, lap.chain))
         assert gap <= 1e-6, f"|p(T) - projection| = {gap}"
 

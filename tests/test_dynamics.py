@@ -76,6 +76,17 @@ class TestEdgeErrors:
     def test_cube_gauge_rows_match_incidence_route(self):
         self.check_gauge_rows(sf.build_cube(), 12)
 
+    @pytest.mark.parametrize("count", (1, 50, 4001))
+    def test_cube_world_rows_match_per_node_loop(self, count):
+        # the batched rotation out of the gauge against the per-node products it replaced, bit for bit
+        lap = sf.build_cube()
+        rows = np.random.default_rng(count).uniform(-3, 3, (count, 24))
+        expected = rows.copy().reshape(count, 8, 3)
+        for i, s in enumerate(lap.chain.reshape(8, 3, 3)):
+            expected[:, i] = expected[:, i] @ s.T
+        sf.dynamics._to_world(lap, rows)
+        assert np.array_equal(rows, expected.reshape(count, 24))
+
     def test_gauge_rows_form_no_incidence(self, path_system):
         # 41 rows of a planar n = 600 run peak below half of one n x (n - 1) array,
         # which a ±1 tree incidence alone would fill

@@ -122,7 +122,7 @@ class TestSvg:
     def test_spatial_trace_projects(self):
         lap = sf.build_cube()
         p0 = np.random.default_rng(7).uniform(-2, 2, 24)
-        trace = sf.simulate_cube(lap, p0, dt=0.05, horizon=1.0)
+        trace = sf.integrate(lap, p0, dt=0.05, horizon=1.0)
         ET.fromstring(output.svg_paths(trace))
         ET.fromstring(output.svg_errors(trace))
 
@@ -1328,16 +1328,19 @@ class TestOversizedRun:
         ({"n": 5, "reference": {"start": {"postion": [1, 2]}}}, "reference.start: unknown field 'postion'"),
         # the edges are checked as they are parsed, at their own cost and not n's
         ({"n": 10 ** 30, "tree": {"edges": [[1, 2, 1], [2, 3, 1]]}}, "tree: not connected"),
+        # a null object key is refused like any other non-object, for the cube as for tree or initial
+        ({"formation": "cube", "cube": None}, "cube: expected an object"),
     ], ids=["nan_gain", "huge_step_count", "infinite_step_count", "huge_n", "short_cube_maneuver",
             "infinite_box_width", "negative_seed", "negative_initial_seed", "huge_int_dt", "huge_int_box",
             "huge_int_point", "huge_int_scale", "huge_int_n", "huge_n_mib", "omega_norm", "axis_norm",
             "deep_json", "long_int_json", "non_utf8", "control_character_name", "surrogate_name", "long_name",
-            "long_unknown_field", "unknown_tree_field", "unknown_start_field", "huge_n_short_tree"])
+            "long_unknown_field", "unknown_tree_field", "unknown_start_field", "huge_n_short_tree",
+            "null_cube"])
     def test_rejected_in_one_line(self, tmp_path, capsys, monkeypatch, scenario, message):
         def forbidden(*args, **kwargs):
             raise AssertionError("dense build started")
 
-        parsed_away = message.startswith(("name:", "$:", "tree:", "reference.start:"))  # before any build
+        parsed_away = message.startswith(("name:", "$:", "tree:", "reference.start:", "cube:"))  # before any build
         if isinstance(scenario, dict) and (scenario.get("n", 0) >= 20000 or parsed_away):
             # rejected before the dense build, whatever memory the machine has
             monkeypatch.setattr(laplacian, "laplacian_from_edges", forbidden)
@@ -1355,7 +1358,17 @@ class TestOversizedRun:
 
     def test_negative_seed_override_rejected(self, tmp_path, capsys):
         assert cli.main(["run", "example2_c4", "--seed", "-1", "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == "scenario error: --seed must be non-negative, got -1\n"
+        assert capsys.readouterr().err == "scenario error: --seed: must be non-negative, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--dt", "nan", "--dt: must be finite"), ("--dt", "0", "--dt: must be positive"),
+        ("--horizon", "inf", "--horizon: must be finite"), ("--horizon", "-1", "--horizon: must be positive"),
+    ])
+    def test_grid_override_rejected_by_the_field_rule(self, tmp_path, capsys, flag, value, message):
+        # the flags are read by the rule of the dt and horizon fields, before anything runs
+        assert cli.main(["run", "example2_c4", flag, value, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"scenario error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("case", ["run_under_file", "sweep_under_file", "long_name"])

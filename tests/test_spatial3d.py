@@ -173,7 +173,7 @@ class TestSimulateCube:
         lap = sf.build_cube()
         rng = np.random.default_rng(31)
         p0 = rng.uniform(-2, 2, 24)
-        trace = sf.simulate_cube(lap, p0)
+        trace = sf.integrate(lap, p0)
         limit = sf.steady_state(p0, lap.chain)
         assert np.abs(trace.final_state - limit).max() <= 1e-6
         assert trace.total_errors[-1] < 1e-6
@@ -183,7 +183,7 @@ class TestSimulateCube:
         p0 = cube_corners(lap) + np.random.default_rng(32).normal(0, 0.1, 24)
         inputs = sf.ReferenceInputs.constant([0.1, 0.0, 0.05], [0.0, 0.0, 0.2], 0.0,
                                              dim=3)
-        trace = sf.simulate_cube(lap, p0, inputs=inputs, dt=0.02, horizon=5.0)
+        trace = sf.simulate_maneuver(lap, p0, inputs, dt=0.02, horizon=5.0)
         assert np.isfinite(trace.zeta_residual)
         assert trace.total_errors[-1] < trace.total_errors[0]
 
@@ -194,8 +194,8 @@ class TestSimulateCube:
         p0 = np.random.default_rng(33).uniform(-2, 2, 24)
         inputs = sf.ReferenceInputs.constant([0.0, 0.0, 0.0], [0.0, 0.0, 0.3], 0.0,
                                              dim=3)
-        trace = sf.simulate_cube(lap, p0, inputs=inputs, dt=0.01, horizon=4.0)
-        plain = sf.simulate_cube(lap, p0, dt=0.01, horizon=4.0)
+        trace = sf.simulate_maneuver(lap, p0, inputs, dt=0.01, horizon=4.0)
+        plain = sf.integrate(lap, p0, dt=0.01, horizon=4.0)
         gap = np.abs(trace.zeta - plain.states).max()
         assert np.isfinite(gap)
         # the cross edge breaks exact commutation, so only boundedness holds
