@@ -2,14 +2,16 @@
 """Write a byte-comparable snapshot of symform's outputs into OUT.
 
 Every command goes through ``symform.cli.main``: ``run`` of each bundled
-preset and of nine fixed scenarios (a planar n = 600 run; a planar n = 600
+preset and of ten fixed scenarios (a planar n = 600 run; a planar n = 600
 run of 1,200 steps, twice m = 600, long enough for the block path were its
 real L not applied through its nonzero entries; a planar n = 16 run
 on the default grid, whose SVGs are the largest the benchmark's ``flow``
 workload writes, a planar maneuver of 20 runs of constant input, a planar
 n = 64 maneuver whose two runs of constant nonzero angular velocity are long
-enough (200 steps each, at least 2n) for the complex block path, and a cube
-maneuver, all three maneuvers with negative scale rates; a cube whose cross
+enough (200 steps each, at least 2n) for the complex block path, a planar
+n = 300 maneuver whose runs of 300 and 600 steps apply its complex
+L - (α + iω)I through its nonzero entries (300 rows, past the crossover), and a
+cube maneuver, all four maneuvers with negative scale rates; a cube whose cross
 edge (2, 6) makes a tree that is not a path, so its spectrum comes from
 ``eigvalsh`` of L rather than the path formula; a cube whose top face runs
 4-3-2-1 and whose cross edge points from 5 to 1, so the composed route must
@@ -59,6 +61,10 @@ SCENARIOS = {
     "maneuver_n64": {
         "n": 64, "dt": 0.1, "horizon": 40,
         "reference": {"angular_velocity": [[0, 0.2], [20, -0.1]], "scale_rate": [[0, -0.005]]},
+    },
+    "maneuver_n300": {
+        "n": 300, "dt": 0.1, "horizon": 90,
+        "reference": {"angular_velocity": [[0, 0.2], [30, -0.1]], "scale_rate": [[0, -0.005]]},
     },
     "cube_maneuver": {
         "formation": "cube", "dt": 0.03, "horizon": 60.0,

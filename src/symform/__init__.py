@@ -40,7 +40,6 @@ from .dynamics import (
     integrate,
     propagate_linear,
     resolve_grid,
-    rk4_step,
 )
 from .maneuver import (
     ManeuverTrace,
@@ -56,19 +55,6 @@ from .spatial3d import (
     CubeSpec,
     build_cube,
 )
-from .checks import (
-    closed_form_solution,
-    control,
-    control_per_agent,
-    edge_errors,
-    frame_to_world,
-    maneuver_control,
-    moving_frame,
-    potential,
-    shifted_errors,
-    steady_state_per_agent,
-    symmetric_configuration,
-)
 
 __version__ = "0.1.0"
 
@@ -77,13 +63,10 @@ __all__ = [
     "ManeuverTrace", "NumericFailure", "ReferenceInputs", "ReferencePath",
     "ReferenceState", "Rotation", "SimulationTrace", "Spectrum",
     "SymmetryLaplacian", "build_cube", "build_laplacian", "chain_matrices",
-    "closed_form_solution", "control", "control_per_agent",
-    "cycle_minus_edge", "edge_errors", "fit_rate", "frame_to_world",
-    "identity", "integrate", "laplacian_from_edges", "maneuver_control",
-    "moving_frame", "null_basis", "omega_matrix", "potential",
+    "cycle_minus_edge", "fit_rate", "identity", "integrate",
+    "laplacian_from_edges", "null_basis", "omega_matrix",
     "product_laplacian", "propagate_linear", "propagate_reference",
-    "resolve_grid", "rk4_step", "rotation2", "rotation3", "rotation_chain",
-    "shifted_errors", "simulate_maneuver", "spectrum",
-    "steady_state", "steady_state_per_agent", "symmetric_configuration",
-    "validate", "weighted_edges", "zeta_consistency_residual",
+    "resolve_grid", "rotation2", "rotation3", "rotation_chain",
+    "simulate_maneuver", "spectrum", "steady_state", "validate",
+    "weighted_edges", "zeta_consistency_residual",
 ]

@@ -35,21 +35,23 @@ TRACE_ROW_BYTES_FIXED = 256
 MAX_BUILD_BYTES = 512 * 2**20  # largest estimated memory of a formation's dense build
 # Estimated dn x dn float64 arrays held while ``sweep`` builds and checks a formation:
 # Q, E (half of dn x dn), the gauge matrix and E Eᵀ; a planar n = 300 sweep peaks at
-# 3.5. A run forms none of them (it integrates on the n x n tree Laplacian) but is
-# held to the same bound.
+# 3.5. A run integrates on the n x n tree Laplacian and forms none of them, save the
+# 24 x 24 Q that a cube maneuver's zeta check reads, but is held to the same bound.
 BUILD_DENSE_MATRICES = 5
 # ``verify`` holds the same arrays while a dense eigh of Q adds its copy, workspace and
 # eigenvectors: a planar n = 300 verify peaks at 7.0 dn x dn arrays (7.27 as a
 # process's first command).
 VERIFY_DENSE_MATRICES = 8
 POWER_STACK_CAP = 256  # most RK4 steps propagate_linear writes with one matrix product
-# The RK4 stage loop applies a real m x m G through its nonzero entries from
-# m = NONZERO_STAGE_ROWS x (columns of the state) up, the dense product below.
+# The RK4 stage loop applies an m x m G, real or complex, through its nonzero entries
+# from m = NONZERO_STAGE_ROWS x (columns of the state) up, the dense product below.
 # Measured per apply (best of 9 x 300, one BLAS thread, 2-vCPU 2.0 GHz Xeon) on
 # tree Laplacians, dense / nonzeros in µs: dn x dn Q on 1 column, m = 256:
 # 15.1 / 15.9, m = 320: 20.9 / 18.8, m = 512: 72 / 25; n x n L on 2 columns,
 # m = 256: 12.4 / 17.5, m = 512: 61 / 27, m = 640: 142 / 29; on 3 columns,
-# m = 768: 700 / 55.
+# m = 768: 700 / 55; complex L - (0.05 + 0.3i)I on the n points x + iy (1 column),
+# m = 128: 6.4 / 6.0, m = 256: 22.8 / 8.8, m = 600: 235 / 15.3, m = 1200: 1,000 / 26.8,
+# m = 1800: 2,962 / 38.6.
 NONZERO_STAGE_ROWS = 256
 
 
@@ -205,26 +207,29 @@ def _power_steps(out: NDArray, k: int, count: int, d: NDArray, block: int) -> No
 
 
 def _dense_stages(g: NDArray, columns: int) -> bool:
-    """Whether the stage loop multiplies G densely: complex, or under ``NONZERO_STAGE_ROWS`` rows per column."""
-    return np.iscomplexobj(g) or g.shape[0] < NONZERO_STAGE_ROWS * columns
+    """Whether the stage loop multiplies G densely: under ``NONZERO_STAGE_ROWS`` rows per column."""
+    return g.shape[0] < NONZERO_STAGE_ROWS * columns
 
 
 def _stage_product(g: NDArray, columns: int) -> Callable[[NDArray], NDArray]:
     """x ↦ G x on (m, ``columns``) rows, for the stage loop.
 
-    A real G of at least ``NONZERO_STAGE_ROWS`` rows per column is applied
-    through its nonzero entries, read from G itself (one bincount per column);
-    any other G, complex ones included, through the dense product."""
+    A G of at least ``NONZERO_STAGE_ROWS`` rows per column is applied through
+    its nonzero entries, read from G itself (one bincount per column, over the
+    float64 parts of the products: one per real entry, two per complex one);
+    a smaller G through the dense product."""
     m = g.shape[0]
     if _dense_stages(g, columns):
         return g.__matmul__
     rows, cols = np.nonzero(g)
     entries = g[rows, cols]
+    parts = entries.itemsize // 8
+    index = (parts * rows[:, None] + np.arange(parts)).ravel()
 
-    def product(x: NDArray[np.float64]) -> NDArray[np.float64]:
-        y = np.empty((m, columns))
+    def product(x: NDArray) -> NDArray:
+        y = np.empty((m, columns), dtype=g.dtype)
         for j in range(columns):
-            y[:, j] = np.bincount(rows, entries * x[cols, j], minlength=m)
+            y[:, j] = np.bincount(index, (entries * x[cols, j]).view(np.float64), minlength=parts * m).view(g.dtype)
         return y
 
     return product
@@ -280,8 +285,8 @@ def propagate_linear(
       never larger than the segment's rows of the returned array.
     - Any other segment takes the stage loop, which uses the operation order
       of :func:`rk4_step` on the field -G y. Below the crossover of
-      :func:`_dense_stages` (a complex G, or a real one of fewer than
-      ``NONZERO_STAGE_ROWS`` rows per column) G y is the dense ``g @ y``,
+      :func:`_dense_stages` (fewer than ``NONZERO_STAGE_ROWS`` rows per
+      column, for a real G and a complex one alike) G y is the dense ``g @ y``,
       so the loop reproduces :func:`rk4_step` on -(G @ y) bitwise. Past it,
       G y is summed over G's nonzero entries, however long the segment, and
       agrees with the dense product only to rounding.

@@ -89,7 +89,7 @@ def test_criterion_3_convergence_and_rate():
             limit = sf.steady_state(p0, chain)
             gap = np.linalg.norm(trace.final_state - limit)
             assert gap <= 1e-6, f"n={n}: |p(T) - projection| = {gap}"
-            per_agent = sf.steady_state_per_agent(p0, chain.reshape(n, 2, 2))
+            per_agent = checks.steady_state_per_agent(p0, chain.reshape(n, 2, 2))
             agent_gap = np.linalg.norm(trace.final_state - per_agent)
             assert agent_gap <= 1e-6, f"n={n}: per-agent route gap {agent_gap}"
             fitted = sf.fit_rate(trace)
@@ -128,7 +128,7 @@ def test_criterion_5_maneuver_reduction():
         trace = sf.simulate_maneuver(lap, p0, scn.reference,
                                      start=scn.ref_start, dt=scn.dt,
                                      horizon=scn.horizon)
-        zeta0 = sf.moving_frame(p0, scn.ref_start)
+        zeta0 = checks.moving_frame(p0, scn.ref_start)
         reduced = sf.integrate(lap, zeta0, dt=scn.dt, horizon=scn.horizon)
         per_step = np.sqrt(((trace.zeta - reduced.states) ** 2).sum(axis=1))
         assert per_step.max() <= 1e-5, f"max frame gap {per_step.max()}"

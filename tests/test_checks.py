@@ -228,8 +228,8 @@ class TestVerificationChecks:
 class TestRoutesLiveInChecks:
     @pytest.mark.parametrize("name", ROUTES)
     def test_route_defined_in_checks_only(self, name):
-        assert getattr(sf, name).__module__ == "symform.checks"
-        assert [m.__name__ for m in (dynamics, maneuver, laplacian) if hasattr(m, name)] == []
+        assert getattr(checks, name).__module__ == "symform.checks"
+        assert [m.__name__ for m in (sf, dynamics, maneuver, laplacian) if hasattr(m, name)] == []
 
     def test_scalar_segment_lookup_lives_in_checks_only(self):
         assert checks.segment_value.__module__ == "symform.checks"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import symform as sf
 from conftest import random_tree, random_tree_cases, slowest_rate
-from symform import cli
+from symform import checks, cli, dynamics
 
 
 def triangle_example():
@@ -26,7 +26,7 @@ class TestPotential:
         # both edge residuals are (3/2, sqrt(3)/2) with norm sqrt(3), so the
         # potential is exactly 0.5 * (3 + 3) = 3
         graph, p = triangle_example()
-        assert math.isclose(sf.potential(p, graph), 3.0, abs_tol=1e-12)
+        assert math.isclose(checks.potential(p, graph), 3.0, abs_tol=1e-12)
 
     @given(st.integers(3, 9), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -34,13 +34,13 @@ class TestPotential:
         graph = sf.cycle_minus_edge(n, (n, 1))
         q = sf.build_laplacian(graph).matrix
         p = np.random.default_rng(seed).uniform(-4, 4, 2 * n)
-        assert math.isclose(sf.potential(p, graph), 0.5 * float(p @ q @ p),
+        assert math.isclose(checks.potential(p, graph), 0.5 * float(p @ q @ p),
                             rel_tol=1e-10, abs_tol=1e-10)
 
     def test_zero_at_compatible_configuration(self):
         graph = sf.cycle_minus_edge(6, (6, 1))
-        p = sf.symmetric_configuration(sf.null_basis(graph), np.array([0.7, -1.2]))
-        assert sf.potential(p, graph) < 1e-26
+        p = checks.symmetric_configuration(sf.null_basis(graph), np.array([0.7, -1.2]))
+        assert checks.potential(p, graph) < 1e-26
 
 
 class TestEdgeErrors:
@@ -48,13 +48,13 @@ class TestEdgeErrors:
         graph = sf.cycle_minus_edge(5, (2, 3))
         E = sf.build_laplacian(graph).incidence
         p = np.random.default_rng(8).uniform(-3, 3, 10)
-        direct = sf.edge_errors(p, graph)
+        direct = checks.edge_errors(p, graph)
         via_incidence = np.sqrt(((E.T @ p).reshape(4, 2) ** 2).sum(axis=1))
         assert np.allclose(direct, via_incidence, atol=1e-13)
 
     def test_triangle_example_frozen(self):
         graph, p = triangle_example()
-        errs = sf.edge_errors(p, graph)
+        errs = checks.edge_errors(p, graph)
         assert np.allclose(errs, [math.sqrt(3), math.sqrt(3)], atol=1e-12)
 
     @staticmethod
@@ -108,7 +108,7 @@ class TestControl:
         lap = sf.build_laplacian(graph)
         root3 = math.sqrt(3)
         expected = np.array([-1.5, -root3 / 2, -3.0, 0.0, -1.5, root3 / 2])
-        assert np.allclose(sf.control(p, lap), expected, atol=1e-12)
+        assert np.allclose(checks.control(p, lap), expected, atol=1e-12)
 
     @given(st.integers(3, 9), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -116,13 +116,13 @@ class TestControl:
         graph = sf.cycle_minus_edge(n, (n, 1))
         lap = sf.build_laplacian(graph)
         p = np.random.default_rng(seed).uniform(-4, 4, 2 * n)
-        assert np.allclose(sf.control(p, lap), sf.control_per_agent(p, graph),
+        assert np.allclose(checks.control(p, lap), checks.control_per_agent(p, graph),
                            atol=1e-12)
 
     def test_accepts_raw_matrix(self):
         graph, p = triangle_example()
         lap = sf.build_laplacian(graph)
-        assert np.array_equal(sf.control(p, lap), sf.control(p, lap.matrix))
+        assert np.array_equal(checks.control(p, lap), checks.control(p, lap.matrix))
 
     def test_is_negative_gradient_of_potential(self):
         # central finite differences of the potential against -control
@@ -130,12 +130,12 @@ class TestControl:
         lap = sf.build_laplacian(graph)
         rng = np.random.default_rng(17)
         p = rng.uniform(-2, 2, 12)
-        u = sf.control(p, lap)
+        u = checks.control(p, lap)
         h = 1e-5
         for i in range(12):
             step = np.zeros(12)
             step[i] = h
-            fd = (sf.potential(p + step, graph) - sf.potential(p - step, graph)) / (2 * h)
+            fd = (checks.potential(p + step, graph) - checks.potential(p - step, graph)) / (2 * h)
             assert math.isclose(-u[i], fd, rel_tol=1e-6, abs_tol=1e-8)
 
 
@@ -143,13 +143,13 @@ class TestRk4Step:
     def test_scalar_decay_accuracy(self):
         # one RK4 step on y' = -y matches the degree-4 Taylor truncation exactly
         h = 0.25
-        y1 = sf.rk4_step(lambda t, y: -y, 0.0, np.array([1.0]), h)
+        y1 = dynamics.rk4_step(lambda t, y: -y, 0.0, np.array([1.0]), h)
         taylor = 1 - h + h ** 2 / 2 - h ** 3 / 6 + h ** 4 / 24
         assert math.isclose(float(y1[0]), taylor, rel_tol=1e-15)
 
     def test_time_dependent_field(self):
         # y' = t has exact solution t^2/2; RK4 is exact on polynomials of degree <= 4
-        y1 = sf.rk4_step(lambda t, y: np.array([t]), 0.0, np.array([0.0]), 2.0)
+        y1 = dynamics.rk4_step(lambda t, y: np.array([t]), 0.0, np.array([0.0]), 2.0)
         assert math.isclose(float(y1[0]), 2.0, rel_tol=1e-15)
 
 
@@ -166,7 +166,7 @@ class TestPropagateLinear:
         assert np.array_equal(states[0], c0)
         y = c0
         for k, g in enumerate([lap.matrix] * 7 + [g2] * 5):
-            y = sf.rk4_step(lambda t, x, g=g: -(g @ x), k * dt, y, dt)
+            y = dynamics.rk4_step(lambda t, x, g=g: -(g @ x), k * dt, y, dt)
             assert np.array_equal(states[k + 1], y)
 
     @pytest.mark.parametrize("formation", ["planar", "cube"])
@@ -182,7 +182,7 @@ class TestPropagateLinear:
         states = sf.propagate_linear(c0, [(g, steps)], 0.04, steps)
         y = c0
         for k in range(steps):
-            y = sf.rk4_step(lambda t, x: -(g @ x), k * 0.04, y, 0.04)
+            y = dynamics.rk4_step(lambda t, x: -(g @ x), k * 0.04, y, 0.04)
             assert np.abs(states[k + 1] - y).max() <= 1e-12 * np.abs(states).max()
 
     def test_block_size_follows_count_and_dim(self, path_system, monkeypatch):
@@ -204,61 +204,56 @@ class TestPropagateLinear:
             if count < 20:
                 y = states[k]
             for _ in range(count):
-                y = sf.rk4_step(lambda t, x, g=g: -(g @ x), k * 0.05, y, 0.05)
+                y = dynamics.rk4_step(lambda t, x, g=g: -(g @ x), k * 0.05, y, 0.05)
                 k += 1
                 if count < 20:
                     assert np.array_equal(states[k], y)
                 else:
                     assert np.abs(states[k] - y).max() <= 1e-12 * np.abs(states).max()
 
-    @pytest.mark.parametrize("operator", ["scalar_on_rows", "matrix_on_one_column", "matrix_off_tree"])
+    @staticmethod
+    def crossover_operator(path_system, operator: str) -> tuple[np.ndarray, int]:
+        """An m x m G at the crossover and the columns it acts on, m = NONZERO_STAGE_ROWS per column."""
+        rows_per_column = sf.dynamics.NONZERO_STAGE_ROWS
+        if operator == "scalar_on_rows":  # an n x n L on (n, 2) rows
+            return path_system(2 * rows_per_column)[1].scalar, 2
+        if operator == "complex_on_points":  # a maneuver's L - (α + iω)I on the n points x + iy
+            return path_system(rows_per_column)[1].scalar - (0.05 + 0.3j) * np.eye(rows_per_column), 1
+        return path_system(rows_per_column // 2)[1].matrix, 1  # a dn x dn Q on one column
+
+    def assert_matches_dense_stages(self, g, c0, steps, states, tol):
+        """Each row of ``states`` against rk4_step on -(G @ y), on the rows G acts on."""
+        y = c0.view(g.dtype)  # x + iy points for a complex G
+        for k in range(steps):
+            y = dynamics.rk4_step(lambda t, x: -(g @ x), k * 0.05, y, 0.05)
+            assert np.abs(states[k + 1] - y.view(float).ravel()).max() <= tol * np.abs(states).max()
+
+    @pytest.mark.parametrize("operator", ["scalar_on_rows", "matrix_on_one_column", "matrix_off_tree",
+                                          "complex_on_points"])
     def test_nonzero_stage_loop_matches_dense(self, path_system, operator):
         # at the crossover the stage loop sums G y over G's nonzero entries; it matches the
         # dense stage loop (rk4_step on -(G @ y), on the same rows) to rounding
-        rows_per_column = sf.dynamics.NONZERO_STAGE_ROWS
-        if operator == "scalar_on_rows":  # an n x n L on (n, 2) rows
-            g, columns = path_system(2 * rows_per_column)[1].scalar, 2
-        else:  # a dn x dn Q on one column
-            g, columns = path_system(rows_per_column // 2)[1].matrix, 1
+        g, columns = self.crossover_operator(path_system, operator)
         if operator == "matrix_off_tree":  # the entries are read from G, not from the tree
             g = g.copy()
             g[0, 7] = g[7, 0] = 0.25
         product = sf.dynamics._stage_product(g, columns)
         assert getattr(product, "__self__", None) is not g  # not the dense g.__matmul__
-        c0 = np.random.default_rng(35).uniform(-2, 2, (g.shape[0], columns))
+        c0 = np.random.default_rng(35).uniform(-2, 2, (g.shape[0], columns * g.itemsize // 8))
         states = sf.propagate_linear(c0, [(g, 12)], 0.05, 12)
-        y = c0
-        for k in range(12):
-            y = sf.rk4_step(lambda t, x: -(g @ x), k * 0.05, y, 0.05)
-            assert np.abs(states[k + 1] - y.ravel()).max() <= 1e-14 * np.abs(states).max()
+        self.assert_matches_dense_stages(g, c0, 12, states, 1e-14)
 
-    @pytest.mark.parametrize("operator", ["scalar_on_rows", "matrix_on_one_column"])
+    @pytest.mark.parametrize("operator", ["scalar_on_rows", "matrix_on_one_column", "complex_on_points"])
     def test_long_segment_past_the_crossover_takes_the_stage_loop(self, path_system, operator, monkeypatch):
-        # 2m steps would make a block of 2, but a real G the stage loop applies through its
-        # nonzero entries keeps the loop at any length: O(nnz) per stage against a B·m³ stack
-        rows_per_column = sf.dynamics.NONZERO_STAGE_ROWS
-        if operator == "scalar_on_rows":  # an n x n L on (n, 2) rows, at the crossover
-            g, columns = path_system(2 * rows_per_column)[1].scalar, 2
-        else:  # a dn x dn Q on one column, at the crossover
-            g, columns = path_system(rows_per_column // 2)[1].matrix, 1
+        # 2m steps would make a block of 2, but a G the stage loop applies through its nonzero
+        # entries, real or complex, keeps the loop at any length: O(nnz) per stage against a B·m³ stack
+        g, columns = self.crossover_operator(path_system, operator)
         monkeypatch.setattr(sf.dynamics, "_power_steps", lambda *args: pytest.fail("block path taken"))
         steps = 2 * g.shape[0]
-        c0 = np.random.default_rng(36).uniform(-2, 2, (g.shape[0], columns))
+        c0 = np.random.default_rng(36).uniform(-2, 2, (g.shape[0], columns * g.itemsize // 8))
         states = sf.propagate_linear(c0, [(g, steps)], 0.05, steps)
-        y = c0
-        for k in range(steps):  # measured: within 1.7e-16 of the largest state
-            y = sf.rk4_step(lambda t, x: -(g @ x), k * 0.05, y, 0.05)
-            assert np.abs(states[k + 1] - y.ravel()).max() <= 1e-14 * np.abs(states).max()
-
-    def test_complex_operator_past_the_crossover_keeps_the_block_path(self, path_system, monkeypatch):
-        # the stage loop multiplies a complex G densely, so 2m steps still take blocks of 2
-        n = 2 * sf.dynamics.NONZERO_STAGE_ROWS
-        g = path_system(n)[1].scalar - 0.1j * np.eye(n)
-        blocks = []
-        power_steps = sf.dynamics._power_steps
-        monkeypatch.setattr(sf.dynamics, "_power_steps", lambda *args: blocks.append(args[-1]) or power_steps(*args))
-        sf.propagate_linear(np.ones(2 * n), [(g, 2 * n)], 0.05, 2 * n)
-        assert blocks == [2]
+        # measured: within 1.7e-16 of the largest state for a real G, 5.6e-16 for the complex one
+        self.assert_matches_dense_stages(g, c0, steps, states, 1e-14)
 
     @pytest.mark.parametrize("width, g", [(6, np.eye(4)), (6, np.eye(2, dtype=complex)),
                                           (5, np.eye(2, dtype=complex))],
@@ -283,7 +278,7 @@ class TestIntegrate:
         p0 = np.random.default_rng(1).uniform(-2, 2, 8)
         dt = 0.01 / spec.lambda_max
         trace = sf.integrate(lap, p0, dt=dt, horizon=1.0)
-        exact = sf.closed_form_solution(lap.matrix, p0, trace.times[-1], spec=spec)
+        exact = checks.closed_form_solution(lap.matrix, p0, trace.times[-1], spec=spec)
         assert np.abs(trace.final_state - exact).max() < 1e-10
 
     def test_default_grid_converges(self, path_system):
@@ -361,7 +356,7 @@ class TestFitRate:
 
     def test_zero_error_start_rejected(self, path_system):
         _, lap, chain = path_system(4)
-        p0 = sf.symmetric_configuration(chain, np.array([1.0, 0.0]))
+        p0 = checks.symmetric_configuration(chain, np.array([1.0, 0.0]))
         trace = sf.integrate(lap, p0, horizon=2.0)
         with pytest.raises(ValueError, match="underflow"):
             sf.fit_rate(trace)

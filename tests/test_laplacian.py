@@ -36,7 +36,7 @@ class TestIncidence:
 
     def test_residual_zero_on_compatible_configuration(self):
         graph = sf.cycle_minus_edge(5, (5, 1))
-        p = sf.symmetric_configuration(sf.null_basis(graph), np.array([1.3, -0.4]))
+        p = checks.symmetric_configuration(sf.null_basis(graph), np.array([1.3, -0.4]))
         lap = sf.build_laplacian(graph)
         assert np.abs(lap.incidence.T @ p).max() < 1e-14
 
@@ -324,7 +324,7 @@ class TestSteadyState:
         chain = sf.null_basis(graph)
         p0 = np.random.default_rng(seed).uniform(-4, 4, 2 * n)
         assert np.allclose(sf.steady_state(p0, chain),
-                           sf.steady_state_per_agent(p0, chain.reshape(n, 2, 2)), atol=1e-12)
+                           checks.steady_state_per_agent(p0, chain.reshape(n, 2, 2)), atol=1e-12)
 
     def test_shape_mismatch_rejected(self, path_system):
         _, _, chain = path_system(4)
@@ -336,12 +336,12 @@ class TestClosedFormSolution:
     def test_time_zero_returns_start(self, path_system):
         _, lap, _ = path_system(5)
         p0 = np.random.default_rng(2).uniform(-2, 2, 10)
-        assert np.allclose(sf.closed_form_solution(lap.matrix, p0, 0.0), p0, atol=1e-12)
+        assert np.allclose(checks.closed_form_solution(lap.matrix, p0, 0.0), p0, atol=1e-12)
 
     def test_long_horizon_converges_to_projection(self, path_system):
         _, lap, chain = path_system(6)
         p0 = np.random.default_rng(4).uniform(-2, 2, 12)
-        far = sf.closed_form_solution(lap.matrix, p0, 1e6)
+        far = checks.closed_form_solution(lap.matrix, p0, 1e6)
         assert np.allclose(far, sf.steady_state(p0, chain), atol=1e-9)
 
     def test_eigenvector_decays_at_its_rate(self, path_system):
@@ -350,13 +350,13 @@ class TestClosedFormSolution:
         lam = spec.eigenvalues[spec.null_dim]
         v = spec.eigenvectors[:, spec.null_dim]
         t = 1.7
-        assert np.allclose(sf.closed_form_solution(lap.matrix, v, t, spec=spec),
+        assert np.allclose(checks.closed_form_solution(lap.matrix, v, t, spec=spec),
                            math.exp(-lam * t) * v, atol=1e-12)
 
     def test_negative_time_rejected(self, path_system):
         _, lap, _ = path_system(4)
         with pytest.raises(ValueError):
-            sf.closed_form_solution(lap.matrix, np.zeros(8), -1.0)
+            checks.closed_form_solution(lap.matrix, np.zeros(8), -1.0)
 
     def test_vectorless_spectrum_rejected(self, path_system):
         # a system's spectrum holds eigenvalues only: named, not an AttributeError
@@ -364,16 +364,16 @@ class TestClosedFormSolution:
         p0 = np.random.default_rng(6).uniform(-2, 2, 8)
         for spec in (lap.spectrum, sf.spectrum(lap.matrix, vectors=False)):
             with pytest.raises(ValueError, match="no eigenvectors"):
-                sf.closed_form_solution(lap.matrix, p0, 1.0, spec=spec)
-        assert np.array_equal(sf.closed_form_solution(lap.matrix, p0, 1.0, spec=sf.spectrum(lap.matrix)),
-                              sf.closed_form_solution(lap.matrix, p0, 1.0))
+                checks.closed_form_solution(lap.matrix, p0, 1.0, spec=spec)
+        assert np.array_equal(checks.closed_form_solution(lap.matrix, p0, 1.0, spec=sf.spectrum(lap.matrix)),
+                              checks.closed_form_solution(lap.matrix, p0, 1.0))
 
 
 class TestSymmetricConfiguration:
     def test_zero_errors_at_target(self, path_system):
         graph, lap, chain = path_system(7)
-        p = sf.symmetric_configuration(chain, np.array([2.0, 0.5]))
-        assert sf.edge_errors(p, graph).max() < 1e-14
+        p = checks.symmetric_configuration(chain, np.array([2.0, 0.5]))
+        assert checks.edge_errors(p, graph).max() < 1e-14
         assert np.abs(lap.matrix @ p).max() < 1e-13
 
 

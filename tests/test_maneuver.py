@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import symform as sf
@@ -40,9 +40,9 @@ def world_rk4(lap, p0, path: sf.ReferencePath, inputs: sf.ReferenceInputs,
 
         def field(t, y, r=r, v=v, w=w, a=a):
             ref = sf.ReferenceState(position=r + v * t, rotation=start.rotation, scale=1.0)
-            return sf.maneuver_control(y, lap, ref, v, w, a)
+            return checks.maneuver_control(y, lap, ref, v, w, a)
 
-        p = sf.rk4_step(field, 0.0, p, path.dt)
+        p = dynamics.rk4_step(field, 0.0, p, path.dt)
         states.append(p)
     return np.array(states)
 
@@ -317,29 +317,29 @@ class TestFrames:
         ref = sf.ReferenceState(position=rng.uniform(-3, 3, 2),
                                 rotation=sf.rotation2(angle), scale=scale)
         p = rng.uniform(-5, 5, 8)
-        there = sf.moving_frame(p, ref)
-        back = sf.frame_to_world(there, ref)
+        there = checks.moving_frame(p, ref)
+        back = checks.frame_to_world(there, ref)
         assert np.allclose(back, p, atol=1e-12)
 
     def test_identity_frame_is_identity_map(self):
         p = np.arange(6.0)
-        assert np.array_equal(sf.moving_frame(p, sf.ReferenceState.at_origin()), p)
+        assert np.array_equal(checks.moving_frame(p, sf.ReferenceState.at_origin()), p)
 
     def test_frame_components(self):
         # one agent at r + s R e_x must map to e_x in the frame
         ref = sf.ReferenceState(position=np.array([1.0, -2.0]),
                                 rotation=sf.rotation2(0.4), scale=3.0)
         p = ref.position + 3.0 * ref.rotation.matrix @ np.array([1.0, 0.0])
-        assert np.allclose(sf.moving_frame(p, ref), [1.0, 0.0], atol=1e-14)
+        assert np.allclose(checks.moving_frame(p, ref), [1.0, 0.0], atol=1e-14)
 
 
 class TestManeuverControl:
     def test_zero_inputs_reduce_to_gradient_flow_bitwise(self, path_system):
         _, lap, _ = path_system(5)
         p = np.random.default_rng(12).uniform(-2, 2, 10)
-        u = sf.maneuver_control(p, lap, sf.ReferenceState.at_origin(),
+        u = checks.maneuver_control(p, lap, sf.ReferenceState.at_origin(),
                                 np.zeros(2), 0.0, 0.0)
-        assert np.array_equal(u, sf.control(p, lap))
+        assert np.array_equal(u, checks.control(p, lap))
 
     def test_on_manifold_control_is_pure_feedforward(self, path_system):
         # when the shifted state sits in the constraint set, -Qc vanishes and
@@ -348,10 +348,10 @@ class TestManeuverControl:
         rng = np.random.default_rng(13)
         ref = sf.ReferenceState(position=rng.uniform(-2, 2, 2),
                                 rotation=sf.rotation2(0.8), scale=1.7)
-        zeta = sf.symmetric_configuration(chain, np.array([1.1, -0.3]))
-        p = sf.frame_to_world(zeta, ref)
+        zeta = checks.symmetric_configuration(chain, np.array([1.1, -0.3]))
+        p = checks.frame_to_world(zeta, ref)
         v, w, a = np.array([0.4, -0.2]), 0.6, 0.05
-        u = sf.maneuver_control(p, lap, ref, v, w, a)
+        u = checks.maneuver_control(p, lap, ref, v, w, a)
         omega = sf.omega_matrix(w, 2)
         c = p.reshape(6, 2) - ref.position
         expected = (v + c @ omega.T + a * c).ravel()
@@ -366,7 +366,7 @@ class TestManeuverControl:
         ref = sf.ReferenceState(position=np.array([0.5, 0.2]),
                                 rotation=sf.rotation2(-0.3), scale=1.2)
         v, w, a = np.array([0.1, 0.3]), -0.4, 0.02
-        u = sf.maneuver_control(p, lap, ref, v, w, a)
+        u = checks.maneuver_control(p, lap, ref, v, w, a)
 
         def world_at(h: float) -> np.ndarray:
             ref_h = sf.ReferenceState(
@@ -374,8 +374,8 @@ class TestManeuverControl:
                 rotation=sf.Rotation(sf.rotation2(w * h).matrix @ ref.rotation.matrix),
                 scale=ref.scale * math.exp(a * h),
             )
-            zeta0 = sf.moving_frame(p, ref)
-            zeta_h = sf.closed_form_solution(lap.matrix, zeta0, abs(h)) if h >= 0 else None
+            zeta0 = checks.moving_frame(p, ref)
+            zeta_h = checks.closed_form_solution(lap.matrix, zeta0, abs(h)) if h >= 0 else None
             if h < 0:
                 # integrate the frame flow backwards via the eigenbasis
                 spec = sf.spectrum(lap.matrix)
@@ -383,7 +383,7 @@ class TestManeuverControl:
                 lam[np.abs(lam) < spec.threshold] = 0.0
                 V = spec.eigenvectors
                 zeta_h = V @ (np.exp(-lam * h) * (V.T @ zeta0))
-            return sf.frame_to_world(zeta_h, ref_h)
+            return checks.frame_to_world(zeta_h, ref_h)
 
         h = 1e-6
         fd = (world_at(h) - world_at(-h)) / (2 * h)
@@ -471,9 +471,12 @@ class TestSimulateManeuver:
     @settings(max_examples=30, deadline=None)
     @given(random_tree_cases(12), st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
            st.one_of(st.just(0.0), st.floats(-0.2, 0.2)), st.integers(0, 2 ** 32 - 1))
+    @example(case=(256, 100, [(7 * k) % 256 for k in range(255)], [k % 3 == 0 for k in range(255)]),
+             omega=0.3, alpha=-0.05, seed=37)
     def test_gauge_run_matches_dense_world_run(self, case, omega, alpha, seed):
-        # n steps take the stage loop, 3n the block path; both against rk4_step on the
-        # world-frame field -(Q - I⊗Ω - αI) c with the dense Q
+        # n steps take the stage loop, 3n the block path, except for the 256-point tree, whose
+        # complex G takes the stage loop through its nonzero entries both times; each against
+        # rk4_step on the world-frame field -(Q - I⊗Ω - αI) c with the dense Q
         n = case[0]
         lap = sf.build_laplacian(random_tree(*case))
         p0 = np.random.default_rng(seed).uniform(-2, 2, 2 * n)
@@ -483,7 +486,7 @@ class TestSimulateManeuver:
             trace = sf.simulate_maneuver(lap, p0, inputs, dt=0.05, horizon=0.05 * steps)
             expected = [p0]
             for k in range(steps):
-                expected.append(sf.rk4_step(lambda t, x: -(g @ x), 0.05 * k, expected[-1], 0.05))
+                expected.append(dynamics.rk4_step(lambda t, x: -(g @ x), 0.05 * k, expected[-1], 0.05))
             expected = np.array(expected)
             assert np.abs(trace.states - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -536,7 +539,7 @@ class TestSimulateManeuver:
         ref = sf.ReferenceState(position=trace.ref_positions[-1],
                                 rotation=sf.Rotation(trace.ref_rotations[-1]),
                                 scale=float(trace.ref_scales[-1]))
-        direct = sf.shifted_errors(trace.final_state, ref, graph)
+        direct = checks.shifted_errors(trace.final_state, ref, graph)
         assert np.allclose(direct, trace.edge_errors[-1], atol=1e-13)
 
     def test_zeta_residual_small_for_planar(self, path_system):

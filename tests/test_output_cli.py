@@ -145,7 +145,7 @@ class TestSvg:
         # a run started on target: every error is identically zero
         graph = sf.cycle_minus_edge(4, (4, 1))
         lap = sf.build_laplacian(graph)
-        p0 = sf.symmetric_configuration(sf.null_basis(graph), np.array([1.0, 0.0]))
+        p0 = checks.symmetric_configuration(sf.null_basis(graph), np.array([1.0, 0.0]))
         trace = sf.integrate(lap, p0, dt=0.1, horizon=1.0)
         ET.fromstring(output.svg_errors(trace))
 

@@ -14,7 +14,7 @@ from symform import checks
 
 def cube_corners(lap: sf.SymmetryLaplacian, seed_point=(1.0, 1.0, 1.0)) -> np.ndarray:
     """Target corners: the cube's chain applied to a seed corner."""
-    return sf.symmetric_configuration(lap.chain, np.array(seed_point))
+    return checks.symmetric_configuration(lap.chain, np.array(seed_point))
 
 
 class TestRotation3:
