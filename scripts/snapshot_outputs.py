@@ -17,9 +17,13 @@ edge (2, 6) makes a tree that is not a path, so its spectrum comes from
 4-3-2-1 and whose cross edge points from 5 to 1, so the composed route must
 place its blocks by the spec's labels; and a planar n = 9 tree given
 edge by edge, cut at (4, 5), with its own shifts and flipped edges),
-``verify`` of each preset, of those last three and of a planar n = 256
-scenario (the shape of the benchmark's ``checks`` workload, so its check
-values land in the log), and
+``run`` of three scenarios that fail with exit 3 and write nothing (a planar
+and a cube maneuver from reference scale 1e-306, whose frame coordinates
+overflow the projection residual, and a planar maneuver whose scale decays
+below the smallest normal float), ``verify`` of each preset, of the last
+three run scenarios that succeed and of a planar n = 256 scenario (the shape
+of the benchmark's ``checks`` workload, so its check values land in the
+log), and
 ``sweep --n-from 3 --n-to 30``. The run files land in OUT/runs
 and OUT/sweep, with ``runtime_seconds`` dropped from each metrics.json; each
 command's exit code, stdout and stderr go to OUT/log.txt. Two snapshots, say
@@ -83,6 +87,12 @@ SCENARIOS = {
     },
 }
 
+FAILING = {
+    "overflow_metric": {"n": 6, "horizon": 5, "reference": {"start": {"scale": 1e-306}}},
+    "overflow_metric_cube": {"formation": "cube", "horizon": 5, "reference": {"start": {"scale": 1e-306}}},
+    "subnormal_scale": {"n": 6, "dt": 0.01, "horizon": 80, "reference": {"scale_rate": [[0, -10]]}},
+}
+
 VERIFIED = {"verify_n256": {"n": 256}, "cube_cross_edge": SCENARIOS["cube_cross_edge"],
             "cube_reordered": SCENARIOS["cube_reordered"], "planar_tree_n9": SCENARIOS["planar_tree_n9"]}
 
@@ -111,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     scenarios = out / "scenarios"
     scenarios.mkdir(parents=True, exist_ok=True)
     with open(out / "log.txt", "w") as log:
-        for name, scenario in SCENARIOS.items():
+        for name, scenario in (SCENARIOS | FAILING).items():
             run_logged(["run", write_scenario(scenarios, name, scenario), "--out", str(out / "runs")], out, log)
         for name, scenario in VERIFIED.items():
             run_logged(["verify", write_scenario(scenarios, name, scenario)], out, log)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import shutil
@@ -62,15 +63,13 @@ def run_scenario(scn: Scenario) -> tuple[dynamics.SimulationTrace, SymmetryLapla
     return trace, lap, metrics
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a metric that overflows is rejected below
 def compute_metrics(scn: Scenario, lap: SymmetryLaplacian, trace: dynamics.SimulationTrace) -> dict:
+    """The run's metrics report; raises NumericFailure naming the first metric that is not finite."""
     spec = lap.spectrum
     d, n = scn.dim, scn.n
-    if isinstance(trace, maneuver.ManeuverTrace):
-        z0, zT = trace.zeta[0], trace.zeta[-1]
-        projection_residual = float(np.linalg.norm(zT - laplacian.steady_state(z0, lap.chain)))
-    else:
-        limit = laplacian.steady_state(trace.states[0], lap.chain)
-        projection_residual = float(np.linalg.norm(trace.final_state - limit))
+    z0, zT = trace.frame([0, -1])
+    projection_residual = float(np.linalg.norm(zT - laplacian.steady_state(z0, lap.chain)))
     try:
         fitted = dynamics.fit_rate(trace)
     except ValueError:
@@ -90,7 +89,7 @@ def compute_metrics(scn: Scenario, lap: SymmetryLaplacian, trace: dynamics.Simul
         "construction_routes_agree": passed["construction_routes"],
         "null_basis_annihilated": passed["null_basis"],
     }
-    return {
+    metrics = {
         "name": scn.name,
         "formation": scn.formation,
         "n": n,
@@ -106,7 +105,7 @@ def compute_metrics(scn: Scenario, lap: SymmetryLaplacian, trace: dynamics.Simul
         "expected_rank": d * n - d,
         "expected_null_dim": d,
         "final_max_edge_error": float(trace.edge_errors[-1].max()),
-        "final_total_error": float(trace.total_errors[-1]),
+        "final_total_error": float(np.sqrt((trace.edge_errors[-1] ** 2).sum())),
         "final_potential": float(trace.potentials[-1]),
         "projection_residual": projection_residual,
         "fitted_rate": fitted,
@@ -116,6 +115,10 @@ def compute_metrics(scn: Scenario, lap: SymmetryLaplacian, trace: dynamics.Simul
         "zeta_residual": getattr(trace, "zeta_residual", None),
         "checks": checks,
     }
+    for name, value in metrics.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NumericFailure(f"metrics: {name} is not finite ({value}); the run overflowed")
+    return metrics
 
 
 RUN_FILES = frozenset({"trace.csv", "metrics.json", "paths.svg", "errors.svg", "reference.csv"})

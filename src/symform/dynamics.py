@@ -25,18 +25,19 @@ DEFAULT_HORIZON_FACTOR = 40.0  # T = 40 / lambda_min_pos
 STABILITY_LIMIT = 2.0          # RK4 real-axis stability edge is ~2.785; stay under 2
 MAX_TRACE_BYTES = 512 * 2**20  # largest estimated memory of a run's trace and its output
 # Estimated bytes per trace row: the float64 trace arrays (states, residuals,
-# errors, frame coordinates) and what writing the run's files adds to them (the
-# CSVs are streamed a block at a time, so only the SVGs' pixel arrays grow with
-# the rows). Measured peaks of long planar, maneuver and cube runs through
-# write_outputs, less the fixed bytes per row, lie at 18-39 bytes per coordinate
-# per row; the top of that range is a 12,001-row cube maneuver, which peaks in the run.
+# errors) and what writing the run's files adds to them (the CSVs are streamed a
+# block at a time, so only the SVGs' pixel arrays grow with the rows). Measured
+# peaks of long planar, maneuver and cube runs through write_outputs, less the
+# fixed bytes per row, lay at 18-39 bytes per coordinate per row while a maneuver
+# trace also held its frame coordinates; the top of that range is a 12,001-row
+# cube maneuver, which peaks in the run.
 TRACE_ROW_BYTES_PER_COORD = 48
 TRACE_ROW_BYTES_FIXED = 256
 MAX_BUILD_BYTES = 512 * 2**20  # largest estimated memory of a formation's dense build
 # Estimated dn x dn float64 arrays held while ``sweep`` builds and checks a formation:
 # Q, E (half of dn x dn), the gauge matrix and E Eᵀ; a planar n = 300 sweep peaks at
 # 3.5. A run integrates on the n x n tree Laplacian and forms none of them, save the
-# 24 x 24 Q that a cube maneuver's zeta check reads, but is held to the same bound.
+# 24 x 24 Q that a cube maneuver's frame residual reads, but is held to the same bound.
 BUILD_DENSE_MATRICES = 5
 # ``verify`` holds the same arrays while a dense eigh of Q adds its copy, workspace and
 # eigenvectors: a planar n = 300 verify peaks at 7.0 dn x dn arrays (7.27 as a
@@ -82,6 +83,9 @@ class SimulationTrace:
     @property
     def final_state(self) -> NDArray[np.float64]:
         return self.states[-1]
+
+    def frame(self, rows) -> NDArray[np.float64]:  # a stationary run's frame is the world's
+        return self.states[rows]
 
 
 def rk4_step(

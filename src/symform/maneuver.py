@@ -215,7 +215,7 @@ def propagate_reference(
 
 @dataclass(eq=False)
 class ManeuverTrace(SimulationTrace):
-    """Maneuver run: world states plus the reference and the frame coordinates.
+    """Maneuver run: world states plus the reference they track.
 
     ``edge_errors`` and ``potentials`` are computed on the shifted state
     p - 1⊗r, so they measure formation-shape error, not tracking offset.
@@ -226,8 +226,14 @@ class ManeuverTrace(SimulationTrace):
     ref_positions: NDArray[np.float64] = None
     ref_rotations: NDArray[np.float64] = None
     ref_scales: NDArray[np.float64] = None
-    zeta: NDArray[np.float64] = None
     zeta_residual: float | None = None
+
+    def frame(self, rows) -> NDArray[np.float64]:
+        """Frame coordinates ζ = (p - 1⊗r) R / s, in that order, at ``rows`` (a slice or index list)."""
+        points = self.states[rows].reshape(-1, self.n, self.dim) - self.ref_positions[rows][:, None, :]
+        zeta = np.einsum("kni,kij->knj", points, self.ref_rotations[rows])
+        zeta /= self.ref_scales[rows][:, None, None]
+        return zeta.reshape(-1, self.n * self.dim)
 
 
 def _rk4_gain(z: NDArray[np.complex128]) -> NDArray[np.float64]:
@@ -322,14 +328,14 @@ def simulate_maneuver(
     inputs sampled at its left node. Over a run of constant inputs the
     shifted state c = p - 1⊗r follows the linear flow
     dc/dt = -(Q - I⊗Ω - α I) c, which is integrated in gauge coordinates
-    q_i = S_iᵀ c_i (see :func:`_segment_operator`); ζ is taken from c, and
-    the world states c + 1⊗r are formed in c's array. Step sizes for which
-    RK4 would amplify some mode of Q - I⊗Ω raise ValueError with a suggested
-    dt, and a run that overflows raises NumericFailure. The returned trace
-    carries the frame coordinates ζ, which for planar formations follow the
-    stationary flow dζ/dt = -Q ζ. For spatial formations they need not, and
-    the residual of that flow is reported, never asserted zero, as the
-    trace's ``zeta_residual``; a spatial grid of fewer than
+    q_i = S_iᵀ c_i (see :func:`_segment_operator`), and the world states
+    c + 1⊗r are formed in c's array. Step sizes for which RK4 would amplify
+    some mode of Q - I⊗Ω raise ValueError with a suggested dt; a reference
+    scale below the smallest normal float, or a run that overflows, raises
+    NumericFailure. The frame coordinates ζ of the trace's ``frame`` follow
+    the stationary flow dζ/dt = -Q ζ for planar formations. For spatial ones
+    they need not, and the residual of that flow is reported, never asserted
+    zero, as the trace's ``zeta_residual``; a spatial grid of fewer than
     three samples, too short for that residual, raises ValueError.
     """
     d, n = lap.dim, lap.n
@@ -348,27 +354,28 @@ def simulate_maneuver(
             f"{horizon:g} at dt {dt:g} gives {steps + 1} (try horizon = {2 * dt:g})"
         )
     path = propagate_reference(inputs, start, dt, horizon)
+    subnormal = path.scales < np.finfo(float).tiny  # ζ divides by the scale, which has lost its precision
+    if subnormal.any():
+        k = int(np.argmax(subnormal))
+        raise NumericFailure(f"maneuver: reference_scales is below the smallest normal float from step {k} "
+                             f"(t = {float(path.times[k]):g}); the reference underflowed")
     segments = _segment_operators(lap, path)
 
     # overflow is reported once, by require_finite, instead of as numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         states, errors, potentials = _gauge_run(lap, p0 - np.tile(path.positions[0], n), segments, dt, steps)
-        points = states.reshape(steps + 1, n, d)
-        zeta = np.einsum("kni,kij->knj", points, path.rotations)
-        zeta /= path.scales[:, None, None]
-        zeta = zeta.reshape(steps + 1, n * d)
-        points += path.positions[:, None, :]
+        states.reshape(steps + 1, n, d)[:] += path.positions[:, None, :]
         states[0] = p0
     require_finite("maneuver", path.times, reference_positions=path.positions, reference_scales=path.scales,
-                   states=states, edge_errors=errors, potentials=potentials, zeta=zeta)
+                   states=states, edge_errors=errors, potentials=potentials)
     trace = ManeuverTrace(
         times=path.times, states=states, edge_errors=errors, potentials=potentials,
         n=n, dim=d, edge_index=lap.edge_index, dt=dt, horizon=horizon,
-        ref_positions=path.positions, ref_rotations=path.rotations,
-        ref_scales=path.scales, zeta=zeta,
+        ref_positions=path.positions, ref_rotations=path.rotations, ref_scales=path.scales,
     )
     if d == 3:  # spatial edge rotations need not commute with the reference attitude
-        trace.zeta_residual = zeta_consistency_residual(trace, lap.matrix)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed residual reads inf or nan
+            trace.zeta_residual = zeta_consistency_residual(trace, lap.matrix)
     return trace
 
 
@@ -380,7 +387,7 @@ def zeta_consistency_residual(trace: ManeuverTrace, q_matrix: NDArray[np.float64
     formations whose edge rotations do not commute with the reference
     attitude. Reported as a diagnostic, never asserted to vanish.
     """
-    z = trace.zeta
+    z = trace.frame(slice(None))
     if z.shape[0] < 3:
         raise ValueError("need at least three samples for a central difference")
     dt = float(trace.times[1] - trace.times[0])

@@ -130,7 +130,7 @@ def test_criterion_5_maneuver_reduction():
                                      horizon=scn.horizon)
         zeta0 = checks.moving_frame(p0, scn.ref_start)
         reduced = sf.integrate(lap, zeta0, dt=scn.dt, horizon=scn.horizon)
-        per_step = np.sqrt(((trace.zeta - reduced.states) ** 2).sum(axis=1))
+        per_step = np.sqrt(((trace.frame(slice(None)) - reduced.states) ** 2).sum(axis=1))
         assert per_step.max() <= 1e-5, f"max frame gap {per_step.max()}"
         assert trace.total_errors[-1] <= 1e-8, (
             f"final shifted error {trace.total_errors[-1]}")

@@ -398,7 +398,7 @@ class TestSimulateManeuver:
                                      dt=0.05, horizon=5.0)
         plain = sf.integrate(lap, p0, dt=0.05, horizon=5.0)
         assert np.array_equal(still.states, plain.states)
-        assert np.array_equal(still.zeta, plain.states)
+        assert np.array_equal(still.frame(slice(None)), plain.states)
 
     def test_zero_inputs_from_offset_start_bitwise(self, path_system):
         # the shifted state runs the stationary flow from p0 - 1⊗r0 exactly;
@@ -413,7 +413,6 @@ class TestSimulateManeuver:
         plain = sf.integrate(lap, p0 - offset, dt=0.05, horizon=5.0)
         assert np.array_equal(still.states[0], p0)
         assert np.array_equal(still.states[1:], plain.states[1:] + offset)
-        assert np.array_equal(still.zeta, plain.states)
         assert np.array_equal(still.edge_errors, plain.edge_errors)
 
     @pytest.mark.parametrize("spec", [
@@ -527,7 +526,20 @@ class TestSimulateManeuver:
         inputs = two_segment_inputs()
         trace = sf.simulate_maneuver(lap, p0, inputs, dt=0.01, horizon=4.0)
         plain = sf.integrate(lap, p0, dt=0.01, horizon=4.0)
-        assert np.abs(trace.zeta - plain.states).max() < 1e-8
+        assert np.abs(trace.frame(slice(None)) - plain.states).max() < 1e-8
+
+    def test_frame_rows_match_moving_frame(self, path_system):
+        # the trace's frame rows against checks.moving_frame of each state and reference row
+        _, lap, _ = path_system(6)
+        p0 = np.random.default_rng(28).uniform(-2, 2, 12)
+        start = sf.ReferenceState(position=np.array([0.4, -0.9]), rotation=sf.rotation2(0.7), scale=1.3)
+        trace = sf.simulate_maneuver(lap, p0, two_segment_inputs(), start=start, dt=0.01, horizon=4.0)
+        rows = [0, 17, 200, -1]
+        direct = [checks.moving_frame(trace.states[k], sf.ReferenceState(
+            position=trace.ref_positions[k], rotation=sf.Rotation(trace.ref_rotations[k]),
+            scale=float(trace.ref_scales[k]))) for k in rows]
+        np.testing.assert_allclose(trace.frame(rows), direct, rtol=0, atol=1e-14)
+        assert np.array_equal(trace.frame(slice(None))[rows], trace.frame(rows))
 
     def test_shifted_errors_converge(self, path_system):
         graph, lap, _ = path_system(4)
@@ -550,9 +562,9 @@ class TestSimulateManeuver:
         assert sf.zeta_consistency_residual(trace, lap.matrix) < 1e-3
 
     def test_world_states_assembled_in_place(self, path_system):
-        # ζ is taken from the shifted rows before 1⊗r is added into them, so the run holds
-        # no second copy of the states: 20,000 steps of n = 6 peak at 3.65 trace arrays, where
-        # a separate world-state array, summed from the rows and tiled positions, reads 5.54
+        # 1⊗r is added into the shifted rows, so the run holds no second copy of the states:
+        # 20,000 steps of n = 6 peak at 3.02 trace arrays, where a separate world-state array
+        # and the tiled positions it is summed from would add two more
         _, lap, _ = path_system(6)
         p0 = np.random.default_rng(27).uniform(-2, 2, 12)
         inputs = sf.ReferenceInputs.constant([0.1, 0.0], 0.2, -0.001)

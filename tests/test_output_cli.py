@@ -698,6 +698,18 @@ class TestMainExitCodes:
         ({"n": 4, "horizon": 1, "reference": {"start": {"position": [1e308, 1e308]},
                                              "velocity": [[0, [1e308, 0]]]}},
          3, "maneuver: reference_positions is not finite from step 6 (t = 0.87868)"),
+        # frame coordinates (p - r) R / s near the float range: a metric overflows, and is named
+        ({"n": 6, "horizon": 5, "reference": {"start": {"scale": 1e-306}}},
+         3, "metrics: projection_residual is not finite (inf)"),
+        ({"formation": "cube", "horizon": 5, "reference": {"start": {"scale": 1e-306}}},
+         3, "metrics: projection_residual is not finite (inf)"),
+        # a subnormal scale has lost its precision, whether it starts there or decays into it
+        ({"n": 6, "horizon": 5, "reference": {"start": {"scale": 1e-320}}},
+         3, "maneuver: reference_scales is below the smallest normal float from step 0 (t = 0)"),
+        ({"formation": "cube", "horizon": 5, "reference": {"start": {"scale": 1e-320}}},
+         3, "maneuver: reference_scales is below the smallest normal float from step 0 (t = 0)"),
+        ({"n": 6, "dt": 0.01, "horizon": 80, "reference": {"scale_rate": [[0, -10]]}},
+         3, "maneuver: reference_scales is below the smallest normal float from step 7084 (t = 70.84)"),
     ])
     def test_failing_run_writes_nothing(self, tmp_path, capsys, scenario, code, message):
         path = tmp_path / "scenario.json"

@@ -196,10 +196,23 @@ class TestSimulateCube:
                                              dim=3)
         trace = sf.simulate_maneuver(lap, p0, inputs, dt=0.01, horizon=4.0)
         plain = sf.integrate(lap, p0, dt=0.01, horizon=4.0)
-        gap = np.abs(trace.zeta - plain.states).max()
+        gap = np.abs(trace.frame(slice(None)) - plain.states).max()
         assert np.isfinite(gap)
         # the cross edge breaks exact commutation, so only boundedness holds
         assert trace.zeta_residual < 10.0
+
+    def test_frame_rows_match_moving_frame(self):
+        # every frame row of a cube maneuver against checks.moving_frame of its state and reference
+        lap = sf.build_cube()
+        p0 = np.random.default_rng(35).uniform(-2, 2, 24)
+        start = sf.ReferenceState(position=np.array([0.2, -0.4, 0.7]),
+                                  rotation=sf.rotation3("y", 0.9), scale=0.8)
+        inputs = sf.ReferenceInputs.constant([0.1, 0.0, 0.05], [0.1, 0.0, 0.2], -0.01, dim=3)
+        trace = sf.simulate_maneuver(lap, p0, inputs, start=start, dt=0.02, horizon=1.0)
+        direct = [checks.moving_frame(p, sf.ReferenceState(position=r, rotation=sf.Rotation(rot), scale=float(s)))
+                  for p, r, rot, s in zip(trace.states, trace.ref_positions, trace.ref_rotations, trace.ref_scales)]
+        np.testing.assert_allclose(trace.frame(slice(None)), direct, rtol=0, atol=1e-14)
+        assert np.array_equal(trace.frame([0, -1]), trace.frame(slice(None))[[0, -1]])
 
     def test_simulate_maneuver_reports_frame_residual(self):
         # the residual is attached by the maneuver integrator itself for any 3-D formation
