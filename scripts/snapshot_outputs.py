@@ -2,15 +2,17 @@
 """Write a byte-comparable snapshot of symform's outputs into OUT.
 
 Every command goes through ``symform.cli.main``: ``run`` of each bundled
-preset and of ten fixed scenarios (a planar n = 600 run; a planar n = 600
+preset and of twelve fixed scenarios (a planar n = 600 run; the same run
+with the interior edge (300, 301) removed instead of (600, 1); a planar n = 600
 run of 1,200 steps, twice m = 600, long enough for the block path were its
-real L not applied through its nonzero entries; a planar n = 16 run
+real L not applied by the path stencil; a planar n = 600 maneuver with
+ω = 0 and two scale rates, whose real L - αI is past the crossover; a planar n = 16 run
 on the default grid, whose SVGs are the largest the benchmark's ``flow``
 workload writes, a planar maneuver of 20 runs of constant input, a planar
 n = 64 maneuver whose two runs of constant nonzero angular velocity are long
 enough (200 steps each, at least 2n) for the complex block path, a planar
 n = 300 maneuver whose runs of 300 and 600 steps apply its complex
-L - (α + iω)I through its nonzero entries (300 rows, past the crossover), and a
+L - (α + iω)I by the path stencil (300 rows, past the crossover), and a
 cube maneuver, all four maneuvers with negative scale rates; a cube whose cross
 edge (2, 6) makes a tree that is not a path, so its spectrum comes from
 ``eigvalsh`` of L rather than the path formula; a cube whose top face runs
@@ -19,7 +21,8 @@ place its blocks by the spec's labels; and a planar n = 9 tree given
 edge by edge, cut at (4, 5), with its own shifts and flipped edges),
 ``run`` of three scenarios that fail with exit 3 and write nothing (a planar
 and a cube maneuver from reference scale 1e-306, whose frame coordinates
-overflow the projection residual, and a planar maneuver whose scale decays
+overflow the projection residual and, for the cube, the frame residual that
+its run checks first, and a planar maneuver whose scale decays
 below the smallest normal float), ``verify`` of each preset, of the last
 three run scenarios that succeed and of a planar n = 256 scenario (the shape
 of the benchmark's ``checks`` workload, so its check values land in the
@@ -51,7 +54,12 @@ PRESETS = ("example2_c4", "example3_c6", "maneuver_c6", "cube")
 TIMES = [2.0 * k for k in range(20)]
 SCENARIOS = {
     "planar_n600": {"n": 600, "horizon": 5.0},
+    "planar_n600_cut": {"n": 600, "horizon": 5.0, "tree": {"remove": [300, 301]}},
     "planar_n600_long": {"n": 600, "dt": 0.1, "horizon": 120.0},
+    "maneuver_n600_scale": {
+        "n": 600, "dt": 0.1, "horizon": 30,
+        "reference": {"velocity": [[0, [0.2, -0.1]]], "scale_rate": [[0, -0.01], [15, 0.004]]},
+    },
     "planar_n16": {"n": 16},
     "maneuver_20_runs": {
         "n": 12, "dt": 0.02, "horizon": 45.0,

@@ -30,8 +30,9 @@ EXIT_VERIFY = 4
 def build_system(scn: Scenario) -> SymmetryLaplacian:
     """The scenario's constraint tree, which :func:`parse_scenario` has checked, as a
     :class:`SymmetryLaplacian` (``chain`` spans its null space), rejected before any
-    allocation when too large."""
-    dynamics.require_build_fits(scn.n, scn.dim, dynamics.BUILD_DENSE_MATRICES)
+    allocation when a run of its size would not fit (``verify`` and ``sweep`` check
+    their dense bounds first)."""
+    dynamics.require_run_fits(scn.n)
     if scn.formation == "cube":
         return spatial3d.build_cube(scn.cube_spec)
     if scn.tree_graph is not None:

@@ -9,7 +9,7 @@ from typing import Callable, Iterable
 import numpy as np
 from numpy.typing import NDArray
 
-from .laplacian import NumericFailure, Spectrum, SymmetryLaplacian
+from .laplacian import NumericFailure, PathStencil, Spectrum, SymmetryLaplacian
 
 UNDERFLOW_FLOOR = 1e-14  # error magnitudes below this are float noise
 # Rate fits stop two decades above the noise: below 1e-12 the total error of a
@@ -33,11 +33,16 @@ MAX_TRACE_BYTES = 512 * 2**20  # largest estimated memory of a run's trace and i
 # cube maneuver, which peaks in the run.
 TRACE_ROW_BYTES_PER_COORD = 48
 TRACE_ROW_BYTES_FIXED = 256
-MAX_BUILD_BYTES = 512 * 2**20  # largest estimated memory of a formation's dense build
+MAX_BUILD_BYTES = 512 * 2**20  # largest estimated memory of a formation's build
+# Estimated bytes a node of a run holds, whatever its steps: the tree, its chain and
+# spectrum, the start, a trace of two rows and the files written from it. The
+# tracemalloc peaks of planar runs of one step through write_outputs grow by 1,394 bytes
+# a node from n = 64,000 (85.2 MiB) to n = 256,000 (340.5 MiB); at n = 1,000 they are
+# 2.7 MiB. A planar run forms no n x n array past the stage-loop crossover. Time does not
+# bind first: untraced, the n = 256,000 run takes 5.7 s at 422 MB max RSS.
+RUN_BYTES_PER_NODE = 1400
 # Estimated dn x dn float64 arrays held while ``sweep`` builds and checks a formation:
-# Q, E (half of dn x dn), the gauge matrix and E Eᵀ; a planar n = 300 sweep peaks at
-# 3.5. A run integrates on the n x n tree Laplacian and forms none of them, save the
-# 24 x 24 Q that a cube maneuver's frame residual reads, but is held to the same bound.
+# Q, E (half of dn x dn), the gauge matrix and E Eᵀ; a planar n = 300 sweep peaks at 3.5.
 BUILD_DENSE_MATRICES = 5
 # ``verify`` holds the same arrays while a dense eigh of Q adds its copy, workspace and
 # eigenvectors: a planar n = 300 verify peaks at 7.0 dn x dn arrays (7.27 as a
@@ -45,14 +50,22 @@ BUILD_DENSE_MATRICES = 5
 VERIFY_DENSE_MATRICES = 8
 POWER_STACK_CAP = 256  # most RK4 steps propagate_linear writes with one matrix product
 # The RK4 stage loop applies an m x m G, real or complex, through its nonzero entries
-# from m = NONZERO_STAGE_ROWS x (columns of the state) up, the dense product below.
-# Measured per apply (best of 9 x 300, one BLAS thread, 2-vCPU 2.0 GHz Xeon) on
-# tree Laplacians, dense / nonzeros in µs: dn x dn Q on 1 column, m = 256:
-# 15.1 / 15.9, m = 320: 20.9 / 18.8, m = 512: 72 / 25; n x n L on 2 columns,
-# m = 256: 12.4 / 17.5, m = 512: 61 / 27, m = 640: 142 / 29; on 3 columns,
+# from m = NONZERO_STAGE_ROWS x (columns of the state) up, the dense product below:
+# a planar run's PathStencil by its slices, an array G by bincount (verify's dense Q
+# on its RK4 route is the one caller left). Measured per apply (best of 9 x 300, one
+# BLAS thread, 2-vCPU 2.0 GHz Xeon) on tree Laplacians, dense / bincount in µs: dn x dn
+# Q on 1 column, m = 256: 15.1 / 15.9, m = 320: 20.9 / 18.8, m = 512: 72 / 25; n x n L
+# on 2 columns, m = 256: 12.4 / 17.5, m = 512: 61 / 27, m = 640: 142 / 29; on 3 columns,
 # m = 768: 700 / 55; complex L - (0.05 + 0.3i)I on the n points x + iy (1 column),
 # m = 128: 6.4 / 6.0, m = 256: 22.8 / 8.8, m = 600: 235 / 15.3, m = 1200: 1,000 / 26.8,
-# m = 1800: 2,962 / 38.6.
+# m = 1800: 2,962 / 38.6. Dense / bincount / stencil in µs, a later measurement on the
+# same box (a path cut at (n, 1)): L on 2 columns, m = 64: 3.4 / 17.1 / 7.4,
+# m = 256: 16.5 / 25.5 / 10.7, m = 512: 77 / 36 / 13.2, m = 1200: 1,594 / 61 / 18.8,
+# m = 1800: 4,874 / 90 / 27.5; complex L - (0.05 + 0.3i)I on 1 column, m = 128:
+# 9.8 / 11.8 / 7.2, m = 256: 30 / 15.7 / 7.5, m = 600: 256 / 25.6 / 9.1, m = 1800:
+# 4,594 / 55 / 13.0. An interior cut adds about 9 µs (m = 600: 22.1 real, 18.8
+# complex). The stencil would also beat the dense product from about m = 256 on
+# 2 columns; the crossover stays, so that no run below it changes its bits.
 NONZERO_STAGE_ROWS = 256
 
 
@@ -107,13 +120,21 @@ def require_build_fits(n: int, dim: int, matrices: int) -> None:
     arrays of an n-agent formation in R^dim would exceed ``MAX_BUILD_BYTES``, before any
     is built."""
     dn = dim * n
-    build_bytes = matrices * dn * dn * 8
-    if build_bytes > MAX_BUILD_BYTES:
-        fit = math.isqrt(MAX_BUILD_BYTES // (matrices * 8)) // dim
-        mib = build_bytes / 2**20 if build_bytes < 2**1000 else math.inf  # inf beyond a float
+    _require_fits(n, matrices * dn * dn * 8, f"its dense {reprlib.repr(dn)}x{reprlib.repr(dn)} matrices",
+                  math.isqrt(MAX_BUILD_BYTES // (matrices * 8)) // dim)
+
+
+def require_run_fits(n: int) -> None:
+    """Raise ValueError, naming the largest n that fits, when a run of n agents would hold
+    more than ``MAX_BUILD_BYTES`` at ``RUN_BYTES_PER_NODE``, before its tree is built."""
+    _require_fits(n, RUN_BYTES_PER_NODE * n, "a run", MAX_BUILD_BYTES // RUN_BYTES_PER_NODE)
+
+
+def _require_fits(n: int, need: int, holding: str, fit: int) -> None:
+    if need > MAX_BUILD_BYTES:
+        mib = need / 2**20 if need < 2**1000 else math.inf  # inf beyond a float
         raise ValueError(
-            f"n = {reprlib.repr(n)} needs about {mib:.4g} MiB for its dense "
-            f"{reprlib.repr(dn)}x{reprlib.repr(dn)} matrices, "
+            f"n = {reprlib.repr(n)} needs about {mib:.4g} MiB for {holding}, "
             f"above the {MAX_BUILD_BYTES / 2**20:g} MiB bound (the largest n that fits is {fit})"
         )
 
@@ -210,20 +231,21 @@ def _power_steps(out: NDArray, k: int, count: int, d: NDArray, block: int) -> No
         out[k + 1] = out[k] + d @ out[k]
 
 
-def _dense_stages(g: NDArray, columns: int) -> bool:
+def _dense_stages(g: NDArray | PathStencil, columns: int) -> bool:
     """Whether the stage loop multiplies G densely: under ``NONZERO_STAGE_ROWS`` rows per column."""
     return g.shape[0] < NONZERO_STAGE_ROWS * columns
 
 
-def _stage_product(g: NDArray, columns: int) -> Callable[[NDArray], NDArray]:
+def _stage_product(g: NDArray | PathStencil, columns: int) -> Callable[[NDArray], NDArray]:
     """x ↦ G x on (m, ``columns``) rows, for the stage loop.
 
-    A G of at least ``NONZERO_STAGE_ROWS`` rows per column is applied through
-    its nonzero entries, read from G itself (one bincount per column, over the
-    float64 parts of the products: one per real entry, two per complex one);
-    a smaller G through the dense product."""
+    A :class:`PathStencil` is applied by its slices. An array G of at least
+    ``NONZERO_STAGE_ROWS`` rows per column is applied through its nonzero
+    entries, read from G itself (one bincount per column, over the float64
+    parts of the products: one per real entry, two per complex one), which sums
+    each row in the stencil's order; a smaller G through the dense product."""
     m = g.shape[0]
-    if _dense_stages(g, columns):
+    if _dense_stages(g, columns) or isinstance(g, PathStencil):
         return g.__matmul__
     rows, cols = np.nonzero(g)
     entries = g[rows, cols]
@@ -253,7 +275,7 @@ def _stage_steps(out: NDArray, k: int, count: int, product: Callable[[NDArray], 
         out[row] = x
 
 
-def _rows(out: NDArray[np.float64], g: NDArray) -> NDArray:
+def _rows(out: NDArray[np.float64], g: NDArray | PathStencil) -> NDArray:
     """``out`` (steps + 1, size) as (steps + 1, m, size / m) rows for an m x m G acting on
     axis 1, taken from the complex128 view (planar points x + iy) when G is complex. A
     real n x n G so acts on each of the d columns of (n, d) rows, a dn x dn G on one."""
@@ -267,7 +289,7 @@ def _rows(out: NDArray[np.float64], g: NDArray) -> NDArray:
 
 def propagate_linear(
     c0: NDArray[np.float64],
-    segments: Iterable[tuple[NDArray, int]],
+    segments: Iterable[tuple[NDArray | PathStencil, int]],
     dt: float,
     steps: int,
 ) -> NDArray[np.float64]:
@@ -275,9 +297,12 @@ def propagate_linear(
 
     ``c0`` is a flat state or an (n, d) array of rows; the returned
     (steps + 1, c0.size) array holds the flat states, row 0 being ``c0``.
-    The step counts must add up to ``steps``. Each segment's G is m x m and
-    acts on the state as :func:`_rows` says: on the (m, -1) rows of the
-    state, or of its complex128 view when G is complex. On a
+    The step counts must add up to ``steps``. Each segment's G is an m x m
+    array or a :class:`PathStencil` (L - shift·I of a planar tree, held as
+    its degrees, cut edge and shift), and acts on the state as :func:`_rows`
+    says: on the (m, -1) rows of the state, or of its complex128 view when G
+    is complex. Below the crossover of :func:`_dense_stages` a stencil is
+    replaced by its dense G, so everything below holds for that array. On a
     segment RK4 is exactly c_{k+1} = P c_k with
     P = I + H + H²/2 + H³/6 + H⁴/24, H = -dt G.
 
@@ -293,7 +318,9 @@ def propagate_linear(
       column, for a real G and a complex one alike) G y is the dense ``g @ y``,
       so the loop reproduces :func:`rk4_step` on -(G @ y) bitwise. Past it,
       G y is summed over G's nonzero entries, however long the segment, and
-      agrees with the dense product only to rounding.
+      agrees with the dense product only to rounding: by the stencil's slices
+      for a :class:`PathStencil`, by ``bincount`` for an array, with the
+      same bits.
 
     Overflow is left to the caller's ``np.errstate``; it shows as
     non-finite states.
@@ -304,11 +331,14 @@ def propagate_linear(
     k = 0
     for g, count in segments:
         rows = _rows(out, g)
+        columns = rows.shape[2]
+        if isinstance(g, PathStencil) and _dense_stages(g, columns):
+            g = g.dense()
         block = min(POWER_STACK_CAP, count // g.shape[0])
-        if block >= 2 and _dense_stages(g, rows.shape[2]):
+        if block >= 2 and _dense_stages(g, columns):
             _power_steps(rows, k, count, _rk4_increment(g, dt), block)
         else:
-            _stage_steps(rows, k, count, _stage_product(g, rows.shape[2]), dt)
+            _stage_steps(rows, k, count, _stage_product(g, columns), dt)
         k += count
         del g  # released before the next run's G is formed
     if k != steps:
@@ -355,7 +385,7 @@ def _edge_errors(lap: SymmetryLaplacian, rows: NDArray[np.float64]) -> tuple[NDA
 def _gauge_run(
     lap: SymmetryLaplacian,
     c0: NDArray[np.float64],
-    segments: Iterable[tuple[NDArray, int]],
+    segments: Iterable[tuple[NDArray | PathStencil, int]],
     dt: float,
     steps: int,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
@@ -370,12 +400,14 @@ def _gauge_run(
     return rows, errors, potentials
 
 
-def require_finite(stage: str, times: NDArray[np.float64], **arrays: NDArray[np.float64]) -> None:
-    """Raise NumericFailure naming the first array and step with a non-finite entry."""
+def require_finite(stage: str, times: NDArray[np.float64], *, first_step: int = 0,
+                   **arrays: NDArray[np.float64]) -> None:
+    """Raise NumericFailure naming the first array and step with a non-finite entry; row j
+    of each array is step ``first_step`` + j."""
     for name, arr in arrays.items():
         ok = np.isfinite(arr).reshape(arr.shape[0], -1).all(axis=1)
         if not ok.all():
-            k = int(np.argmin(ok))
+            k = first_step + int(np.argmin(ok))
             raise NumericFailure(
                 f"{stage}: {name} is not finite from step {k} (t = {float(times[k]):g}); "
                 "the run overflowed"
@@ -405,7 +437,7 @@ def integrate(
     times = np.arange(steps + 1) * dt
     # overflow is reported once, by require_finite, instead of as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        states, errors, potentials = _gauge_run(lap, p, [(lap.scalar, steps)], dt, steps)
+        states, errors, potentials = _gauge_run(lap, p, [(lap.shifted(0.0), steps)], dt, steps)
     require_finite("integrate", times, states=states, edge_errors=errors, potentials=potentials)
     return SimulationTrace(
         times=times, states=states, edge_errors=errors, potentials=potentials,

@@ -39,9 +39,15 @@ class SymmetryLaplacian:
     ``chain`` stacks the chain rotations S_i (dn x d): its columns, of squared
     norm n, span the null space of Q. These three are all a tree holds; ``n``
     and ``dim`` are read off the chain's shape, ``degrees`` counts the edge
-    ends at each node, and ``scalar`` is the n x n scalar tree Laplacian L
-    built from them. On a tree Q = S (L ⊗ I_d) Sᵀ, so a run needs only these
-    arrays: it integrates in gauge coordinates q_i = S_iᵀ p_i on L.
+    ends at each node, and ``cut`` names the missing edge of a tree that is
+    the cycle C_n less one edge, as every planar tree is. On a tree
+    Q = S (L ⊗ I_d) Sᵀ for the n x n scalar tree Laplacian L, so a run needs
+    only these arrays: it integrates in gauge coordinates q_i = S_iᵀ p_i on
+    L - shift·I, which :meth:`shifted` gives as a :class:`PathStencil` for a
+    cut cycle. ``scalar``, L as a dense array, is read only below the
+    stage-loop crossover: by the cube's runs (its trees are not cut cycles),
+    and by :meth:`numeric_spectrum` for ``sweep`` and for the ``verify`` or
+    run of a tree that is not a path.
 
     The dense dn x dn arrays are built on first read, for ``verify``, ``sweep``
     and the tests, each by one scatter of its blocks. ``matrix`` is Q: degree·I
@@ -71,6 +77,28 @@ class SymmetryLaplacian:
     def degrees(self) -> NDArray[np.intp]:
         """The number of edges at each node (n)."""
         return np.bincount(self.ends.ravel(), minlength=self.n)
+
+    @cached_property
+    def cut(self) -> int | None:
+        """The 0-based node a when the tree is the cycle C_n without its edge (a, a + 1 mod n),
+        as every planar tree that :func:`topology.validate` accepts is; None for any other tree.
+        A tree whose edges all join cycle neighbours is such a path, cut between its two ends."""
+        n = self.n
+        u, v = self.ends.T
+        if n < 3 or not np.isin((v - u) % n, (1, n - 1)).all():
+            return None
+        p, q = np.flatnonzero(self.degrees == 1)
+        return int(p) if q == p + 1 else n - 1
+
+    def shifted(self, shift: float | complex) -> PathStencil | NDArray:
+        """G = L - shift·I: a :class:`PathStencil` when the tree is C_n less one edge
+        (:attr:`cut`), so no n x n array is formed; else a new dense n x n array, complex
+        for a complex ``shift``."""
+        if self.cut is not None:
+            return PathStencil(self.degrees, self.cut, shift)
+        g = self.scalar.astype(np.result_type(shift))
+        g.flat[::self.n + 1] -= shift
+        return g
 
     @cached_property
     def scalar(self) -> NDArray[np.float64]:
@@ -134,8 +162,9 @@ class SymmetryLaplacian:
     def _gauge_blocks(self) -> NDArray[np.float64]:
         """The gauge form's blocks L_ij S_i S_jᵀ on ``_pattern``, in its order."""
         rows, cols = self._pattern
+        entries = np.concatenate([self.degrees, np.full(2 * len(self.edge_index), -1.0)])  # L on the pattern
         blocks = self.chain.reshape(self.n, self.dim, self.dim)
-        return self.scalar[rows, cols, None, None] * np.einsum("kab,kcb->kac", blocks[rows], blocks[cols])
+        return entries[:, None, None] * np.einsum("kab,kcb->kac", blocks[rows], blocks[cols])
 
     @property
     def route_gaps(self) -> tuple[Gap, ...]:
@@ -186,6 +215,78 @@ class SymmetryLaplacian:
         read off the path formula; :attr:`spectrum` takes it for a tree that is not a path."""
         scalar = spectrum(self.scalar, vectors=False)
         return Spectrum(eigenvalues=_freeze(np.repeat(scalar.eigenvalues, self.dim)), spread=self.spread)
+
+
+@dataclass(frozen=True, eq=False)
+class PathStencil:
+    """G = L - shift·I for the Laplacian L of the cycle C_n without its edge (cut, cut + 1 mod n),
+    held as L's ``degrees`` (n), the 0-based ``cut`` and the ``shift``: real, or complex for a
+    G acting on planar points x + iy. No n x n array is formed until :meth:`dense` is called.
+
+    ``g @ x`` applies G to (n, columns) rows by slices over all columns at once: row i is
+    (deg_i - shift)·x_i less its cycle neighbours x_(i-1) and x_(i+1) (mod n), but for
+    the cut edge's. Each row sums its terms in ascending column order, as the ``bincount``
+    over a dense G's nonzero entries (:func:`dynamics._stage_product`) does, so the
+    products agree bit for bit on finite rows: row 0 takes its wrap term x_(n-1) last,
+    row n - 1 its wrap term x_0 first. That ``bincount`` adds each sum to 0.0, which
+    turns a -0.0 sum into 0.0 and leaves every other as it is, so the stencil adds 0.0
+    last.
+    """
+
+    degrees: NDArray[np.intp]
+    cut: int
+    shift: float | complex
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.degrees.size, self.degrees.size
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.dtype(complex if np.iscomplexobj(self.shift) else float)
+
+    @cached_property
+    def _diagonal(self) -> NDArray:
+        """deg_i - shift as an (n, 1) column, the entries :meth:`dense` puts on G's diagonal."""
+        return (self.degrees - self.shift)[:, None]
+
+    @cached_property
+    def _terms(self) -> tuple[tuple[slice, slice], ...]:
+        """(rows, neighbours) slice pairs, each row's neighbour terms in the order the row
+        takes them: x_(i-1), then x_(i+1), then row 0's wrap term x_(n-1). A row n - 1 of
+        three terms is left out: ``@`` subtracts x_0 + x_(n-2) from it in one step."""
+        a, n = self.cut, self.degrees.size
+        if a == n - 1:  # the path runs in node order
+            pairs = [(slice(1, n), slice(0, n - 1)), (slice(0, n - 1), slice(1, n))]
+        else:
+            pairs = [(slice(1, a + 1), slice(0, a)), (slice(a + 2, n - 1), slice(a + 1, n - 2)),
+                     (slice(0, a), slice(1, a + 1)), (slice(a + 1, n - 1), slice(a + 2, n)),
+                     (slice(0, 1), slice(n - 1, n))]
+            if a == n - 2:
+                pairs.append((slice(n - 1, n), slice(0, 1)))
+        return tuple((rows, cols) for rows, cols in pairs if rows.start < rows.stop)
+
+    def __matmul__(self, x: NDArray) -> NDArray:
+        y = self._diagonal * x
+        for rows, cols in self._terms:
+            block = y[rows]
+            np.subtract(block, x[cols], out=block)
+        if self.cut < x.shape[0] - 2:  # row n - 1 sums (-x_0 - x_(n-2)) + D, which is D - (x_0 + x_(n-2))
+            block = y[-1]
+            np.subtract(block, x[0] + x[-2], out=block)
+        y += 0.0
+        return y
+
+    def dense(self) -> NDArray:
+        """G as a new n x n array, the bits ``L - shift·I`` has from the dense L."""
+        n = self.degrees.size
+        g = np.zeros((n, n), dtype=self.dtype)
+        g.flat[::n + 1] = self.degrees
+        u = np.delete(np.arange(n), self.cut)
+        v = (u + 1) % n
+        g[u, v] = g[v, u] = -1.0
+        g.flat[::n + 1] -= self.shift
+        return g
 
 
 def laplacian_from_edges(

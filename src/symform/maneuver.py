@@ -10,7 +10,7 @@ from numpy.typing import NDArray
 
 from .dynamics import (DEFAULT_STEP_FACTOR, SimulationTrace, _gauge_run, _require_grid_fits, _step_count,
                        require_finite, resolve_grid)
-from .laplacian import NumericFailure, SymmetryLaplacian
+from .laplacian import NumericFailure, PathStencil, SymmetryLaplacian
 from .symgroup import Rotation, identity
 
 # RK4 may not amplify any mode by more than rounding: max |P(-dt μ)| <= 1 + this
@@ -241,7 +241,8 @@ def _rk4_gain(z: NDArray[np.complex128]) -> NDArray[np.float64]:
     return np.abs(1 + z * (1 + z * (1 / 2 + z * (1 / 6 + z / 24))))
 
 
-def _segment_operators(lap: SymmetryLaplacian, path: ReferencePath) -> Iterator[tuple[NDArray, int]]:
+def _segment_operators(lap: SymmetryLaplacian,
+                       path: ReferencePath) -> Iterator[tuple[PathStencil | NDArray, int]]:
     """(G, step_count) for each run of steps with constant (ω, α), checked for RK4 stability.
 
     On such a run the shifted state c = p - 1⊗r obeys dc/dt = -(Q - I⊗Ω - α I) c,
@@ -289,23 +290,22 @@ def _rotating_eigenvalues(lap: SymmetryLaplacian, omega) -> NDArray:
     return np.linalg.eigvals(_segment_operator(lap, omega, 0.0))
 
 
-def _segment_operator(lap: SymmetryLaplacian, omega, alpha: float) -> NDArray:
-    """G = Sᵀ (Q - I⊗Ω - α I) S in gauge coordinates, as a new array.
+def _segment_operator(lap: SymmetryLaplacian, omega, alpha: float) -> PathStencil | NDArray:
+    """G = Sᵀ (Q - I⊗Ω - α I) S in gauge coordinates, as a new operator.
 
     - ω = 0: L - α I, real n x n, acting on each coordinate column;
     - planar ω ≠ 0: L - (α + iω) I, complex n x n, acting on x + iy (Ω commutes
       with every S_i and acts on x + iy as multiplication by iω);
-    - spatial ω ≠ 0: L ⊗ I - blockdiag(S_iᵀ Ω S_i) - α I, dn x dn.
+    - spatial ω ≠ 0: L ⊗ I - blockdiag(S_iᵀ Ω S_i) - α I, a dn x dn array.
+
+    The n x n forms are :meth:`SymmetryLaplacian.shifted`: a :class:`PathStencil`
+    for C_n less one edge, as every planar tree is, else a dense array.
     """
     n, d = lap.n, lap.dim
     if not np.any(omega):
-        g = lap.scalar.copy()
-        g.flat[::n + 1] -= alpha
-        return g
+        return lap.shifted(float(alpha))
     if d == 2:
-        g = lap.scalar.astype(complex)
-        g.flat[::n + 1] -= complex(alpha, float(omega))
-        return g
+        return lap.shifted(complex(alpha, float(omega)))
     blocks = lap.chain.reshape(n, d, d)
     g = np.kron(lap.scalar, np.eye(d))
     g.reshape(n, d, n, d)[np.arange(n), :, np.arange(n), :] -= (
@@ -331,12 +331,13 @@ def simulate_maneuver(
     q_i = S_iᵀ c_i (see :func:`_segment_operator`), and the world states
     c + 1⊗r are formed in c's array. Step sizes for which RK4 would amplify
     some mode of Q - I⊗Ω raise ValueError with a suggested dt; a reference
-    scale below the smallest normal float, or a run that overflows, raises
-    NumericFailure. The frame coordinates ζ of the trace's ``frame`` follow
-    the stationary flow dζ/dt = -Q ζ for planar formations. For spatial ones
-    they need not, and the residual of that flow is reported, never asserted
-    zero, as the trace's ``zeta_residual``; a spatial grid of fewer than
-    three samples, too short for that residual, raises ValueError.
+    scale below the smallest normal float, or a run that overflows, its frame
+    residual included, raises NumericFailure. The frame coordinates ζ of the
+    trace's ``frame`` follow the stationary flow dζ/dt = -Q ζ for planar
+    formations. For spatial ones they need not, and the residual of that flow
+    is reported, never asserted zero, as the trace's ``zeta_residual``; a
+    spatial grid of fewer than three samples, too short for that residual,
+    raises ValueError.
     """
     d, n = lap.dim, lap.n
     if start is None:
@@ -374,9 +375,22 @@ def simulate_maneuver(
         ref_positions=path.positions, ref_rotations=path.rotations, ref_scales=path.scales,
     )
     if d == 3:  # spatial edge rotations need not commute with the reference attitude
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed residual reads inf or nan
-            trace.zeta_residual = zeta_consistency_residual(trace, lap.matrix)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed residual is rejected below
+            residuals = _zeta_residuals(trace, lap.matrix)
+        require_finite("maneuver", path.times, first_step=1, zeta_residual=residuals)
+        trace.zeta_residual = float(residuals.max())
     return trace
+
+
+def _zeta_residuals(trace: ManeuverTrace, q_matrix: NDArray[np.float64]) -> NDArray[np.float64]:
+    """||(ζ_{k+1} - ζ_{k-1})/(2 dt) + Q ζ_k|| at the steps k = 1 … steps - 1 of a maneuver trace."""
+    z = trace.frame(slice(None))
+    if z.shape[0] < 3:
+        raise ValueError("need at least three samples for a central difference")
+    dt = float(trace.times[1] - trace.times[0])
+    dz = (z[2:] - z[:-2]) / (2.0 * dt)
+    resid = dz + z[1:-1] @ q_matrix.T
+    return np.sqrt((resid ** 2).sum(axis=1))
 
 
 def zeta_consistency_residual(trace: ManeuverTrace, q_matrix: NDArray[np.float64]) -> float:
@@ -387,10 +401,4 @@ def zeta_consistency_residual(trace: ManeuverTrace, q_matrix: NDArray[np.float64
     formations whose edge rotations do not commute with the reference
     attitude. Reported as a diagnostic, never asserted to vanish.
     """
-    z = trace.frame(slice(None))
-    if z.shape[0] < 3:
-        raise ValueError("need at least three samples for a central difference")
-    dt = float(trace.times[1] - trace.times[0])
-    dz = (z[2:] - z[:-2]) / (2.0 * dt)
-    resid = dz + z[1:-1] @ q_matrix.T
-    return float(np.sqrt((resid ** 2).sum(axis=1)).max())
+    return float(_zeta_residuals(trace, q_matrix).max())

@@ -271,6 +271,77 @@ class TestPropagateLinear:
             sf.propagate_linear(np.ones(6), [(lap.matrix, 7)], 0.05, 12)
 
 
+class TestPathStencil:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_the_nonzero_stage_product(self, data):
+        # the stencil sums each row in bincount's order, so it equals the product through
+        # the dense G's nonzero entries bit for bit, zero signs included, at every n:
+        # with the crossover lowered to 1 row, _stage_product takes that product below it too
+        n = data.draw(st.integers(3, 2 * sf.dynamics.NONZERO_STAGE_ROWS + 40), label="n")
+        cut = data.draw(st.integers(0, n - 1), label="cut")
+        real = st.one_of(st.just(0.0), st.sampled_from([1.0, 2.0, -0.5]), st.floats(-3, 3))
+        shift = data.draw(st.one_of(real, st.builds(complex, real, real)), label="shift")
+        columns = data.draw(st.integers(1, 3), label="columns")
+        kind = data.draw(st.sampled_from(["normal", "tiny", "integer", "zero", "signed_zero"]), label="kind")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        shape = (n, 2 * columns)
+        x = {"normal": lambda: rng.normal(size=shape), "tiny": lambda: 1e-300 * rng.normal(size=shape),
+             "integer": lambda: rng.integers(-4, 5, size=shape).astype(float), "zero": lambda: np.zeros(shape),
+             "signed_zero": lambda: np.where(rng.random(shape) < 0.5, -0.0, 0.0)}[kind]()
+        x = x.view(complex) if isinstance(shift, complex) else x[:, :columns].copy()
+        degrees = np.full(n, 2)
+        degrees[[cut, (cut + 1) % n]] = 1
+        stencil = sf.laplacian.PathStencil(degrees, cut, shift)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sf.dynamics, "NONZERO_STAGE_ROWS", 1)
+            nonzero = sf.dynamics._stage_product(stencil.dense(), columns)(x)
+        product = stencil @ x
+        assert product.dtype == nonzero.dtype and product.shape == nonzero.shape
+        assert np.array_equal(product, nonzero) and product.tobytes() == nonzero.tobytes()
+        if not sf.dynamics._dense_stages(stencil, columns):  # past the crossover the stage loop takes it
+            assert sf.dynamics._stage_product(stencil, columns).__self__ is stencil
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_tree_cases(24),
+           st.one_of(st.floats(-3, 3), st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))))
+    def test_planar_tree_is_a_cut_cycle(self, case, shift):
+        # every planar tree is C_n less the edge (cut, cut + 1), however its edges are labelled
+        # and oriented; its stencil's dense G has the bits of L - shift·I from the dense L
+        lap = sf.build_laplacian(random_tree(*case))
+        assert lap.cut == case[1] - 1
+        g = lap.shifted(shift)
+        dense = lap.scalar.astype(g.dtype)
+        dense.flat[::lap.n + 1] -= shift
+        assert g.dense().tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("formation", [{"formation": "cube"},
+                                           {"formation": "cube", "cube": {"cross_edge": [2, 6]}}],
+                             ids=["cube", "cube_cross_edge"])
+    def test_other_trees_take_the_dense_operator(self, formation):
+        lap = cli.build_system(cli.parse_scenario(formation))
+        assert lap.cut is None
+        g = lap.shifted(0.25)
+        assert isinstance(g, np.ndarray) and np.array_equal(g, lap.scalar - 0.25 * np.eye(lap.n))
+
+    @pytest.mark.parametrize("scenario", [
+        {"n": 600, "horizon": 5},
+        {"n": 300, "dt": 0.1, "horizon": 5,
+         "reference": {"angular_velocity": [[0, 0.2]], "scale_rate": [[0, -0.01]]}},
+        {"n": 600, "dt": 0.1, "horizon": 5, "tree": {"remove": [300, 301]},
+         "reference": {"velocity": [[0, [0.2, 0.0]]], "scale_rate": [[0, -0.01], [2, 0.005]]}},
+    ], ids=["stationary_n600", "rotating_n300", "scaling_n600"])
+    def test_runs_past_the_crossover_read_no_dense_laplacian(self, monkeypatch, scenario):
+        # past the crossover a planar run applies its stencil and forms no n x n L
+        def forbidden(self):
+            raise AssertionError("dense L read")
+
+        scn = cli.parse_scenario(scenario)
+        monkeypatch.setattr(sf.laplacian.SymmetryLaplacian, "scalar", property(forbidden))
+        _, _, metrics = cli.run_scenario(scn)
+        assert all(metrics["checks"].values())
+
+
 class TestIntegrate:
     def test_matches_closed_form(self, path_system):
         _, lap, _ = path_system(4)

@@ -421,8 +421,8 @@ class TestSimulateManeuver:
         CUBE_MANEUVER,
     ], ids=["planar", "cube"])
     def test_segment_operators_are_the_kron_form(self, spec):
-        # each run's G, a fresh array, is Sᵀ(Q - I⊗Ω - αI)S on the gauge rows it acts on:
-        # n x n (complex for a planar ω ≠ 0, acting on x + iy) or dn x dn (the cube's ω ≠ 0)
+        # each run's G, a fresh operator (a planar stencil densified), is Sᵀ(Q - I⊗Ω - αI)S on the gauge
+        # rows it acts on: n x n (complex for a planar ω ≠ 0, acting on x + iy) or dn x dn (the cube's ω ≠ 0)
         scn = cli.parse_scenario({"dt": 0.05, "horizon": 0.5, **spec})
         lap = cli.build_system(scn)
         path = sf.propagate_reference(scn.reference, scn.ref_start, scn.dt, scn.horizon)
@@ -438,6 +438,8 @@ class TestSimulateManeuver:
             omega = sf.omega_matrix(checks.segment_value(scn.reference.angular, t), d)
             alpha = checks.segment_value(scn.reference.scale_rate, t)
             assert g is not lap.scalar
+            if isinstance(g, sf.laplacian.PathStencil):  # every planar tree is C_n less one edge
+                g = g.dense()
             if g.shape == (n, n):
                 g = np.kron(g.real, np.eye(d)) + (np.kron(g.imag, quarter) if d == 2 else 0.0)
                 # the planar kron form holds bit for bit: Ω commutes with every S_i

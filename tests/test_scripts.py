@@ -28,11 +28,11 @@ def test_snapshot_outputs(tmp_path):
     runs = tmp_path / "runs"
     assert sorted(p.name for p in runs.iterdir()) == [
         "cube", "cube_cross_edge", "cube_maneuver", "cube_reordered", "example2_c4", "example3_c6",
-        "maneuver_20_runs", "maneuver_c6", "maneuver_n300", "maneuver_n64", "planar_n16", "planar_n600",
-        "planar_n600_long", "planar_tree_n9"]
+        "maneuver_20_runs", "maneuver_c6", "maneuver_n300", "maneuver_n600_scale", "maneuver_n64", "planar_n16",
+        "planar_n600", "planar_n600_cut", "planar_n600_long", "planar_tree_n9"]
     assert all("runtime_seconds" not in p.read_text() for p in runs.glob("*/metrics.json"))
     log = (tmp_path / "log.txt").read_text()
-    assert log.count("\nexit 0\n") == 23 and str(tmp_path) not in log
+    assert log.count("\nexit 0\n") == 25 and str(tmp_path) not in log
     assert log.count("\nexit 3\n") == 3
     assert "$ symform verify OUT/scenarios/verify_n256.json\nexit 0\n" in log
     assert (tmp_path / "sweep" / "sweep.json").is_file()

@@ -221,3 +221,13 @@ class TestSimulateCube:
         inputs = sf.ReferenceInputs.constant([0.1, 0.0, 0.05], [0.0, 0.0, 0.2], 0.0, dim=3)
         trace = sf.simulate_maneuver(lap, p0, inputs, dt=0.02, horizon=1.0)
         assert trace.zeta_residual == sf.zeta_consistency_residual(trace, lap.matrix)
+
+    def test_overflowing_frame_residual_raises(self):
+        # from scale 1e-306 the frame coordinates reach 1e305 and the residual's squares
+        # overflow: the run fails naming the quantity and the step, it returns no inf
+        lap = sf.build_cube()
+        p0 = np.random.default_rng(36).uniform(-1, 1, 24)
+        start = sf.ReferenceState(np.zeros(3), sf.identity(3), 1e-306)
+        with pytest.raises(sf.NumericFailure, match=r"^maneuver: zeta_residual is not finite from step 1 "
+                                                    r"\(t = 0\.05\); the run overflowed$"):
+            sf.simulate_maneuver(lap, p0, sf.ReferenceInputs.stationary(3), start=start, dt=0.05, horizon=1.0)
