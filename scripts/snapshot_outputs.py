@@ -24,9 +24,10 @@ and a cube maneuver from reference scale 1e-306, whose frame coordinates
 overflow the projection residual and, for the cube, the frame residual that
 its run checks first, and a planar maneuver whose scale decays
 below the smallest normal float), ``verify`` of each preset, of the last
-three run scenarios that succeed and of a planar n = 256 scenario (the shape
+three run scenarios that succeed, of a planar n = 256 scenario (the shape
 of the benchmark's ``checks`` workload, so its check values land in the
-log), and
+log) and of a planar n = 600 scenario (its solver cross-check integrates
+the path stencil past the crossover, as a run does), and
 ``sweep --n-from 3 --n-to 30``. The run files land in OUT/runs
 and OUT/sweep, with ``runtime_seconds`` dropped from each metrics.json; each
 command's exit code, stdout and stderr go to OUT/log.txt. Two snapshots, say
@@ -101,8 +102,9 @@ FAILING = {
     "subnormal_scale": {"n": 6, "dt": 0.01, "horizon": 80, "reference": {"scale_rate": [[0, -10]]}},
 }
 
-VERIFIED = {"verify_n256": {"n": 256}, "cube_cross_edge": SCENARIOS["cube_cross_edge"],
-            "cube_reordered": SCENARIOS["cube_reordered"], "planar_tree_n9": SCENARIOS["planar_tree_n9"]}
+VERIFIED = {"verify_n256": {"n": 256}, "verify_n600": {"n": 600},
+            "cube_cross_edge": SCENARIOS["cube_cross_edge"], "cube_reordered": SCENARIOS["cube_reordered"],
+            "planar_tree_n9": SCENARIOS["planar_tree_n9"]}
 
 
 def write_scenario(scenarios: Path, name: str, scenario: dict) -> str:

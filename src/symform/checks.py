@@ -88,18 +88,23 @@ def _perturbed_potentials(incidence: NDArray[np.float64], points: NDArray[np.flo
 
 
 def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray[np.float64],
-                        null_matrix: NDArray[np.float64], n: int, dim: int,
-                        routes: Sequence[Route] = (), seed: int = 0,
-                        run_spectrum: Spectrum | None = None) -> list[CheckResult]:
-    """Construction and dynamics checks on explicit matrices.
+                        null_matrix: NDArray[np.float64], lap: SymmetryLaplacian,
+                        routes: Sequence[Route] = (), seed: int = 0) -> list[CheckResult]:
+    """Construction and dynamics checks of explicit matrices against the built system ``lap``.
 
     Takes raw matrices (not built objects) so a deliberately corrupted input
     is detected rather than silently rebuilt. ``routes`` (:func:`construction_routes`)
-    are checked after the product route E Eᵀ. ``run_spectrum`` (a built
-    Laplacian's ``spectrum``: the path formula, or ``eigvalsh`` of L for another tree),
-    when given, is checked against the eigenvalues of Q's own ``eigh``: they may differ
-    by its ``spread`` plus rounding, ``SPECTRUM_TOL``·max(1, λ_max).
+    are checked after the product route E Eᵀ. ``lap.spectrum`` (the path formula, or
+    ``eigvalsh`` of L for another tree) is checked against the eigenvalues of Q's own
+    ``eigh``: they may differ by its ``spread`` plus rounding, ``SPECTRUM_TOL``·max(1, λ_max).
+    The solver cross-check runs ``lap`` through :func:`dynamics.integrate`, the integrator
+    of a run, and compares it with the closed form from Q's ``eigh``, so a Q that
+    disagrees with its tree fails it too. Raises ValueError when Q is not dn x dn for
+    ``lap``'s dn.
     """
+    dn = lap.n * lap.dim
+    if q_matrix.shape != (dn, dn):
+        raise ValueError(f"Q is {' x '.join(map(str, q_matrix.shape))}, but the built system has dn = {dn}")
     rng = np.random.default_rng(seed)
     asym = laplacian.max_abs_difference(q_matrix, q_matrix.T)
     out = [CheckResult("symmetric", asym <= SYMMETRY_TOL,
@@ -107,34 +112,31 @@ def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray
     sym = 0.5 * (q_matrix + q_matrix.T)  # for the spectrum only; asymmetry already reported
     spec = laplacian.spectrum(sym)
     product = ("incidence_product", "|Q - E E^T| =", laplacian.product_laplacian(incidence_matrix))
-    out += structure_checks(spec, n, dim, *dense_gaps(q_matrix, null_matrix, [product, *routes]))
-    if run_spectrum is not None:
-        # sorted, and each eigenvalue of Q lies within the run spectrum's spread of its own
-        tol = run_spectrum.spread + SPECTRUM_TOL * max(1.0, spec.lambda_max)
-        same_size = run_spectrum.eigenvalues.shape == spec.eigenvalues.shape
-        gap = float(np.abs(run_spectrum.eigenvalues - spec.eigenvalues).max()) if same_size else math.inf
-        out.append(CheckResult("tree_spectrum", gap <= tol,
-                               f"max |run - eigh| = {gap:.3e} (tol {tol:.3e}: spread {run_spectrum.spread:.1e} "
-                               f"+ {_tol(SPECTRUM_TOL)} * max(1, lambda_max))", gap))
+    out += structure_checks(spec, lap.n, lap.dim, *dense_gaps(q_matrix, null_matrix, [product, *routes]))
+    # sorted, and each eigenvalue of Q lies within the run spectrum's spread of its own
+    run_spectrum = lap.spectrum
+    tol = run_spectrum.spread + SPECTRUM_TOL * max(1.0, spec.lambda_max)
+    gap = float(np.abs(run_spectrum.eigenvalues - spec.eigenvalues).max())
+    out.append(CheckResult("tree_spectrum", gap <= tol,
+                           f"max |run - eigh| = {gap:.3e} (tol {tol:.3e}: spread {run_spectrum.spread:.1e} "
+                           f"+ {_tol(SPECTRUM_TOL)} * max(1, lambda_max))", gap))
 
     # gradient of 0.5 ||E^T p||^2 must match Q p (central differences, h = 1e-5)
     h = 1e-5
-    points = rng.uniform(-2.0, 2.0, size=(10, dim * n))
+    points = rng.uniform(-2.0, 2.0, size=(10, dn))
     plus, minus = _perturbed_potentials(incidence_matrix, points, h)
     grads = points @ q_matrix.T  # Q p for each point p
     worst = float(np.max(np.abs((plus - minus) / (2 * h) - grads).max(axis=1) / (1.0 + np.abs(grads).max(axis=1))))
     out.append(CheckResult("gradient", worst <= GRADIENT_TOL,
                            f"max relative FD mismatch {worst:.3e} (tol {_tol(GRADIENT_TOL)})", worst))
 
-    # short run of the run-path RK4 propagator against the closed-form solution
-    p0 = rng.uniform(-2.0, 2.0, size=dim * n)
-    dt = 0.01 / spec.lambda_max if spec.lambda_max > 0 else 0.01
-    steps = int(math.ceil(1.0 / dt))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check, unwarned
-        p = dynamics.propagate_linear(p0, [(sym, steps)], dt, steps)[-1]
-    solver_gap = float(np.linalg.norm(p - closed_form_solution(sym, p0, steps * dt, spec=spec)))
+    # a short run of the built system, as a run integrates it, against Q's closed form
+    p0 = rng.uniform(-2.0, 2.0, size=dn)
+    trace = dynamics.integrate(lap, p0, dt=0.01 / run_spectrum.lambda_max, horizon=1.0)
+    t = trace.times[-1]
+    solver_gap = float(np.linalg.norm(trace.final_state - closed_form_solution(sym, p0, t, spec=spec)))
     out.append(CheckResult("solver_cross_check", solver_gap <= SOLVER_TOL,
-                           f"|RK4 - closed form| = {solver_gap:.3e} at t = {steps * dt:.3f} "
+                           f"|RK4 - closed form| = {solver_gap:.3e} at t = {t:.3f} "
                            f"(tol {_tol(SOLVER_TOL)})", solver_gap))
     return out
 

@@ -205,9 +205,8 @@ def _holds_only_run_files(path: Path) -> bool:
 def verify_scenario(scn: Scenario) -> list[CheckResult]:
     dynamics.require_build_fits(scn.n, scn.dim, dynamics.VERIFY_DENSE_MATRICES)
     lap = build_system(scn)
-    return verification_checks(lap.matrix, lap.incidence, lap.chain, scn.n, scn.dim,
-                               routes=construction_routes(lap, scn.cube_spec), seed=scn.seed,
-                               run_spectrum=lap.spectrum)
+    return verification_checks(lap.matrix, lap.incidence, lap.chain, lap,
+                               routes=construction_routes(lap, scn.cube_spec), seed=scn.seed)
 
 
 # ---------------------------------------------------------------------- sweep

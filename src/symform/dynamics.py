@@ -45,27 +45,22 @@ RUN_BYTES_PER_NODE = 1400
 # Q, E (half of dn x dn), the gauge matrix and E Eᵀ; a planar n = 300 sweep peaks at 3.5.
 BUILD_DENSE_MATRICES = 5
 # ``verify`` holds the same arrays while a dense eigh of Q adds its copy, workspace and
-# eigenvectors: a planar n = 300 verify peaks at 7.0 dn x dn arrays (7.27 as a
-# process's first command).
+# eigenvectors: a planar n = 1448, the largest that fits, peaks at 6.4 dn x dn arrays. Its
+# solver check's trace of about 400 rows of dn coordinates weighs more at small n: a
+# planar n = 300 verify peaks at 7.8 (8.1 as a process's first command).
 VERIFY_DENSE_MATRICES = 8
 POWER_STACK_CAP = 256  # most RK4 steps propagate_linear writes with one matrix product
-# The RK4 stage loop applies an m x m G, real or complex, through its nonzero entries
-# from m = NONZERO_STAGE_ROWS x (columns of the state) up, the dense product below:
-# a planar run's PathStencil by its slices, an array G by bincount (verify's dense Q
-# on its RK4 route is the one caller left). Measured per apply (best of 9 x 300, one
-# BLAS thread, 2-vCPU 2.0 GHz Xeon) on tree Laplacians, dense / bincount in µs: dn x dn
-# Q on 1 column, m = 256: 15.1 / 15.9, m = 320: 20.9 / 18.8, m = 512: 72 / 25; n x n L
-# on 2 columns, m = 256: 12.4 / 17.5, m = 512: 61 / 27, m = 640: 142 / 29; on 3 columns,
-# m = 768: 700 / 55; complex L - (0.05 + 0.3i)I on the n points x + iy (1 column),
-# m = 128: 6.4 / 6.0, m = 256: 22.8 / 8.8, m = 600: 235 / 15.3, m = 1200: 1,000 / 26.8,
-# m = 1800: 2,962 / 38.6. Dense / bincount / stencil in µs, a later measurement on the
-# same box (a path cut at (n, 1)): L on 2 columns, m = 64: 3.4 / 17.1 / 7.4,
-# m = 256: 16.5 / 25.5 / 10.7, m = 512: 77 / 36 / 13.2, m = 1200: 1,594 / 61 / 18.8,
-# m = 1800: 4,874 / 90 / 27.5; complex L - (0.05 + 0.3i)I on 1 column, m = 128:
-# 9.8 / 11.8 / 7.2, m = 256: 30 / 15.7 / 7.5, m = 600: 256 / 25.6 / 9.1, m = 1800:
-# 4,594 / 55 / 13.0. An interior cut adds about 9 µs (m = 600: 22.1 real, 18.8
-# complex). The stencil would also beat the dense product from about m = 256 on
-# 2 columns; the crossover stays, so that no run below it changes its bits.
+# From m = NONZERO_STAGE_ROWS x (columns of the state) rows up, the RK4 stage loop
+# applies a planar run's m x m G, real or complex, as a PathStencil, by its slices;
+# below it, and for an array G at any size, by the dense product. Measured per apply
+# (best of 9 x 300, one BLAS thread, 2-vCPU 2.0 GHz Xeon) on tree Laplacians of a path
+# cut at (n, 1), dense / stencil in µs: L on 2 columns, m = 64: 3.4 / 7.4, m = 256:
+# 16.5 / 10.7, m = 512: 77 / 13.2, m = 1200: 1,594 / 18.8, m = 1800: 4,874 / 27.5;
+# complex L - (0.05 + 0.3i)I on 1 column, m = 128: 9.8 / 7.2, m = 256: 30 / 7.5,
+# m = 600: 256 / 9.1, m = 1800: 4,594 / 13.0. An interior cut adds about 9 µs to the
+# stencil (m = 600: 22.1 real, 18.8 complex). The stencil would also beat the dense
+# product from about m = 256 on 2 columns; the crossover stays, so that no run below
+# it changes its bits.
 NONZERO_STAGE_ROWS = 256
 
 
@@ -231,46 +226,16 @@ def _power_steps(out: NDArray, k: int, count: int, d: NDArray, block: int) -> No
         out[k + 1] = out[k] + d @ out[k]
 
 
-def _dense_stages(g: NDArray | PathStencil, columns: int) -> bool:
-    """Whether the stage loop multiplies G densely: under ``NONZERO_STAGE_ROWS`` rows per column."""
-    return g.shape[0] < NONZERO_STAGE_ROWS * columns
-
-
-def _stage_product(g: NDArray | PathStencil, columns: int) -> Callable[[NDArray], NDArray]:
-    """x ↦ G x on (m, ``columns``) rows, for the stage loop.
-
-    A :class:`PathStencil` is applied by its slices. An array G of at least
-    ``NONZERO_STAGE_ROWS`` rows per column is applied through its nonzero
-    entries, read from G itself (one bincount per column, over the float64
-    parts of the products: one per real entry, two per complex one), which sums
-    each row in the stencil's order; a smaller G through the dense product."""
-    m = g.shape[0]
-    if _dense_stages(g, columns) or isinstance(g, PathStencil):
-        return g.__matmul__
-    rows, cols = np.nonzero(g)
-    entries = g[rows, cols]
-    parts = entries.itemsize // 8
-    index = (parts * rows[:, None] + np.arange(parts)).ravel()
-
-    def product(x: NDArray) -> NDArray:
-        y = np.empty((m, columns), dtype=g.dtype)
-        for j in range(columns):
-            y[:, j] = np.bincount(index, (entries * x[cols, j]).view(np.float64), minlength=parts * m).view(g.dtype)
-        return y
-
-    return product
-
-
-def _stage_steps(out: NDArray, k: int, count: int, product: Callable[[NDArray], NDArray], dt: float) -> None:
-    """Write rows k+1 … k+count of ``out`` by RK4 stages on the field -G y, G y = ``product(y)``,
+def _stage_steps(out: NDArray, k: int, count: int, g: NDArray | PathStencil, dt: float) -> None:
+    """Write rows k+1 … k+count of ``out`` by RK4 stages on the field -G y, G y = ``g @ y``,
     in the operation order of :func:`rk4_step`."""
     half, sixth = dt / 2, dt / 6
     x = out[k]
     for row in range(k + 1, k + count + 1):
-        k1 = -product(x)
-        k2 = -product(x + half * k1)
-        k3 = -product(x + half * k2)
-        k4 = -product(x + dt * k3)
+        k1 = -(g @ x)
+        k2 = -(g @ (x + half * k1))
+        k3 = -(g @ (x + half * k2))
+        k4 = -(g @ (x + dt * k3))
         x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
         out[row] = x
 
@@ -301,26 +266,22 @@ def propagate_linear(
     array or a :class:`PathStencil` (L - shift·I of a planar tree, held as
     its degrees, cut edge and shift), and acts on the state as :func:`_rows`
     says: on the (m, -1) rows of the state, or of its complex128 view when G
-    is complex. Below the crossover of :func:`_dense_stages` a stencil is
-    replaced by its dense G, so everything below holds for that array. On a
-    segment RK4 is exactly c_{k+1} = P c_k with
+    is complex. The crossover lies at ``NONZERO_STAGE_ROWS`` rows per
+    column, for a real G and a complex one alike; below it a stencil is
+    replaced by its dense G. On a segment RK4 is exactly c_{k+1} = P c_k with
     P = I + H + H²/2 + H³/6 + H⁴/24, H = -dt G.
 
-    - A segment of at least ``2 * m`` steps whose G the stage loop would
-      multiply densely takes the block path: it forms D = P - I once,
-      stacks D_j = P^j - I for j = 1 … B with
-      B = min(``POWER_STACK_CAP``, step_count // m), and writes B states
-      per matrix product, the leftover steps one product each. The stack is
-      never larger than the segment's rows of the returned array.
+    - A segment below the crossover of at least ``2 * m`` steps takes the
+      block path: it forms D = P - I once, stacks D_j = P^j - I for
+      j = 1 … B with B = min(``POWER_STACK_CAP``, step_count // m), and
+      writes B states per matrix product, the leftover steps one product
+      each. The stack is never larger than the segment's rows of the
+      returned array.
     - Any other segment takes the stage loop, which uses the operation order
-      of :func:`rk4_step` on the field -G y. Below the crossover of
-      :func:`_dense_stages` (fewer than ``NONZERO_STAGE_ROWS`` rows per
-      column, for a real G and a complex one alike) G y is the dense ``g @ y``,
-      so the loop reproduces :func:`rk4_step` on -(G @ y) bitwise. Past it,
-      G y is summed over G's nonzero entries, however long the segment, and
-      agrees with the dense product only to rounding: by the stencil's slices
-      for a :class:`PathStencil`, by ``bincount`` for an array, with the
-      same bits.
+      of :func:`rk4_step` on the field -G y, G y = ``g @ y``. For an array G
+      it reproduces :func:`rk4_step` on -(G @ y) bitwise. A stencil past the
+      crossover sums G y over its nonzero entries by slices, however long
+      the segment, and agrees with the dense product only to rounding.
 
     Overflow is left to the caller's ``np.errstate``; it shows as
     non-finite states.
@@ -331,14 +292,14 @@ def propagate_linear(
     k = 0
     for g, count in segments:
         rows = _rows(out, g)
-        columns = rows.shape[2]
-        if isinstance(g, PathStencil) and _dense_stages(g, columns):
+        below_crossover = g.shape[0] < NONZERO_STAGE_ROWS * rows.shape[2]
+        if below_crossover and isinstance(g, PathStencil):
             g = g.dense()
         block = min(POWER_STACK_CAP, count // g.shape[0])
-        if block >= 2 and _dense_stages(g, columns):
+        if below_crossover and block >= 2:
             _power_steps(rows, k, count, _rk4_increment(g, dt), block)
         else:
-            _stage_steps(rows, k, count, _stage_product(g, columns), dt)
+            _stage_steps(rows, k, count, g, dt)
         k += count
         del g  # released before the next run's G is formed
     if k != steps:

@@ -225,12 +225,10 @@ class PathStencil:
 
     ``g @ x`` applies G to (n, columns) rows by slices over all columns at once: row i is
     (deg_i - shift)·x_i less its cycle neighbours x_(i-1) and x_(i+1) (mod n), but for
-    the cut edge's. Each row sums its terms in ascending column order, as the ``bincount``
-    over a dense G's nonzero entries (:func:`dynamics._stage_product`) does, so the
-    products agree bit for bit on finite rows: row 0 takes its wrap term x_(n-1) last,
-    row n - 1 its wrap term x_0 first. That ``bincount`` adds each sum to 0.0, which
-    turns a -0.0 sum into 0.0 and leaves every other as it is, so the stencil adds 0.0
-    last.
+    the cut edge's. Each row sums its terms in ascending column order (row 0 takes its
+    wrap term x_(n-1) last, row n - 1 its wrap term x_0 first) and adds 0.0 to the sum,
+    which turns a -0.0 sum into 0.0 and leaves every other as it is. The bytes of every
+    planar run past the crossover depend on that order.
     """
 
     degrees: NDArray[np.intp]

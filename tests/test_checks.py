@@ -98,7 +98,7 @@ class TestVerificationChecks:
 
         monkeypatch.setattr(laplacian, "spectrum", counted)
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-        results = cli.verification_checks(lap.matrix, lap.incidence, lap.chain, 5, 2,
+        results = cli.verification_checks(lap.matrix, lap.incidence, lap.chain, lap,
                                           routes=checks.construction_routes(lap))
         assert len(calls) == 1
         assert all(r.passed for r in results)
@@ -127,10 +127,45 @@ class TestVerificationChecks:
         assert all(r.passed for name, r in by_name.items() if name != "tree_spectrum")
 
     def test_tree_spectrum_of_another_size_fails(self):
+        # a Q that does not fit the built system is refused before any check reads it
         lap = planar_lap(4)
-        check = {r.name: r for r in cli.verification_checks(
-            lap.matrix, lap.incidence, lap.chain, 4, 2, run_spectrum=planar_lap(5).spectrum)}["tree_spectrum"]
-        assert not check.passed and check.value == np.inf
+        with pytest.raises(ValueError, match=r"^Q is 8 x 8, but the built system has dn = 10$"):
+            cli.verification_checks(lap.matrix, lap.incidence, lap.chain, planar_lap(5))
+
+    @pytest.mark.parametrize("n", [4, 256])
+    def test_solver_cross_check_detects_a_q_off_its_tree(self, n):
+        # the RK4 side integrates the built tree and the closed form reads Q's own eigh, so a
+        # symmetric corruption of Q shows as their gap: measured 6.1e-4 at n = 4, 8.7e-4 at n = 256
+        lap = planar_lap(n)
+        q = lap.matrix.copy()
+        q[0, 2] += 1e-3
+        q[2, 0] += 1e-3
+        by_name = {r.name: r for r in cli.verification_checks(q, lap.incidence, lap.chain, lap)}
+        assert by_name["symmetric"].passed
+        assert not by_name["solver_cross_check"].passed
+        assert by_name["solver_cross_check"].value > 100 * checks.SOLVER_TOL
+
+    @pytest.mark.parametrize("spec", [{"n": 600}, {"formation": "cube"}], ids=["planar_n600", "cube"])
+    def test_solver_cross_check_integrates_the_run_operator(self, spec, monkeypatch):
+        # verify's RK4 side is a run's integrator: past the crossover a planar tree hands the
+        # stage loop its path stencil, the cube its 8 x 8 L
+        segments = []
+        propagate = dynamics.propagate_linear
+
+        def recorded(c0, segs, dt, steps):
+            segs = list(segs)
+            segments.extend(segs)
+            return propagate(c0, segs, dt, steps)
+
+        monkeypatch.setattr(dynamics, "propagate_linear", recorded)
+        scn = scenario(spec)
+        assert {r.name: r for r in cli.verify_scenario(scn)}["solver_cross_check"].passed
+        (g, _), = segments
+        if scn.cube_spec is None:
+            assert isinstance(g, laplacian.PathStencil) and g.shape == (600, 600) and g.shift == 0.0
+        else:
+            assert isinstance(g, np.ndarray) and np.array_equal(g, cli.build_system(scn).scalar)
+            assert g.shape == (8, 8)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_planar_routes_are_separate_computations(self, n, monkeypatch):
@@ -161,7 +196,7 @@ class TestVerificationChecks:
         q[0:2, 2:4] = lap.matrix[0:2, 2:4].T
         q[2:4, 0:2] = lap.matrix[2:4, 0:2].T
         by_name = {r.name: r for r in cli.verification_checks(
-            q, lap.incidence, lap.chain, n, 2, routes=checks.construction_routes(lap))}
+            q, lap.incidence, lap.chain, lap, routes=checks.construction_routes(lap))}
         assert by_name["symmetric"].passed
         assert not by_name["construction_routes"].passed
 
@@ -174,8 +209,7 @@ class TestVerificationChecks:
         else:
             q[0, 2] += 1e-3
             q[2, 0] += 1e-3
-        by_name = {r.name: r for r in cli.verification_checks(
-            q, lap.incidence, lap.chain, 4, 2)}
+        by_name = {r.name: r for r in cli.verification_checks(q, lap.incidence, lap.chain, lap)}
         assert by_name["symmetric"].passed
         assert not by_name["gradient"].passed
         assert by_name["gradient"].value > checks.GRADIENT_TOL
@@ -188,7 +222,7 @@ class TestVerificationChecks:
         E = lap.incidence.copy()
         i, j = np.argwhere(E != 0 if entry == "on_pattern" else E == 0)[0]
         E[i, j] += 1e-3
-        gradient = {r.name: r for r in cli.verification_checks(lap.matrix, E, lap.chain, 5, 2)}["gradient"]
+        gradient = {r.name: r for r in cli.verification_checks(lap.matrix, E, lap.chain, lap)}["gradient"]
         assert not gradient.passed and gradient.value > checks.GRADIENT_TOL
 
     @pytest.mark.parametrize("n", [4, 37])  # dn = 8 and 74
@@ -217,7 +251,7 @@ class TestVerificationChecks:
     def test_tolerances_printed_in_details(self):
         lap = planar_lap(4)
         details = {r.name: r.detail for r in cli.verification_checks(
-            lap.matrix, lap.incidence, lap.chain, 4, 2, routes=checks.construction_routes(lap))}
+            lap.matrix, lap.incidence, lap.chain, lap, routes=checks.construction_routes(lap))}
         assert details["symmetric"].endswith("(tol 1e-10)")
         assert details["incidence_product"].endswith("(tol 1e-12)")
         assert details["null_basis"].endswith("(tol 1e-10)")

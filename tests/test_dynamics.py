@@ -212,48 +212,56 @@ class TestPropagateLinear:
                     assert np.abs(states[k] - y).max() <= 1e-12 * np.abs(states).max()
 
     @staticmethod
-    def crossover_operator(path_system, operator: str) -> tuple[np.ndarray, int]:
+    def crossover_operator(path_system, operator: str) -> tuple[np.ndarray | sf.laplacian.PathStencil, int]:
         """An m x m G at the crossover and the columns it acts on, m = NONZERO_STAGE_ROWS per column."""
         rows_per_column = sf.dynamics.NONZERO_STAGE_ROWS
         if operator == "scalar_on_rows":  # an n x n L on (n, 2) rows
             return path_system(2 * rows_per_column)[1].scalar, 2
+        if operator == "stencil_on_rows":  # the same L as a planar run holds it
+            return path_system(2 * rows_per_column)[1].shifted(0.0), 2
         if operator == "complex_on_points":  # a maneuver's L - (α + iω)I on the n points x + iy
             return path_system(rows_per_column)[1].scalar - (0.05 + 0.3j) * np.eye(rows_per_column), 1
+        if operator == "complex_stencil_on_points":
+            return path_system(rows_per_column)[1].shifted(0.05 + 0.3j), 1
         return path_system(rows_per_column // 2)[1].matrix, 1  # a dn x dn Q on one column
 
     def assert_matches_dense_stages(self, g, c0, steps, states, tol):
-        """Each row of ``states`` against rk4_step on -(G @ y), on the rows G acts on."""
+        """Each row of ``states`` against rk4_step on -(G @ y), on the rows G acts on, with
+        G dense: within ``tol`` of the largest state, bit for bit when ``tol`` is 0."""
+        if isinstance(g, sf.laplacian.PathStencil):
+            g = g.dense()
         y = c0.view(g.dtype)  # x + iy points for a complex G
         for k in range(steps):
             y = dynamics.rk4_step(lambda t, x: -(g @ x), k * 0.05, y, 0.05)
-            assert np.abs(states[k + 1] - y.view(float).ravel()).max() <= tol * np.abs(states).max()
+            row = y.view(float).ravel()
+            if tol:
+                assert np.abs(states[k + 1] - row).max() <= tol * np.abs(states).max()
+            else:
+                assert states[k + 1].tobytes() == row.tobytes()
 
-    @pytest.mark.parametrize("operator", ["scalar_on_rows", "matrix_on_one_column", "matrix_off_tree",
-                                          "complex_on_points"])
+    @pytest.mark.parametrize("operator", ["scalar_on_rows", "matrix_on_one_column", "complex_on_points",
+                                          "stencil_on_rows", "complex_stencil_on_points"])
     def test_nonzero_stage_loop_matches_dense(self, path_system, operator):
-        # at the crossover the stage loop sums G y over G's nonzero entries; it matches the
-        # dense stage loop (rk4_step on -(G @ y), on the same rows) to rounding
+        # at the crossover the stage loop applies an array G densely and reproduces the dense
+        # stage loop (rk4_step on -(G @ y), on the same rows) bitwise; it sums a path stencil's
+        # G y over its nonzero entries, which matches the dense loop to rounding
         g, columns = self.crossover_operator(path_system, operator)
-        if operator == "matrix_off_tree":  # the entries are read from G, not from the tree
-            g = g.copy()
-            g[0, 7] = g[7, 0] = 0.25
-        product = sf.dynamics._stage_product(g, columns)
-        assert getattr(product, "__self__", None) is not g  # not the dense g.__matmul__
-        c0 = np.random.default_rng(35).uniform(-2, 2, (g.shape[0], columns * g.itemsize // 8))
+        c0 = np.random.default_rng(35).uniform(-2, 2, (g.shape[0], columns * g.dtype.itemsize // 8))
         states = sf.propagate_linear(c0, [(g, 12)], 0.05, 12)
-        self.assert_matches_dense_stages(g, c0, 12, states, 1e-14)
+        self.assert_matches_dense_stages(g, c0, 12, states, 1e-14 if "stencil" in operator else 0.0)
 
-    @pytest.mark.parametrize("operator", ["scalar_on_rows", "matrix_on_one_column", "complex_on_points"])
+    @pytest.mark.parametrize("operator", ["scalar_on_rows", "matrix_on_one_column", "complex_on_points",
+                                          "stencil_on_rows", "complex_stencil_on_points"])
     def test_long_segment_past_the_crossover_takes_the_stage_loop(self, path_system, operator, monkeypatch):
-        # 2m steps would make a block of 2, but a G the stage loop applies through its nonzero
-        # entries, real or complex, keeps the loop at any length: O(nnz) per stage against a B·m³ stack
+        # 2m steps would make a block of 2, but past the crossover a G, real or complex, keeps
+        # the stage loop at any length: a stencil's O(m) per stage against a B·m³ stack
         g, columns = self.crossover_operator(path_system, operator)
         monkeypatch.setattr(sf.dynamics, "_power_steps", lambda *args: pytest.fail("block path taken"))
         steps = 2 * g.shape[0]
-        c0 = np.random.default_rng(36).uniform(-2, 2, (g.shape[0], columns * g.itemsize // 8))
+        c0 = np.random.default_rng(36).uniform(-2, 2, (g.shape[0], columns * g.dtype.itemsize // 8))
         states = sf.propagate_linear(c0, [(g, steps)], 0.05, steps)
-        # measured: within 1.7e-16 of the largest state for a real G, 5.6e-16 for the complex one
-        self.assert_matches_dense_stages(g, c0, steps, states, 1e-14)
+        # measured for a stencil: within 1.7e-16 of the largest state for a real G, 5.6e-16 for the complex one
+        self.assert_matches_dense_stages(g, c0, steps, states, 1e-14 if "stencil" in operator else 0.0)
 
     @pytest.mark.parametrize("width, g", [(6, np.eye(4)), (6, np.eye(2, dtype=complex)),
                                           (5, np.eye(2, dtype=complex))],
@@ -271,13 +279,27 @@ class TestPropagateLinear:
             sf.propagate_linear(np.ones(6), [(lap.matrix, 7)], 0.05, 12)
 
 
+def nonzero_product(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """G x on (m, columns) rows summed over the dense G's nonzero entries: one bincount per
+    column over the float64 parts of the products (one per real entry, two per complex one),
+    which adds each row's terms in ascending column order to 0.0."""
+    m, columns = x.shape
+    rows, cols = np.nonzero(g)
+    entries = g[rows, cols]
+    parts = entries.itemsize // 8
+    index = (parts * rows[:, None] + np.arange(parts)).ravel()
+    y = np.empty((m, columns), dtype=g.dtype)
+    for j in range(columns):
+        y[:, j] = np.bincount(index, (entries * x[cols, j]).view(np.float64), minlength=parts * m).view(g.dtype)
+    return y
+
+
 class TestPathStencil:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_equals_the_nonzero_stage_product(self, data):
-        # the stencil sums each row in bincount's order, so it equals the product through
-        # the dense G's nonzero entries bit for bit, zero signs included, at every n:
-        # with the crossover lowered to 1 row, _stage_product takes that product below it too
+        # the stencil sums each row in ascending column order and adds 0.0, so it equals the
+        # bincount over the dense G's nonzero entries bit for bit, zero signs included, at every n
         n = data.draw(st.integers(3, 2 * sf.dynamics.NONZERO_STAGE_ROWS + 40), label="n")
         cut = data.draw(st.integers(0, n - 1), label="cut")
         real = st.one_of(st.just(0.0), st.sampled_from([1.0, 2.0, -0.5]), st.floats(-3, 3))
@@ -293,14 +315,10 @@ class TestPathStencil:
         degrees = np.full(n, 2)
         degrees[[cut, (cut + 1) % n]] = 1
         stencil = sf.laplacian.PathStencil(degrees, cut, shift)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sf.dynamics, "NONZERO_STAGE_ROWS", 1)
-            nonzero = sf.dynamics._stage_product(stencil.dense(), columns)(x)
+        nonzero = nonzero_product(stencil.dense(), x)
         product = stencil @ x
         assert product.dtype == nonzero.dtype and product.shape == nonzero.shape
         assert np.array_equal(product, nonzero) and product.tobytes() == nonzero.tobytes()
-        if not sf.dynamics._dense_stages(stencil, columns):  # past the crossover the stage loop takes it
-            assert sf.dynamics._stage_product(stencil, columns).__self__ is stencil
 
     @settings(max_examples=40, deadline=None)
     @given(random_tree_cases(24),

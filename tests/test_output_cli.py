@@ -557,8 +557,8 @@ class TestVerificationChecks:
 
     def test_all_pass_on_sound_system(self):
         lap = self.build()
-        results = cli.verification_checks(lap.matrix, lap.incidence, lap.chain, 4, 2,
-                                          routes=checks.construction_routes(lap), run_spectrum=lap.spectrum)
+        results = cli.verification_checks(lap.matrix, lap.incidence, lap.chain, lap,
+                                          routes=checks.construction_routes(lap))
         assert [r.name for r in results] == [
             "symmetric", "positive_semidefinite", "rank", "incidence_product",
             "construction_routes", "null_basis", "tree_spectrum", "gradient", "solver_cross_check",
@@ -569,7 +569,7 @@ class TestVerificationChecks:
         lap = self.build()
         q = lap.matrix.copy()
         q[0, 2] += 1e-3  # breaks symmetry and the incidence product
-        results = cli.verification_checks(q, lap.incidence, lap.chain, 4, 2)
+        results = cli.verification_checks(q, lap.incidence, lap.chain, lap)
         by_name = {r.name: r.passed for r in results}
         assert not by_name["symmetric"]
         assert not by_name["incidence_product"]
@@ -579,7 +579,7 @@ class TestVerificationChecks:
         q = lap.matrix.copy()
         q[0, 2] += 1e-3
         q[2, 0] += 1e-3  # stays symmetric, no longer E E^T or PSD-structured
-        results = cli.verification_checks(q, lap.incidence, lap.chain, 4, 2)
+        results = cli.verification_checks(q, lap.incidence, lap.chain, lap)
         by_name = {r.name: r.passed for r in results}
         assert by_name["symmetric"]
         assert not by_name["incidence_product"]
@@ -588,7 +588,7 @@ class TestVerificationChecks:
     def test_wrong_null_basis_detected(self):
         lap = self.build()
         bogus = np.random.default_rng(0).normal(size=lap.chain.shape)
-        results = cli.verification_checks(lap.matrix, lap.incidence, bogus, 4, 2)
+        results = cli.verification_checks(lap.matrix, lap.incidence, bogus, lap)
         by_name = {r.name: r.passed for r in results}
         assert not by_name["null_basis"]
 

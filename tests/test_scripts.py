@@ -32,9 +32,10 @@ def test_snapshot_outputs(tmp_path):
         "planar_n600", "planar_n600_cut", "planar_n600_long", "planar_tree_n9"]
     assert all("runtime_seconds" not in p.read_text() for p in runs.glob("*/metrics.json"))
     log = (tmp_path / "log.txt").read_text()
-    assert log.count("\nexit 0\n") == 25 and str(tmp_path) not in log
+    assert log.count("\nexit 0\n") == 26 and str(tmp_path) not in log
     assert log.count("\nexit 3\n") == 3
     assert "$ symform verify OUT/scenarios/verify_n256.json\nexit 0\n" in log
+    assert "$ symform verify OUT/scenarios/verify_n600.json\nexit 0\n" in log
     assert (tmp_path / "sweep" / "sweep.json").is_file()
 
 
