@@ -2,17 +2,18 @@
 """Write a byte-comparable snapshot of symform's outputs into OUT.
 
 Every command goes through ``symform.cli.main``: ``run`` of each bundled
-preset and of twelve fixed scenarios (a planar n = 600 run; the same run
+preset and of thirteen fixed scenarios (a planar n = 600 run; the same run
 with the interior edge (300, 301) removed instead of (600, 1); a planar n = 600
-run of 1,200 steps, twice m = 600, long enough for the block path were its
-real L not applied by the path stencil; a planar n = 600 maneuver with
-ω = 0 and two scale rates, whose real L - αI is past the crossover; a planar n = 16 run
+run of 1,200 steps, twice m = 600, which the path rule keeps on the stencil
+rather than the block path; a planar n = 300 run of 400 steps, which it sends
+down the block path, one step per product; a planar n = 600 maneuver with
+ω = 0 and two scale rates, whose real L - αI takes the stencil; a planar n = 16 run
 on the default grid, whose SVGs are the largest the benchmark's ``flow``
 workload writes, a planar maneuver of 20 runs of constant input, a planar
-n = 64 maneuver whose two runs of constant nonzero angular velocity are long
-enough (200 steps each, at least 2n) for the complex block path, a planar
+n = 64 maneuver whose two runs of constant nonzero angular velocity (200 steps
+each) take the complex block path, a planar
 n = 300 maneuver whose runs of 300 and 600 steps apply its complex
-L - (α + iω)I by the path stencil (300 rows, past the crossover), and a
+L - (α + iω)I by the path stencil, and a
 cube maneuver, all four maneuvers with negative scale rates; a cube whose cross
 edge (2, 6) makes a tree that is not a path, so its spectrum comes from
 ``eigvalsh`` of L rather than the path formula; a cube whose top face runs
@@ -26,8 +27,8 @@ its run checks first, and a planar maneuver whose scale decays
 below the smallest normal float), ``verify`` of each preset, of the last
 three run scenarios that succeed, of a planar n = 256 scenario (the shape
 of the benchmark's ``checks`` workload, so its check values land in the
-log) and of a planar n = 600 scenario (its solver cross-check integrates
-the path stencil past the crossover, as a run does), and
+log; its solver cross-check takes the block path) and of a planar n = 600
+scenario (its solver cross-check integrates the path stencil, as a run does), and
 ``sweep --n-from 3 --n-to 30``. The run files land in OUT/runs
 and OUT/sweep, with ``runtime_seconds`` dropped from each metrics.json; each
 command's exit code, stdout and stderr go to OUT/log.txt. Two snapshots, say
@@ -57,6 +58,7 @@ SCENARIOS = {
     "planar_n600": {"n": 600, "horizon": 5.0},
     "planar_n600_cut": {"n": 600, "horizon": 5.0, "tree": {"remove": [300, 301]}},
     "planar_n600_long": {"n": 600, "dt": 0.1, "horizon": 120.0},
+    "planar_n300_400": {"n": 300, "dt": 0.01, "horizon": 4},
     "maneuver_n600_scale": {
         "n": 600, "dt": 0.1, "horizon": 30,
         "reference": {"velocity": [[0, [0.2, -0.1]]], "scale_rate": [[0, -0.01], [15, 0.004]]},

@@ -97,10 +97,10 @@ def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray
     are checked after the product route E Eᵀ. ``lap.spectrum`` (the path formula, or
     ``eigvalsh`` of L for another tree) is checked against the eigenvalues of Q's own
     ``eigh``: they may differ by its ``spread`` plus rounding, ``SPECTRUM_TOL``·max(1, λ_max).
-    The solver cross-check runs ``lap`` through :func:`dynamics.integrate`, the integrator
-    of a run, and compares it with the closed form from Q's ``eigh``, so a Q that
-    disagrees with its tree fails it too. Raises ValueError when Q is not dn x dn for
-    ``lap``'s dn.
+    The solver cross-check runs ``lap`` through the integrator of a run, to the last state
+    of :func:`dynamics.integrate` (:func:`dynamics.final_state`), and compares it with the
+    closed form from Q's ``eigh``, so a Q that disagrees with its tree fails it too. Raises
+    ValueError when Q is not dn x dn for ``lap``'s dn.
     """
     dn = lap.n * lap.dim
     if q_matrix.shape != (dn, dn):
@@ -132,9 +132,8 @@ def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray
 
     # a short run of the built system, as a run integrates it, against Q's closed form
     p0 = rng.uniform(-2.0, 2.0, size=dn)
-    trace = dynamics.integrate(lap, p0, dt=0.01 / run_spectrum.lambda_max, horizon=1.0)
-    t = trace.times[-1]
-    solver_gap = float(np.linalg.norm(trace.final_state - closed_form_solution(sym, p0, t, spec=spec)))
+    t, state = dynamics.final_state(lap, p0, dt=0.01 / run_spectrum.lambda_max, horizon=1.0)
+    solver_gap = float(np.linalg.norm(state - closed_form_solution(sym, p0, t, spec=spec)))
     out.append(CheckResult("solver_cross_check", solver_gap <= SOLVER_TOL,
                            f"|RK4 - closed form| = {solver_gap:.3e} at t = {t:.3f} "
                            f"(tol {_tol(SOLVER_TOL)})", solver_gap))

@@ -115,6 +115,8 @@ def compute_metrics(scn: Scenario, lap: SymmetryLaplacian, trace: dynamics.Simul
         "rate_note": rate_note,
         "zeta_residual": getattr(trace, "zeta_residual", None),
         "checks": checks,
+        "solver": {"spectrum": "path formula" if lap.is_path else "eigvalsh of L",
+                   "segments": [segment._asdict() for segment in trace.solver]},
     }
     for name, value in metrics.items():
         if isinstance(value, float) and not math.isfinite(value):

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -38,30 +38,42 @@ MAX_BUILD_BYTES = 512 * 2**20  # largest estimated memory of a formation's build
 # spectrum, the start, a trace of two rows and the files written from it. The
 # tracemalloc peaks of planar runs of one step through write_outputs grow by 1,394 bytes
 # a node from n = 64,000 (85.2 MiB) to n = 256,000 (340.5 MiB); at n = 1,000 they are
-# 2.7 MiB. A planar run forms no n x n array past the stage-loop crossover. Time does not
+# 2.7 MiB. A planar run whose segments take the stencil path forms no n x n array. Time does not
 # bind first: untraced, the n = 256,000 run takes 5.7 s at 422 MB max RSS.
 RUN_BYTES_PER_NODE = 1400
 # Estimated dn x dn float64 arrays held while ``sweep`` builds and checks a formation:
 # Q, E (half of dn x dn), the gauge matrix and E Eᵀ; a planar n = 300 sweep peaks at 3.5.
 BUILD_DENSE_MATRICES = 5
 # ``verify`` holds the same arrays while a dense eigh of Q adds its copy, workspace and
-# eigenvectors: a planar n = 1448, the largest that fits, peaks at 6.4 dn x dn arrays. Its
-# solver check's trace of about 400 rows of dn coordinates weighs more at small n: a
-# planar n = 300 verify peaks at 7.8 (8.1 as a process's first command).
+# eigenvectors: a planar n = 1448, the largest that fits, peaked at 6.4 dn x dn arrays while
+# the solver check still formed its whole trace. The check's gauge rows (about 400 of dn
+# coordinates) and the block path's m x m products weigh more at small n: a planar n = 300
+# verify peaks at 7.5 (7.8 as a process's first command).
 VERIFY_DENSE_MATRICES = 8
 POWER_STACK_CAP = 256  # most RK4 steps propagate_linear writes with one matrix product
-# From m = NONZERO_STAGE_ROWS x (columns of the state) rows up, the RK4 stage loop
-# applies a planar run's m x m G, real or complex, as a PathStencil, by its slices;
-# below it, and for an array G at any size, by the dense product. Measured per apply
-# (best of 9 x 300, one BLAS thread, 2-vCPU 2.0 GHz Xeon) on tree Laplacians of a path
-# cut at (n, 1), dense / stencil in µs: L on 2 columns, m = 64: 3.4 / 7.4, m = 256:
-# 16.5 / 10.7, m = 512: 77 / 13.2, m = 1200: 1,594 / 18.8, m = 1800: 4,874 / 27.5;
-# complex L - (0.05 + 0.3i)I on 1 column, m = 128: 9.8 / 7.2, m = 256: 30 / 7.5,
-# m = 600: 256 / 9.1, m = 1800: 4,594 / 13.0. An interior cut adds about 9 µs to the
-# stencil (m = 600: 22.1 real, 18.8 complex). The stencil would also beat the dense
-# product from about m = 256 on 2 columns; the crossover stays, so that no run below
-# it changes its bits.
-NONZERO_STAGE_ROWS = 256
+# One rule picks each segment's path (segment_path): the least modelled time of the block
+# path, the stage loop on the dense G and, for a PathStencil, the stage loop on its slices.
+# A path's modelled time sums its work units (_cost_terms) times the seconds of a unit
+# below. scripts/solver_costs.py measures each path over m = 4 … 1200, 1 … 4,000 steps,
+# float64 on 1 to 3 columns and complex128 on 1 (median of 7, one BLAS thread, 2-vCPU
+# 2.0 GHz Xeon), fits these constants to it and records the table, each path's time and
+# the rule's pick in BENCH_scaling.json ("solver_paths"); a test keeps the two equal. There
+# the rule picks the fastest path in 404 of 420 cells. The block path wins every segment of
+# at least m steps up to m = 128 and the stencil every segment past m = 400, while the dense
+# stage loop wins only segments of 1 to 16 steps at m <= 128, tens to hundreds of µs. On
+# 2 columns, 400 steps: m = 256 block 12.3 ms, stencil 29.0, dense stage 37.6; m = 320 block
+# 18.2, stencil 30.7; m = 400 stencil 33.2, block 30.5 (the rule takes the stencil); m = 600
+# stencil 35.5, block 94.7. The rule's worst pick, 2.1 times the fastest, is a real G on one
+# column at m = 400, a shape no run forms.
+SEGMENT_COST_S = {
+    "stage_step": 1.93e-05,     # a stage-loop step with a dense G, its products aside
+    "stencil_step": 3.22e-05,   # a stage-loop step with a PathStencil, its values aside
+    "stencil_value": 3.56e-08,  # a float64 value of a state row, in a stencil stage-loop step
+    "entry": 1.7e-10,           # a real multiply-add of G y: 4 a stage-loop step, 1 a block step
+    "block": 1.71e-05,          # the fixed calls of a block segment
+    "cube": 5.17e-11,           # a real multiply-add of the m x m products forming D and its stack
+    "product": 6.64e-06,        # one matrix product of the block path
+}
 
 
 @dataclass(eq=False)
@@ -78,6 +90,7 @@ class SimulationTrace:
     edge_index: tuple[tuple[int, int], ...]
     dt: float
     horizon: float
+    solver: tuple[SegmentPath, ...] = ()  # the path of each propagate_linear segment
 
     @property
     def steps(self) -> int:
@@ -194,6 +207,7 @@ def _rk4_increment(g: NDArray[np.float64], dt: float) -> NDArray[np.float64]:
     Kept apart from I so that its rounding scales with dt G, not with 1."""
     m = g.shape[0]
     h = -dt * g
+    del g  # a G formed for this call is freed before D is
     d = h / 24
     for coefficient in (1 / 6, 1 / 2, 1.0):
         d.flat[::m + 1] += coefficient
@@ -209,6 +223,7 @@ def _power_steps(out: NDArray, k: int, count: int, d: NDArray, block: int) -> No
     m = d.shape[0]
     stack = np.empty((block, m, m), dtype=d.dtype)
     stack[0] = d
+    del d  # the stack holds D from here
     have = 1
     while have < block:
         more = min(have, block - have)
@@ -223,7 +238,7 @@ def _power_steps(out: NDArray, k: int, count: int, d: NDArray, block: int) -> No
         out[k + 1:k + block + 1] = (stack @ out[k]).reshape(block, *out.shape[1:]) + out[k]
         k += block
     for k in range(k, end):
-        out[k + 1] = out[k] + d @ out[k]
+        out[k + 1] = out[k] + stack[:m] @ out[k]
 
 
 def _stage_steps(out: NDArray, k: int, count: int, g: NDArray | PathStencil, dt: float) -> None:
@@ -238,6 +253,52 @@ def _stage_steps(out: NDArray, k: int, count: int, g: NDArray | PathStencil, dt:
         k4 = -(g @ (x + dt * k3))
         x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
         out[row] = x
+
+
+class SegmentPath(NamedTuple):
+    """The path :func:`propagate_linear` takes for one segment of ``steps`` RK4 steps:
+    ``"block"`` with ``block`` = B steps per matrix product, or the stage loop on the
+    dense G (``"stage"``) or on a PathStencil's slices (``"stencil"``), ``block`` 0."""
+
+    path: str
+    block: int
+    steps: int
+
+
+def block_size(m: int, count: int) -> int:
+    """B of the block path for ``count`` steps of an m x m G: min(``POWER_STACK_CAP``, count // m),
+    at least 1, so that the stack is never larger than the segment's rows."""
+    return min(POWER_STACK_CAP, max(1, count // m))
+
+
+def _cost_terms(m: int, count: int, columns: int, dtype: np.dtype, stencil: bool) -> dict[str, dict[str, int]]:
+    """The work units of each path of ``count`` steps of an m x m G of ``dtype`` acting on
+    ``columns`` columns, keyed as ``SEGMENT_COST_S``; the stencil path only for a stencil."""
+    parts = dtype.itemsize // 8  # float64 parts of an entry: a complex product is 4 real ones
+    entries = count * m * m * columns * parts * parts
+    block = block_size(m, count)
+    terms = {"block": {"block": 1, "cube": (block + 2) * m ** 3 * parts * parts,
+                       "product": count // block + count % block, "entry": entries},
+             "stage": {"stage_step": count, "entry": 4 * entries}}
+    if stencil:
+        terms["stencil"] = {"stencil_step": count, "stencil_value": count * m * columns * parts}
+    return terms
+
+
+def segment_path(g: NDArray | PathStencil, count: int, width: int) -> SegmentPath:
+    """The path of least modelled cost (``SEGMENT_COST_S``) for ``count`` RK4 steps of G on
+    state rows of ``width`` float64 coordinates; it reads only G's kind, size and dtype."""
+    m = g.shape[0]
+    columns = width // (m * (g.dtype.itemsize // 8))
+    terms = _cost_terms(m, count, columns, g.dtype, isinstance(g, PathStencil))
+    costs = {path: sum(SEGMENT_COST_S[unit] * n for unit, n in units.items()) for path, units in terms.items()}
+    path = min(costs, key=costs.get)
+    return SegmentPath(path, block_size(m, count) if path == "block" else 0, count)
+
+
+def _dense(g: NDArray | PathStencil) -> NDArray:
+    """G as an m x m array: a PathStencil's :meth:`~PathStencil.dense`, an array as it is."""
+    return g.dense() if isinstance(g, PathStencil) else g
 
 
 def _rows(out: NDArray[np.float64], g: NDArray | PathStencil) -> NDArray:
@@ -266,22 +327,22 @@ def propagate_linear(
     array or a :class:`PathStencil` (L - shift·I of a planar tree, held as
     its degrees, cut edge and shift), and acts on the state as :func:`_rows`
     says: on the (m, -1) rows of the state, or of its complex128 view when G
-    is complex. The crossover lies at ``NONZERO_STAGE_ROWS`` rows per
-    column, for a real G and a complex one alike; below it a stencil is
-    replaced by its dense G. On a segment RK4 is exactly c_{k+1} = P c_k with
-    P = I + H + H²/2 + H³/6 + H⁴/24, H = -dt G.
+    is complex. On a segment RK4 is exactly c_{k+1} = P c_k with
+    P = I + H + H²/2 + H³/6 + H⁴/24, H = -dt G. Each segment takes the path
+    of :func:`segment_path`, the least modelled cost for its G's kind, m,
+    dtype, step count and columns; a stencil forms its dense G for the first
+    two paths.
 
-    - A segment below the crossover of at least ``2 * m`` steps takes the
-      block path: it forms D = P - I once, stacks D_j = P^j - I for
-      j = 1 … B with B = min(``POWER_STACK_CAP``, step_count // m), and
-      writes B states per matrix product, the leftover steps one product
-      each. The stack is never larger than the segment's rows of the
-      returned array.
-    - Any other segment takes the stage loop, which uses the operation order
-      of :func:`rk4_step` on the field -G y, G y = ``g @ y``. For an array G
-      it reproduces :func:`rk4_step` on -(G @ y) bitwise. A stencil past the
-      crossover sums G y over its nonzero entries by slices, however long
-      the segment, and agrees with the dense product only to rounding.
+    - ``block``: it forms D = P - I once, stacks D_j = P^j - I for
+      j = 1 … B with B = :func:`block_size`, and writes B states per matrix
+      product, the leftover steps one product each. It agrees with
+      :func:`rk4_step` on -(G @ y) to a few units of rounding.
+    - ``stage``: the stage loop, in the operation order of :func:`rk4_step` on
+      the field -G y with G y = ``g @ y`` for the dense G, which it
+      reproduces bitwise.
+    - ``stencil``: the same stage loop with G y summed over the stencil's
+      nonzero entries by slices, O(m) a stage; it agrees with the dense
+      product only to rounding.
 
     Overflow is left to the caller's ``np.errstate``; it shows as
     non-finite states.
@@ -292,14 +353,11 @@ def propagate_linear(
     k = 0
     for g, count in segments:
         rows = _rows(out, g)
-        below_crossover = g.shape[0] < NONZERO_STAGE_ROWS * rows.shape[2]
-        if below_crossover and isinstance(g, PathStencil):
-            g = g.dense()
-        block = min(POWER_STACK_CAP, count // g.shape[0])
-        if below_crossover and block >= 2:
-            _power_steps(rows, k, count, _rk4_increment(g, dt), block)
+        path = segment_path(g, count, out.shape[1])
+        if path.path == "block":
+            _power_steps(rows, k, count, _rk4_increment(_dense(g), dt), path.block)
         else:
-            _stage_steps(rows, k, count, g, dt)
+            _stage_steps(rows, k, count, g if path.path == "stencil" else _dense(g), dt)
         k += count
         del g  # released before the next run's G is formed
     if k != steps:
@@ -343,22 +401,42 @@ def _edge_errors(lap: SymmetryLaplacian, rows: NDArray[np.float64]) -> tuple[NDA
     return errors, 0.5 * (errors ** 2).sum(axis=1)
 
 
+def _gauge_rows(
+    lap: SymmetryLaplacian,
+    c0: NDArray[np.float64],
+    segments: Iterable[tuple[NDArray | PathStencil, int]],
+    dt: float,
+    steps: int,
+) -> tuple[NDArray[np.float64], tuple[SegmentPath, ...]]:
+    """RK4 of dc/dt = -G c from ``c0`` in gauge coordinates, each segment's G acting on
+    gauge rows: the (steps + 1, dn) gauge rows and the :func:`segment_path` of each segment."""
+    solver = []
+
+    def recorded():
+        for g, count in segments:
+            solver.append(segment_path(g, count, c0.size))
+            yield g, count
+            del g  # released before the next run's G is formed
+
+    rows = propagate_linear(_to_gauge(lap, c0), recorded(), dt, steps)
+    return rows, tuple(solver)
+
+
 def _gauge_run(
     lap: SymmetryLaplacian,
     c0: NDArray[np.float64],
     segments: Iterable[tuple[NDArray | PathStencil, int]],
     dt: float,
     steps: int,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """RK4 of dc/dt = -G c from ``c0`` in gauge coordinates, each segment's G acting on
-    gauge rows: the (steps + 1, dn) world states (row 0 is ``c0``), the per-edge errors
-    and the potentials. The states are rotated out of the gauge in place, after the
-    errors are taken from them."""
-    rows = propagate_linear(_to_gauge(lap, c0), segments, dt, steps)
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], tuple[SegmentPath, ...]]:
+    """The gauge run of :func:`_gauge_rows` as the (steps + 1, dn) world states (row 0 is
+    ``c0``), the per-edge errors, the potentials and each segment's path. The states are
+    rotated out of the gauge in place, after the errors are taken from them."""
+    rows, solver = _gauge_rows(lap, c0, segments, dt, steps)
     errors, potentials = _edge_errors(lap, rows)
     _to_world(lap, rows)
     rows[0] = c0
-    return rows, errors, potentials
+    return rows, errors, potentials, solver
 
 
 def require_finite(stage: str, times: NDArray[np.float64], *, first_step: int = 0,
@@ -375,6 +453,18 @@ def require_finite(stage: str, times: NDArray[np.float64], *, first_step: int = 
             )
 
 
+def _stationary_grid(
+    lap: SymmetryLaplacian, p0: NDArray[np.float64], dt: float | None, horizon: float | None
+) -> tuple[NDArray[np.float64], float, float, int]:
+    """``p0`` as a new float array of the dn coordinates of ``lap``, and the (dt, horizon,
+    steps) of :func:`resolve_grid` for its spectrum."""
+    p = np.array(p0, dtype=float)
+    dn = lap.n * lap.dim
+    if p.shape != (dn,):
+        raise ValueError(f"initial state has shape {p.shape}, expected ({dn},)")
+    return (p, *resolve_grid(lap.spectrum, dt, horizon))
+
+
 def integrate(
     lap: SymmetryLaplacian,
     p0: NDArray[np.float64],
@@ -384,26 +474,41 @@ def integrate(
     """Fixed-step RK4 integration of dp/dt = -Q p.
 
     Runs in gauge coordinates q_i = S_iᵀ p_i, where the flow is dq/dt = -L q
-    on the n x n tree Laplacian, one column per coordinate. Defaults:
-    dt = 0.5/λ_max, horizon = 40/λ⁺_min. Step sizes at or beyond the
-    stability limit raise ValueError with a suggested dt.
+    on the n x n tree Laplacian, one column per coordinate, as one segment of
+    :func:`propagate_linear`. Defaults: dt = 0.5/λ_max, horizon = 40/λ⁺_min.
+    Step sizes at or beyond the stability limit raise ValueError with a
+    suggested dt.
     """
-    p = np.array(p0, dtype=float)
-    dn = lap.n * lap.dim
-    if p.shape != (dn,):
-        raise ValueError(f"initial state has shape {p.shape}, expected ({dn},)")
-    spec = lap.spectrum
-    dt, horizon, steps = resolve_grid(spec, dt, horizon)
-
+    p, dt, horizon, steps = _stationary_grid(lap, p0, dt, horizon)
     times = np.arange(steps + 1) * dt
     # overflow is reported once, by require_finite, instead of as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        states, errors, potentials = _gauge_run(lap, p, [(lap.shifted(0.0), steps)], dt, steps)
+        states, errors, potentials, solver = _gauge_run(lap, p, [(lap.shifted(0.0), steps)], dt, steps)
     require_finite("integrate", times, states=states, edge_errors=errors, potentials=potentials)
     return SimulationTrace(
         times=times, states=states, edge_errors=errors, potentials=potentials,
-        n=lap.n, dim=lap.dim, edge_index=lap.edge_index, dt=dt, horizon=horizon,
+        n=lap.n, dim=lap.dim, edge_index=lap.edge_index, dt=dt, horizon=horizon, solver=solver,
     )
+
+
+def final_state(
+    lap: SymmetryLaplacian,
+    p0: NDArray[np.float64],
+    dt: float | None = None,
+    horizon: float | None = None,
+) -> tuple[float, NDArray[np.float64]]:
+    """The last time and state of :func:`integrate`'s run, bit for bit, without its trace:
+    the same gauge run, of which only the last row is rotated to the world frame.
+    Raises NumericFailure when that row is not finite."""
+    p, dt, horizon, steps = _stationary_grid(lap, p0, dt, horizon)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, _ = _gauge_rows(lap, p, [(lap.shifted(0.0), steps)], dt, steps)
+        state = rows[-1:].copy()
+        del rows
+        _to_world(lap, state)
+    times = np.arange(steps + 1) * dt
+    require_finite("integrate", times, first_step=steps, final_state=state)
+    return float(times[-1]), state[0]
 
 
 def fit_rate(trace: SimulationTrace) -> float:

@@ -44,10 +44,11 @@ class SymmetryLaplacian:
     Q = S (L ⊗ I_d) Sᵀ for the n x n scalar tree Laplacian L, so a run needs
     only these arrays: it integrates in gauge coordinates q_i = S_iᵀ p_i on
     L - shift·I, which :meth:`shifted` gives as a :class:`PathStencil` for a
-    cut cycle. ``scalar``, L as a dense array, is read only below the
-    stage-loop crossover: by the cube's runs (its trees are not cut cycles),
-    and by :meth:`numeric_spectrum` for ``sweep`` and for the ``verify`` or
-    run of a tree that is not a path.
+    cut cycle. ``scalar``, L as a dense array, is read by the cube's runs
+    (its trees are not cut cycles), and by :meth:`numeric_spectrum` for
+    ``sweep`` and for the ``verify`` or run of a tree that is not a path; a
+    planar segment that takes the block or dense stage path forms its dense
+    G from the stencil instead.
 
     The dense dn x dn arrays are built on first read, for ``verify``, ``sweep``
     and the tests, each by one scatter of its blocks. ``matrix`` is Q: degree·I
@@ -189,6 +190,12 @@ class SymmetryLaplacian:
         gaps = self._blocks - self._gauge_blocks
         return math.sqrt(float(np.vdot(gaps, gaps)))
 
+    @property
+    def is_path(self) -> bool:
+        """True when no node has degree 3 or more: the tree is a path, and :attr:`spectrum`
+        reads the path formula instead of an eigensolver."""
+        return bool(self.degrees.max() <= 2)
+
     @cached_property
     def spectrum(self) -> Spectrum:
         """Eigenvalues of ``matrix``: those of the n x n tree Laplacian L, each repeated d
@@ -203,7 +210,7 @@ class SymmetryLaplacian:
         so ``eigenvectors`` is None. Computed on first use and kept (the arrays are
         read-only).
         """
-        if self.degrees.max() > 2:
+        if not self.is_path:
             return self.numeric_spectrum()
         path = 4.0 * np.sin(np.arange(self.n) * (math.pi / (2 * self.n))) ** 2
         return Spectrum(eigenvalues=_freeze(np.repeat(path, self.dim)), spread=self.spread)
@@ -228,7 +235,7 @@ class PathStencil:
     the cut edge's. Each row sums its terms in ascending column order (row 0 takes its
     wrap term x_(n-1) last, row n - 1 its wrap term x_0 first) and adds 0.0 to the sum,
     which turns a -0.0 sum into 0.0 and leaves every other as it is. The bytes of every
-    planar run past the crossover depend on that order.
+    planar segment that takes the stencil path depend on that order.
     """
 
     degrees: NDArray[np.intp]

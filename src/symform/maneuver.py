@@ -364,7 +364,7 @@ def simulate_maneuver(
 
     # overflow is reported once, by require_finite, instead of as numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        states, errors, potentials = _gauge_run(lap, p0 - np.tile(path.positions[0], n), segments, dt, steps)
+        states, errors, potentials, solver = _gauge_run(lap, p0 - np.tile(path.positions[0], n), segments, dt, steps)
         states.reshape(steps + 1, n, d)[:] += path.positions[:, None, :]
         states[0] = p0
     require_finite("maneuver", path.times, reference_positions=path.positions, reference_scales=path.scales,
@@ -372,7 +372,7 @@ def simulate_maneuver(
     trace = ManeuverTrace(
         times=path.times, states=states, edge_errors=errors, potentials=potentials,
         n=n, dim=d, edge_index=lap.edge_index, dt=dt, horizon=horizon,
-        ref_positions=path.positions, ref_rotations=path.rotations, ref_scales=path.scales,
+        solver=solver, ref_positions=path.positions, ref_rotations=path.rotations, ref_scales=path.scales,
     )
     if d == 3:  # spatial edge rotations need not commute with the reference attitude
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed residual is rejected below

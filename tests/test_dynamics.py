@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,14 +155,24 @@ class TestRk4Step:
         assert math.isclose(float(y1[0]), 2.0, rel_tol=1e-15)
 
 
+def take_path(monkeypatch, path: str) -> None:
+    """Send every segment of propagate_linear down ``path``, whatever the rule would pick."""
+    def chosen(g, count, width):
+        return dynamics.SegmentPath(path, dynamics.block_size(g.shape[0], count) if path == "block" else 0, count)
+
+    monkeypatch.setattr(dynamics, "segment_path", chosen)
+
+
 class TestPropagateLinear:
-    def test_matches_rk4_step_bitwise(self, path_system):
-        # each segment must reproduce rk4_step on -(G @ y), step for step
+    def test_matches_rk4_step_bitwise(self, path_system, monkeypatch):
+        # on the stage loop, selected here (the rule sends segments this short at m = 10 down
+        # the block path), each segment must reproduce rk4_step on -(G @ y), step for step
         _, lap, _ = path_system(5)
         rng = np.random.default_rng(31)
         c0 = rng.uniform(-2, 2, 10)
         g2 = lap.matrix + 0.3 * np.kron(np.eye(5), sf.omega_matrix(1.0, 2))
         dt = 0.05
+        take_path(monkeypatch, "stage")
         states = sf.propagate_linear(c0, iter([(lap.matrix, 7), (g2, 5)]), dt, 12)
         assert states.shape == (13, 10)
         assert np.array_equal(states[0], c0)
@@ -179,6 +191,7 @@ class TestPropagateLinear:
             lap, steps = sf.build_cube(), 2000
             g = lap.matrix - np.kron(np.eye(8), sf.omega_matrix([0.2, -0.1, 0.3], 3)) + 0.01 * np.eye(24)
         c0 = np.random.default_rng(33).uniform(-2, 2, g.shape[0])
+        assert dynamics.segment_path(g, steps, g.shape[0]) == ("block", min(256, steps // g.shape[0]), steps)
         states = sf.propagate_linear(c0, [(g, steps)], 0.04, steps)
         y = c0
         for k in range(steps):
@@ -186,8 +199,8 @@ class TestPropagateLinear:
             assert np.abs(states[k + 1] - y).max() <= 1e-12 * np.abs(states).max()
 
     def test_block_size_follows_count_and_dim(self, path_system, monkeypatch):
-        # blocks of min(256, count // dim) steps; a segment under 2·dim steps runs the stage
-        # loop and reproduces rk4_step bitwise from wherever the block path left it
+        # blocks of min(256, count // dim) steps, at least 1: the 19 steps of a 10 x 10 G take
+        # the block path one step per product, at a cost the stage loop does not match
         _, lap, _ = path_system(5)
         g2 = lap.matrix + 0.3 * np.kron(np.eye(5), sf.omega_matrix(1.0, 2))
         g3 = lap.matrix + 0.05 * np.eye(10)
@@ -198,23 +211,20 @@ class TestPropagateLinear:
         c0 = np.random.default_rng(34).uniform(-2, 2, 10)
         segments = [(lap.matrix, 137), (g2, 19), (g3, 2900)]
         states = sf.propagate_linear(c0, iter(segments), 0.05, 3056)
-        assert blocks == [13, 256]
+        assert blocks == [13, 1, 256]
         y, k = c0, 0
         for g, count in segments:
-            if count < 20:
-                y = states[k]
             for _ in range(count):
                 y = dynamics.rk4_step(lambda t, x, g=g: -(g @ x), k * 0.05, y, 0.05)
                 k += 1
-                if count < 20:
-                    assert np.array_equal(states[k], y)
-                else:
-                    assert np.abs(states[k] - y).max() <= 1e-12 * np.abs(states).max()
+                assert np.abs(states[k] - y).max() <= 1e-12 * np.abs(states).max()
 
     @staticmethod
     def crossover_operator(path_system, operator: str) -> tuple[np.ndarray | sf.laplacian.PathStencil, int]:
-        """An m x m G at the crossover and the columns it acts on, m = NONZERO_STAGE_ROWS per column."""
-        rows_per_column = sf.dynamics.NONZERO_STAGE_ROWS
+        """An m x m G and the columns it acts on, 256 rows a column: as a planar tree's
+        stencil, past the m where the rule sends its long segments to the stencil, or
+        as an array of the same size."""
+        rows_per_column = 256
         if operator == "scalar_on_rows":  # an n x n L on (n, 2) rows
             return path_system(2 * rows_per_column)[1].scalar, 2
         if operator == "stencil_on_rows":  # the same L as a planar run holds it
@@ -242,26 +252,33 @@ class TestPropagateLinear:
     @pytest.mark.parametrize("operator", ["scalar_on_rows", "matrix_on_one_column", "complex_on_points",
                                           "stencil_on_rows", "complex_stencil_on_points"])
     def test_nonzero_stage_loop_matches_dense(self, path_system, operator):
-        # at the crossover the stage loop applies an array G densely and reproduces the dense
-        # stage loop (rk4_step on -(G @ y), on the same rows) bitwise; it sums a path stencil's
-        # G y over its nonzero entries, which matches the dense loop to rounding
+        # 12 steps of a G this size take the stage loop: it applies an array G densely and
+        # reproduces the dense stage loop (rk4_step on -(G @ y), on the same rows) bitwise; it
+        # sums a path stencil's G y over its nonzero entries, which matches the dense loop to rounding
         g, columns = self.crossover_operator(path_system, operator)
         c0 = np.random.default_rng(35).uniform(-2, 2, (g.shape[0], columns * g.dtype.itemsize // 8))
+        stencil = "stencil" in operator
+        assert dynamics.segment_path(g, 12, c0.size).path == ("stencil" if stencil else "stage")
         states = sf.propagate_linear(c0, [(g, 12)], 0.05, 12)
-        self.assert_matches_dense_stages(g, c0, 12, states, 1e-14 if "stencil" in operator else 0.0)
+        self.assert_matches_dense_stages(g, c0, 12, states, 1e-14 if stencil else 0.0)
 
     @pytest.mark.parametrize("operator", ["scalar_on_rows", "matrix_on_one_column", "complex_on_points",
                                           "stencil_on_rows", "complex_stencil_on_points"])
     def test_long_segment_past_the_crossover_takes_the_stage_loop(self, path_system, operator, monkeypatch):
-        # 2m steps would make a block of 2, but past the crossover a G, real or complex, keeps
-        # the stage loop at any length: a stencil's O(m) per stage against a B·m³ stack
+        # 2m steps make a block of 2, yet the rule keeps a stencil of this size on the stage
+        # loop: O(m) a stage against a B·m³ stack. An array G of this size takes the block
+        # path; its stage loop, selected here, still reproduces the dense stages bitwise
         g, columns = self.crossover_operator(path_system, operator)
-        monkeypatch.setattr(sf.dynamics, "_power_steps", lambda *args: pytest.fail("block path taken"))
         steps = 2 * g.shape[0]
         c0 = np.random.default_rng(36).uniform(-2, 2, (g.shape[0], columns * g.dtype.itemsize // 8))
+        stencil = "stencil" in operator
+        assert dynamics.segment_path(g, steps, c0.size).path == ("stencil" if stencil else "block")
+        if not stencil:
+            take_path(monkeypatch, "stage")
+        monkeypatch.setattr(sf.dynamics, "_power_steps", lambda *args: pytest.fail("block path taken"))
         states = sf.propagate_linear(c0, [(g, steps)], 0.05, steps)
         # measured for a stencil: within 1.7e-16 of the largest state for a real G, 5.6e-16 for the complex one
-        self.assert_matches_dense_stages(g, c0, steps, states, 1e-14 if "stencil" in operator else 0.0)
+        self.assert_matches_dense_stages(g, c0, steps, states, 1e-14 if stencil else 0.0)
 
     @pytest.mark.parametrize("width, g", [(6, np.eye(4)), (6, np.eye(2, dtype=complex)),
                                           (5, np.eye(2, dtype=complex))],
@@ -277,6 +294,77 @@ class TestPropagateLinear:
         _, lap, _ = path_system(3)
         with pytest.raises(ValueError, match="segments hold 7 steps, expected 12"):
             sf.propagate_linear(np.ones(6), [(lap.matrix, 7)], 0.05, 12)
+
+
+CUBE_MANEUVER = {  # the shape of the benchmark's 3-D maneuver: three runs of constant input
+    "formation": "cube", "dt": 0.03, "horizon": 120.0,
+    "reference": {"velocity": [[t, [0.1, -0.2, 0.3]] for t in (0.0, 40.0, 80.0)],
+                  "angular_velocity": [[0.0, [0.02, -0.12, -0.05]], [40.0, [-0.28, -0.23, 0.1]],
+                                       [80.0, [0.09, 0.07, -0.07]]],
+                  "scale_rate": [[0.0, 0.01], [40.0, 0.0096], [80.0, 0.0037]]},
+}
+
+
+class TestSegmentPath:
+    @pytest.mark.parametrize("scenario, dt, segments", [
+        ({"n": 600, "horizon": 5.0}, None, [("stencil", 0, 40)]),
+        ({"n": 16}, None, [("block", 256, 8247)]),
+        ({"n": 300, "dt": 0.01, "horizon": 4}, None, [("block", 1, 400)]),
+        ("maneuver_c6", 0.015, [("block", 256, 2000)] * 3),
+        (CUBE_MANEUVER, None, [("block", 55, 1334), ("block", 55, 1333), ("block", 55, 1333)]),
+    ], ids=["wide_n600", "flow_n16", "planar_n300_400_steps", "maneuver_c6", "cube_maneuver"])
+    def test_run_segments_take_the_cheapest_path(self, scenario, dt, segments):
+        # the benchmark's run segments: the n = 600 run of 40 steps on the stencil, the long runs
+        # on the block path with B = min(256, steps // m) as before, and 400 steps at m = 300 on
+        # 2 columns on the block path, where the dense stage loop ran before the rule
+        scn = cli.load_scenario(scenario) if isinstance(scenario, str) else cli.parse_scenario(scenario)
+        if dt is not None:
+            scn.dt = dt
+        trace, _, metrics = cli.run_scenario(scn)
+        assert trace.solver == tuple(dynamics.SegmentPath(*segment) for segment in segments)
+        assert metrics["solver"] == {"spectrum": "path formula",
+                                     "segments": [dict(zip(("path", "block", "steps"), s)) for s in segments]}
+
+    def test_verify_n256_takes_the_block_path(self, monkeypatch):
+        # verify's solver check at n = 256, 400 steps on 2 columns: block path, B = 1
+        paths = []
+        segment_path = dynamics.segment_path
+        monkeypatch.setattr(dynamics, "segment_path", lambda *args: paths.append(segment_path(*args)) or paths[-1])
+        results = cli.verify_scenario(cli.parse_scenario({"n": 256}))
+        assert all(r.passed for r in results)
+        assert set(paths) == {("block", 1, 400)}
+
+    def test_constants_are_the_measured_fit(self):
+        # SEGMENT_COST_S cites BENCH_scaling.json: its constants are the file's, and the rule
+        # picks each cell's recorded path again
+        bench = json.loads((Path(__file__).resolve().parents[1] / "BENCH_scaling.json").read_text())
+        section = bench["solver_paths"]
+        assert dynamics.SEGMENT_COST_S == section["fitted_seconds_per_unit"]
+        for row in section["table"]:
+            m, parts = row["m"], np.dtype(row["dtype"]).itemsize // 8
+            degrees = np.full(m, 2)
+            degrees[[0, m - 1]] = 1
+            g = sf.laplacian.PathStencil(degrees, m - 1, 0.5j if parts == 2 else 0.0)
+            assert dynamics.segment_path(g, row["steps"], m * row["columns"] * parts).path == row["rule"]
+
+    def test_spectrum_source_is_recorded(self):
+        _, _, metrics = cli.run_scenario(cli.parse_scenario({"formation": "cube", "cube": {"cross_edge": [2, 6]}}))
+        assert metrics["solver"]["spectrum"] == "eigvalsh of L"
+
+    @pytest.mark.parametrize("m, count, columns, dtype, stencil, path", [
+        (6, 1, 2, float, True, "stage"), (8, 1, 3, float, False, "stage"), (6, 3, 2, float, True, "block"),
+        (128, 200, 2, float, True, "block"), (256, 400, 2, float, True, "block"), (400, 400, 2, float, True, "stencil"),
+        (600, 40, 2, float, True, "stencil"), (600, 1200, 2, float, True, "stencil"),
+        (300, 300, 1, complex, True, "stencil"), (64, 200, 1, complex, True, "block"),
+    ])
+    def test_rule_picks_the_cheapest_modelled_path(self, m, count, columns, dtype, stencil, path):
+        # the rule reads only G's kind, m, dtype, the step count and the columns
+        degrees = np.full(m, 2)
+        degrees[[0, m - 1]] = 1
+        g = sf.laplacian.PathStencil(degrees, m - 1, 0.5j if dtype is complex else 0.0)
+        g = g if stencil else g.dense()
+        width = m * columns * (2 if dtype is complex else 1)
+        assert dynamics.segment_path(g, count, width).path == path
 
 
 def nonzero_product(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -300,7 +388,7 @@ class TestPathStencil:
     def test_equals_the_nonzero_stage_product(self, data):
         # the stencil sums each row in ascending column order and adds 0.0, so it equals the
         # bincount over the dense G's nonzero entries bit for bit, zero signs included, at every n
-        n = data.draw(st.integers(3, 2 * sf.dynamics.NONZERO_STAGE_ROWS + 40), label="n")
+        n = data.draw(st.integers(3, 552), label="n")
         cut = data.draw(st.integers(0, n - 1), label="cut")
         real = st.one_of(st.just(0.0), st.sampled_from([1.0, 2.0, -0.5]), st.floats(-3, 3))
         shift = data.draw(st.one_of(real, st.builds(complex, real, real)), label="shift")
@@ -350,7 +438,7 @@ class TestPathStencil:
          "reference": {"velocity": [[0, [0.2, 0.0]]], "scale_rate": [[0, -0.01], [2, 0.005]]}},
     ], ids=["stationary_n600", "rotating_n300", "scaling_n600"])
     def test_runs_past_the_crossover_read_no_dense_laplacian(self, monkeypatch, scenario):
-        # past the crossover a planar run applies its stencil and forms no n x n L
+        # segments whose rule picks the stencil apply it and form no n x n L
         def forbidden(self):
             raise AssertionError("dense L read")
 
@@ -361,6 +449,27 @@ class TestPathStencil:
 
 
 class TestIntegrate:
+    @pytest.mark.parametrize("formation", [{"n": 256}, {"n": 600}, {"formation": "cube"}],
+                             ids=["planar_n256", "planar_n600", "cube"])
+    def test_final_state_is_the_last_row_of_integrate(self, formation):
+        # verify's solver check reads the last row only; it is integrate's, bit for bit
+        lap = cli.build_system(cli.parse_scenario(formation))
+        p0 = np.random.default_rng(5).uniform(-2, 2, lap.n * lap.dim)
+        dt = 0.01 / lap.spectrum.lambda_max
+        trace = sf.integrate(lap, p0, dt=dt, horizon=1.0)
+        t, state = dynamics.final_state(lap, p0, dt=dt, horizon=1.0)
+        assert t == trace.times[-1]
+        assert state.tobytes() == trace.final_state.tobytes()
+
+    def test_final_state_rejects_an_overflow(self, path_system):
+        # one stage-loop step from points near the largest float: 2·deg·x overflows in G y
+        _, lap, _ = path_system(4)
+        p0 = np.full(8, 1.5e308) * np.array([1, 1, -1, -1] * 2)
+        with pytest.raises(sf.NumericFailure, match=r"^integrate: final_state is not finite from step 1 \(t = 0.1\)"):
+            dynamics.final_state(lap, p0, dt=0.1, horizon=0.1)
+        with pytest.raises(sf.NumericFailure, match=r"^integrate: states is not finite from step 1 \(t = 0.1\)"):
+            sf.integrate(lap, p0, dt=0.1, horizon=0.1)
+
     def test_matches_closed_form(self, path_system):
         _, lap, _ = path_system(4)
         spec = sf.spectrum(lap.matrix)

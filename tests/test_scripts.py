@@ -1,10 +1,13 @@
 """Smoke tests: each script under scripts/ runs to completion in a fresh interpreter."""
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from symform import dynamics
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,6 +25,27 @@ def test_decay_rate_study():
     assert "worst relative gap" in result.stdout
 
 
+def test_solver_costs(tmp_path):
+    # a small grid in a fresh interpreter: the section is written beside the file's others
+    out = tmp_path / "BENCH_scaling.json"
+    out.write_text('{"other": [1]}')
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import solver_costs as s; "
+            "s.SIZES = (4, 64); s.COUNTS = (1, 64); sys.exit(s.main(['--out', sys.argv[2], '--repeats', '1']))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code, str(ROOT / "scripts"), str(out)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    data = json.loads(out.read_text())
+    assert data["other"] == [1]
+    section = data["solver_paths"]
+    assert set(section["fitted_seconds_per_unit"]) == set(dynamics.SEGMENT_COST_S)
+    assert len(section["table"]) == section["summary"]["cells"] == 16
+    for row in section["table"]:
+        assert set(row["seconds"]) == {"block", "stage", "stencil"}
+        assert row["fastest"] == min(row["seconds"], key=row["seconds"].get) and row["rule"] in row["seconds"]
+
+
 def test_snapshot_outputs(tmp_path):
     result = run_script("snapshot_outputs.py", str(tmp_path))
     assert result.returncode == 0, result.stderr
@@ -29,10 +53,10 @@ def test_snapshot_outputs(tmp_path):
     assert sorted(p.name for p in runs.iterdir()) == [
         "cube", "cube_cross_edge", "cube_maneuver", "cube_reordered", "example2_c4", "example3_c6",
         "maneuver_20_runs", "maneuver_c6", "maneuver_n300", "maneuver_n600_scale", "maneuver_n64", "planar_n16",
-        "planar_n600", "planar_n600_cut", "planar_n600_long", "planar_tree_n9"]
+        "planar_n300_400", "planar_n600", "planar_n600_cut", "planar_n600_long", "planar_tree_n9"]
     assert all("runtime_seconds" not in p.read_text() for p in runs.glob("*/metrics.json"))
     log = (tmp_path / "log.txt").read_text()
-    assert log.count("\nexit 0\n") == 26 and str(tmp_path) not in log
+    assert log.count("\nexit 0\n") == 27 and str(tmp_path) not in log
     assert log.count("\nexit 3\n") == 3
     assert "$ symform verify OUT/scenarios/verify_n256.json\nexit 0\n" in log
     assert "$ symform verify OUT/scenarios/verify_n600.json\nexit 0\n" in log
