@@ -7,7 +7,8 @@ For every file of the two trees A and B it prints one line:
   whose headers share their leading letters (``t``, ``p`` for states,
   ``err``, ``potential``; ``r``, ``R``, ``s`` for the reference), the
   largest max |B - A| / max |A| over its columns;
-- a JSON file (``metrics.json``, ``sweep.json``): each number that
+- a JSON file (``metrics.json``, ``sweep.json``): each number that only
+  one file holds as ``key only in A`` (or ``B``), each number both hold that
   differs as ``key a -> b (relative change |B - A| / |A|)``, and how many
   did not;
 - an SVG file: the largest distance, in px, from a vertex of one of A's
@@ -22,10 +23,12 @@ For every file of the two trees A and B it prints one line:
 
 A file in one tree only, a CSV whose header or row count differs, an SVG
 whose lines other than polyline points differ or whose polylines lie more
-than ``POLYLINE_TOL_PX`` = 0.5 px apart, or a log with a block or a line
-that only one of the two holds, or whose exit codes or text other than
-numbers differ (a PASS that turns into FAIL, say), is named and makes the
-exit status 1; the numbers of every other log line are still compared. Usage:
+than ``POLYLINE_TOL_PX`` = 0.5 px apart, a JSON file with a number that only
+one of the two holds, or a log with a block or a line that only one of the
+two holds, or whose exit codes or text other than numbers differ (a PASS
+that turns into FAIL, say), is named and makes the exit status 1; the
+numbers both JSON files hold, and those of every other log line, are still
+compared. Usage:
 
     python scripts/compare_snapshots.py /tmp/old /tmp/new
 """
@@ -156,15 +159,17 @@ def _numbers(value, key: str = "") -> dict[str, float]:
     return {}
 
 
-def json_drift(a: Path, b: Path) -> tuple[dict[str, tuple[float, float, float]], int]:
-    """(A's value, B's value, relative change) of each number that differs, and the count
-    of numbers that do not."""
+def json_drift(a: Path, b: Path) -> tuple[dict[str, tuple[float, float, float]], int, list[str]]:
+    """(A's value, B's value, relative change) of each number both files hold that differs,
+    the count of those that do not, and each number only one file holds, named
+    ``key only in A`` or ``key only in B``."""
     num_a, num_b = _numbers(json.loads(a.read_text())), _numbers(json.loads(b.read_text()))
-    if num_a.keys() != num_b.keys():
-        raise ValueError(f"numbers differ in keys: {sorted(num_a.keys() ^ num_b.keys())}")
+    shared = [k for k in num_a if k in num_b]
     changed = {k: (num_a[k], num_b[k], _ratio(abs(num_b[k] - num_a[k]), abs(num_a[k])))
-               for k in num_a if num_b[k] != num_a[k]}
-    return changed, len(num_a) - len(changed)
+               for k in shared if num_b[k] != num_a[k]}
+    only = ([f"{k} only in A" for k in num_a if k not in num_b]
+            + [f"{k} only in B" for k in num_b if k not in num_a])
+    return changed, len(shared) - len(changed), only
 
 
 def _log_blocks(path: Path) -> dict[str, list[tuple[int, str]]]:
@@ -242,10 +247,11 @@ def compare(a: Path, b: Path) -> tuple[list[str], bool]:
                 drift = csv_drift(fa, fb)
                 lines.append(f"{rel}: " + ", ".join(f"{g} {r:.2g}" for g, r in drift.items()))
             elif rel.suffix == ".json":
-                changed, same = json_drift(fa, fb)
-                parts = [f"{k} {x:.3g} -> {y:.3g} ({r:.2g})" for k, (x, y, r) in changed.items()]
+                changed, same, only = json_drift(fa, fb)
+                parts = only + [f"{k} {x:.3g} -> {y:.3g} ({r:.2g})" for k, (x, y, r) in changed.items()]
                 parts.append(f"{same} numbers unchanged")
                 lines.append(f"{rel}: " + ", ".join(parts))
+                ok = ok and not only
             elif rel.suffix == ".svg":
                 drift = svg_drift(fa, fb)
                 lines.append(f"{rel}: polyline {drift:.3g} px")

@@ -35,9 +35,8 @@ def build_system(scn: Scenario) -> SymmetryLaplacian:
     dynamics.require_run_fits(scn.n)
     if scn.formation == "cube":
         return spatial3d.build_cube(scn.cube_spec)
-    if scn.tree_graph is not None:
-        return laplacian.build_laplacian(scn.tree_graph)
-    return laplacian.build_laplacian(topology.cycle_minus_edge(scn.n, scn.removed_edge))
+    graph = scn.tree_graph if scn.tree_graph is not None else topology.cycle_minus_edge(scn.n, scn.removed_edge)
+    return laplacian.build_laplacian(graph)
 
 
 def initial_state(scn: Scenario) -> NDArray[np.float64]:

@@ -36,10 +36,11 @@ TRACE_ROW_BYTES_FIXED = 256
 MAX_BUILD_BYTES = 512 * 2**20  # largest estimated memory of a formation's build
 # Estimated bytes a node of a run holds, whatever its steps: the tree, its chain and
 # spectrum, the start, a trace of two rows and the files written from it. The
-# tracemalloc peaks of planar runs of one step through write_outputs grow by 1,394 bytes
-# a node from n = 64,000 (85.2 MiB) to n = 256,000 (340.5 MiB); at n = 1,000 they are
-# 2.7 MiB. A planar run whose segments take the stencil path forms no n x n array. Time does not
-# bind first: untraced, the n = 256,000 run takes 5.7 s at 422 MB max RSS.
+# tracemalloc peaks of planar runs of one step through write_outputs grow by 1,038 bytes
+# a node from n = 64,000 (63.1 MiB) to n = 256,000 (253.3 MiB), and lie at 1,035-1,054
+# bytes a node from n = 4,000 up; at n = 1,000 they are 1.4 MiB. The bound keeps the
+# 1,400 it was set to when they grew by 1,394 bytes a node, so the size messages stay.
+# A planar run whose segments take the stencil path forms no n x n array.
 RUN_BYTES_PER_NODE = 1400
 # Estimated dn x dn float64 arrays held while ``sweep`` builds and checks a formation:
 # Q, E (half of dn x dn), the gauge matrix and E Eᵀ; a planar n = 300 sweep peaks at 3.5.
@@ -87,7 +88,7 @@ class SimulationTrace:
     potentials: NDArray[np.float64]
     n: int
     dim: int
-    edge_index: tuple[tuple[int, int], ...]
+    ends: NDArray[np.intp]  # the 0-based (u, v) of each edge, in the order of edge_errors' columns
     dt: float
     horizon: float
     solver: tuple[SegmentPath, ...] = ()  # the path of each propagate_linear segment
@@ -487,7 +488,7 @@ def integrate(
     require_finite("integrate", times, states=states, edge_errors=errors, potentials=potentials)
     return SimulationTrace(
         times=times, states=states, edge_errors=errors, potentials=potentials,
-        n=lap.n, dim=lap.dim, edge_index=lap.edge_index, dt=dt, horizon=horizon, solver=solver,
+        n=lap.n, dim=lap.dim, ends=lap.ends, dt=dt, horizon=horizon, solver=solver,
     )
 
 

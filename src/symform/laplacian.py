@@ -9,7 +9,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .symgroup import _freeze
-from .topology import InteractionGraph, chain_matrices, rotation_chain, tree_problem, weighted_edges
+from .topology import InteractionGraph, chain_matrices, edge_rotations, rotation_chain, tree_problem
 
 SYMMETRY_TOL = 1e-10
 RANK_TOL = 1e-9
@@ -35,7 +35,7 @@ class SymmetryLaplacian:
     """A spanning tree of n - 1 rotation-labelled edges on n agents in R^d, held as arrays.
 
     ``rotations`` (m x d x d) holds each edge's rotation W, mapping p_u to p_v
-    on the edge (u, v) that ``edge_index`` lists at the same position.
+    on the edge whose 0-based ends (u, v) are the same row of ``ends`` (m x 2).
     ``chain`` stacks the chain rotations S_i (dn x d): its columns, of squared
     norm n, span the null space of Q. These three are all a tree holds; ``n``
     and ``dim`` are read off the chain's shape, ``degrees`` counts the edge
@@ -63,7 +63,7 @@ class SymmetryLaplacian:
     """
 
     rotations: NDArray[np.float64]
-    edge_index: tuple[tuple[int, int], ...]
+    ends: NDArray[np.intp]
     chain: NDArray[np.float64]
 
     @cached_property
@@ -138,11 +138,6 @@ class SymmetryLaplacian:
         return _freeze(dense.reshape(n * d, n * d))
 
     @cached_property
-    def ends(self) -> NDArray[np.intp]:
-        """The 0-based ends (u, v) of each edge of ``edge_index`` (m x 2)."""
-        return np.array(self.edge_index, dtype=np.intp).reshape(-1, 2) - 1
-
-    @cached_property
     def _pattern(self) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
         """Block rows and columns of L's nonzero pattern: the n diagonal blocks, then
         (u, v) of every edge, then (v, u) of every edge (0-based)."""
@@ -154,7 +149,7 @@ class SymmetryLaplacian:
     def _blocks(self) -> NDArray[np.float64]:
         """Q's blocks on ``_pattern``, in its order: deg_i I, then -Wᵀ at (u, v), then -W at (v, u)."""
         n, d = self.n, self.dim
-        q = np.empty((n + 2 * len(self.edge_index), d, d))
+        q = np.empty((n + 2 * len(self.ends), d, d))
         q[:n] = self.degrees[:, None, None] * np.eye(d)
         q[n:] = -np.concatenate([self.rotations.transpose(0, 2, 1), self.rotations])
         return q
@@ -163,7 +158,7 @@ class SymmetryLaplacian:
     def _gauge_blocks(self) -> NDArray[np.float64]:
         """The gauge form's blocks L_ij S_i S_jᵀ on ``_pattern``, in its order."""
         rows, cols = self._pattern
-        entries = np.concatenate([self.degrees, np.full(2 * len(self.edge_index), -1.0)])  # L on the pattern
+        entries = np.concatenate([self.degrees, np.full(2 * len(self.ends), -1.0)])  # L on the pattern
         blocks = self.chain.reshape(self.n, self.dim, self.dim)
         return entries[:, None, None] * np.einsum("kab,kcb->kac", blocks[rows], blocks[cols])
 
@@ -294,26 +289,19 @@ class PathStencil:
         return g
 
 
-def laplacian_from_edges(
-    n: int, dim: int, wedges: list[WeightedEdge], chain: NDArray[np.float64] | None = None,
-) -> SymmetryLaplacian:
+def laplacian_from_edges(n: int, dim: int, wedges: list[WeightedEdge]) -> SymmetryLaplacian:
     """The arrays of a spanning tree of matrix-weighted edges (u, v, W), W mapping p_u to p_v.
 
-    ``chain`` is the stacked chain rotations when the caller has walked the
-    tree already (planar trees: exact shifts, see :func:`null_basis`);
-    otherwise the edges are checked with :func:`topology.tree_problem` and
-    walked by :func:`chain_matrices`. Any other edge set raises ValueError.
-    No dn x dn array is formed.
+    The edges are checked with :func:`topology.tree_problem` and walked by
+    :func:`chain_matrices`; any other edge set raises ValueError. No dn x dn
+    array is formed.
     """
-    if chain is not None:
-        problem = None if len(wedges) == n - 1 else f"{len(wedges)} edges on {n} nodes"
-    else:
-        problem = tree_problem(n, wedges)
-        if problem is None:
-            try:
-                chain = np.vstack(chain_matrices(n, wedges))
-            except ValueError as exc:
-                problem = str(exc)
+    problem = tree_problem(n, [(u, v) for (u, v, _) in wedges], cycle=False)
+    if problem is None:
+        try:
+            chain = np.vstack(chain_matrices(n, wedges))
+        except ValueError as exc:
+            problem = str(exc)
     if problem is not None:
         raise ValueError(f"constraint edges do not form a spanning tree: {problem}")
     for (u, v, w) in wedges:
@@ -321,14 +309,16 @@ def laplacian_from_edges(
             raise ValueError(f"edge ({u}, {v}) weight has shape {w.shape}, expected ({dim}, {dim})")
     return SymmetryLaplacian(
         rotations=_freeze(np.array([w for (_, _, w) in wedges], dtype=float).reshape(-1, dim, dim)),
-        edge_index=tuple((a, b) for (a, b, _) in wedges), chain=_freeze(chain),
+        ends=np.array([(u, v) for (u, v, _) in wedges], dtype=np.intp).reshape(-1, 2) - 1, chain=_freeze(chain),
     )
 
 
 def build_laplacian(graph: InteractionGraph) -> SymmetryLaplacian:
-    """Laplacian of a planar constraint tree that :func:`topology.validate` accepts,
-    carrying its exact-shift chain (the tree is walked once, by :func:`null_basis`)."""
-    return laplacian_from_edges(graph.n, 2, weighted_edges(graph), chain=null_basis(graph))
+    """The arrays of a planar constraint tree that :func:`topology.validate` accepts: its
+    edge rotations (:func:`topology.edge_rotations`), its 0-based ends and the exact-shift
+    chain of :func:`null_basis`. No per-edge or per-node Python object is formed."""
+    return SymmetryLaplacian(rotations=_freeze(edge_rotations(graph)), ends=graph.ends - 1,
+                             chain=null_basis(graph))
 
 
 def product_laplacian(incidence: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -339,12 +329,12 @@ def product_laplacian(incidence: NDArray[np.float64]) -> NDArray[np.float64]:
 def null_basis(graph: InteractionGraph) -> NDArray[np.float64]:
     """Stacked chain rotations S_i = R(k_i · 2π/n) of a planar tree (dn x d), the null basis of Q.
 
-    Entries are cos and sin of the exact shifts of :func:`rotation_chain`, the
-    bits :func:`symgroup.rotation2` gives each rotation.
+    Entries are ``np.cos`` and ``np.sin`` of the angles k_i · (2π/n) of the exact shifts
+    of :func:`rotation_chain`; the tests hold them to the bits :func:`symgroup.rotation2`
+    (``math.cos``, ``math.sin``) gives each rotation.
     """
-    angles = [k * (math.tau / graph.n) for k in rotation_chain(graph)]
-    cos = np.array([math.cos(a) for a in angles])
-    sin = np.array([math.sin(a) for a in angles])
+    angles = rotation_chain(graph) * (math.tau / graph.n)
+    cos, sin = np.cos(angles), np.sin(angles)
     chain = np.empty((graph.n, 2, 2))
     chain[:, 0, 0] = chain[:, 1, 1] = cos
     chain[:, 0, 1] = -sin

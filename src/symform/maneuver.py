@@ -371,7 +371,7 @@ def simulate_maneuver(
                    states=states, edge_errors=errors, potentials=potentials)
     trace = ManeuverTrace(
         times=path.times, states=states, edge_errors=errors, potentials=potentials,
-        n=n, dim=d, edge_index=lap.edge_index, dt=dt, horizon=horizon,
+        n=n, dim=d, ends=lap.ends, dt=dt, horizon=horizon,
         solver=solver, ref_positions=path.positions, ref_rotations=path.rotations, ref_scales=path.scales,
     )
     if d == 3:  # spatial edge rotations need not commute with the reference attitude

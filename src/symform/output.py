@@ -60,13 +60,14 @@ def _coord_names(dim: int) -> tuple[str, ...]:
     return ("x", "y", "z")[:dim]
 
 
-def trace_header(trace: SimulationTrace) -> list[str]:
-    cols = ["t"]
-    for i in range(1, trace.n + 1):
-        cols.extend(f"p{i}_{c}" for c in _coord_names(trace.dim))
-    cols.extend(f"err_{u}_{v}" for (u, v) in trace.edge_index)
-    cols.append("potential")
-    return cols
+def trace_header(trace: SimulationTrace) -> str:
+    """The trace CSV's column names, comma-separated: t, each agent's coordinates p<i>_<c>,
+    each edge's error err_<u>_<v> (1-based ends), potential. One ``%`` over a template
+    writes every node and end number."""
+    coords = "".join(f"p%d_{c}," for c in _coord_names(trace.dim))
+    template = "t," + coords * trace.n + "err_%d_%d," * len(trace.ends) + "potential"
+    nodes = np.repeat(np.arange(1, trace.n + 1), trace.dim)
+    return template % tuple(np.concatenate([nodes, trace.ends.ravel() + 1]).tolist())
 
 
 def _split(x: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -167,9 +168,13 @@ def _decimal(v: NDArray[np.float64]) -> tuple[NDArray[np.int64], NDArray[np.int6
 
 def _digit_groups(n: NDArray[np.int64]) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
     """Each 17-digit n as its leading digit and a 4 x size array of 4-digit groups."""
-    high, low = np.divmod(n, 10 ** 8)
-    first, high = np.divmod(high, 10 ** 8)
-    return first, np.stack([*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4)])
+    # `//` and a multiply-subtract: numpy's int64 np.divmod takes about three times as long
+    high = n // 10 ** 8
+    low = n - high * 10 ** 8
+    first = high // 10 ** 8
+    high -= first * 10 ** 8
+    high_4, low_4 = high // 10 ** 4, low // 10 ** 4
+    return first, np.stack([high_4, high - high_4 * 10 ** 4, low_4, low - low_4 * 10 ** 4])
 
 
 def _slots(v: NDArray[np.float64], width: int) -> bytearray:
@@ -231,7 +236,7 @@ def _csv_body(columns: list[NDArray[np.float64]], head: str, out: BinaryIO) -> N
 def _write_trace(trace: SimulationTrace, out: BinaryIO) -> None:
     """Trace as CSV: time, stacked coordinates, per-edge errors, potential."""
     _csv_body([trace.times, trace.states, trace.edge_errors, trace.potentials],
-              ",".join(trace_header(trace)) + "\n", out)
+              trace_header(trace) + "\n", out)
 
 
 def _write_reference(trace: ManeuverTrace, out: BinaryIO) -> None:
@@ -374,11 +379,10 @@ def _fmt2(x: float) -> str:
 class _CentTables(NamedTuple):
     whole: NDArray[np.uint64]  # [k]: the digits of k right-aligned in slots 0-3, the point in slot 4
     cents: NDArray[np.uint64]  # [c]: the two digits of f"{c:02d}" in slots 5-6
-    seps: NDArray[np.uint64]   # [code]: nothing, "," or " " in slot 7
-    width: NDArray[np.uint8]   # [k]: len(f"{k}.")
+    seps: NDArray[np.uint64]   # [code]: "\n", "," or " " in slot 7
 
 
-_SEPS = ("", ",", " ")  # a value's separator by code: the end of a series, after x, after y
+_SEPS = ("\n", ",", " ")  # a value's separator by code: the end of a series, after x, after y
 
 
 @functools.cache
@@ -394,38 +398,22 @@ def _cent_tables() -> _CentTables:
     cents = np.zeros((c.size, 8), np.uint8)
     cents[:, 5], cents[:, 6] = c // 10 + ord("0"), c % 10 + ord("0")
     seps = np.zeros((len(_SEPS), 8), np.uint8)
-    seps[:, 7] = [ord(sep or "\0") for sep in _SEPS]
-    return _CentTables(*(t.view(np.uint64).ravel() for t in (whole, cents, seps)),
-                       (size + 1).astype(np.uint8))
+    seps[:, 7] = [ord(sep) for sep in _SEPS]
+    return _CentTables(*(t.view(np.uint64).ravel() for t in (whole, cents, seps)))
 
 
-def _polylines(px: NDArray[np.float64], py: NDArray[np.float64], keep: NDArray[np.bool_],
-               styles: list[str]) -> list[str]:
-    """One ``<polyline>`` per series (column): the points ``keep`` marks, as
-    ``"%.2f,%.2f"`` pairs joined by spaces, then ``fill="none"`` and the series' style.
+def _cents(values: NDArray[np.float64], codes: NDArray[np.uint8]) -> str:
+    """Each value as ``"%.2f"`` followed by its separator ``_SEPS[code]``, all in one text.
 
-    ``px`` and ``py`` broadcast to the (samples, series) shape of ``keep``. The
-    kept points of every series are formatted in one pass, ``_CSV_BLOCK_VALUES``
-    values at a time. A value v with 0 <= 100 v < 999,999.5 takes an 8-byte slot:
-    for N = floor(100 v + 1/2), the digits of N // 100 and the point from one
-    table, the two decimals N % 100 from another, then its separator (',' after
-    x, ' ' after y, nothing at the end of a series). The empty slots are deleted
-    and the text is cut per series at offsets summed from the slot lengths. A set
-    sign bit (negatives, -0.0), a larger or non-finite value, or a 100 v within
+    The values are formatted ``_CSV_BLOCK_VALUES`` at a time. A value v with
+    0 <= 100 v < 999,999.5 takes an 8-byte slot: for N = floor(100 v + 1/2), the
+    digits of N // 100 and the point from one table, the two decimals N % 100 from
+    another, then its separator. The empty slots are deleted. A set sign bit
+    (negatives, -0.0), a larger or non-finite value, or a 100 v within
     _CENT_TIE_BAND of a half-integer goes to :func:`_fmt2`: below 1e4, 100 v is
     within 6e-11 of exact, so every tie lands there and half-even rounding stays
     Python's.
     """
-    px, py = np.broadcast_arrays(px, py)
-    counts = keep.sum(axis=0)
-    values = np.empty((int(counts.sum()), 2))
-    values[:, 0] = px.T[keep.T]  # series-major, as the series are written
-    values[:, 1] = py.T[keep.T]
-    values = values.ravel()
-    lasts = 2 * np.cumsum(counts) - 1  # each series' last value
-    codes = np.tile(np.array([1, 2], np.uint8), values.size // 2)
-    codes[lasts] = 0
-    sizes = np.empty(values.size, np.uint8)  # each value's text length with its separator
     tab = _cent_tables()
     text = io.BytesIO()
     for lo in range(0, values.size, _CSV_BLOCK_VALUES):
@@ -436,18 +424,70 @@ def _polylines(px: NDArray[np.float64], py: NDArray[np.float64], keep: NDArray[n
         fast &= np.abs(scaled - np.floor(scaled) - 0.5) > _CENT_TIE_BAND
         whole, cents = np.divmod(np.floor(scaled + 0.5).astype(np.int64), 100)
         words = tab.whole[whole] | tab.cents[cents] | tab.seps[code]
-        sizes[lo:lo + v.size] = tab.width[whole] + 2 + (code > 0)
         done = 0
         for i in np.flatnonzero(~fast).tolist():
             cell = (_fmt2(v[i]) + _SEPS[code[i]]).encode()
             text.write(words[done:i].tobytes().translate(None, b"\0") + cell)
-            sizes[lo + i] = len(cell)
             done = i + 1
         text.write(words[done:].tobytes().translate(None, b"\0"))
-    ends = np.add.reduceat(sizes, lasts + 1 - 2 * counts, dtype=np.int64).cumsum().tolist()
-    data = text.getvalue()
-    return [f'<polyline points="{data[lo:hi].decode()}" fill="none" {style}/>'
-            for lo, hi, style in zip([0] + ends[:-1], ends, styles)]
+    return text.getvalue().decode()
+
+
+def _polylines(px: NDArray[np.float64], py: NDArray[np.float64], keep: NDArray[np.bool_],
+               styles: list[str]) -> list[str]:
+    """One ``<polyline>`` per series (column): the points ``keep`` marks, as
+    ``"%.2f,%.2f"`` pairs joined by spaces, then ``fill="none"`` and the series' style.
+
+    ``px`` and ``py`` broadcast to the (samples, series) shape of ``keep``. The
+    kept points of every series are formatted in one pass of :func:`_cents`, each
+    value followed by ',' after x, ' ' after y and a newline at the end of a series,
+    and the text is split into series at the newlines.
+    """
+    px, py = np.broadcast_arrays(px, py)
+    counts = keep.sum(axis=0)
+    values = np.empty((int(counts.sum()), 2))
+    values[:, 0] = px.T[keep.T]  # series-major, as the series are written
+    values[:, 1] = py.T[keep.T]
+    values = values.ravel()
+    lasts = 2 * np.cumsum(counts) - 1  # each series' last value
+    codes = np.tile(np.array([1, 2], np.uint8), values.size // 2)
+    codes[lasts] = 0
+    points = _cents(values, codes).split("\n")[:-1]  # the text ends with the last series' newline
+    return [f'<polyline points="{p}" fill="none" {style}/>' for p, style in zip(points, styles)]
+
+
+# An agent's path, start square and end dot, its four coordinates and color left open
+_AGENT = ('%s\n<rect x="%s" y="%s" width="6" height="6" fill="%s"/>\n'
+          '<circle cx="%s" cy="%s" r="4" fill="%s"/>')
+_MARK_BLOCK = _CSV_BLOCK_VALUES // 4  # agents whose four coordinates fill one block of the kernel
+
+
+def _agent_marks(lines: list[str], x0: NDArray[np.float64], y0: NDArray[np.float64],
+                 x1: NDArray[np.float64], y1: NDArray[np.float64], colors: list[str]) -> list[str]:
+    """Each agent's polyline from ``lines``, then its 6 px start square centred on
+    (x0, y0) and its end dot at (x1, y1), in its color: one text per ``_MARK_BLOCK``
+    agents, to be joined by newlines.
+
+    A block's corner and centre coordinates are formatted in one pass of :func:`_cents`
+    and its text is written by one ``%`` over the block's template, so the strings a
+    block passes through stay few while the texts add up to the file's."""
+    corners = np.stack([x0 - 3, y0 - 3, x1, y1], axis=1).ravel()
+    spaces = np.full(corners.size, 2, np.uint8)  # a space after each value, split on below
+    texts = []
+    for lo in range(0, len(lines), _MARK_BLOCK):
+        hi = min(lo + _MARK_BLOCK, len(lines))
+        cells = _cents(corners[4 * lo:4 * hi], spaces[4 * lo:4 * hi]).split()
+        args = [""] * (7 * (hi - lo))
+        args[0::7] = lines[lo:hi]
+        args[1::7], args[2::7], args[4::7], args[5::7] = (cells[k::4] for k in range(4))
+        args[3::7] = args[6::7] = colors[lo:hi]
+        texts.append("\n".join([_AGENT] * (hi - lo)) % tuple(args))
+    return texts
+
+
+def _cycled(items, count: int) -> list:
+    """The first ``count`` items of ``items`` repeated: a color or style per series."""
+    return (list(items) * -(-count // len(items)))[:count]
 
 
 def _project(states: NDArray[np.float64], n: int, dim: int) -> NDArray[np.float64]:
@@ -475,16 +515,12 @@ def svg_paths(trace: SimulationTrace, title: str = "agent paths") -> str:
     parts, sx, sy = _frame(title, "x", "y", xlo, xhi, ylo, yhi)
     px, py = sx(proj[..., 0]), sy(proj[..., 1])
     del proj  # the pixel arrays hold all the plot needs
-    colors = [PALETTE[i % len(PALETTE)] for i in range(trace.n)]
+    colors = _cycled(PALETTE, trace.n)
     styles = ['stroke="#999999" stroke-width="1.2" stroke-dasharray="6 4"'] * has_ref
-    styles += [f'stroke="{color}" stroke-width="1.5"' for color in colors]
+    styles += _cycled([f'stroke="{color}" stroke-width="1.5"' for color in PALETTE], trace.n)
     lines = _polylines(px, py, _keep_mask(px, py), styles)
-    x0, y0, x1, y1 = (a[has_ref:].tolist() for a in (px[0], py[0], px[-1], py[-1]))
     parts.extend(lines[:has_ref])
-    for i, color in enumerate(colors):
-        parts.append(lines[i + has_ref])
-        parts.append(f'<rect x="{x0[i] - 3:.2f}" y="{y0[i] - 3:.2f}" width="6" height="6" fill="{color}"/>')
-        parts.append(f'<circle cx="{x1[i]:.2f}" cy="{y1[i]:.2f}" r="4" fill="{color}"/>')
+    parts.extend(_agent_marks(lines[has_ref:], *(a[has_ref:] for a in (px[0], py[0], px[-1], py[-1])), colors))
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -502,7 +538,7 @@ def svg_errors(trace: SimulationTrace, title: str = "edge errors") -> str:
     parts, sx, sy = _frame(title, "t", "log10 edge error", xlo, xhi, ylo, yhi)
     px, py = sx(trace.times)[:, None], sy(logs)
     del logs  # as in svg_paths: the pixel arrays hold all the plot needs
-    styles = [f'stroke="{PALETTE[e % len(PALETTE)]}" stroke-width="1.2"' for e in range(py.shape[1])]
+    styles = _cycled([f'stroke="{color}" stroke-width="1.2"' for color in PALETTE], py.shape[1])
     parts.extend(_polylines(px, py, _keep_mask(px, py), styles))
     parts.append("</svg>")
     return "\n".join(parts)

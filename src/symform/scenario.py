@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import reprlib
+from collections.abc import Callable
 from importlib import resources
 from pathlib import Path
 
@@ -32,7 +33,7 @@ class Scenario:
     formation: str            # "planar" | "cube"
     n: int
     dim: int
-    tree_graph: topology.InteractionGraph | None  # planar, given as edges: checked by topology.validate
+    tree_graph: topology.InteractionGraph | None  # planar, given as edges: checked by topology.planar_tree
     removed_edge: tuple[int, int] | None  # planar, given as C_n less this edge (u, v)
     initial_points: NDArray[np.float64] | None
     box: tuple[float, float]
@@ -52,20 +53,22 @@ class Scenario:
         return " ".join(bits)
 
 
-def _require(cond: bool, path: str, msg: str) -> None:
+def _require(cond: bool, path: str, msg: str | Callable[[], str]) -> None:
+    """Raise ScenarioError "<path>: <msg>" unless ``cond``. A ``msg`` that names the value
+    is given as a function that forms it, so it is formed only when the check fails."""
     if not cond:
-        raise ScenarioError(f"{path}: {msg}")
+        raise ScenarioError(f"{path}: {msg() if callable(msg) else msg}")
 
 
 def _as_int(value, path: str) -> int:
     _require(isinstance(value, int) and not isinstance(value, bool),
-             path, f"expected an integer, got {reprlib.repr(value)}")
+             path, lambda: f"expected an integer, got {reprlib.repr(value)}")
     return value
 
 
 def _as_number(value, path: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             path, f"expected a number, got {reprlib.repr(value)}")
+             path, lambda: f"expected a number, got {reprlib.repr(value)}")
     try:
         value = float(value)
     except OverflowError:  # an integer beyond the float range
@@ -87,7 +90,7 @@ def _as_positive(value, path: str) -> float:
 
 def _as_seed(value, path: str) -> int:
     seed = _as_int(value, path)
-    _require(seed >= 0, path, f"must be non-negative, got {reprlib.repr(seed)}")
+    _require(seed >= 0, path, lambda: f"must be non-negative, got {reprlib.repr(seed)}")
     return seed
 
 
@@ -101,7 +104,7 @@ def _fields(raw, path: str, known) -> dict:
     """``raw`` as an object holding only ``known`` keys."""
     _require(isinstance(raw, dict), path, "expected an object")
     for key in raw:
-        _require(key in known, path, f"unknown field {reprlib.repr(key)}")
+        _require(key in known, path, lambda: f"unknown field {reprlib.repr(key)}")
     return raw
 
 
@@ -180,19 +183,19 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
 
     formation = raw.get("formation", "planar")
     _require(formation in ("planar", "cube"), "formation",
-             f"expected 'planar' or 'cube', got {reprlib.repr(formation)}")
+             lambda: f"expected 'planar' or 'cube', got {reprlib.repr(formation)}")
     name = raw.get("name", name_hint)
     _require(isinstance(name, str) and name, "name", "expected a non-empty string")
     _require(name not in (".", "..") and not any(c in name for c in "/\\\0"), "name",
-             f"expected a plain file name (no path separator, not '.' or '..'), got {reprlib.repr(name)}")
+             lambda: f"expected a plain file name (no path separator, not '.' or '..'), got {reprlib.repr(name)}")
     # control characters are not XML, so the SVG titles would not parse; a lone
     # surrogate (JSON allows "\ud800") has no UTF-8 form to print or to name a file
     _require(not any(c < " " or c == "\x7f" or "\ud800" <= c <= "\udfff" for c in name), "name",
-             "must not hold control characters (U+0000-U+001F, U+007F) or surrogates (U+D800-U+DFFF), "
-             f"got {reprlib.repr(name)}")
+             lambda: "must not hold control characters (U+0000-U+001F, U+007F) or surrogates "
+                     f"(U+D800-U+DFFF), got {reprlib.repr(name)}")
     size = len(name.encode())
     _require(size <= MAX_NAME_BYTES, "name",
-             f"must be at most {MAX_NAME_BYTES} bytes in UTF-8, got {size}: {reprlib.repr(name)}")
+             lambda: f"must be at most {MAX_NAME_BYTES} bytes in UTF-8, got {size}: {reprlib.repr(name)}")
 
     seed = _as_seed(raw.get("seed", DEFAULT_SEED), "seed")
     dt = None if "dt" not in raw else _as_positive(raw["dt"], "dt")
@@ -208,7 +211,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
         _require("cube" not in raw, "cube", "only valid for cube formations")
         _require("n" in raw, "n", "required for planar formations")
         n = _as_int(raw["n"], "n")
-        _require(n >= 3, "n", f"cycle formations need n >= 3, got {n}")
+        _require(n >= 3, "n", lambda: f"cycle formations need n >= 3, got {n}")
         dim = 2
         cube_spec = None
         tree_raw = _fields(raw.get("tree", {}), "tree", ("remove", "edges"))
@@ -216,17 +219,16 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
             raise ScenarioError("tree: give either 'remove' or 'edges', not both")
         if "edges" in tree_raw:
             _require(isinstance(tree_raw["edges"], list), "tree.edges", "expected a list")
-            edges = []
-            for i, item in enumerate(tree_raw["edges"]):
-                u, v, shift = _ints(item, f"tree.edges[{i}]", 3, "[u, v, shift]")
-                edges.append((u, v, symgroup.CyclicAutomorphism(n, shift)))
-            tree_graph, removed_edge = topology.InteractionGraph(n=n, edges=tuple(edges)), None
-            problem = topology.validate(tree_graph)  # O(len(edges)): the edges, not n, set its cost
-            _require(problem is None, "tree", problem)
+            edges = [_ints(item, f"tree.edges[{i}]", 3, "[u, v, shift]")
+                     for i, item in enumerate(tree_raw["edges"])]
+            try:  # O(len(edges)): the edges, not n, set its cost
+                tree_graph, removed_edge = topology.planar_tree(n, edges), None
+            except ValueError as exc:
+                raise ScenarioError(f"tree: {exc}") from None
         else:
             u, v = _ints(tree_raw.get("remove", [n, 1]), "tree.remove", 2, "[u, v]")
             _require(topology.CycleGraph(n).contains_edge(u, v), "tree.remove",
-                     f"{reprlib.repr([u, v])} is not an edge of C_{reprlib.repr(n)}")
+                     lambda: f"{reprlib.repr([u, v])} is not an edge of C_{reprlib.repr(n)}")
             # C_n less a cycle edge is a tree; cli.build_system builds it once n is known to fit
             tree_graph, removed_edge = None, (u, v)
 

@@ -1,4 +1,4 @@
-"""Cycle graphs, constraint-labeled spanning trees, and rotation chains."""
+"""Cycle graphs, constraint-labeled spanning trees held as arrays, and rotation chains."""
 from __future__ import annotations
 
 from collections import deque
@@ -31,89 +31,106 @@ class CycleGraph:
         return (u % self.n + 1 == v) or (v % self.n + 1 == u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionGraph:
-    """A spanning tree of C_n whose directed edges carry automorphism labels.
+    """A spanning tree of C_n whose directed edges carry cyclic shifts, held as arrays.
 
-    A stored edge (u, v, g) means the constraint "agent v sits at g applied to
-    agent u": at a constraint-compatible configuration, p_v = R(g) p_u, with
-    R(g) = ``g.rotation``.
-    Traversed v→u the label acts as its inverse.
+    Row e of ``ends`` (m x 2) is a stored edge (u, v), 1-based, and ``shifts[e]``
+    its shift k in 0..n-1: the constraint "agent v sits at R(k·2π/n) applied to
+    agent u", p_v = R(k·2π/n) p_u, with R(k·2π/n) the rotation of
+    ``CyclicAutomorphism(n, k)``. Traversed v→u the shift acts negated.
+    :func:`cycle_minus_edge` and :func:`planar_tree` form one; :func:`validate`
+    checks it.
     """
 
     n: int
-    edges: tuple[tuple[int, int, CyclicAutomorphism], ...]
+    ends: NDArray[np.intp]
+    shifts: NDArray[np.intp]
 
 
 def cycle_minus_edge(n: int, removed: tuple[int, int]) -> InteractionGraph:
     """Spanning tree of C_n obtained by deleting one cycle edge.
 
-    Every remaining edge (i, i+1) (and (n, 1) if kept) carries the shift-1
-    automorphism, so the compatible formations are full C_n orbits.
+    The remaining edges (i, i+1), then (n, 1) if kept, each carry shift 1, so
+    the compatible formations are full C_n orbits.
     """
-    cycle = CycleGraph(n)
     ru, rv = removed
-    if not cycle.contains_edge(ru, rv):
+    if not CycleGraph(n).contains_edge(ru, rv):
         raise ValueError(f"removed edge {removed} is not an edge of C_{n}")
-    one = CyclicAutomorphism(n, 1)
-    kept = []
-    for (u, v) in cycle.edges:
-        if {u, v} == {ru, rv}:
-            continue
-        kept.append((u, v, one))
-    return InteractionGraph(n=n, edges=tuple(kept))
+    cut = ru if rv == ru % n + 1 else rv  # the removed edge is (cut, cut + 1 mod n)
+    u = np.arange(1, n)
+    u[cut - 1:] += 1  # every i in 1..n but the cut
+    return InteractionGraph(n=n, ends=np.stack([u, u % n + 1], axis=1), shifts=np.ones(n - 1, np.intp))
 
 
-def tree_problem(n: int, edges, edge_problem=None) -> str | None:
-    """First reason the (u, v, label) ``edges`` cannot be a spanning tree of nodes 1..n, or None.
+def planar_tree(n: int, edges) -> InteractionGraph:
+    """The (u, v, shift) integer triples ``edges`` as an :class:`InteractionGraph`, each shift
+    reduced mod n; raises ValueError with :func:`tree_problem`'s message when they are not a
+    spanning tree of C_n.
 
-    Each edge needs distinct endpoints in 1..n, then passes ``edge_problem(u, v, label)`` (a
-    message or None) when given, and may not repeat an earlier edge; then the count must be
-    n - 1. Such a set is a spanning tree exactly when it is connected, which the walk that
-    builds the chain (:func:`_bfs_tree`) finds out.
+    The triples are checked as Python integers of any size (an object array), so a value
+    beyond int64 is named as it was given; a tree that passes holds values below n = m + 1.
     """
-    seen: set[frozenset[int]] = set()
-    for (u, v, label) in edges:
-        if not (1 <= u <= n and 1 <= v <= n) or u == v:
-            return f"invalid edge ({u}, {v})"
-        msg = None if edge_problem is None else edge_problem(u, v, label)
-        if msg is not None:
-            return msg
-        key = frozenset((u, v))
-        if key in seen:
-            return f"duplicate edge ({u}, {v})"
-        seen.add(key)
-    if len(edges) > n - 1:
+    raw = np.array(edges, dtype=object).reshape(-1, 3)
+    problem = tree_problem(n, raw[:, :2])
+    if problem is not None:
+        raise ValueError(problem)
+    return InteractionGraph(n=n, ends=raw[:, :2].astype(np.intp), shifts=(raw[:, 2] % n).astype(np.intp))
+
+
+def tree_problem(n: int, ends, *, cycle: bool = True) -> str | None:
+    """First reason the 1-based (u, v) rows of ``ends`` are not the edges of a spanning tree
+    on nodes 1..n, or None; with ``cycle``, of a spanning tree of C_n.
+
+    An edge needs distinct ends in 1..n, must join cycle neighbours (with ``cycle``), and
+    may not repeat an earlier edge; the first edge that fails one of these, in that order,
+    is named. Then the count must be n - 1. Such a set is a spanning tree exactly when it is
+    connected: any n - 1 distinct edges of C_n are C_n without one edge, a path through
+    every node; other trees are walked by :func:`chain_matrices`, which finds out.
+    """
+    ends = np.asarray(ends).reshape(-1, 2)
+    m = len(ends)
+    # each edge's ends in order, an end below 1 as 0 and one above n as n + 1
+    low, high = np.minimum(np.maximum(np.sort(ends, axis=1), 0), n + 1).T
+    invalid = (low == 0) | (high == n + 1) | (low == high)
+    gap = high - low  # 1, or n - 1 for the edge (1, n), between cycle neighbours
+    chord = ~invalid & (gap != 1) & (gap != n - 1) if cycle else np.zeros(m, dtype=bool)
+    # an edge is keyed by its ordered ends; a failed one by -1 - e, matching no key
+    key = np.where(invalid | chord, -1 - np.arange(m), low * (n + 2) + high)
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(m, dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    failed = invalid | chord | repeat
+    if failed.any():
+        e = int(np.argmax(failed))
+        a, b = ends[e]
+        if invalid[e]:
+            return f"invalid edge ({a}, {b})"
+        if chord[e]:
+            return f"edge ({a}, {b}) is not an edge of C_{n}"
+        return f"duplicate edge ({a}, {b})"
+    if m > n - 1:
         return "not acyclic"
-    if len(edges) < n - 1:
+    if m < n - 1:
         return "not connected"
     return None
 
 
 def validate(graph: InteractionGraph) -> str | None:
-    """Check the spanning-tree invariants; return the first violation or None.
+    """Check the spanning-tree invariants (:func:`tree_problem`); return the first violation or None."""
+    return tree_problem(graph.n, graph.ends)
 
-    Any n - 1 distinct edges of C_n are C_n without one edge, a path through
-    every node, so a graph that passes needs no walk to prove it connected.
-    """
-    n = graph.n
-    cycle = CycleGraph(n)
 
-    def label_problem(u: int, v: int, g: CyclicAutomorphism) -> str | None:
-        if g.n != n:
-            return f"edge ({u}, {v}) labeled with an automorphism of C_{g.n}, expected C_{n}"
-        if not cycle.contains_edge(u, v):
-            return f"edge ({u}, {v}) is not an edge of C_{n}"
-        return None
-
-    return tree_problem(n, graph.edges, label_problem)
+def edge_rotations(graph: InteractionGraph) -> NDArray[np.float64]:
+    """Each edge's rotation R(shift·2π/n) (m x 2 x 2), one ``Rotation`` built per distinct shift."""
+    shifts = np.flatnonzero(np.bincount(graph.shifts))  # the distinct shifts, ascending
+    table = np.array([CyclicAutomorphism(graph.n, k).rotation.matrix for k in shifts.tolist()])
+    return table.reshape(-1, 2, 2)[np.searchsorted(shifts, graph.shifts)]
 
 
 def weighted_edges(graph: InteractionGraph) -> list[tuple[int, int, NDArray[np.float64]]]:
-    """Materialize each stored edge label as its assigned rotation matrix (one per distinct shift)."""
-    labels = {g.shift: g for (_, _, g) in graph.edges}
-    matrices = {shift: g.rotation.matrix for shift, g in labels.items()}
-    return [(u, v, matrices[g.shift]) for (u, v, g) in graph.edges]
+    """Each stored edge as (u, v, its rotation matrix): the edge list the independent routes walk."""
+    return [(u, v, w) for (u, v), w in zip(graph.ends.tolist(), edge_rotations(graph))]
 
 
 def _bfs_tree(n: int, edges) -> list[tuple[int, int, object, bool]]:
@@ -140,21 +157,38 @@ def _bfs_tree(n: int, edges) -> list[tuple[int, int, object, bool]]:
     return order
 
 
-def rotation_chain(graph: InteractionGraph) -> tuple[int, ...]:
+def rotation_chain(graph: InteractionGraph) -> NDArray[np.intp]:
     """Shift k_i of each node's chain rotation S_i = R(k_i · 2π/n), nodes in order.
 
-    Shifts are composed from node 1 (shift 0) outward with exact integer
-    arithmetic mod n: following a stored edge (u, v) adds its shift, walking
-    it backwards subtracts it. At a compatible target p_i = S_i q.
+    Shifts are composed from node 1 (shift 0) along the path with exact integer
+    arithmetic mod n: following a stored edge (u, v) adds its shift, walking it
+    backwards subtracts it. Cycle position c (0-based) holds the edge between
+    nodes c and c + 1 mod n, whose signed shift delta_c is read walking forward
+    (0 at the cut a). Nodes 0..a are reached forward, so k_i is the prefix sum
+    of delta_0..delta_(i-1); nodes past the cut are reached backwards through
+    node n - 1, which subtracts the total: one cumulative sum gives both. At a
+    compatible target p_i = S_i q.
     """
     n = graph.n
-    order = _bfs_tree(n, graph.edges)
-    if len(order) != n:
-        raise ValueError("invalid interaction graph: not connected")
-    shifts = [0] * (n + 1)
-    for (node, parent, g, forward) in order[1:]:
-        shifts[node] = (shifts[parent] + (g.shift if forward else -g.shift)) % n
-    return tuple(shifts[1:])
+    u, v = (graph.ends - 1).T
+    forward = (v - u) % n == 1
+    position = np.where(forward, u, v)
+    covered = np.zeros(n, dtype=bool)
+    # a tree of C_n: n - 1 edges at distinct positions, each joining its position's two nodes
+    if len(position) == n - 1 and ((0 <= position) & (position < n)
+                                   & (np.where(forward, v, u) == (position + 1) % n)).all():
+        covered[position] = True
+    if covered.sum() != n - 1:
+        raise ValueError(f"invalid interaction graph: {validate(graph)}")
+    cut = int(np.argmin(covered))
+    delta = np.zeros(n, np.intp)
+    delta[position] = np.where(forward, graph.shifts, -graph.shifts)
+    walk = np.cumsum(delta)
+    chain = np.empty(n, np.intp)
+    chain[0] = 0
+    chain[1:] = walk[:-1]
+    chain[cut + 1:] -= walk[-1]
+    return chain % n
 
 
 def chain_matrices(

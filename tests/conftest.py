@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 import symform as sf
+from symform import topology
 
 # one line per acceptance criterion, shown in the terminal summary
 ACCEPTANCE_LINES: list[str] = []
@@ -54,9 +55,8 @@ def random_tree(n: int, cut: int, shifts: list[int], flips: list[bool]) -> sf.In
     """C_n without its edge (cut, cut + 1), each kept edge with its own shift and orientation."""
     edges = []
     for k, (i, j) in enumerate(e for e in sf.CycleGraph(n).edges if e[0] != cut):
-        g = sf.CyclicAutomorphism(n, shifts[k])
-        edges.append((j, i, g) if flips[k] else (i, j, g))
-    return sf.InteractionGraph(n=n, edges=tuple(edges))
+        edges.append((j, i, shifts[k]) if flips[k] else (i, j, shifts[k]))
+    return topology.planar_tree(n, edges)
 
 
 def random_tree_cases(n_max: int) -> st.SearchStrategy:

@@ -508,7 +508,7 @@ class TestIntegrate:
         assert trace.edge_errors.shape == (11, 2)
         assert trace.times[0] == 0.0
         assert math.isclose(trace.times[-1], 1.0, rel_tol=1e-12)
-        assert trace.edge_index == ((1, 2), (2, 3))
+        assert trace.ends.tolist() == [[0, 1], [1, 2]]
 
     def test_unstable_step_rejected_with_suggestion(self, path_system):
         _, lap, _ = path_system(4)

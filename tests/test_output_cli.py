@@ -57,10 +57,19 @@ class TestFmt:
 class TestTraceCsv:
     def test_header_layout(self):
         trace = short_trace(3)
-        header = output.trace_header(trace)
+        header = output.trace_header(trace).split(",")
         assert header[:3] == ["t", "p1_x", "p1_y"]
         assert header[-1] == "potential"
         assert "err_1_2" in header and "err_2_3" in header
+
+    @pytest.mark.parametrize("scenario", [{"n": 3}, {"n": 600, "tree": {"remove": [300, 301]}},
+                                          {"formation": "cube"}], ids=["n3", "n600_cut", "cube"])
+    def test_header_equals_per_name_join(self, scenario):
+        trace = short_trace(3) if scenario == {"n": 3} else cli.run_scenario(cli.parse_scenario(
+            {**scenario, "dt": 0.1, "horizon": 0.1}))[0]
+        names = ["t"] + [f"p{i}_{c}" for i in range(1, trace.n + 1) for c in "xyz"[:trace.dim]]
+        names += [f"err_{u + 1}_{v + 1}" for u, v in trace.ends.tolist()] + ["potential"]
+        assert output.trace_header(trace) == ",".join(names)
 
     def test_round_trip_exact(self, tmp_path):
         trace = short_trace()
@@ -279,7 +288,7 @@ class TestParseScenario:
         assert scn.box == (-2.0, 2.0)
         assert scn.tree_graph is None and scn.removed_edge == (4, 1)
         graph = cli.build_system(scn)
-        assert graph.edge_index == ((1, 2), (2, 3), (3, 4))
+        assert graph.ends.tolist() == [[0, 1], [1, 2], [2, 3]]
         assert scn.reference is None and scn.dt is None and scn.horizon is None
 
     def test_unknown_field_named(self):
@@ -308,8 +317,8 @@ class TestParseScenario:
         scn = cli.parse_scenario({"n": 4, "tree": {"edges": [[1, 2, 1], [2, 3, 5],
                                                              [3, 4, -3]]}})
         assert scn.removed_edge is None
-        assert scn.tree_graph == sf.InteractionGraph(
-            n=4, edges=tuple((u, v, sf.CyclicAutomorphism(4, 1)) for u, v in ((1, 2), (2, 3), (3, 4))))
+        assert (scn.tree_graph.n, scn.tree_graph.ends.tolist(), scn.tree_graph.shifts.tolist()) == (
+            4, [[1, 2], [2, 3], [3, 4]], [1, 1, 1])
         assert topology.validate(scn.tree_graph) is None
 
     def test_initial_points_count_checked(self):
@@ -969,7 +978,7 @@ class TestBlockFormatting:
         else:
             scn = cli.parse_scenario(spec)
         trace, _, _ = cli.run_scenario(scn)
-        expected = per_value_csv(output.trace_header(trace),
+        expected = per_value_csv(output.trace_header(trace).split(","),
                                  [trace.times, trace.states, trace.edge_errors, trace.potentials])
         assert output.trace_csv_text(trace) == expected
         if isinstance(trace, sf.ManeuverTrace):
@@ -1073,6 +1082,25 @@ class TestSvgKernel:
 
     def test_special_values(self):
         self.check_cents([0.0, -0.0, 9999.994, 9999.995, 1e4, 1e9, math.nan, math.inf, -math.inf])
+
+    def test_agent_marks_equal_per_agent_format(self):
+        # corners below 0 and at 1e4 px or more take the _fmt2 fallback, the rest the kernel;
+        # the agents span two blocks of _agent_marks
+        n = output._MARK_BLOCK + 6
+        x0, y0, x1, y1 = np.random.default_rng(4).uniform(0, 720, (4, n))
+        x0[:6] = [64.0, 1.5, -7.25, 10002.999, 9999.994, 320.125]
+        y0[:6] = [36.0, 2.999, 3.0, -0.004, 12000.5, 10003.0]
+        x1[-6:], y1[-6:] = x0[5::-1] + 0.375, y0[5::-1] - 0.625
+        lines = [f'<polyline points="{i}" fill="none"/>' for i in range(n)]
+        colors = [output.PALETTE[i % len(output.PALETTE)] for i in range(n)]
+        expected = []
+        for i, color in enumerate(colors):
+            expected.append(lines[i])
+            expected.append(f'<rect x="{x0[i] - 3:.2f}" y="{y0[i] - 3:.2f}" width="6" height="6" fill="{color}"/>')
+            expected.append(f'<circle cx="{x1[i]:.2f}" cy="{y1[i]:.2f}" r="4" fill="{color}"/>')
+        marks = output._agent_marks(lines, x0, y0, x1, y1, colors)
+        assert len(marks) == 2 and "\n".join(marks) == "\n".join(expected)
+        assert 'x="-10.25"' in expected[7] and 'cy="10002.38"' in expected[3 * (n - 6) + 2]
 
     def test_block_edges(self):
         # series cut at and across block boundaries, one of a single point

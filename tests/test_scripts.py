@@ -84,6 +84,18 @@ def test_compare_snapshots(tmp_path):
     assert result.returncode == 1 and "runs/x/errors.svg: only in B" in result.stdout
 
 
+def test_compare_snapshots_json_keys(tmp_path):
+    # a number only one file holds is named, and the numbers both hold are still compared
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    (a / "metrics.json").write_text('{"rate": 1, "solver": {"steps": 2}, "old": 3, "name": "x"}')
+    (b / "metrics.json").write_text('{"rate": 1.5, "solver": {"steps": 2, "blocks": [4]}, "name": "x"}')
+    result = run_script("compare_snapshots.py", str(a), str(b))
+    assert result.returncode == 1
+    assert result.stdout.splitlines() == [
+        "metrics.json: old only in A, solver.blocks[0] only in B, rate 1 -> 1.5 (0.5), 1 numbers unchanged"]
+
+
 LOG = """$ symform verify x
 exit 0
 --- stdout

@@ -8,7 +8,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symform as sf
-from symform import topology
+from symform import cli, topology
+
+from conftest import random_tree, random_tree_cases
+
+
+def graph(n: int, edges: list[tuple[int, int, int]]) -> sf.InteractionGraph:
+    """The (u, v, shift) triples as arrays, unchecked, for the checks to judge."""
+    triples = np.array(edges).reshape(-1, 3)
+    return sf.InteractionGraph(n=n, ends=triples[:, :2], shifts=triples[:, 2] % n)
+
+
+def object_walk(n: int, edges: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The planar build made edge by edge and node by node: the 0-based ends, the edge
+    rotations and the stacked chain of the (u, v, shift) triples. Each edge carries a
+    ``CyclicAutomorphism`` label, one ``Rotation`` per distinct shift; the chain shifts are
+    composed along ``topology._bfs_tree`` from node 1, and each node's rotation is
+    ``rotation2`` of its exact shift. The reference the array build is checked against."""
+    labels = [(u, v, sf.CyclicAutomorphism(n, k)) for (u, v, k) in edges]
+    matrices = {g.shift: g.rotation.matrix for (_, _, g) in labels}
+    shifts = [0] * (n + 1)
+    for (node, parent, g, forward) in topology._bfs_tree(n, labels)[1:]:
+        shifts[node] = (shifts[parent] + (g.shift if forward else -g.shift)) % n
+    chain = np.vstack([sf.rotation2(k * (math.tau / n)).matrix for k in shifts[1:]])
+    ends = np.array([(u, v) for (u, v, _) in labels]) - 1
+    return ends, np.array([matrices[g.shift] for (_, _, g) in labels]), chain
 
 
 class TestCycleGraph:
@@ -30,15 +54,16 @@ class TestCycleGraph:
 class TestCycleMinusEdge:
     def test_canonical_path(self):
         g = sf.cycle_minus_edge(4, (4, 1))
-        assert [(u, v) for (u, v, _) in g.edges] == [(1, 2), (2, 3), (3, 4)]
-        assert all(a.shift == 1 for (_, _, a) in g.edges)
+        assert g.ends.tolist() == [[1, 2], [2, 3], [3, 4]]
+        assert g.shifts.tolist() == [1, 1, 1]
 
     def test_removal_order_does_not_matter(self):
-        assert sf.cycle_minus_edge(4, (1, 4)).edges == sf.cycle_minus_edge(4, (4, 1)).edges
+        a, b = sf.cycle_minus_edge(4, (1, 4)), sf.cycle_minus_edge(4, (4, 1))
+        assert np.array_equal(a.ends, b.ends) and np.array_equal(a.shifts, b.shifts)
 
     def test_interior_removal(self):
         g = sf.cycle_minus_edge(4, (2, 3))
-        assert [(u, v) for (u, v, _) in g.edges] == [(1, 2), (3, 4), (4, 1)]
+        assert g.ends.tolist() == [[1, 2], [3, 4], [4, 1]]
 
     def test_non_cycle_edge_rejected(self):
         with pytest.raises(ValueError, match="not an edge"):
@@ -50,35 +75,19 @@ class TestValidate:
         assert sf.validate(sf.cycle_minus_edge(6, (6, 1))) is None
 
     def test_full_cycle_is_cyclic(self):
-        one = sf.CyclicAutomorphism(4, 1)
-        g = sf.InteractionGraph(n=4, edges=tuple((i, i % 4 + 1, one) for i in range(1, 5)))
-        assert sf.validate(g) == "not acyclic"
+        assert sf.validate(graph(4, [(i, i % 4 + 1, 1) for i in range(1, 5)])) == "not acyclic"
 
     def test_split_graph_is_disconnected(self):
-        one = sf.CyclicAutomorphism(4, 1)
-        g = sf.InteractionGraph(n=4, edges=((1, 2, one), (3, 4, one)))
-        assert sf.validate(g) == "not connected"
+        assert sf.validate(graph(4, [(1, 2, 1), (3, 4, 1)])) == "not connected"
 
     def test_chord_rejected(self):
-        one = sf.CyclicAutomorphism(4, 1)
-        g = sf.InteractionGraph(n=4, edges=((1, 2, one), (2, 3, one), (1, 3, one)))
-        assert "not an edge" in sf.validate(g)
+        assert "not an edge" in sf.validate(graph(4, [(1, 2, 1), (2, 3, 1), (1, 3, 1)]))
 
     def test_duplicate_edge_rejected(self):
-        one = sf.CyclicAutomorphism(4, 1)
-        g = sf.InteractionGraph(n=4, edges=((1, 2, one), (2, 1, one), (3, 4, one)))
-        assert "duplicate" in sf.validate(g)
+        assert "duplicate" in sf.validate(graph(4, [(1, 2, 1), (2, 1, 1), (3, 4, 1)]))
 
     def test_self_loop_rejected(self):
-        one = sf.CyclicAutomorphism(4, 1)
-        g = sf.InteractionGraph(n=4, edges=((1, 1, one), (2, 3, one), (3, 4, one)))
-        assert "invalid edge" in sf.validate(g)
-
-    def test_wrong_group_rejected(self):
-        bad = sf.CyclicAutomorphism(5, 1)
-        one = sf.CyclicAutomorphism(4, 1)
-        g = sf.InteractionGraph(n=4, edges=((1, 2, bad), (2, 3, one), (3, 4, one)))
-        assert "C_5" in sf.validate(g)
+        assert "invalid edge" in sf.validate(graph(4, [(1, 1, 1), (2, 3, 1), (3, 4, 1)]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 40).flatmap(lambda n: st.tuples(
@@ -88,24 +97,21 @@ class TestValidate:
     def test_any_n_minus_one_cycle_edges_are_a_spanning_tree(self, case):
         # so validate needs no walk: its count check leaves no disconnected graph
         n, cut, shifts, flips = case
-        kept = [e for e in sf.CycleGraph(n).edges if e[0] != cut]
-        edges = tuple((v, u, sf.CyclicAutomorphism(n, s)) if flip else (u, v, sf.CyclicAutomorphism(n, s))
-                      for (u, v), s, flip in zip(kept, shifts, flips))
-        assert sf.validate(sf.InteractionGraph(n=n, edges=edges)) is None
+        g = random_tree(n, cut, shifts, flips)
+        assert sf.validate(g) is None
+        edges = [(u, v, None) for u, v in g.ends.tolist()]
         assert sorted(node for node, *_ in topology._bfs_tree(n, edges)) == list(range(1, n + 1))
 
     def test_invalid_graph_blocks_downstream_ops(self):
-        one = sf.CyclicAutomorphism(4, 1)
-        g = sf.InteractionGraph(n=4, edges=((1, 2, one), (3, 4, one)))
         with pytest.raises(ValueError, match="not connected"):
-            sf.rotation_chain(g)
+            sf.rotation_chain(graph(4, [(1, 2, 1), (3, 4, 1)]))
 
 
 class TestRotationChain:
     def test_square_chain_frozen(self):
         # expected: identity, quarter, half, three-quarter turns
         graph = sf.cycle_minus_edge(4, (4, 1))
-        assert sf.rotation_chain(graph) == (0, 1, 2, 3)
+        assert sf.rotation_chain(graph).tolist() == [0, 1, 2, 3]
         mats = sf.null_basis(graph).reshape(4, 2, 2)
         for k, mat in enumerate(mats):
             assert np.array_equal(mat, sf.rotation2(k * (math.tau / 4)).matrix)
@@ -116,12 +122,12 @@ class TestRotationChain:
         graph = sf.cycle_minus_edge(6, (6, 1))
         mats = sf.null_basis(graph).reshape(6, 2, 2)
         assert np.array_equal(mats[5], sf.rotation2(5 * (math.tau / 6)).matrix)
-        assert sf.rotation_chain(graph) == (0, 1, 2, 3, 4, 5)
+        assert sf.rotation_chain(graph).tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_interior_removal_reaches_all_nodes(self):
         # BFS must cross the (n,1) edge backwards; shifts still enumerate 0..n-1
         graph = sf.cycle_minus_edge(4, (2, 3))
-        assert sf.rotation_chain(graph) == (0, 1, 2, 3)
+        assert sf.rotation_chain(graph).tolist() == [0, 1, 2, 3]
 
     @given(st.integers(3, 12), st.integers(0, 11))
     @settings(max_examples=40, deadline=None)
@@ -134,10 +140,8 @@ class TestRotationChain:
         assert np.array_equal(mats[0], np.eye(2))
 
     def test_mixed_shifts_flagged(self):
-        two = sf.CyclicAutomorphism(4, 2)
-        one = sf.CyclicAutomorphism(4, 1)
-        g = sf.InteractionGraph(n=4, edges=((1, 2, two), (2, 3, one), (3, 4, one)))
-        assert sf.rotation_chain(g) == (0, 2, 3, 0)  # not the full C_4 orbit (0, 1, 2, 3)
+        g = graph(4, [(1, 2, 2), (2, 3, 1), (3, 4, 1)])
+        assert sf.rotation_chain(g).tolist() == [0, 2, 3, 0]  # not the full C_4 orbit (0, 1, 2, 3)
 
     def test_generic_chain_matches_shift_chain(self):
         # independent route: BFS matrix products vs exact shift arithmetic
@@ -167,9 +171,94 @@ class TestHelpers:
         original = sf.Rotation.__post_init__
         monkeypatch.setattr(sf.Rotation, "__post_init__", lambda r: built.append(r) or original(r))
         n = 20
-        one, three = sf.CyclicAutomorphism(n, 1), sf.CyclicAutomorphism(n, 3)
-        graph = sf.InteractionGraph(n=n, edges=tuple((i, i + 1, one if i % 2 else three) for i in range(1, n)))
-        wedges = sf.weighted_edges(graph)
+        g = graph(n, [(i, i + 1, 1 if i % 2 else 3) for i in range(1, n)])
+        wedges = sf.weighted_edges(g)
         assert len(built) == 2
-        for (_, _, w), (_, _, g) in zip(wedges, graph.edges):
-            assert np.array_equal(w, sf.rotation2(g.shift * 2 * math.pi / n).matrix)
+        for (_, _, w), shift in zip(wedges, g.shifts.tolist()):
+            assert np.array_equal(w, sf.rotation2(shift * 2 * math.pi / n).matrix)
+
+
+def bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestArrayBuild:
+    """The planar tree as arrays builds what the object walk built, bit for bit."""
+
+    @staticmethod
+    def check(n: int, edges: list[tuple[int, int, int]]) -> None:
+        lap = sf.build_laplacian(topology.planar_tree(n, edges))
+        ends, rotations, chain = object_walk(n, edges)
+        assert lap.ends.tolist() == ends.tolist()
+        assert bits(lap.rotations) == bits(rotations)
+        assert bits(lap.chain) == bits(chain)
+
+    @settings(max_examples=120, deadline=None)
+    @given(random_tree_cases(40))
+    def test_equals_object_walk(self, case):
+        n, cut, shifts, flips = case
+        g = random_tree(n, cut, shifts, flips)
+        self.check(n, [(u, v, k) for (u, v), k in zip(g.ends.tolist(), g.shifts.tolist())])
+
+    @pytest.mark.parametrize("n", [600, 4099])
+    def test_equals_object_walk_at_large_n(self, n):
+        rng = np.random.default_rng(n)
+        cut = int(rng.integers(1, n + 1))
+        kept = [e for e in sf.CycleGraph(n).edges if e[0] != cut]
+        flips, shifts = rng.random(n - 1) < 0.5, rng.integers(-n, 2 * n, n - 1).tolist()
+        self.check(n, [(v, u, k) if flip else (u, v, k) for (u, v), k, flip in zip(kept, shifts, flips)])
+
+    @pytest.mark.parametrize("removed", [(64, 1), (1, 2), (31, 32), (64, 63)])
+    def test_default_cut_equals_object_walk(self, removed):
+        g = sf.cycle_minus_edge(64, removed)
+        lap = sf.build_laplacian(g)
+        ends, rotations, chain = object_walk(64, [(u, v, 1) for u, v in g.ends.tolist()])
+        assert lap.ends.tolist() == ends.tolist()
+        assert bits(lap.rotations) == bits(rotations) and bits(lap.chain) == bits(chain)
+
+    def test_custom_edges_and_default_cut_build_the_same_arrays(self):
+        custom = cli.build_system(cli.parse_scenario({"n": 5, "tree": {"edges": [[1, 2, 1], [2, 3, 1],
+                                                                              [3, 4, 1], [4, 5, 1]]}}))
+        default = cli.build_system(cli.parse_scenario({"n": 5}))
+        for name in ("ends", "rotations", "chain"):
+            assert bits(getattr(custom, name)) == bits(getattr(default, name))
+
+    def test_custom_tree_one_rotation_per_distinct_shift(self, monkeypatch):
+        built = []
+        original = sf.Rotation.__post_init__
+        monkeypatch.setattr(sf.Rotation, "__post_init__", lambda r: built.append(r) or original(r))
+        cli.build_system(cli.parse_scenario({"n": 5, "tree": {"edges": [[1, 2, 1], [3, 2, 4], [3, 4, 6],
+                                                                         [4, 5, 1]]}}))
+        assert len(built) == 2  # shifts 1, 4, 1 and 1 mod 5
+
+
+class TestParsedEdges:
+    """``tree.edges`` are checked at parse time, each failure named as it always was."""
+
+    @pytest.mark.parametrize("edges, message", [
+        ([[0, 1, 1], [2, 3, 1], [3, 4, 1]], "tree: invalid edge (0, 1)"),
+        ([[1, 2, 1], [2, 3, 1], [4, 5, 1]], "tree: invalid edge (4, 5)"),
+        ([[1, 2, 1], [10 ** 30, 2, 1], [3, 4, 1]], "tree: invalid edge (1000000000000000000000000000000, 2)"),
+        ([[1, 2, 1], [3, 3, 1], [3, 4, 1]], "tree: invalid edge (3, 3)"),
+        ([[1, 2, 1], [1, 3, 1], [3, 4, 1]], "tree: edge (1, 3) is not an edge of C_4"),
+        ([[1, 2, 1], [3, 4, 1], [2, 1, 0]], "tree: duplicate edge (2, 1)"),
+        ([[1, 2, 1], [2, 3, 1], [3, 4, 1], [4, 1, 1]], "tree: not acyclic"),
+        ([[1, 2, 1], [2, 3, 1]], "tree: not connected"),
+        ([], "tree: not connected"),
+        ([[1, 2, 1], [2, 1, 1], [1, 3, 1], [5, 5, 1]], "tree: duplicate edge (2, 1)"),  # the first failure
+    ], ids=["out_of_range", "beyond_n", "beyond_int64", "self_loop", "not_cycle_edge", "duplicate",
+            "too_many", "too_few", "empty", "first_failure"])
+    def test_malformed_edges_named(self, edges, message):
+        with pytest.raises(cli.ScenarioError) as info:
+            cli.parse_scenario({"n": 4, "tree": {"edges": edges}})
+        assert str(info.value) == message
+
+    def test_huge_n_is_counted_not_walked(self):
+        with pytest.raises(cli.ScenarioError, match="^tree: not connected$"):
+            cli.parse_scenario({"n": 10 ** 30, "tree": {"edges": [[10 ** 30, 1, 3], [1, 2, 5]]}})
+
+    def test_shift_reduced_mod_n(self):
+        shifts = [-1, 9, 10 ** 30, -(10 ** 40) - 3]
+        edges = [[i, i + 1, k] for i, k in enumerate(shifts, start=1)]
+        g = cli.parse_scenario({"n": 5, "tree": {"edges": edges}}).tree_graph
+        assert g.shifts.tolist() == [sf.CyclicAutomorphism(5, k).shift for k in shifts] == [4, 4, 0, 2]
