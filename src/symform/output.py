@@ -14,12 +14,13 @@ from numpy.typing import NDArray
 from .dynamics import FIT_FLOOR, SimulationTrace
 from .maneuver import ManeuverTrace
 
-# Values per CSV block. A block's arrays peak near 200 bytes a value (its
-# slot matrix, digit groups and double-double temporaries), so 4096 values
-# keep them near 0.8 MB: few enough bytes that the heap holes they leave
-# add little to a run's peak RSS, and enough values that the kernel's fixed
+# Values per CSV block. A block's arrays peak near 90 bytes a value (the values
+# and their double-double temporaries, or the digit words and 32-byte slots), so
+# 8,192 values keep them near 0.75 MB: few enough bytes that the heap holes they
+# leave add little to a run's peak RSS, and enough values that the kernel's fixed
 # cost per block (about 100 numpy calls) stays small.
-_CSV_BLOCK_VALUES = 4096
+_CSV_BLOCK_VALUES = 8192
+_CENT_BLOCK_VALUES = 4096  # the SVG kernel's: svg_errors' tracemalloc bound (1.06 MB) sets it
 # The kernel's fast path takes |x| in [1e-280, 1e280). Its decimal exponents k,
 # moved by one or two, keep q = 16 - k inside the 10**q table, and no Veltkamp
 # split of |x| or of 10**q overflows.
@@ -34,12 +35,7 @@ _E16, _E17 = 10 ** 16, 10 ** 17
 _TIE_BAND = 1e-9
 # The SVG kernel's band: 100 v within this of a half-integer goes to `_fmt2`.
 _CENT_TIE_BAND = 1e-6
-# Byte slots per value, in six uint64 words: sign, "0.000" and the first digit;
-# digits 2-17, each with a slot for a point after it; "e+ddd" and the separator.
-# Unused slots hold 0 and are deleted from the block's bytes.
-_SLOTS = 48
-_GROUP = np.arange(4)  # the four-digit groups of digits 2-17
-_GROUP_OFFSET = 10 ** 4 * _GROUP[:, None]  # each group's rows in the `last` table
+_SLOT = 32  # bytes per value: four uint64 words, laid out as `_slots` says
 
 PALETTE = (
     "#1f6f8b", "#d1495b", "#66a182", "#edae49", "#8d5a97",
@@ -72,18 +68,18 @@ def trace_header(trace: SimulationTrace) -> str:
 
 def _split(x: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Veltkamp split: x = hi + lo, each half with at most 26 significant bits."""
-    c = _SPLITTER * x
-    hi = c - (c - x)
+    hi = _SPLITTER * x
+    hi -= hi - x
     return hi, x - hi
 
 
 class _Tables(NamedTuple):
     pow10: NDArray[np.float64]  # [:, q - _Q_MIN]: 10**q as hi, hi's Veltkamp halves, lo
-    head: NDArray[np.uint64]    # [X - _X_MIN]: slots 0-7, the "0.000" prefix of -4 <= X < 0
-    tail: NDArray[np.uint64]    # [X - _X_MIN]: slots 40-47, "e+ddd" outside -4 <= X <= 16, and ","
-    pairs: NDArray[np.uint64]   # [g]: the digits of f"{g:04d}", each before a free slot
-    keep: NDArray[np.uint64]    # [k]: the mask that keeps a group's first k digits
-    last: NDArray[np.int8]      # [10**4 j + g]: 4j + position (1-4) of g's last nonzero digit, or 0 for g = 0
+    head: NDArray[np.uint64]    # [X - _X_MIN]: word 0, the "0.000" prefix of -4 <= X < 0 in bytes 1-5
+    tail: NDArray[np.uint64]    # [X - _X_MIN]: word 3, "e+ddd" outside -4 <= X <= 16 in bytes 1-5, and ","
+    quads: NDArray[np.uint64]   # [g]: the four digits of f"{g:04d}" in bytes 0-3
+    keep: NDArray[np.uint64]    # [w, k]: the mask of word 1 + w that keeps the first k of digits 2-17
+    last: NDArray[np.int8]      # [j, g]: 4j + position (1-4) of g's last nonzero digit, or 0 for g = 0
 
 
 @functools.cache
@@ -103,113 +99,118 @@ def _kernel_tables() -> _Tables:
 
     def words(texts):
         return np.frombuffer(b"".join(t.encode().ljust(8, b"\0") for t in texts), np.uint64)
-
     exps = range(_X_MIN, 16 - _Q_MIN + 1)
     head = words("\0" + ("0." + "0" * (-1 - x) if -4 <= x < 0 else "") for x in exps)
-    tail = words(("" if -4 <= x <= 16 else f"e{x:+03d}").ljust(7, "\0") + "," for x in exps)
-    g = np.arange(10000)
-    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
-    pairs = np.zeros((g.size, 8), np.uint8)
-    pairs[:, 0::2] = digits + ord("0")
-    keep = np.zeros((5, 8), np.uint8)
-    for k in range(5):
-        keep[k, :2 * k] = 0xFF
-    last = np.where(g > 0, 4 - np.argmax(digits[:, ::-1] > 0, axis=1), 0)
-    last = np.where(last > 0, last + 4 * _GROUP[:, None], 0).astype(np.int8).ravel()
+    tail = words(("\0" + ("" if -4 <= x <= 16 else f"e{x:+03d}")).ljust(7, "\0") + "," for x in exps)
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)  # [:, g]: the four digits of g
+    quads = (digits.T + ord("0")).copy()
+    ends = 4 - np.argmax(digits[::-1] > 0, axis=0).astype(np.int8)  # g's last nonzero digit, for g > 0
+    last = (np.arange(0, 16, 4, dtype=np.int8)[:, None] + ends) * digits.any(axis=0)
+    keep = np.where(np.arange(16) < np.arange(17)[:, None], 0xFF, 0).astype(np.uint8).view(np.uint64)
     return _Tables(np.stack([hi, *_split(hi), lo]), head, tail,
-                   pairs.view(np.uint64).ravel(), keep.view(np.uint64).ravel(), last)
+                   quads.view(np.uint32).ravel().astype(np.uint64), keep.T.copy(), last)
 
 
-def _scaled(a, a_hi, a_lo, k, pow10) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
+def _scaled(a, a_hi, a_lo, k) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
     """Integer and fractional parts of y = a * 10**(16 - k), to about 1e-14.
 
     Dekker's two-product gives a * hi exactly as p + err (numpy has no fma);
-    a * lo adds the table's second part.
+    a * lo adds the table's second part; the terms are summed in place, in order.
     """
-    i = 16 - k - _Q_MIN
-    hi, h_hi, h_lo, lo = (part[i] for part in pow10)
-    p = a * hi
-    rest = (((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo) + a * lo
-    whole = np.floor(p)
-    frac = (p - whole) + rest
-    carry = np.floor(frac)
-    return whole.astype(np.int64) + carry.astype(np.int64), frac - carry
+    pow10 = _kernel_tables().pow10
+    i = np.subtract(16 - _Q_MIN, k, dtype=np.intp)
+    p, h_hi, h_lo = (part.take(i) for part in pow10[:3])
+    p *= a
+    rest = a_hi * h_hi - p
+    rest += a_hi * h_lo
+    rest += np.multiply(a_lo, h_hi, out=h_hi)
+    rest += np.multiply(a_lo, h_lo, out=h_lo)
+    rest += np.multiply(a, pow10[3].take(i, out=h_hi, mode="clip"), out=h_hi)  # "clip": no copy
+    del i, h_hi
+    whole = np.floor(p, out=h_lo)
+    p -= whole
+    p += rest
+    carry = np.floor(p, out=rest)
+    p -= carry
+    return whole.astype(np.int64) + carry.astype(np.int64), p
 
 
-def _decimal(v: NDArray[np.float64]) -> tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.bool_]]:
+def _decimal(v: NDArray[np.float64]) -> tuple[NDArray[np.int64], NDArray[np.int16], NDArray[np.bool_]]:
     """``%.17g``'s digits of each value: |v| = N * 10**(X - 16), N an int64 of
     17 digits (0 for zero), X the exponent of the leading digit. The third array
     marks the values whose N and X are exact; the others go to :func:`fmt`.
     """
     a = np.abs(v)
     fast = (a >= _FAST_LO) & (a < _FAST_HI)
-    a = np.where(fast, a, 1.0)
-    pow10 = _kernel_tables().pow10
+    np.copyto(a, 1.0, where=~fast)
     a_hi, a_lo = _split(a)
-    x = np.floor(np.log10(a)).astype(np.int64)
-    n, frac = _scaled(a, a_hi, a_lo, x, pow10)
+    x = np.floor(np.log10(a)).astype(np.int16)
+    n, frac = _scaled(a, a_hi, a_lo, x)
     # log10 can put x one off near a power of ten; the integer part shows it
     # (compared in int64: float64 cannot hold 10**16 - 1)
-    off = (n >= _E17).astype(np.int64) - (n < _E16)
-    redo = np.flatnonzero(off)
+    redo = np.flatnonzero((n >= _E17) | (n < _E16))
     if redo.size:
-        x[redo] += off[redo]
-        n[redo], frac[redo] = _scaled(a[redo], a_hi[redo], a_lo[redo], x[redo], pow10)
+        x[redo] += (n[redo] >= _E17).astype(np.int16) - (n[redo] < _E16)
+        n[redo], frac[redo] = _scaled(a[redo], a_hi[redo], a_lo[redo], x[redo])
     n += frac > 0.5
     up = n == _E17  # rounded up to the next power of ten
     n[up] = _E16
     x[up] += 1
     exact = fast & (np.abs(frac - 0.5) > _TIE_BAND) & (n >= _E16) & (n < _E17)
-    zero = v == 0
-    n[zero] = 0
-    x[zero] = 0
-    return n, x, exact | zero
-
-
-def _digit_groups(n: NDArray[np.int64]) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
-    """Each 17-digit n as its leading digit and a 4 x size array of 4-digit groups."""
-    # `//` and a multiply-subtract: numpy's int64 np.divmod takes about three times as long
-    high = n // 10 ** 8
-    low = n - high * 10 ** 8
-    first = high // 10 ** 8
-    high -= first * 10 ** 8
-    high_4, low_4 = high // 10 ** 4, low // 10 ** 4
-    return first, np.stack([high_4, high - high_4 * 10 ** 4, low_4, low - low_4 * 10 ** 4])
+    n[v == 0] = 0
+    return n, x, exact | (v == 0)
 
 
 def _slots(v: NDArray[np.float64], width: int) -> bytearray:
     """``width`` values per line, each as :func:`fmt` writes it, comma-separated,
-    in _SLOTS byte slots per value; empty slots hold 0.
+    in _SLOT bytes a value; unused bytes hold 0.
 
     ``%.17g`` layout: fixed notation for -4 <= X <= 16, else a mantissa and an
     exponent of at least two digits; trailing zeros and a bare point dropped;
-    -0.0 written as 0.
+    -0.0 written as 0. Word 0 holds the sign, "0.000", the first digit and a
+    point after it; words 1 and 2 digits 2-17, masked to the first max(last,
+    point); word 3 "e+ddd" and the separator. A point after digit p + 1 > 1
+    moves the digits from byte 8 + p on up a byte, the last into word 3.
     """
     n, x, exact = _decimal(v)
-    first, groups = _digit_groups(n)
     tab = _kernel_tables()
-    last = tab.last[groups + _GROUP_OFFSET].max(axis=0)  # the last nonzero digit, 0 to 16
-    fixed = (x >= -4) & (x <= 16)
-    point = np.where(fixed, x, 0)  # the digit the point follows (X < 0: in the prefix)
-    # digits kept per group: up to the last nonzero one and the point
-    kept = np.clip(np.maximum(last, point) - 4 * _GROUP[:, None], 0, 4)
-    digits = tab.pairs[groups]
-    digits &= tab.keep[kept]
-    slots = bytearray(v.size * _SLOTS)  # filled through a numpy view: no copy to delete from
-    out = np.frombuffer(slots, np.uint8).reshape(v.size, _SLOTS)
-    words = out.view(np.uint64)
-    words[:, 0] = tab.head[x - _X_MIN]
-    words[:, 1:5] = digits.T
-    words[:, 5] = tab.tail[x - _X_MIN]
-    out[:, 0] = np.where(v < 0, ord("-"), 0)
-    out[:, 6] = first + ord("0")
-    dotted = np.flatnonzero((last > point) & (point >= 0))
-    out[dotted, 7 + 2 * point[dotted]] = ord(".")
+    head, tail = (table.take(x - np.intp(_X_MIN)) for table in (tab.head, tab.tail))
+    # the first digit, then digits 2-9 and 10-17 as two four-digit groups each (`//`, not np.divmod: 3x slower)
+    high = n // 10 ** 8
+    n -= high * 10 ** 8
+    first = high // 10 ** 8
+    high -= first * 10 ** 8
+    head |= ((first + ord("0")) << 48).view(np.uint64)
+    last, digits = np.zeros(v.size, np.int8), []  # the last nonzero of digits 2-17 (0 to 16); words 1, 2
+    for j, eight in enumerate((high, n)):
+        four = eight // 10 ** 4
+        eight -= four * 10 ** 4
+        digits.append(tab.quads.take(four) | tab.quads.take(eight) << 32)
+        np.maximum.reduce([last, tab.last[2 * j].take(four), tab.last[2 * j + 1].take(eight)], out=last)
+    del first, high, n, four
+    point = np.where((x >= -4) & (x <= 16), x, 0)  # the digit the point follows (X < 0: in the prefix)
+    for word, keep in zip(digits, tab.keep):
+        word &= keep.take(np.maximum(last, point))
+    head |= (v < 0) * np.uint64(ord("-"))
+    dotted = last > point
+    head |= (dotted & (point == 0)) * np.uint64(ord(".") << 56)
+    inner = np.flatnonzero(dotted & (point > 0))
+    at, carry = point[inner], 0
+    for word, keep in zip(digits, tab.keep):
+        up = word[inner]
+        low = up & keep.take(at)  # the bytes before the point
+        up ^= low  # and those from it on, moved up a byte
+        word[inner] = low | (up << 8) | carry
+        carry = up >> 56
+    tail[inner] |= carry
+    del up, low, carry
+    slots = bytearray(v.size * _SLOT)  # filled through a numpy view: no copy to delete from
+    out = np.frombuffer(slots, np.uint8).reshape(v.size, _SLOT)
+    np.stack([head, *digits, tail], axis=1, out=out.view(np.uint64))
+    out[inner, 8 + at] = ord(".")  # in the byte the shift left empty
     out[width - 1::width, -1] = ord("\n")
     for i in np.flatnonzero(~exact):
-        text = fmt(v[i]).encode()
-        out[i, :-1] = 0
-        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+        out[i, :-1] = np.frombuffer(fmt(v[i]).encode().ljust(_SLOT - 1, b"\0"), np.uint8)
     return slots
 
 
@@ -217,11 +218,10 @@ def _csv_body(columns: list[NDArray[np.float64]], head: str, out: BinaryIO) -> N
     """Write ``head``, then CSV rows of :func:`fmt`-formatted values, one line per row, to ``out``.
 
     Each column is a 1-D array (one value per row) or a 2-D array (several
-    values per row); they are laid side by side. Rows are formatted a block
-    of about ``_CSV_BLOCK_VALUES`` values at a time: :func:`_slots` lays the
-    block out and its empty slots are deleted, so the bytes equal the
-    per-value :func:`fmt` join. Each block's bytes are written as soon as they
-    are formed: no part outlives its block.
+    values per row); they are laid side by side. Each block of about
+    ``_CSV_BLOCK_VALUES`` values is laid out by :func:`_slots`, its unused bytes
+    deleted and the rest written at once, so no part outlives its block and the
+    bytes equal the per-value :func:`fmt` join.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
     cols = [c[:, None] if c.ndim == 1 else c for c in cols]
@@ -405,7 +405,7 @@ def _cent_tables() -> _CentTables:
 def _cents(values: NDArray[np.float64], codes: NDArray[np.uint8]) -> str:
     """Each value as ``"%.2f"`` followed by its separator ``_SEPS[code]``, all in one text.
 
-    The values are formatted ``_CSV_BLOCK_VALUES`` at a time. A value v with
+    The values are formatted ``_CENT_BLOCK_VALUES`` at a time. A value v with
     0 <= 100 v < 999,999.5 takes an 8-byte slot: for N = floor(100 v + 1/2), the
     digits of N // 100 and the point from one table, the two decimals N % 100 from
     another, then its separator. The empty slots are deleted. A set sign bit
@@ -416,8 +416,8 @@ def _cents(values: NDArray[np.float64], codes: NDArray[np.uint8]) -> str:
     """
     tab = _cent_tables()
     text = io.BytesIO()
-    for lo in range(0, values.size, _CSV_BLOCK_VALUES):
-        v, code = values[lo:lo + _CSV_BLOCK_VALUES], codes[lo:lo + _CSV_BLOCK_VALUES]
+    for lo in range(0, values.size, _CENT_BLOCK_VALUES):
+        v, code = values[lo:lo + _CENT_BLOCK_VALUES], codes[lo:lo + _CENT_BLOCK_VALUES]
         scaled = 100.0 * v
         fast = (scaled < 999999.5) & ~np.signbit(v)  # False for NaN
         scaled = np.where(fast, scaled, 0.0)
@@ -459,7 +459,7 @@ def _polylines(px: NDArray[np.float64], py: NDArray[np.float64], keep: NDArray[n
 # An agent's path, start square and end dot, its four coordinates and color left open
 _AGENT = ('%s\n<rect x="%s" y="%s" width="6" height="6" fill="%s"/>\n'
           '<circle cx="%s" cy="%s" r="4" fill="%s"/>')
-_MARK_BLOCK = _CSV_BLOCK_VALUES // 4  # agents whose four coordinates fill one block of the kernel
+_MARK_BLOCK = _CENT_BLOCK_VALUES // 4  # agents whose four coordinates fill one block of the kernel
 
 
 def _agent_marks(lines: list[str], x0: NDArray[np.float64], y0: NDArray[np.float64],

@@ -46,6 +46,26 @@ def test_solver_costs(tmp_path):
         assert row["fastest"] == min(row["seconds"], key=row["seconds"].get) and row["rule"] in row["seconds"]
 
 
+def test_csv_costs(tmp_path):
+    # one repeat, with this checkout as its own baseline: both kernels get every stage of
+    # every trace, and the section is written beside the file's others
+    out = tmp_path / "BENCH_layers.json"
+    out.write_text('{"other": [1]}')
+    result = run_script("csv_costs.py", "--out", str(out), "--repeats", "1",
+                        "--baseline", str(ROOT / "src"), "--label", "same")
+    assert result.returncode == 0, result.stderr
+    data = json.loads(out.read_text())
+    assert data["other"] == [1]
+    kernels = data["csv_kernel"]["kernels"]
+    assert set(kernels) == {"checkout", "same"}
+    for kernel in kernels.values():
+        assert set(kernel["traces"]) == {"maneuver_c6", "flow_n16", "wide_n600"}
+        assert kernel["traces"]["wide_n600"]["row_values"] == 1801
+        for row in kernel["traces"].values():
+            assert set(row["ns_per_value"]) == {"decimal", "layout", "translate", "write"}
+        assert set(kernel["tracemalloc_peak_bytes"]) == {"table_build", "maneuver_c6", "flow_n16", "wide_n600"}
+
+
 def test_snapshot_outputs(tmp_path):
     result = run_script("snapshot_outputs.py", str(tmp_path))
     assert result.returncode == 0, result.stderr
