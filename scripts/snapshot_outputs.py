@@ -2,19 +2,21 @@
 """Write a byte-comparable snapshot of symform's outputs into OUT.
 
 Every command goes through ``symform.cli.main``: ``run`` of each bundled
-preset and of thirteen fixed scenarios (a planar n = 600 run; the same run
+preset and of fifteen fixed scenarios (a planar n = 600 run; the same run
 with the interior edge (300, 301) removed instead of (600, 1); a planar n = 600
 run of 1,200 steps, twice m = 600, which the path rule keeps on the stencil
 rather than the block path; a planar n = 300 run of 400 steps, which it sends
 down the block path, one step per product; a planar n = 600 maneuver with
 ω = 0 and two scale rates, whose real L - αI takes the stencil; a planar n = 16 run
 on the default grid, whose SVGs are the largest the benchmark's ``flow``
-workload writes, a planar maneuver of 20 runs of constant input, a planar
+workload writes, a planar maneuver of 20 runs of constant input, a planar n = 6
+run of one step and an n = 12 maneuver whose inputs switch at every step (20 runs
+of one step), the shortest segments a run forms, a planar
 n = 64 maneuver whose two runs of constant nonzero angular velocity (200 steps
 each) take the complex block path, a planar
 n = 300 maneuver whose runs of 300 and 600 steps apply its complex
 L - (α + iω)I by the path stencil, and a
-cube maneuver, all four maneuvers with negative scale rates; a cube whose cross
+cube maneuver, all five maneuvers with negative scale rates; a cube whose cross
 edge (2, 6) makes a tree that is not a path, so its spectrum comes from
 ``eigvalsh`` of L rather than the path formula; a cube whose top face runs
 4-3-2-1 and whose cross edge points from 5 to 1, so the composed route must
@@ -54,6 +56,7 @@ from symform import cli
 
 PRESETS = ("example2_c4", "example3_c6", "maneuver_c6", "cube")
 TIMES = [2.0 * k for k in range(20)]
+STEP_TIMES = [0.1 * k for k in range(20)]  # every step of a grid of dt = 0.1
 SCENARIOS = {
     "planar_n600": {"n": 600, "horizon": 5.0},
     "planar_n600_cut": {"n": 600, "horizon": 5.0, "tree": {"remove": [300, 301]}},
@@ -64,6 +67,7 @@ SCENARIOS = {
         "reference": {"velocity": [[0, [0.2, -0.1]]], "scale_rate": [[0, -0.01], [15, 0.004]]},
     },
     "planar_n16": {"n": 16},
+    "planar_n6_one_step": {"n": 6, "dt": 0.1, "horizon": 0.1},
     "maneuver_20_runs": {
         "n": 12, "dt": 0.02, "horizon": 45.0,
         "reference": {
@@ -71,6 +75,14 @@ SCENARIOS = {
             "velocity": [[t, [0.3 * (-1) ** k, 0.1 * k]] for k, t in enumerate(TIMES)],
             "angular_velocity": [[t, 0.05 * (k % 5) - 0.1] for k, t in enumerate(TIMES)],
             "scale_rate": [[t, 0.004 * (k % 3) - 0.006] for k, t in enumerate(TIMES)],
+        },
+    },
+    "maneuver_one_step_runs": {
+        "n": 12, "dt": 0.1, "horizon": 2.0,
+        "reference": {
+            "velocity": [[t, [0.3 * (-1) ** k, 0.1 * k]] for k, t in enumerate(STEP_TIMES)],
+            "angular_velocity": [[t, 0.05 * (k % 5) - 0.1] for k, t in enumerate(STEP_TIMES)],
+            "scale_rate": [[t, 0.004 * (k % 3) - 0.006] for k, t in enumerate(STEP_TIMES)],
         },
     },
     "maneuver_n64": {

@@ -2,16 +2,16 @@
 """Measure each RK4 segment path of ``dynamics.propagate_linear`` and fit its cost model.
 
 A segment is a step count of dc/dt = -G c with one m x m operator G: a dense
-array, or a planar tree's ``PathStencil``. It can take three paths:
+array, or a planar tree's ``PathStencil``. An array takes the block path, a
+stencil the cheaper of two:
 
 - ``block``: D = P - I of the dense G and its stack D_1 … D_B, B states per
   matrix product (``_rk4_increment`` and ``_power_steps``);
-- ``stage``: the RK4 stage loop with the dense G (``_stage_steps``);
-- ``stencil``: the same stage loop with the stencil's slices.
+- ``stencil``: the RK4 stage loop with the stencil's slices (``_stage_steps``).
 
 Over a grid of m, step counts and state columns (float64 on 1, 2 and 3
-columns, complex128 on 1) the script times every path on the path stencil of
-C_m cut at (m, 1) and on its dense G, the median of ``--repeats`` runs taken
+columns, complex128 on 1) the script times both paths on the path stencil of
+C_m cut at (m, 1), the median of ``--repeats`` runs taken
 in turn, on one BLAS thread. It fits the seconds of each work unit of
 ``dynamics._cost_terms`` by least squares on the relative error of the
 modelled times, rounds them to three significant digits, and picks each
@@ -24,7 +24,7 @@ equal. Usage, from the repository root:
 
     PYTHONPATH=src python scripts/solver_costs.py [--out BENCH_scaling.json] [--repeats 7]
 
-The full grid takes about five minutes on one core of a 2.0 GHz Xeon.
+The full grid of 480 cells takes about six minutes on one core of a 2.0 GHz Xeon.
 """
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ from symform.laplacian import PathStencil  # noqa: E402
 SIZES = (4, 8, 16, 24, 48, 96, 128, 192, 256, 320, 400, 512, 600, 800, 1200)
 COUNTS = (1, 4, 16, 64, 200, 400, 1000, 4000)
 KINDS = (("float64", 1), ("float64", 2), ("float64", 3), ("complex128", 1))
-MAX_STAGE_ENTRIES = 4e8  # a cell whose dense stage loop multiplies more real entries is left out
 MAX_BLOCK_CUBES = 2e9    # the block path of a cell whose D and stack take more multiply-adds is not timed
 DT = 0.1
 
@@ -66,11 +65,10 @@ def path_runs(g: PathStencil, count: int, columns: int, block: int) -> dict:
     m, parts = g.shape[0], g.dtype.itemsize // 8
     out = np.empty((count + 1, m * columns * parts))
     out[0] = np.random.default_rng(m + count + columns).uniform(-1.0, 1.0, out.shape[1])
-    dense = g.dense()
-    rows = dynamics._rows(out, dense)
-    runs = {"stage": lambda: dynamics._stage_steps(rows, 0, count, dense, DT),
-            "stencil": lambda: dynamics._stage_steps(rows, 0, count, g, DT)}
+    rows = dynamics._rows(out, g)
+    runs = {"stencil": lambda: dynamics._stage_steps(rows, 0, count, g, DT)}
     if (block + 2) * m ** 3 * parts * parts <= MAX_BLOCK_CUBES:
+        dense = g.dense()  # formed outside the timing: the model has no unit for it
         runs["block"] = lambda: dynamics._power_steps(rows, 0, count, dynamics._rk4_increment(dense, DT), block)
     return runs
 
@@ -79,11 +77,8 @@ def measure(repeats: int) -> list[dict]:
     """One row per cell: its m, steps, columns, dtype, B and the median seconds of each path."""
     table = []
     for dtype, columns in KINDS:
-        parts = np.dtype(dtype).itemsize // 8
         for m in SIZES:
             for count in COUNTS:
-                if count > 1 and count * m * m * columns * parts * parts > MAX_STAGE_ENTRIES:
-                    continue
                 block = dynamics.block_size(m, count)
                 runs = path_runs(stencil(m, dtype), count, columns, block)
                 times = {path: [] for path in runs}
@@ -142,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     section = {
         "what": "median seconds of one RK4 segment on each path of dynamics.propagate_linear, on the path "
-                "stencil of C_m cut at (m, 1) and its dense G; the fastest path, and the path that "
+                "stencil of C_m cut at (m, 1); the fastest path, and the path that "
                 "dynamics.segment_path picks with the fitted constants (SEGMENT_COST_S)",
         "command": "PYTHONPATH=src python scripts/solver_costs.py --repeats " + str(args.repeats),
         "machine": {"cpu": platform.processor() or platform.machine(), "nproc": os.cpu_count(),

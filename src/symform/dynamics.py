@@ -52,28 +52,28 @@ BUILD_DENSE_MATRICES = 5
 # verify peaks at 7.5 (7.8 as a process's first command).
 VERIFY_DENSE_MATRICES = 8
 POWER_STACK_CAP = 256  # most RK4 steps propagate_linear writes with one matrix product
-# One rule picks each segment's path (segment_path): the least modelled time of the block
-# path, the stage loop on the dense G and, for a PathStencil, the stage loop on its slices.
+# One rule picks each segment's path (segment_path): an array G takes the block path, a
+# PathStencil the one of least modelled time, the block path or the stage loop on its slices.
 # A path's modelled time sums its work units (_cost_terms) times the seconds of a unit
-# below. scripts/solver_costs.py measures each path over m = 4 … 1200, 1 … 4,000 steps,
+# below. scripts/solver_costs.py measures both paths over m = 4 … 1200, 1 … 4,000 steps,
 # float64 on 1 to 3 columns and complex128 on 1 (median of 7, one BLAS thread, 2-vCPU
 # 2.0 GHz Xeon), fits these constants to it and records the table, each path's time and
-# the rule's pick in BENCH_scaling.json ("solver_paths"); a test keeps the two equal. There
-# the rule picks the fastest path in 404 of 420 cells. The block path wins every segment of
-# at least m steps up to m = 128 and the stencil every segment past m = 400, while the dense
-# stage loop wins only segments of 1 to 16 steps at m <= 128, tens to hundreds of µs. On
-# 2 columns, 400 steps: m = 256 block 12.3 ms, stencil 29.0, dense stage 37.6; m = 320 block
-# 18.2, stencil 30.7; m = 400 stencil 33.2, block 30.5 (the rule takes the stencil); m = 600
-# stencil 35.5, block 94.7. The rule's worst pick, 2.1 times the fastest, is a real G on one
-# column at m = 400, a shape no run forms.
+# the rule's pick in BENCH_scaling.json ("solver_paths"); a test keeps the two equal. The
+# recorded table holds 420 of the 480 cells, leaving out those of more than one step and
+# 4e8 real multiply-adds of G y. There the rule picks the fastest path in 406 cells. The
+# block path wins every segment of at least m steps up to m = 128, the stencil every
+# segment past m = 400 and every segment of one step from m = 48. On 2 columns, 400 steps:
+# m = 256 block 12.3 ms, stencil 29.0; m = 320 block 18.2, stencil 30.7, and m = 400 block
+# 30.5, stencil 33.2 (the rule takes the stencil at both); m = 600 stencil 35.5, block 94.7.
+# The rule's worst pick, 2.1 times the fastest, is a real G on one column at m = 400, a
+# shape no run forms.
 SEGMENT_COST_S = {
-    "stage_step": 1.93e-05,     # a stage-loop step with a dense G, its products aside
     "stencil_step": 3.22e-05,   # a stage-loop step with a PathStencil, its values aside
     "stencil_value": 3.56e-08,  # a float64 value of a state row, in a stencil stage-loop step
-    "entry": 1.7e-10,           # a real multiply-add of G y: 4 a stage-loop step, 1 a block step
-    "block": 1.71e-05,          # the fixed calls of a block segment
-    "cube": 5.17e-11,           # a real multiply-add of the m x m products forming D and its stack
-    "product": 6.64e-06,        # one matrix product of the block path
+    "entry": 1.83e-10,          # a real multiply-add of G y in a block step
+    "block": 1.74e-05,          # the fixed calls of a block segment
+    "cube": 5.1e-11,            # a real multiply-add of the m x m products forming D and its stack
+    "product": 6.5e-06,         # one matrix product of the block path
 }
 
 
@@ -242,9 +242,9 @@ def _power_steps(out: NDArray, k: int, count: int, d: NDArray, block: int) -> No
         out[k + 1] = out[k] + stack[:m] @ out[k]
 
 
-def _stage_steps(out: NDArray, k: int, count: int, g: NDArray | PathStencil, dt: float) -> None:
-    """Write rows k+1 … k+count of ``out`` by RK4 stages on the field -G y, G y = ``g @ y``,
-    in the operation order of :func:`rk4_step`."""
+def _stage_steps(out: NDArray, k: int, count: int, g: PathStencil, dt: float) -> None:
+    """Write rows k+1 … k+count of ``out`` by RK4 stages on the field -G y, G y = ``g @ y``
+    by the stencil's slices, in the operation order of :func:`rk4_step`."""
     half, sixth = dt / 2, dt / 6
     x = out[k]
     for row in range(k + 1, k + count + 1):
@@ -258,8 +258,8 @@ def _stage_steps(out: NDArray, k: int, count: int, g: NDArray | PathStencil, dt:
 
 class SegmentPath(NamedTuple):
     """The path :func:`propagate_linear` takes for one segment of ``steps`` RK4 steps:
-    ``"block"`` with ``block`` = B steps per matrix product, or the stage loop on the
-    dense G (``"stage"``) or on a PathStencil's slices (``"stencil"``), ``block`` 0."""
+    ``"block"`` with ``block`` = B steps per matrix product, or, for a PathStencil, the
+    stage loop on its slices (``"stencil"``), ``block`` 0."""
 
     path: str
     block: int
@@ -279,8 +279,7 @@ def _cost_terms(m: int, count: int, columns: int, dtype: np.dtype, stencil: bool
     entries = count * m * m * columns * parts * parts
     block = block_size(m, count)
     terms = {"block": {"block": 1, "cube": (block + 2) * m ** 3 * parts * parts,
-                       "product": count // block + count % block, "entry": entries},
-             "stage": {"stage_step": count, "entry": 4 * entries}}
+                       "product": count // block + count % block, "entry": entries}}
     if stencil:
         terms["stencil"] = {"stencil_step": count, "stencil_value": count * m * columns * parts}
     return terms
@@ -329,21 +328,19 @@ def propagate_linear(
     its degrees, cut edge and shift), and acts on the state as :func:`_rows`
     says: on the (m, -1) rows of the state, or of its complex128 view when G
     is complex. On a segment RK4 is exactly c_{k+1} = P c_k with
-    P = I + H + H²/2 + H³/6 + H⁴/24, H = -dt G. Each segment takes the path
-    of :func:`segment_path`, the least modelled cost for its G's kind, m,
-    dtype, step count and columns; a stencil forms its dense G for the first
-    two paths.
+    P = I + H + H²/2 + H³/6 + H⁴/24, H = -dt G. An array G takes the block
+    path; a stencil takes the path of :func:`segment_path`, the least
+    modelled cost for its m, dtype, step count and columns, and forms its
+    dense G only for the block path.
 
     - ``block``: it forms D = P - I once, stacks D_j = P^j - I for
       j = 1 … B with B = :func:`block_size`, and writes B states per matrix
       product, the leftover steps one product each. It agrees with
       :func:`rk4_step` on -(G @ y) to a few units of rounding.
-    - ``stage``: the stage loop, in the operation order of :func:`rk4_step` on
-      the field -G y with G y = ``g @ y`` for the dense G, which it
-      reproduces bitwise.
-    - ``stencil``: the same stage loop with G y summed over the stencil's
-      nonzero entries by slices, O(m) a stage; it agrees with the dense
-      product only to rounding.
+    - ``stencil``: the stage loop, in the operation order of :func:`rk4_step`
+      on the field -G y with G y summed over the stencil's nonzero entries by
+      slices, O(m) a stage; it reproduces :func:`rk4_step` on
+      -(stencil @ y) bitwise, and the dense product only to rounding.
 
     Overflow is left to the caller's ``np.errstate``; it shows as
     non-finite states.
@@ -358,7 +355,7 @@ def propagate_linear(
         if path.path == "block":
             _power_steps(rows, k, count, _rk4_increment(_dense(g), dt), path.block)
         else:
-            _stage_steps(rows, k, count, g if path.path == "stencil" else _dense(g), dt)
+            _stage_steps(rows, k, count, g, dt)
         k += count
         del g  # released before the next run's G is formed
     if k != steps:

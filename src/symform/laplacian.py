@@ -47,8 +47,8 @@ class SymmetryLaplacian:
     cut cycle. ``scalar``, L as a dense array, is read by the cube's runs
     (its trees are not cut cycles), and by :meth:`numeric_spectrum` for
     ``sweep`` and for the ``verify`` or run of a tree that is not a path; a
-    planar segment that takes the block or dense stage path forms its dense
-    G from the stencil instead.
+    planar segment that takes the block path forms its dense G from the
+    stencil instead.
 
     The dense dn x dn arrays are built on first read, for ``verify``, ``sweep``
     and the tests, each by one scatter of its blocks. ``matrix`` is Q: degree·I

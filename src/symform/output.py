@@ -12,6 +12,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .dynamics import FIT_FLOOR, SimulationTrace
+from .laplacian import NumericFailure
 from .maneuver import ManeuverTrace
 
 # Values per CSV block. A block's arrays peak near 90 bytes a value (the values
@@ -293,11 +294,17 @@ _CELL_PX = 0.35
 _TICK_STEPS = 5  # most tick steps across an axis
 
 
-def _scale(lo: float, hi: float) -> tuple[float, float]:
+def _scale(lo: float, hi: float, axis: str = "axis") -> tuple[float, float]:
+    """The data range [lo, hi] of ``axis`` widened by its margins. Raises NumericFailure,
+    naming ``axis`` and [lo, hi], when the widened span exceeds the float range, so
+    that no pixel can be mapped."""
     if hi - lo < 1e-30:
         pad = max(abs(hi), 1.0) * 0.05 + 1e-12
-        return lo - pad, hi + pad
-    pad = (hi - lo) * 0.07
+    else:
+        pad = (hi - lo) * 0.07
+    if not math.isfinite((hi + pad) - (lo - pad)):
+        raise NumericFailure(f"plot: the {axis} spans {lo:g} to {hi:g}, which with its margins "
+                             "is wider than the float range")
     return lo - pad, hi + pad
 
 
@@ -510,8 +517,8 @@ def svg_paths(trace: SimulationTrace, title: str = "agent paths") -> str:
     has_ref = isinstance(trace, ManeuverTrace)
     if has_ref:  # the reference path is series 0, the agents follow it
         proj = np.concatenate([_project(trace.ref_positions, 1, trace.dim), proj], axis=1)
-    xlo, xhi = _scale(float(proj[..., 0].min()), float(proj[..., 0].max()))
-    ylo, yhi = _scale(float(proj[..., 1].min()), float(proj[..., 1].max()))
+    xlo, xhi = _scale(float(proj[..., 0].min()), float(proj[..., 0].max()), f"x axis of {title!r}")
+    ylo, yhi = _scale(float(proj[..., 1].min()), float(proj[..., 1].max()), f"y axis of {title!r}")
     parts, sx, sy = _frame(title, "x", "y", xlo, xhi, ylo, yhi)
     px, py = sx(proj[..., 0]), sy(proj[..., 1])
     del proj  # the pixel arrays hold all the plot needs

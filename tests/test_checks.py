@@ -147,8 +147,8 @@ class TestVerificationChecks:
 
     @pytest.mark.parametrize("spec", [{"n": 600}, {"formation": "cube"}], ids=["planar_n600", "cube"])
     def test_solver_cross_check_integrates_the_run_operator(self, spec, monkeypatch):
-        # verify's RK4 side is a run's integrator: at n = 600 a planar tree hands the
-        # stage loop its path stencil, the cube its 8 x 8 L
+        # verify's RK4 side is a run's integrator: at n = 600 a planar tree hands
+        # propagate_linear its path stencil, the cube its 8 x 8 L
         segments = []
         propagate = dynamics.propagate_linear
 

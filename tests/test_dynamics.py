@@ -165,21 +165,25 @@ def take_path(monkeypatch, path: str) -> None:
 
 class TestPropagateLinear:
     def test_matches_rk4_step_bitwise(self, path_system, monkeypatch):
-        # on the stage loop, selected here (the rule sends segments this short at m = 10 down
-        # the block path), each segment must reproduce rk4_step on -(G @ y), step for step
-        _, lap, _ = path_system(5)
-        rng = np.random.default_rng(31)
-        c0 = rng.uniform(-2, 2, 10)
-        g2 = lap.matrix + 0.3 * np.kron(np.eye(5), sf.omega_matrix(1.0, 2))
+        # on the stencil path, selected here (the rule sends segments this short at n = 5 down
+        # the block path), each segment of a real and a complex stencil must reproduce rk4_step
+        # on -(stencil @ y), on the rows the stencil acts on, step for step
+        take_path(monkeypatch, "stencil")
         dt = 0.05
-        take_path(monkeypatch, "stage")
-        states = sf.propagate_linear(c0, iter([(lap.matrix, 7), (g2, 5)]), dt, 12)
-        assert states.shape == (13, 10)
-        assert np.array_equal(states[0], c0)
-        y = c0
-        for k, g in enumerate([lap.matrix] * 7 + [g2] * 5):
-            y = dynamics.rk4_step(lambda t, x, g=g: -(g @ x), k * dt, y, dt)
-            assert np.array_equal(states[k + 1], y)
+        for n in (5, 300):
+            _, lap, _ = path_system(n)
+            c0 = np.random.default_rng(31).uniform(-2, 2, 2 * n)
+            segments = [(lap.shifted(0.0), 7), (lap.shifted(0.05 + 0.3j), 5)]
+            states = sf.propagate_linear(c0, iter(segments), dt, 12)
+            assert states.shape == (13, 2 * n)
+            assert np.array_equal(states[0], c0)
+            y, k = c0, 0
+            for g, count in segments:
+                for _ in range(count):
+                    x = dynamics._rows(y[None], g)[0]  # (n, 2) rows, or the n points x + iy
+                    y = dynamics.rk4_step(lambda t, x, g=g: -(g @ x), k * dt, x, dt).view(float).ravel()
+                    k += 1
+                    assert states[k].tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("formation", ["planar", "cube"])
     def test_block_path_matches_rk4_step(self, path_system, formation):
@@ -200,7 +204,7 @@ class TestPropagateLinear:
 
     def test_block_size_follows_count_and_dim(self, path_system, monkeypatch):
         # blocks of min(256, count // dim) steps, at least 1: the 19 steps of a 10 x 10 G take
-        # the block path one step per product, at a cost the stage loop does not match
+        # the block path one step per product
         _, lap, _ = path_system(5)
         g2 = lap.matrix + 0.3 * np.kron(np.eye(5), sf.omega_matrix(1.0, 2))
         g3 = lap.matrix + 0.05 * np.eye(10)
@@ -237,48 +241,44 @@ class TestPropagateLinear:
 
     def assert_matches_dense_stages(self, g, c0, steps, states, tol):
         """Each row of ``states`` against rk4_step on -(G @ y), on the rows G acts on, with
-        G dense: within ``tol`` of the largest state, bit for bit when ``tol`` is 0."""
+        G dense: within ``tol`` of the largest state."""
         if isinstance(g, sf.laplacian.PathStencil):
             g = g.dense()
         y = c0.view(g.dtype)  # x + iy points for a complex G
         for k in range(steps):
             y = dynamics.rk4_step(lambda t, x: -(g @ x), k * 0.05, y, 0.05)
-            row = y.view(float).ravel()
-            if tol:
-                assert np.abs(states[k + 1] - row).max() <= tol * np.abs(states).max()
-            else:
-                assert states[k + 1].tobytes() == row.tobytes()
+            assert np.abs(states[k + 1] - y.view(float).ravel()).max() <= tol * np.abs(states).max()
 
     @pytest.mark.parametrize("operator", ["scalar_on_rows", "matrix_on_one_column", "complex_on_points",
                                           "stencil_on_rows", "complex_stencil_on_points"])
     def test_nonzero_stage_loop_matches_dense(self, path_system, operator):
-        # 12 steps of a G this size take the stage loop: it applies an array G densely and
-        # reproduces the dense stage loop (rk4_step on -(G @ y), on the same rows) bitwise; it
-        # sums a path stencil's G y over its nonzero entries, which matches the dense loop to rounding
+        # 12 steps of a G this size: the rule keeps a stencil on its stage loop, which sums G y
+        # over the stencil's nonzero entries, and sends an array G down the block path. Both
+        # match the dense stages (rk4_step on -(G @ y), on the same rows) to rounding
         g, columns = self.crossover_operator(path_system, operator)
         c0 = np.random.default_rng(35).uniform(-2, 2, (g.shape[0], columns * g.dtype.itemsize // 8))
         stencil = "stencil" in operator
-        assert dynamics.segment_path(g, 12, c0.size).path == ("stencil" if stencil else "stage")
+        assert dynamics.segment_path(g, 12, c0.size).path == ("stencil" if stencil else "block")
         states = sf.propagate_linear(c0, [(g, 12)], 0.05, 12)
-        self.assert_matches_dense_stages(g, c0, 12, states, 1e-14 if stencil else 0.0)
+        self.assert_matches_dense_stages(g, c0, 12, states, 1e-14 if stencil else 1e-12)
 
     @pytest.mark.parametrize("operator", ["scalar_on_rows", "matrix_on_one_column", "complex_on_points",
                                           "stencil_on_rows", "complex_stencil_on_points"])
     def test_long_segment_past_the_crossover_takes_the_stage_loop(self, path_system, operator, monkeypatch):
-        # 2m steps make a block of 2, yet the rule keeps a stencil of this size on the stage
-        # loop: O(m) a stage against a B·m³ stack. An array G of this size takes the block
-        # path; its stage loop, selected here, still reproduces the dense stages bitwise
+        # 2m steps make a block of 2, yet the rule keeps a stencil of this size on its stage
+        # loop: O(m) a stage against a B·m³ stack. An array G of this size takes the block path
         g, columns = self.crossover_operator(path_system, operator)
         steps = 2 * g.shape[0]
         c0 = np.random.default_rng(36).uniform(-2, 2, (g.shape[0], columns * g.dtype.itemsize // 8))
         stencil = "stencil" in operator
-        assert dynamics.segment_path(g, steps, c0.size).path == ("stencil" if stencil else "block")
-        if not stencil:
-            take_path(monkeypatch, "stage")
-        monkeypatch.setattr(sf.dynamics, "_power_steps", lambda *args: pytest.fail("block path taken"))
+        assert dynamics.segment_path(g, steps, c0.size) == (
+            ("stencil", 0, steps) if stencil else ("block", dynamics.block_size(g.shape[0], steps), steps))
+        if stencil:
+            monkeypatch.setattr(sf.dynamics, "_power_steps", lambda *args: pytest.fail("block path taken"))
         states = sf.propagate_linear(c0, [(g, steps)], 0.05, steps)
-        # measured for a stencil: within 1.7e-16 of the largest state for a real G, 5.6e-16 for the complex one
-        self.assert_matches_dense_stages(g, c0, steps, states, 1e-14 if stencil else 0.0)
+        # measured: within 1.7e-16 of the largest state for a real stencil, 5.6e-16 for the
+        # complex one, 2.7e-15 on the block path
+        self.assert_matches_dense_stages(g, c0, steps, states, 1e-14 if stencil else 1e-12)
 
     @pytest.mark.parametrize("width, g", [(6, np.eye(4)), (6, np.eye(2, dtype=complex)),
                                           (5, np.eye(2, dtype=complex))],
@@ -315,8 +315,8 @@ class TestSegmentPath:
     ], ids=["wide_n600", "flow_n16", "planar_n300_400_steps", "maneuver_c6", "cube_maneuver"])
     def test_run_segments_take_the_cheapest_path(self, scenario, dt, segments):
         # the benchmark's run segments: the n = 600 run of 40 steps on the stencil, the long runs
-        # on the block path with B = min(256, steps // m) as before, and 400 steps at m = 300 on
-        # 2 columns on the block path, where the dense stage loop ran before the rule
+        # on the block path with B = min(256, steps // m), and 400 steps at m = 300 on
+        # 2 columns on the block path
         scn = cli.load_scenario(scenario) if isinstance(scenario, str) else cli.parse_scenario(scenario)
         if dt is not None:
             scn.dt = dt
@@ -352,13 +352,14 @@ class TestSegmentPath:
         assert metrics["solver"]["spectrum"] == "eigvalsh of L"
 
     @pytest.mark.parametrize("m, count, columns, dtype, stencil, path", [
-        (6, 1, 2, float, True, "stage"), (8, 1, 3, float, False, "stage"), (6, 3, 2, float, True, "block"),
+        (6, 1, 2, float, True, "block"), (8, 1, 3, float, False, "block"), (6, 3, 2, float, True, "block"),
         (128, 200, 2, float, True, "block"), (256, 400, 2, float, True, "block"), (400, 400, 2, float, True, "stencil"),
         (600, 40, 2, float, True, "stencil"), (600, 1200, 2, float, True, "stencil"),
         (300, 300, 1, complex, True, "stencil"), (64, 200, 1, complex, True, "block"),
     ])
     def test_rule_picks_the_cheapest_modelled_path(self, m, count, columns, dtype, stencil, path):
-        # the rule reads only G's kind, m, dtype, the step count and the columns
+        # the rule reads only G's kind, m, dtype, the step count and the columns; an array G
+        # has only the block path
         degrees = np.full(m, 2)
         degrees[[0, m - 1]] = 1
         g = sf.laplacian.PathStencil(degrees, m - 1, 0.5j if dtype is complex else 0.0)
@@ -461,9 +462,11 @@ class TestIntegrate:
         assert t == trace.times[-1]
         assert state.tobytes() == trace.final_state.tobytes()
 
-    def test_final_state_rejects_an_overflow(self, path_system):
-        # one stage-loop step from points near the largest float: 2·deg·x overflows in G y
+    def test_final_state_rejects_an_overflow(self, path_system, monkeypatch):
+        # one stencil step, selected here, from points near the largest float: 2·deg·x
+        # overflows in G y
         _, lap, _ = path_system(4)
+        take_path(monkeypatch, "stencil")
         p0 = np.full(8, 1.5e308) * np.array([1, 1, -1, -1] * 2)
         with pytest.raises(sf.NumericFailure, match=r"^integrate: final_state is not finite from step 1 \(t = 0.1\)"):
             dynamics.final_state(lap, p0, dt=0.1, horizon=0.1)

@@ -475,9 +475,9 @@ class TestSimulateManeuver:
     @example(case=(256, 100, [(7 * k) % 256 for k in range(255)], [k % 3 == 0 for k in range(255)]),
              omega=0.3, alpha=-0.05, seed=37)
     def test_gauge_run_matches_dense_world_run(self, case, omega, alpha, seed):
-        # n steps take the stage loop, 3n the block path, except for the 256-point tree, whose
-        # complex G takes the stage loop through its nonzero entries both times; each against
-        # rk4_step on the world-frame field -(Q - I⊗Ω - αI) c with the dense Q
+        # n and 3n steps take the block path, except for the 256-point tree, whose complex G
+        # takes the stencil both times; each against rk4_step on the world-frame field
+        # -(Q - I⊗Ω - αI) c with the dense Q
         n = case[0]
         lap = sf.build_laplacian(random_tree(*case))
         p0 = np.random.default_rng(seed).uniform(-2, 2, 2 * n)

@@ -150,6 +150,16 @@ class TestSvg:
             assert '>abc: plot</text>' in plain
             assert plot(trace, title="a<b&c: plot") == plain.replace(">abc:", ">a&lt;b&amp;c:")
 
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-8e307, 8e307), (1.75e308, 1.75e308),
+                                        (-1.75e308, -1.75e308)], ids=["wide", "margins", "flat_top", "flat_bottom"])
+    def test_axis_wider_than_the_float_range_is_refused(self, lo, hi):
+        # the span, or the margins added to it, exceed the largest float: no pixel can be mapped
+        with pytest.raises(sf.NumericFailure) as failure:
+            output._scale(lo, hi, "x axis of 'p'")
+        assert str(failure.value) == (f"plot: the x axis of 'p' spans {lo:g} to {hi:g}, "
+                                      "which with its margins is wider than the float range")
+        assert np.isfinite(np.subtract(*output._scale(lo / 2, hi / 2)))
+
     def test_zero_error_trace_plots(self):
         # a run started on target: every error is identically zero
         graph = sf.cycle_minus_edge(4, (4, 1))
@@ -730,6 +740,22 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_plot_wider_than_the_float_range(self, tmp_path, capsys):
+        # every state is finite, but the agents travel from x = 1e308 to -1e308: the paths
+        # plot cannot span that, so the run exits 3 naming the plot and axis, and leaves no run
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "name": "far", "n": 3, "dt": 0.1, "horizon": 20,
+            "initial": {"points": [[1e308, 0], [1e308, 0], [1e308, 0]]},
+            "reference": {"start": {"position": [1e308, 0]}, "velocity": [[0, [-1e307, 0]]]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: plot: the x axis of 'far: agent paths' spans -1e+308 to 1e+308, "
+            "which with its margins is wider than the float range\n")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_overflow_inside_a_block(self, tmp_path, capsys):
         # the frame grows by e^(100 t) from scale 1e-300, so the reference stays finite while

@@ -42,7 +42,7 @@ def test_solver_costs(tmp_path):
     assert set(section["fitted_seconds_per_unit"]) == set(dynamics.SEGMENT_COST_S)
     assert len(section["table"]) == section["summary"]["cells"] == 16
     for row in section["table"]:
-        assert set(row["seconds"]) == {"block", "stage", "stencil"}
+        assert set(row["seconds"]) == {"block", "stencil"}
         assert row["fastest"] == min(row["seconds"], key=row["seconds"].get) and row["rule"] in row["seconds"]
 
 
@@ -72,11 +72,12 @@ def test_snapshot_outputs(tmp_path):
     runs = tmp_path / "runs"
     assert sorted(p.name for p in runs.iterdir()) == [
         "cube", "cube_cross_edge", "cube_maneuver", "cube_reordered", "example2_c4", "example3_c6",
-        "maneuver_20_runs", "maneuver_c6", "maneuver_n300", "maneuver_n600_scale", "maneuver_n64", "planar_n16",
-        "planar_n300_400", "planar_n600", "planar_n600_cut", "planar_n600_long", "planar_tree_n9"]
+        "maneuver_20_runs", "maneuver_c6", "maneuver_n300", "maneuver_n600_scale", "maneuver_n64",
+        "maneuver_one_step_runs", "planar_n16", "planar_n300_400", "planar_n600", "planar_n600_cut",
+        "planar_n600_long", "planar_n6_one_step", "planar_tree_n9"]
     assert all("runtime_seconds" not in p.read_text() for p in runs.glob("*/metrics.json"))
     log = (tmp_path / "log.txt").read_text()
-    assert log.count("\nexit 0\n") == 27 and str(tmp_path) not in log
+    assert log.count("\nexit 0\n") == 29 and str(tmp_path) not in log
     assert log.count("\nexit 3\n") == 3
     assert "$ symform verify OUT/scenarios/verify_n256.json\nexit 0\n" in log
     assert "$ symform verify OUT/scenarios/verify_n600.json\nexit 0\n" in log
