@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Measure each RK4 segment path of ``dynamics.propagate_linear`` and fit its cost model.
+"""Measure each RK4 segment path of ``dynamics.propagate_linear`` and fit its rule's constant.
 
 A segment is a step count of dc/dt = -G c with one m x m operator G: a dense
 array, or a planar tree's ``PathStencil``. An array takes the block path, a
-stencil the cheaper of two:
+stencil one of two:
 
 - ``block``: D = P - I of the dense G and its stack D_1 … D_B, B states per
   matrix product (``_rk4_increment`` and ``_power_steps``);
@@ -11,16 +11,14 @@ stencil the cheaper of two:
 
 Over a grid of m, step counts and state columns (float64 on 1, 2 and 3
 columns, complex128 on 1) the script times both paths on the path stencil of
-C_m cut at (m, 1), the median of ``--repeats`` runs taken
-in turn, on one BLAS thread. It fits the seconds of each work unit of
-``dynamics._cost_terms`` by least squares on the relative error of the
-modelled times, rounds them to three significant digits, and picks each
-cell's path with ``dynamics.segment_path`` under those constants. The table
-(each path's seconds, the fastest path, the rule's pick), the fitted
-constants and a summary go into the ``solver_paths`` section of
-BENCH_scaling.json; other sections of that file are kept. ``SEGMENT_COST_S``
-in ``dynamics.py`` holds the constants of that file, and a test keeps the two
-equal. Usage, from the repository root:
+C_m cut at (m, 1), the median of ``--repeats`` runs taken in turn, on one BLAS
+thread. It fits K = ``dynamics.STENCIL_STEP_MULADDS``, the one constant of
+``dynamics.segment_path`` (the comment over it states the rule): the middle, on
+a log scale and to three significant digits, of the widest interval of K that
+picks the fastest path in the most cells. The table (each path's seconds, the
+fastest path, the rule's pick), K and a summary go into the ``solver_paths``
+section of BENCH_scaling.json, its other sections kept; a test keeps K equal to
+the fit of the recorded table. Usage, from the repository root:
 
     PYTHONPATH=src python scripts/solver_costs.py [--out BENCH_scaling.json] [--repeats 7]
 
@@ -35,6 +33,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
@@ -60,6 +59,12 @@ def stencil(m: int, dtype: str) -> PathStencil:
     return PathStencil(degrees, m - 1, 0.05 + 0.3j if dtype == "complex128" else 0.0)
 
 
+def rule(row: dict) -> str:
+    """The path that ``dynamics.segment_path`` picks for a table row's segment."""
+    m, parts = row["m"], np.dtype(row["dtype"]).itemsize // 8
+    return dynamics.segment_path(stencil(m, row["dtype"]), row["steps"], m * row["columns"] * parts).path
+
+
 def path_runs(g: PathStencil, count: int, columns: int, block: int) -> dict:
     """A callable per path that writes the segment's rows, the block path only when timed."""
     m, parts = g.shape[0], g.dtype.itemsize // 8
@@ -68,7 +73,7 @@ def path_runs(g: PathStencil, count: int, columns: int, block: int) -> dict:
     rows = dynamics._rows(out, g)
     runs = {"stencil": lambda: dynamics._stage_steps(rows, 0, count, g, DT)}
     if (block + 2) * m ** 3 * parts * parts <= MAX_BLOCK_CUBES:
-        dense = g.dense()  # formed outside the timing: the model has no unit for it
+        dense = g.dense()  # formed outside the timing: the rule has no term for it
         runs["block"] = lambda: dynamics._power_steps(rows, 0, count, dynamics._rk4_increment(dense, DT), block)
     return runs
 
@@ -95,26 +100,20 @@ def measure(repeats: int) -> list[dict]:
     return table
 
 
-def fit(table: list[dict]) -> dict[str, float]:
-    """The seconds of each work unit, nonnegative and to three significant digits, that
-    minimise the summed squared relative error of every modelled path time (least squares,
-    a unit that fits negative set to 0 and the rest fitted again)."""
-    units = list(dynamics.SEGMENT_COST_S)
-    x, t = [], []
-    for row in table:
-        terms = dynamics._cost_terms(row["m"], row["steps"], row["columns"], np.dtype(row["dtype"]), True)
-        for path, units_of_path in terms.items():
-            if path in row["seconds"]:
-                x.append([units_of_path.get(unit, 0) for unit in units])
-                t.append(row["seconds"][path])
-    x, t = np.array(x, dtype=float) / np.array(t)[:, None], np.ones(len(t))
-    keep = np.ones(len(units), dtype=bool)
-    while True:
-        coef = np.zeros(len(units))
-        coef[keep] = np.linalg.lstsq(x[:, keep], t, rcond=None)[0]
-        if (coef >= 0).all():
-            return {unit: float(f"{c:.3g}") for unit, c in zip(units, coef)}
-        keep[np.argmin(coef)] = False
+def fit(table: list[dict]) -> float:
+    """K, to three significant digits: the middle, on a log scale, of the widest interval
+    between two cells' thresholds (``dynamics._block_muladds`` per step: a cell takes the
+    stencil for K below its own) in which the rule picks each row's ``fastest`` path in the
+    most cells. The intervals past the extreme thresholds reach a factor of 4 beyond them,
+    so a table whose cells all prefer one path gets a K that picks it."""
+    cells = [(dynamics._block_muladds(row["m"], row["steps"], row["columns"], np.dtype(row["dtype"]))
+              / row["steps"], row["fastest"] == "stencil") for row in table]
+    edges = sorted({threshold for threshold, _ in cells})
+    edges = [edges[0] / 4, *edges, edges[-1] * 4]
+    lo, hi = max(zip(edges, edges[1:]), key=lambda interval: (
+        sum((interval[0] < threshold) == stencil for threshold, stencil in cells),  # cells picked right
+        interval[1] / interval[0]))  # the width on a log scale
+    return float(f"{math.sqrt(lo * hi):.3g}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -123,14 +122,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=7, help="timed runs per path and cell (median)")
     args = parser.parse_args(argv)
     table = measure(args.repeats)
-    fitted = fit(table)
-    dynamics.SEGMENT_COST_S.update(fitted)  # the rule under the fitted constants
+    for row in table:
+        row["fastest"] = min(row["seconds"], key=row["seconds"].get)
+    dynamics.STENCIL_STEP_MULADDS = fitted = fit(table)  # the rule under the fitted constant
     ratios = []
     for row in table:
         seconds = row["seconds"]
-        row["fastest"] = min(seconds, key=seconds.get)
-        m, parts = row["m"], np.dtype(row["dtype"]).itemsize // 8
-        row["rule"] = dynamics.segment_path(stencil(m, row["dtype"]), row["steps"], m * row["columns"] * parts).path
+        row["rule"] = rule(row)
         if row["rule"] in seconds:
             ratios.append((seconds[row["rule"]] / seconds[row["fastest"]], row))
     ratios.sort(key=lambda item: -item[0])
@@ -138,12 +136,12 @@ def main(argv: list[str] | None = None) -> int:
     section = {
         "what": "median seconds of one RK4 segment on each path of dynamics.propagate_linear, on the path "
                 "stencil of C_m cut at (m, 1); the fastest path, and the path that "
-                "dynamics.segment_path picks with the fitted constants (SEGMENT_COST_S)",
+                "dynamics.segment_path picks with the fitted constant (STENCIL_STEP_MULADDS)",
         "command": "PYTHONPATH=src python scripts/solver_costs.py --repeats " + str(args.repeats),
         "machine": {"cpu": platform.processor() or platform.machine(), "nproc": os.cpu_count(),
                     "python": platform.python_version(), "numpy": np.__version__,
                     "blas": f"{blas.get('name')} {blas.get('version')}", "blas_threads": 1},
-        "fitted_seconds_per_unit": fitted,
+        "stencil_step_muladds": fitted,
         "summary": {
             "cells": len(table),
             "rule_picks_the_fastest": sum(row["rule"] == row["fastest"] for row in table),

@@ -52,29 +52,26 @@ BUILD_DENSE_MATRICES = 5
 # verify peaks at 7.5 (7.8 as a process's first command).
 VERIFY_DENSE_MATRICES = 8
 POWER_STACK_CAP = 256  # most RK4 steps propagate_linear writes with one matrix product
-# One rule picks each segment's path (segment_path): an array G takes the block path, a
-# PathStencil the one of least modelled time, the block path or the stage loop on its slices.
-# A path's modelled time sums its work units (_cost_terms) times the seconds of a unit
-# below. scripts/solver_costs.py measures both paths over m = 4 … 1200, 1 … 4,000 steps,
-# float64 on 1 to 3 columns and complex128 on 1 (median of 7, one BLAS thread, 2-vCPU
-# 2.0 GHz Xeon), fits these constants to it and records the table, each path's time and
-# the rule's pick in BENCH_scaling.json ("solver_paths"); a test keeps the two equal. The
-# recorded table holds 420 of the 480 cells, leaving out those of more than one step and
-# 4e8 real multiply-adds of G y. There the rule picks the fastest path in 406 cells. The
-# block path wins every segment of at least m steps up to m = 128, the stencil every
-# segment past m = 400 and every segment of one step from m = 48. On 2 columns, 400 steps:
-# m = 256 block 12.3 ms, stencil 29.0; m = 320 block 18.2, stencil 30.7, and m = 400 block
-# 30.5, stencil 33.2 (the rule takes the stencil at both); m = 600 stencil 35.5, block 94.7.
-# The rule's worst pick, 2.1 times the fastest, is a real G on one column at m = 400, a
-# shape no run forms.
-SEGMENT_COST_S = {
-    "stencil_step": 3.22e-05,   # a stage-loop step with a PathStencil, its values aside
-    "stencil_value": 3.56e-08,  # a float64 value of a state row, in a stencil stage-loop step
-    "entry": 1.83e-10,          # a real multiply-add of G y in a block step
-    "block": 1.74e-05,          # the fixed calls of a block segment
-    "cube": 5.1e-11,            # a real multiply-add of the m x m products forming D and its stack
-    "product": 6.5e-06,         # one matrix product of the block path
-}
+# One rule picks each segment's path (segment_path): an array G takes the block path, and so
+# does a PathStencil of ``count`` steps on ``columns`` state columns unless
+# count · STENCIL_STEP_MULADDS < (B + 2) · m³ · p² + count · m² · columns · p² (_block_muladds:
+# the real multiply-adds of the block path's m x m products that form D and its stack, and of
+# its products with the state rows; B = block_size, p = 2 for a complex G, 1 for a real one);
+# then it takes the stage loop on its slices. The constant is the block path's multiply-adds
+# that cost as much as one stencil step. scripts/solver_costs.py times both paths over
+# m = 4 … 1200, 1 … 4,000 steps, float64 on 1 to 3 columns and complex128 on 1 (median of 7,
+# one BLAS thread, 2-vCPU 2.0 GHz Xeon), and fits the constant: the middle, on a log scale,
+# of the widest interval that picks the fastest path in the most cells. BENCH_scaling.json
+# ("solver_paths") records the table, each path's time, the rule's pick and the constant, and
+# a test keeps the two equal. The table holds 420 cells (none of more than one step and 4e8
+# real multiply-adds of G y); any constant in [5.76e5, 5.94e5) picks the fastest path in 406.
+# Every segment that a benchmark workload, preset, verify or snapshot run forms keeps its path
+# for any constant in [3.83e5, 1.08e6): planar n = 300, 400 steps on 2 columns, block path
+# (B = 1), sets the bottom, a complex n = 300 run of 600 steps on the stencil the top. Planar
+# n = 450, 4,000 steps on 2 columns, where the block path (B = 8) takes 3.6 times the
+# stencil's time, lowers the top to 6.33e5. The rule's worst pick, 2.1 times the fastest, is
+# a real G on one column at m = 400, 1,000 steps, a shape no run forms.
+STENCIL_STEP_MULADDS = 5.85e5
 
 
 @dataclass(eq=False)
@@ -272,33 +269,24 @@ def block_size(m: int, count: int) -> int:
     return min(POWER_STACK_CAP, max(1, count // m))
 
 
-def _cost_terms(m: int, count: int, columns: int, dtype: np.dtype, stencil: bool) -> dict[str, dict[str, int]]:
-    """The work units of each path of ``count`` steps of an m x m G of ``dtype`` acting on
-    ``columns`` columns, keyed as ``SEGMENT_COST_S``; the stencil path only for a stencil."""
-    parts = dtype.itemsize // 8  # float64 parts of an entry: a complex product is 4 real ones
-    entries = count * m * m * columns * parts * parts
-    block = block_size(m, count)
-    terms = {"block": {"block": 1, "cube": (block + 2) * m ** 3 * parts * parts,
-                       "product": count // block + count % block, "entry": entries}}
-    if stencil:
-        terms["stencil"] = {"stencil_step": count, "stencil_value": count * m * columns * parts}
-    return terms
+def _block_muladds(m: int, count: int, columns: int, dtype: np.dtype) -> int:
+    """(B + 2) · m³ · p² + count · m² · columns · p²: the real multiply-adds of the block
+    path's m x m products that form D and its stack, and of its products with ``columns``
+    state columns, for ``count`` steps of an m x m G of ``dtype`` (p float64 parts an entry)."""
+    parts = dtype.itemsize // 8
+    return ((block_size(m, count) + 2) * m + count * columns) * m * m * parts * parts
 
 
 def segment_path(g: NDArray | PathStencil, count: int, width: int) -> SegmentPath:
-    """The path of least modelled cost (``SEGMENT_COST_S``) for ``count`` RK4 steps of G on
-    state rows of ``width`` float64 coordinates; it reads only G's kind, size and dtype."""
+    """The path of ``count`` RK4 steps of G on state rows of ``width`` float64 coordinates:
+    the stage loop for a PathStencil whose :func:`_block_muladds` exceed
+    count · ``STENCIL_STEP_MULADDS``, else the block path. It reads only G's kind, size and
+    dtype."""
     m = g.shape[0]
     columns = width // (m * (g.dtype.itemsize // 8))
-    terms = _cost_terms(m, count, columns, g.dtype, isinstance(g, PathStencil))
-    costs = {path: sum(SEGMENT_COST_S[unit] * n for unit, n in units.items()) for path, units in terms.items()}
-    path = min(costs, key=costs.get)
-    return SegmentPath(path, block_size(m, count) if path == "block" else 0, count)
-
-
-def _dense(g: NDArray | PathStencil) -> NDArray:
-    """G as an m x m array: a PathStencil's :meth:`~PathStencil.dense`, an array as it is."""
-    return g.dense() if isinstance(g, PathStencil) else g
+    if isinstance(g, PathStencil) and count * STENCIL_STEP_MULADDS < _block_muladds(m, count, columns, g.dtype):
+        return SegmentPath("stencil", 0, count)
+    return SegmentPath("block", block_size(m, count), count)
 
 
 def _rows(out: NDArray[np.float64], g: NDArray | PathStencil) -> NDArray:
@@ -329,9 +317,8 @@ def propagate_linear(
     says: on the (m, -1) rows of the state, or of its complex128 view when G
     is complex. On a segment RK4 is exactly c_{k+1} = P c_k with
     P = I + H + H²/2 + H³/6 + H⁴/24, H = -dt G. An array G takes the block
-    path; a stencil takes the path of :func:`segment_path`, the least
-    modelled cost for its m, dtype, step count and columns, and forms its
-    dense G only for the block path.
+    path; a stencil takes the path of :func:`segment_path`, by its m, dtype,
+    step count and columns, and forms its dense G only for the block path.
 
     - ``block``: it forms D = P - I once, stacks D_j = P^j - I for
       j = 1 … B with B = :func:`block_size`, and writes B states per matrix
@@ -353,7 +340,8 @@ def propagate_linear(
         rows = _rows(out, g)
         path = segment_path(g, count, out.shape[1])
         if path.path == "block":
-            _power_steps(rows, k, count, _rk4_increment(_dense(g), dt), path.block)
+            _power_steps(rows, k, count, _rk4_increment(g.dense() if isinstance(g, PathStencil) else g, dt),
+                         path.block)
         else:
             _stage_steps(rows, k, count, g, dt)
         k += count
@@ -518,7 +506,8 @@ def fit_rate(trace: SimulationTrace) -> float:
     sample at or below that floor; when the error never falls below it, the
     window is the final third of the trace. Raises ValueError when the error
     never rises above the fit floor (e.g. a start already inside the
-    constraint set).
+    constraint set), or when the window's times are too small to square
+    (below about 1.5e-154).
     """
     total = trace.total_errors
     valid = np.nonzero(total > FIT_FLOOR)[0]
@@ -530,5 +519,8 @@ def fit_rate(trace: SimulationTrace) -> float:
     window = window[total[window] > FIT_FLOOR]
     if window.size < 2:
         raise ValueError("fewer than two points above the fit floor in the fit window")
-    slope = np.polyfit(trace.times[window], np.log(total[window]), 1)[0]
+    times = trace.times[window]
+    if times[-1] ** 2 < np.finfo(float).tiny:  # polyfit divides by the norm of the times
+        raise ValueError(f"the fit window's times, up to {times[-1]:g}, are too small to square")
+    slope = np.polyfit(times, np.log(total[window]), 1)[0]
     return float(slope)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
+import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,6 +48,16 @@ def path_eigenvalues(n: int, dim: int) -> np.ndarray:
 def slowest_rate(n: int) -> float:
     """Closed-form smallest positive eigenvalue: 4 sin^2(pi / 2n)."""
     return float(4.0 * np.sin(np.pi / (2 * n)) ** 2)
+
+
+@pytest.fixture(scope="session")
+def solver_costs():
+    """scripts/solver_costs.py as a module, the environment it pins for its own process kept."""
+    spec = importlib.util.spec_from_file_location("solver_costs", Path(__file__).parents[1] / "scripts" / "solver_costs.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
 
 
 # a cube tree whose cross edge (2, 6) gives nodes 2 and 6 degree 3, so it is not a path

@@ -15,6 +15,8 @@ import symform as sf
 from conftest import random_tree, random_tree_cases, slowest_rate
 from symform import checks, cli, dynamics
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def triangle_example():
     """Frozen n=3 configuration: all three agents stacked at (1, 0)."""
@@ -195,7 +197,7 @@ class TestPropagateLinear:
             lap, steps = sf.build_cube(), 2000
             g = lap.matrix - np.kron(np.eye(8), sf.omega_matrix([0.2, -0.1, 0.3], 3)) + 0.01 * np.eye(24)
         c0 = np.random.default_rng(33).uniform(-2, 2, g.shape[0])
-        assert dynamics.segment_path(g, steps, g.shape[0]) == ("block", min(256, steps // g.shape[0]), steps)
+        assert dynamics.segment_path(g, steps, c0.size) == ("block", min(256, steps // g.shape[0]), steps)
         states = sf.propagate_linear(c0, [(g, steps)], 0.04, steps)
         y = c0
         for k in range(steps):
@@ -305,18 +307,32 @@ CUBE_MANEUVER = {  # the shape of the benchmark's 3-D maneuver: three runs of co
 }
 
 
+MANEUVER_N300 = {  # a planar maneuver whose complex L - (α + iω)I runs 300 and then 600 steps
+    "n": 300, "dt": 0.1, "horizon": 90,
+    "reference": {"angular_velocity": [[0, 0.2], [30, -0.1]], "scale_rate": [[0, -0.005]]},
+}
+
+
 class TestSegmentPath:
     @pytest.mark.parametrize("scenario, dt, segments", [
         ({"n": 600, "horizon": 5.0}, None, [("stencil", 0, 40)]),
         ({"n": 16}, None, [("block", 256, 8247)]),
         ({"n": 300, "dt": 0.01, "horizon": 4}, None, [("block", 1, 400)]),
+        ({"n": 600, "dt": 0.1, "horizon": 120.0}, None, [("stencil", 0, 1200)]),
+        (MANEUVER_N300, None, [("stencil", 0, 300), ("stencil", 0, 600)]),
         ("maneuver_c6", 0.015, [("block", 256, 2000)] * 3),
         (CUBE_MANEUVER, None, [("block", 55, 1334), ("block", 55, 1333), ("block", 55, 1333)]),
-    ], ids=["wide_n600", "flow_n16", "planar_n300_400_steps", "maneuver_c6", "cube_maneuver"])
+        ({"n": 450, "dt": 0.1, "horizon": 400}, None, [("stencil", 0, 4000)]),
+        ({"n": 600, "dt": 0.1, "horizon": 400}, None, [("stencil", 0, 4000)]),
+    ], ids=["wide_n600", "flow_n16", "planar_n300_400_steps", "planar_n600_long", "maneuver_n300",
+            "maneuver_c6", "cube_maneuver", "planar_n450_4000_steps", "planar_n600_4000_steps"])
     def test_run_segments_take_the_cheapest_path(self, scenario, dt, segments):
         # the benchmark's run segments: the n = 600 run of 40 steps on the stencil, the long runs
-        # on the block path with B = min(256, steps // m), and 400 steps at m = 300 on
-        # 2 columns on the block path
+        # on the block path with B = min(256, steps // m); the snapshot runs that bound
+        # STENCIL_STEP_MULADDS from below (400 steps at m = 300 on 2 columns, block path, B = 1)
+        # and above (a complex m = 300 run of 600 steps, stencil); and 4,000 steps at m = 450 and
+        # 600 on 2 columns, where the block path's products with the state rows, B = 8 and 6,
+        # take three to five times the stencil's time
         scn = cli.load_scenario(scenario) if isinstance(scenario, str) else cli.parse_scenario(scenario)
         if dt is not None:
             scn.dt = dt
@@ -334,18 +350,14 @@ class TestSegmentPath:
         assert all(r.passed for r in results)
         assert set(paths) == {("block", 1, 400)}
 
-    def test_constants_are_the_measured_fit(self):
-        # SEGMENT_COST_S cites BENCH_scaling.json: its constants are the file's, and the rule
-        # picks each cell's recorded path again
-        bench = json.loads((Path(__file__).resolve().parents[1] / "BENCH_scaling.json").read_text())
-        section = bench["solver_paths"]
-        assert dynamics.SEGMENT_COST_S == section["fitted_seconds_per_unit"]
+    def test_constants_are_the_measured_fit(self, solver_costs):
+        # STENCIL_STEP_MULADDS cites BENCH_scaling.json: it is the file's constant and what
+        # solver_costs.fit makes of the recorded table, and the rule picks each cell's recorded
+        # path again
+        section = json.loads((ROOT / "BENCH_scaling.json").read_text())["solver_paths"]
+        assert dynamics.STENCIL_STEP_MULADDS == section["stencil_step_muladds"] == solver_costs.fit(section["table"])
         for row in section["table"]:
-            m, parts = row["m"], np.dtype(row["dtype"]).itemsize // 8
-            degrees = np.full(m, 2)
-            degrees[[0, m - 1]] = 1
-            g = sf.laplacian.PathStencil(degrees, m - 1, 0.5j if parts == 2 else 0.0)
-            assert dynamics.segment_path(g, row["steps"], m * row["columns"] * parts).path == row["rule"]
+            assert solver_costs.rule(row) == row["rule"]
 
     def test_spectrum_source_is_recorded(self):
         _, _, metrics = cli.run_scenario(cli.parse_scenario({"formation": "cube", "cube": {"cross_edge": [2, 6]}}))
@@ -356,16 +368,23 @@ class TestSegmentPath:
         (128, 200, 2, float, True, "block"), (256, 400, 2, float, True, "block"), (400, 400, 2, float, True, "stencil"),
         (600, 40, 2, float, True, "stencil"), (600, 1200, 2, float, True, "stencil"),
         (300, 300, 1, complex, True, "stencil"), (64, 200, 1, complex, True, "block"),
+        (400, 1000, 1, float, True, "block"), (400, 1000, 3, float, True, "stencil"),
     ])
-    def test_rule_picks_the_cheapest_modelled_path(self, m, count, columns, dtype, stencil, path):
-        # the rule reads only G's kind, m, dtype, the step count and the columns; an array G
+    def test_rule_picks_the_cheapest_modelled_path(self, m, count, columns, dtype, stencil, path, monkeypatch,
+                                                   solver_costs):
+        # the rule reads G's kind, m, dtype, the step count and the state's columns (400 steps
+        # at m = 400 take the stencil by 6%; 1,000 steps there take the block path on one column
+        # and the stencil on three), and propagate_linear takes the path it picks; an array G
         # has only the block path
-        degrees = np.full(m, 2)
-        degrees[[0, m - 1]] = 1
-        g = sf.laplacian.PathStencil(degrees, m - 1, 0.5j if dtype is complex else 0.0)
+        g = solver_costs.stencil(m, np.dtype(dtype).name)
         g = g if stencil else g.dense()
         width = m * columns * (2 if dtype is complex else 1)
         assert dynamics.segment_path(g, count, width).path == path
+        taken = []
+        monkeypatch.setattr(dynamics, "_power_steps", lambda *args: taken.append("block"))
+        monkeypatch.setattr(dynamics, "_stage_steps", lambda *args: taken.append("stencil"))
+        sf.propagate_linear(np.zeros(width), [(g, count)], 0.05, count)
+        assert taken == [path]
 
 
 def nonzero_product(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -560,6 +579,13 @@ class TestFitRate:
         p0 = checks.symmetric_configuration(chain, np.array([1.0, 0.0]))
         trace = sf.integrate(lap, p0, horizon=2.0)
         with pytest.raises(ValueError, match="underflow"):
+            sf.fit_rate(trace)
+
+    def test_times_too_small_to_square_rejected(self, path_system):
+        # polyfit divides by the norm of the window's times, whose squares underflow to 0 here
+        _, lap, _ = path_system(3)
+        trace = sf.integrate(lap, np.random.default_rng(7).uniform(-2, 2, 6), dt=1e-200, horizon=1e-199)
+        with pytest.raises(ValueError, match="too small to square"):
             sf.fit_rate(trace)
 
 

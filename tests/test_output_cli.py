@@ -698,6 +698,23 @@ class TestMainExitCodes:
         assert captured.err.startswith(f"scenario error: {field}: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("scenario, flags", [
+        ("maneuver_c6", ["--dt", "1e-200", "--horizon", "1e-199"]),
+        ("cube", ["--dt", "1e-200", "--horizon", "1e-199"]),
+        ({"n": 3, "dt": 1e-300, "horizon": 1e-299}, []),
+    ], ids=["maneuver_c6", "cube", "planar_n3"])
+    def test_time_grid_too_small_to_square(self, tmp_path, scenario, flags):
+        # the rate fit's times square to 0: fitted_rate is null, and numpy warns of nothing
+        if isinstance(scenario, dict):
+            (tmp_path / "tiny.json").write_text(json.dumps(scenario))
+            scenario = str(tmp_path / "tiny.json")
+        env = {**os.environ, "PYTHONPATH": str(Path(sf.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "symform", "run", scenario, *flags,
+                               "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        (metrics,) = (tmp_path / "out").glob("*/metrics.json")
+        assert json.loads(metrics.read_text())["fitted_rate"] is None
+
     def test_run_unstable_step_suggests_fix(self, tmp_path, capsys):
         code = cli.main(["run", "example2_c4", "--dt", "5.0",
                          "--out", str(tmp_path)])

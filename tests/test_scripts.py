@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from symform import dynamics
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,7 +27,7 @@ def test_decay_rate_study():
     assert "worst relative gap" in result.stdout
 
 
-def test_solver_costs(tmp_path):
+def test_solver_costs(tmp_path, monkeypatch, solver_costs):
     # a small grid in a fresh interpreter: the section is written beside the file's others
     out = tmp_path / "BENCH_scaling.json"
     out.write_text('{"other": [1]}')
@@ -39,11 +41,23 @@ def test_solver_costs(tmp_path):
     data = json.loads(out.read_text())
     assert data["other"] == [1]
     section = data["solver_paths"]
-    assert set(section["fitted_seconds_per_unit"]) == set(dynamics.SEGMENT_COST_S)
     assert len(section["table"]) == section["summary"]["cells"] == 16
+    # each row's rule is the pick under the fitted constant
+    monkeypatch.setattr(dynamics, "STENCIL_STEP_MULADDS", section["stencil_step_muladds"])
     for row in section["table"]:
         assert set(row["seconds"]) == {"block", "stencil"}
-        assert row["fastest"] == min(row["seconds"], key=row["seconds"].get) and row["rule"] in row["seconds"]
+        assert row["fastest"] == min(row["seconds"], key=row["seconds"].get)
+        assert solver_costs.rule(row) == row["rule"]
+
+
+@pytest.mark.parametrize("fastest", ["block", "stencil"])
+@pytest.mark.parametrize("sizes", [(4,), (4, 64, 600)])
+def test_solver_costs_fit_when_one_path_wins_every_cell(sizes, fastest, monkeypatch, solver_costs):
+    # the fitted constant lies past every cell's threshold, on the side that picks that path,
+    # also for a table of one threshold
+    table = [{"dtype": "float64", "columns": 2, "m": m, "steps": 64, "fastest": fastest} for m in sizes]
+    monkeypatch.setattr(dynamics, "STENCIL_STEP_MULADDS", solver_costs.fit(table))
+    assert [solver_costs.rule(row) for row in table] == [fastest] * len(sizes)
 
 
 def test_csv_costs(tmp_path):
