@@ -42,17 +42,29 @@ of two checkouts, are compared with ``diff -r``:
 
 or with ``scripts/compare_snapshots.py /tmp/old /tmp/new``, which reports how
 far their numbers drift.
+
+The script runs on one BLAS thread, whatever the environment says, as the
+benchmark does: under another thread count a block-path segment past
+m ≈ 256 (the planar n = 300 run of 400 steps) writes other bits, and so do
+the dense eigh values of the n = 256 and n = 600 verifies. A checkout whose
+script does not pin the thread count is snapshotted under
+``OPENBLAS_NUM_THREADS=1``.
 """
 from __future__ import annotations
 
-import argparse
-import contextlib
-import io
-import json
-import sys
-from pathlib import Path
+import os
 
-from symform import cli
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads: one BLAS thread, as the benchmark runs
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from symform import cli  # noqa: E402
 
 PRESETS = ("example2_c4", "example3_c6", "maneuver_c6", "cube")
 TIMES = [2.0 * k for k in range(20)]

@@ -61,8 +61,7 @@ def stencil(m: int, dtype: str) -> PathStencil:
 
 def rule(row: dict) -> str:
     """The path that ``dynamics.segment_path`` picks for a table row's segment."""
-    m, parts = row["m"], np.dtype(row["dtype"]).itemsize // 8
-    return dynamics.segment_path(stencil(m, row["dtype"]), row["steps"], m * row["columns"] * parts).path
+    return dynamics.segment_path(stencil(row["m"], row["dtype"]), row["steps"], row["columns"]).path
 
 
 def path_runs(g: PathStencil, count: int, columns: int, block: int) -> dict:

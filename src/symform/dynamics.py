@@ -277,13 +277,12 @@ def _block_muladds(m: int, count: int, columns: int, dtype: np.dtype) -> int:
     return ((block_size(m, count) + 2) * m + count * columns) * m * m * parts * parts
 
 
-def segment_path(g: NDArray | PathStencil, count: int, width: int) -> SegmentPath:
-    """The path of ``count`` RK4 steps of G on state rows of ``width`` float64 coordinates:
-    the stage loop for a PathStencil whose :func:`_block_muladds` exceed
+def segment_path(g: NDArray | PathStencil, count: int, columns: int) -> SegmentPath:
+    """The path of ``count`` RK4 steps of G on ``columns`` state columns (the last axis of
+    :func:`_rows`): the stage loop for a PathStencil whose :func:`_block_muladds` exceed
     count · ``STENCIL_STEP_MULADDS``, else the block path. It reads only G's kind, size and
     dtype."""
     m = g.shape[0]
-    columns = width // (m * (g.dtype.itemsize // 8))
     if isinstance(g, PathStencil) and count * STENCIL_STEP_MULADDS < _block_muladds(m, count, columns, g.dtype):
         return SegmentPath("stencil", 0, count)
     return SegmentPath("block", block_size(m, count), count)
@@ -306,19 +305,21 @@ def propagate_linear(
     segments: Iterable[tuple[NDArray | PathStencil, int]],
     dt: float,
     steps: int,
-) -> NDArray[np.float64]:
+) -> tuple[NDArray[np.float64], tuple[SegmentPath, ...]]:
     """Classical RK4 on dc/dt = -G c over consecutive (G, step_count) segments, read once.
 
-    ``c0`` is a flat state or an (n, d) array of rows; the returned
-    (steps + 1, c0.size) array holds the flat states, row 0 being ``c0``.
-    The step counts must add up to ``steps``. Each segment's G is an m x m
-    array or a :class:`PathStencil` (L - shift·I of a planar tree, held as
-    its degrees, cut edge and shift), and acts on the state as :func:`_rows`
-    says: on the (m, -1) rows of the state, or of its complex128 view when G
-    is complex. On a segment RK4 is exactly c_{k+1} = P c_k with
+    ``c0`` is a flat state or an (n, d) array of rows. It returns the
+    (steps + 1, c0.size) array of the flat states, row 0 being ``c0``, and
+    the :func:`segment_path` each segment took. The step counts must add up
+    to ``steps``. Each segment's G is an m x m array or a
+    :class:`PathStencil` (L - shift·I of a planar tree, held as its degrees,
+    cut edge and shift), and acts on the state as :func:`_rows` says: on the
+    (m, -1) rows of the state, or of its complex128 view when G is complex.
+    On a segment RK4 is exactly c_{k+1} = P c_k with
     P = I + H + H²/2 + H³/6 + H⁴/24, H = -dt G. An array G takes the block
     path; a stencil takes the path of :func:`segment_path`, by its m, dtype,
-    step count and columns, and forms its dense G only for the block path.
+    step count and the columns of its rows, and forms its dense G only for
+    the block path.
 
     - ``block``: it forms D = P - I once, stacks D_j = P^j - I for
       j = 1 … B with B = :func:`block_size`, and writes B states per matrix
@@ -335,10 +336,12 @@ def propagate_linear(
     c0 = np.asarray(c0, dtype=float)
     out = np.empty((steps + 1, c0.size))
     out[0] = c0.ravel()
+    paths = []
     k = 0
     for g, count in segments:
         rows = _rows(out, g)
-        path = segment_path(g, count, out.shape[1])
+        path = segment_path(g, count, rows.shape[2])
+        paths.append(path)
         if path.path == "block":
             _power_steps(rows, k, count, _rk4_increment(g.dense() if isinstance(g, PathStencil) else g, dt),
                          path.block)
@@ -348,7 +351,7 @@ def propagate_linear(
         del g  # released before the next run's G is formed
     if k != steps:
         raise ValueError(f"segments hold {k} steps, expected {steps}")
-    return out
+    return out, tuple(paths)
 
 
 def _phases(lap: SymmetryLaplacian) -> NDArray[np.complex128]:
@@ -387,27 +390,6 @@ def _edge_errors(lap: SymmetryLaplacian, rows: NDArray[np.float64]) -> tuple[NDA
     return errors, 0.5 * (errors ** 2).sum(axis=1)
 
 
-def _gauge_rows(
-    lap: SymmetryLaplacian,
-    c0: NDArray[np.float64],
-    segments: Iterable[tuple[NDArray | PathStencil, int]],
-    dt: float,
-    steps: int,
-) -> tuple[NDArray[np.float64], tuple[SegmentPath, ...]]:
-    """RK4 of dc/dt = -G c from ``c0`` in gauge coordinates, each segment's G acting on
-    gauge rows: the (steps + 1, dn) gauge rows and the :func:`segment_path` of each segment."""
-    solver = []
-
-    def recorded():
-        for g, count in segments:
-            solver.append(segment_path(g, count, c0.size))
-            yield g, count
-            del g  # released before the next run's G is formed
-
-    rows = propagate_linear(_to_gauge(lap, c0), recorded(), dt, steps)
-    return rows, tuple(solver)
-
-
 def _gauge_run(
     lap: SymmetryLaplacian,
     c0: NDArray[np.float64],
@@ -415,10 +397,11 @@ def _gauge_run(
     dt: float,
     steps: int,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], tuple[SegmentPath, ...]]:
-    """The gauge run of :func:`_gauge_rows` as the (steps + 1, dn) world states (row 0 is
-    ``c0``), the per-edge errors, the potentials and each segment's path. The states are
-    rotated out of the gauge in place, after the errors are taken from them."""
-    rows, solver = _gauge_rows(lap, c0, segments, dt, steps)
+    """RK4 of dc/dt = -G c from ``c0`` by :func:`propagate_linear` in gauge coordinates, each
+    segment's G acting on gauge rows, as the (steps + 1, dn) world states (row 0 is ``c0``),
+    the per-edge errors, the potentials and each segment's path. The states are rotated out
+    of the gauge in place, after the errors are taken from them."""
+    rows, solver = propagate_linear(_to_gauge(lap, c0), segments, dt, steps)
     errors, potentials = _edge_errors(lap, rows)
     _to_world(lap, rows)
     rows[0] = c0
@@ -439,11 +422,12 @@ def require_finite(stage: str, times: NDArray[np.float64], *, first_step: int = 
             )
 
 
-def _stationary_grid(
+def _start_and_grid(
     lap: SymmetryLaplacian, p0: NDArray[np.float64], dt: float | None, horizon: float | None
 ) -> tuple[NDArray[np.float64], float, float, int]:
     """``p0`` as a new float array of the dn coordinates of ``lap``, and the (dt, horizon,
-    steps) of :func:`resolve_grid` for its spectrum."""
+    steps) of :func:`resolve_grid` for its spectrum: the start and grid of a stationary or
+    maneuvering run."""
     p = np.array(p0, dtype=float)
     dn = lap.n * lap.dim
     if p.shape != (dn,):
@@ -465,7 +449,7 @@ def integrate(
     Step sizes at or beyond the stability limit raise ValueError with a
     suggested dt.
     """
-    p, dt, horizon, steps = _stationary_grid(lap, p0, dt, horizon)
+    p, dt, horizon, steps = _start_and_grid(lap, p0, dt, horizon)
     times = np.arange(steps + 1) * dt
     # overflow is reported once, by require_finite, instead of as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -486,9 +470,9 @@ def final_state(
     """The last time and state of :func:`integrate`'s run, bit for bit, without its trace:
     the same gauge run, of which only the last row is rotated to the world frame.
     Raises NumericFailure when that row is not finite."""
-    p, dt, horizon, steps = _stationary_grid(lap, p0, dt, horizon)
+    p, dt, horizon, steps = _start_and_grid(lap, p0, dt, horizon)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, _ = _gauge_rows(lap, p, [(lap.shifted(0.0), steps)], dt, steps)
+        rows, _ = propagate_linear(_to_gauge(lap, p), [(lap.shifted(0.0), steps)], dt, steps)
         state = rows[-1:].copy()
         del rows
         _to_world(lap, state)

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import (DEFAULT_STEP_FACTOR, SimulationTrace, _gauge_run, _require_grid_fits, _step_count,
-                       require_finite, resolve_grid)
+from .dynamics import (DEFAULT_STEP_FACTOR, SimulationTrace, _gauge_run, _require_grid_fits, _start_and_grid,
+                       _step_count, require_finite)
 from .laplacian import NumericFailure, PathStencil, SymmetryLaplacian
 from .symgroup import Rotation, identity
 
@@ -254,13 +254,7 @@ def _segment_operators(lap: SymmetryLaplacian,
     the returned iterator then forms each G only when it is reached.
     """
     dt = path.dt
-    rotating: dict[tuple, NDArray] = {}  # eigenvalues of Q - I⊗Ω per distinct angular velocity
-    shifted = []
-    for _, _, w, a in path.runs:
-        key = tuple(np.ravel(w).tolist())
-        if key not in rotating:
-            rotating[key] = _rotating_eigenvalues(lap, w)
-        shifted.append(rotating[key] + max(-a, 0.0))
+    shifted = [_rotating_eigenvalues(lap, w) + max(-a, 0.0) for _, _, w, a in path.runs]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed gain is rejected below
         gains = [float(_rk4_gain(-dt * mu).max()) for mu in shifted]
     worst = int(np.argmax(gains))  # the first NaN, if any
@@ -344,11 +338,7 @@ def simulate_maneuver(
         start = ReferenceState.at_origin(d)
     if start.dim != d or inputs.dim != d:
         raise ValueError(f"reference dimension does not match the {d}-dimensional formation")
-    p0 = np.array(p0, dtype=float)
-    if p0.shape != (n * d,):
-        raise ValueError(f"initial state has shape {p0.shape}, expected ({n * d},)")
-    spec = lap.spectrum
-    dt, horizon, steps = resolve_grid(spec, dt, horizon)
+    p0, dt, horizon, steps = _start_and_grid(lap, p0, dt, horizon)
     if d == 3 and steps < 2:
         raise ValueError(
             f"maneuver: the 3-D frame residual needs at least three samples, but horizon "

@@ -149,18 +149,21 @@ class TestVerificationChecks:
     def test_solver_cross_check_integrates_the_run_operator(self, spec, monkeypatch):
         # verify's RK4 side is a run's integrator: at n = 600 a planar tree hands
         # propagate_linear its path stencil, the cube its 8 x 8 L
-        segments = []
+        segments, paths = [], []
         propagate = dynamics.propagate_linear
 
         def recorded(c0, segs, dt, steps):
             segs = list(segs)
             segments.extend(segs)
-            return propagate(c0, segs, dt, steps)
+            states, taken = propagate(c0, segs, dt, steps)
+            paths.extend(taken)
+            return states, taken
 
         monkeypatch.setattr(dynamics, "propagate_linear", recorded)
         scn = scenario(spec)
         assert {r.name: r for r in cli.verify_scenario(scn)}["solver_cross_check"].passed
-        (g, _), = segments
+        (g, count), = segments
+        assert [path.steps for path in paths] == [count]
         if scn.cube_spec is None:
             assert isinstance(g, laplacian.PathStencil) and g.shape == (600, 600) and g.shift == 0.0
         else:

@@ -159,7 +159,7 @@ class TestRk4Step:
 
 def take_path(monkeypatch, path: str) -> None:
     """Send every segment of propagate_linear down ``path``, whatever the rule would pick."""
-    def chosen(g, count, width):
+    def chosen(g, count, columns):
         return dynamics.SegmentPath(path, dynamics.block_size(g.shape[0], count) if path == "block" else 0, count)
 
     monkeypatch.setattr(dynamics, "segment_path", chosen)
@@ -176,7 +176,8 @@ class TestPropagateLinear:
             _, lap, _ = path_system(n)
             c0 = np.random.default_rng(31).uniform(-2, 2, 2 * n)
             segments = [(lap.shifted(0.0), 7), (lap.shifted(0.05 + 0.3j), 5)]
-            states = sf.propagate_linear(c0, iter(segments), dt, 12)
+            states, paths = sf.propagate_linear(c0, iter(segments), dt, 12)
+            assert paths == (("stencil", 0, 7), ("stencil", 0, 5))
             assert states.shape == (13, 2 * n)
             assert np.array_equal(states[0], c0)
             y, k = c0, 0
@@ -197,8 +198,10 @@ class TestPropagateLinear:
             lap, steps = sf.build_cube(), 2000
             g = lap.matrix - np.kron(np.eye(8), sf.omega_matrix([0.2, -0.1, 0.3], 3)) + 0.01 * np.eye(24)
         c0 = np.random.default_rng(33).uniform(-2, 2, g.shape[0])
-        assert dynamics.segment_path(g, steps, c0.size) == ("block", min(256, steps // g.shape[0]), steps)
-        states = sf.propagate_linear(c0, [(g, steps)], 0.04, steps)
+        path = dynamics.segment_path(g, steps, 1)
+        assert path == ("block", min(256, steps // g.shape[0]), steps)
+        states, paths = sf.propagate_linear(c0, [(g, steps)], 0.04, steps)
+        assert paths == (path,)
         y = c0
         for k in range(steps):
             y = dynamics.rk4_step(lambda t, x: -(g @ x), k * 0.04, y, 0.04)
@@ -216,8 +219,9 @@ class TestPropagateLinear:
                             lambda out, k, count, d, block: blocks.append(block) or power_steps(out, k, count, d, block))
         c0 = np.random.default_rng(34).uniform(-2, 2, 10)
         segments = [(lap.matrix, 137), (g2, 19), (g3, 2900)]
-        states = sf.propagate_linear(c0, iter(segments), 0.05, 3056)
+        states, paths = sf.propagate_linear(c0, iter(segments), 0.05, 3056)
         assert blocks == [13, 1, 256]
+        assert paths == (("block", 13, 137), ("block", 1, 19), ("block", 256, 2900))
         y, k = c0, 0
         for g, count in segments:
             for _ in range(count):
@@ -260,8 +264,10 @@ class TestPropagateLinear:
         g, columns = self.crossover_operator(path_system, operator)
         c0 = np.random.default_rng(35).uniform(-2, 2, (g.shape[0], columns * g.dtype.itemsize // 8))
         stencil = "stencil" in operator
-        assert dynamics.segment_path(g, 12, c0.size).path == ("stencil" if stencil else "block")
-        states = sf.propagate_linear(c0, [(g, 12)], 0.05, 12)
+        path = dynamics.segment_path(g, 12, columns)
+        assert path.path == ("stencil" if stencil else "block")
+        states, paths = sf.propagate_linear(c0, [(g, 12)], 0.05, 12)
+        assert paths == (path,)
         self.assert_matches_dense_stages(g, c0, 12, states, 1e-14 if stencil else 1e-12)
 
     @pytest.mark.parametrize("operator", ["scalar_on_rows", "matrix_on_one_column", "complex_on_points",
@@ -273,11 +279,12 @@ class TestPropagateLinear:
         steps = 2 * g.shape[0]
         c0 = np.random.default_rng(36).uniform(-2, 2, (g.shape[0], columns * g.dtype.itemsize // 8))
         stencil = "stencil" in operator
-        assert dynamics.segment_path(g, steps, c0.size) == (
-            ("stencil", 0, steps) if stencil else ("block", dynamics.block_size(g.shape[0], steps), steps))
+        path = ("stencil", 0, steps) if stencil else ("block", dynamics.block_size(g.shape[0], steps), steps)
+        assert dynamics.segment_path(g, steps, columns) == path
         if stencil:
             monkeypatch.setattr(sf.dynamics, "_power_steps", lambda *args: pytest.fail("block path taken"))
-        states = sf.propagate_linear(c0, [(g, steps)], 0.05, steps)
+        states, paths = sf.propagate_linear(c0, [(g, steps)], 0.05, steps)
+        assert paths == (path,)
         # measured: within 1.7e-16 of the largest state for a real stencil, 5.6e-16 for the
         # complex one, 2.7e-15 on the block path
         self.assert_matches_dense_stages(g, c0, steps, states, 1e-14 if stencil else 1e-12)
@@ -313,6 +320,16 @@ MANEUVER_N300 = {  # a planar maneuver whose complex L - (α + iω)I runs 300 an
 }
 
 
+MANEUVER_20_RUNS = {  # a planar maneuver whose inputs change every 2 time units: 20 runs, 2,250 steps
+    "n": 12, "dt": 0.02, "horizon": 45.0,
+    "reference": {
+        "velocity": [[2.0 * k, [0.3 * (-1) ** k, 0.1 * k]] for k in range(20)],
+        "angular_velocity": [[2.0 * k, 0.05 * (k % 5) - 0.1] for k in range(20)],
+        "scale_rate": [[2.0 * k, 0.004 * (k % 3) - 0.006] for k in range(20)],
+    },
+}
+
+
 class TestSegmentPath:
     @pytest.mark.parametrize("scenario, dt, segments", [
         ({"n": 600, "horizon": 5.0}, None, [("stencil", 0, 40)]),
@@ -340,6 +357,24 @@ class TestSegmentPath:
         assert trace.solver == tuple(dynamics.SegmentPath(*segment) for segment in segments)
         assert metrics["solver"] == {"spectrum": "path formula",
                                      "segments": [dict(zip(("path", "block", "steps"), s)) for s in segments]}
+
+    def test_each_segment_path_is_picked_once(self, monkeypatch):
+        # a maneuver of 20 runs of constant input: propagate_linear picks each run's path once
+        # and returns the paths, which are the trace's and metrics.json's
+        picked, returned = [], []
+        segment_path, propagate = dynamics.segment_path, dynamics.propagate_linear
+
+        def recorded(*args):
+            returned.append(propagate(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(dynamics, "segment_path", lambda *args: picked.append(segment_path(*args)) or picked[-1])
+        monkeypatch.setattr(dynamics, "propagate_linear", recorded)
+        trace, _, metrics = cli.run_scenario(cli.parse_scenario(MANEUVER_20_RUNS))
+        assert len(picked) == 20
+        (_, paths), = returned
+        assert paths == trace.solver == tuple(picked)
+        assert metrics["solver"]["segments"] == [path._asdict() for path in picked]
 
     def test_verify_n256_takes_the_block_path(self, monkeypatch):
         # verify's solver check at n = 256, 400 steps on 2 columns: block path, B = 1
@@ -378,13 +413,13 @@ class TestSegmentPath:
         # has only the block path
         g = solver_costs.stencil(m, np.dtype(dtype).name)
         g = g if stencil else g.dense()
-        width = m * columns * (2 if dtype is complex else 1)
-        assert dynamics.segment_path(g, count, width).path == path
+        assert dynamics.segment_path(g, count, columns).path == path
         taken = []
         monkeypatch.setattr(dynamics, "_power_steps", lambda *args: taken.append("block"))
         monkeypatch.setattr(dynamics, "_stage_steps", lambda *args: taken.append("stencil"))
-        sf.propagate_linear(np.zeros(width), [(g, count)], 0.05, count)
-        assert taken == [path]
+        width = m * columns * (2 if dtype is complex else 1)
+        _, paths = sf.propagate_linear(np.zeros(width), [(g, count)], 0.05, count)
+        assert taken == [path] and [p.path for p in paths] == [path]
 
 
 def nonzero_product(g: np.ndarray, x: np.ndarray) -> np.ndarray:

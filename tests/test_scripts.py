@@ -14,10 +14,17 @@ from symform import dynamics
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def script_env(blas_threads: str | None = None) -> dict:
+    """This environment with ``src`` on the path and, if given, every BLAS thread count set."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
+    if blas_threads is not None:
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), blas_threads))
+    return env
+
+
+def run_script(name: str, *args: str, blas_threads: str | None = None) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=script_env(blas_threads),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -33,9 +40,7 @@ def test_solver_costs(tmp_path, monkeypatch, solver_costs):
     out.write_text('{"other": [1]}')
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import solver_costs as s; "
             "s.SIZES = (4, 64); s.COUNTS = (1, 64); sys.exit(s.main(['--out', sys.argv[2], '--repeats', '1']))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code, str(ROOT / "scripts"), str(out)], env=env,
+    result = subprocess.run([sys.executable, "-c", code, str(ROOT / "scripts"), str(out)], env=script_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     data = json.loads(out.read_text())
@@ -81,7 +86,9 @@ def test_csv_costs(tmp_path):
 
 
 def test_snapshot_outputs(tmp_path):
-    result = run_script("snapshot_outputs.py", str(tmp_path))
+    # asked for two BLAS threads, the script still runs on one: its block-path run at n = 300
+    # writes the bytes of a one-thread run
+    result = run_script("snapshot_outputs.py", str(tmp_path), blas_threads="2")
     assert result.returncode == 0, result.stderr
     runs = tmp_path / "runs"
     assert sorted(p.name for p in runs.iterdir()) == [
@@ -96,6 +103,11 @@ def test_snapshot_outputs(tmp_path):
     assert "$ symform verify OUT/scenarios/verify_n256.json\nexit 0\n" in log
     assert "$ symform verify OUT/scenarios/verify_n600.json\nexit 0\n" in log
     assert (tmp_path / "sweep" / "sweep.json").is_file()
+    scenario, trace = tmp_path / "scenarios" / "planar_n300_400.json", "planar_n300_400/trace.csv"
+    single = subprocess.run([sys.executable, "-m", "symform", "run", str(scenario), "--out", str(tmp_path / "single")],
+                            env=script_env("1"), capture_output=True, timeout=120)
+    assert single.returncode == 0, single.stderr
+    assert (runs / trace).read_bytes() == (tmp_path / "single" / trace).read_bytes()
 
 
 def test_compare_snapshots(tmp_path):
