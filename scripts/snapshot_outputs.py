@@ -26,7 +26,9 @@ edge by edge, cut at (4, 5), with its own shifts and flipped edges),
 and a cube maneuver from reference scale 1e-306, whose frame coordinates
 overflow the projection residual and, for the cube, the frame residual that
 its run checks first, and a planar maneuver whose scale decays
-below the smallest normal float), ``verify`` of each preset, of the last
+below the smallest normal float), ``run`` of a planar n = 3 maneuver at
+angular velocity 1e308, whose RK4 stability gain overflows, which fails with
+exit 2 and writes nothing, ``verify`` of each preset, of the last
 three run scenarios that succeed, of a planar n = 256 scenario (the shape
 of the benchmark's ``checks`` workload, so its check values land in the
 log; its solver cross-check takes the block path) and of a planar n = 600
@@ -126,6 +128,7 @@ FAILING = {
     "overflow_metric": {"n": 6, "horizon": 5, "reference": {"start": {"scale": 1e-306}}},
     "overflow_metric_cube": {"formation": "cube", "horizon": 5, "reference": {"start": {"scale": 1e-306}}},
     "subnormal_scale": {"n": 6, "dt": 0.01, "horizon": 80, "reference": {"scale_rate": [[0, -10]]}},
+    "omega_overflow": {"n": 3, "reference": {"angular_velocity": [[0, 1e308]]}},
 }
 
 VERIFIED = {"verify_n256": {"n": 256}, "verify_n600": {"n": 600},

@@ -8,19 +8,16 @@ steers the achieved formation along translating/rotating/scaling trajectories.
 from __future__ import annotations
 
 from .symgroup import (
-    CyclicAutomorphism,
     Rotation,
     identity,
     rotation2,
     rotation3,
 )
 from .topology import (
-    CycleGraph,
     InteractionGraph,
     chain_matrices,
     cycle_minus_edge,
     rotation_chain,
-    validate,
     weighted_edges,
 )
 from .laplacian import (
@@ -59,14 +56,13 @@ from .spatial3d import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CubeSpec", "CycleGraph", "CyclicAutomorphism", "InteractionGraph",
-    "ManeuverTrace", "NumericFailure", "ReferenceInputs", "ReferencePath",
-    "ReferenceState", "Rotation", "SimulationTrace", "Spectrum",
-    "SymmetryLaplacian", "build_cube", "build_laplacian", "chain_matrices",
-    "cycle_minus_edge", "fit_rate", "identity", "integrate",
-    "laplacian_from_edges", "null_basis", "omega_matrix",
-    "product_laplacian", "propagate_linear", "propagate_reference",
-    "resolve_grid", "rotation2", "rotation3", "rotation_chain",
-    "simulate_maneuver", "spectrum", "steady_state", "validate",
+    "CubeSpec", "InteractionGraph", "ManeuverTrace", "NumericFailure",
+    "ReferenceInputs", "ReferencePath", "ReferenceState", "Rotation",
+    "SimulationTrace", "Spectrum", "SymmetryLaplacian", "build_cube",
+    "build_laplacian", "chain_matrices", "cycle_minus_edge", "fit_rate",
+    "identity", "integrate", "laplacian_from_edges", "null_basis",
+    "omega_matrix", "product_laplacian", "propagate_linear",
+    "propagate_reference", "resolve_grid", "rotation2", "rotation3",
+    "rotation_chain", "simulate_maneuver", "spectrum", "steady_state",
     "weighted_edges", "zeta_consistency_residual",
 ]

@@ -26,11 +26,11 @@ STABILITY_LIMIT = 2.0          # RK4 real-axis stability edge is ~2.785; stay un
 MAX_TRACE_BYTES = 512 * 2**20  # largest estimated memory of a run's trace and its output
 # Estimated bytes per trace row: the float64 trace arrays (states, residuals,
 # errors) and what writing the run's files adds to them (the CSVs are streamed a
-# block at a time, so only the SVGs' pixel arrays grow with the rows). Measured
-# peaks of long planar, maneuver and cube runs through write_outputs, less the
-# fixed bytes per row, lay at 18-39 bytes per coordinate per row while a maneuver
-# trace also held its frame coordinates; the top of that range is a 12,001-row
-# cube maneuver, which peaks in the run.
+# block at a time, so only the SVGs' pixel arrays grow with the rows). The
+# tracemalloc peaks of long runs through write_outputs (one BLAS thread), less the
+# fixed bytes per row, lie at 16-37 bytes per coordinate per row: planar n = 16 on
+# the default grid and n = 64 to t = 1500, maneuver_c6, the cube preset, a planar
+# n = 32 maneuver and, at the top, a 12,001-row cube maneuver, which peaks in the run.
 TRACE_ROW_BYTES_PER_COORD = 48
 TRACE_ROW_BYTES_FIXED = 256
 MAX_BUILD_BYTES = 512 * 2**20  # largest estimated memory of a formation's build
@@ -46,10 +46,10 @@ RUN_BYTES_PER_NODE = 1400
 # Q, E (half of dn x dn), the gauge matrix and E Eᵀ; a planar n = 300 sweep peaks at 3.5.
 BUILD_DENSE_MATRICES = 5
 # ``verify`` holds the same arrays while a dense eigh of Q adds its copy, workspace and
-# eigenvectors: a planar n = 1448, the largest that fits, peaked at 6.4 dn x dn arrays while
-# the solver check still formed its whole trace. The check's gauge rows (about 400 of dn
-# coordinates) and the block path's m x m products weigh more at small n: a planar n = 300
-# verify peaks at 7.5 (7.8 as a process's first command).
+# eigenvectors: under tracemalloc on one BLAS thread a planar n = 1448, the largest that
+# fits, peaks at 6.2 dn x dn arrays. The check's gauge rows (about 400 of dn coordinates)
+# and the block path's m x m products weigh more at small n: a planar n = 300 verify
+# peaks at 7.5 (7.8 as a process's first command).
 VERIFY_DENSE_MATRICES = 8
 POWER_STACK_CAP = 256  # most RK4 steps propagate_linear writes with one matrix product
 # One rule picks each segment's path (segment_path): an array G takes the block path, and so

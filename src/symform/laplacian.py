@@ -82,7 +82,7 @@ class SymmetryLaplacian:
     @cached_property
     def cut(self) -> int | None:
         """The 0-based node a when the tree is the cycle C_n without its edge (a, a + 1 mod n),
-        as every planar tree that :func:`topology.validate` accepts is; None for any other tree.
+        as every planar tree that :func:`topology.tree_problem` passes is; None for any other tree.
         A tree whose edges all join cycle neighbours is such a path, cut between its two ends."""
         n = self.n
         u, v = self.ends.T
@@ -162,12 +162,17 @@ class SymmetryLaplacian:
         blocks = self.chain.reshape(self.n, self.dim, self.dim)
         return entries[:, None, None] * np.einsum("kab,kcb->kac", blocks[rows], blocks[cols])
 
+    @cached_property
+    def _gauge_gap(self) -> tuple[float, float]:
+        """max |Q - S (L ⊗ I_d) Sᵀ| and its Frobenius norm, from one difference of the tree's blocks."""
+        gaps = self._blocks - self._gauge_blocks
+        return float(np.abs(gaps).max()), math.sqrt(float(np.vdot(gaps, gaps)))
+
     @property
     def route_gaps(self) -> tuple[Gap, ...]:
         """The gauge route's (name, label, max |Q - S (L ⊗ I_d) Sᵀ|), taken without a dense Q on the
         tree's blocks, where both matrices are nonzero; ``verify`` checks the other routes."""
-        gap = float(np.abs(self._blocks - self._gauge_blocks).max())
-        return (("construction_routes", "route disagreement", gap),)
+        return (("construction_routes", "route disagreement", self._gauge_gap[0]),)
 
     @property
     def null_gap(self) -> float:
@@ -182,8 +187,7 @@ class SymmetryLaplacian:
         """‖Q - S (L ⊗ I_d) Sᵀ‖_F, summed over the tree's n diagonal and 2(n - 1) edge
         blocks (both matrices are zero elsewhere). By Weyl's inequality it bounds how far
         the k-th smallest eigenvalue of ``matrix`` lies from the k-th smallest of L ⊗ I_d."""
-        gaps = self._blocks - self._gauge_blocks
-        return math.sqrt(float(np.vdot(gaps, gaps)))
+        return self._gauge_gap[1]
 
     @property
     def is_path(self) -> bool:
@@ -314,8 +318,8 @@ def laplacian_from_edges(n: int, dim: int, wedges: list[WeightedEdge]) -> Symmet
 
 
 def build_laplacian(graph: InteractionGraph) -> SymmetryLaplacian:
-    """The arrays of a planar constraint tree that :func:`topology.validate` accepts: its
-    edge rotations (:func:`topology.edge_rotations`), its 0-based ends and the exact-shift
+    """The arrays of a planar constraint tree whose ends :func:`topology.tree_problem` passes:
+    its edge rotations (:func:`topology.edge_rotations`), its 0-based ends and the exact-shift
     chain of :func:`null_basis`. No per-edge or per-node Python object is formed."""
     return SymmetryLaplacian(rotations=_freeze(edge_rotations(graph)), ends=graph.ends - 1,
                              chain=null_basis(graph))

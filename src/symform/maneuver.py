@@ -256,8 +256,8 @@ def _segment_operators(lap: SymmetryLaplacian,
     dt = path.dt
     shifted = [_rotating_eigenvalues(lap, w) + max(-a, 0.0) for _, _, w, a in path.runs]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed gain is rejected below
-        gains = [float(_rk4_gain(-dt * mu).max()) for mu in shifted]
-    worst = int(np.argmax(gains))  # the first NaN, if any
+        gains = [float(np.fmin(_rk4_gain(-dt * mu), math.inf).max()) for mu in shifted]
+    worst = int(np.argmax(gains))  # fmin reads a NaN gain, a complex P(z) past the float range, as inf
     if not gains[worst] <= 1 + RK4_GAIN_TOL:
         stiffest = max(float(np.abs(mu).max()) for mu in shifted)
         t = float(path.times[path.runs[worst][0]])

@@ -227,7 +227,7 @@ def parse_scenario(raw: dict, name_hint: str = "scenario") -> Scenario:
                 raise ScenarioError(f"tree: {exc}") from None
         else:
             u, v = _ints(tree_raw.get("remove", [n, 1]), "tree.remove", 2, "[u, v]")
-            _require(topology.CycleGraph(n).contains_edge(u, v), "tree.remove",
+            _require(topology.is_cycle_edge(n, u, v), "tree.remove",
                      lambda: f"{reprlib.repr([u, v])} is not an edge of C_{reprlib.repr(n)}")
             # C_n less a cycle edge is a tree; cli.build_system builds it once n is known to fit
             tree_graph, removed_edge = None, (u, v)

@@ -1,4 +1,4 @@
-"""Rotation elements and cyclic-group automorphisms used as edge constraints."""
+"""Rotation elements used as edge constraints."""
 from __future__ import annotations
 
 import math
@@ -86,22 +86,3 @@ def rotation3(axis, angle: float) -> Rotation:
     K = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
     m = np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
     return Rotation(m)
-
-
-@dataclass(frozen=True)
-class CyclicAutomorphism:
-    """A rotational automorphism of the cycle graph C_n: vertex i maps to i+shift (1-based, mod n)."""
-
-    n: int
-    shift: int
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"cycle graphs need n >= 3 nodes, got n={self.n}")
-        object.__setattr__(self, "shift", self.shift % self.n)
-
-    @property
-    def rotation(self) -> Rotation:
-        """The planar rotation R(shift·2π/n) this automorphism is assigned: shifts that add
-        map to products of rotations and a negated shift to the transpose."""
-        return rotation2(self.shift * (math.tau / self.n))

@@ -1,34 +1,19 @@
-"""Cycle graphs, constraint-labeled spanning trees held as arrays, and rotation chains."""
+"""Cycle edges, constraint-labeled spanning trees held as arrays, and rotation chains."""
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .symgroup import CyclicAutomorphism
+from .symgroup import rotation2
 
 
-@dataclass(frozen=True)
-class CycleGraph:
-    """The undirected cycle C_n on vertices 1..n."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"cycle graphs need n >= 3 nodes, got n={self.n}")
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, i % self.n + 1) for i in range(1, self.n + 1))
-
-    def contains_edge(self, u: int, v: int) -> bool:
-        """Undirected membership test."""
-        if not (1 <= u <= self.n and 1 <= v <= self.n):
-            return False
-        return (u % self.n + 1 == v) or (v % self.n + 1 == u)
+def is_cycle_edge(n: int, u: int, v: int) -> bool:
+    """True when (u, v), in either order, is an edge of the cycle C_n on nodes 1..n (n >= 3)."""
+    return n >= 3 and 1 <= u <= n and 1 <= v <= n and (u % n + 1 == v or v % n + 1 == u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,11 +21,10 @@ class InteractionGraph:
     """A spanning tree of C_n whose directed edges carry cyclic shifts, held as arrays.
 
     Row e of ``ends`` (m x 2) is a stored edge (u, v), 1-based, and ``shifts[e]``
-    its shift k in 0..n-1: the constraint "agent v sits at R(k·2π/n) applied to
-    agent u", p_v = R(k·2π/n) p_u, with R(k·2π/n) the rotation of
-    ``CyclicAutomorphism(n, k)``. Traversed v→u the shift acts negated.
-    :func:`cycle_minus_edge` and :func:`planar_tree` form one; :func:`validate`
-    checks it.
+    its shift k in 0..n-1, an element of the cyclic group C_n: the constraint "agent v
+    sits at R(k·2π/n) applied to agent u", p_v = R(k·2π/n) p_u. Traversed v→u the shift
+    acts negated. :func:`cycle_minus_edge` and :func:`planar_tree` form one;
+    :func:`tree_problem` checks its ends.
     """
 
     n: int
@@ -55,7 +39,7 @@ def cycle_minus_edge(n: int, removed: tuple[int, int]) -> InteractionGraph:
     the compatible formations are full C_n orbits.
     """
     ru, rv = removed
-    if not CycleGraph(n).contains_edge(ru, rv):
+    if not is_cycle_edge(n, ru, rv):
         raise ValueError(f"removed edge {removed} is not an edge of C_{n}")
     cut = ru if rv == ru % n + 1 else rv  # the removed edge is (cut, cut + 1 mod n)
     u = np.arange(1, n)
@@ -116,15 +100,10 @@ def tree_problem(n: int, ends, *, cycle: bool = True) -> str | None:
     return None
 
 
-def validate(graph: InteractionGraph) -> str | None:
-    """Check the spanning-tree invariants (:func:`tree_problem`); return the first violation or None."""
-    return tree_problem(graph.n, graph.ends)
-
-
 def edge_rotations(graph: InteractionGraph) -> NDArray[np.float64]:
     """Each edge's rotation R(shift·2π/n) (m x 2 x 2), one ``Rotation`` built per distinct shift."""
     shifts = np.flatnonzero(np.bincount(graph.shifts))  # the distinct shifts, ascending
-    table = np.array([CyclicAutomorphism(graph.n, k).rotation.matrix for k in shifts.tolist()])
+    table = np.array([rotation2(k * (math.tau / graph.n)).matrix for k in shifts.tolist()])
     return table.reshape(-1, 2, 2)[np.searchsorted(shifts, graph.shifts)]
 
 
@@ -179,7 +158,7 @@ def rotation_chain(graph: InteractionGraph) -> NDArray[np.intp]:
                                    & (np.where(forward, v, u) == (position + 1) % n)).all():
         covered[position] = True
     if covered.sum() != n - 1:
-        raise ValueError(f"invalid interaction graph: {validate(graph)}")
+        raise ValueError(f"invalid interaction graph: {tree_problem(n, graph.ends)}")
     cut = int(np.argmin(covered))
     delta = np.zeros(n, np.intp)
     delta[position] = np.where(forward, graph.shifts, -graph.shifts)

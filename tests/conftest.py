@@ -67,7 +67,7 @@ CROSS_CUBE = {"cross_edge": [2, 6]}
 def random_tree(n: int, cut: int, shifts: list[int], flips: list[bool]) -> sf.InteractionGraph:
     """C_n without its edge (cut, cut + 1), each kept edge with its own shift and orientation."""
     edges = []
-    for k, (i, j) in enumerate(e for e in sf.CycleGraph(n).edges if e[0] != cut):
+    for k, (i, j) in enumerate((i, i % n + 1) for i in range(1, n + 1) if i != cut):
         edges.append((j, i, shifts[k]) if flips[k] else (i, j, shifts[k]))
     return topology.planar_tree(n, edges)
 

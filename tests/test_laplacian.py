@@ -93,8 +93,8 @@ class TestLaplacian:
     @given(st.integers(3, 12), st.integers(0, 11))
     @settings(max_examples=40, deadline=None)
     def test_product_route_agrees(self, n, removed_idx):
-        removed = sf.CycleGraph(n).edges[removed_idx % n]
-        graph = sf.cycle_minus_edge(n, removed)
+        i = removed_idx % n + 1
+        graph = sf.cycle_minus_edge(n, (i, i % n + 1))
         lap = sf.build_laplacian(graph)
         assert np.abs(lap.matrix - sf.product_laplacian(lap.incidence)).max() <= 1e-12
 
@@ -189,6 +189,18 @@ class TestSpectrum:
         lap = build()
         spec = lap.spectrum
         assert lap.spectrum is spec
+
+    @pytest.mark.parametrize("build", [
+        lambda: sf.build_laplacian(random_tree(9, 4, [1, 3, 0, 8, 2, 5, 7, 4], [False, True] * 4)),
+        lambda: sf.build_cube(sf.CubeSpec(**CROSS_CUBE)),
+    ], ids=["planar_tree", "cross_cube"])
+    def test_route_gap_and_spread_share_one_difference(self, build):
+        # the max and the Frobenius norm of Q - S (L ⊗ I_d) Sᵀ on the tree's blocks, each with
+        # the bits of its own pass over the difference
+        lap = build()
+        gaps = lap._blocks - lap._gauge_blocks
+        assert lap.route_gaps == (("construction_routes", "route disagreement", float(np.abs(gaps).max())),)
+        assert lap.spread == math.sqrt(float(np.vdot(gaps, gaps)))
 
 
 def assert_gauge_spectrum_matches_dense(lap) -> None:

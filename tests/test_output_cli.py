@@ -329,7 +329,7 @@ class TestParseScenario:
         assert scn.removed_edge is None
         assert (scn.tree_graph.n, scn.tree_graph.ends.tolist(), scn.tree_graph.shifts.tolist()) == (
             4, [[1, 2], [2, 3], [3, 4]], [1, 1, 1])
-        assert topology.validate(scn.tree_graph) is None
+        assert topology.tree_problem(scn.tree_graph.n, scn.tree_graph.ends) is None
 
     def test_initial_points_count_checked(self):
         with pytest.raises(cli.ScenarioError, match="initial.points"):
@@ -747,6 +747,10 @@ class TestMainExitCodes:
          3, "maneuver: reference_scales is below the smallest normal float from step 0 (t = 0)"),
         ({"n": 6, "dt": 0.01, "horizon": 80, "reference": {"scale_rate": [[0, -10]]}},
          3, "maneuver: reference_scales is below the smallest normal float from step 7084 (t = 70.84)"),
+        # |P(-dt mu)| for |mu| near the float range overflows to a complex NaN, named as inf
+        ({"n": 3, "reference": {"angular_velocity": [[0, 1e308]]}},
+         2, "invalid argument: step size 0.166667 is unstable for the maneuver from t = 0: RK4 amplifies "
+            "a mode by max |P(-dt mu)| = inf > 1 (try dt = 5e-309)"),
     ])
     def test_failing_run_writes_nothing(self, tmp_path, capsys, scenario, code, message):
         path = tmp_path / "scenario.json"

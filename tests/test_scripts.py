@@ -100,6 +100,7 @@ def test_snapshot_outputs(tmp_path):
     log = (tmp_path / "log.txt").read_text()
     assert log.count("\nexit 0\n") == 29 and str(tmp_path) not in log
     assert log.count("\nexit 3\n") == 3
+    assert log.count("\nexit 2\n") == 1 and "max |P(-dt mu)| = inf > 1" in log
     assert "$ symform verify OUT/scenarios/verify_n256.json\nexit 0\n" in log
     assert "$ symform verify OUT/scenarios/verify_n600.json\nexit 0\n" in log
     assert (tmp_path / "sweep" / "sweep.json").is_file()

@@ -70,77 +70,81 @@ def polygon(n: int) -> np.ndarray:
     return np.array([np.cos(angles), np.sin(angles)])
 
 
-def vertex_map(g: sf.CyclicAutomorphism) -> list[int]:
-    """The vertex each vertex 1..n of the regular n-gon lands on under ``g.rotation``."""
-    moved = g.rotation.matrix @ polygon(g.n)
-    gaps = np.abs(moved[:, :, None] - polygon(g.n)[:, None, :]).max(axis=0)
+def shift_rotation(n: int, k: int) -> np.ndarray:
+    """R(k·2π/n) for the shift k mod n, the rotation an edge of that shift takes."""
+    return sf.rotation2((k % n) * (math.tau / n)).matrix
+
+
+def vertex_map(n: int, k: int) -> list[int]:
+    """The vertex each vertex 1..n of the regular n-gon lands on under R(k·2π/n)."""
+    moved = shift_rotation(n, k) @ polygon(n)
+    gaps = np.abs(moved[:, :, None] - polygon(n)[:, None, :]).max(axis=0)
     assert (gaps.min(axis=1) < 1e-12).all()
     return (gaps.argmin(axis=1) + 1).tolist()
 
 
 class TestCyclicAutomorphism:
-    """Shift k acts on C_n as vertex i -> i + k (mod n), which ``rotation`` realizes on the regular n-gon."""
+    """Shift k acts on C_n as vertex i -> i + k (mod n), which R(k·2π/n) realizes on the regular n-gon."""
 
     def test_generator_action_on_triangle(self):
-        assert vertex_map(sf.CyclicAutomorphism(3, 1)) == [2, 3, 1]
+        assert vertex_map(3, 1) == [2, 3, 1]
 
     def test_square_of_generator_on_triangle(self):
-        assert vertex_map(sf.CyclicAutomorphism(3, 2)) == [3, 1, 2]
+        assert vertex_map(3, 2) == [3, 1, 2]
 
     def test_action_wraps_around(self):
-        assert vertex_map(sf.CyclicAutomorphism(6, 2))[4:] == [1, 2]
+        assert vertex_map(6, 2)[4:] == [1, 2]
 
     def test_composition_matches_function_composition(self):
         # brute-force oracle: adding shifts must act like composing the vertex maps
         for n in range(3, 9):
             for a in range(n):
                 for b in range(n):
-                    ga, gb = vertex_map(sf.CyclicAutomorphism(n, a)), vertex_map(sf.CyclicAutomorphism(n, b))
-                    assert vertex_map(sf.CyclicAutomorphism(n, a + b)) == [ga[gb[i] - 1] for i in range(n)]
+                    ga, gb = vertex_map(n, a), vertex_map(n, b)
+                    assert vertex_map(n, a + b) == [ga[gb[i] - 1] for i in range(n)]
 
     def test_composition_frozen_example(self):
-        assert sf.CyclicAutomorphism(3, 2 + 2).shift == 1
+        assert vertex_map(3, 2 + 2) == vertex_map(3, 1)
 
     def test_shift_normalization(self):
-        assert sf.CyclicAutomorphism(5, 7).shift == 2
-        assert sf.CyclicAutomorphism(5, -1).shift == 4
-        assert sf.CyclicAutomorphism(5, 5).shift == 0
+        # an edge's shift is held mod n, so each edge takes R(k·2π/n) for k in 0..n-1
+        g = sf.topology.planar_tree(5, [(1, 2, 7), (2, 3, -1), (3, 4, 5), (4, 5, 0)])
+        assert g.shifts.tolist() == [2, 4, 0, 0]
+        expected = np.array([shift_rotation(5, k) for k in (7, -1, 5, 0)])
+        assert sf.topology.edge_rotations(g).tobytes() == expected.tobytes()
 
     def test_inverse(self):
-        assert sf.CyclicAutomorphism(6, 2 - 2).shift == 0
-        assert vertex_map(sf.CyclicAutomorphism(6, -2)) == [5, 6, 1, 2, 3, 4]
+        assert vertex_map(6, 2 - 2) == list(range(1, 7))
+        assert vertex_map(6, -2) == [5, 6, 1, 2, 3, 4]
 
     def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            sf.CyclicAutomorphism(2, 0)
+        with pytest.raises(ValueError, match="not an edge of C_2"):
+            sf.cycle_minus_edge(2, (1, 2))
 
 
 class TestPointGroupAssignment:
-    """``CyclicAutomorphism.rotation`` is the assignment: shift k maps to R(k·2π/n), a map
-    from shifts added mod n to rotations multiplied."""
+    """Shift k maps to R(k·2π/n): a map from shifts added mod n to rotations multiplied, the
+    premise of ``rotation_chain``'s integer sums."""
 
     @given(st.integers(3, 12), st.integers(0, 11), st.integers(0, 11))
     @settings(max_examples=60, deadline=None)
     def test_homomorphism(self, n, k1, k2):
-        a, b = sf.CyclicAutomorphism(n, k1), sf.CyclicAutomorphism(n, k2)
-        product = a.rotation.matrix @ b.rotation.matrix
-        assert np.allclose(sf.CyclicAutomorphism(n, k1 + k2).rotation.matrix, product, atol=1e-12)
+        product = shift_rotation(n, k1) @ shift_rotation(n, k2)
+        assert np.allclose(shift_rotation(n, k1 + k2), product, atol=1e-12)
 
     @given(st.integers(3, 12), st.integers(0, 11))
     @settings(max_examples=40, deadline=None)
     def test_inverse_maps_to_transpose(self, n, k):
-        g = sf.CyclicAutomorphism(n, k)
-        assert np.allclose(sf.CyclicAutomorphism(n, -k).rotation.matrix, g.rotation.matrix.T, atol=1e-12)
+        assert np.allclose(shift_rotation(n, -k), shift_rotation(n, k).T, atol=1e-12)
 
     def test_identity_maps_to_identity(self):
-        assert np.array_equal(sf.CyclicAutomorphism(7, 0).rotation.matrix, np.eye(2))
-        assert np.array_equal(sf.CyclicAutomorphism(7, 7).rotation.matrix, np.eye(2))
+        assert np.array_equal(shift_rotation(7, 0), np.eye(2))
+        assert np.array_equal(shift_rotation(7, 7), np.eye(2))
 
     def test_half_turn_frozen(self):
         # shift n/2 on C_6 is the half turn: R(pi) = -I
-        r = sf.CyclicAutomorphism(6, 3).rotation
-        assert np.allclose(r.matrix, -np.eye(2), atol=1e-15)
+        assert np.allclose(shift_rotation(6, 3), -np.eye(2), atol=1e-15)
 
     def test_generator_angle(self):
-        r = sf.CyclicAutomorphism(4, 1).rotation
-        assert np.array_equal(r.matrix, sf.rotation2(math.tau / 4).matrix)
+        g = sf.cycle_minus_edge(4, (4, 1))  # every edge of shift 1
+        assert sf.topology.edge_rotations(g)[0].tobytes() == sf.rotation2(math.tau / 4).matrix.tobytes()

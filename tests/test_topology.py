@@ -21,34 +21,48 @@ def graph(n: int, edges: list[tuple[int, int, int]]) -> sf.InteractionGraph:
 
 def object_walk(n: int, edges: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The planar build made edge by edge and node by node: the 0-based ends, the edge
-    rotations and the stacked chain of the (u, v, shift) triples. Each edge carries a
-    ``CyclicAutomorphism`` label, one ``Rotation`` per distinct shift; the chain shifts are
-    composed along ``topology._bfs_tree`` from node 1, and each node's rotation is
-    ``rotation2`` of its exact shift. The reference the array build is checked against."""
-    labels = [(u, v, sf.CyclicAutomorphism(n, k)) for (u, v, k) in edges]
-    matrices = {g.shift: g.rotation.matrix for (_, _, g) in labels}
+    rotations and the stacked chain of the (u, v, shift) triples. Each edge carries its
+    shift mod n and its rotation ``rotation2`` of it, one ``Rotation`` per distinct shift;
+    the chain shifts are composed along ``topology._bfs_tree`` from node 1, and each node's
+    rotation is ``rotation2`` of its exact shift. The reference the array build is checked against."""
+    labels = [(u, v, k % n) for (u, v, k) in edges]
+    matrices = {k: sf.rotation2(k * (math.tau / n)).matrix for k in {k for (_, _, k) in labels}}
     shifts = [0] * (n + 1)
-    for (node, parent, g, forward) in topology._bfs_tree(n, labels)[1:]:
-        shifts[node] = (shifts[parent] + (g.shift if forward else -g.shift)) % n
+    for (node, parent, k, forward) in topology._bfs_tree(n, labels)[1:]:
+        shifts[node] = (shifts[parent] + (k if forward else -k)) % n
     chain = np.vstack([sf.rotation2(k * (math.tau / n)).matrix for k in shifts[1:]])
     ends = np.array([(u, v) for (u, v, _) in labels]) - 1
-    return ends, np.array([matrices[g.shift] for (_, _, g) in labels]), chain
+    return ends, np.array([matrices[k] for (_, _, k) in labels]), chain
 
 
 class TestCycleGraph:
+    """C_n's edges as the predicate ``topology.is_cycle_edge``."""
+
     def test_edges(self):
-        assert sf.CycleGraph(4).edges == ((1, 2), (2, 3), (3, 4), (4, 1))
+        pairs = [(u, v) for u in range(-1, 7) for v in range(-1, 7) if u < v]
+        assert [e for e in pairs if topology.is_cycle_edge(4, *e)] == [(1, 2), (1, 4), (2, 3), (3, 4)]
 
     def test_membership_is_undirected(self):
-        g = sf.CycleGraph(5)
-        assert g.contains_edge(1, 2) and g.contains_edge(2, 1)
-        assert g.contains_edge(5, 1) and g.contains_edge(1, 5)
-        assert not g.contains_edge(1, 3)
-        assert not g.contains_edge(0, 1)
+        assert topology.is_cycle_edge(5, 1, 2) and topology.is_cycle_edge(5, 2, 1)
+        assert topology.is_cycle_edge(5, 5, 1) and topology.is_cycle_edge(5, 1, 5)  # the (n, 1) wrap
+        assert not topology.is_cycle_edge(5, 1, 3)
+        assert not topology.is_cycle_edge(5, 2, 2)
+
+    def test_ends_out_of_range(self):
+        assert not topology.is_cycle_edge(5, 0, 1) and not topology.is_cycle_edge(5, 1, 0)
+        assert not topology.is_cycle_edge(5, 5, 6) and not topology.is_cycle_edge(5, 6, 1)
+        assert not topology.is_cycle_edge(5, -4, 1)  # -4 % 5 + 1 == 2 would pass a wrap check alone
 
     def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            sf.CycleGraph(2)
+        assert not any(topology.is_cycle_edge(n, u, v) for n in (0, 1, 2) for u in range(3) for v in range(3))
+        with pytest.raises(ValueError, match="not an edge of C_2"):
+            sf.cycle_minus_edge(2, (1, 2))
+
+    def test_huge_n(self):
+        # Python integers of any size: the wrap edge of C_(10^30) is an edge, its chord is not
+        n = 10 ** 30
+        assert topology.is_cycle_edge(n, n, 1) and topology.is_cycle_edge(n, n - 1, n)
+        assert not topology.is_cycle_edge(n, 1, n - 1) and not topology.is_cycle_edge(n, n + 1, 1)
 
 
 class TestCycleMinusEdge:
@@ -70,24 +84,29 @@ class TestCycleMinusEdge:
             sf.cycle_minus_edge(4, (1, 3))
 
 
+def problem(g: sf.InteractionGraph) -> str | None:
+    """``topology.tree_problem`` of the graph's ends on C_n."""
+    return topology.tree_problem(g.n, g.ends)
+
+
 class TestValidate:
     def test_valid_tree(self):
-        assert sf.validate(sf.cycle_minus_edge(6, (6, 1))) is None
+        assert problem(sf.cycle_minus_edge(6, (6, 1))) is None
 
     def test_full_cycle_is_cyclic(self):
-        assert sf.validate(graph(4, [(i, i % 4 + 1, 1) for i in range(1, 5)])) == "not acyclic"
+        assert problem(graph(4, [(i, i % 4 + 1, 1) for i in range(1, 5)])) == "not acyclic"
 
     def test_split_graph_is_disconnected(self):
-        assert sf.validate(graph(4, [(1, 2, 1), (3, 4, 1)])) == "not connected"
+        assert problem(graph(4, [(1, 2, 1), (3, 4, 1)])) == "not connected"
 
     def test_chord_rejected(self):
-        assert "not an edge" in sf.validate(graph(4, [(1, 2, 1), (2, 3, 1), (1, 3, 1)]))
+        assert "not an edge" in problem(graph(4, [(1, 2, 1), (2, 3, 1), (1, 3, 1)]))
 
     def test_duplicate_edge_rejected(self):
-        assert "duplicate" in sf.validate(graph(4, [(1, 2, 1), (2, 1, 1), (3, 4, 1)]))
+        assert "duplicate" in problem(graph(4, [(1, 2, 1), (2, 1, 1), (3, 4, 1)]))
 
     def test_self_loop_rejected(self):
-        assert "invalid edge" in sf.validate(graph(4, [(1, 1, 1), (2, 3, 1), (3, 4, 1)]))
+        assert "invalid edge" in problem(graph(4, [(1, 1, 1), (2, 3, 1), (3, 4, 1)]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 40).flatmap(lambda n: st.tuples(
@@ -95,10 +114,10 @@ class TestValidate:
         st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1),
         st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))))
     def test_any_n_minus_one_cycle_edges_are_a_spanning_tree(self, case):
-        # so validate needs no walk: its count check leaves no disconnected graph
+        # so tree_problem needs no walk: its count check leaves no disconnected graph
         n, cut, shifts, flips = case
         g = random_tree(n, cut, shifts, flips)
-        assert sf.validate(g) is None
+        assert problem(g) is None
         edges = [(u, v, None) for u, v in g.ends.tolist()]
         assert sorted(node for node, *_ in topology._bfs_tree(n, edges)) == list(range(1, n + 1))
 
@@ -132,8 +151,8 @@ class TestRotationChain:
     @given(st.integers(3, 12), st.integers(0, 11))
     @settings(max_examples=40, deadline=None)
     def test_chain_satisfies_edge_relations(self, n, removed_idx):
-        removed = sf.CycleGraph(n).edges[removed_idx % n]
-        graph = sf.cycle_minus_edge(n, removed)
+        i = removed_idx % n + 1
+        graph = sf.cycle_minus_edge(n, (i, i % n + 1))
         mats = sf.null_basis(graph).reshape(n, 2, 2)
         for (u, v, w) in sf.weighted_edges(graph):
             assert np.allclose(mats[v - 1], w @ mats[u - 1], atol=1e-12)
@@ -177,6 +196,13 @@ class TestHelpers:
         for (_, _, w), shift in zip(wedges, g.shifts.tolist()):
             assert np.array_equal(w, sf.rotation2(shift * 2 * math.pi / n).matrix)
 
+    @pytest.mark.parametrize("n", [3, 4, 7, 600])
+    def test_edge_rotations_are_rotation2_of_each_shift(self, n):
+        # every shift n - 1, ..., 0 once, on the n edges of C_n (edge_rotations reads no tree)
+        g = graph(n, [(i, i % n + 1, n - i) for i in range(1, n + 1)])
+        expected = np.array([sf.rotation2(k * (math.tau / n)).matrix for k in g.shifts.tolist()])
+        assert bits(topology.edge_rotations(g)) == bits(expected)
+
 
 def bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a).tobytes()
@@ -204,7 +230,7 @@ class TestArrayBuild:
     def test_equals_object_walk_at_large_n(self, n):
         rng = np.random.default_rng(n)
         cut = int(rng.integers(1, n + 1))
-        kept = [e for e in sf.CycleGraph(n).edges if e[0] != cut]
+        kept = [(i, i % n + 1) for i in range(1, n + 1) if i != cut]
         flips, shifts = rng.random(n - 1) < 0.5, rng.integers(-n, 2 * n, n - 1).tolist()
         self.check(n, [(v, u, k) if flip else (u, v, k) for (u, v), k, flip in zip(kept, shifts, flips)])
 
@@ -261,4 +287,4 @@ class TestParsedEdges:
         shifts = [-1, 9, 10 ** 30, -(10 ** 40) - 3]
         edges = [[i, i + 1, k] for i, k in enumerate(shifts, start=1)]
         g = cli.parse_scenario({"n": 5, "tree": {"edges": edges}}).tree_graph
-        assert g.shifts.tolist() == [sf.CyclicAutomorphism(5, k).shift for k in shifts] == [4, 4, 0, 2]
+        assert g.shifts.tolist() == [k % 5 for k in shifts] == [4, 4, 0, 2]
