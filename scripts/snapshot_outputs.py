@@ -2,7 +2,7 @@
 """Write a byte-comparable snapshot of symform's outputs into OUT.
 
 Every command goes through ``symform.cli.main``: ``run`` of each bundled
-preset and of fifteen fixed scenarios (a planar n = 600 run; the same run
+preset and of sixteen fixed scenarios (a planar n = 600 run; the same run
 with the interior edge (300, 301) removed instead of (600, 1); a planar n = 600
 run of 1,200 steps, twice m = 600, which the path rule keeps on the stencil
 rather than the block path; a planar n = 300 run of 400 steps, which it sends
@@ -20,15 +20,18 @@ cube maneuver, all five maneuvers with negative scale rates; a cube whose cross
 edge (2, 6) makes a tree that is not a path, so its spectrum comes from
 ``eigvalsh`` of L rather than the path formula; a cube whose top face runs
 4-3-2-1 and whose cross edge points from 5 to 1, so the composed route must
-place its blocks by the spec's labels; and a planar n = 9 tree given
-edge by edge, cut at (4, 5), with its own shifts and flipped edges),
+place its blocks by the spec's labels; a planar n = 9 tree given
+edge by edge, cut at (4, 5), with its own shifts and flipped edges; and a planar
+n = 3 maneuver at x = 1e17, whose paths plot's x axis is two float spacings
+wide),
 ``run`` of three scenarios that fail with exit 3 and write nothing (a planar
 and a cube maneuver from reference scale 1e-306, whose frame coordinates
 overflow the projection residual and, for the cube, the frame residual that
 its run checks first, and a planar maneuver whose scale decays
 below the smallest normal float), ``run`` of a planar n = 3 maneuver at
-angular velocity 1e308, whose RK4 stability gain overflows, which fails with
-exit 2 and writes nothing, ``verify`` of each preset, of the last
+angular velocity 1e308, whose RK4 stability gain overflows, and of a planar
+n = 20,000 run of 1e308 steps, whose trace bytes pass the float range, which
+fail with exit 2 and write nothing, ``verify`` of each preset, of the last
 three run scenarios that succeed, of a planar n = 256 scenario (the shape
 of the benchmark's ``checks`` workload, so its check values land in the
 log; its solver cross-check takes the block path) and of a planar n = 600
@@ -122,6 +125,11 @@ SCENARIOS = {
         "n": 9, "seed": 3,
         "tree": {"edges": [[1, 2, 1], [3, 2, 3], [3, 4, 0], [6, 5, 8], [6, 7, 2], [8, 7, 5], [8, 9, 7], [1, 9, 4]]},
     },
+    "ticks_1e17": {
+        "n": 3, "dt": 0.1, "horizon": 1,
+        "initial": {"points": [[10 ** 17, 0], [10 ** 17 + 16, 0], [10 ** 17, 3]]},
+        "reference": {"start": {"position": [10 ** 17, 0]}},
+    },
 }
 
 FAILING = {
@@ -129,6 +137,7 @@ FAILING = {
     "overflow_metric_cube": {"formation": "cube", "horizon": 5, "reference": {"start": {"scale": 1e-306}}},
     "subnormal_scale": {"n": 6, "dt": 0.01, "horizon": 80, "reference": {"scale_rate": [[0, -10]]}},
     "omega_overflow": {"n": 3, "reference": {"angular_velocity": [[0, 1e308]]}},
+    "trace_bytes_overflow": {"n": 20000, "dt": 1e-300, "horizon": 1e8},
 }
 
 VERIFIED = {"verify_n256": {"n": 256}, "verify_n600": {"n": 600},

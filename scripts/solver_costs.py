@@ -7,7 +7,7 @@ stencil one of two:
 
 - ``block``: D = P - I of the dense G and its stack D_1 … D_B, B states per
   matrix product (``_rk4_increment`` and ``_power_steps``);
-- ``stencil``: the RK4 stage loop with the stencil's slices (``_stage_steps``).
+- ``stencil``: rk4_step a step on the stencil's slices (``_stage_steps``).
 
 Over a grid of m, step counts and state columns (float64 on 1, 2 and 3
 columns, complex128 on 1) the script times both paths on the path stencil of

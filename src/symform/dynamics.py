@@ -57,7 +57,7 @@ POWER_STACK_CAP = 256  # most RK4 steps propagate_linear writes with one matrix 
 # count · STENCIL_STEP_MULADDS < (B + 2) · m³ · p² + count · m² · columns · p² (_block_muladds:
 # the real multiply-adds of the block path's m x m products that form D and its stack, and of
 # its products with the state rows; B = block_size, p = 2 for a complex G, 1 for a real one);
-# then it takes the stage loop on its slices. The constant is the block path's multiply-adds
+# then it takes rk4_step on its slices. The constant is the block path's multiply-adds
 # that cost as much as one stencil step. scripts/solver_costs.py times both paths over
 # m = 4 … 1200, 1 … 4,000 steps, float64 on 1 to 3 columns and complex128 on 1 (median of 7,
 # one BLAS thread, 2-vCPU 2.0 GHz Xeon), and fits the constant: the middle, on a log scale,
@@ -113,7 +113,8 @@ def rk4_step(
     y: NDArray[np.float64],
     h: float,
 ) -> NDArray[np.float64]:
-    """One classical fixed-step RK4 update of a general field (the reference stepper)."""
+    """One classical fixed-step RK4 update of a general field: the stencil path's step, and
+    the tests' reference stepper."""
     k1 = f(t, y)
     k2 = f(t + h / 2, y + (h / 2) * k1)
     k3 = f(t + h / 2, y + (h / 2) * k2)
@@ -145,28 +146,17 @@ def _require_fits(n: int, need: int, holding: str, fit: int) -> None:
         )
 
 
-def _step_count(dt: float, horizon: float) -> int | float:
-    """ceil(horizon / dt), at least 1 (less 1e-12, so an exact multiple takes no extra
-    step); inf when horizon / dt overflows."""
-    span = horizon / dt - 1e-12
-    return max(1, int(math.ceil(span))) if math.isfinite(span) else math.inf
-
-
 def resolve_grid(
     spec: Spectrum, dt: float | None, horizon: float | None
 ) -> tuple[float, float, int]:
-    """Default/validated (dt, horizon, steps) for a flow with this spectrum.
-
-    Raises ValueError, with a horizon that would fit, when the estimated
-    memory of the grid's trace and its output would exceed ``MAX_TRACE_BYTES``,
-    so a run is rejected before its trace is allocated.
-    """
+    """Default/validated (dt, horizon, steps) for a flow with this spectrum: a dt that
+    is not stable for its stiffest mode raises ValueError, and so does every grid that
+    :func:`_grid_steps` rejects, before the run's trace is allocated."""
     lam_max = spec.lambda_max
     if dt is None:
         dt = DEFAULT_STEP_FACTOR / lam_max if lam_max > 0 else 0.1
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"step size must be positive and finite, got {dt}")
-    if lam_max > 0 and dt * lam_max >= STABILITY_LIMIT:
+    # a dt that is not positive and finite is rejected by _grid_steps, not as unstable
+    if lam_max > 0 and dt * lam_max >= STABILITY_LIMIT and dt < math.inf:
         raise ValueError(
             f"step size {dt:g} is unstable for the stiffest mode {lam_max:g} "
             f"(need dt < {STABILITY_LIMIT / lam_max:g}; try dt = {DEFAULT_STEP_FACTOR / lam_max:g})"
@@ -174,29 +164,34 @@ def resolve_grid(
     if horizon is None:
         rate = spec.lambda_min_pos
         horizon = DEFAULT_HORIZON_FACTOR / rate if rate else 10.0
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    steps = _step_count(dt, horizon)
     dn = spec.eigenvalues.size
-    _require_grid_fits(steps, dt, TRACE_ROW_BYTES_PER_COORD * dn + TRACE_ROW_BYTES_FIXED,
-                       f"steps of {dn} coordinates", "the trace and its output")
+    steps = _grid_steps(dt, horizon, TRACE_ROW_BYTES_PER_COORD * dn + TRACE_ROW_BYTES_FIXED,
+                        f"steps of {dn} coordinates", "the trace and its output")
     return dt, horizon, steps
 
 
-def _require_grid_fits(steps: int | float, dt: float, row_bytes: int, rows: str, holding: str) -> None:
-    """Raise ValueError, with a horizon that would fit, when ``steps`` + 1 rows of ``row_bytes``
-    each would exceed ``MAX_TRACE_BYTES``; ``rows`` and ``holding`` name the steps and
-    their arrays in the message."""
-    grid_bytes = (steps + 1) * row_bytes
-    if grid_bytes > MAX_TRACE_BYTES:
+def _grid_steps(dt: float, horizon: float, row_bytes: int, rows: str, holding: str) -> int:
+    """The step count max(1, ceil(horizon / dt - 1e-12)) of a grid (less 1e-12, so an exact
+    multiple takes no extra step). Raises ValueError when dt or horizon is not positive and
+    finite, and, with a horizon that would fit, when the count overflows or its steps + 1
+    rows of ``row_bytes`` each would exceed ``MAX_TRACE_BYTES``; ``rows`` and ``holding``
+    name the steps and their arrays in the message, which no value makes raise otherwise."""
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"step size must be positive and finite, got {dt}")
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    span = horizon / dt - 1e-12
+    steps = max(1, math.ceil(span)) if span < math.inf else math.inf
+    if (steps + 1) * row_bytes > MAX_TRACE_BYTES:
         fit = max(1, MAX_TRACE_BYTES // row_bytes - 1) * dt
         unit = 10.0 ** (math.floor(math.log10(fit)) - 2)
-        fit = math.floor(fit / unit) * unit  # three significant digits, rounded down
-        raise ValueError(
-            f"{steps:.3g} {rows} need about {grid_bytes / 2**20:.4g} MiB "
-            f"for {holding}, above the {MAX_TRACE_BYTES / 2**20:g} MiB bound "
-            f"(try horizon = {fit:.3g})"
-        )
+        if unit:  # below 1e-321 the unit underflows, and fit prints to three digits as it is
+            fit = math.floor(fit / unit) * unit  # three significant digits, rounded down
+        grid = (f"{steps:.3g} {rows} need about {(steps + 1) * (row_bytes / 2**20):.4g} MiB"
+                if steps < math.inf else f"horizon {horizon:g} / step size {dt:g} overflows the step count")
+        raise ValueError(f"{grid} for {holding}, above the {MAX_TRACE_BYTES / 2**20:g} MiB bound "
+                         f"(try horizon = {fit:.3g})")
+    return steps
 
 
 def _rk4_increment(g: NDArray[np.float64], dt: float) -> NDArray[np.float64]:
@@ -240,23 +235,19 @@ def _power_steps(out: NDArray, k: int, count: int, d: NDArray, block: int) -> No
 
 
 def _stage_steps(out: NDArray, k: int, count: int, g: PathStencil, dt: float) -> None:
-    """Write rows k+1 … k+count of ``out`` by RK4 stages on the field -G y, G y = ``g @ y``
-    by the stencil's slices, in the operation order of :func:`rk4_step`."""
-    half, sixth = dt / 2, dt / 6
-    x = out[k]
+    """Write rows k+1 … k+count of ``out`` by :func:`rk4_step` on the field -G y, G y = ``g @ y``
+    by the stencil's slices."""
+    def field(t: float, y: NDArray) -> NDArray:
+        return -(g @ y)
+
     for row in range(k + 1, k + count + 1):
-        k1 = -(g @ x)
-        k2 = -(g @ (x + half * k1))
-        k3 = -(g @ (x + half * k2))
-        k4 = -(g @ (x + dt * k3))
-        x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[row] = x
+        out[row] = rk4_step(field, 0.0, out[row - 1], dt)
 
 
 class SegmentPath(NamedTuple):
     """The path :func:`propagate_linear` takes for one segment of ``steps`` RK4 steps:
-    ``"block"`` with ``block`` = B steps per matrix product, or, for a PathStencil, the
-    stage loop on its slices (``"stencil"``), ``block`` 0."""
+    ``"block"`` with ``block`` = B steps per matrix product, or, for a PathStencil,
+    :func:`rk4_step` on its slices (``"stencil"``), ``block`` 0."""
 
     path: str
     block: int
@@ -279,9 +270,9 @@ def _block_muladds(m: int, count: int, columns: int, dtype: np.dtype) -> int:
 
 def segment_path(g: NDArray | PathStencil, count: int, columns: int) -> SegmentPath:
     """The path of ``count`` RK4 steps of G on ``columns`` state columns (the last axis of
-    :func:`_rows`): the stage loop for a PathStencil whose :func:`_block_muladds` exceed
-    count · ``STENCIL_STEP_MULADDS``, else the block path. It reads only G's kind, size and
-    dtype."""
+    :func:`_rows`): :func:`rk4_step` on the slices of a PathStencil whose
+    :func:`_block_muladds` exceed count · ``STENCIL_STEP_MULADDS``, else the block path. It
+    reads only G's kind, size and dtype."""
     m = g.shape[0]
     if isinstance(g, PathStencil) and count * STENCIL_STEP_MULADDS < _block_muladds(m, count, columns, g.dtype):
         return SegmentPath("stencil", 0, count)
@@ -325,10 +316,9 @@ def propagate_linear(
       j = 1 … B with B = :func:`block_size`, and writes B states per matrix
       product, the leftover steps one product each. It agrees with
       :func:`rk4_step` on -(G @ y) to a few units of rounding.
-    - ``stencil``: the stage loop, in the operation order of :func:`rk4_step`
-      on the field -G y with G y summed over the stencil's nonzero entries by
-      slices, O(m) a stage; it reproduces :func:`rk4_step` on
-      -(stencil @ y) bitwise, and the dense product only to rounding.
+    - ``stencil``: :func:`rk4_step` on the field -G y, one call a step,
+      with G y summed over the stencil's nonzero entries by slices, O(m) a
+      stage; it agrees with the dense product to rounding.
 
     Overflow is left to the caller's ``np.errstate``; it shows as
     non-finite states.

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import (DEFAULT_STEP_FACTOR, SimulationTrace, _gauge_run, _require_grid_fits, _start_and_grid,
-                       _step_count, require_finite)
+from .dynamics import DEFAULT_STEP_FACTOR, SimulationTrace, _gauge_run, _grid_steps, _start_and_grid, require_finite
 from .laplacian import NumericFailure, PathStencil, SymmetryLaplacian
 from .symgroup import Rotation, identity
 
@@ -141,23 +140,16 @@ def propagate_reference(
     inputs: ReferenceInputs, start: ReferenceState, dt: float, horizon: float
 ) -> ReferencePath:
     """Sample the reference frame on the grid of :func:`resolve_grid`, ceil(horizon/dt) steps;
-    a step count that overflows, or a path above ``MAX_TRACE_BYTES``, raises ValueError
-    before any array is allocated."""
+    a grid that :func:`_grid_steps` rejects, a path above ``MAX_TRACE_BYTES`` among them,
+    raises ValueError before any array is allocated."""
     if start.dim != inputs.dim:
         raise ValueError(f"start state dimension {start.dim} != inputs dimension {inputs.dim}")
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"step size must be positive and finite, got {dt}")
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     d = inputs.dim
-    steps = _step_count(dt, horizon)
-    if steps == math.inf:
-        raise ValueError(f"horizon {horizon:g} / step size {dt:g} overflows the step count")
     # the path's own arrays are 8 floats a row planar (64 bytes) and 14 spatial (112 bytes); the
     # per-step velocities and scale factors are freed before the rotations are allocated, and the
     # attitudes add the angles and one (rows, d, d) product, so the tracemalloc peak
     # is 111 bytes a row planar and 199 spatial (20,001 rows), within the bound's 136 and 208
-    _require_grid_fits(steps, dt, 8 * (d * d + 4 * d + 5), "reference steps", "the reference path")
+    steps = _grid_steps(dt, horizon, 8 * (d * d + 4 * d + 5), "reference steps", "the reference path")
     times = np.arange(steps + 1) * dt
     # segment j holds from the first step at or after its start to the first of segment j + 1
     vf, wf, af = (np.searchsorted(times[:-1], [t for t, _ in segs])

@@ -309,21 +309,17 @@ def _scale(lo: float, hi: float, axis: str = "axis") -> tuple[float, float]:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    """Round axis values in [lo, hi], a step of 1, 2 or 5 times a power of ten apart that
-    fits [lo, hi] at most ``_TICK_STEPS`` times."""
+    """Round axis values in [lo, hi], in increasing order: the multiples of a step of 1, 2 or
+    5 times a power of ten that fits [lo, hi] at most ``_TICK_STEPS`` times."""
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / _TICK_STEPS))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if span / (step * mult) <= _TICK_STEPS:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
-    out = []
-    v = first
-    while v <= hi + step * 1e-9:
-        out.append(0.0 if abs(v) < step * 1e-9 else v)
-        v += step
-    return out
+    # each multiple is rounded once: on a range a few float spacings wide some coincide
+    ticks = {k * step for k in range(math.ceil(lo / step), math.floor(hi / step) + 1)}
+    return sorted(v for v in ticks if lo <= v <= hi)
 
 
 def _escape(text: str) -> str:

@@ -188,6 +188,17 @@ class TestPropagateLinear:
                     k += 1
                     assert states[k].tobytes() == y.tobytes()
 
+    @pytest.mark.parametrize("count", [1, 7, 40])
+    def test_stencil_segment_steps_by_rk4_step(self, path_system, monkeypatch, count):
+        # the stencil path is rk4_step, one call a step of its segment
+        _, lap, _ = path_system(600)
+        calls = []
+        rk4_step = dynamics.rk4_step
+        monkeypatch.setattr(dynamics, "rk4_step", lambda *args: calls.append(args[2].shape) or rk4_step(*args))
+        c0 = np.random.default_rng(30).uniform(-2, 2, 1200)
+        _, paths = sf.propagate_linear(c0, [(lap.shifted(0.0), count)], 0.1, count)
+        assert paths == (("stencil", 0, count),) and calls == [(600, 2)] * count
+
     @pytest.mark.parametrize("formation", ["planar", "cube"])
     def test_block_path_matches_rk4_step(self, path_system, formation):
         # 3,000 steps of dim 10 (blocks of 256) and 2,000 of dim 24 (blocks of 83)
@@ -649,6 +660,31 @@ class TestResolveGrid:
         row_bytes = sf.dynamics.TRACE_ROW_BYTES_PER_COORD * 12 + sf.dynamics.TRACE_ROW_BYTES_FIXED
         assert (steps + 1) * row_bytes <= sf.dynamics.MAX_TRACE_BYTES
         assert (steps + 1) * row_bytes > 0.99 * sf.dynamics.MAX_TRACE_BYTES
+
+    def test_overflowing_step_count_named(self, path_system):
+        # horizon / dt passes the float range: the message names the overflow, not "inf steps"
+        spec = sf.spectrum(path_system(6)[1].matrix)
+        with pytest.raises(ValueError) as info:
+            sf.resolve_grid(spec, 1e-308, 1e300)
+        assert str(info.value) == ("horizon 1e+300 / step size 1e-308 overflows the step count for the trace and "
+                                   "its output, above the 512 MiB bound (try horizon = 6.45e-303)")
+
+    def test_subnormal_fitting_horizon(self):
+        # a planar n = 200,000 trace at the smallest dt: 26 steps fit, a horizon of 26 subnormal
+        # spacings, below where three significant digits have a float unit; fed back, it fits
+        row_bytes = sf.dynamics.TRACE_ROW_BYTES_PER_COORD * 400_000 + sf.dynamics.TRACE_ROW_BYTES_FIXED
+        with pytest.raises(ValueError, match=re.escape("(try horizon = 1.28e-322)")) as info:
+            sf.dynamics._grid_steps(5e-324, 1e-300, row_bytes, "steps", "the trace")
+        suggested = float(str(info.value).rsplit("try horizon = ", 1)[1].rstrip(")"))
+        steps = sf.dynamics._grid_steps(5e-324, suggested, row_bytes, "steps", "the trace")
+        assert steps == 26 and (steps + 1) * row_bytes <= sf.dynamics.MAX_TRACE_BYTES
+
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1.0])
+    def test_step_size_rejected_before_the_stability_check(self, path_system, dt):
+        spec = sf.spectrum(path_system(6)[1].matrix)
+        with pytest.raises(ValueError) as info:
+            sf.resolve_grid(spec, dt, None)
+        assert str(info.value) == f"step size must be positive and finite, got {dt}"
 
     def test_trace_bound_is_on_bytes(self, path_system):
         _, lap, _ = path_system(6)

@@ -160,6 +160,24 @@ class TestSvg:
                                       "which with its margins is wider than the float range")
         assert np.isfinite(np.subtract(*output._scale(lo / 2, hi / 2)))
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_ticks_are_few_increasing_and_inside(self, data):
+        # from ranges a few float spacings wide, where a tick step can fall under the spacing,
+        # to magnitudes of 1e300
+        lo = data.draw(st.floats(-1e300, 1e300), label="lo")
+        if data.draw(st.booleans(), label="few_spacings"):
+            hi = lo
+            for _ in range(data.draw(st.integers(0, 64), label="spacings")):
+                hi = math.nextafter(hi, math.inf)
+        else:
+            hi = data.draw(st.floats(lo, 1e300), label="hi")
+        lo, hi = output._scale(lo, hi)
+        ticks = output._ticks(lo, hi)
+        assert 1 <= len(ticks) <= output._TICK_STEPS + 2
+        assert all(a < b for a, b in zip(ticks, ticks[1:]))
+        assert all(lo <= v <= hi for v in ticks)
+
     def test_zero_error_trace_plots(self):
         # a run started on target: every error is identically zero
         graph = sf.cycle_minus_edge(4, (4, 1))
@@ -778,6 +796,26 @@ class TestMainExitCodes:
             "which with its margins is wider than the float range\n")
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_axis_a_few_float_spacings_wide(self, tmp_path):
+        # the paths plot spans x = 1e17 to 1e17 + 16, two float spacings, with a tick step of 5:
+        # adding the step to a tick left it unchanged, and the tick list grew until memory ran
+        # out, so the run goes in a child process capped at 1 GiB of address space
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "name": "far", "n": 3, "dt": 0.1, "horizon": 1,
+            "initial": {"points": [[10 ** 17, 0], [10 ** 17 + 16, 0], [10 ** 17, 3]]},
+            "reference": {"start": {"position": [10 ** 17, 0]}}}))
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+                "from symform import cli; sys.exit(cli.main(sys.argv[1:]))")
+        env = {**os.environ, "PYTHONPATH": str(Path(sf.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+        argv = ["run", str(path), "--out", str(tmp_path / "out")]
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        root = ET.parse(tmp_path / "out" / "far" / "paths.svg").getroot()
+        labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert labels.count("1e+17") == 2  # the x axis's two floats, 1e17 and 1e17 + 16
+
     def test_overflow_inside_a_block(self, tmp_path, capsys):
         # the frame grows by e^(100 t) from scale 1e-300, so the reference stays finite while
         # the shifted states overflow at step 713, inside a block of 166 steps (1,000 steps, a 6 x 6 G)
@@ -1388,8 +1426,10 @@ class TestOversizedRun:
         ({"n": 6, "dt": 0.05, "horizon": 1, "reference": {"angular_velocity": [[0, 1e300]]}}, "try dt"),
         # about 6.8e301 steps: the count is printed to three digits, not three hundred
         ({"n": 4, "dt": 1e-300}, "6.83e+301 steps"),
-        # horizon / dt overflows to inf
-        ({"n": 4, "dt": 1e-308, "horizon": 1e300}, "inf steps"),
+        # horizon / dt overflows to inf: the count is named as too large to count
+        ({"n": 4, "dt": 1e-308, "horizon": 1e300},
+         "horizon 1e+300 / step size 1e-308 overflows the step count for the trace and its output, "
+         "above the 512 MiB bound (try horizon = 8.38e-303)"),
         # a run of a million agents needs about 1,335 MiB (RUN_BYTES_PER_NODE a node)
         ({"n": 10 ** 6}, "the largest n that fits is 383479"),
         # two samples are too few for the 3-D frame residual's central difference
@@ -1433,12 +1473,16 @@ class TestOversizedRun:
         ({"n": 10 ** 30, "tree": {"edges": [[1, 2, 1], [2, 3, 1]]}}, "tree: not connected"),
         # a null object key is refused like any other non-object, for the cube as for tree or initial
         ({"formation": "cube", "cube": None}, "cube: expected an object"),
+        # 1e308 steps: their bytes pass the float range, which an integer division refused
+        ({"n": 20000, "dt": 1e-300, "horizon": 1e8},
+         "1e+308 steps of 40000 coordinates need about inf MiB for the trace and its output, "
+         "above the 512 MiB bound (try horizon = 2.78e-298)"),
     ], ids=["nan_gain", "huge_step_count", "infinite_step_count", "huge_n", "short_cube_maneuver",
             "infinite_box_width", "negative_seed", "negative_initial_seed", "huge_int_dt", "huge_int_box",
             "huge_int_point", "huge_int_scale", "huge_int_n", "huge_n_mib", "omega_norm", "axis_norm",
             "deep_json", "long_int_json", "non_utf8", "control_character_name", "surrogate_name", "long_name",
             "long_unknown_field", "unknown_tree_field", "unknown_start_field", "huge_n_short_tree",
-            "null_cube"])
+            "null_cube", "trace_bytes_overflow"])
     def test_rejected_in_one_line(self, tmp_path, capsys, monkeypatch, scenario, message):
         def forbidden(*args, **kwargs):
             raise AssertionError("dense build started")
@@ -1456,7 +1500,7 @@ class TestOversizedRun:
         err = capsys.readouterr().err
         assert not caught
         assert message in err and err.count("\n") == 1 and len(err) <= 300
-        assert "Traceback" not in err and "Warning" not in err
+        assert "Traceback" not in err and "Warning" not in err and "inf steps" not in err
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_override_rejected(self, tmp_path, capsys):

@@ -95,12 +95,13 @@ def test_snapshot_outputs(tmp_path):
         "cube", "cube_cross_edge", "cube_maneuver", "cube_reordered", "example2_c4", "example3_c6",
         "maneuver_20_runs", "maneuver_c6", "maneuver_n300", "maneuver_n600_scale", "maneuver_n64",
         "maneuver_one_step_runs", "planar_n16", "planar_n300_400", "planar_n600", "planar_n600_cut",
-        "planar_n600_long", "planar_n6_one_step", "planar_tree_n9"]
+        "planar_n600_long", "planar_n6_one_step", "planar_tree_n9", "ticks_1e17"]
     assert all("runtime_seconds" not in p.read_text() for p in runs.glob("*/metrics.json"))
     log = (tmp_path / "log.txt").read_text()
-    assert log.count("\nexit 0\n") == 29 and str(tmp_path) not in log
+    assert log.count("\nexit 0\n") == 30 and str(tmp_path) not in log
     assert log.count("\nexit 3\n") == 3
-    assert log.count("\nexit 2\n") == 1 and "max |P(-dt mu)| = inf > 1" in log
+    assert log.count("\nexit 2\n") == 2 and "max |P(-dt mu)| = inf > 1" in log
+    assert "1e+308 steps of 40000 coordinates need about inf MiB" in log
     assert "$ symform verify OUT/scenarios/verify_n256.json\nexit 0\n" in log
     assert "$ symform verify OUT/scenarios/verify_n600.json\nexit 0\n" in log
     assert (tmp_path / "sweep" / "sweep.json").is_file()
