@@ -51,7 +51,7 @@ far their numbers drift.
 The script runs on one BLAS thread, whatever the environment says, as the
 benchmark does: under another thread count a block-path segment past
 m ≈ 256 (the planar n = 300 run of 400 steps) writes other bits, and so do
-the dense eigh values of the n = 256 and n = 600 verifies. A checkout whose
+the dense eigvalsh values of the n = 256 and n = 600 verifies. A checkout whose
 script does not pin the thread count is snapshotted under
 ``OPENBLAS_NUM_THREADS=1``.
 """

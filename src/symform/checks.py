@@ -21,7 +21,8 @@ ROUTE_TOL = 1e-12     # max |Q - M| for an independent construction route M
 NULL_TOL = 1e-10      # max |Q V0| for the null basis V0
 GRADIENT_TOL = 1e-6   # max |FD gradient - Q p| / (1 + max |Q p|)
 SOLVER_TOL = 1e-6     # |RK4 - closed form| after unit time
-SPECTRUM_TOL = 1e-12  # max |run spectrum - eigh of Q| beyond the spread, relative to max(1, λ_max)
+SPECTRUM_TOL = 1e-12  # max |run spectrum - eigvalsh of Q| beyond the spread, relative to max(1, λ_max)
+TAYLOR_DEGREE = 17    # last term of each factor of exponential_flow: Σ_{k≥18} 1/k! < 1.7e-16
 
 Route = tuple[str, str, NDArray[np.float64]]  # (check name, detail label, matrix)
 
@@ -93,14 +94,20 @@ def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray
     """Construction and dynamics checks of explicit matrices against the built system ``lap``.
 
     Takes raw matrices (not built objects) so a deliberately corrupted input
-    is detected rather than silently rebuilt. ``routes`` (:func:`construction_routes`)
-    are checked after the product route E Eᵀ. ``lap.spectrum`` (the path formula, or
-    ``eigvalsh`` of L for another tree) is checked against the eigenvalues of Q's own
-    ``eigh``: they may differ by its ``spread`` plus rounding, ``SPECTRUM_TOL``·max(1, λ_max).
+    is detected rather than silently rebuilt. Q's one eigensolver call is ``eigvalsh`` of
+    its symmetric part (:func:`laplacian.spectrum`); no eigenvectors are formed. Its values
+    give PSD and rank, and ``lap.spectrum`` (the path formula, or ``eigvalsh`` of L for
+    another tree) is checked against them: they may differ by its ``spread`` plus
+    rounding, ``SPECTRUM_TOL``·max(1, λ_max). ``routes`` (:func:`construction_routes`)
+    are checked after the product route E Eᵀ.
     The solver cross-check runs ``lap`` through the integrator of a run, to the last state
-    of :func:`dynamics.integrate` (:func:`dynamics.final_state`), and compares it with the
-    closed form from Q's ``eigh``, so a Q that disagrees with its tree fails it too. Raises
-    ValueError when Q is not dn x dn for ``lap``'s dn.
+    of :func:`dynamics.integrate` (:func:`dynamics.final_state`), and compares it with
+    e^(−Qt) p0 on the dense Q (:func:`exponential_flow`, with ρ = max(|λ_min|, λ_max) from
+    the same values), so a Q that disagrees with its tree fails it too. The Q of a tree has
+    ρ ≤ 2·(its largest degree) ≤ 2(n - 1) (Gershgorin, on the L it shares its eigenvalues
+    with); a Q past that bound for ``lap``'s tree fails the check, naming its ρ, without
+    the ⌈tρ⌉ factors it would ask for. Raises ValueError when Q is not dn x dn for
+    ``lap``'s dn.
     """
     dn = lap.n * lap.dim
     if q_matrix.shape != (dn, dn):
@@ -109,7 +116,7 @@ def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray
     asym = laplacian.max_abs_difference(q_matrix, q_matrix.T)
     out = [CheckResult("symmetric", asym <= SYMMETRY_TOL,
                        f"max asymmetry {asym:.3e} (tol {_tol(SYMMETRY_TOL)})", asym)]
-    sym = 0.5 * (q_matrix + q_matrix.T)  # for the spectrum only; asymmetry already reported
+    sym = 0.5 * (q_matrix + q_matrix.T)  # for the spectrum and the exact flow; asymmetry already reported
     spec = laplacian.spectrum(sym)
     product = ("incidence_product", "|Q - E E^T| =", laplacian.product_laplacian(incidence_matrix))
     out += structure_checks(spec, lap.n, lap.dim, *dense_gaps(q_matrix, null_matrix, [product, *routes]))
@@ -130,18 +137,22 @@ def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray
     out.append(CheckResult("gradient", worst <= GRADIENT_TOL,
                            f"max relative FD mismatch {worst:.3e} (tol {_tol(GRADIENT_TOL)})", worst))
 
-    # a short run of the built system, as a run integrates it, against Q's closed form
+    # a short run of the built system, as a run integrates it, against Q's exact flow
     p0 = rng.uniform(-2.0, 2.0, size=dn)
     t, state = dynamics.final_state(lap, p0, dt=0.01 / run_spectrum.lambda_max, horizon=1.0)
-    solver_gap = float(np.linalg.norm(state - closed_form_solution(sym, p0, t, spec=spec)))
-    out.append(CheckResult("solver_cross_check", solver_gap <= SOLVER_TOL,
-                           f"|RK4 - closed form| = {solver_gap:.3e} at t = {t:.3f} "
-                           f"(tol {_tol(SOLVER_TOL)})", solver_gap))
+    rho = max(-float(spec.eigenvalues[0]), spec.lambda_max)
+    bound = 2 * int(lap.degrees.max())
+    if rho <= bound:
+        value = float(np.linalg.norm(state - exponential_flow(sym, p0, t, rho)))
+        passed, detail = value <= SOLVER_TOL, f"|RK4 - closed form| = {value:.3e} at t = {t:.3f}"
+    else:  # more factors than any tree's Q needs, or a ρ that is not a number
+        value, passed, detail = rho, False, f"spectral radius of Q {rho:.3e} exceeds twice the tree's largest degree, {bound}"
+    out.append(CheckResult("solver_cross_check", passed, f"{detail} (tol {_tol(SOLVER_TOL)})", value))
     return out
 
 
 # Independent routes: the paper's claims computed a second way. verify reads the construction
-# routes (construction_routes and the cube's composed form) and closed_form_solution; the rest,
+# routes (construction_routes and the cube's composed form) and exponential_flow; the rest,
 # the maneuver routes among them (moving_frame, frame_to_world, maneuver_control, shifted_errors),
 # are read only by the tests.
 
@@ -267,30 +278,24 @@ def steady_state_per_agent(
     return np.concatenate([matrices[i] @ mean for i in range(n)])
 
 
-def closed_form_solution(
-    q_matrix: NDArray[np.float64],
-    p0: NDArray[np.float64],
-    t: float,
-    spec: Spectrum | None = None,
-) -> NDArray[np.float64]:
-    """Exact solution of dp/dt = -Q p at time t via the eigendecomposition.
-
-    Eigenvalues under the rank tolerance are clamped to zero so the
-    null-space component is preserved exactly for any horizon. ``spec``
-    must hold eigenvectors (``spectrum(q)``); a values-only spectrum, such
-    as a ``SymmetryLaplacian``'s, raises ValueError.
-    """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    p0 = np.asarray(p0, dtype=float)
-    if spec is None:
-        spec = laplacian.spectrum(q_matrix)
-    elif spec.eigenvectors is None:
-        raise ValueError("the spectrum holds no eigenvectors: pass spec=spectrum(q) or spec=None")
-    lam = spec.eigenvalues.copy()
-    lam[np.abs(lam) < spec.threshold] = 0.0
-    V = spec.eigenvectors
-    return V @ (np.exp(-lam * t) * (V.T @ p0))
+def exponential_flow(q_matrix: NDArray[np.float64], p0: NDArray[np.float64], t: float,
+                     rho: float) -> NDArray[np.float64]:
+    """e^(−Qt) p0, the flow of dp/dt = −Q p at time t ≥ 0, for a symmetric Q whose eigenvalues
+    lie in [−ρ, ρ], from matvecs with Q alone: s = max(1, ⌈tρ⌉) factors, each the Taylor sum
+    Σ_{k=0}^{17} (−hQ)ᵏ/k! with h = t/s, applied by 17 matvecs. As ‖hQ‖₂ ≤ 1, each factor is
+    within Σ_{k≥18} 1/k! < 1.7e-16 of e^(−hQ) in the 2-norm, so for a PSD Q the result is
+    within s·1.7e-16·‖p0‖ of e^(−Qt) p0, plus rounding. A null vector of Q comes back to
+    rounding, with no eigenvalue clamped to zero."""
+    s = max(1, math.ceil(t * rho))
+    h = t / s
+    p = np.array(p0, dtype=float)
+    for _ in range(s):
+        term, total = p, p.copy()
+        for k in range(1, TAYLOR_DEGREE + 1):
+            term = (q_matrix @ term) * (-h / k)
+            total += term
+        p = total
+    return p
 
 
 def moving_frame(p: NDArray[np.float64], ref: ReferenceState) -> NDArray[np.float64]:

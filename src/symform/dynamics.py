@@ -45,11 +45,12 @@ RUN_BYTES_PER_NODE = 1400
 # Estimated dn x dn float64 arrays held while ``sweep`` builds and checks a formation:
 # Q, E (half of dn x dn), the gauge matrix and E Eᵀ; a planar n = 300 sweep peaks at 3.5.
 BUILD_DENSE_MATRICES = 5
-# ``verify`` holds the same arrays while a dense eigh of Q adds its copy, workspace and
-# eigenvectors: under tracemalloc on one BLAS thread a planar n = 1448, the largest that
-# fits, peaks at 6.2 dn x dn arrays. The check's gauge rows (about 400 of dn coordinates)
-# and the block path's m x m products weigh more at small n: a planar n = 300 verify
-# peaks at 7.5 (7.8 as a process's first command).
+# ``verify`` holds the same arrays while the eigvalsh of its symmetrized Q adds that copy
+# and eigvalsh's own, and forms no eigenvectors: under tracemalloc on one BLAS thread a
+# planar n = 1448, the largest that fits, peaks at 5.2 dn x dn arrays (5.17 as a process's
+# first command, 5.16 warm). The check's gauge rows (about 400 of dn coordinates) and the
+# block path's m x m products weigh more at small n: a planar n = 300 verify peaks at 6.5
+# (6.8 as a process's first command), too close to 7 for the bound to drop to it.
 VERIFY_DENSE_MATRICES = 8
 POWER_STACK_CAP = 256  # most RK4 steps propagate_linear writes with one matrix product
 # One rule picks each segment's path (segment_path): an array G takes the block path, and so

@@ -205,9 +205,8 @@ class SymmetryLaplacian:
         k = 0, …, n - 1 (Brouwer & Haemers, *Spectra of Graphs*, §1.4.4): sorted,
         λ_0 exactly 0, each within a few ulps of λ_max of the true value, and no
         eigensolver runs. Every planar tree and the default cube tree are paths.
-        Any other tree takes :meth:`numeric_spectrum`. No eigenvectors are formed,
-        so ``eigenvectors`` is None. Computed on first use and kept (the arrays are
-        read-only).
+        Any other tree takes :meth:`numeric_spectrum`. No eigenvectors are formed.
+        Computed on first use and kept (the arrays are read-only).
         """
         if not self.is_path:
             return self.numeric_spectrum()
@@ -216,10 +215,10 @@ class SymmetryLaplacian:
 
     def numeric_spectrum(self) -> Spectrum:
         """The spectrum of any tree from an eigensolver: ``eigvalsh`` of L
-        (``spectrum(L, vectors=False)``), each value repeated d times, with ``spread``.
+        (``spectrum(L)``), each value repeated d times, with ``spread``.
         ``sweep`` takes its PSD and rank verdicts from it, so they are measured, not
         read off the path formula; :attr:`spectrum` takes it for a tree that is not a path."""
-        scalar = spectrum(self.scalar, vectors=False)
+        scalar = spectrum(self.scalar)
         return Spectrum(eigenvalues=_freeze(np.repeat(scalar.eigenvalues, self.dim)), spread=self.spread)
 
 
@@ -363,14 +362,11 @@ class Spectrum:
     Eigenvalues below ``threshold`` = ``RANK_TOL``·max(1, λ_max) count as zero.
     ``spread`` bounds the distance of each eigenvalue of the matrix from
     ``eigenvalues``: 0 for a direct decomposition (:func:`spectrum`),
-    ‖Q - S (L ⊗ I_d) Sᵀ‖_F for one in the gauge. ``eigenvectors`` are
-    filled only by ``spectrum(q)`` with its default ``vectors=True``; the
-    gauge spectrum and ``spectrum(q, vectors=False)`` hold eigenvalues only.
+    ‖Q - S (L ⊗ I_d) Sᵀ‖_F for one in the gauge.
     """
 
     eigenvalues: NDArray[np.float64]
     spread: float = 0.0
-    eigenvectors: NDArray[np.float64] | None = None
 
     @property
     def lambda_max(self) -> float:
@@ -397,12 +393,10 @@ class Spectrum:
         return float(self.eigenvalues[self.null_dim])
 
 
-def spectrum(q_matrix: NDArray[np.float64], *, vectors: bool = True) -> Spectrum:
-    """Symmetric eigendecomposition with a relative zero threshold.
+def spectrum(q_matrix: NDArray[np.float64]) -> Spectrum:
+    """The eigenvalues of a symmetric matrix (``eigvalsh``; no eigenvectors are formed)
+    with a relative zero threshold.
 
-    With ``vectors=False`` only the eigenvalues are computed (``eigvalsh``,
-    about half the time of ``eigh`` on a large matrix) and ``eigenvectors``
-    is None; the values agree with ``eigh``'s to rounding, not bit for bit.
     Raises ValueError when the matrix is visibly asymmetric (a construction
     bug, never silently symmetrized) and NumericFailure when the
     eigensolver does not converge.
@@ -412,10 +406,7 @@ def spectrum(q_matrix: NDArray[np.float64], *, vectors: bool = True) -> Spectrum
     if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
     try:
-        if not vectors:
-            return Spectrum(eigenvalues=_freeze(np.linalg.eigvalsh(q_matrix)))
-        eigenvalues, eigenvectors = np.linalg.eigh(q_matrix)
+        return Spectrum(eigenvalues=_freeze(np.linalg.eigvalsh(q_matrix)))
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"eigendecomposition failed: {exc}") from exc
-    return Spectrum(eigenvalues=_freeze(eigenvalues), eigenvectors=_freeze(eigenvectors))
 

@@ -322,6 +322,16 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return sorted(v for v in ticks if lo <= v <= hi)
 
 
+def _labels(ticks: list[float]) -> list[str]:
+    """Each tick's label, with the fewest significant digits from 6 up that tell the ticks
+    apart: 17 tell any two floats apart, so an axis a few float spacings wide has no two alike."""
+    for digits in range(6, 18):
+        labels = [f"{v:.{digits}g}" for v in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
+
+
 def _escape(text: str) -> str:
     """Text as XML character data: a scenario name may hold ``&``, ``<`` or ``>``."""
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -344,16 +354,18 @@ def _frame(title: str, xlabel: str, ylabel: str,
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
         'fill="none" stroke="#888" stroke-width="1"/>',
     ]
-    for tx in _ticks(xlo, xhi):
+    xticks = _ticks(xlo, xhi)
+    for tx, label in zip(xticks, _labels(xticks)):
         px = sx(tx)
         parts.append(f'<line x1="{px:.2f}" y1="{_H - _MB}" x2="{px:.2f}" y2="{_H - _MB + 5}" stroke="#888"/>')
         parts.append(f'<text x="{px:.2f}" y="{_H - _MB + 18}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="11" fill="#444">{tx:g}</text>')
-    for ty in _ticks(ylo, yhi):
+                     f'font-family="sans-serif" font-size="11" fill="#444">{label}</text>')
+    yticks = _ticks(ylo, yhi)
+    for ty, label in zip(yticks, _labels(yticks)):
         py = sy(ty)
         parts.append(f'<line x1="{_ML - 5}" y1="{py:.2f}" x2="{_ML}" y2="{py:.2f}" stroke="#888"/>')
         parts.append(f'<text x="{_ML - 8}" y="{py + 4:.2f}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="11" fill="#444">{ty:g}</text>')
+                     f'font-family="sans-serif" font-size="11" fill="#444">{label}</text>')
     parts.append(f'<text x="{_W / 2:.1f}" y="{_H - 10}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" fill="#222">{xlabel}</text>')
     parts.append(f'<text x="16" y="{_H / 2:.1f}" text-anchor="middle" font-family="sans-serif" '

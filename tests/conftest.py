@@ -50,6 +50,18 @@ def slowest_rate(n: int) -> float:
     return float(4.0 * np.sin(np.pi / (2 * n)) ** 2)
 
 
+def closed_form_solution(q_matrix: np.ndarray, p0: np.ndarray, t: float) -> np.ndarray:
+    """Exact solution of dp/dt = -Q p at time t >= 0 from Q's eigendecomposition (``eigh``):
+    the eigenvector reference for ``checks.exponential_flow``, which forms none. Eigenvalues
+    under the rank threshold are clamped to zero, so the null-space component is kept for
+    any horizon."""
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    lam, vectors = np.linalg.eigh(q_matrix)
+    lam[np.abs(lam) < sf.Spectrum(lam).threshold] = 0.0
+    return vectors @ (np.exp(-lam * t) * (vectors.T @ np.asarray(p0, dtype=float)))
+
+
 @pytest.fixture(scope="session")
 def solver_costs():
     """scripts/solver_costs.py as a module, the environment it pins for its own process kept."""

@@ -3,20 +3,21 @@ from __future__ import annotations
 import ast
 import dataclasses
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import symform as sf
-from conftest import CROSS_CUBE
+from conftest import CROSS_CUBE, closed_form_solution
 from symform import checks, cli, dynamics, laplacian, maneuver, spatial3d
 
 PRESETS = ("example2_c4", "example3_c6", "maneuver_c6", "cube")
 SRC = Path(__file__).resolve().parents[1] / "src" / "symform"
 # the independent routes the run path does not call
 ROUTES = ("control", "control_per_agent", "edge_errors", "potential", "maneuver_control", "moving_frame",
-          "frame_to_world", "shifted_errors", "steady_state_per_agent", "closed_form_solution",
+          "frame_to_world", "shifted_errors", "steady_state_per_agent", "exponential_flow",
           "symmetric_configuration")
 # the construction routes of Q that only verify and the tests build
 CONSTRUCTIONS = ("construction_routes", "assemble_laplacian", "cube_permutation", "composed_cube_laplacian")
@@ -84,7 +85,8 @@ class TestOneCheckPath:
 
 
 class TestVerificationChecks:
-    def test_one_spectrum_and_no_eigvalsh(self, monkeypatch):
+    def test_one_spectrum_and_no_eigh(self, monkeypatch):
+        # Q's values come from one eigvalsh; the exact flow takes matvecs, not eigenvectors
         lap = planar_lap(5)
         calls = []
         spectrum = laplacian.spectrum
@@ -94,19 +96,19 @@ class TestVerificationChecks:
             return spectrum(*args, **kwargs)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("eigvalsh called")
+            raise AssertionError("eigh called")
 
         monkeypatch.setattr(laplacian, "spectrum", counted)
-        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
         results = cli.verification_checks(lap.matrix, lap.incidence, lap.chain, lap,
                                           routes=checks.construction_routes(lap))
-        assert len(calls) == 1
+        assert len(calls) == 1 and calls[0][0].shape == (10, 10)
         assert all(r.passed for r in results)
 
     @pytest.mark.parametrize("spec", [*PRESETS, {"n": 256}, {"formation": "cube", "cube": CROSS_CUBE}], ids=str)
     def test_run_spectrum_matches_eigh_of_q(self, spec):
-        # measured max |run - eigh|: 2.2e-15 at n = 256, 4.4e-15 for the cube, 5.3e-15 with
-        # the cross edge (eigvalsh of L), against a tolerance of about 4e-12
+        # measured max |run - eigvalsh of Q|: 3.6e-15 at n = 256, 2.2e-15 for the cube, 7.1e-15
+        # with the cross edge (eigvalsh of L), against a tolerance of about 4e-12
         check = {r.name: r for r in cli.verify_scenario(scenario(spec))}["tree_spectrum"]
         assert check.passed and check.value <= 1e-14
 
@@ -132,18 +134,34 @@ class TestVerificationChecks:
         with pytest.raises(ValueError, match=r"^Q is 8 x 8, but the built system has dn = 10$"):
             cli.verification_checks(lap.matrix, lap.incidence, lap.chain, planar_lap(5))
 
-    @pytest.mark.parametrize("n", [4, 256])
-    def test_solver_cross_check_detects_a_q_off_its_tree(self, n):
-        # the RK4 side integrates the built tree and the closed form reads Q's own eigh, so a
-        # symmetric corruption of Q shows as their gap: measured 6.1e-4 at n = 4, 8.7e-4 at n = 256
+    @pytest.mark.parametrize("n, scale", [pytest.param(4, None, id="4"), pytest.param(256, None, id="256"),
+                                          pytest.param(256, 1e12, id="256_entry_pair_scaled_1e12")])
+    def test_solver_cross_check_detects_a_q_off_its_tree(self, n, scale):
+        # the RK4 side integrates the built tree and the exact flow reads Q itself, so a
+        # symmetric corruption of Q shows as their gap: measured 6.1e-4 at n = 4, 8.7e-4 at
+        # n = 256. An entry pair scaled by 1e12 gives ρ ≈ 1e12, past 4, twice a path tree's
+        # largest degree, which bounds its Q's ρ: the check fails at once, naming ρ, and
+        # runs none of the ⌈tρ⌉ factors
         lap = planar_lap(n)
         q = lap.matrix.copy()
-        q[0, 2] += 1e-3
-        q[2, 0] += 1e-3
+        if scale is None:
+            q[0, 2] += 1e-3
+            q[2, 0] += 1e-3
+        else:
+            j = int(np.flatnonzero(q[0, 2:])[0]) + 2  # a nonzero entry of node 1's first edge block
+            q[0, j] *= scale
+            q[j, 0] *= scale
+        began = time.perf_counter()
         by_name = {r.name: r for r in cli.verification_checks(q, lap.incidence, lap.chain, lap)}
+        assert time.perf_counter() - began < 1.0
         assert by_name["symmetric"].passed
         assert not by_name["solver_cross_check"].passed
         assert by_name["solver_cross_check"].value > 100 * checks.SOLVER_TOL
+        if scale is not None:
+            rho = float(np.abs(np.linalg.eigvalsh(0.5 * (q + q.T))).max())
+            assert by_name["solver_cross_check"].value == pytest.approx(rho, rel=1e-12)
+            assert by_name["solver_cross_check"].detail == (
+                f"spectral radius of Q {rho:.3e} exceeds twice the tree's largest degree, 4 (tol 1e-6)")
 
     @pytest.mark.parametrize("spec", [{"n": 600}, {"formation": "cube"}], ids=["planar_n600", "cube"])
     def test_solver_cross_check_integrates_the_run_operator(self, spec, monkeypatch):
@@ -260,6 +278,40 @@ class TestVerificationChecks:
         assert details["null_basis"].endswith("(tol 1e-10)")
         assert details["gradient"].endswith("(tol 1e-6)")
         assert details["solver_cross_check"].endswith("(tol 1e-6)")
+
+
+class TestExponentialFlow:
+    @pytest.mark.parametrize("spec", [*PRESETS, {"formation": "cube", "cube": CROSS_CUBE}], ids=str)
+    @pytest.mark.parametrize("t", [0.0, 1.0, 3.7])
+    def test_matches_the_eigenvector_closed_form(self, spec, t):
+        # measured max |Taylor - eigh| up to 4.2e-15 (s = 1 … 18 factors); at t = 0 the
+        # Taylor route returns p0 exactly, eigh's V Vᵀ p0 within 4.3e-15 of it
+        lap = cli.build_system(scenario(spec))
+        q = lap.matrix
+        lam = np.linalg.eigvalsh(q)
+        rho = max(-lam[0], lam[-1])
+        p0 = np.random.default_rng(3).uniform(-2.0, 2.0, q.shape[0])
+        exact = checks.exponential_flow(q, p0, t, rho)
+        assert np.abs(exact - closed_form_solution(q, p0, t)).max() <= 2e-14
+        if t == 0.0:
+            assert np.array_equal(exact, p0)
+        # a null vector of Q (a column of the chain) comes back unchanged, no eigenvalue clamped
+        v = lap.chain[:, 0] / np.linalg.norm(lap.chain[:, 0])
+        assert np.abs(checks.exponential_flow(q, v, t, rho) - v).max() <= 1e-14
+
+    @pytest.mark.parametrize("t, rho, factors", [(0.0, 3.7, 1), (1.0, 3.7, 4), (1.0, 4.0, 4), (2.5, 3.7, 10)])
+    def test_factor_count_from_t_and_rho(self, t, rho, factors):
+        # s = max(1, ⌈tρ⌉) factors of 17 matvecs each
+        q = planar_lap(6).matrix
+        products = []
+
+        class Counted:
+            def __matmul__(self, other):
+                products.append(other.shape)
+                return q @ other
+
+        checks.exponential_flow(Counted(), np.ones(12), t, rho)
+        assert products == [(12,)] * (factors * checks.TAYLOR_DEGREE)
 
 
 class TestRoutesLiveInChecks:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symform as sf
-from conftest import CROSS_CUBE, path_eigenvalues, random_tree, random_tree_cases, slowest_rate
+from conftest import CROSS_CUBE, closed_form_solution, path_eigenvalues, random_tree, random_tree_cases, slowest_rate
 from symform import checks, cli, topology
 
 
@@ -168,18 +168,27 @@ class TestSpectrum:
     def test_asymmetric_matrix_rejected(self):
         q = np.eye(4)
         q[0, 1] = 1e-6
-        for vectors in (True, False):
-            with pytest.raises(ValueError, match="asymmetry"):
-                sf.spectrum(q, vectors=vectors)
+        with pytest.raises(ValueError, match="asymmetry"):
+            sf.spectrum(q)
 
-    @pytest.mark.parametrize("vectors", [True, False])
-    def test_solver_failure_is_a_numeric_failure(self, vectors, monkeypatch):
+    def test_solver_failure_is_a_numeric_failure(self, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("forced non-convergence")
 
-        monkeypatch.setattr(np.linalg, "eigh" if vectors else "eigvalsh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(sf.NumericFailure, match="forced non-convergence"):
-            sf.spectrum(np.eye(3), vectors=vectors)
+            sf.spectrum(np.eye(3))
+
+    def test_eigenvalues_only(self, monkeypatch):
+        # no spectrum holds eigenvectors: the eigh reference lives in the tests
+        def forbidden(*args, **kwargs):
+            raise AssertionError("spectrum formed eigenvectors")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        assert np.array_equal(sf.spectrum(np.diag([2.0, 0.0, 1.0])).eigenvalues, [0.0, 1.0, 2.0])
+        assert [f.name for f in dataclasses.fields(sf.Spectrum)] == ["eigenvalues", "spread"]
+        with pytest.raises(TypeError, match="vectors"):
+            sf.spectrum(np.eye(2), vectors=True)
 
     @pytest.mark.parametrize("build", [
         lambda: sf.build_laplacian(sf.cycle_minus_edge(5, (5, 1))),
@@ -204,13 +213,12 @@ class TestSpectrum:
 
 
 def assert_gauge_spectrum_matches_dense(lap) -> None:
-    """The gauge spectrum of a system, and the values-only spectrum of its matrix, against
+    """The gauge spectrum of a system, and the spectrum of its matrix, against the values of
     one dense eigendecomposition of the matrix."""
-    dense = sf.spectrum(lap.matrix)
-    for values_only in (lap.spectrum, sf.spectrum(lap.matrix, vectors=False)):
+    dense = sf.Spectrum(np.linalg.eigh(lap.matrix)[0])
+    for values_only in (lap.spectrum, sf.spectrum(lap.matrix)):
         assert np.abs(values_only.eigenvalues - dense.eigenvalues).max() <= 1e-12 * max(1.0, dense.lambda_max)
         assert (values_only.rank, values_only.null_dim) == (dense.rank, dense.null_dim)
-        assert values_only.eigenvectors is None
     assert 0.0 <= lap.spectrum.spread <= 1e-12
 
 
@@ -348,37 +356,25 @@ class TestClosedFormSolution:
     def test_time_zero_returns_start(self, path_system):
         _, lap, _ = path_system(5)
         p0 = np.random.default_rng(2).uniform(-2, 2, 10)
-        assert np.allclose(checks.closed_form_solution(lap.matrix, p0, 0.0), p0, atol=1e-12)
+        assert np.allclose(closed_form_solution(lap.matrix, p0, 0.0), p0, atol=1e-12)
 
     def test_long_horizon_converges_to_projection(self, path_system):
         _, lap, chain = path_system(6)
         p0 = np.random.default_rng(4).uniform(-2, 2, 12)
-        far = checks.closed_form_solution(lap.matrix, p0, 1e6)
+        far = closed_form_solution(lap.matrix, p0, 1e6)
         assert np.allclose(far, sf.steady_state(p0, chain), atol=1e-9)
 
     def test_eigenvector_decays_at_its_rate(self, path_system):
         _, lap, _ = path_system(4)
-        spec = sf.spectrum(lap.matrix)
-        lam = spec.eigenvalues[spec.null_dim]
-        v = spec.eigenvectors[:, spec.null_dim]
+        lam, vectors = np.linalg.eigh(lap.matrix)
         t = 1.7
-        assert np.allclose(checks.closed_form_solution(lap.matrix, v, t, spec=spec),
-                           math.exp(-lam * t) * v, atol=1e-12)
+        assert np.allclose(closed_form_solution(lap.matrix, vectors[:, 2], t),
+                           math.exp(-lam[2] * t) * vectors[:, 2], atol=1e-12)
 
     def test_negative_time_rejected(self, path_system):
         _, lap, _ = path_system(4)
         with pytest.raises(ValueError):
-            checks.closed_form_solution(lap.matrix, np.zeros(8), -1.0)
-
-    def test_vectorless_spectrum_rejected(self, path_system):
-        # a system's spectrum holds eigenvalues only: named, not an AttributeError
-        _, lap, _ = path_system(4)
-        p0 = np.random.default_rng(6).uniform(-2, 2, 8)
-        for spec in (lap.spectrum, sf.spectrum(lap.matrix, vectors=False)):
-            with pytest.raises(ValueError, match="no eigenvectors"):
-                checks.closed_form_solution(lap.matrix, p0, 1.0, spec=spec)
-        assert np.array_equal(checks.closed_form_solution(lap.matrix, p0, 1.0, spec=sf.spectrum(lap.matrix)),
-                              checks.closed_form_solution(lap.matrix, p0, 1.0))
+            closed_form_solution(lap.matrix, np.zeros(8), -1.0)
 
 
 class TestSymmetricConfiguration:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import symform as sf
-from conftest import random_tree, random_tree_cases
+from conftest import closed_form_solution, random_tree, random_tree_cases
 from symform import checks, cli, dynamics
 
 
@@ -375,13 +375,11 @@ class TestManeuverControl:
                 scale=ref.scale * math.exp(a * h),
             )
             zeta0 = checks.moving_frame(p, ref)
-            zeta_h = checks.closed_form_solution(lap.matrix, zeta0, abs(h)) if h >= 0 else None
+            zeta_h = closed_form_solution(lap.matrix, zeta0, abs(h)) if h >= 0 else None
             if h < 0:
                 # integrate the frame flow backwards via the eigenbasis
-                spec = sf.spectrum(lap.matrix)
-                lam = spec.eigenvalues.copy()
-                lam[np.abs(lam) < spec.threshold] = 0.0
-                V = spec.eigenvectors
+                lam, V = np.linalg.eigh(lap.matrix)
+                lam[np.abs(lam) < sf.Spectrum(lam).threshold] = 0.0
                 zeta_h = V @ (np.exp(-lam * h) * (V.T @ zeta0))
             return checks.frame_to_world(zeta_h, ref_h)
 

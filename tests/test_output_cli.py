@@ -177,6 +177,10 @@ class TestSvg:
         assert 1 <= len(ticks) <= output._TICK_STEPS + 2
         assert all(a < b for a, b in zip(ticks, ticks[1:]))
         assert all(lo <= v <= hi for v in ticks)
+        labels = output._labels(ticks)
+        assert len(set(labels)) == len(labels)  # no two ticks read alike
+        short = [f"{v:g}" for v in ticks]
+        assert labels == short or len(set(short)) < len(short)  # six digits wherever they tell the ticks apart
 
     def test_zero_error_trace_plots(self):
         # a run started on target: every error is identically zero
@@ -568,6 +572,16 @@ class TestRunScenario:
         _, _, metrics = cli.run_scenario(scn)
         assert all(metrics["checks"].values())
 
+    @pytest.mark.parametrize("spec", [{"n": 64}, "cube", {"formation": "cube", "cube": CROSS_CUBE}, "maneuver_c6"],
+                             ids=["planar_n64", "cube", "cross_cube", "maneuver_c6"])
+    def test_verify_takes_eigenvalues_only(self, spec, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify formed eigenvectors")
+
+        scn = cli.load_scenario(spec) if isinstance(spec, str) else cli.parse_scenario(spec)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        assert all(r.passed for r in cli.verify_scenario(scn))
+
     def test_write_outputs_layout(self, tmp_path):
         scn = cli.parse_scenario({"n": 4, "seed": 2, "horizon": 1.0,
                                   "name": "smoke"})
@@ -814,7 +828,8 @@ class TestMainExitCodes:
         assert (done.returncode, done.stderr) == (0, "")
         root = ET.parse(tmp_path / "out" / "far" / "paths.svg").getroot()
         labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
-        assert labels.count("1e+17") == 2  # the x axis's two floats, 1e17 and 1e17 + 16
+        # the x axis's two floats, 1e17 and 1e17 + 16, each labelled with the 17 digits that tell them apart
+        assert labels.count("1e+17") == 1 and labels.count("1.0000000000000002e+17") == 1
 
     def test_overflow_inside_a_block(self, tmp_path, capsys):
         # the frame grows by e^(100 t) from scale 1e-300, so the reference stays finite while
@@ -1547,7 +1562,7 @@ class TestOversizedRun:
     ], ids=["stationary", "maneuver", "maneuver_20_runs", "sweep", "verify"])
     def test_dense_build_peak_within_estimate(self, n, command, matrices):
         # a run forms n x n arrays only (L, its eigensolver's copies, one G at a time);
-        # sweep holds Q, E, the gauge form and E Eᵀ, and verify adds a dense eigh of Q;
+        # sweep holds Q, E, the gauge form and E Eᵀ, and verify adds an eigvalsh of Q;
         # comparisons go by blocks of rows
         tracemalloc.start()
         try:

@@ -85,6 +85,24 @@ def test_csv_costs(tmp_path):
         assert set(kernel["tracemalloc_peak_bytes"]) == {"table_build", "maneuver_c6", "flow_n16", "wide_n600"}
 
 
+def test_verify_costs(tmp_path):
+    # one repeat at n = 16, with this checkout as its own baseline: the section is written
+    # beside the file's others, and a solver_paths table keeps its one line a cell
+    out = tmp_path / "BENCH_scaling.json"
+    row = {"m": 4, "steps": 1}
+    out.write_text(json.dumps({"solver_paths": {"table": [row]}}))
+    result = run_script("verify_costs.py", "--out", str(out), "--repeats", "1", "--sizes", "16",
+                        "--baseline", str(ROOT / "src"), "--label", "same")
+    assert result.returncode == 0, result.stderr
+    text = out.read_text()
+    assert json.dumps(row) in text
+    section = json.loads(text)["verify"]
+    assert set(section["scenarios"]) == {"planar_n16", "cube_cross_edge"}
+    for checkout in ("checkout", "same"):
+        for cost in section["checkouts"][checkout].values():
+            assert cost["passed"] and len(cost["seconds_each"]) == 1 and cost["tracemalloc_peak_bytes"] > 0
+
+
 def test_snapshot_outputs(tmp_path):
     # asked for two BLAS threads, the script still runs on one: its block-path run at n = 300
     # writes the bytes of a one-thread run
