@@ -39,8 +39,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -49,6 +47,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import bench_file  # noqa: E402
 from symform import cli, output  # noqa: E402
 
 STAGES = ("decimal", "layout", "translate", "write")
@@ -159,22 +158,17 @@ def main(argv: list[str] | None = None) -> int:
         for trace in runs.values():
             kernel._write_trace(trace, Sink())
     result = measure(kernels, runs, args.repeats)
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     command = "PYTHONPATH=src python scripts/csv_costs.py --repeats " + str(args.repeats)
     section = {
         "what": "median ns a value of the CSV kernel's stages over every block of three traces: _decimal, "
                 "the rest of _slots (layout), bytearray.translate, and the whole _csv_body pass (write); "
                 "tracemalloc peaks of the first table build and of writing each trace to a discarding sink",
         "command": command + (f" --baseline <{args.label} checkout>/src --label {args.label}" if args.baseline else ""),
-        "machine": {"cpu": platform.processor() or platform.machine(), "nproc": os.cpu_count(),
-                    "python": platform.python_version(), "numpy": np.__version__,
-                    "blas": f"{blas.get('name')} {blas.get('version')}", "blas_threads": 1},
+        "machine": bench_file.machine(),
         "kernels": result,
     }
     path = Path(args.out)
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data["csv_kernel"] = section
-    path.write_text(json.dumps(data, indent=1) + "\n")
+    bench_file.write_section(path, "csv_kernel", section)
     for label, res in result.items():
         for name, row in res["traces"].items():
             print(f"{label:10s} {name:12s} " + " ".join(f"{s} {row['ns_per_value'][s]:6.1f}" for s in STAGES))

@@ -32,9 +32,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads: one BLAS thread, as the benchmark runs
 
 import argparse  # noqa: E402
-import json  # noqa: E402
 import math  # noqa: E402
-import platform  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -42,6 +40,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import bench_file  # noqa: E402
 from symform import dynamics  # noqa: E402
 from symform.laplacian import PathStencil  # noqa: E402
 
@@ -131,15 +130,12 @@ def main(argv: list[str] | None = None) -> int:
         if row["rule"] in seconds:
             ratios.append((seconds[row["rule"]] / seconds[row["fastest"]], row))
     ratios.sort(key=lambda item: -item[0])
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     section = {
         "what": "median seconds of one RK4 segment on each path of dynamics.propagate_linear, on the path "
                 "stencil of C_m cut at (m, 1); the fastest path, and the path that "
                 "dynamics.segment_path picks with the fitted constant (STENCIL_STEP_MULADDS)",
         "command": "PYTHONPATH=src python scripts/solver_costs.py --repeats " + str(args.repeats),
-        "machine": {"cpu": platform.processor() or platform.machine(), "nproc": os.cpu_count(),
-                    "python": platform.python_version(), "numpy": np.__version__,
-                    "blas": f"{blas.get('name')} {blas.get('version')}", "blas_threads": 1},
+        "machine": bench_file.machine(),
         "stencil_step_muladds": fitted,
         "summary": {
             "cells": len(table),
@@ -152,12 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         "table": table,
     }
     path = Path(args.out)
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data["solver_paths"] = section
-    text = json.dumps(data, indent=1)
-    for row in table:  # one line a cell
-        text = text.replace(json.dumps(row, indent=1).replace("\n", "\n   "), json.dumps(row), 1)
-    path.write_text(text + "\n")
+    bench_file.write_section(path, "solver_paths", section)
     print(f"wrote {path}: the rule picks the fastest path in {section['summary']['rule_picks_the_fastest']} "
           f"of {len(table)} cells; fitted {fitted}")
     return 0

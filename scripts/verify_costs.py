@@ -28,13 +28,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import json  # noqa: E402
-import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-import numpy as np  # noqa: E402
+import bench_file  # noqa: E402
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CROSS_CUBE = {"formation": "cube", "cube": {"cross_edge": [2, 6]}}
@@ -96,26 +95,18 @@ def main(argv: list[str] | None = None) -> int:
         sources[args.label] = args.baseline
     specs = {**{f"planar_n{n}": {"n": n} for n in args.sizes}, "cube_cross_edge": CROSS_CUBE}
     result = measure(sources, specs, args.repeats)
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     command = (f"python scripts/verify_costs.py --repeats {args.repeats} --sizes "
                + " ".join(map(str, args.sizes)))
     section = {
         "what": "cli.verify_scenario in fresh processes: median seconds of each process's first call, "
                 "and the largest tracemalloc peak of a second call, in bytes and in dn x dn float64 matrices",
         "command": command + (f" --baseline <{args.label} checkout>/src --label {args.label}" if args.baseline else ""),
-        "machine": {"cpu": platform.processor() or platform.machine(), "nproc": os.cpu_count(),
-                    "python": platform.python_version(), "numpy": np.__version__,
-                    "blas": f"{blas.get('name')} {blas.get('version')}", "blas_threads": 1},
+        "machine": bench_file.machine(),
         "scenarios": specs,
         "checkouts": result,
     }
     path = Path(args.out)
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data["verify"] = section
-    text = json.dumps(data, indent=1)
-    for row in data.get("solver_paths", {}).get("table", []):  # one line a cell, as solver_costs.py writes it
-        text = text.replace(json.dumps(row, indent=1).replace("\n", "\n   "), json.dumps(row), 1)
-    path.write_text(text + "\n")
+    bench_file.write_section(path, "verify", section)
     for label, by_name in result.items():
         for name, row in by_name.items():
             print(f"{label:10s} {name:16s} {row['seconds']:8.4f} s  peak {row['tracemalloc_peak_bytes'] / 2**20:8.1f} MiB"

@@ -125,7 +125,7 @@ def verification_checks(q_matrix: NDArray[np.float64], incidence_matrix: NDArray
     tol = run_spectrum.spread + SPECTRUM_TOL * max(1.0, spec.lambda_max)
     gap = float(np.abs(run_spectrum.eigenvalues - spec.eigenvalues).max())
     out.append(CheckResult("tree_spectrum", gap <= tol,
-                           f"max |run - eigh| = {gap:.3e} (tol {tol:.3e}: spread {run_spectrum.spread:.1e} "
+                           f"max |run - eigvalsh| = {gap:.3e} (tol {tol:.3e}: spread {run_spectrum.spread:.1e} "
                            f"+ {_tol(SPECTRUM_TOL)} * max(1, lambda_max))", gap))
 
     # gradient of 0.5 ||E^T p||^2 must match Q p (central differences, h = 1e-5)
@@ -179,36 +179,20 @@ def assemble_laplacian(n: int, dim: int, wedges: list[WeightedEdge]) -> NDArray[
     return Q
 
 
-def _slot_permutation(order: Sequence[int]) -> NDArray[np.float64]:
-    """24×24 block permutation P taking agent ``order[k]`` to slot k, so P M Pᵀ places
-    the blocks of M at slot k on agent ``order[k]``."""
-    perm = np.zeros((24, 24))
-    for loc, g in enumerate(order):
-        perm[3 * (g - 1):3 * g, 3 * loc:3 * loc + 3] = np.eye(3)
-    return perm
-
-
-def cube_permutation(spec: CubeSpec) -> NDArray[np.float64]:
-    """24×24 block permutation taking ``cross_edge``, in its direction, to the first two
-    agent slots and the other agents, in ascending order, to the rest."""
-    return _slot_permutation([*spec.cross_edge, *(i for i in range(1, 9) if i not in spec.cross_edge)])
-
-
 def composed_cube_laplacian(spec: CubeSpec) -> NDArray[np.float64]:
-    """The cube's Q from sub-blocks: the face-chain block twice, permuted onto ``top_nodes``
-    and ``bottom_nodes``, plus the cross-chain block permuted onto ``cross_edge``."""
+    """The cube's Q from sub-blocks, each added at its agents' coordinates (agent k holds
+    3(k - 1) … 3(k - 1) + 2): the face-chain block at ``top_nodes`` and again at
+    ``bottom_nodes``, and the cross-edge block at ``cross_edge``, in its direction."""
     w_face = rotation3(spec.face_axis, spec.face_angle).matrix
     w_cross = rotation3(spec.cross_axis, spec.cross_angle).matrix
     face_block = assemble_laplacian(4, 3, [(i + 1, i + 2, w_face) for i in range(3)])
-    cross_block = assemble_laplacian(4, 3, [(1, 2, w_cross)])
-    stacked = np.zeros((24, 24))
-    stacked[:12, :12] = face_block
-    stacked[12:, 12:] = face_block
-    faces = _slot_permutation((*spec.top_nodes, *spec.bottom_nodes))
-    perm = cube_permutation(spec)
-    embedded = np.zeros((24, 24))
-    embedded[:12, :12] = cross_block
-    return faces @ stacked @ faces.T + perm @ embedded @ perm.T
+    cross_block = assemble_laplacian(2, 3, [(1, 2, w_cross)])
+    q = np.zeros((24, 24))
+    for nodes, block in ((spec.top_nodes, face_block), (spec.bottom_nodes, face_block),
+                         (spec.cross_edge, cross_block)):
+        coords = [3 * (k - 1) + c for k in nodes for c in range(3)]
+        q[np.ix_(coords, coords)] += block
+    return q
 
 
 def segment_value(segs: tuple, t: float):

@@ -212,14 +212,19 @@ def verify_scenario(scn: Scenario) -> list[CheckResult]:
 
 # ---------------------------------------------------------------------- sweep
 
-def sweep_sizes(n_from: int, n_to: int) -> list[dict]:
-    """Path-tree construction checks across formation sizes, with PSD and rank from an
-    eigensolver (``SymmetryLaplacian.numeric_spectrum``), not from the path formula a run takes."""
+def _check_sweep_range(n_from: int, n_to: int) -> None:
+    """Refuse a size range that ``sweep`` cannot take, before anything is built."""
     if n_from < 3:
         raise ScenarioError(f"--n-from must be at least 3, got {n_from}")
     if n_to < n_from:
         raise ScenarioError(f"--n-to must be >= --n-from, got {n_to} < {n_from}")
     dynamics.require_build_fits(n_to, 2, dynamics.BUILD_DENSE_MATRICES)
+
+
+def sweep_sizes(n_from: int, n_to: int) -> list[dict]:
+    """Path-tree construction checks across formation sizes, with PSD and rank from an
+    eigensolver (``SymmetryLaplacian.numeric_spectrum``), not from the path formula a run takes."""
+    _check_sweep_range(n_from, n_to)
     rows = []
     for n in range(n_from, n_to + 1):
         lap = build_system(parse_scenario({"n": n}))
@@ -279,6 +284,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _check_sweep_range(args.n_from, args.n_to)
+    out_dir = None if args.out is None else Path(args.out)
+    if out_dir is not None:  # an unusable target fails before the sweep, not after it
+        out_dir.mkdir(parents=True, exist_ok=True)
     rows = sweep_sizes(args.n_from, args.n_to)
     all_ok = True
     for row in rows:
@@ -287,9 +296,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"lambda_min_pos={row['lambda_min_pos']:.6f} product_gap={row['product_gap']:.1e} "
               f"null_gap={row['null_gap']:.1e}")
         all_ok = all_ok and row["passed"]
-    if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         output.write_metrics_json({"sweep": rows}, out_dir / "sweep.json")
         print(f"  wrote {out_dir}/sweep.json")
     print("sweep " + ("passed" if all_ok else "FAILED"))

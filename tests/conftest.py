@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -62,12 +63,16 @@ def closed_form_solution(q_matrix: np.ndarray, p0: np.ndarray, t: float) -> np.n
     return vectors @ (np.exp(-lam * t) * (vectors.T @ np.asarray(p0, dtype=float)))
 
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
 @pytest.fixture(scope="session")
 def solver_costs():
-    """scripts/solver_costs.py as a module, the environment it pins for its own process kept."""
-    spec = importlib.util.spec_from_file_location("solver_costs", Path(__file__).parents[1] / "scripts" / "solver_costs.py")
+    """scripts/solver_costs.py as a module, the environment it pins for its own process kept,
+    and its sibling modules found as when it runs as a script."""
+    spec = importlib.util.spec_from_file_location("solver_costs", SCRIPTS / "solver_costs.py")
     module = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(os.environ):
+    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", [str(SCRIPTS), *sys.path]):
         spec.loader.exec_module(module)
     return module
 

@@ -20,7 +20,7 @@ ROUTES = ("control", "control_per_agent", "edge_errors", "potential", "maneuver_
           "frame_to_world", "shifted_errors", "steady_state_per_agent", "exponential_flow",
           "symmetric_configuration")
 # the construction routes of Q that only verify and the tests build
-CONSTRUCTIONS = ("construction_routes", "assemble_laplacian", "cube_permutation", "composed_cube_laplacian")
+CONSTRUCTIONS = ("construction_routes", "assemble_laplacian", "composed_cube_laplacian")
 
 # metrics.json "checks" key -> the structure check it reports
 METRIC_NAMES = {
@@ -111,6 +111,7 @@ class TestVerificationChecks:
         # with the cross edge (eigvalsh of L), against a tolerance of about 4e-12
         check = {r.name: r for r in cli.verify_scenario(scenario(spec))}["tree_spectrum"]
         assert check.passed and check.value <= 1e-14
+        assert check.detail.startswith(f"max |run - eigvalsh| = {check.value:.3e} (tol ")
 
     @pytest.mark.parametrize("spec", ["example3_c6", "cube"])
     def test_tree_spectrum_detects_a_formula_off_by_1e_8(self, spec, monkeypatch):
@@ -377,6 +378,29 @@ class TestRoutesLiveInChecks:
         line, = (x for x in capsys.readouterr().out.splitlines() if "construction_routes:" in x)
         assert line.startswith("  PASS construction_routes: max route disagreement ")
         assert float(line.split()[5]) <= checks.ROUTE_TOL
+
+    def test_mislabelled_build_fails_construction_routes_only(self):
+        # the top face built as 1-2-4-3 and checked against the default cube: only the route
+        # composed from the spec can tell, as every other check reads the built arrays
+        lap = spatial3d.build_cube(spatial3d.CubeSpec(top_nodes=(1, 2, 4, 3)))
+        results = cli.verification_checks(lap.matrix, lap.incidence, lap.chain, lap,
+                                          routes=checks.construction_routes(lap, spatial3d.CubeSpec()))
+        assert [r.name for r in results if not r.passed] == ["construction_routes"]
+
+    @pytest.mark.parametrize("fields", [
+        {}, {"cross_edge": (2, 6)}, {"top_nodes": (4, 3, 2, 1), "cross_edge": (5, 1)},
+        {"cross_edge": (7, 3), "face_axis": "x", "cross_axis": "y", "face_angle": 0.3, "cross_angle": 1.7},
+        {"top_nodes": (8, 6, 4, 2), "bottom_nodes": (1, 3, 5, 7), "cross_edge": (2, 7)},
+    ], ids=str)
+    def test_composed_route_is_the_assembly_of_the_spec_edges(self, fields):
+        # each block added at its agents' coordinates gives, bit for bit, the assembly of
+        # the seven labelled edges: both faces' chains and the cross edge in its direction
+        spec = spatial3d.CubeSpec(**fields)
+        w_face = sf.rotation3(spec.face_axis, spec.face_angle).matrix
+        w_cross = sf.rotation3(spec.cross_axis, spec.cross_angle).matrix
+        edges = [(face[i], face[i + 1], w_face) for face in (spec.top_nodes, spec.bottom_nodes) for i in range(3)]
+        expected = checks.assemble_laplacian(8, 3, [*edges, (*spec.cross_edge, w_cross)])
+        assert np.array_equal(checks.composed_cube_laplacian(spec), expected)
 
 
 def test_no_imports_inside_functions():

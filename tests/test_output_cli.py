@@ -890,9 +890,10 @@ class TestMainExitCodes:
 
     def test_sweep(self, tmp_path, capsys):
         code = cli.main(["sweep", "--n-from", "3", "--n-to", "5",
-                         "--out", str(tmp_path)])
+                         "--out", str(tmp_path / "out")])
         assert code == 0
-        assert (tmp_path / "sweep.json").is_file()
+        output.write_metrics_json({"sweep": cli.sweep_sizes(3, 5)}, tmp_path / "expected.json")
+        assert (tmp_path / "out" / "sweep.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
         assert "sweep passed" in capsys.readouterr().out
 
     def test_sweep_bad_range(self, capsys):
@@ -1533,19 +1534,22 @@ class TestOversizedRun:
         assert capsys.readouterr() == ("", f"scenario error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("case", ["run_under_file", "sweep_under_file", "long_name"])
+    @pytest.mark.parametrize("case", ["run_under_file", "sweep_under_file", "sweep_at_file", "long_name"])
     def test_refused_output_path(self, tmp_path, capsys, case):
+        # sweep is refused its --out before the first size, so it prints no PASS line
         (tmp_path / "afile").write_text("")
         out = tmp_path / "out"
         argv = {"run_under_file": ["run", "example2_c4", "--out", str(tmp_path / "afile" / "x")],
                 "sweep_under_file": ["sweep", "--n-from", "3", "--n-to", "4",
-                                     "--out", str(tmp_path / "afile" / "y")]}.get(case)
+                                     "--out", str(tmp_path / "afile" / "y")],
+                "sweep_at_file": ["sweep", "--n-from", "3", "--n-to", "64", "--out", str(tmp_path / "afile")]}.get(case)
         if argv is None:  # a scenario name cannot be too long (parse_scenario bounds it); --out can
             argv = ["run", "example2_c4", "--out", str(out / ("o" * 300))]
         assert cli.main(argv) == 2
-        err = capsys.readouterr().err
+        printed, err = capsys.readouterr()
         refused = argv[-1]
-        reason = "File name too long" if case == "long_name" else "Not a directory"
+        reason = {"long_name": "File name too long", "sweep_at_file": "File exists"}.get(case, "Not a directory")
+        assert "PASS" not in printed
         assert err.startswith("file system error: ") and err.count("\n") == 1
         assert refused in err and reason in err and "Traceback" not in err
         assert (tmp_path / "afile").read_text() == ""

@@ -1,6 +1,7 @@
 """Smoke tests: each script under scripts/ runs to completion in a fresh interpreter."""
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -83,6 +84,21 @@ def test_csv_costs(tmp_path):
         for row in kernel["traces"].values():
             assert set(row["ns_per_value"]) == {"decimal", "layout", "translate", "write"}
         assert set(kernel["tracemalloc_peak_bytes"]) == {"table_build", "maneuver_c6", "flow_n16", "wide_n600"}
+
+
+@pytest.mark.parametrize("name", ["BENCH_scaling.json", "BENCH_layers.json"])
+def test_bench_file_rewrites_recorded_sections_unchanged(tmp_path, name):
+    # each recorded section written back gives the file's bytes: the other sections kept in
+    # their order, and a solver_paths table one line a cell
+    spec = importlib.util.spec_from_file_location("bench_file", ROOT / "scripts" / "bench_file.py")
+    bench_file = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_file)
+    recorded = (ROOT / name).read_bytes()
+    for section, value in json.loads(recorded).items():
+        copy = tmp_path / name
+        copy.write_bytes(recorded)
+        bench_file.write_section(copy, section, value)
+        assert copy.read_bytes() == recorded
 
 
 def test_verify_costs(tmp_path):
@@ -201,18 +217,18 @@ def test_compare_snapshots_log_blocks(tmp_path):
     a.mkdir(), b.mkdir()
     (a / "log.txt").write_text(LOG.format(gradient="1.302e-09", verdict="PASS", code=0))
     added = LOG.format(gradient="1.726e-11", verdict="PASS", code=0).replace(
-        "--- stdout\n", "--- stdout\n  PASS tree_spectrum: max |run - eigh| = 2.220e-15\n")
+        "--- stdout\n", "--- stdout\n  PASS tree_spectrum: max |run - eigvalsh| = 2.220e-15\n")
     (b / "log.txt").write_text(added + "$ symform sweep\nexit 0\n")
     result = run_script("compare_snapshots.py", str(a), str(b))
     assert result.returncode == 1
     assert result.stdout.splitlines() == [
         "log.txt: block '$ symform sweep' only in B (2 lines), "
-        "line 4 of B only in B: 'PASS tree_spectrum: max |run - eigh| = 2.220e-15', "
+        "line 4 of B only in B: 'PASS tree_spectrum: max |run - eigvalsh| = 2.220e-15', "
         "line 4 PASS gradient: max relative FD mismatch 1.302e-09 -> 1.726e-11 (0.99)"]
     result = run_script("compare_snapshots.py", str(b), str(a))
     assert result.returncode == 1
     assert result.stdout.splitlines() == [
-        "log.txt: line 4 only in A: 'PASS tree_spectrum: max |run - eigh| = 2.220e-15', "
+        "log.txt: line 4 only in A: 'PASS tree_spectrum: max |run - eigvalsh| = 2.220e-15', "
         "block '$ symform sweep' only in A (2 lines), "
         "line 5 PASS gradient: max relative FD mismatch 1.726e-11 -> 1.302e-09 (74)"]
 

@@ -96,10 +96,6 @@ class TestBuildCube:
         lap = sf.build_cube()
         assert np.abs(lap.matrix @ lap.chain).max() <= 1e-12
 
-    def test_permutation_is_orthogonal(self):
-        perm = checks.cube_permutation(sf.CubeSpec())
-        assert np.array_equal(perm @ perm.T, np.eye(24))
-
     @pytest.mark.parametrize("fields, message", [
         ({"top_nodes": (1, 2, 3, 5)}, "top_nodes: with bottom_nodes [5, 6, 7, 8] must partition 1..8, "
                                       "got [1, 2, 3, 5]"),
@@ -114,15 +110,6 @@ class TestBuildCube:
         with pytest.raises(ValueError) as info:
             sf.CubeSpec(**fields)
         assert str(info.value).startswith(message)
-
-    def test_cross_edge_orbits_accepted(self):
-        # any cross edge from a top node to a bottom node, either way round, leads the slots
-        for spec in (sf.CubeSpec(), sf.CubeSpec(cross_edge=(2, 6)), sf.CubeSpec(cross_edge=(7, 3))):
-            perm = checks.cube_permutation(spec)
-            assert np.array_equal(perm @ perm.T, np.eye(24))
-            slots = np.argmax(perm[::3, ::3], axis=0) + 1
-            assert slots[:2].tolist() == list(spec.cross_edge)
-            assert slots[2:].tolist() == sorted(set(range(1, 9)) - set(spec.cross_edge))
 
     def test_bad_partition_rejected(self):
         with pytest.raises(ValueError, match="partition"):
